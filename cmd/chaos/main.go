@@ -5,9 +5,10 @@
 //
 // The sweep is deterministic — same flags, same summary, byte for byte —
 // so its output is a diffable regression artifact (scripts/chaos.sh runs
-// it twice and diffs). The exit status is 1 if any run violated safety,
-// 2 on usage errors, 0 otherwise; undecided linearizability searches
-// (state budget exceeded) are reported but do not fail the sweep.
+// it twice and diffs). The exit status is 1 if any run violated safety
+// or any linearizability search was undecided (state budget exceeded —
+// a history nobody checked is not a pass), 2 on usage errors, 0
+// otherwise.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -184,13 +186,24 @@ func main() {
 	}
 	sum.Merge(msum)
 
-	fmt.Print(sum)
+	os.Exit(report(os.Stdout, sum))
+}
+
+// report prints the sweep summary and its verdict and returns the exit
+// status: 1 when any run violated safety or was left undecided.
+func report(w io.Writer, sum *nemesis.Summary) int {
+	fmt.Fprint(w, sum)
+	status := 0
 	if n := sum.Undecided(); n > 0 {
-		fmt.Printf("undecided: %d run(s) exceeded the linearizability state budget\n", n)
+		fmt.Fprintf(w, "FAIL: %d run(s) undecided: the linearizability search exceeded its state budget (raise -state-limit)\n", n)
+		status = 1
 	}
 	if n := sum.Violations(); n > 0 {
-		fmt.Printf("FAIL: %d run(s) violated safety\n", n)
-		os.Exit(1)
+		fmt.Fprintf(w, "FAIL: %d run(s) violated safety\n", n)
+		status = 1
 	}
-	fmt.Println("ok: no safety violations")
+	if status == 0 {
+		fmt.Fprintln(w, "ok: no safety violations")
+	}
+	return status
 }

@@ -91,7 +91,7 @@ func main() {
 	key := flag.String("key", "", "key the client operations target (empty = the classic single register)")
 	shards := flag.Int("shards", 0, "replica store shard count (0 = rkv default; more shards = less lock contention across keys)")
 	dataDir := flag.String("data-dir", "", "durable storage directory: back the replica with a per-shard write-ahead log so a kill -9 loses nothing acknowledged (empty = in-memory, state dies with the process)")
-	snapEvery := flag.Int("snapshot-every", 0, "snapshot a shard and truncate its log segments after this many appends (0 = WAL default, negative disables)")
+	snapEvery := flag.Int("snapshot-every", 0, "checkpoint the store and truncate the log after this many appends (0 = WAL default, negative disables)")
 	write := flag.String("write", "", "perform a read-write update with this value")
 	read := flag.Bool("read", false, "perform a read")
 	thenRead := flag.Bool("then-read", false, "follow the write with a read")

@@ -13,9 +13,12 @@
 //     into the stage histograms when the op completes.
 //
 // A Rec is owned by exactly one goroutine at a time: the transport
-// reader that sampled it, then (via the event queue or a writer queue,
-// both of which establish happens-before) whichever goroutine finishes
-// it. Stages may nest or overlap; Done folds whatever was recorded.
+// reader that sampled it, then (via the event queue, a writer queue or
+// the WAL's waiter list, all of which establish happens-before)
+// whichever goroutine finishes it. A hand-off is final: the giver drops
+// its pointer and never looks at the record again, because the taker
+// may fold and recycle it at once. Stages may nest or overlap; Done
+// folds whatever was recorded.
 //
 // The package sits below every layer that stamps (transport, rkv, wal,
 // gateway) and therefore also hosts the two tiny interfaces they share:
@@ -45,12 +48,12 @@ const (
 	// write applies, including the WAL append that rides the lock).
 	StageLock
 	// StageStorage is the replica's whole durability barrier
-	// (commitDurable): everything between "applied" and "durable".
+	// (ackDurable): everything between "applied" and "durable".
 	StageStorage
 	// StageWALWait is the group-commit coalescing wait inside the
-	// storage barrier: follower cond-wait plus leader election.
+	// storage barrier: until the covering round starts its flush.
 	StageWALWait
-	// StageFsync is a group-commit leader's own write+fsync pass.
+	// StageFsync is the covering round's write+fsync pass.
 	StageFsync
 	// StageLease is the coordinator's lease-invalidation barrier: from
 	// entering phaseInval to the write phase being allowed to ship.
@@ -126,12 +129,11 @@ type Rec struct {
 	batch uint32
 	epoch uint64
 
-	open    uint32 // stages begun and not yet ended
-	used    uint32 // stages with recorded time
-	t0      [NumStages]int64
-	dur     [NumStages]int64
-	claimed bool // handed to a peer writer for send-stage completion
-	owner   *Tracer
+	open  uint32 // stages begun and not yet ended
+	used  uint32 // stages with recorded time
+	t0    [NumStages]int64
+	dur   [NumStages]int64
+	owner *Tracer
 }
 
 // Begin marks the start of a stage. Re-Begin of an open stage restarts
@@ -193,23 +195,6 @@ func (r *Rec) Tag(kind Kind, batch int, epoch uint64) {
 	}
 	r.epoch = epoch
 }
-
-// Claim marks the record as handed off to a writer goroutine, which
-// will End the send stage and Done it after the covering flush. The
-// first claim wins; callers must only transfer ownership when Claim
-// reports true. Not atomic by design: claim and the post-delivery
-// claimed-check run on the delivery's own goroutine.
-func (r *Rec) Claim() bool {
-	if r == nil || r.claimed {
-		return false
-	}
-	r.claimed = true
-	return true
-}
-
-// Claimed reports whether a writer goroutine owns the record's
-// completion.
-func (r *Rec) Claimed() bool { return r != nil && r.claimed }
 
 // Done closes any still-open stages, folds the record into its tracer's
 // histograms and recycles it. The record must not be used afterwards.

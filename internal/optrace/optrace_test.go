@@ -29,9 +29,6 @@ func TestNilSafety(t *testing.T) {
 	r.End(StageLock)
 	r.Observe(StageFsync, time.Millisecond)
 	r.Tag(KindRead, 8, 3)
-	if r.Claim() || r.Claimed() {
-		t.Fatal("nil rec claimed")
-	}
 	r.Done()
 }
 
@@ -103,21 +100,6 @@ func TestEndWithoutBegin(t *testing.T) {
 	if st := tr.Snapshot().Stages[StageLease.String()]; st.Count != 0 {
 		t.Fatalf("unbegun stage recorded: %+v", st)
 	}
-}
-
-func TestClaimOnce(t *testing.T) {
-	tr := New(1)
-	r := tr.Sample()
-	if !r.Claim() {
-		t.Fatal("first claim failed")
-	}
-	if r.Claim() {
-		t.Fatal("second claim succeeded")
-	}
-	if !r.Claimed() {
-		t.Fatal("not claimed")
-	}
-	r.Done()
 }
 
 // TestConcurrentFold hammers Sample/stamp/Done from many goroutines —

@@ -16,12 +16,12 @@ import (
 //
 // Ordering contract: a write is applied to the map and appended to the
 // log under the same map-shard lock (applyLogged), so any handler that
-// observes an entry is ordered after that entry's log append; its own
-// commit barrier (wal.Sync) therefore covers the record, and no ack can
-// reference state the log doesn't yet hold. Snapshots dump a shard
-// under that same lock, making the dumped state a superset of every
-// appended record — the invariant wal.SnapshotShard needs to truncate
-// segments safely.
+// observes an entry is ordered after that entry's log append; the commit
+// round its ack waits for (ackDurable) therefore covers the record, and
+// no ack can reference state the log doesn't yet hold. Checkpoints dump
+// each shard under that same lock, making the dumped state a superset of
+// every record appended before the checkpoint's rotation — the invariant
+// wal.Checkpoint needs to delete older segments safely.
 
 // clockLeaseChunk is how far ahead of the highest stamped counter a
 // clock lease reaches. Larger chunks mean fewer lease commits (one per
@@ -50,8 +50,8 @@ func (n *Node) openStorage() error {
 }
 
 // openDisk opens the WAL under DataDir and replays it into the (empty)
-// store: puts re-merge monotonically — replay over overlapping snapshot
-// and segment history is idempotent — and clock leases raise the
+// store: puts re-merge monotonically — replay over the overlapping
+// checkpoint and segment history is idempotent — and clock leases raise the
 // logical clock past every counter the previous incarnation may have
 // stamped.
 func (n *Node) openDisk() error {
@@ -84,6 +84,7 @@ func (n *Node) openDisk() error {
 		l.Abandon()
 		return err
 	}
+	l.AutoCheckpoint(n.dumpStore)
 	n.wal = l
 	return nil
 }
@@ -107,9 +108,8 @@ func (n *Node) applyPut(key string, ver Version, val string) bool {
 		return true
 	}
 	ok := true
-	n.store.applyLogged(key, ver, val, func(shard int) {
+	n.store.applyLogged(key, ver, val, func() {
 		err := n.wal.Append(wal.Record{
-			Shard:   shard,
 			Kind:    wal.KindPut,
 			Key:     key,
 			Counter: ver.Counter,
@@ -123,54 +123,74 @@ func (n *Node) applyPut(key string, ver Version, val string) bool {
 	return ok
 }
 
-// commitDurable is the group-commit barrier a replica crosses before
-// acknowledging: every record appended so far — the whole quorum
-// batch, typically — becomes durable under one fsync per dirty shard
-// file. Reports whether the ack may be sent. On the memory backend it
-// is free. rec (nil when unsampled) gets the barrier as its storage
-// stage, with the WAL splitting it into group-commit wait vs fsync.
-func (n *Node) commitDurable(rec *optrace.Rec) bool {
+// detacher is implemented by transport Envs whose deliveries may finish
+// after the handler returns: Detach moves the delivery (and its trace
+// record) into a fresh Env that one other goroutine may Send through
+// later, and done must be called once that goroutine is finished with
+// it. Envs without it — the single-goroutine simulator — make the
+// handler wait instead.
+type detacher interface {
+	Detach() (env cluster.Env, done func())
+}
+
+// ackDurable sends a replica's write ack once every record appended so
+// far — the whole quorum batch, and whatever an observed entry's writer
+// appended before us — is durable. On the memory backend that is now.
+// On the disk backend the ack is released by whichever commit round
+// covers the append, so the delivering goroutine returns to its socket
+// at once: the write batches queued behind this one ride the same
+// round, and reads never wait behind a flush. A failed round sends
+// nothing — the replica stops acknowledging. The delivery's trace
+// record (nil when unsampled) gets append→durable as its storage stage,
+// which the WAL splits into wal_wait and fsync.
+func (n *Node) ackDurable(env cluster.Env, to cluster.NodeID, ack any) {
 	if n.wal == nil {
-		return true
+		env.Send(to, ack)
+		return
 	}
+	rec := optrace.From(env)
 	rec.Begin(optrace.StageStorage)
-	err := n.wal.SyncTraced(rec)
-	rec.End(optrace.StageStorage)
-	if err != nil {
-		return false
+	release := func(out cluster.Env, err error) {
+		rec.End(optrace.StageStorage)
+		if err == nil {
+			out.Send(to, ack)
+		}
 	}
-	n.maybeSnapshot()
-	return true
+	if d, ok := env.(detacher); ok {
+		out, done := d.Detach()
+		n.wal.AfterSync(rec, func(err error) {
+			release(out, err)
+			done()
+		})
+		return
+	}
+	release(env, n.wal.Sync())
 }
 
-// maybeSnapshot compacts any shard whose log grew past SnapshotEvery
-// records: the shard map is dumped and written as the new snapshot
-// under the map-shard lock, so it is guaranteed to cover every record
-// in the segments being truncated.
-func (n *Node) maybeSnapshot() {
-	for _, shard := range n.wal.SnapshotDue() {
-		n.store.withShard(shard, func(m map[string]entry) {
-			// Errors are sticky inside the log: the next commit fails
-			// and the replica stops acknowledging.
-			_ = n.wal.SnapshotShard(shard, recordsOf(shard, m))
-		})
-	}
+// commitDurable is the blocking form for coordinator-side applies (the
+// reconfiguration push, the lease pull and self-keep), which continue
+// their state machine on the event goroutine once the local copy is as
+// durable as a remote member's acked one.
+func (n *Node) commitDurable() bool {
+	return n.wal == nil || n.wal.Sync() == nil
 }
 
-// recordsOf converts one shard's map state to WAL put records.
-func recordsOf(shard int, m map[string]entry) []wal.Record {
-	recs := make([]wal.Record, 0, len(m))
-	for k, e := range m {
-		recs = append(recs, wal.Record{
-			Shard:   shard,
-			Kind:    wal.KindPut,
-			Key:     k,
-			Counter: e.ver.Counter,
-			Writer:  uint64(e.ver.Writer),
-			Value:   e.val,
+// dumpStore streams the whole store as WAL put records — the checkpoint
+// source — one map shard at a time under that shard's lock.
+func (n *Node) dumpStore(emit func(wal.Record)) {
+	for i := 0; i < n.store.count(); i++ {
+		n.store.withShard(i, func(m map[string]entry) {
+			for k, e := range m {
+				emit(wal.Record{
+					Kind:    wal.KindPut,
+					Key:     k,
+					Counter: e.ver.Counter,
+					Writer:  uint64(e.ver.Writer),
+					Value:   e.val,
+				})
+			}
 		})
 	}
-	return recs
 }
 
 // ensureClockLease guarantees the node may stamp version counters up to
@@ -184,36 +204,26 @@ func (n *Node) ensureClockLease(c uint64) bool {
 		return true
 	}
 	lease := c + clockLeaseChunk
-	if n.wal.Commit(wal.Record{Shard: 0, Kind: wal.KindClock, Counter: lease}) != nil {
+	if n.wal.Commit(wal.Record{Kind: wal.KindClock, Counter: lease}) != nil {
 		return false
 	}
 	n.walLease = lease
 	return true
 }
 
-// dumpRecords converts one shard's map state to WAL records (shutdown
-// snapshot).
-func (n *Node) dumpRecords(shard int) []wal.Record {
-	var recs []wal.Record
-	n.store.withShard(shard, func(m map[string]entry) {
-		recs = recordsOf(shard, m)
-	})
-	return recs
-}
-
 // Close shuts the storage backend down cleanly: flush and fsync the
-// log, snapshot every shard and write the clean-shutdown marker so the
-// next start can skip segment replay. The memory backend is a no-op.
-// Call it only after the node stopped serving traffic.
+// log, write a final checkpoint and the clean-shutdown marker. The
+// memory backend is a no-op. Call it only after the node stopped
+// serving traffic.
 func (n *Node) Close() error {
 	if n.wal == nil {
 		return nil
 	}
-	return n.wal.Close(n.dumpRecords)
+	return n.wal.Close(n.dumpStore)
 }
 
 // WALStats returns the disk backend's operation counters (zero Stats on
-// the memory backend) — how tests assert the one-fsync-per-batch group
+// the memory backend) — how tests assert the one-fsync-per-round group
 // commit and how kvd reports recovery progress.
 func (n *Node) WALStats() wal.Stats {
 	if n.wal == nil {

@@ -1,12 +1,17 @@
 package rkv
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"hquorum/internal/cluster"
+	"hquorum/internal/wal"
 )
 
 // diskHarness wires a 3-replica majority cluster with the disk backend:
@@ -95,15 +100,22 @@ func TestDiskCrashRecovery(t *testing.T) {
 }
 
 // TestDiskGroupCommitPerBatch: with Batch=8 an eight-op round reaches a
-// replica as one msgWriteBatch and must cost one commit round with one
-// fsync, not eight — the end-to-end form of the WAL-level group-commit
-// guarantee.
+// replica as one msgWriteBatch whose keys spread over the 16 map shards,
+// and must cost one commit round with one fsync — FileSyncs == SyncRounds
+// whatever the shard spread, the end-to-end form of the WAL-level
+// group-commit guarantee.
 func TestDiskGroupCommitPerBatch(t *testing.T) {
 	var ops []Op
+	shards := map[uint64]bool{}
 	for i := 0; i < 8; i++ {
-		ops = append(ops, Op{Kind: OpBlindWrite, Key: fmt.Sprintf("key-%d", i), Value: "v"})
+		key := fmt.Sprintf("key-%d", i)
+		shards[hashKey(key)&(DefaultShards-1)] = true
+		ops = append(ops, Op{Kind: OpBlindWrite, Key: key, Value: "v"})
 	}
-	h := newDiskHarness(t, 12, Config{Batch: 8, Shards: 1, OpGap: -1}, map[cluster.NodeID][]Op{0: ops})
+	if len(shards) < 4 {
+		t.Fatalf("test keys cover only %d map shards", len(shards))
+	}
+	h := newDiskHarness(t, 12, Config{Batch: 8, OpGap: -1}, map[cluster.NodeID][]Op{0: ops})
 	h.run(t, 30*time.Second)
 
 	// Nodes 1 and 2 are pure replicas (no client, so no lease commits):
@@ -118,8 +130,112 @@ func TestDiskGroupCommitPerBatch(t *testing.T) {
 		}
 	}
 	// The client node additionally committed its clock lease.
-	if st := h.nodes[0].WALStats(); st.SyncRounds != 2 {
-		t.Errorf("client node: SyncRounds = %d, want 2 (lease + batch)", st.SyncRounds)
+	if st := h.nodes[0].WALStats(); st.SyncRounds != 2 || st.FileSyncs != 2 {
+		t.Errorf("client node: SyncRounds=%d FileSyncs=%d, want 2/2 (lease + batch)", st.SyncRounds, st.FileSyncs)
+	}
+}
+
+// ackEnv is a detachable Env recording what a replica sends: the shape
+// of the live transport's per-connection env, minus the sockets.
+type ackEnv struct {
+	mu   sync.Mutex
+	acks []msgWriteAck
+}
+
+func (e *ackEnv) ID() cluster.NodeID            { return 1 }
+func (e *ackEnv) Now() time.Duration            { return 0 }
+func (e *ackEnv) After(time.Duration, any)      {}
+func (e *ackEnv) Rand() *rand.Rand              { return nil }
+func (e *ackEnv) Detach() (cluster.Env, func()) { return e, func() {} }
+func (e *ackEnv) Send(to cluster.NodeID, msg any) {
+	e.mu.Lock()
+	e.acks = append(e.acks, msg.(msgWriteAck))
+	e.mu.Unlock()
+}
+
+func (e *ackEnv) seqs() []uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out []uint64
+	for _, a := range e.acks {
+		out = append(out, a.Seq)
+	}
+	return out
+}
+
+// TestDiskAcksRideCoveringRound: eight write batches delivered back to
+// back on one connection while the log's first fsync is stuck. Every
+// FastDeliver returns at once (the delivering goroutine never sleeps in
+// fsync), no ack leaves before an fsync covering its records returns,
+// and the eight batches finish in two rounds, not eight.
+func TestDiskAcksRideCoveringRound(t *testing.T) {
+	store, err := NewMajorityStore(3, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(1, Config{Store: store, Storage: "disk", DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, gate := make(chan struct{}, 8), make(chan struct{})
+	n.wal.SetHook(func(point string) error {
+		if point == "sync" {
+			entered <- struct{}{}
+			<-gate
+		}
+		return nil
+	})
+	env := &ackEnv{}
+	deliver := func(seq uint64) {
+		m := msgWriteBatch{Seq: seq}
+		for k := 0; k < 8; k++ {
+			m.Keys = append(m.Keys, fmt.Sprintf("key-%d", k))
+			m.Vers = append(m.Vers, Version{Counter: seq, Writer: 0})
+			m.Vals = append(m.Vals, fmt.Sprintf("v%d", seq))
+		}
+		if !n.FastDeliver(env, 0, m) {
+			t.Fatalf("batch %d not served on the fast path", seq)
+		}
+	}
+	deliver(1)
+	<-entered // round 1 sits in fsync holding batch 1 only
+	for seq := uint64(2); seq <= 8; seq++ {
+		deliver(seq)
+	}
+	if got := env.seqs(); len(got) != 0 {
+		t.Fatalf("acks %v sent before any fsync returned", got)
+	}
+	gate <- struct{}{} // round 1's fsync returns
+	<-entered          // round 2 sits in fsync holding batches 2..8
+	if got := env.seqs(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("acks after round 1 = %v, want exactly batch 1", got)
+	}
+	gate <- struct{}{}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(env.seqs()) < 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("acks = %v, want all eight", env.seqs())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := n.WALStats(); st.Appends != 64 || st.SyncRounds != 2 || st.FileSyncs != 2 {
+		t.Fatalf("8 batches took %+v, want 64 appends in 2 rounds with 2 fsyncs", st)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskLegacyLayoutRefused: a data directory still in the per-shard
+// sNN/ layout fails NewNode with the WAL's typed error.
+func TestDiskLegacyLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "s00"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	store, _ := NewMajorityStore(3, 2, 2)
+	if _, err := NewNode(0, Config{Store: store, Storage: "disk", DataDir: dir}); !errors.Is(err, wal.ErrLegacyLayout) {
+		t.Fatalf("NewNode on a legacy directory = %v, want wal.ErrLegacyLayout", err)
 	}
 }
 
@@ -158,9 +274,9 @@ func TestDiskClockLeaseSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestDiskCleanShutdownReopen: Close writes snapshots plus the marker;
-// a fresh NewNode on the same directory recovers the state through the
-// snapshot-only fast path.
+// TestDiskCleanShutdownReopen: Close writes a final checkpoint plus the
+// marker; a fresh NewNode on the same directory recovers the state from
+// it and reports the clean start.
 func TestDiskCleanShutdownReopen(t *testing.T) {
 	h := newDiskHarness(t, 14, Config{}, map[cluster.NodeID][]Op{
 		0: {{Kind: OpWrite, Value: "persisted"}},
@@ -186,14 +302,14 @@ func TestDiskCleanShutdownReopen(t *testing.T) {
 	}
 }
 
-// TestDiskSnapshotCompaction: a hot key's log compacts into snapshots
+// TestDiskSnapshotCompaction: a hot key's log compacts into checkpoints
 // and the state still recovers.
 func TestDiskSnapshotCompaction(t *testing.T) {
 	var ops []Op
 	for i := 0; i < 12; i++ {
 		ops = append(ops, Op{Kind: OpBlindWrite, Value: fmt.Sprintf("v%d", i)})
 	}
-	h := newDiskHarness(t, 15, Config{SnapshotEvery: 4, Shards: 1}, map[cluster.NodeID][]Op{0: ops})
+	h := newDiskHarness(t, 15, Config{SnapshotEvery: 4}, map[cluster.NodeID][]Op{0: ops})
 	h.run(t, 60*time.Second)
 	if st := h.nodes[1].WALStats(); st.Snapshots == 0 {
 		t.Fatalf("no snapshots after %d writes with SnapshotEvery=4: %+v", len(ops), st)

@@ -662,7 +662,7 @@ func (n *Node) leaseFinishPull(env cluster.Env) {
 		ok = n.applyPut(k, vers[i], vals[i]) && ok
 	}
 	n.mergeClock(maxC)
-	if !ok || !n.commitDurable(nil) {
+	if !ok || !n.commitDurable() {
 		lh.Abort(now)
 		n.leaseMerged = nil
 		return
@@ -797,7 +797,7 @@ func (n *Node) leaseSelfKeep(env cluster.Env, op *opState) {
 			failed |= lease.Bit(s)
 		}
 	}
-	if applied != 0 && !n.commitDurable(nil) {
+	if applied != 0 && !n.commitDurable() {
 		failed |= applied
 	}
 	if failed != 0 {

@@ -508,7 +508,7 @@ func (n *Node) rcEnterPush(env cluster.Env) {
 		n.mergeClock(maxC)
 		// The coordinator counts itself toward the push quorum only if
 		// its local apply is as durable as a remote member's acked one.
-		if !ok || !n.commitDurable(nil) {
+		if !ok || !n.commitDurable() {
 			n.rc.pending.Add(int(n.id))
 		}
 	}

@@ -374,13 +374,15 @@ type Config struct {
 	// Storage selects the replica store backend: "memory" (or empty, the
 	// default) keeps today's in-memory behavior byte for byte; "disk"
 	// backs the shard map with a write-ahead log under DataDir — group
-	// commit makes one fsync cover a whole quorum batch, and a restarted
-	// node replays the log instead of coming back empty.
+	// commit makes one fsync cover every quorum batch that arrived during
+	// the previous one, and a restarted node replays the log instead of
+	// coming back empty.
 	Storage string
 	// DataDir is the disk backend's directory (required for "disk").
 	DataDir string
-	// SnapshotEvery compacts a shard's log into a snapshot after this
-	// many appended records (default 4096; negative disables).
+	// SnapshotEvery checkpoints the store and truncates the log after
+	// this many appended records (default 4096 per shard; negative
+	// disables).
 	SnapshotEvery int
 	// WALNoSync makes the disk backend write without fsync. The
 	// deterministic simulation runs with it on: its crash model kills a
@@ -838,15 +840,14 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 			rec := optrace.From(env)
 			rec.Tag(optrace.KindWrite, 1, m.Epoch)
 			n.mergeClock(m.Version.Counter)
-			// Commit before ack: on the disk backend the ack is the
-			// durability promise a restarted replica must honor.
 			rec.Begin(optrace.StageLock)
 			applied := n.applyPut("", m.Version, m.Value)
 			rec.End(optrace.StageLock)
-			if !applied || !n.commitDurable(rec) {
-				return
+			// Durable before ack: on the disk backend the ack is the
+			// durability promise a restarted replica must honor.
+			if applied {
+				n.ackDurable(env, from, msgWriteAck{Epoch: m.Epoch, Seq: m.Seq})
 			}
-			env.Send(from, msgWriteAck{Epoch: m.Epoch, Seq: m.Seq})
 		})
 	case msgReadBatch:
 		n.gate(env, from, m.Epoch, m.Seq, func() {
@@ -879,12 +880,11 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 			}
 			rec.End(optrace.StageLock)
 			n.mergeClock(maxC)
-			// One commit barrier for the whole batch — group commit:
-			// K appended records ride a single fsync round.
-			if !ok || !n.commitDurable(rec) {
-				return
+			// One ack for the whole batch, released by the commit round
+			// that covers its K records — group commit.
+			if ok {
+				n.ackDurable(env, from, msgWriteAck{Epoch: m.Epoch, Seq: m.Seq})
 			}
-			env.Send(from, msgWriteAck{Epoch: m.Epoch, Seq: m.Seq})
 		})
 	case msgSnapReq:
 		// Reconfiguration state sync: served only at the exact (joint)

@@ -85,22 +85,20 @@ func (s *shardedMap) apply(key string, ver Version, val string) bool {
 }
 
 // applyLogged is apply with a durability hook: when the merge installs
-// the entry, logfn runs with the shard index while the shard lock is
-// still held. Any handler that later observes the new entry is
-// therefore ordered after its log append, so that handler's own commit
-// barrier covers this record too — without the hook a concurrent
-// observer could acknowledge a value whose record was not yet in the
-// log. Entries the merge rejects (not newer) log nothing: whoever
-// installed them already did.
-func (s *shardedMap) applyLogged(key string, ver Version, val string, logfn func(shard int)) bool {
-	idx := int(hashKey(key) & s.mask)
-	sh := &s.shards[idx]
+// the entry, logfn runs while the shard lock is still held. Any handler
+// that later observes the new entry is therefore ordered after its log
+// append, so the commit round that handler's ack waits for covers this
+// record too — without the hook a concurrent observer could acknowledge
+// a value whose record was not yet in the log. Entries the merge
+// rejects (not newer) log nothing: whoever installed them already did.
+func (s *shardedMap) applyLogged(key string, ver Version, val string, logfn func()) bool {
+	sh := s.shard(key)
 	sh.mu.Lock()
 	e, ok := sh.m[key]
 	if !ok || e.ver.Less(ver) {
 		sh.m[key] = entry{ver: ver, val: val}
 		if logfn != nil {
-			logfn(idx)
+			logfn()
 		}
 		sh.mu.Unlock()
 		return true
@@ -110,7 +108,7 @@ func (s *shardedMap) applyLogged(key string, ver Version, val string, logfn func
 }
 
 // withShard runs fn over one shard's map while holding its lock — the
-// disk backend's snapshot path, which must dump and truncate under the
+// disk backend's checkpoint dump, which must read each shard under the
 // same lock its appends take.
 func (s *shardedMap) withShard(i int, fn func(m map[string]entry)) {
 	sh := &s.shards[i]

@@ -231,6 +231,10 @@ func (e *memEnv) Now() time.Duration { return time.Since(e.n.start) }
 // Send implements cluster.Env.
 func (e *memEnv) Send(to cluster.NodeID, msg any) { e.n.send(to, msg) }
 
+// Detach mirrors liveEnv.Detach. A memEnv is stateless and safe from any
+// goroutine, so it is its own detached form.
+func (e *memEnv) Detach() (cluster.Env, func()) { return e, func() {} }
+
 // After implements cluster.Env.
 func (e *memEnv) After(d time.Duration, token any) { e.n.after(d, token) }
 

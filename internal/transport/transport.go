@@ -78,8 +78,12 @@ func DefaultRegistry() *codec.Registry {
 // an atomic clock). The env it receives supports ID, Now and Send; it must
 // not call Rand or After, which belong to the event loop.
 //
-// The fast path is disabled under WithDropRate: drop sampling uses the
-// event loop's rng, which is not goroutine-safe.
+// A handler that must finish a delivery later — rkv acks a write only
+// once its log records are durable — calls the env's Detach (see
+// liveEnv.Detach) instead of parking the reader goroutine.
+//
+// The fast path is disabled under WithDropRate, which exists to exercise
+// the ordered path's retry logic.
 type FastDeliverer interface {
 	FastDeliver(env cluster.Env, from cluster.NodeID, msg any) bool
 }
@@ -216,6 +220,11 @@ type Node struct {
 	accepted map[net.Conn]struct{}
 	rng      *rand.Rand // used only from the event loop
 
+	// Drop sampling has its own stream: detached deliveries send from
+	// goroutines other than the event loop.
+	dropMu  sync.Mutex
+	dropRng *rand.Rand
+
 	sent     atomic.Uint64
 	received atomic.Uint64
 	dropped  atomic.Uint64
@@ -261,6 +270,7 @@ func NewNode(id cluster.NodeID, handler cluster.Handler, addr string, opts ...Op
 		n.trace = src.Tracer()
 	}
 	n.rng = rand.New(rand.NewSource(n.seed))
+	n.dropRng = rand.New(rand.NewSource(n.seed ^ 0x64726f70))
 	return n, nil
 }
 
@@ -396,12 +406,12 @@ func (n *Node) readLoop(c net.Conn) {
 		if n.fast != nil {
 			env.rec = rec
 			ok := n.fast.FastDeliver(env, cluster.NodeID(from), msg)
-			env.rec = nil
+			// Whatever the handler did not hand off (to a peer writer by
+			// sending, or to a detached env) is still ours.
+			rec, env.rec = env.rec, nil
 			if ok {
 				n.fastPath.Add(1)
-				if rec != nil && !rec.Claimed() {
-					rec.Done()
-				}
+				rec.Done()
 				continue
 			}
 		}
@@ -443,10 +453,8 @@ func (n *Node) eventLoop() {
 				e.rec.End(optrace.StageQueue)
 				env.rec = e.rec
 				n.handler.Deliver(env, e.from, e.msg)
+				env.rec.Done() // nil once handed off
 				env.rec = nil
-				if e.rec != nil && !e.rec.Claimed() {
-					e.rec.Done()
-				}
 			case 1:
 				n.handler.Timer(env, e.token)
 			}
@@ -458,31 +466,38 @@ func (n *Node) eventLoop() {
 // queue). It never blocks on the network: a missing peer or a full queue
 // drops the message, which the quorum protocols absorb as loss.
 //
-// rec, when non-nil, is the in-flight delivery's trace record: the first
-// remote send of a sampled delivery claims it and hands its completion
-// to the peer writer, which closes the send stage after the flush that
-// carried the frame. Later sends of the same delivery (quorum fan-out)
-// travel unwrapped — one delivery, one send-stage measurement.
-func (n *Node) send(to cluster.NodeID, msg any, rec *optrace.Rec) {
+// rec, when non-nil, is the in-flight delivery's trace record. A remote
+// send that reaches the peer's queue hands the record to that writer,
+// which closes the send stage after the flush that carried the frame
+// and folds it; send then reports true and the caller must forget the
+// record — the writer may finish and recycle it at any moment, so
+// ownership is decided by this return value, never by reading the
+// record again. Later sends of the same delivery (quorum fan-out)
+// therefore travel unwrapped — one delivery, one send-stage measurement.
+func (n *Node) send(to cluster.NodeID, msg any, rec *optrace.Rec) bool {
 	n.sent.Add(1)
-	if n.dropRate > 0 && n.rng.Float64() < n.dropRate {
-		n.dropped.Add(1)
-		return
+	if n.dropRate > 0 {
+		n.dropMu.Lock()
+		drop := n.dropRng.Float64() < n.dropRate
+		n.dropMu.Unlock()
+		if drop {
+			n.dropped.Add(1)
+			return false
+		}
 	}
 	if to == n.id {
 		select {
 		case n.events <- event{kind: 0, from: n.id, msg: msg}:
 		case <-n.quit:
 		}
-		return
+		return false
 	}
 	w, err := n.writer(to)
 	if err != nil {
 		n.dropped.Add(1)
-		return
+		return false
 	}
-	claimed := rec.Claim()
-	if claimed {
+	if rec != nil {
 		rec.Begin(optrace.StageSend)
 		msg = tracedMsg{msg: msg, rec: rec}
 	}
@@ -491,11 +506,10 @@ func (n *Node) send(to cluster.NodeID, msg any, rec *optrace.Rec) {
 	}
 	select {
 	case w.ch <- msg:
+		return rec != nil
 	default:
 		n.dropped.Add(1) // writer wedged or flooded: shed, don't stall
-		if claimed {
-			rec.Done() // the writer never saw it; fold what we have
-		}
+		return false     // the writer never saw it; the caller folds what it has
 	}
 }
 
@@ -744,6 +758,9 @@ func (n *Node) after(d time.Duration, token any) {
 // and each reader goroutine owns its own instance, matching the
 // simulation's single-threaded handler contract; rec is the in-flight
 // delivery's trace record, set around each Deliver/FastDeliver call.
+// Holding the non-nil pointer is owning the record: a hand-off (Send to
+// a peer writer, Detach) clears it, and whoever still holds it when the
+// delivery ends folds it.
 type liveEnv struct {
 	n   *Node
 	rec *optrace.Rec
@@ -761,7 +778,29 @@ func (e *liveEnv) ID() cluster.NodeID { return e.n.id }
 func (e *liveEnv) Now() time.Duration { return time.Since(e.n.start) }
 
 // Send implements cluster.Env.
-func (e *liveEnv) Send(to cluster.NodeID, msg any) { e.n.send(to, msg, e.rec) }
+func (e *liveEnv) Send(to cluster.NodeID, msg any) {
+	if e.n.send(to, msg, e.rec) {
+		e.rec = nil
+	}
+}
+
+// Detach moves the in-flight delivery — and its trace record — into a
+// fresh Env that stays valid after the handler returns, for handlers
+// that finish a delivery on another goroutine (rkv releasing a write ack
+// from the WAL's committer). The detached env supports ID, Now and Send
+// from one goroutine at a time; done folds the record if no send handed
+// it on, and must be called exactly once. Close waits for outstanding
+// detached deliveries like it waits for the reader that started them.
+func (e *liveEnv) Detach() (cluster.Env, func()) {
+	d := &liveEnv{n: e.n, rec: e.rec}
+	e.rec = nil
+	d.n.wg.Add(1) // by a reader or the event loop, themselves counted
+	return d, func() {
+		d.rec.Done()
+		d.rec = nil
+		d.n.wg.Done()
+	}
+}
 
 // TraceRec implements optrace.Carrier: handlers stamp their stages into
 // the delivery's sampled record (nil when unsampled — stamps no-op).

@@ -3,7 +3,9 @@ package transport
 import (
 	"fmt"
 	"net"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -747,5 +749,91 @@ func TestMemMesh(t *testing.T) {
 	defer mu.Unlock()
 	if results[1].Value != "mem" {
 		t.Fatalf("in-process read returned %+v", results[1])
+	}
+}
+
+// TestSampledFramesFoldOnce drives 1-in-1 sampled frames through a Mesh
+// for a few seconds: every frame's trace record travels reader →
+// handler → peer writer (and, on the disk backend, through the WAL's
+// committer via a detached env), and each hop may finish and recycle it
+// the moment it is handed on. A hop that touches the record after
+// handing it on folds it twice — a nil dereference in optrace.Rec.Done
+// once the record has been pooled, or a data race with its next user —
+// so the test passing under -race is the assertion.
+func TestSampledFramesFoldOnce(t *testing.T) {
+	for _, storage := range []string{"memory", "disk"} {
+		t.Run(storage, func(t *testing.T) {
+			store, err := rkv.NewMajorityStore(4, 3, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var handlers []cluster.Handler
+			var nodes []*rkv.Node
+			for i := 0; i < 4; i++ {
+				cfg := rkv.Config{Store: store, Window: 8, Batch: 4, OpGap: -1, TraceSample: 1, ReadWriteback: true}
+				if storage == "disk" && i > 0 {
+					cfg.Storage, cfg.DataDir = "disk", filepath.Join(t.TempDir(), fmt.Sprintf("n%d", i))
+				}
+				rn, err := rkv.NewNode(cluster.NodeID(i), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes = append(nodes, rn)
+				handlers = append(handlers, rn)
+			}
+			mesh, err := NewMesh(handlers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mesh.Start()
+			nodes[0].SetWake(func() { mesh.Node(0).Kick(0, nodes[0].StartToken()) })
+
+			// 32 closed-loop submitters on node 0 for two seconds.
+			var done sync.WaitGroup
+			var ops, failed atomic.Uint64
+			stop := time.Now().Add(2 * time.Second)
+			for c := 0; c < 32; c++ {
+				done.Add(1)
+				var next func(i int)
+				c := c
+				next = func(i int) {
+					if time.Now().After(stop) {
+						done.Done()
+						return
+					}
+					op := rkv.Op{Kind: rkv.OpWrite, Key: fmt.Sprintf("k%d", (c*7+i)%64), Value: "v"}
+					if i%3 == 0 {
+						op.Kind = rkv.OpRead
+					}
+					nodes[0].Submit(op, func(r rkv.Result) {
+						ops.Add(1)
+						if r.Err != nil {
+							failed.Add(1)
+						}
+						next(i + 1)
+					})
+				}
+				next(0)
+			}
+			done.Wait()
+			mesh.Close()
+			for _, rn := range nodes {
+				if err := rn.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ops.Load() < 100 || failed.Load() != 0 {
+				t.Fatalf("%d ops completed, %d failed", ops.Load(), failed.Load())
+			}
+			var sampled, sends uint64
+			for _, rn := range nodes {
+				snap := rn.TraceSnapshot()
+				sampled += snap.Sampled
+				sends += snap.Stages["send"].Count
+			}
+			if recv := mesh.Stats().Received; sampled < recv/2 || sends == 0 {
+				t.Fatalf("%d records folded (%d with a send stage) for %d frames received: sampling is not reaching the writers", sampled, sends, recv)
+			}
+		})
 	}
 }

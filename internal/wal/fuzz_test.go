@@ -35,7 +35,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("decode not canonical:\n in  %x\n out %x", data[:n], again)
 		}
 		// A stream of records scans without panicking too.
-		scanBuf(data, 0, func(Record) {})
+		scanBuf(data, func(Record) {})
 	})
 }
 

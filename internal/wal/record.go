@@ -1,6 +1,6 @@
 // Package wal implements the durable storage backend behind the rkv
-// replica store: per-shard segmented append-only logs with group
-// commit, periodic snapshots with segment truncation, and
+// replica store: one segmented append-only log per replica with group
+// commit, whole-store fuzzy checkpoints with segment truncation, and
 // replay-on-restart.
 //
 // Every logged event is one self-delimiting record:
@@ -26,7 +26,7 @@ import (
 	"hquorum/internal/codec"
 )
 
-// Kind discriminates record types within a shard log.
+// Kind discriminates record types within the log.
 type Kind uint8
 
 const (
@@ -54,8 +54,9 @@ const MaxRecord = codec.MaxFrame
 // Replay treats it as the torn tail of a crashed write and stops.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// Record is one logged event. Shard routes the record to a shard log
-// and is not encoded — placement is implied by the file it lives in.
+// Record is one logged event. Shard is the owner's map-shard index for
+// callers that carry one; the log neither encodes nor reads it — every
+// record goes to the one log and replay routes by key.
 type Record struct {
 	Shard   int
 	Kind    Kind
@@ -91,7 +92,7 @@ func appendFrame(dst []byte, body []byte) []byte {
 
 // AppendRecord appends rec as one framed, CRC-guarded record and
 // returns the extended slice. The hot path inside the log reuses a
-// per-shard scratch buffer instead; this form is for tests and tools.
+// scratch buffer instead; this form is for tests and tools.
 func AppendRecord(buf []byte, rec Record) []byte {
 	return appendFrame(buf, appendBody(nil, rec))
 }
@@ -148,7 +149,7 @@ func decodeBody(body []byte) (Record, error) {
 // (if non-nil) for each valid one, and returns the byte offset just
 // past the last valid record — the length a recovering log truncates
 // its active segment to.
-func scanBuf(data []byte, shard int, fn func(Record)) int {
+func scanBuf(data []byte, fn func(Record)) int {
 	off := 0
 	for off < len(data) {
 		rec, n, err := DecodeRecord(data[off:])
@@ -156,7 +157,6 @@ func scanBuf(data []byte, shard int, fn func(Record)) int {
 			break
 		}
 		if fn != nil {
-			rec.Shard = shard
 			fn(rec)
 		}
 		off += n

@@ -13,9 +13,17 @@
 # table regenerations that feed the acceptance criteria (Table 2 memo
 # cache, Table 3 quick mode), the availability predicates with their word
 # fast paths, and the exact enumerator.
+#
+# The live path's per-layer benchmarks follow, into BENCH_layers.json
+# ($2 if given): internal/wal's BenchmarkCommit (a quorum batch of 8
+# records on 8 map shards, from 1 and 8 committers; fsyncs/op is the
+# counted cost, ns/op this machine's file system).
 set -eu
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_sweep.json}"
 pattern='^(BenchmarkTable2|BenchmarkTable3|BenchmarkAvailabilityHTriang|BenchmarkAvailabilityHTGrid|BenchmarkAvailableWordY|BenchmarkTransversalCountsHTriang15)$'
 go test -json -run '^$' -bench "$pattern" -benchmem -count=5 . > "$out"
 echo "wrote $out" >&2
+layers="${2:-BENCH_layers.json}"
+go test -json -run '^$' -bench '^BenchmarkCommit$' -benchmem -count=5 ./internal/wal > "$layers"
+echo "wrote $layers" >&2

@@ -31,10 +31,10 @@ go test -race ./internal/optrace/...
 # completion races a watchdog timer, and clients whose pipelined Do
 # calls coalesce onto one writer. Race it.
 go test -race ./internal/gateway/...
-# The WAL's group committer is one leader flushing for many concurrent
-# appenders (mutex+cond coalescing), and the replica's disk backend
-# appends from multiple fast-path reader goroutines under shard locks:
-# race the whole durability layer.
+# The WAL's committer goroutine flushes for many concurrent appenders and
+# releases their acks while checkpoints dump the store underneath, and
+# the replica's disk backend appends from multiple fast-path reader
+# goroutines under shard locks: race the whole durability layer.
 go test -race ./internal/wal/...
 # The tuner's profiler window is written from transport reader goroutines
 # (every finished op observes into it) while metrics endpoints and the
@@ -45,3 +45,7 @@ go test -race ./internal/tuner/...
 # counters are sampled by metrics endpoints while the event loop
 # mutates holder state: race the read-lease layer.
 go test -race ./internal/lease/...
+# hqbench (benchmark/, its own module) compiles against internal/wal,
+# internal/rkv, internal/transport and friends: a product API change that
+# breaks it must fail here, not in the benchmark run.
+(cd benchmark && go vet ./... && go test ./...)
