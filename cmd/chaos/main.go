@@ -60,6 +60,16 @@ func main() {
 	initMaj := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 9)}
 	toHTGrid := epoch.Params{Flavor: epoch.FlavorHTGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
 	toGrid := initGrid
+	// The cost-aware cell's topology: the top band is every node's near
+	// region, so all sixteen coordinators converge on the same few
+	// quorums and the schedules crash and cut exactly those.
+	nearTop := make([]time.Duration, 16)
+	for i := range nearTop {
+		nearTop[i] = 400 * time.Microsecond
+		if i >= 8 {
+			nearTop[i] = 20 * time.Millisecond
+		}
+	}
 	rkvCases := []nemesis.RKVCase{
 		{Name: "h-grid-4x4", Store: rkv.HGridStore{H: h44}, Schedules: gridSchedules},
 		{Name: "h-T-grid-4x4", Store: rkv.HTGridStore{Sys: htgrid.New(h44)}, Schedules: gridSchedules},
@@ -82,6 +92,14 @@ func main() {
 			Schedules: []nemesis.Schedule{
 				nemesis.ReconfigMidCrash(0, toGrid, []cluster.NodeID{12}),
 			}},
+		// Cost-aware cell: h-T-grid with every node picking the cheapest
+		// quorum (rkv.Config.PickCost) — reads ride write quorums, and a
+		// suspected member forces an exact re-pick of the next cheapest
+		// quorum rather than a random draw. Crashes take out members of
+		// the one cheapest line; the partition strands coordinators on
+		// the minority side with their favourite quorum across the cut.
+		{Name: "hT44/cost", Initial: &toHTGrid, Space: 16, PickCost: nearTop,
+			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16), nemesis.MinorityPartition(16)}},
 		// Durable cells: every node runs the disk backend, so a restarted
 		// node replays its WAL instead of coming back empty — the combined
 		// history must still be linearizable per key.

@@ -2,7 +2,7 @@
 // multiplex onto a small pool of pipelined rkv sessions behind an
 // internal/gateway tier, optionally over a simulated multi-region WAN
 // (-regions) with latency-aware hierarchy placement (epoch.PlaceGrid)
-// and cost-aware quorum sampling (rkv PickCost).
+// and cost-aware quorum picks (rkv PickCost).
 package main
 
 import (
@@ -88,9 +88,9 @@ func runGateway(spec runSpec, hist *histo.Histogram) (runResult, error) {
 			TraceSample:   spec.TraceSample,
 		}
 		if i >= n && pickCost != nil {
-			// Sessions sample quorum candidates and take the cheapest:
-			// on the WAN topologies this is what lets a hierarchical
-			// flavor keep its writes region-local.
+			// Sessions take the cheapest quorum (PickSamples > 1 only
+			// switches that on): on the WAN topologies this is what
+			// keeps a hierarchical flavor's rounds region-local.
 			cfg.PickCost = pickCost
 			cfg.PickSamples = 8
 		}
@@ -306,10 +306,11 @@ func wanTopology(spec runSpec, n int) (regionOf []int, linkLat func(from, to clu
 	regionOf = raw
 	if spec.Store == "hgrid" || spec.Store == "htgrid" {
 		// Latency-aware placement: PlaceGrid clusters co-located nodes
-		// onto the same grid lines so hierarchical quorums can stay
-		// region-local. Grid position p is then occupied by physical node
-		// ids[p/cols][p%cols] — since mesh IDs are the grid positions, we
-		// realize the placement by relabelling regions.
+		// into the same blocks, the home region on the top band, so
+		// hierarchical quorums can stay region-local. Grid position p is
+		// then occupied by physical node ids[p/cols][p%cols] — since mesh
+		// IDs are the grid positions, we realize the placement by
+		// relabelling regions.
 		lat := make([][]time.Duration, n)
 		for i := range lat {
 			lat[i] = make([]time.Duration, n)

@@ -50,7 +50,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	_ "net/http/pprof"
@@ -132,8 +131,8 @@ type runSpec struct {
 	// per region (summing to Rows*Cols); the gateway, its sessions and
 	// every client live in region 0. Links inside a region cost WanIntra
 	// one-way, links across regions WanCross. Grid flavors place nodes
-	// onto the hierarchy with epoch.PlaceGrid; sessions pick quorums
-	// cost-aware (rkv PickCost sampling).
+	// onto the hierarchy with epoch.PlaceGrid; sessions pick the
+	// cheapest quorum (rkv PickCost).
 	Regions  []int
 	WanIntra time.Duration
 	WanCross time.Duration
@@ -239,9 +238,11 @@ type report struct {
 	BatchSpeedup    float64 `json:"batch_speedup"`    // tcp w8/k64b8 vs w8 single-key
 	// GatewayEfficiency is gateway-mode throughput over the equivalent
 	// direct-session cell; WanP99* are the 3-region tail-latency cells'
-	// p99s (best hierarchical flavor vs majority).
+	// p99s, one per flavor — each hierarchical flavor is gated against
+	// majority on its own, so neither can hide behind the other.
 	GatewayEfficiency float64 `json:"gateway_efficiency,omitempty"`
-	WanP99HierUs      float64 `json:"wan_p99_hier_us,omitempty"`
+	WanP99HGridUs     float64 `json:"wan_p99_hgrid_us,omitempty"`
+	WanP99HTGridUs    float64 `json:"wan_p99_htgrid_us,omitempty"`
 	WanP99MajorityUs  float64 `json:"wan_p99_majority_us,omitempty"`
 	// TuneSpeedup is the auto-tuner pair's post-shift throughput ratio:
 	// the self-reconfiguring cell over the one that stays on majority.
@@ -288,7 +289,7 @@ func main() {
 	suiteBatch := flag.Bool("suite-batch", false, "sweep batch sizes 1,2,4,8,16 at keys=64 window=8 (tcp)")
 	suiteKeys := flag.Bool("suite-keys", false, "sweep key counts 1,4,16,64,256 at batch=8 window=8 (tcp)")
 	suiteGW := flag.Bool("suite-gw", false, "run the gateway efficiency pair (128 client streams direct-to-session vs through the gateway) and gate ≥0.7x")
-	suiteWAN := flag.Bool("suite-wan", false, "run the 3-region tail-latency cells (1000 gateway clients; majority vs hgrid vs htgrid) and gate hierarchy p99 < majority p99")
+	suiteWAN := flag.Bool("suite-wan", false, "run the 3-region tail-latency cells (1000 gateway clients; majority vs hgrid vs htgrid) and gate each hierarchy's p99 < majority p99")
 	suiteTune := flag.Bool("suite-tune", false, "run the auto-tuner pair (mid-run 50/50→95%-read shift, kvd-style -auto-tune vs staying on majority) and gate the live swap + ≥1.3x post-shift throughput")
 	suiteLease := flag.Bool("suite-lease", false, "run the read-lease pair (90%-read workload with and without the holder's local-read leases) and gate ≥2x throughput + strictly fewer msgs/op")
 	leaseOn := flag.Bool("lease", false, "arm the read-lease holder on node 0 (tcp mode only)")
@@ -608,12 +609,14 @@ func main() {
 		ht := find(rep.Runs, "wan3/htgrid/c1000")
 		if maj != nil && hg != nil && ht != nil {
 			rep.WanP99MajorityUs = maj.P99us
-			rep.WanP99HierUs = math.Min(hg.P99us, ht.P99us)
-			fmt.Printf("3-region p99 tail (1000 clients): hierarchy %s vs majority %s\n",
-				fmtUs(rep.WanP99HierUs), fmtUs(rep.WanP99MajorityUs))
-			if rep.WanP99HierUs >= rep.WanP99MajorityUs {
-				gates = append(gates, fmt.Sprintf("hierarchical p99 %s not better than majority %s on the 3-region WAN",
-					fmtUs(rep.WanP99HierUs), fmtUs(rep.WanP99MajorityUs)))
+			rep.WanP99HGridUs, rep.WanP99HTGridUs = hg.P99us, ht.P99us
+			fmt.Printf("3-region p99 tail (1000 clients): hgrid %s, htgrid %s vs majority %s\n",
+				fmtUs(hg.P99us), fmtUs(ht.P99us), fmtUs(maj.P99us))
+			for _, r := range []*runResult{hg, ht} {
+				if r.P99us >= maj.P99us {
+					gates = append(gates, fmt.Sprintf("%s p99 %s not better than majority %s on the 3-region WAN",
+						r.Name, fmtUs(r.P99us), fmtUs(maj.P99us)))
+				}
 			}
 		}
 	}

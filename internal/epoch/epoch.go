@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
@@ -459,6 +460,12 @@ type Pickers struct {
 	read    pickFn
 	write   pickFn
 	mutex   pickFn
+	// The families a cost-aware pick chooses from, over the dense index
+	// space (see cheapest.go) — compiled on the first such pick, so a
+	// cost-blind config never pays for them.
+	compile             func() (read, write *quorum.Gate)
+	compileOnce         sync.Once
+	readGate, writeGate *quorum.Gate
 }
 
 // NewPickers validates p against the ID space and builds its quorum
@@ -471,24 +478,16 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 	}
 	members := append([]cluster.NodeID(nil), p.Members...)
 	m := len(members)
+	pk := &Pickers{space: space, members: members}
 	dense := func(inner pickFn) pickFn {
 		return func(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-			dl := bitset.New(m)
-			for i, id := range members {
-				if live.Contains(int(id)) {
-					dl.Add(i)
-				}
-			}
-			q, err := inner(rng, dl)
+			q, err := inner(rng, pk.toDense(live))
 			if err != nil {
 				return bitset.Set{}, err
 			}
-			out := bitset.New(space)
-			q.ForEach(func(i int) { out.Add(int(members[i])) })
-			return out, nil
+			return pk.toGlobal(q), nil
 		}
 	}
-	pk := &Pickers{space: space, members: members}
 	switch p.Flavor {
 	case FlavorMajority:
 		r, w := p.R, p.W
@@ -506,6 +505,10 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		}
 		// The mutex needs pairwise intersection, which 2W > n provides.
 		pk.read, pk.write, pk.mutex = dense(rd), dense(wr), dense(wr)
+		pk.compile = func() (read, write *quorum.Gate) {
+			write = hmajGate(m, []int{w}, 0, m)
+			return quorum.Any(hmajGate(m, []int{r}, 0, m), write), write
+		}
 	case FlavorHMaj:
 		d := p.Rows
 		rl := append([]int(nil), p.RL...)
@@ -517,22 +520,55 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 			return pickHMaj(rng, live, d, wl, m)
 		}
 		pk.read, pk.write, pk.mutex = dense(rd), dense(wr), dense(wr)
+		pk.compile = func() (read, write *quorum.Gate) {
+			write = hmajGate(d, wl, 0, m)
+			return quorum.Any(hmajGate(d, rl, 0, m), write), write
+		}
 	case FlavorHGrid:
 		h := hgrid.Auto(p.Rows, p.Cols)
 		pk.read = dense(h.PickRowCover)
 		pk.write = dense(h.PickFullLine)
 		pk.mutex = dense(hgrid.NewRW(h).Pick)
+		// Two full-lines of different child rows are disjoint: here only
+		// row-covers may serve a read.
+		pk.compile = func() (read, write *quorum.Gate) { return h.RowCoverGate(), h.FullLineGate() }
 	case FlavorHTGrid:
 		h := hgrid.Auto(p.Rows, p.Cols)
 		sys := htgrid.New(h)
 		pk.read = dense(h.PickRowCover)
 		pk.write = dense(sys.Pick)
 		pk.mutex = dense(sys.Pick)
+		pk.compile = func() (read, write *quorum.Gate) {
+			write = sys.Gate()
+			return quorum.Any(h.RowCoverGate(), write), write
+		}
 	case FlavorHTriang:
 		sys := htriang.New(p.Rows)
 		pk.read, pk.write, pk.mutex = dense(sys.Pick), dense(sys.Pick), dense(sys.Pick)
+		pk.compile = func() (read, write *quorum.Gate) {
+			g := sys.Gate()
+			return g, g
+		}
 	}
 	return pk, nil
+}
+
+// toDense maps a live set of global IDs down to the member index space.
+func (p *Pickers) toDense(live bitset.Set) bitset.Set {
+	dl := bitset.New(len(p.members))
+	for i, id := range p.members {
+		if live.Contains(int(id)) {
+			dl.Add(i)
+		}
+	}
+	return dl
+}
+
+// toGlobal maps a quorum over member indices back up to global IDs.
+func (p *Pickers) toGlobal(q bitset.Set) bitset.Set {
+	out := bitset.New(p.space)
+	q.ForEach(func(i int) { out.Add(int(p.members[i])) })
+	return out
 }
 
 // Read draws a read quorum from live (global IDs, capacity = ID space).

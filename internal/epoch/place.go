@@ -2,10 +2,12 @@
 // grid positions so that the recursive blocks of hgrid.Auto group nodes
 // that are close to each other — the "leveled quorum" idiom: cluster
 // nearby nodes into leaves, form the recursive quorum system over the
-// groups. A well-placed hierarchy keeps most quorum traffic inside a
-// region: a row-cover needs only one block per band, a full-line only
-// one band, so picks (especially latency-aware ones, rkv.Config.PickCost)
-// can stay on cheap links.
+// groups. A well-placed hierarchy lets a whole quorum stay inside the
+// most central region: a full-line needs only one band, and an h-T-grid
+// quorum covers only the rows above its line (htgrid.OrientAboveLine),
+// so a line in the top band needs no other band at all. The central
+// region therefore goes on top, where cost-aware picks
+// (rkv.Config.PickCost) find quorums that never leave it.
 package epoch
 
 import (
@@ -25,9 +27,10 @@ import (
 // the most remote remaining node seeds a cluster, which grows by
 // repeatedly absorbing the pool node closest (summed symmetrized
 // latency) to the cluster. Remote regions therefore congeal into their
-// own blocks first and near nodes fill the remaining structure, so
-// every recursive block — band, sub-block, leaf pair — is as
-// latency-tight as the greedy pass can make it.
+// own blocks first, so every recursive block — band, sub-block, leaf
+// pair — is as latency-tight as the greedy pass can make it. The blocks
+// are filled from the last to the first: the periphery lands on the
+// bottom band and the most central cluster, taken last, on the top one.
 //
 // The output feeds hgrid.AutoRegion directly, or — for epoch-versioned
 // clusters whose pickers use raster grids over sorted members — acts as
@@ -58,14 +61,15 @@ func PlaceGrid(lat [][]time.Duration, rows, cols int) ([][]int, error) {
 	var place func(top, left, h, w int, pool []int)
 	place = func(top, left, h, w int, pool []int) {
 		if h <= 2 && w <= 2 {
-			// A flat block: positions inside it are interchangeable (every
-			// cell is on some row and some column of the block), fill
-			// row-major.
-			k := 0
+			// A flat block: like the blocks, its cells fill from the last
+			// to the first, so the cluster's seed — its most remote node —
+			// ends up bottom right and the top row holds the nodes absorbed
+			// last, the ones nearest the centre.
+			k := len(pool)
 			for r := 0; r < h; r++ {
 				for c := 0; c < w; c++ {
+					k--
 					ids[top+r][left+c] = pool[k]
-					k++
 				}
 			}
 			return
@@ -73,16 +77,18 @@ func PlaceGrid(lat [][]time.Duration, rows, cols int) ([][]int, error) {
 		rSplits := placeSplit2(h)
 		cSplits := placeSplit2(w)
 		remaining := pool
-		ro := 0
-		for _, rh := range rSplits {
-			co := 0
-			for _, cw := range cSplits {
+		ro := h
+		for r := len(rSplits) - 1; r >= 0; r-- {
+			rh := rSplits[r]
+			ro -= rh
+			co := w
+			for c := len(cSplits) - 1; c >= 0; c-- {
+				cw := cSplits[c]
+				co -= cw
 				var group []int
 				group, remaining = takeCluster(dist, remaining, rh*cw)
 				place(top+ro, left+co, rh, cw, group)
-				co += cw
 			}
-			ro += rh
 		}
 		// The splits exactly tile the region, so remaining is empty here.
 	}

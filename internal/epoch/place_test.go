@@ -1,8 +1,12 @@
 package epoch
 
 import (
+	"math/rand"
 	"testing"
 	"time"
+
+	"hquorum/internal/bitset"
+	"hquorum/internal/htgrid"
 )
 
 // wanMatrix builds a symmetric latency matrix from a node→region map:
@@ -27,54 +31,75 @@ func wanMatrix(region []int, intra time.Duration, cross [][]time.Duration) [][]t
 	return lat
 }
 
-// TestPlaceGridRegions scrambles a 3-region topology (8+4+4 nodes)
-// across node indices and checks that placement recovers it: every 2x2
-// block of the 4x4 grid must be region-pure, and the big region's two
-// blocks must share a band (so a full-line write quorum can stay inside
-// the region).
+// TestPlaceGridRegions scrambles three-region topologies across node
+// indices and checks that placement recovers them, on the square 4x4 and
+// on the asymmetric splits of 5x4 (bands of 3 and 2 rows) and 6x4: every
+// node is placed exactly once, every top-level block of hgrid.Auto gets
+// exactly its rh*cw nodes and is region-pure, the big home region fills
+// the top band, and an entire h-T-grid quorum exists inside it — the
+// top band's full-lines need no cover from any other band.
 func TestPlaceGridRegions(t *testing.T) {
-	// Region 0 is the 8-node "home" region; 1 and 2 are remote. The
-	// assignment deliberately interleaves regions across indices.
-	region := []int{0, 1, 2, 0, 1, 0, 0, 2, 1, 0, 0, 2, 0, 1, 2, 0}
 	cross := [][]time.Duration{
 		{0, 10 * time.Millisecond, 30 * time.Millisecond},
 		{10 * time.Millisecond, 0, 40 * time.Millisecond},
 		{30 * time.Millisecond, 40 * time.Millisecond, 0},
 	}
-	lat := wanMatrix(region, time.Millisecond, cross)
-	ids, err := PlaceGrid(lat, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every node placed exactly once.
-	seen := make([]bool, 16)
-	for _, row := range ids {
-		for _, id := range row {
-			if id < 0 || id >= 16 || seen[id] {
-				t.Fatalf("bad placement %v", ids)
+	for _, c := range []struct {
+		rows, cols int
+		sizes      []int // nodes per region; region 0 is home
+	}{
+		{4, 4, []int{8, 4, 4}},
+		{5, 4, []int{12, 4, 4}},
+		{6, 4, []int{12, 6, 6}},
+	} {
+		n := c.rows * c.cols
+		var region []int
+		for r, size := range c.sizes {
+			for i := 0; i < size; i++ {
+				region = append(region, r)
 			}
-			seen[id] = true
 		}
-	}
-	// Region purity of each 2x2 block, and band membership of region 0.
-	var homeBands []int
-	for _, br := range []int{0, 2} {
-		for _, bc := range []int{0, 2} {
-			reg := region[ids[br][bc]]
-			for r := br; r < br+2; r++ {
-				for c := bc; c < bc+2; c++ {
-					if region[ids[r][c]] != reg {
-						t.Fatalf("block (%d,%d) mixes regions: %v", br, bc, ids)
+		rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { region[i], region[j] = region[j], region[i] })
+		ids, err := PlaceGrid(wanMatrix(region, time.Millisecond, cross), c.rows, c.cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]bool, n)
+		for _, row := range ids {
+			for _, id := range row {
+				if id < 0 || id >= n || seen[id] {
+					t.Fatalf("%dx%d: bad placement %v", c.rows, c.cols, ids)
+				}
+				seen[id] = true
+			}
+		}
+		home := bitset.New(n)
+		top := 0
+		for band, rh := range placeSplit2(c.rows) {
+			left := 0
+			for _, cw := range placeSplit2(c.cols) {
+				reg := region[ids[top][left]]
+				for r := top; r < top+rh; r++ {
+					for col := left; col < left+cw; col++ {
+						if region[ids[r][col]] != reg {
+							t.Fatalf("%dx%d: block at (%d,%d) mixes regions: %v", c.rows, c.cols, top, left, ids)
+						}
+						if reg == 0 {
+							home.Add(r*c.cols + col)
+						}
 					}
 				}
+				if (reg == 0) != (band == 0) {
+					t.Fatalf("%dx%d: block at (%d,%d) holds region %d; home must fill the top band and only it: %v",
+						c.rows, c.cols, top, left, reg, ids)
+				}
+				left += cw
 			}
-			if reg == 0 {
-				homeBands = append(homeBands, br)
-			}
+			top += rh
 		}
-	}
-	if len(homeBands) != 2 || homeBands[0] != homeBands[1] {
-		t.Fatalf("home region blocks not in one band (bands %v): %v", homeBands, ids)
+		if !htgrid.Auto(c.rows, c.cols).Available(home) {
+			t.Fatalf("%dx%d: no h-T-grid quorum inside the home region %v", c.rows, c.cols, home)
+		}
 	}
 }
 

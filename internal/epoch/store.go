@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"time"
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
@@ -158,29 +159,20 @@ const (
 	pickMutex
 )
 
-// pick draws a quorum under the current config. While the config is
+// pickUnion draws a quorum under the current config — at random, or with
+// a non-nil cost the cheapest one (see cheapest.go). While the config is
 // joint this is the two-phase handoff rule: the result is the union of a
 // quorum of the new params and a quorum of the old, so concurrent
 // operations across the epoch boundary still intersect.
-func (s *Store) pickUnion(rng *rand.Rand, live bitset.Set, kind int) (bitset.Set, error) {
+func (s *Store) pickUnion(rng *rand.Rand, live bitset.Set, kind int, cost []time.Duration) (bitset.Set, error) {
 	s.mu.RLock()
 	cur, old := s.cur, s.old
 	s.mu.RUnlock()
-	sel := func(p *Pickers) pickFn {
-		switch kind {
-		case pickRead:
-			return p.read
-		case pickWrite:
-			return p.write
-		default:
-			return p.mutex
-		}
-	}
-	q, err := sel(cur)(rng, live)
+	q, err := cur.pick(rng, live, kind, cost)
 	if err != nil || old == nil {
 		return q, err
 	}
-	q2, err := sel(old)(rng, live)
+	q2, err := old.pick(rng, live, kind, cost)
 	if err != nil {
 		return bitset.Set{}, err
 	}
@@ -188,21 +180,49 @@ func (s *Store) pickUnion(rng *rand.Rand, live bitset.Set, kind int) (bitset.Set
 	return q, nil
 }
 
+// pick draws one quorum of the given kind: the mutex's at random, a read
+// or write quorum at random or, with a non-nil cost, the cheapest.
+func (p *Pickers) pick(rng *rand.Rand, live bitset.Set, kind int, cost []time.Duration) (bitset.Set, error) {
+	switch {
+	case kind == pickMutex:
+		return p.mutex(rng, live)
+	case cost != nil:
+		return p.cheapest(kind == pickRead, rng, live, cost)
+	case kind == pickRead:
+		return p.read(rng, live)
+	}
+	return p.write(rng, live)
+}
+
 // PickRead draws a read quorum (both-config union while joint). Together
 // with PickWrite and Universe this satisfies rkv.Store, so an epoch
 // store plugs straight into the replicated-store client.
 func (s *Store) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.pickUnion(rng, live, pickRead)
+	return s.pickUnion(rng, live, pickRead, nil)
 }
 
 // PickWrite draws a write quorum (both-config union while joint).
 func (s *Store) PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.pickUnion(rng, live, pickWrite)
+	return s.pickUnion(rng, live, pickWrite, nil)
+}
+
+// PickReadCheapest picks the read quorum that is cheapest to wait for
+// under cost, a per-member estimate indexed by global node ID (missing
+// entries cost nothing): the cheapest row-cover or read threshold, or a
+// cheaper write quorum where those pairwise intersect. While joint, the
+// union of each side's cheapest.
+func (s *Store) PickReadCheapest(rng *rand.Rand, live bitset.Set, cost []time.Duration) (bitset.Set, error) {
+	return s.pickUnion(rng, live, pickRead, cost)
+}
+
+// PickWriteCheapest picks the write quorum that is cheapest to wait for.
+func (s *Store) PickWriteCheapest(rng *rand.Rand, live bitset.Set, cost []time.Duration) (bitset.Set, error) {
+	return s.pickUnion(rng, live, pickWrite, cost)
 }
 
 // Pick draws a symmetric mutex quorum (both-config union while joint).
 func (s *Store) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.pickUnion(rng, live, pickMutex)
+	return s.pickUnion(rng, live, pickMutex, nil)
 }
 
 // String renders the store state for logs.

@@ -285,3 +285,18 @@ func TestBandsAreOrderedRowRanges(t *testing.T) {
 		walk(h.Root())
 	}
 }
+
+// TestGatesPriceExactly cross-checks the row-cover and full-line gates
+// against brute force over the enumerated families, on square, asymmetric
+// and three-level hierarchies.
+func TestGatesPriceExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, h := range []*Hierarchy{Auto(3, 3), Auto(4, 4), Auto(5, 3), Auto(6, 4), Flat(3, 4)} {
+		if err := quorum.CheckCheapest(h.RowCoverGate(), h.RowCovers(), h.N(), rng, 300); err != nil {
+			t.Errorf("%dx%d row-cover: %v", h.Rows(), h.Cols(), err)
+		}
+		if err := quorum.CheckCheapest(h.FullLineGate(), h.FullLines(), h.N(), rng, 300); err != nil {
+			t.Errorf("%dx%d full-line: %v", h.Rows(), h.Cols(), err)
+		}
+	}
+}

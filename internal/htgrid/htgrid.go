@@ -294,3 +294,9 @@ func (s *System) EnumerateQuorums(fn func(q bitset.Set) bool) {
 // Render draws the flattened process grid with members of q marked '#'
 // (package hgrid's renderer).
 func (s *System) Render(q bitset.Set) string { return s.h.Render(q) }
+
+// Gate compiles the system's quorums for cost-aware picks (see
+// hgrid.LineCoverGate), in the configured orientation.
+func (s *System) Gate() *quorum.Gate {
+	return s.h.LineCoverGate(s.orient == OrientAboveLine)
+}

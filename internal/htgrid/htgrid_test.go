@@ -296,3 +296,19 @@ func TestSection43RectangularClaims(t *testing.T) {
 		t.Errorf("claim 4: improvement ratio tall %.3f not better than wide %.3f", tall, wide)
 	}
 }
+
+// TestGatePricesExactly cross-checks the line-plus-cover gate, in both
+// orientations, against brute force over the enumerated quorums: the
+// cover sharing processes with the line must never be paid for twice, on
+// square, asymmetric and three-level hierarchies alike.
+func TestGatePricesExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, dims := range [][2]int{{3, 3}, {4, 4}, {5, 3}, {3, 5}, {6, 4}} {
+		for _, o := range []Orientation{OrientAboveLine, OrientBelowLine} {
+			sys := NewOriented(hgrid.Auto(dims[0], dims[1]), o)
+			if err := quorum.CheckCheapest(sys.Gate(), quorum.AllQuorums(sys), sys.Universe(), rng, 300); err != nil {
+				t.Errorf("%dx%d orientation %d: %v", dims[0], dims[1], o, err)
+			}
+		}
+	}
+}

@@ -345,3 +345,20 @@ func (s *System) Render(q *bitset.Set) string {
 	}
 	return string(b)
 }
+
+// Gate compiles the system's quorums for cost-aware picks: the three
+// formation methods as alternatives at every division. T1, G and T2 are
+// disjoint, so each method is a conjunction over disjoint processes.
+func (s *System) Gate() *quorum.Gate { return gate(s.root) }
+
+func gate(t *node) *quorum.Gate {
+	if t.rows == 1 {
+		return quorum.Leaf(t.leaf)
+	}
+	q1, q2 := gate(t.t1), gate(t.t2)
+	return quorum.Any(
+		quorum.All(q1, q2),
+		quorum.All(q1, t.g.RowCoverGate()),
+		quorum.All(q2, t.g.FullLineGate()),
+	)
+}

@@ -297,3 +297,15 @@ func TestRenderFigure2(t *testing.T) {
 		t.Fatalf("Render(q):\n%s\nwant:\n%s", marked, wantQ)
 	}
 }
+
+// TestGatePricesExactly cross-checks the three-method gate against brute
+// force over the enumerated quorums.
+func TestGatePricesExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, k := range []int{2, 3, 4, 5, 6} {
+		sys := New(k)
+		if err := quorum.CheckCheapest(sys.Gate(), quorum.AllQuorums(sys), sys.Universe(), rng, 300); err != nil {
+			t.Errorf("k=%d: %v", k, err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package nemesis
 
 import (
 	"testing"
+	"time"
 
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
@@ -68,6 +69,43 @@ func TestRunRKVReconfigDeterministic(t *testing.T) {
 	b := runReconfig(t, 7, initial, 16, ReconfigMidCrash(0, target, []cluster.NodeID{12}))
 	if a.Completed != b.Completed || a.Failed != b.Failed || a.Pending != b.Pending ||
 		a.Messages != b.Messages || a.Epoch != b.Epoch {
+		t.Fatalf("replay diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestRunRKVCostAware runs the h-T-grid with every node picking the
+// cheapest quorum (the top band is near) while the schedules crash and
+// cut off exactly the line they all favour: the history stays
+// linearizable, reads that rode write quorums included, and a replay is
+// identical — cost-aware picks draw from the same seeded rng.
+func TestRunRKVCostAware(t *testing.T) {
+	initial := epoch.Params{Flavor: epoch.FlavorHTGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
+	cost := make([]time.Duration, 16)
+	for i := range cost {
+		cost[i] = 400 * time.Microsecond
+		if i >= 8 {
+			cost[i] = 20 * time.Millisecond
+		}
+	}
+	run := func(seed int64, sched Schedule) RKVResult {
+		res, err := RunRKV(RKVRun{Initial: &initial, Space: 16, Seed: seed, Schedule: sched, PickCost: cost})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Err != nil {
+			t.Fatalf("%s seed %d: history check: %v", sched.Name, seed, res.Err)
+		}
+		if res.Completed == 0 {
+			t.Fatalf("%s seed %d: no operations completed", sched.Name, seed)
+		}
+		return res
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		run(seed, CrashStorm(16))
+		run(seed, MinorityPartition(16))
+	}
+	a, b := run(7, CrashStorm(16)), run(7, CrashStorm(16))
+	if a.Completed != b.Completed || a.Failed != b.Failed || a.Pending != b.Pending || a.Messages != b.Messages {
 		t.Fatalf("replay diverged: %+v vs %+v", a, b)
 	}
 }

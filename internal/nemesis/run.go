@@ -118,6 +118,12 @@ type RKVRun struct {
 	// Shards overrides each node's rkv.Config.Shards (0 = rkv default).
 	// Disk runs keep it small so per-shard files stay few.
 	Shards int
+	// PickCost, when set, makes every node's quorum picks cost-aware
+	// (Initial runs only — see rkv.Config.PickCost): each round takes the
+	// cheapest quorum among unsuspected members, so reads ride write
+	// quorums where the flavor allows and faults force exact re-picks
+	// around the suspects instead of fresh random draws.
+	PickCost []time.Duration
 }
 
 // leaseHolder reports whether id runs the holder policy in this run.
@@ -291,6 +297,9 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 			Batch:         r.Batch,
 			Shards:        r.Shards,
 			ReadWriteback: true,
+		}
+		if r.PickCost != nil {
+			cfg.PickCost, cfg.PickSamples = r.PickCost, 2
 		}
 		if r.Disk {
 			cfg.Storage = "disk"

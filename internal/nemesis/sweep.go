@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
@@ -58,6 +59,8 @@ type RKVCase struct {
 	// for linearizability.
 	Lease   *lease.Config
 	LeaseOn []cluster.NodeID
+	// PickCost runs every node with cost-aware quorum picks (see RKVRun).
+	PickCost []time.Duration
 }
 
 // MutexCase names a lock configuration to sweep, with the schedules to
@@ -181,6 +184,7 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 					AutoTune:   c.AutoTune,
 					Lease:      c.Lease,
 					LeaseOn:    c.LeaseOn,
+					PickCost:   c.PickCost,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("nemesis: %s/%s seed %d: %w", c.Name, sched.Name, seed, err)

@@ -30,6 +30,13 @@ type epochHarness struct {
 
 func newEpochHarness(t *testing.T, seed int64, space int, initial epoch.Params, ops map[cluster.NodeID][]Op) *epochHarness {
 	t.Helper()
+	return newEpochHarnessCfg(t, seed, space, initial, Config{}, ops)
+}
+
+// newEpochHarnessCfg is newEpochHarness with every node's config starting
+// from base.
+func newEpochHarnessCfg(t *testing.T, seed int64, space int, initial epoch.Params, base Config, ops map[cluster.NodeID][]Op) *epochHarness {
+	t.Helper()
 	h := &epochHarness{net: cluster.New(cluster.WithSeed(seed), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
 	for i := 0; i < space; i++ {
 		id := cluster.NodeID(i)
@@ -37,11 +44,11 @@ func newEpochHarness(t *testing.T, seed int64, space int, initial epoch.Params, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := NewNode(id, Config{
-			Epochs:   st,
-			Ops:      ops[id],
-			OnResult: func(r Result) { h.results = append(h.results, r) },
-		})
+		cfg := base
+		cfg.Epochs = st
+		cfg.Ops = ops[id]
+		cfg.OnResult = func(r Result) { h.results = append(h.results, r) }
+		n, err := NewNode(id, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

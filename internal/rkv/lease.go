@@ -558,14 +558,10 @@ func (n *Node) leaseStartWave(env cluster.Env, renew bool, mask uint64) {
 // replicas, falling back to the full universe — the pick-cache is
 // deliberately bypassed (lease waves are rare; ops own the cache).
 func (n *Node) leasePick(env cluster.Env, read bool) (bitset.Set, error) {
-	pick := n.cfg.Store.PickWrite
-	if read {
-		pick = n.cfg.Store.PickRead
-	}
 	n.decaySuspects(env)
-	q, err := n.samplePick(env, pick, n.suspects.Complement())
+	q, err := n.pick(env, read, n.suspects.Complement())
 	if err != nil {
-		q, err = n.samplePick(env, pick, bitset.Universe(n.cfg.Store.Universe()))
+		q, err = n.pick(env, read, bitset.Universe(n.cfg.Store.Universe()))
 	}
 	return q, err
 }

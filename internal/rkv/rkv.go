@@ -76,6 +76,18 @@ type Store interface {
 	PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error)
 }
 
+// CostStore is a Store that can also pick by cost (Config.PickCost): the
+// quorum cheapest to wait for under a per-member estimate indexed by
+// node ID, instead of a random one. The intersection rule is unchanged —
+// every PickReadCheapest result must meet every write quorum either
+// pick can return — which leaves the store free to serve a read from a
+// write quorum. epoch.Store implements it.
+type CostStore interface {
+	Store
+	PickReadCheapest(rng *rand.Rand, live bitset.Set, cost []time.Duration) (bitset.Set, error)
+	PickWriteCheapest(rng *rand.Rand, live bitset.Set, cost []time.Duration) (bitset.Set, error)
+}
+
 // HGridStore adapts a hierarchical grid: read quorums are row-covers,
 // write quorums are full-lines.
 type HGridStore struct {
@@ -360,16 +372,21 @@ type Config struct {
 	OnResult func(Result)
 	// PickCost, when non-empty, is a per-member round-trip cost estimate
 	// indexed by global node ID (e.g. a measured or modeled one-way link
-	// latency ×2). Together with PickSamples it makes quorum picks
-	// latency-aware: each pick draws PickSamples candidate quorums and
-	// keeps the cheapest, where a quorum's cost is the cost of its
-	// slowest member (a quorum round completes when the slowest member
-	// answers), with the total cost as tie-break. Missing entries count
-	// as zero. The pick cache composes: the cheap pick is what gets
-	// cached and reused while the view is unchanged.
+	// latency ×2). With PickSamples > 1 it makes quorum picks cost-aware:
+	// each pick takes the store's cheapest quorum instead of a random
+	// one (see CostStore; NewNode rejects a store that has none), where a
+	// quorum's cost is the cost of its slowest member (a quorum round
+	// completes when the slowest member answers), with the total cost as
+	// tie-break and the node's rng among what is still tied. A read may
+	// then ride a write quorum where the store's write quorums pairwise
+	// intersect. Missing entries count as zero. The pick cache composes:
+	// the cheap pick is what gets cached and reused while the view is
+	// unchanged.
 	PickCost []time.Duration
-	// PickSamples is the number of candidate quorums drawn per pick when
-	// PickCost is set (default 1: no sampling; useful values 4-16).
+	// PickSamples > 1 switches the cost-aware pick on when PickCost is
+	// set. The pick is exact, so the count itself is ignored — it is
+	// what the replaced best-of-N sampling drew — and only "more than
+	// one" still matters to callers written against it.
 	PickSamples int
 	// Storage selects the replica store backend: "memory" (or empty, the
 	// default) keeps today's in-memory behavior byte for byte; "disk"
@@ -542,6 +559,7 @@ type Node struct {
 	suspects  bitset.Set
 	suspectAt []time.Duration // when each suspicion was recorded
 	picks     [2]pickCache    // cached read [0] / write [1] quorum
+	byCost    CostStore       // non-nil on a cost-aware config: picks take the cheapest quorum
 	// pickHits/pickMisses count cache-served vs freshly drawn quorum
 	// picks. Atomics: the metrics endpoint reads them off-loop.
 	pickHits   atomic.Uint64
@@ -618,6 +636,13 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 	if int(id) < 0 || int(id) >= cfg.Store.Universe() {
 		return nil, fmt.Errorf("rkv: node %d outside universe %d", id, cfg.Store.Universe())
 	}
+	var byCost CostStore
+	if len(cfg.PickCost) > 0 && cfg.PickSamples > 1 {
+		var ok bool
+		if byCost, ok = cfg.Store.(CostStore); !ok {
+			return nil, fmt.Errorf("rkv: PickCost needs a store with cost-aware picks, %T has none", cfg.Store)
+		}
+	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
@@ -655,6 +680,7 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 		inflight:  make(map[uint64]*opState),
 		suspects:  bitset.New(cfg.Store.Universe()),
 		suspectAt: make([]time.Duration, cfg.Store.Universe()),
+		byCost:    byCost,
 		profile:   tuner.NewWindow(span),
 		trace:     optrace.New(cfg.TraceSample),
 	}
@@ -1388,9 +1414,9 @@ func (n *Node) invalidatePicks() {
 // change to the suspect set — a new suspicion or a SuspectTTL expiry —
 // changes the fingerprint and forces a fresh draw.
 func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
-	pick, c := n.cfg.Store.PickWrite, &n.picks[1]
+	c := &n.picks[1]
 	if read {
-		pick, c = n.cfg.Store.PickRead, &n.picks[0]
+		c = &n.picks[0]
 	}
 	n.decaySuspects(env)
 	fp := n.suspects.Fingerprint()
@@ -1401,12 +1427,12 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 		return nil
 	}
 	n.pickMisses.Add(1)
-	q, err := n.samplePick(env, pick, n.suspects.Complement())
+	q, err := n.pick(env, read, n.suspects.Complement())
 	if err != nil {
 		op.sawNoQuorum = true
 		n.suspects.Clear()
 		n.invalidatePicks()
-		q, err = n.samplePick(env, pick, bitset.Universe(n.cfg.Store.Universe()))
+		q, err = n.pick(env, read, bitset.Universe(n.cfg.Store.Universe()))
 		if err != nil {
 			return err
 		}
@@ -1419,44 +1445,20 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 	return nil
 }
 
-// samplePick draws one quorum — or, when the config is latency-aware
-// (PickCost + PickSamples > 1), the cheapest of PickSamples draws. A
-// quorum's cost is dominated by its slowest member (the round completes
-// when the last member answers); equal maxima fall back to the summed
-// cost so a pick that drags in fewer remote members still wins.
-func (n *Node) samplePick(env cluster.Env, pick func(*rand.Rand, bitset.Set) (bitset.Set, error), live bitset.Set) (bitset.Set, error) {
-	q, err := pick(env.Rand(), live)
-	if err != nil || n.cfg.PickSamples <= 1 || len(n.cfg.PickCost) == 0 {
-		return q, err
+// pick draws one read or write quorum from live — at random, or on a
+// cost-aware config (PickCost) the cheapest one. It is the node's only
+// way to a quorum: rounds, lease waves and the deadline diagnosis all see
+// the same families, so none can call dead what another could still use.
+func (n *Node) pick(env cluster.Env, read bool, live bitset.Set) (bitset.Set, error) {
+	switch {
+	case n.byCost != nil && read:
+		return n.byCost.PickReadCheapest(env.Rand(), live, n.cfg.PickCost)
+	case n.byCost != nil:
+		return n.byCost.PickWriteCheapest(env.Rand(), live, n.cfg.PickCost)
+	case read:
+		return n.cfg.Store.PickRead(env.Rand(), live)
 	}
-	bestMax, bestSum := n.quorumCost(q)
-	for s := 1; s < n.cfg.PickSamples; s++ {
-		alt, altErr := pick(env.Rand(), live)
-		if altErr != nil {
-			continue
-		}
-		if m, sum := n.quorumCost(alt); m < bestMax || (m == bestMax && sum < bestSum) {
-			q, bestMax, bestSum = alt, m, sum
-		}
-	}
-	return q, nil
-}
-
-// quorumCost scores a candidate quorum against Config.PickCost: the
-// slowest member's cost, plus the total as tie-break. Members beyond
-// the table's length cost zero.
-func (n *Node) quorumCost(q bitset.Set) (max, sum time.Duration) {
-	q.ForEach(func(m int) {
-		var c time.Duration
-		if m < len(n.cfg.PickCost) {
-			c = n.cfg.PickCost[m]
-		}
-		sum += c
-		if c > max {
-			max = c
-		}
-	})
-	return max, sum
+	return n.cfg.Store.PickWrite(env.Rand(), live)
 }
 
 // retryPhase abandons the attempt, suspecting silent members; past the op
@@ -1509,11 +1511,7 @@ func (n *Node) deadlineError(env cluster.Env, op *opState) error {
 	if op.sawNoQuorum {
 		return quorum.ErrNoQuorum
 	}
-	pick := n.cfg.Store.PickWrite
-	if op.ph == phaseReadVersions {
-		pick = n.cfg.Store.PickRead
-	}
-	if _, err := pick(env.Rand(), op.opSuspects.Complement()); err != nil {
+	if _, err := n.pick(env, op.ph == phaseReadVersions, op.opSuspects.Complement()); err != nil {
 		return quorum.ErrNoQuorum
 	}
 	return quorum.ErrDegraded

@@ -8,6 +8,9 @@ import (
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
+	"hquorum/internal/epoch"
+	"hquorum/internal/hgrid"
+	"hquorum/internal/quorum"
 )
 
 // submitOn wires node id for external submission on the sim: the wake
@@ -106,55 +109,148 @@ func TestSubmitRestartedFailsTyped(t *testing.T) {
 	}
 }
 
-// TestSamplePickPrefersCheapQuorum feeds samplePick a rigged picker that
-// cycles through candidate quorums of known cost: with sampling enabled
-// the expensive (WAN-crossing) candidate must lose to the cheap one.
-func TestSamplePickPrefersCheapQuorum(t *testing.T) {
-	costs := []time.Duration{0, 0, 40 * time.Millisecond, 40 * time.Millisecond}
-	n := &Node{cfg: Config{PickCost: costs, PickSamples: 3}}
-	candidates := []bitset.Set{
-		bitset.FromIndices(4, 2, 3), // 80ms total, 40ms max
-		bitset.FromIndices(4, 0, 1), // free
-		bitset.FromIndices(4, 0, 3), // 40ms max
+// wanCost prices a 4x4 grid whose top band (nodes 0-7) is the session's
+// own region and whose bottom band is a WAN hop away.
+func wanCost() []time.Duration {
+	cost := make([]time.Duration, 16)
+	for i := range cost {
+		cost[i] = 400 * time.Microsecond
+		if i >= 8 {
+			cost[i] = 20 * time.Millisecond
+		}
 	}
-	i := 0
-	pick := func(*rand.Rand, bitset.Set) (bitset.Set, error) {
-		q := candidates[i%len(candidates)]
-		i++
-		return q, nil
+	return cost
+}
+
+func htgrid44All() epoch.Params {
+	return epoch.Params{Flavor: epoch.FlavorHTGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
+}
+
+// costAwareNode builds a 17th, non-member session over a 4x4 h-T-grid
+// that picks by wanCost.
+func costAwareNode(t *testing.T, samples int) *Node {
+	t.Helper()
+	st, err := epoch.NewStore(17, htgrid44All())
+	if err != nil {
+		t.Fatal(err)
 	}
+	n, err := NewNode(16, Config{Epochs: st, PickCost: wanCost(), PickSamples: samples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestCostAwarePickTakesCheapestQuorum: with PickCost on, both rounds of
+// an operation land on the one h-T-grid quorum that never leaves the top
+// band — the read rides a write quorum, since every row-cover needs a
+// block of the remote band. PickSamples <= 1 leaves the picks cost-blind:
+// the same rng draws as the store's own PickRead.
+func TestCostAwarePickTakesCheapestQuorum(t *testing.T) {
+	n := costAwareNode(t, 8)
 	env := &fakeEnv{rng: rand.New(rand.NewSource(1))}
-	q, err := n.samplePick(env, pick, bitset.Universe(4))
+	want := bitset.FromIndices(17, 0, 1, 2, 3)
+	for _, read := range []bool{true, false} {
+		op := n.getOp()
+		if err := n.pickQuorum(env, op, read); err != nil {
+			t.Fatal(err)
+		}
+		if !op.quorum.Equal(want) {
+			t.Errorf("read=%t picked %v, want the top line %v", read, op.quorum, want)
+		}
+	}
+
+	blind := costAwareNode(t, 1)
+	op := blind.getOp()
+	if err := blind.pickQuorum(&fakeEnv{rng: rand.New(rand.NewSource(5))}, op, true); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := blind.cfg.Epochs.PickRead(rand.New(rand.NewSource(5)), bitset.Universe(17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Contains(0) || !q.Contains(1) || q.Contains(2) || q.Contains(3) {
-		t.Fatalf("sampled pick chose %v, want the zero-cost {0,1}", q)
+	if !op.quorum.Equal(ref) {
+		t.Errorf("PickSamples=1 picked %v, the store's own draw is %v", op.quorum, ref)
 	}
-	// With sampling off the first candidate wins regardless of cost.
-	n.cfg.PickSamples = 1
-	i = 0
-	q, err = n.samplePick(env, pick, bitset.Universe(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Contains(2) || !q.Contains(3) {
-		t.Fatalf("unsampled pick chose %v, want the first candidate {2,3}", q)
+
+	// A store that cannot pick by cost is refused, not silently random.
+	if _, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}, PickCost: wanCost(), PickSamples: 8}); err == nil {
+		t.Error("NewNode accepted PickCost with a store that has no cost-aware picks")
 	}
 }
 
-// TestPickCostEndToEnd runs a harness workload with cost-aware sampling
-// switched on, checking the wiring holds under real rounds.
-func TestPickCostEndToEnd(t *testing.T) {
-	costs := make([]time.Duration, 16)
-	for i := 8; i < 16; i++ {
-		costs[i] = 30 * time.Millisecond
+// TestCostAwareDiagnosisSeesWriteQuorums: the pick, its no-quorum
+// fallback and the deadline diagnosis consult one read family. With the
+// whole bottom band suspected no row-cover is left, but a top-band
+// h-T-grid line still serves the cost-aware read; ErrNoQuorum is reported
+// only once the write quorums are dead as well.
+func TestCostAwareDiagnosisSeesWriteQuorums(t *testing.T) {
+	env := &fakeEnv{rng: rand.New(rand.NewSource(2))}
+	suspect := func(n *Node, op *opState, ids ...int) {
+		for _, id := range ids {
+			n.suspects.Add(id)
+			op.opSuspects.Add(id)
+		}
 	}
-	h := newHarnessCfg(t, 44, Config{PickCost: costs, PickSamples: 4}, map[cluster.NodeID][]Op{
-		0: {{Kind: OpWrite, Value: "w"}, {Kind: OpRead}},
-	}, nil)
-	h.run(t, 30*time.Second)
+	bottom := []int{8, 9, 10, 11, 12, 13, 14, 15}
+
+	n := costAwareNode(t, 8)
+	op := n.getOp()
+	op.ph = phaseReadVersions
+	suspect(n, op, bottom...)
+	if err := n.pickQuorum(env, op, true); err != nil {
+		t.Fatal(err)
+	}
+	if op.sawNoQuorum || n.suspects.Count() != len(bottom) {
+		t.Fatalf("read fell back to the full universe (sawNoQuorum=%t, %d suspects left) although a top-band line is live",
+			op.sawNoQuorum, n.suspects.Count())
+	}
+	op.quorum.ForEach(func(id int) {
+		if id >= 8 {
+			t.Fatalf("read quorum %v uses suspected node %d", op.quorum, id)
+		}
+	})
+	if err := n.deadlineError(env, op); !errors.Is(err, quorum.ErrDegraded) {
+		t.Fatalf("deadline diagnosis %v, want ErrDegraded: a live quorum exists", err)
+	}
+	// Break both rows of one top-band block: no full-line, so no
+	// h-T-grid quorum either.
+	suspect(n, op, 0, 4)
+	if err := n.deadlineError(env, op); !errors.Is(err, quorum.ErrNoQuorum) {
+		t.Fatalf("deadline diagnosis %v, want ErrNoQuorum: both read families are dead", err)
+	}
+	if err := n.pickQuorum(env, op, true); err != nil || !op.sawNoQuorum {
+		t.Fatalf("pick with both families dead: err=%v sawNoQuorum=%t, want the clear-and-retry fallback", err, op.sawNoQuorum)
+	}
+
+	// The cost-blind session reads row-covers only, and says so.
+	blind := costAwareNode(t, 1)
+	op = blind.getOp()
+	op.ph = phaseReadVersions
+	suspect(blind, op, bottom...)
+	if err := blind.deadlineError(env, op); !errors.Is(err, quorum.ErrNoQuorum) {
+		t.Fatalf("cost-blind deadline diagnosis %v, want ErrNoQuorum: every row-cover is dead", err)
+	}
+}
+
+// TestPickCostEndToEnd runs real rounds with cost-aware picks on and the
+// remote band crashed: writes and the reads riding their quorums complete
+// inside the home band without a retry.
+func TestPickCostEndToEnd(t *testing.T) {
+	ops := map[cluster.NodeID][]Op{
+		16: {{Kind: OpWrite, Value: "w"}, {Kind: OpRead}},
+	}
+	h := newEpochHarnessCfg(t, 44, 17, htgrid44All(), Config{PickCost: wanCost(), PickSamples: 4}, ops)
+	for id := 8; id < 16; id++ {
+		h.net.Crash(cluster.NodeID(id))
+	}
+	h.net.Run(30 * time.Second)
 	if len(h.results) != 2 || h.results[1].Value != "w" {
 		t.Fatalf("cost-aware run results %+v", h.results)
+	}
+	for _, r := range h.results {
+		if r.Err != nil || r.Retries != 0 {
+			t.Errorf("op %d: err=%v retries=%d, want a clean in-band round", r.OpID, r.Err, r.Retries)
+		}
 	}
 }

@@ -17,7 +17,10 @@
 # The live path's per-layer benchmarks follow, into BENCH_layers.json
 # ($2 if given): internal/wal's BenchmarkCommit (a quorum batch of 8
 # records on 8 map shards, from 1 and 8 committers; fsyncs/op is the
-# counted cost, ns/op this machine's file system).
+# counted cost, ns/op this machine's file system) and internal/epoch's
+# BenchmarkPickCheapest (what a pick-cache miss pays on a cost-aware
+# session: one exact cheapest pick, next to the eight random draws it
+# replaced; reads and writes, 4x4 and 8x8, all live and two suspects).
 set -eu
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_sweep.json}"
@@ -26,4 +29,5 @@ go test -json -run '^$' -bench "$pattern" -benchmem -count=5 . > "$out"
 echo "wrote $out" >&2
 layers="${2:-BENCH_layers.json}"
 go test -json -run '^$' -bench '^BenchmarkCommit$' -benchmem -count=5 ./internal/wal > "$layers"
+go test -json -run '^$' -bench '^BenchmarkPickCheapest$' -benchmem -benchtime=2000x -count=5 ./internal/epoch >> "$layers"
 echo "wrote $layers" >&2

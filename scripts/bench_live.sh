@@ -52,8 +52,9 @@
 #   gateway_efficiency  gw cell over sess cell    (acceptance gate: >= 0.7x)
 #   lease_speedup       lease cell over r90 cell  (acceptance gate: >= 2x,
 #                       plus strictly fewer msgs/op)
-#   wan p99 tail        min(hgrid, htgrid) p99 < majority p99 at 1000
-#                       clients on the 3-region topology (acceptance gate)
+#   wan p99 tail        hgrid p99 < majority p99 and htgrid p99 <
+#                       majority p99 at 1000 clients on the 3-region
+#                       topology (two acceptance gates, one per flavor)
 #
 # The run is compared against the committed pre-change snapshot
 # scripts/BENCH_live_baseline.json (benchstat-style old/new/delta table)

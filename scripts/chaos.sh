@@ -8,10 +8,13 @@
 #   2. a byte-identical summary across two back-to-back runs — the sweep
 #      is a deterministic regression artifact, not flaky noise.
 #
-# 200 seeds x 37 (case, schedule) cells = 7400 simulated runs — including
+# 200 seeds x 39 (case, schedule) cells = 7800 simulated runs — including
 # a pipelined register cell (window=4, concurrent ops per node), a
 # multi-key batched cell (8 keys, 4 ops per quorum round, checked for
-# per-key linearizability), four durable cells where every node runs
+# per-key linearizability), two cost-aware h-T-grid cells (every node
+# picks the cheapest quorum, so reads ride write quorums and the crash
+# storm and the partition hit exactly the line all of them favour), four
+# durable cells where every node runs
 # the disk WAL backend and restarts recover state by log replay, and an
 # auto-tune cell whose mid-run 50%→95% read shift makes node 0's workload
 # tuner reconfigure the cluster live under a crash storm; the whole gate
