@@ -64,6 +64,8 @@ func (m *Mesh) Stats() Stats {
 		total.BytesOut += s.BytesOut
 		total.BytesIn += s.BytesIn
 		total.Flushes += s.Flushes
+		total.Holds += s.Holds
+		total.HoldLateNs += s.HoldLateNs
 	}
 	return total
 }
@@ -103,6 +105,12 @@ type MemOption func(*MemMesh)
 // MemWithLinkLatency injects a per-link one-way delay, like the TCP
 // transport's WithLinkLatency: a message from a to b is delivered
 // fn(a, b) after it was sent (via a timer, so the sender never sleeps).
+// That timer still rides the runtime timer heap, so a sub-millisecond
+// delay is delivered ~1 ms late here (see timerSleeper). It is left alone
+// because nothing measures through it — hqbench has no MemMesh workload —
+// and the TCP transport's remedy does not transfer: there a writer
+// goroutine per link parks on one timerfd, here every message has its own
+// AfterFunc and no goroutine to park.
 // Delayed messages still take the fast path where the handler allows it
 // — FastDeliver is thread-safe by contract, a timer goroutine is as good
 // a caller as a socket reader. Zero and negative delays keep the direct

@@ -91,6 +91,8 @@ type FastDeliverer interface {
 // Stats are a node's transport counters. Byte counts cover frame bytes on
 // the wire (flushed writes and decoded reads); Flushes counts writer
 // syscall batches, so Sent/Flushes is the average coalescing factor.
+// HoldLateNs/Holds is how far past its due time the average WithLinkLatency
+// hold woke — the injected delay's measured error, always on the late side.
 type Stats struct {
 	Sent     uint64 // messages handed to the transport (incl. self-sends)
 	Received uint64 // frames decoded from peers
@@ -99,6 +101,9 @@ type Stats struct {
 	BytesOut uint64
 	BytesIn  uint64
 	Flushes  uint64
+
+	Holds      uint64 // writer sleeps on an injected link delay, run to their due time
+	HoldLateNs uint64 // ns past due at wake, summed over Holds
 }
 
 // event is a queued delivery or timer callback.
@@ -161,7 +166,8 @@ func WithGobWire() Option {
 // when bytes leave, not when the event loop runs: Env.Send still never
 // blocks, and send coalescing is preserved within a burst (messages
 // whose due times are within ~latencySlack of each other share one
-// flush).
+// flush). The delay is a lower bound, never undercut; Stats.HoldLateNs
+// over Stats.Holds is how far past it the writer's clock (sleeper) woke.
 func WithLinkLatency(fn func(from, to cluster.NodeID) time.Duration) Option {
 	return func(n *Node) { n.linkLat = fn }
 }
@@ -171,11 +177,14 @@ func WithLinkLatency(fn func(from, to cluster.NodeID) time.Duration) Option {
 // event loop must never block).
 const writerQueue = 1024
 
-// latencySlack is how early a delayed message may leave so it can share
-// a flush with the burst in front of it. Messages enqueued within one
-// event-loop iteration land microseconds apart; flushing between them
-// would turn one syscall into eight for a timing gain nobody can
-// measure at WAN (millisecond) scale.
+// latencySlack decides who shares a flush on a delayed link, never when
+// anything leaves: a message due within latencySlack of the batch being
+// encoded joins it — the writer naps out the difference mid-batch, so the
+// batch's earlier members leave up to latencySlack late and nothing leaves
+// early — and one due further out waits behind that batch's flush.
+// Messages enqueued within one event-loop iteration land microseconds
+// apart; without the slack a quorum fan-out's burst would cost one flush
+// syscall per message instead of one.
 const latencySlack = 100 * time.Microsecond
 
 // timedMsg wraps a queued message with its enqueue time when the link
@@ -205,7 +214,8 @@ type Node struct {
 	reg         *codec.Registry
 	forceGob    bool
 	linkLat     func(from, to cluster.NodeID) time.Duration
-	trace       *optrace.Tracer // handler's tracer (optrace.Source), nil otherwise
+	newSleeper  func(quit <-chan struct{}) sleeper // the platform's; tests substitute the fallback
+	trace       *optrace.Tracer                    // handler's tracer (optrace.Source), nil otherwise
 
 	ln     net.Listener
 	start  time.Time
@@ -232,6 +242,9 @@ type Node struct {
 	bytesOut atomic.Uint64
 	bytesIn  atomic.Uint64
 	flushes  atomic.Uint64
+
+	holds      atomic.Uint64
+	holdLateNs atomic.Uint64
 }
 
 // NewNode creates a node listening on addr ("127.0.0.1:0" for an ephemeral
@@ -250,6 +263,7 @@ func NewNode(id cluster.NodeID, handler cluster.Handler, addr string, opts ...Op
 		seed:        int64(id) + 1,
 		dialTimeout: time.Second,
 		reg:         DefaultRegistry(),
+		newSleeper:  newSleeper,
 		ln:          ln,
 		start:       time.Now(),
 		events:      make(chan event, 4096),
@@ -345,6 +359,9 @@ func (n *Node) Stats() Stats {
 		BytesOut: n.bytesOut.Load(),
 		BytesIn:  n.bytesIn.Load(),
 		Flushes:  n.flushes.Load(),
+
+		Holds:      n.holds.Load(),
+		HoldLateNs: n.holdLateNs.Load(),
 	}
 }
 
@@ -533,6 +550,9 @@ func (n *Node) writer(to cluster.NodeID) (*peerWriter, error) {
 	if n.linkLat != nil {
 		w.delay = n.linkLat(n.id, to)
 	}
+	if w.delay > 0 {
+		w.sleeper = n.newSleeper(n.quit)
+	}
 	n.writers[to] = w
 	n.wg.Add(1)
 	go w.run()
@@ -549,6 +569,10 @@ type peerWriter struct {
 	done  chan struct{}
 	delay time.Duration // injected one-way link latency (WithLinkLatency)
 
+	// sleeper is what hold sleeps on; non-nil iff delay > 0, so an
+	// undelayed mesh opens no timer descriptors.
+	sleeper sleeper
+
 	mu   sync.Mutex
 	conn net.Conn // current connection, for Close to unwedge blocked writes
 }
@@ -559,13 +583,17 @@ func (w *peerWriter) setConn(c net.Conn) {
 	w.mu.Unlock()
 }
 
-// close interrupts any in-flight write and waits for the goroutine.
+// close interrupts any in-flight write or hold and waits for the
+// goroutine.
 func (w *peerWriter) close() {
 	w.mu.Lock()
 	if w.conn != nil {
 		w.conn.Close()
 	}
 	w.mu.Unlock()
+	if w.sleeper != nil {
+		w.sleeper.close()
+	}
 	<-w.done
 }
 
@@ -588,21 +616,21 @@ func (w *peerWriter) drain() uint64 {
 	}
 }
 
-// hold sleeps until the message's injected due time (or the node quits,
-// in which case the remaining delay is abandoned — shutdown, not
-// timing fidelity). Reports whether it slept at all.
-func (w *peerWriter) hold(until time.Time) bool {
+// hold sleeps until the message's injected due time, never less (or
+// until the writer is closed, in which case the remaining delay is
+// abandoned — shutdown, not timing fidelity).
+func (w *peerWriter) hold(until time.Time) {
 	d := time.Until(until)
 	if d <= 0 {
-		return false
+		return
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-w.n.quit:
+	for ; d > 0; d = time.Until(until) {
+		if !w.sleeper.sleep(d) {
+			return
+		}
 	}
-	return true
+	w.n.holds.Add(1)
+	w.n.holdLateNs.Add(uint64(-d))
 }
 
 // unwrap resolves a queued entry to its payload, due time (zero for
@@ -745,13 +773,12 @@ func (n *Node) after(d time.Duration, token any) {
 	if d < 0 {
 		d = 0
 	}
-	timer := time.AfterFunc(d, func() {
+	time.AfterFunc(d, func() {
 		select {
 		case n.events <- event{kind: 1, token: token}:
 		case <-n.quit:
 		}
 	})
-	_ = timer
 }
 
 // liveEnv implements cluster.Env over the real network. Each event loop

@@ -17,10 +17,15 @@
 # The live path's per-layer benchmarks follow, into BENCH_layers.json
 # ($2 if given): internal/wal's BenchmarkCommit (a quorum batch of 8
 # records on 8 map shards, from 1 and 8 committers; fsyncs/op is the
-# counted cost, ns/op this machine's file system) and internal/epoch's
+# counted cost, ns/op this machine's file system), internal/epoch's
 # BenchmarkPickCheapest (what a pick-cache miss pays on a cost-aware
 # session: one exact cheapest pick, next to the eight random draws it
-# replaced; reads and writes, 4x4 and 8x8, all live and two suspects).
+# replaced; reads and writes, 4x4 and 8x8, all live and two suspects)
+# and internal/transport's BenchmarkLinkHop (one message's one-way trip
+# over a loopback TCP pair, lock-stepped, on an unmodified link and on a
+# 200 µs WithLinkLatency one: the second row minus the first minus
+# 200 µs is what the hold clock adds, and its one extra alloc/op is
+# send's timedMsg wrap, not the hold).
 set -eu
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_sweep.json}"
@@ -30,4 +35,5 @@ echo "wrote $out" >&2
 layers="${2:-BENCH_layers.json}"
 go test -json -run '^$' -bench '^BenchmarkCommit$' -benchmem -count=5 ./internal/wal > "$layers"
 go test -json -run '^$' -bench '^BenchmarkPickCheapest$' -benchmem -benchtime=2000x -count=5 ./internal/epoch >> "$layers"
+go test -json -run '^$' -bench '^BenchmarkLinkHop$' -benchmem -benchtime=2000x -count=5 ./internal/transport >> "$layers"
 echo "wrote $layers" >&2

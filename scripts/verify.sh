@@ -6,6 +6,10 @@
 set -eux
 cd "$(dirname "$0")/.."
 go build ./...
+# Linux holds injected link delays on a timerfd (sleeper_linux.go); every
+# other platform gets the time.Timer sleeper, which nothing here would
+# otherwise compile. Standard library only, so this builds offline.
+GOOS=darwin GOARCH=arm64 go build ./internal/transport/
 go vet ./...
 go test ./...
 go test -race ./internal/analysis/...
