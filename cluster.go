@@ -61,8 +61,6 @@ type (
 	RegisterOp = rkv.Op
 	// RegisterResult reports a completed operation.
 	RegisterResult = rkv.Result
-	// HGridStore supplies h-grid read/write quorums to replicas.
-	HGridStore = rkv.HGridStore
 )
 
 // Register operation kinds.
@@ -117,9 +115,9 @@ var (
 )
 
 // NewEpochStore builds a node's epoch store over a global ID space,
-// starting from the initial configuration at epoch 1. Pass it to a
-// ReplicaConfig (Epochs field) or MutexConfig to make the node
-// epoch-versioned.
+// starting from the initial configuration at epoch 1. Every replica
+// needs one (ReplicaConfig.Epochs — it is the replica's quorum source);
+// a MutexConfig takes one to make the lock epoch-versioned.
 func NewEpochStore(space int, initial ClusterParams) (*EpochStore, error) {
 	return epoch.NewStore(space, initial)
 }

@@ -25,11 +25,9 @@ import (
 
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/lease"
 	"hquorum/internal/nemesis"
-	"hquorum/internal/rkv"
 	"hquorum/internal/tuner"
 )
 
@@ -45,19 +43,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	h44 := hgrid.Auto(4, 4)
-	maj5, err := rkv.NewMajorityStore(5, 3, 3)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		os.Exit(2)
-	}
 	gridSchedules := append(nemesis.DefaultSchedules(16), nemesis.ColumnCut(4, 4))
-	// Reconfiguration cells: epoch-versioned clusters whose schedules kick
-	// a live config change mid-workload. Every run must settle at epoch 3
-	// (stable → joint → stable) with a linearizable history across the
-	// boundary, or the sweep counts a violation.
+	// Every register cell is epoch-versioned: one epoch.Params, one
+	// epoch store per node — the path kvd, the gateway and hqbench run.
+	// The reconfiguration cells' schedules also kick a live config change
+	// mid-workload; every such run must settle at epoch 3 (stable → joint
+	// → stable) with a linearizable history across the boundary, or the
+	// sweep counts a violation.
 	initGrid := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
 	initMaj := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 9)}
+	maj5 := epoch.Params{Flavor: epoch.FlavorMajority, R: 3, W: 3, Members: epoch.MemberRange(0, 5)}
 	toHTGrid := epoch.Params{Flavor: epoch.FlavorHTGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
 	toGrid := initGrid
 	// The cost-aware cell's topology: the top band is every node's near
@@ -71,14 +66,14 @@ func main() {
 		}
 	}
 	rkvCases := []nemesis.RKVCase{
-		{Name: "h-grid-4x4", Store: rkv.HGridStore{H: h44}, Schedules: gridSchedules},
-		{Name: "h-T-grid-4x4", Store: rkv.HTGridStore{Sys: htgrid.New(h44)}, Schedules: gridSchedules},
+		{Name: "h-grid-4x4", Initial: &initGrid, Space: 16, Schedules: gridSchedules},
+		{Name: "h-T-grid-4x4", Initial: &toHTGrid, Space: 16, Schedules: gridSchedules},
 		// Pipelined cell: each node keeps up to 4 operations in flight, so
 		// the checker exercises concurrent ops from one node under faults.
-		{Name: "h-grid-4x4/w4", Store: rkv.HGridStore{H: h44}, Window: 4, Schedules: gridSchedules},
+		{Name: "h-grid-4x4/w4", Initial: &initGrid, Space: 16, Window: 4, Schedules: gridSchedules},
 		// Multi-key batched cell: the workload spans 8 keys with 4 ops
 		// coalesced per quorum round; linearizability is checked per key.
-		{Name: "h-grid-4x4/k8b4", Store: rkv.HGridStore{H: h44}, Window: 2, Batch: 4, Keys: 8, Schedules: gridSchedules},
+		{Name: "h-grid-4x4/k8b4", Initial: &initGrid, Space: 16, Window: 2, Batch: 4, Keys: 8, Schedules: gridSchedules},
 		// Flavor swap under crashes: h-grid → h-T-grid on fixed membership
 		// while two nodes are dark around the transition.
 		{Name: "rc/h44-hT44", Initial: &initGrid, Space: 16, WantEpoch: 3,
@@ -103,9 +98,9 @@ func main() {
 		// Durable cells: every node runs the disk backend, so a restarted
 		// node replays its WAL instead of coming back empty — the combined
 		// history must still be linearizable per key.
-		{Name: "h-grid-4x4/disk", Store: rkv.HGridStore{H: h44}, Disk: true, Shards: 4,
+		{Name: "h-grid-4x4/disk", Initial: &initGrid, Space: 16, Disk: true, Shards: 4,
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16), nemesis.Churn(16)}},
-		{Name: "majority-5/disk", Store: maj5, Disk: true, Shards: 4,
+		{Name: "majority-5/disk", Initial: &maj5, Space: 5, Disk: true, Shards: 4,
 			Schedules: []nemesis.Schedule{nemesis.RollingRestart(5)}},
 		// Reconfiguration with disk recovery: the crashed nodes rejoin the
 		// new epoch from their replayed logs.

@@ -86,7 +86,6 @@ func main() {
 	store := flag.String("store", "hgrid", "initial quorum flavor: majority, hgrid, htgrid or htriang")
 	rows := flag.Int("rows", 4, "grid rows (rows*cols must equal the member count; htriang's k)")
 	cols := flag.Int("cols", 4, "grid cols")
-	useHTGrid := flag.Bool("htgrid", false, "deprecated: same as -store htgrid")
 	members := flag.String("members", "", "initial member IDs, e.g. '0-8' or '0-3,6' (default: every peer)")
 	key := flag.String("key", "", "key the client operations target (empty = the classic single register)")
 	shards := flag.Int("shards", 0, "replica store shard count (0 = rkv default; more shards = less lock contention across keys)")
@@ -133,11 +132,7 @@ func main() {
 		fatal("replica %d is not in the peers file", *id)
 	}
 
-	flavorName := *store
-	if *useHTGrid {
-		flavorName = "htgrid"
-	}
-	flavor, err := epoch.ParseFlavor(flavorName)
+	flavor, err := epoch.ParseFlavor(*store)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -232,7 +227,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kvd: durable storage in %s: "+how+"\n", *dataDir, st.Replayed)
 	}
 
-	rkv.RegisterWire(transport.Register)
 	tn, err := transport.NewNode(cluster.NodeID(*id), node, addr, transport.WithDialTimeout(*dialTimeout))
 	if err != nil {
 		fatal("%v", err)

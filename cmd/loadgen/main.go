@@ -66,9 +66,7 @@ import (
 
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
 	"hquorum/internal/histo"
-	"hquorum/internal/htgrid"
 	"hquorum/internal/lease"
 	"hquorum/internal/optrace"
 	"hquorum/internal/rkv"
@@ -875,19 +873,18 @@ func runOnce(spec runSpec, hist *histo.Histogram) (runResult, error) {
 	if spec.Clients > n {
 		return runResult{}, fmt.Errorf("clients must be ≤ %d in %s mode (use -mode gateway for more clients than nodes)", n, spec.Mode)
 	}
-	var st rkv.Store
 	var rc *reconfigCtl
-	var initial, target epoch.Params
+	var target epoch.Params
 	var stores []*epoch.Store
 	total := spec.Clients * spec.Ops
+	initial, err := buildParams(spec.Store, spec.Rows, spec.Cols, n)
+	if err != nil {
+		return runResult{}, err
+	}
 	switch {
 	case spec.ReconfigAt > 0:
 		if spec.Mode != "tcp" {
 			return runResult{}, fmt.Errorf("-reconfig-at requires tcp mode")
-		}
-		var err error
-		if initial, err = buildParams(spec.Store, spec.Rows, spec.Cols, n); err != nil {
-			return runResult{}, err
 		}
 		if target, err = buildParams(spec.ReconfigTo, spec.Rows, spec.Cols, n); err != nil {
 			return runResult{}, err
@@ -897,23 +894,14 @@ func runOnce(spec runSpec, hist *histo.Histogram) (runResult, error) {
 		}
 		rc = &reconfigCtl{at: int64(spec.ReconfigAt)}
 	case spec.ShiftReads > 0:
-		// Mix-shift cells run epoch-versioned so the auto-tuner can (and
-		// the hold cell could, but won't) re-shape the cluster. The split
-		// controller fires at the shift point — no reconfiguration kick of
-		// its own; the tuner drives any swap.
+		// Mix-shift cells let the auto-tuner (and the hold cell could, but
+		// won't) re-shape the cluster. The split controller fires at the
+		// shift point — no reconfiguration kick of its own; the tuner
+		// drives any swap.
 		if spec.Mode != "tcp" {
 			return runResult{}, fmt.Errorf("mix-shift cells require tcp mode")
 		}
-		var err error
-		if initial, err = buildParams(spec.Store, spec.Rows, spec.Cols, n); err != nil {
-			return runResult{}, err
-		}
 		rc = &reconfigCtl{at: int64(total / 2)}
-	default:
-		var err error
-		if st, err = buildStore(spec.Store, spec.Rows, spec.Cols); err != nil {
-			return runResult{}, err
-		}
 	}
 
 	var remaining atomic.Int64
@@ -934,8 +922,13 @@ func runOnce(spec runSpec, hist *histo.Histogram) (runResult, error) {
 	nodes := make([]*rkv.Node, n)
 	var closeOnce sync.Once
 	for i := 0; i < n; i++ {
+		es, err := epoch.NewStore(n, initial)
+		if err != nil {
+			return runResult{}, err
+		}
+		stores = append(stores, es)
 		cfg := rkv.Config{
-			Store:         st,
+			Epochs:        es,
 			Shards:        spec.Shards,
 			Timeout:       spec.Timeout,
 			OpDeadline:    spec.OpDeadline,
@@ -948,14 +941,6 @@ func runOnce(spec runSpec, hist *histo.Histogram) (runResult, error) {
 		if disk {
 			cfg.Storage = "disk"
 			cfg.DataDir = filepath.Join(diskRoot, fmt.Sprintf("n%02d", i))
-		}
-		if rc != nil {
-			es, err := epoch.NewStore(n, initial)
-			if err != nil {
-				return runResult{}, err
-			}
-			cfg.Store, cfg.Epochs = nil, es
-			stores = append(stores, es)
 		}
 		if spec.AutoTune && i == 0 {
 			cfg.AutoTune = &tuner.Policy{
@@ -1169,7 +1154,7 @@ func buildParams(name string, rows, cols, n int) (epoch.Params, error) {
 	case epoch.FlavorHGrid, epoch.FlavorHTGrid:
 		p.Rows, p.Cols = rows, cols
 	case epoch.FlavorHTriang:
-		return epoch.Params{}, fmt.Errorf("htriang is not supported by -reconfig-at (needs k(k+1)/2 nodes)")
+		return epoch.Params{}, fmt.Errorf("htriang is not supported by loadgen (needs k(k+1)/2 nodes)")
 	}
 	return p, nil
 }
@@ -1307,20 +1292,6 @@ func buildWorkload(spec runSpec, client int64) []rkv.Op {
 		}
 	}
 	return ops
-}
-
-func buildStore(name string, rows, cols int) (rkv.Store, error) {
-	switch name {
-	case "hgrid":
-		return rkv.HGridStore{H: hgrid.Auto(rows, cols)}, nil
-	case "htgrid":
-		return rkv.HTGridStore{Sys: htgrid.New(hgrid.Auto(rows, cols))}, nil
-	case "majority":
-		n := rows * cols
-		return rkv.NewMajorityStore(n, n/2+1, n/2+1)
-	default:
-		return nil, fmt.Errorf("unknown store %q", name)
-	}
 }
 
 func wait(done <-chan struct{}, limit time.Duration) error {

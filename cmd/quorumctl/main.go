@@ -279,7 +279,6 @@ func reconfig(args []string) {
 		gotEpoch, gotErr = epoch, errText
 		close(done)
 	})
-	rkv.RegisterWire(transport.Register)
 	tn, err := transport.NewNode(cluster.NodeID(*id), client, addr, transport.WithDialTimeout(*dialTimeout))
 	if err != nil {
 		fail("reconfig: %v", err)
@@ -351,7 +350,6 @@ func tune(args []string) {
 		wl, cfg, haveCfg = w, c, have
 		close(done)
 	})
-	rkv.RegisterWire(transport.Register)
 	tn, err := transport.NewNode(cluster.NodeID(*id), wc, addr, transport.WithDialTimeout(*dialTimeout))
 	if err != nil {
 		fail("tune: %v", err)
@@ -367,7 +365,7 @@ func tune(args []string) {
 	}
 	tn.Close()
 	if !haveCfg {
-		fail("tune: replica %d is not epoch-versioned; start kvd with -store", contactID)
+		fail("tune: malformed reply from replica %d: no epoch config", contactID)
 	}
 
 	fmt.Printf("replica %d measured: %d ops over %v window (%.0f%% reads, write-back β=%.2f, avg latency %v)\n",

@@ -14,7 +14,10 @@ import (
 func main() {
 	// A 4×4 hierarchical grid of replicas: reads touch 4 nodes, writes 4,
 	// read-write updates 8.
-	store := hquorum.HGridStore{H: hquorum.NewHTGrid(4, 4).Hierarchy()}
+	grid := hquorum.ClusterParams{
+		Flavor: hquorum.FlavorHGrid, Rows: 4, Cols: 4,
+		Members: hquorum.MemberRange(0, 16),
+	}
 	net := hquorum.NewNetwork(hquorum.WithSeed(11))
 
 	var results []hquorum.RegisterResult
@@ -34,8 +37,13 @@ func main() {
 	var replicas []*hquorum.Replica
 	for i := 0; i < 16; i++ {
 		id := hquorum.NodeID(i)
+		// Each replica holds its own view of the cluster configuration.
+		epochs, err := hquorum.NewEpochStore(16, grid)
+		if err != nil {
+			panic(err)
+		}
 		r, err := hquorum.NewReplica(id, hquorum.ReplicaConfig{
-			Store:    store,
+			Epochs:   epochs,
 			Ops:      ops[id],
 			OnResult: record,
 		})

@@ -123,7 +123,7 @@ func TestEndToEndMutex(t *testing.T) {
 // facade.
 func TestEndToEndRegister(t *testing.T) {
 	net := NewNetwork(WithSeed(7))
-	store := HGridStore{H: NewHTGrid(4, 4).Hierarchy()}
+	grid := ClusterParams{Flavor: FlavorHGrid, Rows: 4, Cols: 4, Members: MemberRange(0, 16)}
 	var results []RegisterResult
 	var replicas []*Replica
 	for i := 0; i < 16; i++ {
@@ -131,8 +131,12 @@ func TestEndToEndRegister(t *testing.T) {
 		if i == 0 {
 			ops = []RegisterOp{{Kind: OpWrite, Value: "hello"}, {Kind: OpRead}}
 		}
+		epochs, err := NewEpochStore(16, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r, err := NewReplica(NodeID(i), ReplicaConfig{
-			Store:    store,
+			Epochs:   epochs,
 			Ops:      ops,
 			OnResult: func(res RegisterResult) { results = append(results, res) },
 		})

@@ -8,20 +8,18 @@
 //
 // Tags identify message types. Protocol packages register their wire
 // structs with fixed tags and hand-written varint encoders (see
-// rkv.RegisterBinaryWire, dmutex.RegisterBinaryWire); anything without a
-// registration rides tag 0, whose payload is a gob-encoded envelope — the
-// compatibility fallback for ad-hoc types. Both kinds share the framing,
-// so binary and gob senders interoperate on one connection.
+// rkv.RegisterBinaryWire, dmutex.RegisterBinaryWire); that is the only
+// codec. A type without a registration does not encode, and a tag without
+// one — tag 0, which once framed a reflective fallback and is retired,
+// included — does not decode: no peer-controlled byte reaches reflection.
 //
 // Encoders append into a reused scratch buffer (steady-state encodes
-// allocate nothing) and gob fallback buffers come from a sync.Pool; the
-// hot protocol path never touches reflection beyond one type lookup.
+// allocate nothing); the path never touches reflection beyond one type
+// lookup.
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -29,15 +27,18 @@ import (
 	"sync"
 )
 
-// TagGob is the reserved tag for the gob fallback payload.
-const TagGob = 0
-
 // MaxFrame bounds a frame body; decoders reject anything larger so a
 // corrupt or hostile length prefix cannot force a giant allocation.
 const MaxFrame = 16 << 20
 
 // ErrTruncated reports a payload that ended before its fields did.
 var ErrTruncated = errors.New("codec: truncated payload")
+
+// ErrUnregistered reports an Encode of a type no codec was registered for.
+var ErrUnregistered = errors.New("codec: type has no registered codec")
+
+// ErrUnknownTag reports a frame whose tag has no registered codec.
+var ErrUnknownTag = errors.New("codec: unknown tag")
 
 // EncodeFunc appends v's binary payload to buf and returns the extended
 // slice. It must only be called with the type it was registered for.
@@ -68,13 +69,13 @@ func NewRegistry() *Registry {
 }
 
 // Register binds a tag to sample's concrete type with its codec pair.
-// Tag 0 is reserved for the gob fallback. Re-registering the same
+// Tag 0 is retired and can never be bound. Re-registering the same
 // (tag, type) pair is a no-op so package-level RegisterBinaryWire helpers
 // stay idempotent; a conflicting registration panics — tags are wire
 // protocol, and a silent collision would corrupt every peer.
 func (r *Registry) Register(tag uint64, sample any, enc EncodeFunc, dec DecodeFunc) {
-	if tag == TagGob {
-		panic("codec: tag 0 is reserved for the gob fallback")
+	if tag == 0 {
+		panic("codec: tag 0 is retired")
 	}
 	typ := reflect.TypeOf(sample)
 	if typ == nil {
@@ -110,61 +111,36 @@ func (r *Registry) lookupTag(tag uint64) *entry {
 	return e
 }
 
-// gobPayload wraps the fallback value: gob refuses a bare interface at the
-// top level, and the wrapper keeps the stream self-describing.
-type gobPayload struct {
-	V any
-}
-
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // Encoder writes frames to w. It is not safe for concurrent use — the
 // transport owns one Encoder per connection, on that connection's writer
 // goroutine.
 type Encoder struct {
-	w        io.Writer
-	reg      *Registry
-	forceGob bool
-	scratch  []byte
-	head     [binary.MaxVarintLen64]byte
+	w       io.Writer
+	reg     *Registry
+	scratch []byte
+	head    [binary.MaxVarintLen64]byte
 }
 
-// NewEncoder returns an Encoder writing frames to w. A nil registry sends
-// everything through the gob fallback.
+// NewEncoder returns an Encoder writing frames to w.
 func NewEncoder(w io.Writer, reg *Registry) *Encoder {
 	return &Encoder{w: w, reg: reg}
 }
 
-// SetForceGob makes every subsequent Encode use the gob fallback even for
-// registered types — the knob cross-check tests and gob-only transports
-// use. Decoders need no matching switch: the tag picks the decoder.
-func (e *Encoder) SetForceGob(force bool) { e.forceGob = force }
-
 // Encode writes one frame carrying v from the given sender. It returns the
-// number of bytes written.
+// number of bytes written. A type with no registered codec is an error
+// (wrapping ErrUnregistered) and writes nothing.
 func (e *Encoder) Encode(from uint64, v any) (int, error) {
-	body := e.scratch[:0]
-	body = binary.AppendUvarint(body, from)
 	var ent *entry
-	if !e.forceGob && e.reg != nil {
+	if e.reg != nil {
 		ent = e.reg.lookupType(reflect.TypeOf(v))
 	}
-	if ent != nil {
-		body = binary.AppendUvarint(body, ent.tag)
-		body = ent.enc(body, v)
-	} else {
-		body = binary.AppendUvarint(body, TagGob)
-		buf := gobBufPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		err := gob.NewEncoder(buf).Encode(&gobPayload{V: v})
-		if err == nil {
-			body = append(body, buf.Bytes()...)
-		}
-		gobBufPool.Put(buf)
-		if err != nil {
-			return 0, fmt.Errorf("codec: gob fallback encode %T: %w", v, err)
-		}
+	if ent == nil {
+		return 0, fmt.Errorf("%w: %T", ErrUnregistered, v)
 	}
+	body := e.scratch[:0]
+	body = binary.AppendUvarint(body, from)
+	body = binary.AppendUvarint(body, ent.tag)
+	body = ent.enc(body, v)
 	e.scratch = body[:0] // keep the grown capacity for the next frame
 	if len(body) > MaxFrame {
 		return 0, fmt.Errorf("codec: frame of %d bytes exceeds MaxFrame", len(body))
@@ -231,19 +207,12 @@ func DecodeBody(body []byte, reg *Registry) (from uint64, v any, err error) {
 		return 0, nil, err
 	}
 	payload := rd.Rest()
-	if tag == TagGob {
-		var p gobPayload
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
-			return 0, nil, fmt.Errorf("codec: gob fallback decode: %w", err)
-		}
-		return from, p.V, nil
-	}
 	var ent *entry
 	if reg != nil {
 		ent = reg.lookupTag(tag)
 	}
 	if ent == nil {
-		return 0, nil, fmt.Errorf("codec: unknown tag %d", tag)
+		return 0, nil, fmt.Errorf("%w %d", ErrUnknownTag, tag)
 	}
 	v, err = ent.dec(payload)
 	if err != nil {

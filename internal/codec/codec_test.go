@@ -3,11 +3,11 @@ package codec
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -19,7 +19,7 @@ type tPing struct {
 
 type tAck struct{ Seq uint64 }
 
-// tOdd has no binary registration anywhere: it always rides the fallback.
+// tOdd has no registration anywhere: it must not encode.
 type tOdd struct {
 	A int
 	B []string
@@ -52,18 +52,11 @@ func testRegistry() *Registry {
 	return reg
 }
 
-func init() {
-	gob.Register(tPing{})
-	gob.Register(tAck{})
-	gob.Register(tOdd{})
-}
-
 // roundTrip encodes every value into one stream and decodes it back.
-func roundTrip(t *testing.T, reg *Registry, forceGob bool, values []any) []any {
+func roundTrip(t *testing.T, reg *Registry, values []any) []any {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, reg)
-	enc.SetForceGob(forceGob)
 	total := 0
 	for i, v := range values {
 		n, err := enc.Encode(uint64(i), v)
@@ -96,51 +89,50 @@ func roundTrip(t *testing.T, reg *Registry, forceGob bool, values []any) []any {
 	return out
 }
 
+// TestRoundTripBinaryAndFallback: registered types round-trip, and there
+// is no fallback behind them — an unregistered type (and any type on a
+// nil registry) fails its Encode with ErrUnregistered naming the type,
+// leaves the writer untouched, and the stream stays decodable.
 func TestRoundTripBinaryAndFallback(t *testing.T) {
 	reg := testRegistry()
 	values := []any{
 		tPing{Seq: 0, Text: ""},
 		tPing{Seq: 1<<64 - 1, Text: "hello, 世界"},
 		tAck{Seq: 42},
-		tOdd{A: -7, B: []string{"x", "y"}}, // unregistered: gob fallback
 	}
-	got := roundTrip(t, reg, false, values)
+	got := roundTrip(t, reg, values)
 	for i := range values {
 		if !reflect.DeepEqual(got[i], values[i]) {
 			t.Fatalf("value %d: got %#v, want %#v", i, got[i], values[i])
 		}
 	}
-}
 
-// TestForceGobInterop: a gob-only encoder's frames decode identically —
-// the tag dispatch makes the two formats interoperate on one stream.
-func TestForceGobInterop(t *testing.T) {
-	reg := testRegistry()
-	values := []any{tPing{Seq: 9, Text: "via gob"}, tAck{Seq: 10}}
-	got := roundTrip(t, reg, true, values)
-	for i := range values {
-		if !reflect.DeepEqual(got[i], values[i]) {
-			t.Fatalf("value %d: got %#v, want %#v", i, got[i], values[i])
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, reg)
+	if _, err := enc.Encode(1, tAck{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := buf.Len()
+	n, err := enc.Encode(1, tOdd{A: -7, B: []string{"x", "y"}})
+	if !errors.Is(err, ErrUnregistered) || !strings.Contains(err.Error(), "codec.tOdd") {
+		t.Fatalf("unregistered encode: err = %v, want ErrUnregistered naming codec.tOdd", err)
+	}
+	if n != 0 || buf.Len() != before {
+		t.Fatalf("unregistered encode wrote %d bytes (stream %d -> %d)", n, before, buf.Len())
+	}
+	if _, err := enc.Encode(1, tAck{Seq: 2}); err != nil {
+		t.Fatalf("encoder unusable after a rejected value: %v", err)
+	}
+	dec := NewDecoder(bufio.NewReader(&buf), reg)
+	for want := uint64(1); want <= 2; want++ {
+		if _, v, err := dec.Decode(); err != nil || v != (tAck{Seq: want}) {
+			t.Fatalf("decode around the rejected value: %#v, %v", v, err)
 		}
 	}
-}
 
-// TestBinarySmallerThanGob: the point of the binary path — a typical
-// protocol message frame must be much smaller than its gob fallback frame.
-func TestBinarySmallerThanGob(t *testing.T) {
-	reg := testRegistry()
-	size := func(force bool) int {
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf, reg)
-		enc.SetForceGob(force)
-		if _, err := enc.Encode(3, tPing{Seq: 77, Text: "v"}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Len()
-	}
-	bin, gobbed := size(false), size(true)
-	if bin*4 > gobbed {
-		t.Fatalf("binary frame %dB is not ≤ 1/4 of gob frame %dB", bin, gobbed)
+	buf.Reset()
+	if _, err := NewEncoder(&buf, nil).Encode(1, tAck{Seq: 1}); !errors.Is(err, ErrUnregistered) || buf.Len() != 0 {
+		t.Fatalf("nil registry: err = %v, wrote %d bytes", err, buf.Len())
 	}
 }
 
@@ -149,18 +141,15 @@ func TestRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var values []any
 	for i := 0; i < 500; i++ {
-		switch rng.Intn(3) {
-		case 0:
+		if rng.Intn(2) == 0 {
 			b := make([]byte, rng.Intn(200))
 			rng.Read(b)
 			values = append(values, tPing{Seq: rng.Uint64(), Text: string(b)})
-		case 1:
+		} else {
 			values = append(values, tAck{Seq: rng.Uint64()})
-		default:
-			values = append(values, tOdd{A: rng.Int(), B: []string{"z"}})
 		}
 	}
-	got := roundTrip(t, reg, false, values)
+	got := roundTrip(t, reg, values)
 	for i := range values {
 		if !reflect.DeepEqual(got[i], values[i]) {
 			t.Fatalf("value %d: got %#v, want %#v", i, got[i], values[i])
@@ -183,20 +172,24 @@ func TestRegistryRules(t *testing.T) {
 	}
 	expectPanic("tag conflict", func() { reg.Register(1, tAck{}, encAck, decAck) })
 	expectPanic("type conflict", func() { reg.Register(9, tPing{}, encPing, decPing) })
-	expectPanic("reserved tag", func() { reg.Register(TagGob, tAck{}, encAck, decAck) })
+	expectPanic("retired tag 0", func() { reg.Register(0, tAck{}, encAck, decAck) })
 }
 
 func TestDecodeErrors(t *testing.T) {
 	reg := testRegistry()
 
-	// Unknown tag.
-	body := AppendUvarint(nil, 5) // from
-	body = AppendUvarint(body, 99)
-	if _, _, err := DecodeBody(body, reg); err == nil {
-		t.Fatal("unknown tag decoded")
+	// Unknown tag — the retired tag 0 is one like any other, whatever
+	// payload follows it.
+	for _, tag := range []uint64{99, 0} {
+		body := AppendUvarint(nil, 5) // from
+		body = AppendUvarint(body, tag)
+		body = append(body, "payload"...)
+		if _, _, err := DecodeBody(body, reg); !errors.Is(err, ErrUnknownTag) {
+			t.Fatalf("tag %d: %v, want ErrUnknownTag", tag, err)
+		}
 	}
 	// Truncated payload inside a registered type.
-	body = AppendUvarint(nil, 5)
+	body := AppendUvarint(nil, 5)
 	body = AppendUvarint(body, 1)                   // tPing
 	body = AppendUvarint(body, 7)                   // seq
 	body = append(body, AppendUvarint(nil, 100)...) // claims 100-byte string, stream ends
@@ -225,19 +218,6 @@ func TestReaderSticky(t *testing.T) {
 func BenchmarkEncodeBinary(b *testing.B) {
 	reg := testRegistry()
 	enc := NewEncoder(io.Discard, reg)
-	msg := tPing{Seq: 123456, Text: "sixteen byte val"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(7, msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeGobFallback(b *testing.B) {
-	reg := testRegistry()
-	enc := NewEncoder(io.Discard, reg)
-	enc.SetForceGob(true)
 	msg := tPing{Seq: 123456, Text: "sixteen byte val"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,9 +1,11 @@
 // Seed fuzz corpus maintenance for FuzzDecodeBody. The corpus under
 // testdata/fuzz/FuzzDecodeBody is committed so `go test -fuzz` starts from
-// real frames of every protocol — rkv's register, batch and
-// reconfiguration messages (tags 0x10-0x1e), dmutex's seven mutex
-// messages (0x20-0x26) and the gob fallback (tag 0) — instead of
-// rediscovering the wire format from zero.
+// real frames of every protocol — rkv's batch, reconfiguration, workload
+// and lease messages (tags 0x13-0x1f, 0x30-0x37) and dmutex's seven mutex
+// messages (0x20-0x26) — instead of rediscovering the wire format from
+// zero. The frames of the retired tags (0x00, the gob envelope; 0x10-0x12,
+// rkv's single-key frames) stay committed as negative seeds: they were
+// valid input once, and must now be refused like any unknown tag.
 // Go's fuzzer replays the whole corpus on plain `go test` runs too, so a
 // decoder regression on any historical frame shape fails CI immediately.
 //
@@ -18,11 +20,12 @@ package codec_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,16 +39,14 @@ var updateCorpus = flag.Bool("update-corpus", false, "regenerate the committed s
 
 const corpusDir = "testdata/fuzz/FuzzDecodeBody"
 
-// corpusGobValue rides the gob-fallback frame in the corpus. Registered
-// with gob so the generating and verifying test binary can round-trip it;
-// fuzz replays in package codec simply exercise the unknown-type error
-// path, which is the point.
-type corpusGobValue struct {
-	Seq  uint64
-	Text string
+// retiredSeeds are the committed frames of tags no registry binds any
+// more. -update-corpus never rewrites them.
+var retiredSeeds = map[string]uint64{
+	"seed-gob":      0x00,
+	"seed-tag-0x10": 0x10,
+	"seed-tag-0x11": 0x11,
+	"seed-tag-0x12": 0x12,
 }
-
-func init() { gob.Register(corpusGobValue{}) }
 
 // liveRegistry is the union of every protocol's real binary codecs — the
 // registry a production transport carries.
@@ -62,11 +63,9 @@ func seedFrames(t *testing.T) map[string][]byte {
 	t.Helper()
 	reg := liveRegistry()
 	frames := make(map[string][]byte)
-	add := func(v any, forceGob bool) {
+	add := func(v any) {
 		var buf bytes.Buffer
-		enc := codec.NewEncoder(&buf, reg)
-		enc.SetForceGob(forceGob)
-		if _, err := enc.Encode(5, v); err != nil {
+		if _, err := codec.NewEncoder(&buf, reg).Encode(5, v); err != nil {
 			t.Fatalf("encode %T: %v", v, err)
 		}
 		data := buf.Bytes()
@@ -75,26 +74,22 @@ func seedFrames(t *testing.T) map[string][]byte {
 		r := codec.NewReader(body)
 		r.Uvarint() // from
 		tag := r.Uvarint()
-		name := fmt.Sprintf("seed-tag-0x%02x", tag)
-		if forceGob {
-			name = "seed-gob"
-		}
-		frames[name] = body
+		frames[fmt.Sprintf("seed-tag-0x%02x", tag)] = body
 	}
 	for _, v := range rkv.WireSamples() {
-		add(v, false)
+		add(v)
 	}
 	for _, v := range dmutex.WireSamples() {
-		add(v, false)
+		add(v)
 	}
-	add(corpusGobValue{Seq: 99, Text: "gob fallback"}, true)
 	return frames
 }
 
 // TestSeedCorpusCoversAllTags verifies the committed corpus: every file
 // parses, every well-formed seed decodes cleanly against the live
-// registry, and together the seeds cover every registered tag plus the
-// gob fallback. With -update-corpus it (re)writes the seed files first.
+// registry, and together the seeds cover every registered tag (the
+// retired seeds are TestRetiredTagsRefused's). With -update-corpus it (re)writes the seed files
+// of the registered tags first.
 func TestSeedCorpusCoversAllTags(t *testing.T) {
 	frames := seedFrames(t)
 	if *updateCorpus {
@@ -128,6 +123,9 @@ func TestSeedCorpusCoversAllTags(t *testing.T) {
 		if !strings.HasPrefix(e.Name(), "seed-") {
 			continue // fuzz-discovered additions need not decode cleanly
 		}
+		if _, retired := retiredSeeds[e.Name()]; retired {
+			continue // TestRetiredTagsRefused owns these
+		}
 		seeds++
 		if _, _, err := codec.DecodeBody(body, reg); err != nil {
 			t.Errorf("%s: well-formed seed no longer decodes: %v", e.Name(), err)
@@ -136,8 +134,8 @@ func TestSeedCorpusCoversAllTags(t *testing.T) {
 	if seeds < len(frames) {
 		t.Errorf("corpus holds %d seed files, want %d (run with -update-corpus)", seeds, len(frames))
 	}
-	want := []uint64{codec.TagGob}
-	for tag := uint64(0x10); tag <= 0x1f; tag++ { // rkv: register + batch + reconfig + workload
+	var want []uint64
+	for tag := uint64(0x13); tag <= 0x1f; tag++ { // rkv: batch + reconfig + workload
 		want = append(want, tag)
 	}
 	for tag := uint64(0x20); tag <= 0x26; tag++ { // dmutex
@@ -147,6 +145,33 @@ func TestSeedCorpusCoversAllTags(t *testing.T) {
 	for _, tag := range want {
 		if !covered[tag] {
 			t.Errorf("corpus covers no frame with tag 0x%02x", tag)
+		}
+	}
+}
+
+// TestRetiredTagsRefused: a frame on a retired tag — each committed
+// negative seed, with a megabyte of peer-controlled payload behind it —
+// is refused as an unknown tag before anything looks at the payload: no
+// panic, and no allocation that grows with the frame.
+func TestRetiredTagsRefused(t *testing.T) {
+	reg := liveRegistry()
+	for name, tag := range retiredSeeds {
+		body := readCorpusFile(t, filepath.Join(corpusDir, name))
+		if r := codec.NewReader(body); r.Uvarint() != 5 || r.Uvarint() != tag {
+			t.Fatalf("%s is not a frame on tag 0x%02x", name, tag)
+		}
+		body = append(body, make([]byte, 1<<20)...)
+		const runs = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, v, err := codec.DecodeBody(body, reg); !errors.Is(err, codec.ErrUnknownTag) || v != nil {
+				t.Fatalf("%s (tag 0x%02x): decoded to %#v, %v; want ErrUnknownTag", name, tag, v, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 4096 {
+			t.Errorf("%s: refusing a %d-byte frame allocated %d bytes", name, len(body), perRun)
 		}
 	}
 }

@@ -811,12 +811,6 @@ func (n *Node) Restarted(env cluster.Env) {
 	}
 }
 
-// RegisterWire registers the protocol's wire messages with a gob-based
-// transport (e.g. transport.Register).
-func RegisterWire(register func(values ...any)) {
-	register(msgRequest{}, msgGrant{}, msgFailed{}, msgInquire{}, msgRelinquish{}, msgRelease{}, msgBusy{})
-}
-
 // StartToken returns the timer token that kicks off the node's workload —
 // for transports without a cluster.Network (see Node.Start).
 func (n *Node) StartToken() any { return tokenStart{} }

@@ -18,9 +18,8 @@ const (
 	tagBusy       = 0x26
 )
 
-// RegisterBinaryWire registers hand-written varint codecs for the
-// protocol's wire messages, replacing the reflective gob fallback on the
-// live transport's hot path. Every message carries the sender's
+// RegisterBinaryWire registers the hand-written varint codecs for the
+// protocol's wire messages. Every message carries the sender's
 // configuration epoch and exactly one ReqID, so the seven registrations
 // share an encoder shape.
 func RegisterBinaryWire(reg *codec.Registry) {

@@ -43,8 +43,9 @@ type Store struct {
 }
 
 // NewStore creates a store over a fixed ID space with initial installed
-// at epoch 1 (epoch 0 is reserved for "not epoch-versioned", so legacy
-// frames stamped 0 are distinguishable).
+// at epoch 1. Epoch 0 never names a config, so it is never valid on the
+// wire between stores: a frame stamped 0 is older than anything a store
+// can hold and is refused as stale.
 func NewStore(space int, initial Params) (*Store, error) {
 	pk, err := NewPickers(space, initial)
 	if err != nil {
@@ -194,9 +195,7 @@ func (p *Pickers) pick(rng *rand.Rand, live bitset.Set, kind int, cost []time.Du
 	return p.write(rng, live)
 }
 
-// PickRead draws a read quorum (both-config union while joint). Together
-// with PickWrite and Universe this satisfies rkv.Store, so an epoch
-// store plugs straight into the replicated-store client.
+// PickRead draws a read quorum (both-config union while joint).
 func (s *Store) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	return s.pickUnion(rng, live, pickRead, nil)
 }

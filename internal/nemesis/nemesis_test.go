@@ -7,10 +7,15 @@ import (
 	"time"
 
 	"hquorum/internal/cluster"
-	"hquorum/internal/hgrid"
+	"hquorum/internal/epoch"
 	"hquorum/internal/htgrid"
-	"hquorum/internal/rkv"
 )
+
+// hgrid44 is the 16-node h-grid (row-cover reads, full-line writes) most
+// register runs here start on.
+func hgrid44() *epoch.Params {
+	return &epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
+}
 
 // TestSchedulesWellFormed: every stock schedule validates, keeps all
 // actions inside its horizon, and ends with the cluster fully recovered
@@ -81,7 +86,8 @@ func TestApplyRejectsOverlappingPartition(t *testing.T) {
 // and the history is linearizable.
 func TestRunRKVFaultFree(t *testing.T) {
 	res, err := RunRKV(RKVRun{
-		Store:    rkv.HGridStore{H: hgrid.Auto(4, 4)},
+		Initial:  hgrid44(),
+		Space:    16,
 		Seed:     1,
 		Schedule: Schedule{Name: "calm", Horizon: 5 * time.Second},
 	})
@@ -102,7 +108,8 @@ func TestRunRKVFaultFree(t *testing.T) {
 // finishes its workload after the heal.
 func TestRunRKVColumnCut(t *testing.T) {
 	res, err := RunRKV(RKVRun{
-		Store:    rkv.HGridStore{H: hgrid.Auto(4, 4)},
+		Initial:  hgrid44(),
+		Space:    16,
 		Seed:     3,
 		Schedule: ColumnCut(4, 4),
 	})
@@ -122,7 +129,8 @@ func TestRunRKVColumnCut(t *testing.T) {
 // virtual clients must still yield a linearizable history.
 func TestRunRKVPipelinedCrashStorm(t *testing.T) {
 	res, err := RunRKV(RKVRun{
-		Store:    rkv.HGridStore{H: hgrid.Auto(4, 4)},
+		Initial:  hgrid44(),
+		Space:    16,
 		Seed:     7,
 		Schedule: CrashStorm(16),
 		Window:   4,
@@ -144,7 +152,8 @@ func TestRunRKVPipelinedCrashStorm(t *testing.T) {
 func TestRunRKVMultiKeyBatched(t *testing.T) {
 	run := func() RKVResult {
 		res, err := RunRKV(RKVRun{
-			Store:      rkv.HGridStore{H: hgrid.Auto(4, 4)},
+			Initial:    hgrid44(),
+			Space:      16,
 			Seed:       11,
 			Schedule:   CrashStorm(16),
 			OpsPerNode: 8,
@@ -199,10 +208,10 @@ func TestRunMutexCrashStorm(t *testing.T) {
 // TestSweepDeterministic: the same sweep produces byte-identical
 // summaries — chaos results are diffable artifacts.
 func TestSweepDeterministic(t *testing.T) {
-	store := rkv.HGridStore{H: hgrid.Auto(4, 4)}
 	cases := []RKVCase{{
 		Name:      "h-grid-4x4",
-		Store:     store,
+		Initial:   hgrid44(),
+		Space:     16,
 		Schedules: []Schedule{CrashStorm(16), LinkFlap(16)},
 	}}
 	mcases := []MutexCase{{

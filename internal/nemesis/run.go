@@ -46,17 +46,16 @@ func window(s Schedule) time.Duration {
 
 // RKVRun parameterizes one chaotic replicated-register run.
 type RKVRun struct {
-	Store    rkv.Store
 	Seed     int64
 	Schedule Schedule
-	// Initial, when set, runs the cluster epoch-versioned: every node gets
-	// its own epoch store seeded with this configuration, operations carry
-	// epochs on the wire, and the schedule's Reconfig actions kick live
-	// configuration changes. Space is the node-ID space (the number of
-	// simulated nodes, which may exceed the initial member count so the
-	// cluster can grow); Store is ignored. The workload runs on the
-	// initial members only — non-members are pure replicas until a
-	// reconfiguration pulls them in.
+	// Initial (required) is the cluster's first configuration: every node
+	// gets its own epoch store seeded with it, operations carry epochs on
+	// the wire, and the schedule's Reconfig actions kick live
+	// configuration changes. Space (required) is the node-ID space (the
+	// number of simulated nodes, which may exceed the initial member count
+	// so the cluster can grow). The workload runs on the initial members
+	// only — non-members are pure replicas until a reconfiguration pulls
+	// them in.
 	Initial *epoch.Params
 	Space   int
 	// OpsPerNode is each node's workload length, alternating writes of
@@ -69,10 +68,10 @@ type RKVRun struct {
 	// This is the mid-run 50% → ShiftReads·100% mix shift a workload-aware
 	// auto-tuner is expected to react to.
 	ShiftReads float64
-	// AutoTune, when set, arms the workload-aware quorum tuner on node 0
-	// (Initial runs only): the node profiles its local operation mix and
-	// drives live epoch reconfigurations whenever another configuration
-	// beats the current one by the policy's margin (see rkv.Config.AutoTune).
+	// AutoTune, when set, arms the workload-aware quorum tuner on node 0:
+	// the node profiles its local operation mix and drives live epoch
+	// reconfigurations whenever another configuration beats the current
+	// one by the policy's margin (see rkv.Config.AutoTune).
 	// Chaos policies want relaxed MinGain/MinAvail: the runner forces read
 	// write-back, so almost every read pays a write-quorum round and the
 	// measured gain of asymmetric reads is smaller than on live clusters.
@@ -118,11 +117,11 @@ type RKVRun struct {
 	// Shards overrides each node's rkv.Config.Shards (0 = rkv default).
 	// Disk runs keep it small so per-shard files stay few.
 	Shards int
-	// PickCost, when set, makes every node's quorum picks cost-aware
-	// (Initial runs only — see rkv.Config.PickCost): each round takes the
-	// cheapest quorum among unsuspected members, so reads ride write
-	// quorums where the flavor allows and faults force exact re-picks
-	// around the suspects instead of fresh random draws.
+	// PickCost, when set, makes every node's quorum picks cost-aware (see
+	// rkv.Config.PickCost): each round takes the cheapest quorum among
+	// unsuspected members, so reads ride write quorums where the flavor
+	// allows and faults force exact re-picks around the suspects instead
+	// of fresh random draws.
 	PickCost []time.Duration
 }
 
@@ -149,10 +148,10 @@ type RKVResult struct {
 	Messages, Dropped          uint64
 	// Ops is the recorded history.
 	Ops []history.Op
-	// Epoch and Joint describe the epoch-versioned cluster's final state
-	// (Initial runs only): the highest epoch any live node reached, and
-	// whether any live node was still on a joint config when the run
-	// drained — a completed reconfiguration leaves Joint false.
+	// Epoch and Joint describe the cluster's final state: the highest
+	// epoch any live node reached, and whether any live node was still on
+	// a joint config when the run drained — a completed reconfiguration
+	// leaves Joint false.
 	Epoch uint64
 	Joint bool
 	// Err is the linearizability verdict: nil, a
@@ -166,19 +165,11 @@ type RKVResult struct {
 // which keeps the checker fast; reads use write-back so crashed writers
 // cannot cause read inversions.
 func RunRKV(r RKVRun) (RKVResult, error) {
-	if r.Store == nil && r.Initial == nil {
-		return RKVResult{}, fmt.Errorf("nemesis: RunRKV needs a store or an initial epoch config")
+	if r.Initial == nil || r.Space <= 0 {
+		return RKVResult{}, fmt.Errorf("nemesis: RunRKV needs an initial epoch config and its ID space")
 	}
-	if r.Initial != nil {
-		if r.Space <= 0 {
-			return RKVResult{}, fmt.Errorf("nemesis: epoch-versioned RunRKV needs Space")
-		}
-		if err := r.Initial.Validate(r.Space); err != nil {
-			return RKVResult{}, err
-		}
-	}
-	if r.AutoTune != nil && r.Initial == nil {
-		return RKVResult{}, fmt.Errorf("nemesis: auto-tune needs an epoch-versioned run")
+	if err := r.Initial.Validate(r.Space); err != nil {
+		return RKVResult{}, err
 	}
 	if r.ShiftReads != 0 && (r.ShiftReads <= 0 || r.ShiftReads >= 1) {
 		return RKVResult{}, fmt.Errorf("nemesis: ShiftReads %v outside (0, 1)", r.ShiftReads)
@@ -204,13 +195,7 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		r.Keys = 1
 	}
 	univ := r.Space
-	if r.Initial == nil {
-		univ = r.Store.Universe()
-	}
 	member := func(i int) bool {
-		if r.Initial == nil {
-			return true
-		}
 		for _, m := range r.Initial.Members {
 			if int(m) == i {
 				return true
@@ -278,16 +263,12 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 				}
 			}
 		}
-		var epochs *epoch.Store
-		if r.Initial != nil {
-			var err error
-			if epochs, err = epoch.NewStore(r.Space, *r.Initial); err != nil {
-				return RKVResult{}, err
-			}
-			stores[i] = epochs
+		epochs, err := epoch.NewStore(r.Space, *r.Initial)
+		if err != nil {
+			return RKVResult{}, err
 		}
+		stores[i] = epochs
 		cfg := rkv.Config{
-			Store:         r.Store,
 			Epochs:        epochs,
 			Ops:           ops,
 			Timeout:       r.Timeout,
@@ -368,15 +349,12 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		// started to settle.
 		reconfigs = append(reconfigs, 0)
 	}
-	hooks := Hooks{}
-	if r.Initial != nil {
-		hooks.OnReconfig = func(rc Reconfig, at time.Duration) {
-			reconfigs = append(reconfigs, rc.Coordinator)
-			// Kick the coordinator with the reconfiguration token; the
-			// protocol spreads the config from there.
-			_ = net.StartTimer(rc.Coordinator, 0, rkv.ReconfigToken(rc.Target))
-		}
-	}
+	hooks := Hooks{OnReconfig: func(rc Reconfig, at time.Duration) {
+		reconfigs = append(reconfigs, rc.Coordinator)
+		// Kick the coordinator with the reconfiguration token; the
+		// protocol spreads the config from there.
+		_ = net.StartTimer(rc.Coordinator, 0, rkv.ReconfigToken(rc.Target))
+	}}
 	if err := ApplyHooks(net, r.Schedule, hooks); err != nil {
 		return RKVResult{}, err
 	}
@@ -400,18 +378,16 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		return true
 	}, drainBudget)
 
-	if r.Initial != nil {
-		for i, st := range stores {
-			if net.Crashed(cluster.NodeID(i)) {
-				continue
-			}
-			snap := st.Snapshot()
-			if snap.Epoch > res.Epoch {
-				res.Epoch = snap.Epoch
-			}
-			if snap.Joint() {
-				res.Joint = true
-			}
+	for i, st := range stores {
+		if net.Crashed(cluster.NodeID(i)) {
+			continue
+		}
+		snap := st.Snapshot()
+		if snap.Epoch > res.Epoch {
+			res.Epoch = snap.Epoch
+		}
+		if snap.Joint() {
+			res.Joint = true
 		}
 	}
 	res.Ops = rec.Ops()

@@ -11,7 +11,6 @@ import (
 	"hquorum/internal/history"
 	"hquorum/internal/lease"
 	"hquorum/internal/quorum"
-	"hquorum/internal/rkv"
 	"hquorum/internal/tuner"
 )
 
@@ -24,13 +23,13 @@ import (
 // checked per key.
 type RKVCase struct {
 	Name      string
-	Store     rkv.Store
 	Window    int
 	Batch     int
 	Keys      int
 	Schedules []Schedule
-	// Initial and Space run the case epoch-versioned (see RKVRun); the
-	// schedules' Reconfig actions then fire live configuration changes.
+	// Initial and Space (both required) are the case's first configuration
+	// and node-ID space (see RKVRun); the schedules' Reconfig actions fire
+	// live configuration changes from there.
 	// WantEpoch, when non-zero, turns an unsettled reconfiguration into a
 	// sweep violation: every run must drain at exactly that epoch with no
 	// node left on a joint config.
@@ -168,7 +167,6 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 					ops = c.Ops
 				}
 				res, err := RunRKV(RKVRun{
-					Store:      c.Store,
 					Seed:       seed,
 					Schedule:   sched,
 					Initial:    c.Initial,

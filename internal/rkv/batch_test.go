@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hquorum/internal/cluster"
-	"hquorum/internal/hgrid"
 	"hquorum/internal/quorum"
 )
 
@@ -223,7 +222,7 @@ func TestShardedMapConcurrency(t *testing.T) {
 // suspicion-era quorum would shun a restarted replica forever.
 func TestSuspectTTLRefreshesPickCache(t *testing.T) {
 	const ttl = time.Second
-	n, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}, SuspectTTL: ttl})
+	n, err := NewNode(0, Config{Epochs: testEpochs(t, 16, hgrid44All()), SuspectTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +277,7 @@ func TestSuspectTTLRefreshesPickCache(t *testing.T) {
 
 	// Control: with decay disabled the suspicion — and the cached quorum —
 	// stay put no matter how much time passes.
-	n2, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}, SuspectTTL: -1})
+	n2, err := NewNode(0, Config{Epochs: testEpochs(t, 16, hgrid44All()), SuspectTTL: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,14 @@ import (
 	"time"
 
 	"hquorum/internal/cluster"
+	"hquorum/internal/epoch"
 	"hquorum/internal/wal"
 )
+
+// maj3 is the three-replica threshold config the disk tests run.
+func maj3(r, w int) epoch.Params {
+	return epoch.Params{Flavor: epoch.FlavorMajority, R: r, W: w, Members: epoch.MemberRange(0, 3)}
+}
 
 // diskHarness wires a 3-replica majority cluster with the disk backend:
 // R=W=3 puts every write on every node, so recovery assertions are
@@ -27,15 +33,11 @@ type diskHarness struct {
 func newDiskHarness(t *testing.T, seed int64, base Config, ops map[cluster.NodeID][]Op) *diskHarness {
 	t.Helper()
 	root := t.TempDir()
-	store, err := NewMajorityStore(3, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := &diskHarness{net: cluster.New(cluster.WithSeed(seed), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
 	for i := 0; i < 3; i++ {
 		id := cluster.NodeID(i)
 		cfg := base
-		cfg.Store = store
+		cfg.Epochs = testEpochs(t, 3, maj3(3, 3))
 		cfg.Storage = "disk"
 		cfg.DataDir = filepath.Join(root, fmt.Sprintf("n%d", i))
 		cfg.Ops = ops[id]
@@ -169,11 +171,7 @@ func (e *ackEnv) seqs() []uint64 {
 // fsync), no ack leaves before an fsync covering its records returns,
 // and the eight batches finish in two rounds, not eight.
 func TestDiskAcksRideCoveringRound(t *testing.T) {
-	store, err := NewMajorityStore(3, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNode(1, Config{Store: store, Storage: "disk", DataDir: t.TempDir()})
+	n, err := NewNode(1, Config{Epochs: testEpochs(t, 3, maj3(2, 2)), Storage: "disk", DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +185,7 @@ func TestDiskAcksRideCoveringRound(t *testing.T) {
 	})
 	env := &ackEnv{}
 	deliver := func(seq uint64) {
-		m := msgWriteBatch{Seq: seq}
+		m := msgWriteBatch{Epoch: 1, Seq: seq}
 		for k := 0; k < 8; k++ {
 			m.Keys = append(m.Keys, fmt.Sprintf("key-%d", k))
 			m.Vers = append(m.Vers, Version{Counter: seq, Writer: 0})
@@ -233,8 +231,7 @@ func TestDiskLegacyLayoutRefused(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "s00"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	store, _ := NewMajorityStore(3, 2, 2)
-	if _, err := NewNode(0, Config{Store: store, Storage: "disk", DataDir: dir}); !errors.Is(err, wal.ErrLegacyLayout) {
+	if _, err := NewNode(0, Config{Epochs: testEpochs(t, 3, maj3(2, 2)), Storage: "disk", DataDir: dir}); !errors.Is(err, wal.ErrLegacyLayout) {
 		t.Fatalf("NewNode on a legacy directory = %v, want wal.ErrLegacyLayout", err)
 	}
 }
@@ -288,8 +285,7 @@ func TestDiskCleanShutdownReopen(t *testing.T) {
 		}
 	}
 
-	store, _ := NewMajorityStore(3, 3, 3)
-	reborn, err := NewNode(1, Config{Store: store, Storage: "disk", DataDir: h.dirs[1]})
+	reborn, err := NewNode(1, Config{Epochs: testEpochs(t, 3, maj3(3, 3)), Storage: "disk", DataDir: h.dirs[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +319,14 @@ func TestDiskSnapshotCompaction(t *testing.T) {
 
 // TestStorageConfigValidation: bad storage configs fail NewNode.
 func TestStorageConfigValidation(t *testing.T) {
-	store, _ := NewMajorityStore(3, 2, 2)
-	if _, err := NewNode(0, Config{Store: store, Storage: "disk"}); err == nil {
+	store := testEpochs(t, 3, maj3(2, 2))
+	if _, err := NewNode(0, Config{Epochs: store, Storage: "disk"}); err == nil {
 		t.Error("disk storage without DataDir accepted")
 	}
-	if _, err := NewNode(0, Config{Store: store, Storage: "flash"}); err == nil {
+	if _, err := NewNode(0, Config{Epochs: store, Storage: "flash"}); err == nil {
 		t.Error("unknown storage backend accepted")
 	}
-	if _, err := NewNode(0, Config{Store: store, Storage: "memory"}); err != nil {
+	if _, err := NewNode(0, Config{Epochs: store, Storage: "memory"}); err != nil {
 		t.Errorf("memory storage rejected: %v", err)
 	}
 }

@@ -255,6 +255,61 @@ func TestPickCacheEpochBump(t *testing.T) {
 	}
 }
 
+// sentEnv records what a handler sends.
+type sentEnv struct {
+	fakeEnv
+	sent []any
+}
+
+func (e *sentEnv) Send(to cluster.NodeID, msg any) { e.sent = append(e.sent, msg) }
+
+// TestEpochZeroFrameRejected: epoch 0 is never valid on the wire (the
+// first config is epoch 1), so a frame stamped 0 — an old epoch-less
+// peer, or a hostile one — is a stale sender like any other: the replica
+// applies nothing and answers each frame with msgStaleEpoch carrying its
+// config, on the fast path and the event loop alike.
+func TestEpochZeroFrameRejected(t *testing.T) {
+	n, err := NewNode(0, Config{Epochs: testEpochs(t, 9, majority9())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := []any{
+		msgWriteBatch{Epoch: 0, Seq: 4, Keys: []string{"", "k"}, Vers: []Version{{Counter: 7, Writer: 3}, {Counter: 8, Writer: 3}}, Vals: []string{"x", "y"}},
+		msgReadBatch{Epoch: 0, Seq: 5, Keys: []string{"", "k"}},
+		msgSnapReq{Epoch: 0, Seq: 6},
+	}
+	env := &sentEnv{}
+	for i, m := range frames {
+		if i%2 == 0 {
+			if !n.FastDeliver(env, 3, m) {
+				t.Fatalf("%T not taken by the fast path", m)
+			}
+		} else {
+			n.Deliver(env, 3, m)
+		}
+	}
+	if len(env.sent) != len(frames) {
+		t.Fatalf("replies %#v, want one msgStaleEpoch per frame", env.sent)
+	}
+	for i, reply := range env.sent {
+		m, ok := reply.(msgStaleEpoch)
+		if !ok {
+			t.Fatalf("reply %d is %T, want msgStaleEpoch", i, reply)
+		}
+		if cfg, err := epoch.DecodeConfig(m.Cfg); err != nil || cfg.Epoch != 1 {
+			t.Fatalf("reply %d carries config %+v (%v), want epoch 1", i, cfg, err)
+		}
+	}
+	for _, k := range []string{"", "k"} {
+		if val, ver := n.ValueKey(k); val != "" || ver != (Version{}) {
+			t.Fatalf("key %q = %q at %v: an epoch-0 write was applied", k, val, ver)
+		}
+	}
+	if n.clock.Load() != 0 {
+		t.Fatalf("clock = %d: an epoch-0 write advanced it", n.clock.Load())
+	}
+}
+
 // TestErrStaleEpochSentinel: ErrStaleEpoch is a distinct sentinel usable
 // with errors.Is across package boundaries.
 func TestErrStaleEpochSentinel(t *testing.T) {

@@ -178,12 +178,7 @@ func (n *Node) leasePublish() {
 // safety: a dark node anywhere in the space makes grants time out until
 // it returns, and reads simply fall back to quorum rounds.
 func (n *Node) leaseMembers() []cluster.NodeID {
-	u := 0
-	if n.cfg.Epochs != nil {
-		u = n.cfg.Epochs.Universe()
-	} else {
-		u = n.cfg.Store.Universe()
-	}
+	u := n.cfg.Epochs.Universe()
 	out := make([]cluster.NodeID, 0, u-1)
 	for i := 0; i < u; i++ {
 		if cluster.NodeID(i) != n.id {
@@ -210,22 +205,20 @@ func (n *Node) onLeaseRequest(env cluster.Env, from cluster.NodeID, ep, seq, mas
 	if renew {
 		kind = leaseKindRenew
 	}
-	if n.cfg.Epochs != nil {
-		snap := n.cfg.Epochs.Snapshot()
-		if snap.Epoch != ep {
-			// Same catch-up traffic as the op gate, so a stale holder
-			// installs the new config (and its epoch fence) promptly.
-			if snap.Epoch > ep {
-				env.Send(from, msgStaleEpoch{Seq: seq, Cfg: snap.Encode(nil)})
-			} else {
-				env.Send(from, msgConfigReq{Epoch: snap.Epoch})
-			}
-			return
+	snap := n.cfg.Epochs.Snapshot()
+	if snap.Epoch != ep {
+		// Same catch-up traffic as the op gate, so a stale holder
+		// installs the new config (and its epoch fence) promptly.
+		if snap.Epoch > ep {
+			env.Send(from, msgStaleEpoch{Seq: seq, Cfg: snap.Encode(nil)})
+		} else {
+			env.Send(from, msgConfigReq{Epoch: snap.Epoch})
 		}
-		if snap.Joint() {
-			env.Send(from, msgLeaseAck{Seq: seq, Kind: kind, OK: false})
-			return
-		}
+		return
+	}
+	if snap.Joint() {
+		env.Send(from, msgLeaseAck{Seq: seq, Kind: kind, OK: false})
+		return
 	}
 	ok := n.leaseGrantOK(env, from, mask, shards)
 	if ok {
@@ -512,7 +505,7 @@ func (n *Node) onLeaseTick(env cluster.Env) {
 	if n.rc.phase != rcIdle {
 		return
 	}
-	if n.cfg.Epochs != nil && n.cfg.Epochs.Snapshot().Joint() {
+	if n.cfg.Epochs.Snapshot().Joint() {
 		return
 	}
 	if lh.NeedRenew(now) && lh.Active() != 0 {
@@ -561,7 +554,7 @@ func (n *Node) leasePick(env cluster.Env, read bool) (bitset.Set, error) {
 	n.decaySuspects(env)
 	q, err := n.pick(env, read, n.suspects.Complement())
 	if err != nil {
-		q, err = n.pick(env, read, bitset.Universe(n.cfg.Store.Universe()))
+		q, err = n.pick(env, read, bitset.Universe(n.cfg.Epochs.Universe()))
 	}
 	return q, err
 }

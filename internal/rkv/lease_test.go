@@ -7,7 +7,6 @@ import (
 
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
 	"hquorum/internal/lease"
 	"hquorum/internal/tuner"
 )
@@ -68,7 +67,7 @@ func (e *captureEnv) After(d time.Duration, token any) {
 // expired. The round stays in phaseInval with a wake-up armed for
 // exactly the quarantine's end, then ships on the retry.
 func TestLeaseInvalAckQuarantineBarrier(t *testing.T) {
-	n, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}})
+	n, err := NewNode(0, Config{Epochs: testEpochs(t, 16, hgrid44All())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestLeaseInvalAckQuarantineBarrier(t *testing.T) {
 // phase (no targets, table lost) arms its wake-up for the quarantine's
 // end clamped to the op deadline — not an unrelated backoff retry.
 func TestLeaseQuarantineTimerDeadlineCap(t *testing.T) {
-	n, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}, OpDeadline: 200 * time.Millisecond})
+	n, err := NewNode(0, Config{Epochs: testEpochs(t, 16, hgrid44All()), OpDeadline: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestLeaseQuarantineTimerDeadlineCap(t *testing.T) {
 // erase the re-granted entry's bits — only a drop the holder issued
 // after the recorded grant (higher Seq from the shared counter) clears.
 func TestLeaseDropSeqGate(t *testing.T) {
-	n, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}})
+	n, err := NewNode(0, Config{Epochs: testEpochs(t, 16, hgrid44All())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,8 @@ import (
 )
 
 // Reconfiguration wire messages (tags 0x17-0x1e, see wire.go). Configs
-// and params travel pre-encoded ([]byte) so the gob and binary transports
-// share one hostile-input-guarded decode path (epoch.DecodeConfig).
+// and params travel pre-encoded ([]byte) so every frame that carries one
+// shares one hostile-input-guarded decode path (epoch.DecodeConfig).
 type (
 	// msgConfigPush distributes a config; the receiver installs it if
 	// newer and acks with its (possibly fresher) state.
@@ -167,10 +167,6 @@ func (n *Node) startReconfig(env cluster.Env, target epoch.Params, requester clu
 		if hasReq {
 			env.Send(requester, msgReconfigDone{Seq: reqSeq, Epoch: n.epochNow(), Err: msg})
 		}
-	}
-	if n.cfg.Epochs == nil {
-		fail("node is not epoch-versioned")
-		return
 	}
 	if n.rc.phase != rcIdle {
 		if n.rc.target.Equal(target) {
@@ -370,9 +366,6 @@ func rcMergedSlices(merged map[string]mergedVal) ([]string, []Version, []string)
 // current state. Runs on the replica fast path (epoch store locking makes
 // it thread-safe), so configs spread without waiting on event loops.
 func (n *Node) onConfigPush(env cluster.Env, from cluster.NodeID, m msgConfigPush) {
-	if n.cfg.Epochs == nil {
-		return
-	}
 	if cfg, err := epoch.DecodeConfig(m.Cfg); err == nil {
 		_, _ = n.cfg.Epochs.Install(cfg) // invalid or older configs are dropped
 	}
@@ -383,9 +376,6 @@ func (n *Node) onConfigPush(env cluster.Env, from cluster.NodeID, m msgConfigPus
 // onConfigReq answers a peer that discovered it is behind: push our
 // config if it is really newer than what the peer reported.
 func (n *Node) onConfigReq(env cluster.Env, from cluster.NodeID, m msgConfigReq) {
-	if n.cfg.Epochs == nil {
-		return
-	}
 	cur := n.cfg.Epochs.Snapshot()
 	if cur.Epoch > m.Epoch {
 		env.Send(from, msgConfigPush{Seq: 0, Cfg: cur.Encode(nil)})

@@ -36,7 +36,6 @@ package rkv
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +43,6 @@ import (
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
-	"hquorum/internal/htgrid"
 	"hquorum/internal/lease"
 	"hquorum/internal/optrace"
 	"hquorum/internal/quorum"
@@ -67,147 +64,17 @@ func (v Version) Less(o Version) bool {
 	return v.Writer < o.Writer
 }
 
-// Store supplies the two quorum flavors. Every PickRead result must
-// intersect every PickWrite result (e.g. row-cover × full-line in the
-// h-grid instantiation).
-type Store interface {
-	Universe() int
-	PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error)
-	PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error)
-}
-
-// CostStore is a Store that can also pick by cost (Config.PickCost): the
-// quorum cheapest to wait for under a per-member estimate indexed by
-// node ID, instead of a random one. The intersection rule is unchanged —
-// every PickReadCheapest result must meet every write quorum either
-// pick can return — which leaves the store free to serve a read from a
-// write quorum. epoch.Store implements it.
-type CostStore interface {
-	Store
-	PickReadCheapest(rng *rand.Rand, live bitset.Set, cost []time.Duration) (bitset.Set, error)
-	PickWriteCheapest(rng *rand.Rand, live bitset.Set, cost []time.Duration) (bitset.Set, error)
-}
-
-// HGridStore adapts a hierarchical grid: read quorums are row-covers,
-// write quorums are full-lines.
-type HGridStore struct {
-	H *hgrid.Hierarchy
-}
-
-// Universe implements Store.
-func (s HGridStore) Universe() int { return s.H.Universe() }
-
-// PickRead implements Store.
-func (s HGridStore) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.H.PickRowCover(rng, live)
-}
-
-// PickWrite implements Store.
-func (s HGridStore) PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.H.PickFullLine(rng, live)
-}
-
-// HTGridStore implements §4.2's replicated-data refinement: reads keep
-// using the h-grid's row-cover quorums while exclusive writes use the
-// smaller h-T-grid quorums (every h-T-grid quorum still intersects every
-// full row-cover).
-type HTGridStore struct {
-	Sys *htgrid.System
-}
-
-// Universe implements Store.
-func (s HTGridStore) Universe() int { return s.Sys.Universe() }
-
-// PickRead implements Store.
-func (s HTGridStore) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.Sys.Hierarchy().PickRowCover(rng, live)
-}
-
-// PickWrite implements Store.
-func (s HTGridStore) PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.Sys.Pick(rng, live)
-}
-
-// MajorityStore is the classic Gifford read/write threshold store: reads
-// contact R replicas, writes W replicas, with R+W > n (reads see writes)
-// and 2W > n (writes are totally ordered).
-type MajorityStore struct {
-	N, R, W int
-}
-
-// NewMajorityStore validates the thresholds.
-func NewMajorityStore(n, r, w int) (MajorityStore, error) {
-	if n <= 0 || r <= 0 || w <= 0 || r > n || w > n {
-		return MajorityStore{}, fmt.Errorf("rkv: invalid thresholds n=%d r=%d w=%d", n, r, w)
-	}
-	if r+w <= n {
-		return MajorityStore{}, fmt.Errorf("rkv: R+W must exceed n (r=%d w=%d n=%d)", r, w, n)
-	}
-	if 2*w <= n {
-		return MajorityStore{}, fmt.Errorf("rkv: 2W must exceed n (w=%d n=%d)", w, n)
-	}
-	return MajorityStore{N: n, R: r, W: w}, nil
-}
-
-// Universe implements Store.
-func (s MajorityStore) Universe() int { return s.N }
-
-// PickRead implements Store.
-func (s MajorityStore) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return pickThreshold(rng, live, s.N, s.R)
-}
-
-// PickWrite implements Store.
-func (s MajorityStore) PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return pickThreshold(rng, live, s.N, s.W)
-}
-
-func pickThreshold(rng *rand.Rand, live bitset.Set, n, k int) (bitset.Set, error) {
-	alive := live.Indices()
-	if len(alive) < k {
-		return bitset.Set{}, quorum.ErrNoQuorum
-	}
-	rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
-	out := bitset.New(n)
-	for _, id := range alive[:k] {
-		out.Add(id)
-	}
-	return out, nil
-}
-
-// Wire messages. The single-key messages (tags 0x10-0x13) are the paper's
-// register protocol operating on the empty key; the batch messages carry
-// many keys' payloads in one frame. Batch slices are parallel arrays built
+// Wire messages. Every round is a batch: the paper's single register is
+// a batch of one on the empty key. Batch slices are parallel arrays built
 // once per phase and never mutated after sending — messages may outlive
 // the op that sent them (simulated networks deliver by reference).
 //
-// Every message carries the sender's configuration epoch (0 on clusters
-// that are not epoch-versioned). Replicas serve a request only when the
-// epochs match; see Node.gate and package epoch.
+// Every message carries the sender's configuration epoch (never 0: the
+// first config is epoch 1). Replicas serve a request only when the epochs
+// match; see Node.gate and package epoch.
 type (
-	msgReadVersion struct {
-		Epoch uint64
-		Seq   uint64
-	}
-	msgVersionReply struct {
-		Epoch   uint64
-		Seq     uint64
-		Version Version
-		Value   string
-	}
-	msgWrite struct {
-		Epoch   uint64
-		Seq     uint64
-		Version Version
-		Value   string
-	}
-	msgWriteAck struct {
-		Epoch uint64
-		Seq   uint64
-	}
-
 	// msgReadBatch asks for the versions of many keys at once (phase 1 of
-	// a batched round).
+	// a round).
 	msgReadBatch struct {
 		Epoch uint64
 		Seq   uint64
@@ -229,6 +96,10 @@ type (
 		Keys  []string
 		Vers  []Version
 		Vals  []string
+	}
+	msgWriteAck struct {
+		Epoch uint64
+		Seq   uint64
 	}
 )
 
@@ -293,14 +164,12 @@ type Result struct {
 
 // Config parameterizes a replica node.
 type Config struct {
-	Store Store
-	// Epochs, when set, makes the node epoch-versioned: quorum picks route
-	// through the epoch store (Store may be nil — the epoch store supplies
-	// the pickers, including the two-config union while a reconfiguration
-	// is in flight), every frame is stamped with the current epoch, and
-	// replica processing is gated on epoch equality with catch-up traffic
-	// for mismatches. Nil keeps the legacy fixed-config behavior: frames
-	// are stamped epoch 0 and the gate is disabled.
+	// Epochs (required) is the node's epoch-versioned view of the cluster
+	// configuration and its only quorum source: picks route through it
+	// (including the two-config union while a reconfiguration is in
+	// flight), every frame is stamped with its current epoch, and replica
+	// processing is gated on epoch equality with catch-up traffic for
+	// mismatches. One store per node, built with epoch.NewStore.
 	Epochs *epoch.Store
 	// Shards is the replica store's shard count (default DefaultShards,
 	// rounded up to a power of two). More shards means less lock
@@ -324,10 +193,6 @@ type Config struct {
 	// replica rejoins quorum picks without operator intervention (default
 	// 4×Timeout; negative disables decay).
 	SuspectTTL time.Duration
-	// ReadRepair pushes the winning version back to read-quorum members
-	// that reported older data (fire-and-forget), so reads heal replicas
-	// that missed a write quorum.
-	ReadRepair bool
 	// ReadWriteback makes a read complete only after storing the version
 	// it observed on a full write quorum (ABD-style write-back). Without
 	// it a read concurrent with a partially-applied write can be followed
@@ -373,15 +238,14 @@ type Config struct {
 	// PickCost, when non-empty, is a per-member round-trip cost estimate
 	// indexed by global node ID (e.g. a measured or modeled one-way link
 	// latency ×2). With PickSamples > 1 it makes quorum picks cost-aware:
-	// each pick takes the store's cheapest quorum instead of a random
-	// one (see CostStore; NewNode rejects a store that has none), where a
-	// quorum's cost is the cost of its slowest member (a quorum round
-	// completes when the slowest member answers), with the total cost as
-	// tie-break and the node's rng among what is still tied. A read may
-	// then ride a write quorum where the store's write quorums pairwise
-	// intersect. Missing entries count as zero. The pick cache composes:
-	// the cheap pick is what gets cached and reused while the view is
-	// unchanged.
+	// each pick takes the epoch store's cheapest quorum instead of a
+	// random one, where a quorum's cost is the cost of its slowest member
+	// (a quorum round completes when the slowest member answers), with the
+	// total cost as tie-break and the node's rng among what is still tied.
+	// A read may then ride a write quorum where the store's write quorums
+	// pairwise intersect. Missing entries count as zero. The pick cache
+	// composes: the cheap pick is what gets cached and reused while the
+	// view is unchanged.
 	PickCost []time.Duration
 	// PickSamples > 1 switches the cost-aware pick on when PickCost is
 	// set. The pick is exact, so the count itself is ignored — it is
@@ -410,10 +274,10 @@ type Config struct {
 	// AutoTune, when set, makes this node a tuning coordinator: it
 	// profiles the workload it serves and, when the tuner's policy says a
 	// different quorum configuration beats the current one under the
-	// measured mix, drives an epoch reconfiguration to it (requires
-	// Epochs). Enable it on one node per cluster — rival coordinators are
-	// safe but waste transitions. Nodes without it still profile, so
-	// their windows are visible to quorumctl and the metrics endpoint.
+	// measured mix, drives an epoch reconfiguration to it. Enable it on
+	// one node per cluster — rival coordinators are safe but waste
+	// transitions. Nodes without it still profile, so their windows are
+	// visible to quorumctl and the metrics endpoint.
 	AutoTune *tuner.Policy
 	// Lease, when set, configures this node's read-lease holder: on
 	// read-heavy workload windows it acquires per-shard read leases and
@@ -431,6 +295,9 @@ type Config struct {
 	// Tracer().SetSample.
 	TraceSample int
 }
+
+// ErrNoEpochs is NewNode's error for a Config without an epoch store.
+var ErrNoEpochs = errors.New("rkv: config needs an epoch store (Config.Epochs)")
 
 // ErrRestarted reports an externally submitted operation abandoned
 // because its coordinator node was crash-restarted mid-round.
@@ -490,17 +357,6 @@ type opState struct {
 	p2Keys []string // phase-2 wire payload (immutable once built)
 	p2Vers []Version
 	p2Vals []string
-	// shippedP1/shippedP2 record that a batch frame aliasing the phase's
-	// slices was actually sent. One-op classic-register rounds ship the
-	// compact single-key messages instead, so their slices never escape
-	// and the freelist can keep the backing arrays.
-	shippedP1 bool
-	shippedP2 bool
-
-	// replies remembers each read-quorum member's reported versions
-	// (parallel to p1Keys) so read repair can target stale members; only
-	// populated when ReadRepair is on.
-	replies map[cluster.NodeID][]Version
 
 	retries     int
 	backoff     int        // consecutive attempts with a fully silent quorum
@@ -559,7 +415,7 @@ type Node struct {
 	suspects  bitset.Set
 	suspectAt []time.Duration // when each suspicion was recorded
 	picks     [2]pickCache    // cached read [0] / write [1] quorum
-	byCost    CostStore       // non-nil on a cost-aware config: picks take the cheapest quorum
+	cost      []time.Duration // non-nil on a cost-aware config: picks take the cheapest quorum
 	// pickHits/pickMisses count cache-served vs freshly drawn quorum
 	// picks. Atomics: the metrics endpoint reads them off-loop.
 	pickHits   atomic.Uint64
@@ -624,24 +480,17 @@ var _ cluster.Handler = (*Node)(nil)
 
 // NewNode builds a replica.
 func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
-	if cfg.Epochs != nil {
-		// The epoch store is the quorum source of truth; it satisfies Store
-		// (union picks while joint), so the rest of the client machine is
-		// oblivious to reconfiguration.
-		cfg.Store = cfg.Epochs
+	epochs := cfg.Epochs
+	if epochs == nil {
+		return nil, ErrNoEpochs
 	}
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("rkv: config needs a store")
+	space := epochs.Universe()
+	if int(id) < 0 || int(id) >= space {
+		return nil, fmt.Errorf("rkv: node %d outside universe %d", id, space)
 	}
-	if int(id) < 0 || int(id) >= cfg.Store.Universe() {
-		return nil, fmt.Errorf("rkv: node %d outside universe %d", id, cfg.Store.Universe())
-	}
-	var byCost CostStore
+	var cost []time.Duration
 	if len(cfg.PickCost) > 0 && cfg.PickSamples > 1 {
-		var ok bool
-		if byCost, ok = cfg.Store.(CostStore); !ok {
-			return nil, fmt.Errorf("rkv: PickCost needs a store with cost-aware picks, %T has none", cfg.Store)
-		}
+		cost = cfg.PickCost
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
@@ -666,9 +515,6 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 	}
 	span := 2 * time.Second
 	if cfg.AutoTune != nil {
-		if cfg.Epochs == nil {
-			return nil, fmt.Errorf("rkv: auto-tune requires an epoch store")
-		}
 		pol := cfg.AutoTune.WithDefaults()
 		cfg.AutoTune = &pol
 		span = pol.Span
@@ -678,9 +524,9 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 		cfg:       cfg,
 		store:     newShardedMap(cfg.Shards),
 		inflight:  make(map[uint64]*opState),
-		suspects:  bitset.New(cfg.Store.Universe()),
-		suspectAt: make([]time.Duration, cfg.Store.Universe()),
-		byCost:    byCost,
+		suspects:  bitset.New(space),
+		suspectAt: make([]time.Duration, space),
+		cost:      cost,
 		profile:   tuner.NewWindow(span),
 		trace:     optrace.New(cfg.TraceSample),
 	}
@@ -814,14 +660,9 @@ func (n *Node) mergeClock(c uint64) {
 
 func (n *Node) nextClock() uint64 { return n.clock.Add(1) }
 
-// epochNow returns the node's current configuration epoch (0 when not
-// epoch-versioned), stamped onto every outgoing frame.
-func (n *Node) epochNow() uint64 {
-	if n.cfg.Epochs == nil {
-		return 0
-	}
-	return n.cfg.Epochs.Epoch()
-}
+// epochNow returns the node's current configuration epoch, stamped onto
+// every outgoing frame.
+func (n *Node) epochNow() uint64 { return n.cfg.Epochs.Epoch() }
 
 // gate runs serve iff the sender's configuration epoch matches ours.
 // A stale sender is rejected with our config attached (msgStaleEpoch) so
@@ -832,10 +673,6 @@ func (n *Node) epochNow() uint64 {
 // applying before any concurrent config install completes (the ordering
 // the reconfiguration snapshot relies on).
 func (n *Node) gate(env cluster.Env, from cluster.NodeID, e, seq uint64, serve func()) {
-	if n.cfg.Epochs == nil {
-		serve()
-		return
-	}
 	switch n.cfg.Epochs.Serve(e, serve) {
 	case epoch.VerdictSenderStale:
 		cfg := n.cfg.Epochs.Snapshot()
@@ -852,29 +689,6 @@ func (n *Node) gate(env cluster.Env, from cluster.NodeID, e, seq uint64, serve f
 // whether msg was a replica message.
 func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool {
 	switch m := msg.(type) {
-	case msgReadVersion:
-		n.gate(env, from, m.Epoch, m.Seq, func() {
-			rec := optrace.From(env)
-			rec.Tag(optrace.KindRead, 1, m.Epoch)
-			rec.Begin(optrace.StageLock)
-			ver, val := n.store.get("")
-			rec.End(optrace.StageLock)
-			env.Send(from, msgVersionReply{Epoch: m.Epoch, Seq: m.Seq, Version: ver, Value: val})
-		})
-	case msgWrite:
-		n.gate(env, from, m.Epoch, m.Seq, func() {
-			rec := optrace.From(env)
-			rec.Tag(optrace.KindWrite, 1, m.Epoch)
-			n.mergeClock(m.Version.Counter)
-			rec.Begin(optrace.StageLock)
-			applied := n.applyPut("", m.Version, m.Value)
-			rec.End(optrace.StageLock)
-			// Durable before ack: on the disk backend the ack is the
-			// durability promise a restarted replica must honor.
-			if applied {
-				n.ackDurable(env, from, msgWriteAck{Epoch: m.Epoch, Seq: m.Seq})
-			}
-		})
 	case msgReadBatch:
 		n.gate(env, from, m.Epoch, m.Seq, func() {
 			rec := optrace.From(env)
@@ -906,8 +720,10 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 			}
 			rec.End(optrace.StageLock)
 			n.mergeClock(maxC)
-			// One ack for the whole batch, released by the commit round
-			// that covers its K records — group commit.
+			// Durable before ack: on the disk backend the ack is the
+			// durability promise a restarted replica must honor. One ack
+			// for the whole batch, released by the commit round that
+			// covers its K records — group commit.
 			if ok {
 				n.ackDurable(env, from, msgWriteAck{Epoch: m.Epoch, Seq: m.Seq})
 			}
@@ -929,14 +745,10 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 		n.onConfigReq(env, from, m)
 	case msgWorkloadReq:
 		// Diagnostics: not epoch-gated, answered straight off the profiler.
-		var cfgBytes []byte
-		if n.cfg.Epochs != nil {
-			cfgBytes = n.cfg.Epochs.Snapshot().Encode(nil)
-		}
 		env.Send(from, msgWorkloadReply{
 			Seq: m.Seq,
 			Wl:  n.profile.Snapshot(env.Now()).Encode(nil),
-			Cfg: cfgBytes,
+			Cfg: n.cfg.Epochs.Snapshot().Encode(nil),
 		})
 	default:
 		return false
@@ -959,8 +771,6 @@ func (n *Node) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
 		return
 	}
 	switch m := msg.(type) {
-	case msgVersionReply:
-		n.onVersionReply(env, from, m)
 	case msgReadBatchReply:
 		n.onReadBatchReply(env, from, m)
 	case msgWriteAck:
@@ -1026,9 +836,6 @@ func (n *Node) Timer(env cluster.Env, token any) {
 // op table no longer knows). Past the op deadline the round fails with
 // the typed ErrStaleEpoch instead.
 func (n *Node) onStaleEpoch(env cluster.Env, m msgStaleEpoch) {
-	if n.cfg.Epochs == nil {
-		return
-	}
 	if cfg, err := epoch.DecodeConfig(m.Cfg); err == nil {
 		if _, err := n.cfg.Epochs.Install(cfg); err != nil {
 			return // hostile or malformed config: keep ours
@@ -1085,7 +892,7 @@ func (n *Node) getOp() *opState {
 		n.free = n.free[:len(n.free)-1]
 		return op
 	}
-	u := n.cfg.Store.Universe()
+	u := n.cfg.Epochs.Universe()
 	return &opState{
 		quorum:     bitset.New(u),
 		pending:    bitset.New(u),
@@ -1102,21 +909,10 @@ func (n *Node) putOp(op *opState) {
 	op.sawNoQuorum = false
 	op.opSuspects.Clear()
 	op.p1Subs = op.p1Subs[:0]
-	// Wire slices that were aliased by a sent batch frame must be dropped
-	// (messages may outlive the op); unshipped ones keep their backing
-	// arrays so the single-key hot path recycles them allocation-free.
-	if op.shippedP1 {
-		op.p1Keys = nil
-	} else {
-		op.p1Keys = op.p1Keys[:0]
-	}
-	if op.shippedP2 {
-		op.p2Keys, op.p2Vers, op.p2Vals = nil, nil, nil
-	} else {
-		op.p2Keys, op.p2Vers, op.p2Vals = op.p2Keys[:0], op.p2Vers[:0], op.p2Vals[:0]
-	}
-	op.shippedP1, op.shippedP2 = false, false
-	op.replies = nil
+	// Sent frames alias the wire slices and may outlive the op: drop them,
+	// never recycle the backing arrays.
+	op.p1Keys = nil
+	op.p2Keys, op.p2Vers, op.p2Vals = nil, nil, nil
 	// Fold the round's trace here — putOp is the one retirement point
 	// every completion path (finish, fail, crash-restart) funnels through.
 	op.rec.Done()
@@ -1160,12 +956,8 @@ func (n *Node) launchBatch(env cluster.Env) {
 		}
 	}
 	if len(op.p1Subs) > 0 {
-		op.p1Keys = op.p1Keys[:0]
 		for _, i := range op.p1Subs {
 			op.p1Keys = append(op.p1Keys, op.subs[i].key)
-		}
-		if n.cfg.ReadRepair {
-			op.replies = make(map[cluster.NodeID][]Version)
 		}
 		n.startReadPhase(env, op)
 		return
@@ -1248,10 +1040,7 @@ func (n *Node) rekey(op *opState) {
 	n.inflight[op.seq] = op
 }
 
-// startReadPhase queries a read quorum for the batch's keys' versions. A
-// round of exactly one classic-register operation rides the compact
-// single-key message (tag 0x10, one varint) instead of the batch frame —
-// the unbatched hot path stays as cheap as it was before the keyspace.
+// startReadPhase queries a read quorum for the batch's keys' versions.
 func (n *Node) startReadPhase(env cluster.Env, op *opState) {
 	n.rekey(op)
 	op.ph = phaseReadVersions
@@ -1260,13 +1049,7 @@ func (n *Node) startReadPhase(env cluster.Env, op *opState) {
 		return
 	}
 	op.quorum.CopyInto(&op.pending)
-	var msg any
-	if len(op.p1Keys) == 1 && op.p1Keys[0] == "" {
-		msg = msgReadVersion{Epoch: n.epochNow(), Seq: op.seq}
-	} else {
-		msg = msgReadBatch{Epoch: n.epochNow(), Seq: op.seq, Keys: op.p1Keys}
-		op.shippedP1 = true
-	}
+	var msg any = msgReadBatch{Epoch: n.epochNow(), Seq: op.seq, Keys: op.p1Keys}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	env.After(n.attemptTimeout(env, op), tokenOpDue{Seq: op.seq})
 }
@@ -1290,9 +1073,6 @@ func (n *Node) buildPhase2(env cluster.Env, op *opState) {
 	if count == 0 {
 		return
 	}
-	op.p2Keys = op.p2Keys[:0]
-	op.p2Vers = op.p2Vers[:0]
-	op.p2Vals = op.p2Vals[:0]
 	for i := range op.subs {
 		sub := &op.subs[i]
 		if sub.done {
@@ -1332,8 +1112,6 @@ func (n *Node) buildPhase2(env cluster.Env, op *opState) {
 }
 
 // startWritePhase stores the batch's phase-2 payload on a write quorum.
-// Like startReadPhase, a one-op classic-register payload uses the compact
-// single-key write message.
 func (n *Node) startWritePhase(env cluster.Env, op *opState) {
 	// End is a no-op unless the round actually crossed the invalidation
 	// barrier (startInvalPhase began the stage).
@@ -1353,13 +1131,7 @@ func (n *Node) startWritePhase(env cluster.Env, op *opState) {
 		return
 	}
 	op.quorum.CopyInto(&op.pending)
-	var msg any
-	if len(op.p2Keys) == 1 && op.p2Keys[0] == "" {
-		msg = msgWrite{Epoch: n.epochNow(), Seq: op.seq, Version: op.p2Vers[0], Value: op.p2Vals[0]}
-	} else {
-		msg = msgWriteBatch{Epoch: n.epochNow(), Seq: op.seq, Keys: op.p2Keys, Vers: op.p2Vers, Vals: op.p2Vals}
-		op.shippedP2 = true
-	}
+	var msg any = msgWriteBatch{Epoch: n.epochNow(), Seq: op.seq, Keys: op.p2Keys, Vers: op.p2Vers, Vals: op.p2Vals}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	env.After(n.attemptTimeout(env, op), tokenOpDue{Seq: op.seq})
 }
@@ -1432,7 +1204,7 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 		op.sawNoQuorum = true
 		n.suspects.Clear()
 		n.invalidatePicks()
-		q, err = n.pick(env, read, bitset.Universe(n.cfg.Store.Universe()))
+		q, err = n.pick(env, read, bitset.Universe(n.cfg.Epochs.Universe()))
 		if err != nil {
 			return err
 		}
@@ -1450,15 +1222,10 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 // way to a quorum: rounds, lease waves and the deadline diagnosis all see
 // the same families, so none can call dead what another could still use.
 func (n *Node) pick(env cluster.Env, read bool, live bitset.Set) (bitset.Set, error) {
-	switch {
-	case n.byCost != nil && read:
-		return n.byCost.PickReadCheapest(env.Rand(), live, n.cfg.PickCost)
-	case n.byCost != nil:
-		return n.byCost.PickWriteCheapest(env.Rand(), live, n.cfg.PickCost)
-	case read:
-		return n.cfg.Store.PickRead(env.Rand(), live)
+	if read {
+		return n.cfg.Epochs.PickReadCheapest(env.Rand(), live, n.cost)
 	}
-	return n.cfg.Store.PickWrite(env.Rand(), live)
+	return n.cfg.Epochs.PickWriteCheapest(env.Rand(), live, n.cost)
 }
 
 // retryPhase abandons the attempt, suspecting silent members; past the op
@@ -1553,21 +1320,6 @@ func (n *Node) failOp(env cluster.Env, op *opState, err error) {
 	n.finishOp(env, op)
 }
 
-func (n *Node) onVersionReply(env cluster.Env, from cluster.NodeID, m msgVersionReply) {
-	// Legacy single-register reply: treat as a one-item batch reply for
-	// the empty key (old replicas answering a msgReadVersion probe).
-	op, ok := n.inflight[m.Seq]
-	if !ok || op.ph != phaseReadVersions || !op.pending.Contains(int(from)) {
-		return
-	}
-	if len(op.p1Keys) != 1 || op.p1Keys[0] != "" {
-		return
-	}
-	n.onReadBatchReply(env, from, msgReadBatchReply{
-		Seq: m.Seq, Vers: []Version{m.Version}, Vals: []string{m.Value},
-	})
-}
-
 func (n *Node) onReadBatchReply(env cluster.Env, from cluster.NodeID, m msgReadBatchReply) {
 	op, ok := n.inflight[m.Seq]
 	if !ok || op.ph != phaseReadVersions || !op.pending.Contains(int(from)) {
@@ -1584,18 +1336,10 @@ func (n *Node) onReadBatchReply(env cluster.Env, from cluster.NodeID, m msgReadB
 			sub.bestVal = m.Vals[j]
 		}
 	}
-	if op.replies != nil {
-		vers := make([]Version, len(m.Vers))
-		copy(vers, m.Vers)
-		op.replies[from] = vers
-	}
 	if !op.pending.Empty() {
 		return
 	}
 	// Read quorum complete.
-	if op.replies != nil {
-		n.repair(env, op)
-	}
 	if !n.cfg.ReadWriteback {
 		// Plain reads finish at phase 1; their round may still continue
 		// into phase 2 for the batch's writes.
@@ -1641,30 +1385,6 @@ func (n *Node) finishRound(env cluster.Env, op *opState) {
 		}
 	}
 	n.finishOp(env, op)
-}
-
-// repair fire-and-forgets the winning versions to read-quorum members
-// that reported something older (ReadRepair mode).
-func (n *Node) repair(env cluster.Env, op *opState) {
-	// A fresh, unfiled sequence number: the acks find no op-table entry
-	// and are dropped.
-	n.seq++
-	for member, vers := range op.replies {
-		var keys []string
-		var wVers []Version
-		var vals []string
-		for j, i := range op.p1Subs {
-			sub := &op.subs[i]
-			if sub.bestVer != (Version{}) && vers[j].Less(sub.bestVer) {
-				keys = append(keys, sub.key)
-				wVers = append(wVers, sub.bestVer)
-				vals = append(vals, sub.bestVal)
-			}
-		}
-		if len(keys) > 0 {
-			env.Send(member, msgWriteBatch{Epoch: n.epochNow(), Seq: n.seq, Keys: keys, Vers: wVers, Vals: vals})
-		}
-	}
 }
 
 func (n *Node) finishOp(env cluster.Env, op *opState) {
@@ -1732,18 +1452,6 @@ func (n *Node) Restarted(env cluster.Env) {
 		}
 		env.After(gap, tokenNextOp{})
 	}
-}
-
-// RegisterWire registers the protocol's wire messages with a gob-based
-// transport (e.g. transport.Register).
-func RegisterWire(register func(values ...any)) {
-	register(msgReadVersion{}, msgVersionReply{}, msgWrite{}, msgWriteAck{},
-		msgReadBatch{}, msgReadBatchReply{}, msgWriteBatch{},
-		msgConfigPush{}, msgConfigAck{}, msgStaleEpoch{}, msgConfigReq{},
-		msgSnapReq{}, msgSnapReply{}, msgReconfig{}, msgReconfigDone{},
-		msgWorkloadReq{}, msgWorkloadReply{},
-		msgLeaseGrant{}, msgLeaseRenew{}, msgLeaseInval{}, msgLeaseAck{},
-		msgLeasePull{}, msgLeasePullReply{}, msgLeaseDrop{})
 }
 
 // StartToken returns the timer token that kicks off the node's client

@@ -9,10 +9,21 @@ import (
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
-	"hquorum/internal/hgrid"
+	"hquorum/internal/epoch"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/quorum"
 )
+
+// testEpochs builds one node's epoch store: p over the ID space
+// [0, space). Every test node gets its own, as every process does.
+func testEpochs(t testing.TB, space int, p epoch.Params) *epoch.Store {
+	t.Helper()
+	st, err := epoch.NewStore(space, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 // harness wires a 16-replica h-grid cluster; ops are assigned per node.
 type harness struct {
@@ -26,16 +37,15 @@ func newHarness(t *testing.T, seed int64, ops map[cluster.NodeID][]Op, crash []c
 	return newHarnessCfg(t, seed, Config{}, ops, crash)
 }
 
-// newHarnessCfg is newHarness with a Config template (Store, Ops and
+// newHarnessCfg is newHarness with a Config template (Epochs, Ops and
 // OnResult are filled in by the harness).
 func newHarnessCfg(t *testing.T, seed int64, base Config, ops map[cluster.NodeID][]Op, crash []cluster.NodeID) *harness {
 	t.Helper()
 	h := &harness{net: cluster.New(cluster.WithSeed(seed), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
-	store := HGridStore{H: hgrid.Auto(4, 4)}
 	for i := 0; i < 16; i++ {
 		id := cluster.NodeID(i)
 		cfg := base
-		cfg.Store = store
+		cfg.Epochs = testEpochs(t, 16, hgrid44All())
 		cfg.Ops = ops[id]
 		cfg.OnResult = func(r Result) { h.results = append(h.results, r) }
 		n, err := NewNode(id, cfg)
@@ -216,10 +226,11 @@ func TestReadCheaperThanWrite(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := NewNode(0, Config{}); err == nil {
-		t.Error("nil store accepted")
+	if _, err := NewNode(0, Config{}); !errors.Is(err, ErrNoEpochs) {
+		t.Errorf("config without an epoch store: err = %v, want ErrNoEpochs", err)
 	}
-	if _, err := NewNode(99, Config{Store: HGridStore{H: hgrid.Auto(2, 2)}}); err == nil {
+	grid22 := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 2, Cols: 2, Members: epoch.MemberRange(0, 4)}
+	if _, err := NewNode(99, Config{Epochs: testEpochs(t, 4, grid22)}); err == nil {
 		t.Error("out-of-universe node accepted")
 	}
 }
@@ -257,7 +268,7 @@ func TestHTGridStoreCrossIntersection(t *testing.T) {
 // exclusive writes are cheaper than with the h-grid store (the h-T-grid
 // quorum replaces the read-quorum + full-line pair).
 func TestHTGridStoreEndToEnd(t *testing.T) {
-	run := func(store Store) (uint64, string) {
+	run := func(p epoch.Params) (uint64, string) {
 		net := cluster.New(cluster.WithSeed(8))
 		var results []Result
 		var replicas []*Node
@@ -267,7 +278,7 @@ func TestHTGridStoreEndToEnd(t *testing.T) {
 				ops = []Op{{Kind: OpBlindWrite, Value: "fast"}, {Kind: OpRead}}
 			}
 			r, err := NewNode(cluster.NodeID(i), Config{
-				Store:    store,
+				Epochs:   testEpochs(t, 16, p),
 				Ops:      ops,
 				OnResult: func(res Result) { results = append(results, res) },
 			})
@@ -290,27 +301,27 @@ func TestHTGridStoreEndToEnd(t *testing.T) {
 		}
 		return net.Messages(), results[1].Value
 	}
-	h := hgrid.Auto(4, 4)
-	_, hv := run(HGridStore{H: h})
-	_, tv := run(HTGridStore{Sys: htgrid.New(h)})
+	htgrid44 := hgrid44All()
+	htgrid44.Flavor = epoch.FlavorHTGrid
+	_, hv := run(hgrid44All())
+	_, tv := run(htgrid44)
 	if hv != "fast" || tv != "fast" {
 		t.Fatalf("reads returned %q / %q", hv, tv)
 	}
 }
 
 func TestMajorityStore(t *testing.T) {
-	if _, err := NewMajorityStore(5, 2, 3); err == nil {
+	maj5 := func(r, w int) epoch.Params {
+		return epoch.Params{Flavor: epoch.FlavorMajority, R: r, W: w, Members: epoch.MemberRange(0, 5)}
+	}
+	if _, err := epoch.NewStore(5, maj5(2, 3)); err == nil {
 		t.Error("R+W <= n accepted")
 	}
-	if _, err := NewMajorityStore(5, 3, 2); err == nil {
+	if _, err := epoch.NewStore(5, maj5(3, 2)); err == nil {
 		t.Error("2W <= n accepted")
 	}
-	if _, err := NewMajorityStore(0, 1, 1); err == nil {
+	if _, err := epoch.NewStore(0, epoch.Params{Flavor: epoch.FlavorMajority, R: 1, W: 1}); err == nil {
 		t.Error("empty universe accepted")
-	}
-	store, err := NewMajorityStore(5, 3, 3)
-	if err != nil {
-		t.Fatal(err)
 	}
 	net := cluster.New(cluster.WithSeed(10))
 	var results []Result
@@ -321,7 +332,7 @@ func TestMajorityStore(t *testing.T) {
 			ops = []Op{{Kind: OpWrite, Value: "maj"}, {Kind: OpRead}}
 		}
 		r, err := NewNode(cluster.NodeID(i), Config{
-			Store:    store,
+			Epochs:   testEpochs(t, 5, maj5(3, 3)),
 			Ops:      ops,
 			OnResult: func(res Result) { results = append(results, res) },
 		})
@@ -380,63 +391,6 @@ func TestPartitionHealing(t *testing.T) {
 	}
 }
 
-// TestReadRepair: a read with repair enabled heals the stale members of
-// its read quorum, so the data survives even if every original write-line
-// replica later crashes.
-func TestReadRepair(t *testing.T) {
-	net := cluster.New(cluster.WithSeed(21))
-	store := HGridStore{H: hgrid.Auto(4, 4)}
-	var results []Result
-	var replicas []*Node
-	for i := 0; i < 16; i++ {
-		var ops []Op
-		if i == 0 {
-			ops = []Op{{Kind: OpWrite, Value: "precious"}}
-		}
-		r, err := NewNode(cluster.NodeID(i), Config{
-			Store:      store,
-			ReadRepair: true,
-			Ops:        ops,
-			OnResult:   func(res Result) { results = append(results, res) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := net.AddNode(cluster.NodeID(i), r); err != nil {
-			t.Fatal(err)
-		}
-		replicas = append(replicas, r)
-	}
-	for _, r := range replicas {
-		if err := r.Start(net); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net.Run(30 * time.Second)
-
-	// Reader with repair from node 15.
-	replicas[15].Enqueue(Op{Kind: OpRead})
-	if err := replicas[15].Start(net); err != nil {
-		t.Fatal(err)
-	}
-	net.Run(60 * time.Second)
-	if len(results) != 2 || results[1].Value != "precious" {
-		t.Fatalf("results %+v", results)
-	}
-
-	// Every replica holding version > 0 grew beyond the original writers:
-	// repair propagated the value to at least one stale read-quorum member.
-	holders := 0
-	for _, r := range replicas {
-		if v, ver := r.Value(); v == "precious" && ver.Counter > 0 {
-			holders++
-		}
-	}
-	if holders <= 4 {
-		t.Fatalf("only %d replicas hold the value after repair; expected the read quorum healed", holders)
-	}
-}
-
 // TestWriteNoQuorumAcrossFullLinePartition is the graceful-degradation
 // acceptance scenario: a partition that cuts column 0 off isolates every
 // full-line (each one needs a column-0 cell), so a majority-side Write
@@ -457,7 +411,7 @@ func TestWriteNoQuorumAcrossFullLinePartition(t *testing.T) {
 	for _, id := range col0 {
 		majority.Remove(int(id))
 	}
-	store := HGridStore{H: hgrid.Auto(4, 4)}
+	store := testEpochs(t, 16, hgrid44All())
 	rng := rand.New(rand.NewSource(1))
 	if _, err := store.PickWrite(rng, majority); err == nil {
 		t.Fatal("a full-line avoids column 0; the partition premise is broken")
@@ -779,7 +733,7 @@ func (e *fakeEnv) Rand() *rand.Rand                 { return e.rng }
 // TestPickCacheInvalidation: cache hits return the same quorum; a new
 // suspicion forces a fresh pick that avoids the suspect.
 func TestPickCacheInvalidation(t *testing.T) {
-	n, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}})
+	n, err := NewNode(0, Config{Epochs: testEpochs(t, 16, hgrid44All())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -822,7 +776,7 @@ func BenchmarkPickQuorum(b *testing.B) {
 			name = "uncached"
 		}
 		b.Run(name, func(b *testing.B) {
-			n, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}, NoPickCache: !cached})
+			n, err := NewNode(0, Config{Epochs: testEpochs(b, 16, hgrid44All()), NoPickCache: !cached})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
 	"hquorum/internal/quorum"
 )
 
@@ -171,11 +170,6 @@ func TestCostAwarePickTakesCheapestQuorum(t *testing.T) {
 	}
 	if !op.quorum.Equal(ref) {
 		t.Errorf("PickSamples=1 picked %v, the store's own draw is %v", op.quorum, ref)
-	}
-
-	// A store that cannot pick by cost is refused, not silently random.
-	if _, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}, PickCost: wanCost(), PickSamples: 8}); err == nil {
-		t.Error("NewNode accepted PickCost with a store that has no cost-aware picks")
 	}
 }
 

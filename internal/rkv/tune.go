@@ -33,8 +33,8 @@ type (
 		Seq uint64
 	}
 	// msgWorkloadReply carries the snapshot (tuner.Workload wire form) plus
-	// the node's current epoch config (empty when not epoch-versioned), so
-	// one round trip gives an operator both the mix and what serves it.
+	// the node's current epoch config, so one round trip gives an operator
+	// both the mix and what serves it.
 	msgWorkloadReply struct {
 		Seq uint64
 		Wl  []byte
@@ -94,7 +94,7 @@ func (n *Node) armTune(env cluster.Env) {
 // driver's hold streak reset — tuning decisions made against union quorums
 // would compare against the wrong baseline.
 func (n *Node) onTune(env cluster.Env) {
-	if n.tune == nil || n.cfg.Epochs == nil {
+	if n.tune == nil {
 		return
 	}
 	defer n.armTune(env)

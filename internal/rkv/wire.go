@@ -10,12 +10,13 @@ import (
 // Fixed wire tags for the register protocol. These are wire format: once
 // released they never change or get reused. The 0x10 block belongs to rkv
 // (dmutex owns 0x20). The epoch-versioned config refactor revised the
-// 0x10-0x16 bodies in place (a leading epoch varint) and claimed
+// 0x13-0x16 bodies in place (a leading epoch varint) and claimed
 // 0x17-0x1e for configuration distribution and reconfiguration.
+//
+// Retired, never reused: 0x10, 0x11, 0x12 — the single-key read, version
+// reply and write frames. The classic register is a batch of one on key
+// "", and a retired tag decodes to the codec's unknown-tag error.
 const (
-	tagReadVersion  = 0x10
-	tagVersionReply = 0x11
-	tagWrite        = 0x12
 	tagWriteAck     = 0x13
 	tagReadBatch    = 0x14
 	tagReadBatchRep = 0x15
@@ -30,43 +31,9 @@ const (
 	tagReconfigDone = 0x1e
 )
 
-// RegisterBinaryWire registers hand-written varint codecs for the
-// protocol's wire messages, replacing the reflective gob fallback on the
-// live transport's hot path.
+// RegisterBinaryWire registers the hand-written varint codecs for every
+// wire message of the protocol.
 func RegisterBinaryWire(reg *codec.Registry) {
-	reg.Register(tagReadVersion, msgReadVersion{},
-		func(b []byte, v any) []byte {
-			m := v.(msgReadVersion)
-			b = codec.AppendUvarint(b, m.Epoch)
-			return codec.AppendUvarint(b, m.Seq)
-		},
-		func(data []byte) (any, error) {
-			r := codec.NewReader(data)
-			m := msgReadVersion{Epoch: r.Uvarint(), Seq: r.Uvarint()}
-			return m, r.Err()
-		})
-	reg.Register(tagVersionReply, msgVersionReply{},
-		func(b []byte, v any) []byte {
-			m := v.(msgVersionReply)
-			return appendVersioned(b, m.Epoch, m.Seq, m.Version, m.Value)
-		},
-		func(data []byte) (any, error) {
-			r := codec.NewReader(data)
-			var m msgVersionReply
-			m.Epoch, m.Seq, m.Version, m.Value = readVersioned(r)
-			return m, r.Err()
-		})
-	reg.Register(tagWrite, msgWrite{},
-		func(b []byte, v any) []byte {
-			m := v.(msgWrite)
-			return appendVersioned(b, m.Epoch, m.Seq, m.Version, m.Value)
-		},
-		func(data []byte) (any, error) {
-			r := codec.NewReader(data)
-			var m msgWrite
-			m.Epoch, m.Seq, m.Version, m.Value = readVersioned(r)
-			return m, r.Err()
-		})
 	reg.Register(tagWriteAck, msgWriteAck{},
 		func(b []byte, v any) []byte {
 			m := v.(msgWriteAck)
@@ -296,9 +263,6 @@ func WireSamples() []any {
 	sampleNew := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
 	joint := epoch.Config{Epoch: 2, Cur: sampleNew, Old: &sampleOld}
 	return []any{
-		msgReadVersion{Epoch: 1, Seq: 7},
-		msgVersionReply{Epoch: 1, Seq: 7, Version: Version{Counter: 3, Writer: 2}, Value: "v3"},
-		msgWrite{Epoch: 1, Seq: 8, Version: Version{Counter: 4, Writer: 1}, Value: "v4"},
 		msgWriteAck{Epoch: 1, Seq: 8},
 		msgReadBatch{Epoch: 2, Seq: 9, Keys: []string{"", "k1", "k2"}},
 		msgReadBatchReply{
@@ -346,23 +310,4 @@ func WireSamples() []any {
 		},
 		msgLeaseDrop{Seq: 25, Mask: 0b1011},
 	}
-}
-
-// appendVersioned encodes the common {Epoch, Seq, Version, Value} payload
-// shared by msgVersionReply and msgWrite.
-func appendVersioned(b []byte, ep, seq uint64, ver Version, val string) []byte {
-	b = codec.AppendUvarint(b, ep)
-	b = codec.AppendUvarint(b, seq)
-	b = codec.AppendUvarint(b, ver.Counter)
-	b = codec.AppendUvarint(b, uint64(ver.Writer))
-	return codec.AppendString(b, val)
-}
-
-func readVersioned(r *codec.Reader) (ep, seq uint64, ver Version, val string) {
-	ep = r.Uvarint()
-	seq = r.Uvarint()
-	ver.Counter = r.Uvarint()
-	ver.Writer = cluster.NodeID(r.Uvarint())
-	val = r.String()
-	return ep, seq, ver, val
 }

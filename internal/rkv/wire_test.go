@@ -3,7 +3,6 @@ package rkv
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,20 +12,21 @@ import (
 )
 
 // TestBinaryWireRoundTrip: every protocol message survives the binary
-// codec byte-for-value, including size-0 and huge fields.
+// codec byte-for-value, including size-0 and huge fields, the classic
+// register's batch of one on key "", and randomized write batches.
 func TestBinaryWireRoundTrip(t *testing.T) {
 	reg := codec.NewRegistry()
 	RegisterBinaryWire(reg)
 	RegisterBinaryWire(reg) // idempotent
 
 	msgs := []any{
-		msgReadVersion{Seq: 0},
-		msgReadVersion{Seq: 1<<64 - 1},
-		msgVersionReply{Seq: 7, Version: Version{Counter: 9, Writer: 15}, Value: "hello"},
-		msgVersionReply{}, // all zero
-		msgWrite{Seq: 1, Version: Version{Counter: 1 << 40, Writer: 3}, Value: string(make([]byte, 4096))},
-		msgWrite{Seq: 2, Version: Version{Counter: 5}, Value: "日本語 value"},
+		msgReadBatch{Seq: 1<<64 - 1, Keys: []string{""}},
+		msgReadBatchReply{Seq: 7, Vers: []Version{{Counter: 9, Writer: 15}}, Vals: []string{"hello"}},
+		msgReadBatchReply{Vers: []Version{{}}, Vals: []string{""}}, // all zero
+		msgWriteBatch{Seq: 1, Keys: []string{""}, Vers: []Version{{Counter: 1 << 40, Writer: 3}}, Vals: []string{string(make([]byte, 4096))}},
+		msgWriteBatch{Seq: 2, Keys: []string{""}, Vers: []Version{{Counter: 5}}, Vals: []string{"日本語 value"}},
 		msgWriteAck{Seq: 3},
+		msgWriteAck{Epoch: 1<<64 - 1, Seq: 1<<64 - 1},
 		msgReadBatch{Seq: 4, Keys: []string{"", "k1", "日本語 key"}},
 		msgReadBatch{Seq: 5}, // empty batch round-trips as nil
 		msgReadBatchReply{
@@ -40,6 +40,18 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 			Vers: []Version{{Counter: 1 << 40, Writer: 3}, {Counter: 2, Writer: 0}},
 			Vals: []string{string(make([]byte, 2048)), ""},
 		},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		m := msgWriteBatch{Epoch: rng.Uint64(), Seq: rng.Uint64()}
+		for k := rng.Intn(4) + 1; k > 0; k-- {
+			val := make([]byte, rng.Intn(64))
+			rng.Read(val)
+			m.Keys = append(m.Keys, string(val[:len(val)/2]))
+			m.Vers = append(m.Vers, Version{Counter: rng.Uint64(), Writer: cluster.NodeID(rng.Intn(1 << 20))})
+			m.Vals = append(m.Vals, string(val))
+		}
+		msgs = append(msgs, m)
 	}
 	var buf bytes.Buffer
 	enc := codec.NewEncoder(&buf, reg)
@@ -79,47 +91,11 @@ func TestBatchDecodeRejectsHostileCount(t *testing.T) {
 	}
 }
 
-// TestBinaryWireMatchesGob: the binary path and the gob fallback decode to
-// identical values from the same logical message — the transport can mix
-// binary and gob senders on one connection.
-func TestBinaryWireMatchesGob(t *testing.T) {
-	gob.Register(msgWrite{})
-	reg := codec.NewRegistry()
-	RegisterBinaryWire(reg)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		val := make([]byte, rng.Intn(64))
-		rng.Read(val)
-		m := msgWrite{
-			Seq:     rng.Uint64(),
-			Version: Version{Counter: rng.Uint64(), Writer: cluster.NodeID(rng.Intn(1 << 20))},
-			Value:   string(val),
-		}
-		decodeOne := func(force bool) any {
-			var buf bytes.Buffer
-			enc := codec.NewEncoder(&buf, reg)
-			enc.SetForceGob(force)
-			if _, err := enc.Encode(1, m); err != nil {
-				t.Fatal(err)
-			}
-			_, v, err := codec.NewDecoder(bufio.NewReader(&buf), reg).Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return v
-		}
-		bin, fallback := decodeOne(false), decodeOne(true)
-		if !reflect.DeepEqual(bin, fallback) {
-			t.Fatalf("binary %#v != gob %#v", bin, fallback)
-		}
-	}
-}
-
 func BenchmarkWireEncodeWrite(b *testing.B) {
 	reg := codec.NewRegistry()
 	RegisterBinaryWire(reg)
 	enc := codec.NewEncoder(discard{}, reg)
-	m := msgWrite{Seq: 123, Version: Version{Counter: 456, Writer: 7}, Value: "benchmark value"}
+	m := msgWriteBatch{Seq: 123, Keys: []string{""}, Vers: []Version{{Counter: 456, Writer: 7}}, Vals: []string{"benchmark value"}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := enc.Encode(7, m); err != nil {

@@ -39,7 +39,6 @@ func (s *stamper) stamps() []time.Time {
 // delay, including mid-burst (the writer must not let coalescing leak
 // early sends), while the reverse direction stays fast.
 func TestLinkLatencyTCP(t *testing.T) {
-	Register(ping{})
 	const delay = 60 * time.Millisecond
 	lat := func(from, to cluster.NodeID) time.Duration {
 		if from == 1 && to == 2 {
@@ -48,12 +47,12 @@ func TestLinkLatencyTCP(t *testing.T) {
 		return 0
 	}
 	a, b := &stamper{to: 2}, &stamper{to: 1}
-	na, err := NewNode(1, a, "127.0.0.1:0", WithLinkLatency(lat))
+	na, err := NewNode(1, a, "127.0.0.1:0", WithLinkLatency(lat), pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer na.Close()
-	nb, err := NewNode(2, b, "127.0.0.1:0", WithLinkLatency(lat))
+	nb, err := NewNode(2, b, "127.0.0.1:0", WithLinkLatency(lat), pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +108,14 @@ func TestLinkLatencyMemMesh(t *testing.T) {
 // atomics raced on purpose (the race detector patrols this test), and
 // the totals must balance once traffic drains.
 func TestStatsUnderConcurrency(t *testing.T) {
-	Register(ping{})
 	a := &echo{autoPong: true}
 	b := &echo{replyTo: 1}
-	na, err := NewNode(1, a, "127.0.0.1:0")
+	na, err := NewNode(1, a, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer na.Close()
-	nb, err := NewNode(2, b, "127.0.0.1:0")
+	nb, err := NewNode(2, b, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}

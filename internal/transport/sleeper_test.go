@@ -24,8 +24,8 @@ var sleepers = []struct {
 	{"fallback", newTimerSleeper},
 }
 
-// hopMsg is two varints on the binary wire, the shape of an rkv ack, so
-// what it measures is the transport and not gob.
+// hopMsg is two varints on the wire, the shape of an rkv ack, so what it
+// measures is the transport.
 type hopMsg struct{ Epoch, Seq uint64 }
 
 func hopRegistry() *codec.Registry {

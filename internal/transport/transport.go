@@ -6,13 +6,12 @@
 // single event loop that serializes message deliveries and timer callbacks
 // (handlers still need no locking).
 //
-// Messages travel as length-prefixed binary frames (package codec).
-// Protocol types registered with a codec.Registry — rkv.RegisterBinaryWire
-// and dmutex.RegisterBinaryWire feed DefaultRegistry — use hand-written
-// varint codecs; everything else rides the reflective gob fallback (such
-// types must be gob-registered via Register). Binary and gob senders
-// interoperate frame-by-frame on one connection, so a fleet can be
-// upgraded incrementally; WithGobWire forces a node to send gob-only.
+// Messages travel as length-prefixed binary frames (package codec), each
+// type through the hand-written varint codec it registered with a
+// codec.Registry — rkv.RegisterBinaryWire and dmutex.RegisterBinaryWire
+// feed DefaultRegistry. There is no fallback: sending a type without a
+// registration fails its encode and is counted as a drop, and a frame
+// with an unknown tag closes the connection it arrived on.
 //
 // Each peer gets a dedicated writer goroutine behind a buffered queue:
 // Env.Send never blocks the event loop on dials, slow peers or dead
@@ -25,7 +24,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"net"
@@ -39,14 +37,6 @@ import (
 	"hquorum/internal/optrace"
 	"hquorum/internal/rkv"
 )
-
-// Register makes payload types encodable by the gob fallback. Call once
-// per wire type that has no binary registration, before starting nodes.
-func Register(values ...any) {
-	for _, v := range values {
-		gob.Register(v)
-	}
-}
 
 var (
 	defaultReg     *codec.Registry
@@ -147,14 +137,6 @@ func WithRegistry(reg *codec.Registry) Option {
 	return func(n *Node) { n.reg = reg }
 }
 
-// WithGobWire makes the node send every message through the gob fallback
-// frame, ignoring binary registrations. Receiving still understands both,
-// so gob-wire and binary-wire nodes interoperate — the knob exists for
-// cross-checking the two formats and for measuring the binary path's win.
-func WithGobWire() Option {
-	return func(n *Node) { n.forceGob = true }
-}
-
 // WithLinkLatency injects a per-link one-way delay into the node's
 // outgoing traffic: a message to peer p is held for fn(self, p) before
 // it goes on the wire, modeling a WAN topology over loopback sockets.
@@ -212,7 +194,6 @@ type Node struct {
 	dropRate    float64
 	dialTimeout time.Duration
 	reg         *codec.Registry
-	forceGob    bool
 	linkLat     func(from, to cluster.NodeID) time.Duration
 	newSleeper  func(quit <-chan struct{}) sleeper // the platform's; tests substitute the fallback
 	trace       *optrace.Tracer                    // handler's tracer (optrace.Source), nil otherwise
@@ -703,7 +684,6 @@ func (w *peerWriter) run() {
 			w.setConn(c)
 			bw = bufio.NewWriterSize(countingWriter{w: conn, count: &w.n.bytesOut}, 64<<10)
 			enc = codec.NewEncoder(bw, w.n.reg)
-			enc.SetForceGob(w.n.forceGob)
 		}
 		// Coalesce: encode into the buffer while messages keep coming,
 		// flush once the queue goes idle. bufio flushes itself mid-burst

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"hquorum/internal/cluster"
+	"hquorum/internal/codec"
 	"hquorum/internal/dmutex"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/htriang"
 	"hquorum/internal/rkv"
@@ -28,6 +28,30 @@ type echo struct {
 }
 
 type ping struct{ Text string }
+
+// pingWire puts ping on the binary wire; every node of a plumbing test
+// takes it in place of the protocols' DefaultRegistry.
+var pingWire = WithRegistry(func() *codec.Registry {
+	reg := codec.NewRegistry()
+	reg.Register(1, ping{},
+		func(b []byte, v any) []byte { return codec.AppendString(b, v.(ping).Text) },
+		func(data []byte) (any, error) {
+			r := codec.NewReader(data)
+			m := ping{Text: r.String()}
+			return m, r.Err()
+		})
+	return reg
+}())
+
+// hgrid44 builds one node's epoch store on the 16-node h-grid.
+func hgrid44(t *testing.T) *epoch.Store {
+	t.Helper()
+	st, err := epoch.NewStore(16, epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 func (e *echo) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
 	p := msg.(ping)
@@ -59,15 +83,14 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 func TestPingPongOverTCP(t *testing.T) {
-	Register(ping{})
 	a := &echo{autoPong: true}
 	b := &echo{}
-	na, err := NewNode(1, a, "127.0.0.1:0")
+	na, err := NewNode(1, a, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer na.Close()
-	nb, err := NewNode(2, b, "127.0.0.1:0")
+	nb, err := NewNode(2, b, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +118,6 @@ func TestPingPongOverTCP(t *testing.T) {
 // TestMutexOverTCP runs the full Maekawa protocol over loopback TCP:
 // mutual exclusion must hold under real concurrency.
 func TestMutexOverTCP(t *testing.T) {
-	dmutex.RegisterWire(Register)
 	sys := htriang.New(4) // 10 nodes
 
 	var guard sync.Mutex
@@ -154,7 +176,6 @@ func TestMutexOverTCP(t *testing.T) {
 
 // TestMutexOverLossyTCP exercises the retry path with 20% message loss.
 func TestMutexOverLossyTCP(t *testing.T) {
-	dmutex.RegisterWire(Register)
 	sys := htgrid.Auto(3, 3)
 
 	var guard sync.Mutex
@@ -213,8 +234,6 @@ func TestMutexOverLossyTCP(t *testing.T) {
 
 // TestRegisterOverTCP: replicated-register read-after-write over loopback.
 func TestRegisterOverTCP(t *testing.T) {
-	rkv.RegisterWire(Register)
-	store := rkv.HGridStore{H: hgrid.Auto(4, 4)}
 
 	var mu sync.Mutex
 	var results []rkv.Result
@@ -226,11 +245,11 @@ func TestRegisterOverTCP(t *testing.T) {
 		id := cluster.NodeID(i)
 		var ops []rkv.Op
 		if i == 0 {
-			ops = []rkv.Op{{Kind: rkv.OpWrite, Value: "tcp-value"}, {Kind: rkv.OpRead}}
+			ops = []rkv.Op{{Kind: rkv.OpWrite, Value: "w1"}, {Kind: rkv.OpBlindWrite, Value: "tcp-value"}, {Kind: rkv.OpRead}}
 		}
 		rn, err := rkv.NewNode(id, rkv.Config{
-			Store: store,
-			Ops:   ops,
+			Epochs: hgrid44(t),
+			Ops:    ops,
 			OnResult: func(r rkv.Result) {
 				mu.Lock()
 				results = append(results, r)
@@ -257,10 +276,12 @@ func TestRegisterOverTCP(t *testing.T) {
 	waitFor(t, 30*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(results) == 2
+		return len(results) == 3
 	})
-	if results[1].Kind != rkv.OpRead || results[1].Value != "tcp-value" {
-		t.Fatalf("read returned %+v", results[1])
+	// The final read must observe the blind write stamped after the
+	// read-write update.
+	if results[2].Kind != rkv.OpRead || results[2].Value != "tcp-value" {
+		t.Fatalf("read returned %+v", results[2])
 	}
 }
 
@@ -270,8 +291,6 @@ func TestRegisterOverTCP(t *testing.T) {
 // WithDropRate must disable the fast path (drop sampling needs the event
 // loop's rng).
 func TestFastPathServesReplicaMessages(t *testing.T) {
-	rkv.RegisterWire(Register)
-	store := rkv.HGridStore{H: hgrid.Auto(4, 4)}
 	run := func(opts ...Option) uint64 {
 		var mu sync.Mutex
 		var results []rkv.Result
@@ -288,9 +307,9 @@ func TestFastPathServesReplicaMessages(t *testing.T) {
 				}
 			}
 			rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{
-				Store: store,
-				Ops:   ops,
-				Batch: 2,
+				Epochs: hgrid44(t),
+				Ops:    ops,
+				Batch:  2,
 				OnResult: func(r rkv.Result) {
 					mu.Lock()
 					results = append(results, r)
@@ -342,15 +361,14 @@ func TestFastPathServesReplicaMessages(t *testing.T) {
 // the following send re-dials — no operator intervention, no permanent
 // blackhole.
 func TestRedialAfterPeerRestart(t *testing.T) {
-	Register(ping{})
 	a := &echo{}
-	na, err := NewNode(1, a, "127.0.0.1:0")
+	na, err := NewNode(1, a, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer na.Close()
 	b := &echo{}
-	nb, err := NewNode(2, b, "127.0.0.1:0")
+	nb, err := NewNode(2, b, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +388,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	// Kill the peer and bring a fresh one up on the same address.
 	nb.Close()
 	b2 := &echo{}
-	nb2, err := NewNode(2, b2, addr)
+	nb2, err := NewNode(2, b2, addr, pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +408,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 // TestWithDialTimeout: the dial timeout is configurable and a send to an
 // unreachable peer returns promptly (dropped, not wedged).
 func TestWithDialTimeout(t *testing.T) {
-	Register(ping{})
-	n, err := NewNode(1, &echo{}, "127.0.0.1:0", WithDialTimeout(50*time.Millisecond))
+	n, err := NewNode(1, &echo{}, "127.0.0.1:0", WithDialTimeout(50*time.Millisecond), pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +418,7 @@ func TestWithDialTimeout(t *testing.T) {
 	}
 	// A just-closed ephemeral port refuses connections: the send must
 	// return promptly and count as dropped, never wedge the caller.
-	dead, err := NewNode(3, &echo{}, "127.0.0.1:0")
+	dead, err := NewNode(3, &echo{}, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +441,6 @@ func TestWithDialTimeout(t *testing.T) {
 // filled. With per-peer writer goroutines, traffic to healthy peers keeps
 // flowing while the black hole's queue sheds.
 func TestBlackHoledPeerDoesNotStallOthers(t *testing.T) {
-	Register(ping{})
 	// The black hole: a listener whose connections are never read.
 	hole, err := newBlackHole()
 	if err != nil {
@@ -433,13 +449,13 @@ func TestBlackHoledPeerDoesNotStallOthers(t *testing.T) {
 	defer hole.Close()
 
 	healthy := &echo{}
-	nb, err := NewNode(2, healthy, "127.0.0.1:0")
+	nb, err := NewNode(2, healthy, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nb.Close()
 
-	na, err := NewNode(1, &echo{}, "127.0.0.1:0", WithDialTimeout(500*time.Millisecond))
+	na, err := NewNode(1, &echo{}, "127.0.0.1:0", WithDialTimeout(500*time.Millisecond), pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,14 +505,13 @@ func newBlackHole() (net.Listener, error) {
 // in fewer flushes than messages, and the byte counters line up on both
 // ends of each connection.
 func TestCoalescingStats(t *testing.T) {
-	Register(ping{})
 	sink := &echo{}
-	nb, err := NewNode(2, sink, "127.0.0.1:0")
+	nb, err := NewNode(2, sink, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nb.Close()
-	na, err := NewNode(1, &echo{}, "127.0.0.1:0")
+	na, err := NewNode(1, &echo{}, "127.0.0.1:0", pingWire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,77 +544,6 @@ func TestCoalescingStats(t *testing.T) {
 	}
 }
 
-// runRegisterWorkload drives one writer+reader rkv workload over a mesh
-// and returns the results, for the binary/gob cross-check.
-func runRegisterWorkload(t *testing.T, opts ...Option) []rkv.Result {
-	t.Helper()
-	store := rkv.HGridStore{H: hgrid.Auto(4, 4)}
-	var mu sync.Mutex
-	var results []rkv.Result
-	var replicas []*rkv.Node
-	var handlers []cluster.Handler
-	for i := 0; i < 16; i++ {
-		var ops []rkv.Op
-		if i == 0 {
-			ops = []rkv.Op{
-				{Kind: rkv.OpWrite, Value: "w1"},
-				{Kind: rkv.OpBlindWrite, Value: "w2"},
-				{Kind: rkv.OpRead},
-			}
-		}
-		rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{
-			Store: store,
-			Ops:   ops,
-			OnResult: func(r rkv.Result) {
-				mu.Lock()
-				results = append(results, r)
-				mu.Unlock()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicas = append(replicas, rn)
-		handlers = append(handlers, rn)
-	}
-	mesh, err := NewMesh(handlers, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
-	mesh.Start()
-	mesh.Node(0).Kick(0, replicas[0].StartToken())
-	waitFor(t, 30*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(results) == 3
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	return results
-}
-
-// TestBinaryAndGobWireAgree: the same workload over the binary wire and
-// over the forced-gob wire reaches identical protocol outcomes — kinds,
-// values and versions — so the codec swap cannot have changed semantics.
-func TestBinaryAndGobWireAgree(t *testing.T) {
-	rkv.RegisterWire(Register) // the gob run needs fallback registrations
-	bin := runRegisterWorkload(t)
-	gob := runRegisterWorkload(t, WithGobWire())
-	if len(bin) != len(gob) {
-		t.Fatalf("result counts differ: %d vs %d", len(bin), len(gob))
-	}
-	for i := range bin {
-		if bin[i].Kind != gob[i].Kind || bin[i].Err != gob[i].Err {
-			t.Fatalf("result %d differs: %+v vs %+v", i, bin[i], gob[i])
-		}
-	}
-	// The final read must observe the blind write on both wires.
-	if bin[2].Value != "w2" || gob[2].Value != "w2" {
-		t.Fatalf("reads returned %q (binary) / %q (gob), want w2", bin[2].Value, gob[2].Value)
-	}
-}
-
 // TestReconfigOverTCP is the acceptance scenario live: a 16-replica
 // loopback-TCP cluster running majority quorums swaps to the h-T-grid
 // while a sequential write/read workload is in flight, driven by the same
@@ -608,7 +552,6 @@ func TestBinaryAndGobWireAgree(t *testing.T) {
 // across the epoch boundary for this single-writer history), and every
 // replica must settle on the stable target config at epoch 3.
 func TestReconfigOverTCP(t *testing.T) {
-	rkv.RegisterWire(Register)
 	initial := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 16)}
 	target := epoch.Params{Flavor: epoch.FlavorHTGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
 
@@ -712,7 +655,6 @@ func TestReconfigOverTCP(t *testing.T) {
 // TestMemMesh: the in-process mesh runs the same protocols with no
 // sockets at all.
 func TestMemMesh(t *testing.T) {
-	store := rkv.HGridStore{H: hgrid.Auto(4, 4)}
 	var mu sync.Mutex
 	var results []rkv.Result
 	var replicas []*rkv.Node
@@ -723,8 +665,8 @@ func TestMemMesh(t *testing.T) {
 			ops = []rkv.Op{{Kind: rkv.OpWrite, Value: "mem"}, {Kind: rkv.OpRead}}
 		}
 		rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{
-			Store: store,
-			Ops:   ops,
+			Epochs: hgrid44(t),
+			Ops:    ops,
 			OnResult: func(r rkv.Result) {
 				mu.Lock()
 				results = append(results, r)
@@ -763,14 +705,15 @@ func TestMemMesh(t *testing.T) {
 func TestSampledFramesFoldOnce(t *testing.T) {
 	for _, storage := range []string{"memory", "disk"} {
 		t.Run(storage, func(t *testing.T) {
-			store, err := rkv.NewMajorityStore(4, 3, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			maj4 := epoch.Params{Flavor: epoch.FlavorMajority, R: 3, W: 3, Members: epoch.MemberRange(0, 4)}
 			var handlers []cluster.Handler
 			var nodes []*rkv.Node
 			for i := 0; i < 4; i++ {
-				cfg := rkv.Config{Store: store, Window: 8, Batch: 4, OpGap: -1, TraceSample: 1, ReadWriteback: true}
+				es, err := epoch.NewStore(4, maj4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := rkv.Config{Epochs: es, Window: 8, Batch: 4, OpGap: -1, TraceSample: 1, ReadWriteback: true}
 				if storage == "disk" && i > 0 {
 					cfg.Storage, cfg.DataDir = "disk", filepath.Join(t.TempDir(), fmt.Sprintf("n%d", i))
 				}

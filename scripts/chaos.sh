@@ -1,6 +1,8 @@
 #!/bin/sh
-# chaos.sh — the chaos gate: sweep the replicated register (h-grid and
-# h-T-grid write quorums) and the distributed lock across pinned seeds
+# chaos.sh — the chaos gate: sweep the replicated register (every cell
+# epoch-versioned — one epoch.Params, one epoch store per node, the path
+# kvd, the gateway and hqbench run — on h-grid, h-T-grid and majority
+# configs) and the distributed lock across pinned seeds
 # under the standard nemesis schedules (crash storm, rolling restart,
 # link flap, minority partition, churn, column cut), and require
 #
@@ -8,7 +10,8 @@
 #   2. a byte-identical summary across two back-to-back runs — the sweep
 #      is a deterministic regression artifact, not flaky noise.
 #
-# 200 seeds x 39 (case, schedule) cells = 7800 simulated runs — including
+# 200 seeds x 41 (case, schedule) cells = 8200 simulated runs (36 register
+# cells + 5 lock cells, one summary line each) — including
 # a pipelined register cell (window=4, concurrent ops per node), a
 # multi-key batched cell (8 keys, 4 ops per quorum round, checked for
 # per-key linearizability), two cost-aware h-T-grid cells (every node
@@ -18,7 +21,7 @@
 # the disk WAL backend and restarts recover state by log replay, and an
 # auto-tune cell whose mid-run 50%→95% read shift makes node 0's workload
 # tuner reconfigure the cluster live under a crash storm; the whole gate
-# takes a few seconds of wall clock.
+# takes about two minutes of wall clock.
 set -eux
 cd "$(dirname "$0")/.."
 out="$(mktemp -d)"

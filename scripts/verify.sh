@@ -11,6 +11,10 @@ go build ./...
 # otherwise compile. Standard library only, so this builds offline.
 GOOS=darwin GOARCH=arm64 go build ./internal/transport/
 go vet ./...
+# The binary codec is the only wire codec: the reflective gob fallback is
+# gone and must not grow back unnoticed. (Not `! grep`: a `!` pipeline
+# never trips `set -e`.)
+if grep -rn 'encoding/gob' --include='*.go' internal cmd *.go; then exit 1; fi
 go test ./...
 go test -race ./internal/analysis/...
 # The protocol and chaos layers share state with test harnesses
