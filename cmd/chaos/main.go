@@ -65,6 +65,17 @@ func main() {
 			nearTop[i] = 20 * time.Millisecond
 		}
 	}
+	// The lease cells' holder config (the runner hands each holder its own
+	// copy). MinReadFrac < 0 is deliberate — the mixed workload would never
+	// qualify as read-heavy, and these cells exist to stress the barrier
+	// and the holder's local paths, not the grant policy.
+	leaseCfg := &lease.Config{
+		Shards:      8,
+		TTL:         400 * time.Millisecond,
+		Check:       100 * time.Millisecond,
+		MinReadFrac: -1,
+		Acquire:     true,
+	}
 	rkvCases := []nemesis.RKVCase{
 		{Name: "h-grid-4x4", Initial: &initGrid, Space: 16, Schedules: gridSchedules},
 		{Name: "h-T-grid-4x4", Initial: &toHTGrid, Space: 16, Schedules: gridSchedules},
@@ -119,9 +130,6 @@ func main() {
 		// Lease cells: holders serve reads locally under a short TTL while
 		// writers clear the invalidation barrier, with the usual
 		// per-key linearizability check over the combined history.
-		// MinReadFrac < 0 is deliberate — the mixed workload would never
-		// qualify as read-heavy, and these cells exist to stress the
-		// barrier, not the grant policy.
 		//
 		// lease/maj9-holder crashes the leaseholders themselves: nodes 0
 		// and 1 hold leases and sit squarely in the crash storm's first
@@ -129,13 +137,7 @@ func main() {
 		// dead holders' entries provably expire, then let writes flow.
 		{Name: "lease/maj9-holder", Initial: &initMaj, Space: 16,
 			Ops: 12, Keys: 8,
-			Lease: &lease.Config{
-				Shards:      8,
-				TTL:         400 * time.Millisecond,
-				Check:       100 * time.Millisecond,
-				MinReadFrac: -1,
-				Acquire:     true,
-			},
+			Lease:     leaseCfg,
 			LeaseOn:   []cluster.NodeID{0, 1},
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16)}},
 		// lease/maj9-writer crashes writers mid-invalidation: the holder
@@ -145,13 +147,7 @@ func main() {
 		// the survivors must unblock once the lease provably expires.
 		{Name: "lease/maj9-writer", Initial: &initMaj, Space: 16,
 			Ops: 12, Keys: 8,
-			Lease: &lease.Config{
-				Shards:      8,
-				TTL:         400 * time.Millisecond,
-				Check:       100 * time.Millisecond,
-				MinReadFrac: -1,
-				Acquire:     true,
-			},
+			Lease:   leaseCfg,
 			LeaseOn: []cluster.NodeID{8},
 			Schedules: []nemesis.Schedule{{
 				Name: "writer-mid-inval",
@@ -161,6 +157,38 @@ func main() {
 					{At: 3 * time.Second, Restart: []cluster.NodeID{2, 5, 8}},
 					{At: 5 * time.Second, Crash: []cluster.NodeID{3}},
 					{At: 6 * time.Second, Restart: []cluster.NodeID{3}},
+				},
+				Horizon: 20 * time.Second,
+			}}},
+		// lease/maj9-pipe is the holder as hqbench runs it, as far as a
+		// gap-paced runner allows: node 8 runs Window 4 × Batch 4 over four
+		// times everyone's workload, so locally versioned writes and local
+		// reads share batches, and rounds, with each other. Its launch
+		// ticks multiply (every finished round arms another) into a burst
+		// around 1.4-2.1 s, and the schedule is cut to that burst: members
+		// 2 and 5 go dark under it, stalling up to four rounds stamped from
+		// the local store while the lease runs out unrenewed (every grant
+		// and renewal needs every node's ack); the holder itself crashes at
+		// 2.04 s with such rounds on the wire, and the rest of its workload
+		// re-acquires and runs leased after the restart. Only the holder
+		// pipelines: with every node four-deep the all-ack grant wave
+		// always meets an in-flight write, the lease never activates and
+		// the cell proves nothing (the grants/local_versions columns fail
+		// such a cell now).
+		{Name: "lease/maj9-pipe", Initial: &initMaj, Space: 16,
+			Ops: 12, Keys: 8,
+			Lease:        leaseCfg,
+			LeaseOn:      []cluster.NodeID{8},
+			HolderWindow: 4, HolderBatch: 4,
+			Schedules: []nemesis.Schedule{{
+				Name: "holder-mid-pipe",
+				Actions: []nemesis.Action{
+					{At: 1300 * time.Millisecond, Crash: []cluster.NodeID{2, 5}},
+					{At: 1700 * time.Millisecond, Restart: []cluster.NodeID{2, 5}},
+					{At: 2040 * time.Millisecond, Crash: []cluster.NodeID{8}},
+					{At: 2400 * time.Millisecond, Restart: []cluster.NodeID{8}},
+					{At: 4500 * time.Millisecond, Crash: []cluster.NodeID{3}},
+					{At: 4900 * time.Millisecond, Restart: []cluster.NodeID{3}},
 				},
 				Horizon: 20 * time.Second,
 			}}},

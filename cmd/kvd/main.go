@@ -42,13 +42,15 @@
 //
 // -lease makes the replica acquire per-shard read leases whenever its
 // measured workload is read-heavy and serve those reads locally with
-// zero messages; writers to a leased shard first run a synchronous
-// invalidation round against the holder. Every replica always runs the
-// member side (recording leases, blocking conflicting writes) and boots
-// with a write quarantine of one lease TTL plus slack, since a restart
-// loses the member table. -metrics-addr exposes the lease counters
-// (grants, local reads, invalidation rounds, expiries) along with the
-// transport, WAL, pick-cache and workload-profiler stats.
+// zero messages (its own writes there take their version from the local
+// store too: one quorum round, not two); other writers to a leased shard
+// first run a synchronous invalidation round against the holder. Every
+// replica always runs the member side (recording leases, blocking
+// conflicting writes) and boots with a write quarantine of one lease TTL
+// plus slack, since a restart loses the member table. -metrics-addr
+// exposes the lease counters (grants, local reads, local versions,
+// invalidation rounds, expiries) along with the transport, WAL,
+// pick-cache and workload-profiler stats.
 //
 // The client path degrades gracefully instead of hanging: every
 // operation is bounded by -op-deadline and fails with a typed quorum
@@ -313,11 +315,12 @@ func metricsHandler(node *rkv.Node, tn *transport.Node, epochs *epoch.Store, dis
 				"key_skew":       wl.KeySkew(),
 			},
 			"lease": map[string]any{
-				"grants":       ls.Grants,
-				"renewals":     ls.Renewals,
-				"local_reads":  ls.LocalReads,
-				"inval_rounds": ls.InvalRounds,
-				"expiries":     ls.Expiries,
+				"grants":         ls.Grants,
+				"renewals":       ls.Renewals,
+				"local_reads":    ls.LocalReads,
+				"local_versions": ls.LocalVersions,
+				"inval_rounds":   ls.InvalRounds,
+				"expiries":       ls.Expiries,
 			},
 			"optrace": node.TraceSnapshot(),
 		}

@@ -85,6 +85,16 @@ func TestMetricsHandlerShape(t *testing.T) {
 	}
 	numericLeaves(t, "metrics", doc)
 
+	ls, ok := doc["lease"].(map[string]any)
+	if !ok {
+		t.Fatalf("lease group is %T", doc["lease"])
+	}
+	for _, k := range []string{"grants", "renewals", "local_reads", "local_versions", "inval_rounds", "expiries"} {
+		if _, ok := ls[k].(float64); !ok {
+			t.Fatalf("lease group: %q is %T, want a number", k, ls[k])
+		}
+	}
+
 	ot, ok := doc["optrace"].(map[string]any)
 	if !ok {
 		t.Fatalf("optrace group is %T", doc["optrace"])

@@ -251,8 +251,7 @@ func TestGatewayChaosSessionCrash(t *testing.T) {
 // TestGatewayLeaseLocalReads wires a leaseholder session into the pool:
 // once its lease activates, the dispatcher's LeaseRouter hint must steer
 // gateway reads onto it and the session must answer them from its local
-// store. Writes keep flowing through the ordinary path (self-keep on the
-// holder, the invalidation barrier from the other session) and stay
+// store. Writes follow the same hint (self-keep on the holder) and stay
 // visible to routed reads.
 func TestGatewayLeaseLocalReads(t *testing.T) {
 	const replicas, sessions = 8, 2
@@ -336,4 +335,87 @@ func TestGatewayLeaseLocalReads(t *testing.T) {
 	}
 	other := nodes[holderID+1].LeaseStats()
 	t.Logf("holder %+v, other session %+v, gateway %+v", st, other, gw.Stats())
+}
+
+// TestGatewayLeasedWritesFollowHolder: with two sessions in the pool and
+// one of them holding the lease, every operation on a leased key — the
+// writes too — must land on the holder. A write the rotation handed to
+// the other session would pay an invalidation round and revoke the lease
+// under the reads; at the holder it costs one round and self-keeps. So
+// after concurrent clients have written and read leased keys, neither
+// session has run an invalidation round and the holder is still on its
+// first grant.
+func TestGatewayLeasedWritesFollowHolder(t *testing.T) {
+	const replicas, sessions = 8, 2
+	holderID := replicas
+	nodes, handlers := buildCluster(t, replicas, sessions, gridParams(replicas, 2, 4), rkv.Config{
+		Timeout:       100 * time.Millisecond,
+		OpDeadline:    3 * time.Second,
+		ReadWriteback: true,
+		Window:        8,
+		Batch:         8,
+		OpGap:         -1,
+	}, func(i int, c *rkv.Config) {
+		if i == holderID {
+			// A TTL longer than the test: the grant count can only move if
+			// something revokes the lease.
+			c.Lease = &lease.Config{Shards: 8, TTL: 30 * time.Second, Check: 25 * time.Millisecond, MinReadFrac: -1, Acquire: true}
+		}
+	})
+	mesh := transport.NewMemMesh(handlers)
+	defer mesh.Close()
+	var sessPool []Session
+	for i := replicas; i < replicas+sessions; i++ {
+		i, node := i, nodes[i]
+		node.SetWake(func() { mesh.Kick(i, 0, node.StartToken()) })
+		sessPool = append(sessPool, node)
+	}
+	mesh.Kick(holderID, 0, rkv.LeaseToken())
+	gw, err := Serve("127.0.0.1:0", Config{Sessions: sessPool, SessionDepth: 32, ClientQueue: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	holder, other := nodes[holderID], nodes[holderID+1]
+	waitFor(t, "the lease to be advertised", func() bool { return holder.LeasedRead("k0") })
+	grants := holder.LeaseStats().Grants
+
+	const clients, rounds = 6, 20
+	var wg sync.WaitGroup
+	for id := 0; id < clients; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c, err := Dial(gw.Addr())
+			if err != nil {
+				t.Errorf("client %d: %v", id, err)
+				return
+			}
+			defer c.Close()
+			key := fmt.Sprintf("k%d", id)
+			for j := 0; j < rounds; j++ {
+				want := fmt.Sprintf("c%d-%d", id, j)
+				if _, err := c.Do(rkv.Op{Kind: rkv.OpWrite, Key: key, Value: want}); err != nil {
+					t.Errorf("client %d write %d: %v", id, j, err)
+					return
+				}
+				rep, err := c.Do(rkv.Op{Kind: rkv.OpRead, Key: key})
+				if err != nil || rep.Value != want {
+					t.Errorf("client %d read %d got (%q, %v), want %q", id, j, rep.Value, err, want)
+					return
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+	hs, oth := holder.LeaseStats(), other.LeaseStats()
+	if hs.InvalRounds != 0 || oth.InvalRounds != 0 {
+		t.Fatalf("a leased-key write ran an invalidation round: holder %+v, other session %+v", hs, oth)
+	}
+	if hs.Grants != grants {
+		t.Fatalf("the lease was revoked and re-granted under the reads: %d grants, was %d (%+v)", hs.Grants, grants, hs)
+	}
+	if hs.LocalVersions != clients*rounds || hs.LocalReads != clients*rounds {
+		t.Fatalf("holder answered %d versions and %d reads locally, want %d each: %+v", hs.LocalVersions, hs.LocalReads, clients*rounds, hs)
+	}
 }

@@ -53,9 +53,12 @@ type Session interface {
 
 // LeaseRouter is an optional Session refinement: a session that can
 // serve some reads from its local store (rkv read leases) advertises
-// coverage, and the dispatcher routes reads to it ahead of the fair
-// rotation — those reads complete with zero quorum messages. The hint
-// is advisory; a stale answer costs one ordinary quorum round.
+// coverage, and the dispatcher routes every operation on a covered key
+// to it ahead of the fair rotation — reads complete there with zero
+// quorum messages, and a write costs the holder one round and keeps
+// the lease (self-keep), where on any other session it would pay an
+// invalidation round and revoke the lease the reads depend on. The
+// hint is advisory; a stale answer costs one ordinary quorum round.
 // *rkv.Node implements it.
 type LeaseRouter interface {
 	LeasedRead(key string) bool
@@ -362,10 +365,8 @@ func (s *Server) submit(c *conn, req request, rr, attempt int) {
 	o := opPool.Get().(*opCall)
 	o.s, o.c, o.req, o.rr, o.attempt = s, c, req, rr, attempt
 	o.idx = s.pickSession(rr + attempt)
-	if req.kind == rkv.OpRead {
-		if i, ok := s.pickLeased(req.key, o.idx); ok {
-			o.idx = i
-		}
+	if i, ok := s.pickLeased(req.key, o.idx); ok {
+		o.idx = i
 	}
 	o.fired.Store(false)
 	o.watchdog = nil

@@ -358,9 +358,13 @@ func (h *Holder) ServeOK(shard int, epoch uint64, now time.Duration) bool {
 
 // SelfKeepOK reports whether the holder's own completed write to shard
 // should be applied to the local store to keep the lease serving fresh
-// data (instead of invalidating its own lease).
+// data (instead of invalidating its own lease): the shard is held, or a
+// wave for it is in flight — the grant never asks the holder itself, so
+// no member nacks for a write the holder has on the wire, and one that
+// completes after the pull was served but before activation would be
+// missing from the store local reads are about to start from.
 func (h *Holder) SelfKeepOK(shard int) bool {
-	return h.active&Bit(shard) != 0
+	return (h.active|h.mask)&Bit(shard) != 0
 }
 
 // BeginWave starts a grant or renew wave for mask at now, expecting an

@@ -172,6 +172,16 @@ func TestHolderGrantLifecycle(t *testing.T) {
 	if !h.SelfKeepOK(1) || h.SelfKeepOK(3) {
 		t.Fatal("SelfKeepOK wrong")
 	}
+	// A shard still being acquired self-keeps too: the pull may already
+	// have been served without the holder's in-flight write.
+	h.BeginWave(false, 2, 0b1000, []cluster.NodeID{1}, 600*time.Millisecond, 5)
+	if !h.SelfKeepOK(3) || h.ServeOK(3, 5, 600*time.Millisecond) {
+		t.Fatal("a shard mid-grant must self-keep and must not serve")
+	}
+	h.Abort(700 * time.Millisecond)
+	if h.SelfKeepOK(3) {
+		t.Fatal("SelfKeepOK after the wave aborted")
+	}
 }
 
 func TestHolderNackAbortsAndCools(t *testing.T) {

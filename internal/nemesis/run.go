@@ -105,6 +105,15 @@ type RKVRun struct {
 	// crash-restart re-arms it through rkv's Restarted hook.
 	Lease   *lease.Config
 	LeaseOn []cluster.NodeID
+	// HolderWindow and HolderBatch, when positive, replace Window and
+	// Batch on the lease holders only: the holder pipelines while every
+	// other node stays sequential, and runs HolderBatch× the workload —
+	// a whole batch per pacing tick where the others launch one op — so
+	// its leases live under a write rate the other cells already show
+	// them surviving. (Pipelining every node starves the lease instead:
+	// the all-ack grant wave always meets some member's in-flight write
+	// phase and is nacked, so nothing leased ever runs.)
+	HolderWindow, HolderBatch int
 	// Disk backs every node with the WAL storage backend in a temporary
 	// directory: a crash-restarted node drops its memory image and
 	// recovers by replaying its log, instead of the memory backend's
@@ -154,6 +163,10 @@ type RKVResult struct {
 	// leaves Joint false.
 	Epoch uint64
 	Joint bool
+	// LeaseGrants and LocalVersions sum every node's lease activations
+	// and locally versioned writes (crashed nodes included: the counters
+	// live outside the state a restart resets).
+	LeaseGrants, LocalVersions uint64
 	// Err is the linearizability verdict: nil, a
 	// *history.RegisterViolation, or history.ErrUndecided.
 	Err error
@@ -219,11 +232,12 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 	// record under the node ID; pipelined or batched nodes give every
 	// operation its own virtual client, because ops sharing a window or a
 	// batch round are concurrent.
+	stride := r.OpsPerNode * max(1, r.HolderBatch)
 	client := func(node cluster.NodeID, opID int) int {
-		if r.Window <= 1 && r.Batch <= 1 {
+		if r.Window <= 1 && r.Batch <= 1 && r.HolderWindow <= 1 && r.HolderBatch <= 1 {
 			return int(node)
 		}
-		return int(node)*r.OpsPerNode + opID
+		return int(node)*stride + opID
 	}
 	// key spreads node i's op k across the keyspace; the rotation by node
 	// makes every key contested across nodes, not partitioned per node.
@@ -248,9 +262,13 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 	stores := make([]*epoch.Store, univ)
 	for i := 0; i < univ; i++ {
 		id := cluster.NodeID(i)
+		holder := r.Lease != nil && leaseHolder(r, id)
 		var ops []rkv.Op
 		if member(i) {
 			ops = make([]rkv.Op, r.OpsPerNode)
+			if holder && r.HolderBatch > 0 {
+				ops = make([]rkv.Op, stride)
+			}
 			for k := range ops {
 				write := k%2 == 0
 				if k >= shiftAt && writeEvery > 0 {
@@ -288,9 +306,15 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 			cfg.WALNoSync = true
 			cfg.SnapshotEvery = 8
 		}
-		if r.Lease != nil && leaseHolder(r, id) {
+		if holder {
 			lc := *r.Lease
 			cfg.Lease = &lc
+			if r.HolderWindow > 0 {
+				cfg.Window = r.HolderWindow
+			}
+			if r.HolderBatch > 0 {
+				cfg.Batch = r.HolderBatch
+			}
 		}
 		if i == 0 && tunePol != nil {
 			cfg.AutoTune = tunePol
@@ -389,6 +413,11 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		if snap.Joint() {
 			res.Joint = true
 		}
+	}
+	for _, node := range nodes {
+		ls := node.LeaseStats()
+		res.LeaseGrants += ls.Grants
+		res.LocalVersions += ls.LocalVersions
 	}
 	res.Ops = rec.Ops()
 	for _, op := range res.Ops {

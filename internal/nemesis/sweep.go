@@ -58,6 +58,9 @@ type RKVCase struct {
 	// for linearizability.
 	Lease   *lease.Config
 	LeaseOn []cluster.NodeID
+	// HolderWindow and HolderBatch pipeline the lease holders only (see
+	// RKVRun).
+	HolderWindow, HolderBatch int
 	// PickCost runs every node with cost-aware quorum picks (see RKVRun).
 	PickCost []time.Duration
 }
@@ -95,13 +98,18 @@ func (o *SweepOptions) fill() {
 // budget; for the lock, Completed counts critical-section entries and
 // Failed abandoned acquisitions. Violations counts runs with a safety
 // breach; FirstViolation describes the first one (seed included) so a
-// red sweep is immediately reproducible.
+// red sweep is immediately reproducible. A lease cell (Lease set) also
+// sums its runs' lease activations and locally versioned writes, and
+// counts a violation when either is zero: a cell whose lease never
+// activated checked nothing it exists to check.
 type Line struct {
 	Proto, Case, Schedule      string
 	Runs                       int
 	Completed, Failed, Pending int
 	Undecided, Violations      int
 	FirstViolation             string
+	Lease                      bool
+	Grants, LocalVersions      uint64
 }
 
 // Summary is a deterministic sweep report: same cases, schedules and
@@ -142,8 +150,12 @@ func (s *Summary) String() string {
 			fmt.Fprintf(&b, "%-5s %-14s %-18s seeds=%-4d entries=%-6d failures=%-5d violations=%d\n",
 				l.Proto, l.Case, l.Schedule, l.Runs, l.Completed, l.Failed, l.Violations)
 		default:
-			fmt.Fprintf(&b, "%-5s %-14s %-18s seeds=%-4d ok=%-6d failed=%-5d pending=%-5d undecided=%-3d violations=%d\n",
+			fmt.Fprintf(&b, "%-5s %-14s %-18s seeds=%-4d ok=%-6d failed=%-5d pending=%-5d undecided=%-3d violations=%d",
 				l.Proto, l.Case, l.Schedule, l.Runs, l.Completed, l.Failed, l.Pending, l.Undecided, l.Violations)
+			if l.Lease {
+				fmt.Fprintf(&b, " grants=%-5d local_versions=%d", l.Grants, l.LocalVersions)
+			}
+			b.WriteByte('\n')
 		}
 		if l.FirstViolation != "" {
 			fmt.Fprintf(&b, "      first: %s\n", l.FirstViolation)
@@ -159,7 +171,7 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 	sum := &Summary{}
 	for _, c := range cases {
 		for _, sched := range c.Schedules {
-			line := Line{Proto: "rkv", Case: c.Name, Schedule: sched.Name}
+			line := Line{Proto: "rkv", Case: c.Name, Schedule: sched.Name, Lease: c.Lease != nil}
 			for si := 0; si < opt.Seeds; si++ {
 				seed := opt.SeedBase + int64(si)
 				ops := opt.OpsPerNode
@@ -183,6 +195,9 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 					Lease:      c.Lease,
 					LeaseOn:    c.LeaseOn,
 					PickCost:   c.PickCost,
+
+					HolderWindow: c.HolderWindow,
+					HolderBatch:  c.HolderBatch,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("nemesis: %s/%s seed %d: %w", c.Name, sched.Name, seed, err)
@@ -191,6 +206,8 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 				line.Completed += res.Completed
 				line.Failed += res.Failed
 				line.Pending += res.Pending
+				line.Grants += res.LeaseGrants
+				line.LocalVersions += res.LocalVersions
 				switch {
 				case res.Err == nil:
 				case errors.Is(res.Err, history.ErrUndecided):
@@ -207,6 +224,13 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 						line.FirstViolation = fmt.Sprintf("seed %d: reconfiguration unsettled (epoch %d joint %v, want epoch %d)",
 							seed, res.Epoch, res.Joint, c.WantEpoch)
 					}
+				}
+			}
+			if line.Lease && (line.Grants == 0 || line.LocalVersions == 0) {
+				line.Violations++
+				if line.FirstViolation == "" {
+					line.FirstViolation = fmt.Sprintf("lease path not exercised: %d grants, %d locally versioned writes in %d runs",
+						line.Grants, line.LocalVersions, line.Runs)
 				}
 			}
 			sum.Lines = append(sum.Lines, line)

@@ -18,10 +18,12 @@ package rkv
 //     shard state is pulled from a read quorum, merged with the local
 //     store, and pushed to a write quorum — after which every version
 //     the holder can serve locally is quorum-replicated, so no later
-//     quorum read can run behind a local read. Local reads are served
-//     in launchBatch with zero messages; the holder's own completed
-//     writes are applied locally (self-keep) instead of invalidating
-//     its own lease.
+//     quorum read can run behind a local read. While the lease covers
+//     a key the local store answers for it: queued reads are served at
+//     admission (launchNext) with zero messages, and a write takes its
+//     version from the local store instead of a phase-1 quorum round;
+//     the holder's own completed writes are applied locally (self-keep)
+//     instead of invalidating its own lease.
 //
 // Epoch fences: grants are epoch-gated and refused while the config is
 // joint or a reconfiguration is active; activation re-checks the epoch;
@@ -134,16 +136,20 @@ type LeaseStats struct {
 	LocalReads  uint64 // reads served from the local store, zero messages
 	InvalRounds uint64 // write rounds that had to run an invalidation phase
 	Expiries    uint64 // holder-side lease expiries (deadline passed)
+	// LocalVersions counts writes whose version round (phase 1) was
+	// answered by the local store: one quorum round instead of two.
+	LocalVersions uint64
 }
 
 // LeaseStats returns the node's lease counters.
 func (n *Node) LeaseStats() LeaseStats {
 	return LeaseStats{
-		Grants:      n.leaseGrants.Load(),
-		Renewals:    n.leaseRenewals.Load(),
-		LocalReads:  n.leaseLocalReads.Load(),
-		InvalRounds: n.leaseInvalRounds.Load(),
-		Expiries:    n.leaseExpiries.Load(),
+		Grants:        n.leaseGrants.Load(),
+		Renewals:      n.leaseRenewals.Load(),
+		LocalReads:    n.leaseLocalReads.Load(),
+		InvalRounds:   n.leaseInvalRounds.Load(),
+		Expiries:      n.leaseExpiries.Load(),
+		LocalVersions: n.leaseLocalVersions.Load(),
 	}
 }
 
@@ -732,55 +738,124 @@ func (n *Node) leaseBroadcastDrop(env cluster.Env, mask uint64) {
 // Read path and self-keep
 // ---------------------------------------------------------------------
 
-// leaseServeLocal serves the batch's reads on actively leased shards
-// straight from the local store — the zero-message fast path. Runs in
-// launchBatch before the phase-1 membership is computed, so a fully
-// served batch never touches the network.
-func (n *Node) leaseServeLocal(env cluster.Env, op *opState) {
+// leaseCover is the one "the lease covers this key right now" test:
+// local reads, local version reads and admission all decide by it, so
+// the expiry and epoch rules (lease.Holder.ServeOK) have no second copy.
+type leaseCover struct {
+	lh     *lease.Holder
+	ep     uint64
+	now    time.Duration
+	shards int
+}
+
+// leaseCoverNow snapshots the coverage test for this instant; ok is
+// false when the node holds nothing (no holder, or no active shard).
+func (n *Node) leaseCoverNow(env cluster.Env) (c leaseCover, ok bool) {
 	lh := n.lh
 	if lh == nil || lh.Active() == 0 {
+		return c, false
+	}
+	return leaseCover{lh: lh, ep: n.epochNow(), now: env.Now(), shards: lh.Config().Shards}, true
+}
+
+func (c leaseCover) covers(key string) bool {
+	return c.lh.ServeOK(lease.ShardOf(key, c.shards), c.ep, c.now)
+}
+
+// leaseServeRead answers one covered read from the local store.
+func (n *Node) leaseServeRead(env cluster.Env, op *opState, sub *subOp) {
+	sub.bestVer, sub.bestVal = n.store.get(sub.key)
+	n.leaseLocalReads.Add(1)
+	n.reportSub(env, op, sub, nil)
+}
+
+// leaseServeLocal lets the local store answer for the batch's keys on
+// actively leased shards: reads complete right here with zero messages,
+// and a write takes its phase-1 answer — a version at least as high as
+// any completed operation's — from the local store, so a batch whose
+// writes are all covered goes straight to its write phase. The local
+// version qualifies for the reason a local read is linearizable
+// (DESIGN.md §17 point 3); this node's own in-flight writes, not
+// self-kept yet, were stamped from its monotonic clock, which
+// buildPhase2's nextClock() is above. Runs in launchBatch before the
+// phase-1 membership is computed.
+func (n *Node) leaseServeLocal(env cluster.Env, op *opState) {
+	cov, ok := n.leaseCoverNow(env)
+	if !ok {
 		return
 	}
-	ep := n.epochNow()
-	now := env.Now()
-	shards := lh.Config().Shards
 	for i := range op.subs {
 		sub := &op.subs[i]
-		if sub.kind != OpRead || sub.done {
+		if sub.done || !sub.needP1 || !cov.covers(sub.key) {
 			continue
 		}
-		if !lh.ServeOK(lease.ShardOf(sub.key, shards), ep, now) {
+		if sub.kind == OpRead {
+			n.leaseServeRead(env, op, sub)
 			continue
 		}
-		sub.bestVer, sub.bestVal = n.store.get(sub.key)
-		n.leaseLocalReads.Add(1)
-		n.reportSub(env, op, sub, nil)
+		sub.bestVer, _ = n.store.get(sub.key)
+		sub.needP1 = false
+		n.leaseLocalVersions.Add(1)
 	}
 }
 
-// leaseSelfKeep applies the round's completed writes to the local store
-// for shards this node actively leases: the holder's own writes keep
-// the lease serving fresh data instead of invalidating it. Runs in
-// finishRound — before results are reported, and never for failed
+// leaseAdmit answers every queued external read the lease covers at
+// admission, ahead of the window test: a zero-message read runs no
+// round, so it must not wait for one of the Window places the writes'
+// rounds occupy. What remains keeps its order and launches as before.
+// No round ran, so the profiler's batch counter is not told; the sweep
+// is trace-sampled once, as launchBatch samples a round.
+func (n *Node) leaseAdmit(env cluster.Env) {
+	cov, ok := n.leaseCoverNow(env)
+	if !ok {
+		return
+	}
+	op := opState{started: cov.now}
+	var rec *optrace.Rec
+	served := 0
+	kept := n.extRun[:0]
+	for _, e := range n.extRun {
+		if e.op.Kind != OpRead || !cov.covers(e.op.Key) {
+			kept = append(kept, e)
+			continue
+		}
+		if served == 0 {
+			rec = n.trace.Sample()
+			rec.Begin(optrace.StageQuorum)
+		}
+		served++
+		n.extSeq++
+		sub := subOp{id: n.extSeq, kind: OpRead, key: e.op.Key, cb: e.cb}
+		n.leaseServeRead(env, &op, &sub)
+	}
+	clear(n.extRun[len(kept):]) // drop the served callbacks' references
+	n.extRun = kept
+	rec.Tag(optrace.KindRead, served, cov.ep)
+	rec.Done()
+}
+
+// leaseSelfKeep applies what the round's write phase just installed on a
+// write quorum — its writes, and the versions its reads wrote back — to
+// the local store, for shards this node leases or is acquiring: the
+// holder's own rounds keep the lease serving fresh data instead of
+// invalidating it, and one that completes while a grant is between pull
+// and activation is not lost to the store local reads start from. Runs
+// in finishRound — before results are reported, and never for failed
 // rounds (a maybe-write must not become locally readable). An apply or
 // commit failure conservatively drops the affected shards.
 func (n *Node) leaseSelfKeep(env cluster.Env, op *opState) {
 	lh := n.lh
-	if lh == nil || lh.Active() == 0 {
+	if lh == nil || lh.Active()|lh.Mask() == 0 {
 		return
 	}
 	shards := lh.Config().Shards
 	var applied, failed uint64
-	for i := range op.subs {
-		sub := &op.subs[i]
-		if sub.done || sub.kind == OpRead {
-			continue
-		}
-		s := lease.ShardOf(sub.key, shards)
+	for i, key := range op.p2Keys {
+		s := lease.ShardOf(key, shards)
 		if !lh.SelfKeepOK(s) {
 			continue
 		}
-		if n.applyPut(sub.key, sub.bestVer, sub.bestVal) {
+		if n.applyPut(key, op.p2Vers[i], op.p2Vals[i]) {
 			applied |= lease.Bit(s)
 		} else {
 			failed |= lease.Bit(s)

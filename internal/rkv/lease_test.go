@@ -7,6 +7,7 @@ import (
 
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
+	"hquorum/internal/history"
 	"hquorum/internal/lease"
 	"hquorum/internal/tuner"
 )
@@ -395,4 +396,329 @@ func TestLeaseEpochSwapRevokes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// leaseSim is a 9-replica majority cluster on a fixed 2 ms link — one
+// quorum round trip is simRTT of virtual time, two are twice that — with
+// node 0 holding leases and every node driven through Submit. It keeps
+// the keys of every phase-1 frame node 0 sent and the whole operation
+// history (each submitted op its own history client: Submit makes no
+// ordering promise between ops whose callbacks the caller did not await).
+type leaseSim struct {
+	t      *testing.T
+	net    *cluster.Network
+	nodes  []*Node
+	stores []*epoch.Store
+	p1     [][]string
+	hist   *history.Register
+	ops    int
+	fired  []*simOp // in callback order
+}
+
+const simRTT = 4 * time.Millisecond
+
+// simOp is one submitted operation; done flips when its callback fires.
+type simOp struct {
+	Result
+	done bool
+}
+
+// p1Tap records the holder's version-read frames on their way into a
+// replica.
+type p1Tap struct {
+	*Node
+	s *leaseSim
+}
+
+func (h p1Tap) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
+	if m, ok := msg.(msgReadBatch); ok && from == 0 {
+		h.s.p1 = append(h.s.p1, m.Keys)
+	}
+	h.Node.Deliver(env, from, msg)
+}
+
+// newLeaseSim boots the cluster and runs it until the holder's lease is
+// active on every shard.
+func newLeaseSim(t *testing.T, seed int64, base Config) *leaseSim {
+	t.Helper()
+	s := bootLeaseSim(t, seed, base)
+	s.awaitLease()
+	return s
+}
+
+// bootLeaseSim builds and starts the cluster at virtual time zero (base
+// is every node's config; node 0 also gets the lease, its first policy
+// tick one Check away).
+func bootLeaseSim(t *testing.T, seed int64, base Config) *leaseSim {
+	t.Helper()
+	s := &leaseSim{
+		t:    t,
+		net:  cluster.New(cluster.WithSeed(seed), cluster.WithLatency(simRTT/2, simRTT/2)),
+		hist: history.NewRegister(),
+	}
+	for i := 0; i < 9; i++ {
+		id := cluster.NodeID(i)
+		cfg := base
+		cfg.Epochs = testEpochs(t, 9, majority9())
+		cfg.OpGap = -1
+		if i == 0 {
+			cfg.Lease = leaseCfgFast()
+		}
+		n, err := NewNode(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.net.AddNode(id, p1Tap{n, s}); err != nil {
+			t.Fatal(err)
+		}
+		n.SetWake(func() { s.net.StartTimer(id, 0, n.StartToken()) })
+		if err := n.Start(s.net); err != nil {
+			t.Fatal(err)
+		}
+		s.nodes = append(s.nodes, n)
+		s.stores = append(s.stores, cfg.Epochs)
+	}
+	return s
+}
+
+// awaitLease runs until the holder serves every shard (a grant takes one
+// policy tick plus three round trips; an invalidated shard cools for
+// half a TTL first).
+func (s *leaseSim) awaitLease() {
+	s.t.Helper()
+	s.net.Run(s.net.Now() + 400*time.Millisecond)
+	if lh := s.nodes[0].lh; lh.Active() != lease.MaskAll(lh.Config().Shards) {
+		s.t.Fatalf("holder serves mask %b at %v, want every shard", lh.Active(), s.net.Now())
+	}
+}
+
+func (s *leaseSim) submit(id int, op Op) *simOp {
+	p := &simOp{}
+	c := s.ops
+	s.ops++
+	kind, value := history.KindWrite, op.Value
+	if op.Kind == OpRead {
+		kind, value = history.KindRead, ""
+	}
+	s.hist.InvokeKeyed(c, kind, op.Key, value, s.net.Now())
+	s.nodes[id].Submit(op, func(r Result) {
+		p.Result, p.done = r, true
+		s.fired = append(s.fired, p)
+		if r.Err != nil {
+			s.hist.Fail(c, r.At)
+			return
+		}
+		s.hist.Complete(c, r.Value, r.Version.Counter<<8|uint64(r.Version.Writer)&0xff, r.At)
+	})
+	return p
+}
+
+// wait steps the simulation exactly as far as the last callback.
+func (s *leaseSim) wait(ops ...*simOp) {
+	s.t.Helper()
+	limit := s.net.Now() + 5*time.Second
+	for _, p := range ops {
+		for !p.done {
+			if s.net.Now() > limit || !s.net.Step() {
+				s.t.Fatalf("operation still pending at %v", s.net.Now())
+			}
+		}
+		if p.Err != nil {
+			s.t.Fatalf("operation failed: %+v", p.Result)
+		}
+	}
+}
+
+func (s *leaseSim) do(id int, op Op) Result {
+	s.t.Helper()
+	p := s.submit(id, op)
+	s.wait(p)
+	return p.Result
+}
+
+// took is an operation's duration in whole round trips (same-instant
+// sends on one link are spaced a nanosecond apart, hence the rounding).
+func took(r Result) int { return int((r.At - r.Start + simRTT/2) / simRTT) }
+
+func (s *leaseSim) checkHistory() {
+	s.t.Helper()
+	if err := history.CheckRegisterPerKey(s.hist.Ops()); err != nil {
+		s.t.Fatalf("history is not linearizable: %v", err)
+	}
+}
+
+// otherShardKey returns a key outside key's lease shard.
+func otherShardKey(key string, shards int) string {
+	for i := 0; ; i++ {
+		if k := "u" + string(rune('a'+i)); lease.ShardOf(k, shards) != lease.ShardOf(key, shards) {
+			return k
+		}
+	}
+}
+
+// TestLeasedWriteSkipsPhase1: on a shard the holder actively leases its
+// write takes the version from the local store — no version-read frame,
+// one round trip, a stamp above what is stored — and a batch mixing a
+// leased with an unleased write asks the cluster about the unleased key
+// only.
+func TestLeasedWriteSkipsPhase1(t *testing.T) {
+	s := newLeaseSim(t, 51, Config{Batch: 2})
+	holder := s.nodes[0]
+	// A foreign write the holder must stamp above: it costs node 1 the
+	// invalidation barrier, and the re-grant's pull brings it home.
+	w0 := s.do(1, Op{Kind: OpWrite, Key: "k", Value: "v0"})
+	s.awaitLease()
+	if _, ver := holder.ValueKey("k"); ver != w0.Version {
+		t.Fatalf("holder stores %v for k, want node 1's %v", ver, w0.Version)
+	}
+
+	sent := len(s.p1)
+	w1 := s.do(0, Op{Kind: OpWrite, Key: "k", Value: "v1"})
+	if len(s.p1) != sent {
+		t.Fatalf("leased write sent version-read frames %v", s.p1[sent:])
+	}
+	if took(w1) != 1 {
+		t.Fatalf("leased write took %v, want one round trip (%v)", w1.At-w1.Start, simRTT)
+	}
+	if !w0.Version.Less(w1.Version) {
+		t.Fatalf("leased write stamped %v, not above the stored %v", w1.Version, w0.Version)
+	}
+	if got := holder.LeaseStats().LocalVersions; got != 1 {
+		t.Fatalf("LocalVersions = %d, want 1", got)
+	}
+
+	// Node 1 takes u's shard away; k's stays leased.
+	u := otherShardKey("k", 8)
+	s.do(1, Op{Kind: OpWrite, Key: u, Value: "u0"})
+	if holder.LeasedRead(u) || !holder.LeasedRead("k") {
+		t.Fatalf("after node 1's write to %s: leased(%s)=%t leased(k)=%t", u, u, holder.LeasedRead(u), holder.LeasedRead("k"))
+	}
+	sent = len(s.p1)
+	wk, wu := s.submit(0, Op{Kind: OpWrite, Key: "k", Value: "v2"}), s.submit(0, Op{Kind: OpWrite, Key: u, Value: "u1"})
+	s.wait(wk, wu)
+	if len(s.p1) == sent {
+		t.Fatal("mixed batch sent no version read for its unleased key")
+	}
+	for _, keys := range s.p1[sent:] {
+		if len(keys) != 1 || keys[0] != u {
+			t.Fatalf("mixed batch's version read asked for %v, want only %s", keys, u)
+		}
+	}
+	if took(wk.Result) != 2 || !w1.Version.Less(wk.Version) {
+		t.Fatalf("mixed batch: k took %v with stamp %v (after %v)", wk.At-wk.Start, wk.Version, w1.Version)
+	}
+	if got := holder.LeaseStats().LocalVersions; got != 2 {
+		t.Fatalf("LocalVersions = %d, want 2", got)
+	}
+	s.checkHistory()
+}
+
+// TestLeasedWritesPipelined: two writes to one leased key in flight
+// together (Window 2). The second cannot learn the first's stamp from
+// the store — self-keep has not applied it — yet must order after it:
+// both stamps come from the node's one monotonic clock.
+func TestLeasedWritesPipelined(t *testing.T) {
+	s := newLeaseSim(t, 52, Config{Window: 2})
+	sent := len(s.p1)
+	a, b := s.submit(0, Op{Kind: OpWrite, Key: "k", Value: "a"}), s.submit(0, Op{Kind: OpWrite, Key: "k", Value: "b"})
+	s.wait(a, b)
+	if len(s.p1) != sent || took(a.Result) != 1 || took(b.Result) != 1 {
+		t.Fatalf("pipelined leased writes: %d version-read frames, took %v and %v", len(s.p1)-sent, a.At-a.Start, b.At-b.Start)
+	}
+	if a.Start != b.Start {
+		t.Fatalf("writes launched at %v and %v, want one instant (the window holds both)", a.Start, b.Start)
+	}
+	if !a.Version.Less(b.Version) {
+		t.Fatalf("second write stamped %v, not above the first's %v", b.Version, a.Version)
+	}
+	if r := s.do(1, Op{Kind: OpRead, Key: "k"}); r.Value != "b" || r.Version != b.Version {
+		t.Fatalf("quorum read returned %q (%v), want the second write %q (%v)", r.Value, r.Version, "b", b.Version)
+	}
+	s.checkHistory()
+}
+
+// TestLeasedWritePaysPhase1Uncovered: the local version is trusted only
+// while the lease covers the key. After another coordinator's write
+// invalidated the shard, after the epoch moved, and after the holder
+// restarted, its next write runs the version round again.
+func TestLeasedWritePaysPhase1Uncovered(t *testing.T) {
+	s := newLeaseSim(t, 53, Config{})
+	holder := s.nodes[0]
+	local := uint64(0)
+	write := func(why string, wantLocal bool) {
+		t.Helper()
+		sent := len(s.p1)
+		w := s.do(0, Op{Kind: OpWrite, Key: "k", Value: why})
+		rounds := 2
+		if wantLocal {
+			rounds = 1
+			local++
+		}
+		if took(w) != rounds || (len(s.p1) == sent) != wantLocal {
+			t.Fatalf("%s: write took %v and sent %d version-read frames, want %d round(s)", why, w.At-w.Start, len(s.p1)-sent, rounds)
+		}
+		if got := holder.LeaseStats().LocalVersions; got != local {
+			t.Fatalf("%s: LocalVersions = %d, want %d", why, got, local)
+		}
+	}
+	write("covered", true)
+
+	s.do(1, Op{Kind: OpWrite, Key: "k", Value: "foreign"})
+	write("invalidated", false)
+	s.awaitLease()
+	write("re-granted", true)
+
+	// Every store moves to epoch 2 at one instant; the holder's lease is
+	// still the one granted under epoch 1.
+	for _, st := range s.stores {
+		if ok, err := st.Install(epoch.Config{Epoch: 2, Cur: majority9()}); err != nil || !ok {
+			t.Fatalf("install epoch 2: %t, %v", ok, err)
+		}
+	}
+	if holder.lh.Active() == 0 || holder.lh.Epoch() != 1 {
+		t.Fatalf("holder lease: mask %b epoch %d, want the epoch-1 lease still held", holder.lh.Active(), holder.lh.Epoch())
+	}
+	write("epoch moved", false)
+	s.awaitLease()
+	write("re-granted under epoch 2", true)
+
+	s.net.Crash(0)
+	s.net.Restart(0)
+	write("restarted", false)
+	s.checkHistory()
+}
+
+// TestLeaseGrantKeepsOwnInflightWrite: the grant's pull∪push brackets
+// what the replicas held when the pull was served — not a write the
+// holder itself had on the wire, which no member can nack for it (the
+// wave never asks the holder). One that reaches the replicas after the
+// pull and completes before activation must be in the local store when
+// local reads start, or the first local read of its key is stale.
+func TestLeaseGrantKeepsOwnInflightWrite(t *testing.T) {
+	s := bootLeaseSim(t, 55, Config{})
+	holder := s.nodes[0]
+	// Something for the pull to find, so the grant pushes before it
+	// activates: wave, pull and push take a round trip each.
+	s.do(0, Op{Kind: OpWrite, Key: otherShardKey("k", 8), Value: "a0"})
+	tick := leaseCfgFast().Check
+	s.net.Run(tick + simRTT/4) // the wave is out
+	if holder.lh.Idle() {
+		t.Fatalf("no grant wave in flight at %v", s.net.Now())
+	}
+	// Phase 1 rides alongside the wave; phase 2 reaches the replicas just
+	// after the pull was served and is acked before the push is.
+	w := s.do(0, Op{Kind: OpWrite, Key: "k", Value: "v1"})
+	if holder.lh.Idle() || holder.lh.Active() != 0 {
+		t.Fatalf("write completed at %v outside the grant (idle=%t active=%b): the test lost its race", w.At, holder.lh.Idle(), holder.lh.Active())
+	}
+	s.net.Run(tick + 4*simRTT)
+	reads := holder.LeaseStats().LocalReads
+	r := s.do(0, Op{Kind: OpRead, Key: "k"})
+	if holder.LeaseStats().LocalReads != reads+1 {
+		t.Fatalf("read at %v was not served locally: %+v", r.At, holder.LeaseStats())
+	}
+	if r.Value != "v1" || r.Version != w.Version {
+		t.Fatalf("local read returned %q (%v) after the holder's own write of %q (%v) completed", r.Value, r.Version, "v1", w.Version)
+	}
+	s.checkHistory()
 }

@@ -281,8 +281,10 @@ type Config struct {
 	AutoTune *tuner.Policy
 	// Lease, when set, configures this node's read-lease holder: on
 	// read-heavy workload windows it acquires per-shard read leases and
-	// serves leased reads from its local store with zero messages (see
-	// internal/lease and lease.go). Only the holder side is optional —
+	// serves leased reads from its local store with zero messages; its
+	// own writes on leased shards take their version from the local store
+	// too, one quorum round instead of two (see internal/lease and
+	// lease.go). Only the holder side is optional —
 	// every node always participates as a lease member (recording grants,
 	// blocking writes to leased shards), so clusters can mix holders and
 	// non-holders freely.
@@ -458,11 +460,12 @@ type Node struct {
 	leaseMerged       map[string]mergedVal
 
 	// Lease counters. Atomics: the metrics endpoint reads them off-loop.
-	leaseGrants      atomic.Uint64
-	leaseRenewals    atomic.Uint64
-	leaseLocalReads  atomic.Uint64
-	leaseInvalRounds atomic.Uint64
-	leaseExpiries    atomic.Uint64
+	leaseGrants        atomic.Uint64
+	leaseRenewals      atomic.Uint64
+	leaseLocalReads    atomic.Uint64
+	leaseInvalRounds   atomic.Uint64
+	leaseExpiries      atomic.Uint64
+	leaseLocalVersions atomic.Uint64
 
 	// leaseRouteMask mirrors the holder's active shard mask for
 	// LeasedRead, the off-loop routing hint gateways consult when
@@ -870,9 +873,11 @@ func (n *Node) onStaleEpoch(env cluster.Env, m msgStaleEpoch) {
 // positive OpGap launches are spaced one per timer tick, keeping chaos
 // workloads stretched across their fault schedule; without a gap the
 // window fills immediately. Externally submitted ops (Submit) are
-// drained first and take priority over the static workload.
+// drained first and take priority over the static workload; those the
+// lease answers are served before the window is even consulted.
 func (n *Node) launchNext(env cluster.Env) {
 	n.drainExt()
+	n.leaseAdmit(env)
 	for (n.extPending() || n.nextOp < len(n.cfg.Ops)) && len(n.inflight) < n.cfg.Window {
 		n.launchBatch(env)
 		if n.cfg.OpGap > 0 {
@@ -945,8 +950,8 @@ func (n *Node) launchBatch(env cluster.Env) {
 		op.rec.Begin(optrace.StageQuorum)
 	}
 	n.profile.ObserveBatch(env.Now(), len(op.subs))
-	// Reads on actively leased shards are answered from the local store
-	// right here — the zero-message path this whole machinery buys.
+	// On actively leased shards the local store answers right here: reads
+	// complete, writes get their version without a phase 1.
 	n.leaseServeLocal(env, op)
 	// Phase-1 membership and wire keys are fixed for the batch's lifetime;
 	// retries resend the same (immutable) slice.
@@ -962,7 +967,8 @@ func (n *Node) launchBatch(env cluster.Env) {
 		n.startReadPhase(env, op)
 		return
 	}
-	// No phase 1 left: blind writes (and any locally served reads) only.
+	// No phase 1 left: blind writes, locally versioned writes and locally
+	// served reads only.
 	n.buildPhase2(env, op)
 	if len(op.p2Keys) == 0 {
 		// The whole batch was served locally.

@@ -248,3 +248,48 @@ func TestPickCostEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestLeasedReadServedAtAdmission: with the window's one place taken by
+// a write still on the wire, a submitted read the lease covers is
+// answered when it is admitted — before that write — while a read on an
+// unleased key and a second write wait their turn, in order.
+func TestLeasedReadServedAtAdmission(t *testing.T) {
+	s := newLeaseSim(t, 54, Config{Window: 1})
+	holder := s.nodes[0]
+	s.do(0, Op{Kind: OpWrite, Key: "k", Value: "v0"})
+	u := otherShardKey("k", 8)
+	s.do(1, Op{Kind: OpWrite, Key: u, Value: "u0"}) // takes u's shard away
+
+	w1 := s.submit(0, Op{Kind: OpWrite, Key: "k", Value: "v1"})
+	s.net.Run(s.net.Now() + simRTT/4) // w1 is on the wire
+	if holder.Inflight() != 1 {
+		t.Fatalf("%d rounds in flight, want w1's", holder.Inflight())
+	}
+	reads := holder.LeaseStats().LocalReads
+	fired := len(s.fired)
+	ru := s.submit(0, Op{Kind: OpRead, Key: u})
+	w2 := s.submit(0, Op{Kind: OpWrite, Key: "k", Value: "v2"})
+	rk := s.submit(0, Op{Kind: OpRead, Key: "k"})
+	admitted := s.net.Now()
+	s.wait(rk)
+	if rk.At != admitted || rk.Value != "v0" || w1.done {
+		t.Fatalf("leased read: done at %v (admitted %v) with %q, w1 done=%t; want it served at admission with v0", rk.At, admitted, rk.Value, w1.done)
+	}
+	if holder.Inflight() != 1 || len(holder.extRun) != 2 || holder.extRun[0].op.Key != u || holder.extRun[1].op.Value != "v2" {
+		t.Fatalf("after admission: %d in flight, queue %+v; want w1 in flight and [read %s, write v2] queued", holder.Inflight(), holder.extRun, u)
+	}
+	s.wait(w1, ru, w2)
+	if got := holder.LeaseStats().LocalReads - reads; got != 1 {
+		t.Fatalf("%d local reads, want the one leased read", got)
+	}
+	if got := s.fired[fired:]; len(got) != 4 || got[0] != rk || got[1] != w1 || got[2] != ru || got[3] != w2 {
+		t.Fatalf("callbacks fired out of order (want leased read, w1, unleased read, w2): %+v", got)
+	}
+	if ru.Value != "u0" || took(ru.Result) != 1 || ru.Start < w1.At {
+		t.Fatalf("unleased read: %q in %v starting %v (w1 done %v); want a quorum read after w1", ru.Value, ru.At-ru.Start, ru.Start, w1.At)
+	}
+	if r := s.do(0, Op{Kind: OpRead, Key: "k"}); r.Value != "v2" {
+		t.Fatalf("final read returned %q, want v2", r.Value)
+	}
+	s.checkHistory()
+}

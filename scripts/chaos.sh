@@ -10,7 +10,7 @@
 #   2. a byte-identical summary across two back-to-back runs — the sweep
 #      is a deterministic regression artifact, not flaky noise.
 #
-# 200 seeds x 41 (case, schedule) cells = 8200 simulated runs (36 register
+# 200 seeds x 42 (case, schedule) cells = 8400 simulated runs (37 register
 # cells + 5 lock cells, one summary line each) — including
 # a pipelined register cell (window=4, concurrent ops per node), a
 # multi-key batched cell (8 keys, 4 ops per quorum round, checked for
@@ -18,7 +18,11 @@
 # picks the cheapest quorum, so reads ride write quorums and the crash
 # storm and the partition hit exactly the line all of them favour), four
 # durable cells where every node runs
-# the disk WAL backend and restarts recover state by log replay, and an
+# the disk WAL backend and restarts recover state by log replay, three
+# read-lease cells (holders crashed, writers crashed mid-invalidation, a
+# holder pipelining Window 4 x Batch 4 over its own leased shards) whose
+# lines also print the cell's summed lease grants and locally versioned
+# writes and fail the cell when either is zero, and an
 # auto-tune cell whose mid-run 50%→95% read shift makes node 0's workload
 # tuner reconfigure the cluster live under a crash storm; the whole gate
 # takes about two minutes of wall clock.

@@ -39,6 +39,10 @@ go test -race ./internal/optrace/...
 # completion races a watchdog timer, and clients whose pipelined Do
 # calls coalesce onto one writer. Race it.
 go test -race ./internal/gateway/...
+# Routing by the lease hint is a race between the holder's event loop
+# (publishing its mask, self-keeping its writes) and the dispatcher
+# reading the hint for concurrent clients' reads and writes: repeat it.
+go test -race -count=5 -run TestGatewayLeasedWritesFollowHolder ./internal/gateway/
 # The WAL's committer goroutine flushes for many concurrent appenders and
 # releases their acks while checkpoints dump the store underneath, and
 # the replica's disk backend appends from multiple fast-path reader
