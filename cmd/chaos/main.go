@@ -104,14 +104,16 @@ func main() {
 		// quorum rather than a random draw. Crashes take out members of
 		// the one cheapest line; the partition strands coordinators on
 		// the minority side with their favourite quorum across the cut.
-		{Name: "hT44/cost", Initial: &toHTGrid, Space: 16, PickCost: nearTop,
+		// That line is a write quorum, so reads that find it unanimous end
+		// after one round (OneRound: the lines print how many did).
+		{Name: "hT44/cost", Initial: &toHTGrid, Space: 16, PickCost: nearTop, OneRound: true,
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16), nemesis.MinorityPartition(16)}},
 		// Durable cells: every node runs the disk backend, so a restarted
 		// node replays its WAL instead of coming back empty — the combined
 		// history must still be linearizable per key.
 		{Name: "h-grid-4x4/disk", Initial: &initGrid, Space: 16, Disk: true, Shards: 4,
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16), nemesis.Churn(16)}},
-		{Name: "majority-5/disk", Initial: &maj5, Space: 5, Disk: true, Shards: 4,
+		{Name: "majority-5/disk", Initial: &maj5, Space: 5, Disk: true, Shards: 4, OneRound: true,
 			Schedules: []nemesis.Schedule{nemesis.RollingRestart(5)}},
 		// Reconfiguration with disk recovery: the crashed nodes rejoin the
 		// new epoch from their replayed logs.

@@ -100,7 +100,7 @@ func main() {
 	opDeadline := flag.Duration("op-deadline", 30*time.Second, "per-operation deadline: on expiry the operation fails with a typed quorum error (ErrNoQuorum/ErrDegraded) instead of retrying forever; 0 retries forever")
 	attempt := flag.Duration("attempt-timeout", time.Second, "per-attempt quorum patience (grows with backoff and jitter)")
 	dialTimeout := flag.Duration("dial-timeout", time.Second, "TCP dial timeout for peer connections")
-	writeback := flag.Bool("writeback", true, "complete reads only after writing the observed version back to a write quorum (linearizable reads)")
+	writeback := flag.Bool("writeback", true, "complete reads only after writing the observed version back to a write quorum (linearizable reads; costs one write round per read unless the read's quorum contains a write quorum and agrees)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	autoTune := flag.Bool("auto-tune", false, "profile the workload and reconfigure the cluster live when a different quorum configuration wins under the measured read/write mix (enable on exactly one replica)")
 	tuneInterval := flag.Duration("tune-interval", 0, "auto-tune evaluation period (0 = tuner default)")
@@ -310,9 +310,12 @@ func metricsHandler(node *rkv.Node, tn *transport.Node, epochs *epoch.Store, dis
 				"errors":         wl.Errors,
 				"read_frac":      wl.ReadFrac(),
 				"writeback_frac": wl.WritebackFrac(),
-				"avg_batch":      wl.AvgBatch(),
-				"avg_latency_us": uint64(wl.AvgLatency() / time.Microsecond),
-				"key_skew":       wl.KeySkew(),
+				// Cumulative, unlike the window around it: reads that ended
+				// after one round because a write quorum already agreed.
+				"one_round_reads": node.OneRoundReads(),
+				"avg_batch":       wl.AvgBatch(),
+				"avg_latency_us":  uint64(wl.AvgLatency() / time.Microsecond),
+				"key_skew":        wl.KeySkew(),
 			},
 			"lease": map[string]any{
 				"grants":         ls.Grants,

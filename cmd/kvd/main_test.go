@@ -95,6 +95,16 @@ func TestMetricsHandlerShape(t *testing.T) {
 		}
 	}
 
+	wl, ok := doc["workload"].(map[string]any)
+	if !ok {
+		t.Fatalf("workload group is %T", doc["workload"])
+	}
+	for _, k := range []string{"writeback_frac", "one_round_reads"} {
+		if _, ok := wl[k].(float64); !ok {
+			t.Fatalf("workload group: %q is %T, want a number", k, wl[k])
+		}
+	}
+
 	ot, ok := doc["optrace"].(map[string]any)
 	if !ok {
 		t.Fatalf("optrace group is %T", doc["optrace"])

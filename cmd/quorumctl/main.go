@@ -376,12 +376,12 @@ func tune(args []string) {
 		if ops == 0 {
 			ops = 1000
 		}
-		wl = tuner.Mix(*readFrac, wl.WritebackFrac(), ops)
+		wl = tuner.Mix(wl, *readFrac, ops)
 		fmt.Printf("scoring hypothetical mix: %.0f%% reads\n", 100**readFrac)
 	}
 
 	opt := tuner.Options{FailP: *failP, MinAvail: *minAvail}
-	curScore, err := tuner.ScoreParams(cfg.Cur, wl, opt)
+	curScore, err := tuner.ScoreCurrent(cfg.Cur, wl, opt)
 	if err != nil {
 		fail("tune: %v", err)
 	}

@@ -363,6 +363,7 @@ func TestCostBlindPicksUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			st.CoversWrite(q) // what rkv asks after a read pick: must draw nothing
 			fmt.Fprint(h, q.Indices())
 		}
 		if got := h.Sum64(); got != c.want {

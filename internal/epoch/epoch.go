@@ -460,9 +460,9 @@ type Pickers struct {
 	read    pickFn
 	write   pickFn
 	mutex   pickFn
-	// The families a cost-aware pick chooses from, over the dense index
-	// space (see cheapest.go) — compiled on the first such pick, so a
-	// cost-blind config never pays for them.
+	// The families as threshold formulas over the dense index space: what
+	// a cost-aware pick chooses from (see cheapest.go) and what
+	// CoversWrite evaluates. Compiled on first use.
 	compile             func() (read, write *quorum.Gate)
 	compileOnce         sync.Once
 	readGate, writeGate *quorum.Gate

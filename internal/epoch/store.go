@@ -219,6 +219,26 @@ func (s *Store) PickWriteCheapest(rng *rand.Rand, live bitset.Set, cost []time.D
 	return s.pickUnion(rng, live, pickWrite, cost)
 }
 
+// CoversWrite reports whether set contains a write quorum of the current
+// params — and one of the old params' too while the config is joint, the
+// same both-sides rule the picks follow. It is a pure predicate (no
+// random draws): a read whose quorum covers a write quorum and whose
+// members all report one version has that version on a write quorum
+// already, so it owes no write-back (see rkv and DESIGN.md §19).
+func (s *Store) CoversWrite(set bitset.Set) bool {
+	s.mu.RLock()
+	cur, old := s.cur, s.old
+	s.mu.RUnlock()
+	return cur.CoversWrite(set) && (old == nil || old.CoversWrite(set))
+}
+
+// CoversWrite reports whether set (global IDs) contains a write quorum of
+// these params: the write family's formula evaluated on set.
+func (p *Pickers) CoversWrite(set bitset.Set) bool {
+	_, write := p.gates()
+	return write.Eval(p.toDense(set))
+}
+
 // Pick draws a symmetric mutex quorum (both-config union while joint).
 func (s *Store) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	return s.pickUnion(rng, live, pickMutex, nil)

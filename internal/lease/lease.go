@@ -266,6 +266,28 @@ func (t *Table) Covered(space int, now time.Duration) uint64 {
 	return m
 }
 
+// Overlapping returns the holders whose unexpired entries cover the shard
+// of some key, in ID order, each with the shards that overlap — the
+// holders a write phase carrying keys must invalidate first. Expired
+// entries it meets are dropped.
+func (t *Table) Overlapping(keys []string, now time.Duration) (holders []cluster.NodeID, masks []uint64) {
+	if len(t.entries) == 0 {
+		return nil, nil
+	}
+	for _, h := range t.Holders() {
+		e := t.entries[h]
+		if now >= e.Expiry {
+			delete(t.entries, h)
+			continue
+		}
+		if overlap := e.Mask & KeysMask(keys, e.Shards); overlap != 0 {
+			holders = append(holders, h)
+			masks = append(masks, overlap)
+		}
+	}
+	return holders, masks
+}
+
 // Holder wave phases. A grant runs wave→pull→push→active; a renewal is
 // wave→active (held shards are continuously fresh — any completed write
 // would have invalidated them — so no pull or push is needed).

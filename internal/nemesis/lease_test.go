@@ -48,3 +48,30 @@ func TestSweepLeaseCellExercisesLease(t *testing.T) {
 	}
 	t.Logf("\n%s", sum)
 }
+
+// TestSweepOneRoundCellExercisesPath: a one-round cell's line carries its
+// summed reads finished at phase 1; a majority cell gets some under the
+// rolling restart, and an h-grid cell marked OneRound — its reads are
+// row-covers, which hold no full-line — is a failed cell, not a quietly
+// green one.
+func TestSweepOneRoundCellExercisesPath(t *testing.T) {
+	maj := epoch.Params{Flavor: epoch.FlavorMajority, R: 3, W: 3, Members: epoch.MemberRange(0, 5)}
+	grid := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 3, Cols: 3, Members: epoch.MemberRange(0, 9)}
+	sum, err := SweepRKV([]RKVCase{
+		{Name: "maj5", Initial: &maj, Space: 5, OneRound: true, Schedules: []Schedule{RollingRestart(5)}},
+		{Name: "h33", Initial: &grid, Space: 9, OneRound: true, Schedules: []Schedule{RollingRestart(9)}},
+	}, SweepOptions{Seeds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	covers, never := sum.Lines[0], sum.Lines[1]
+	if covers.Violations != 0 || covers.Undecided != 0 || covers.OneRoundReads == 0 {
+		t.Fatalf("majority cell: %+v", covers)
+	}
+	if never.OneRoundReads != 0 || never.Violations != 1 || !strings.Contains(never.FirstViolation, "one-round read path not exercised") {
+		t.Fatalf("a one-round cell whose reads never cover a write quorum must fail: %+v", never)
+	}
+	if out := sum.String(); strings.Count(out, " one_round_reads=") != 2 {
+		t.Fatalf("one-round lines lack their counter:\n%s", out)
+	}
+}

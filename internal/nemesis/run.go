@@ -167,6 +167,9 @@ type RKVResult struct {
 	// and locally versioned writes (crashed nodes included: the counters
 	// live outside the state a restart resets).
 	LeaseGrants, LocalVersions uint64
+	// OneRoundReads sums every node's reads that finished at phase 1
+	// because their quorum held a write quorum and agreed.
+	OneRoundReads uint64
 	// Err is the linearizability verdict: nil, a
 	// *history.RegisterViolation, or history.ErrUndecided.
 	Err error
@@ -418,6 +421,7 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		ls := node.LeaseStats()
 		res.LeaseGrants += ls.Grants
 		res.LocalVersions += ls.LocalVersions
+		res.OneRoundReads += node.OneRoundReads()
 	}
 	res.Ops = rec.Ops()
 	for _, op := range res.Ops {

@@ -63,6 +63,11 @@ type RKVCase struct {
 	HolderWindow, HolderBatch int
 	// PickCost runs every node with cost-aware quorum picks (see RKVRun).
 	PickCost []time.Duration
+	// OneRound marks a case whose read picks contain write quorums, so
+	// reads that find their quorum unanimous finish without a write-back:
+	// its lines print the summed count and fail at zero, proving the path
+	// ran under the case's schedules rather than assuming it.
+	OneRound bool
 }
 
 // MutexCase names a lock configuration to sweep, with the schedules to
@@ -101,7 +106,8 @@ func (o *SweepOptions) fill() {
 // red sweep is immediately reproducible. A lease cell (Lease set) also
 // sums its runs' lease activations and locally versioned writes, and
 // counts a violation when either is zero: a cell whose lease never
-// activated checked nothing it exists to check.
+// activated checked nothing it exists to check. A one-round cell
+// (OneRound set) does the same with its reads finished at phase 1.
 type Line struct {
 	Proto, Case, Schedule      string
 	Runs                       int
@@ -110,6 +116,8 @@ type Line struct {
 	FirstViolation             string
 	Lease                      bool
 	Grants, LocalVersions      uint64
+	OneRound                   bool
+	OneRoundReads              uint64
 }
 
 // Summary is a deterministic sweep report: same cases, schedules and
@@ -155,6 +163,9 @@ func (s *Summary) String() string {
 			if l.Lease {
 				fmt.Fprintf(&b, " grants=%-5d local_versions=%d", l.Grants, l.LocalVersions)
 			}
+			if l.OneRound {
+				fmt.Fprintf(&b, " one_round_reads=%d", l.OneRoundReads)
+			}
 			b.WriteByte('\n')
 		}
 		if l.FirstViolation != "" {
@@ -171,7 +182,7 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 	sum := &Summary{}
 	for _, c := range cases {
 		for _, sched := range c.Schedules {
-			line := Line{Proto: "rkv", Case: c.Name, Schedule: sched.Name, Lease: c.Lease != nil}
+			line := Line{Proto: "rkv", Case: c.Name, Schedule: sched.Name, Lease: c.Lease != nil, OneRound: c.OneRound}
 			for si := 0; si < opt.Seeds; si++ {
 				seed := opt.SeedBase + int64(si)
 				ops := opt.OpsPerNode
@@ -208,6 +219,7 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 				line.Pending += res.Pending
 				line.Grants += res.LeaseGrants
 				line.LocalVersions += res.LocalVersions
+				line.OneRoundReads += res.OneRoundReads
 				switch {
 				case res.Err == nil:
 				case errors.Is(res.Err, history.ErrUndecided):
@@ -231,6 +243,12 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 				if line.FirstViolation == "" {
 					line.FirstViolation = fmt.Sprintf("lease path not exercised: %d grants, %d locally versioned writes in %d runs",
 						line.Grants, line.LocalVersions, line.Runs)
+				}
+			}
+			if line.OneRound && line.OneRoundReads == 0 {
+				line.Violations++
+				if line.FirstViolation == "" {
+					line.FirstViolation = fmt.Sprintf("one-round read path not exercised: no read finished at phase 1 in %d runs", line.Runs)
 				}
 			}
 			sum.Lines = append(sum.Lines, line)

@@ -59,6 +59,24 @@ func All(kids ...*Gate) *Gate { return Of(len(kids), kids...) }
 // Any holds when some kid holds.
 func Any(kids ...*Gate) *Gate { return Of(1, kids...) }
 
+// Eval reports whether the formula holds on live: whether live contains
+// a quorum of the family.
+func (g *Gate) Eval(live bitset.Set) bool {
+	if g.id >= 0 {
+		return live.Contains(g.id)
+	}
+	need := g.need
+	for i, k := range g.kids {
+		if need == 0 || len(g.kids)-i < need {
+			break
+		}
+		if k.Eval(live) {
+			need--
+		}
+	}
+	return need == 0
+}
+
 // unpriced is the price of a formula that cannot hold.
 const unpriced = math.MaxInt64
 

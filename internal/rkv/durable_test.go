@@ -140,8 +140,9 @@ func TestDiskGroupCommitPerBatch(t *testing.T) {
 // ackEnv is a detachable Env recording what a replica sends: the shape
 // of the live transport's per-connection env, minus the sockets.
 type ackEnv struct {
-	mu   sync.Mutex
-	acks []msgWriteAck
+	mu    sync.Mutex
+	acks  []msgWriteAck
+	reads []msgReadBatchReply
 }
 
 func (e *ackEnv) ID() cluster.NodeID            { return 1 }
@@ -151,8 +152,13 @@ func (e *ackEnv) Rand() *rand.Rand              { return nil }
 func (e *ackEnv) Detach() (cluster.Env, func()) { return e, func() {} }
 func (e *ackEnv) Send(to cluster.NodeID, msg any) {
 	e.mu.Lock()
-	e.acks = append(e.acks, msg.(msgWriteAck))
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	switch m := msg.(type) {
+	case msgWriteAck:
+		e.acks = append(e.acks, m)
+	case msgReadBatchReply:
+		e.reads = append(e.reads, m)
+	}
 }
 
 func (e *ackEnv) seqs() []uint64 {
@@ -218,6 +224,54 @@ func TestDiskAcksRideCoveringRound(t *testing.T) {
 	}
 	if st := n.WALStats(); st.Appends != 64 || st.SyncRounds != 2 || st.FileSyncs != 2 {
 		t.Fatalf("8 batches took %+v, want 64 appends in 2 rounds with 2 fsyncs", st)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskReadReplySaysUnsynced: the live path's window between a write
+// installed in the store and the fsync its ack waits for. A version read
+// served inside it reports the new version — reads never wait behind a
+// flush — and says so (Unsynced), because a crash now would lose it; once
+// the fsync has returned and the ack is out, the same read does not.
+func TestDiskReadReplySaysUnsynced(t *testing.T) {
+	n, err := NewNode(1, Config{Epochs: testEpochs(t, 3, maj3(2, 2)), Storage: "disk", DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
+	n.wal.SetHook(func(point string) error {
+		if point == "sync" {
+			entered <- struct{}{}
+			<-gate
+		}
+		return nil
+	})
+	env := &ackEnv{}
+	read := func() msgReadBatchReply {
+		n.FastDeliver(env, 0, msgReadBatch{Epoch: 1, Seq: 9, Keys: []string{"k"}})
+		env.mu.Lock()
+		defer env.mu.Unlock()
+		return env.reads[len(env.reads)-1]
+	}
+	if r := read(); r.Unsynced || r.Vers[0] != (Version{}) {
+		t.Fatalf("idle replica answered %+v, want the zero version from a synced log", r)
+	}
+	ver := Version{Counter: 1, Writer: 0}
+	n.FastDeliver(env, 0, msgWriteBatch{Epoch: 1, Seq: 1, Keys: []string{"k"}, Vers: []Version{ver}, Vals: []string{"v"}})
+	<-entered // the write's round sits in fsync: installed, not durable, not acked
+	if r := read(); !r.Unsynced || r.Vers[0] != ver || len(env.seqs()) != 0 {
+		t.Fatalf("mid-fsync read answered %+v with acks %v; want the new version, flagged unsynced, no ack yet", r, env.seqs())
+	}
+	gate <- struct{}{}
+	for deadline := time.Now().Add(10 * time.Second); len(env.seqs()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("write never acknowledged")
+		}
+	}
+	if r := read(); r.Unsynced || r.Vers[0] != ver {
+		t.Fatalf("read after the ack answered %+v, want the version from a synced log", r)
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)

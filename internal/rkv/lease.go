@@ -351,21 +351,7 @@ func (n *Node) enterWritePhase(env cluster.Env, op *opState) {
 func (n *Node) startInvalPhase(env cluster.Env, op *opState) bool {
 	now := env.Now()
 	quarantined := now < n.leaseBlockedUntil
-	var targets []cluster.NodeID
-	var masks []uint64
-	for _, h := range n.lt.Holders() {
-		e, _ := n.lt.Get(h)
-		if now >= e.Expiry {
-			n.lt.Drop(h)
-			continue
-		}
-		overlap := e.Mask & lease.KeysMask(op.p2Keys, e.Shards)
-		if overlap == 0 {
-			continue
-		}
-		targets = append(targets, h)
-		masks = append(masks, overlap)
-	}
+	targets, masks := n.lt.Overlapping(op.p2Keys, now)
 	if len(targets) == 0 && !quarantined {
 		return false
 	}
@@ -403,6 +389,28 @@ func (n *Node) startInvalPhase(env cluster.Env, op *opState) bool {
 	}
 	env.After(n.attemptTimeout(env, op), tokenOpDue{Seq: op.seq})
 	return true
+}
+
+// leaseWritebackOwed reports whether a read of key must ship its
+// write-back even though its quorum confirmed the version (readConfirmed):
+// the write phase is where a round meets the leases, and a version can
+// reach a write quorum behind a lease's back — a dead coordinator's
+// phase-2 frames landing after the grant's pull — so the first reader to
+// return it must do what the write-back does. That is the invalidation
+// barrier when the key is under another holder's entry or the quarantine
+// runs, and finishRound's self-keep when this node leases the shard or is
+// acquiring it (the local store must not fall behind a value this node
+// returned).
+func (n *Node) leaseWritebackOwed(env cluster.Env, key string) bool {
+	now := env.Now()
+	if now < n.leaseBlockedUntil {
+		return true
+	}
+	if holders, _ := n.lt.Overlapping([]string{key}, now); len(holders) > 0 {
+		return true
+	}
+	lh := n.lh
+	return lh != nil && lh.SelfKeepOK(lease.ShardOf(key, lh.Config().Shards))
 }
 
 // leaseOnInvalAck consumes a holder's invalidation ack for an op round.

@@ -398,10 +398,11 @@ func TestLeaseEpochSwapRevokes(t *testing.T) {
 	}
 }
 
-// leaseSim is a 9-replica majority cluster on a fixed 2 ms link — one
-// quorum round trip is simRTT of virtual time, two are twice that — with
-// node 0 holding leases and every node driven through Submit. It keeps
-// the keys of every phase-1 frame node 0 sent and the whole operation
+// leaseSim is a cluster on a fixed 2 ms link — one quorum round trip is
+// simRTT of virtual time, two are twice that — with every node driven
+// through Submit. newLeaseSim's is nine majority replicas with node 0
+// holding leases; bootSim takes any configuration. It keeps every frame
+// of either phase as its replica received it, and the whole operation
 // history (each submitted op its own history client: Submit makes no
 // ordering promise between ops whose callbacks the caller did not await).
 type leaseSim struct {
@@ -409,13 +410,26 @@ type leaseSim struct {
 	net    *cluster.Network
 	nodes  []*Node
 	stores []*epoch.Store
-	p1     [][]string
+	p1All  []simFrame
+	p2     []simFrame
 	hist   *history.Register
 	ops    int
 	fired  []*simOp // in callback order
+
+	// park, when set, decides per arriving frame whether to hold it back;
+	// release delivers what was held, in arrival order.
+	park   func(from, to cluster.NodeID, msg any) bool
+	parked []func()
 }
 
 const simRTT = 4 * time.Millisecond
+
+// simFrame is one phase-1 or phase-2 frame as a replica received it.
+type simFrame struct {
+	from, to cluster.NodeID
+	seq      uint64
+	keys     []string
+}
 
 // simOp is one submitted operation; done flips when its callback fires.
 type simOp struct {
@@ -423,18 +437,45 @@ type simOp struct {
 	done bool
 }
 
-// p1Tap records the holder's version-read frames on their way into a
-// replica.
-type p1Tap struct {
+// simTap records the frames the tests assert on, on their way into a
+// replica, and holds back what the test parks.
+type simTap struct {
 	*Node
 	s *leaseSim
 }
 
-func (h p1Tap) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
-	if m, ok := msg.(msgReadBatch); ok && from == 0 {
-		h.s.p1 = append(h.s.p1, m.Keys)
+func (h simTap) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
+	if h.s.park != nil && h.s.park(from, h.id, msg) {
+		h.s.parked = append(h.s.parked, func() { h.Node.Deliver(env, from, msg) })
+		return
+	}
+	switch m := msg.(type) {
+	case msgReadBatch:
+		h.s.p1All = append(h.s.p1All, simFrame{from: from, to: h.id, seq: m.Seq, keys: m.Keys})
+	case msgWriteBatch:
+		h.s.p2 = append(h.s.p2, simFrame{from: from, to: h.id, seq: m.Seq, keys: m.Keys})
 	}
 	h.Node.Deliver(env, from, msg)
+}
+
+// p1 lists the keys of every version-read frame node 0 (the holder) sent.
+func (s *leaseSim) p1() [][]string {
+	var out [][]string
+	for _, f := range s.p1All {
+		if f.from == 0 {
+			out = append(out, f.keys)
+		}
+	}
+	return out
+}
+
+// release stops parking and delivers the held frames.
+func (s *leaseSim) release() {
+	s.park = nil
+	for _, deliver := range s.parked {
+		deliver()
+	}
+	s.parked = nil
 }
 
 // newLeaseSim boots the cluster and runs it until the holder's lease is
@@ -446,29 +487,41 @@ func newLeaseSim(t *testing.T, seed int64, base Config) *leaseSim {
 	return s
 }
 
-// bootLeaseSim builds and starts the cluster at virtual time zero (base
-// is every node's config; node 0 also gets the lease, its first policy
-// tick one Check away).
+// bootLeaseSim builds and starts the nine-replica majority cluster at
+// virtual time zero (base is every node's config; node 0 also gets the
+// lease, its first policy tick one Check away).
 func bootLeaseSim(t *testing.T, seed int64, base Config) *leaseSim {
+	t.Helper()
+	return bootSim(t, seed, 9, majority9(), func(id int) Config {
+		cfg := base
+		if id == 0 {
+			cfg.Lease = leaseCfgFast()
+		}
+		return cfg
+	})
+}
+
+// bootSim builds and starts space nodes running params at virtual time
+// zero; cfgFor supplies each node's config (its epoch store and OpGap are
+// filled in here). IDs beyond params' members are sessions: they
+// coordinate but hold no data.
+func bootSim(t *testing.T, seed int64, space int, params epoch.Params, cfgFor func(id int) Config) *leaseSim {
 	t.Helper()
 	s := &leaseSim{
 		t:    t,
 		net:  cluster.New(cluster.WithSeed(seed), cluster.WithLatency(simRTT/2, simRTT/2)),
 		hist: history.NewRegister(),
 	}
-	for i := 0; i < 9; i++ {
+	for i := 0; i < space; i++ {
 		id := cluster.NodeID(i)
-		cfg := base
-		cfg.Epochs = testEpochs(t, 9, majority9())
+		cfg := cfgFor(i)
+		cfg.Epochs = testEpochs(t, space, params)
 		cfg.OpGap = -1
-		if i == 0 {
-			cfg.Lease = leaseCfgFast()
-		}
 		n, err := NewNode(id, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.net.AddNode(id, p1Tap{n, s}); err != nil {
+		if err := s.net.AddNode(id, simTap{n, s}); err != nil {
 			t.Fatal(err)
 		}
 		n.SetWake(func() { s.net.StartTimer(id, 0, n.StartToken()) })
@@ -572,10 +625,10 @@ func TestLeasedWriteSkipsPhase1(t *testing.T) {
 		t.Fatalf("holder stores %v for k, want node 1's %v", ver, w0.Version)
 	}
 
-	sent := len(s.p1)
+	sent := len(s.p1())
 	w1 := s.do(0, Op{Kind: OpWrite, Key: "k", Value: "v1"})
-	if len(s.p1) != sent {
-		t.Fatalf("leased write sent version-read frames %v", s.p1[sent:])
+	if len(s.p1()) != sent {
+		t.Fatalf("leased write sent version-read frames %v", s.p1()[sent:])
 	}
 	if took(w1) != 1 {
 		t.Fatalf("leased write took %v, want one round trip (%v)", w1.At-w1.Start, simRTT)
@@ -593,13 +646,13 @@ func TestLeasedWriteSkipsPhase1(t *testing.T) {
 	if holder.LeasedRead(u) || !holder.LeasedRead("k") {
 		t.Fatalf("after node 1's write to %s: leased(%s)=%t leased(k)=%t", u, u, holder.LeasedRead(u), holder.LeasedRead("k"))
 	}
-	sent = len(s.p1)
+	sent = len(s.p1())
 	wk, wu := s.submit(0, Op{Kind: OpWrite, Key: "k", Value: "v2"}), s.submit(0, Op{Kind: OpWrite, Key: u, Value: "u1"})
 	s.wait(wk, wu)
-	if len(s.p1) == sent {
+	if len(s.p1()) == sent {
 		t.Fatal("mixed batch sent no version read for its unleased key")
 	}
-	for _, keys := range s.p1[sent:] {
+	for _, keys := range s.p1()[sent:] {
 		if len(keys) != 1 || keys[0] != u {
 			t.Fatalf("mixed batch's version read asked for %v, want only %s", keys, u)
 		}
@@ -619,11 +672,11 @@ func TestLeasedWriteSkipsPhase1(t *testing.T) {
 // both stamps come from the node's one monotonic clock.
 func TestLeasedWritesPipelined(t *testing.T) {
 	s := newLeaseSim(t, 52, Config{Window: 2})
-	sent := len(s.p1)
+	sent := len(s.p1())
 	a, b := s.submit(0, Op{Kind: OpWrite, Key: "k", Value: "a"}), s.submit(0, Op{Kind: OpWrite, Key: "k", Value: "b"})
 	s.wait(a, b)
-	if len(s.p1) != sent || took(a.Result) != 1 || took(b.Result) != 1 {
-		t.Fatalf("pipelined leased writes: %d version-read frames, took %v and %v", len(s.p1)-sent, a.At-a.Start, b.At-b.Start)
+	if len(s.p1()) != sent || took(a.Result) != 1 || took(b.Result) != 1 {
+		t.Fatalf("pipelined leased writes: %d version-read frames, took %v and %v", len(s.p1())-sent, a.At-a.Start, b.At-b.Start)
 	}
 	if a.Start != b.Start {
 		t.Fatalf("writes launched at %v and %v, want one instant (the window holds both)", a.Start, b.Start)
@@ -647,15 +700,15 @@ func TestLeasedWritePaysPhase1Uncovered(t *testing.T) {
 	local := uint64(0)
 	write := func(why string, wantLocal bool) {
 		t.Helper()
-		sent := len(s.p1)
+		sent := len(s.p1())
 		w := s.do(0, Op{Kind: OpWrite, Key: "k", Value: why})
 		rounds := 2
 		if wantLocal {
 			rounds = 1
 			local++
 		}
-		if took(w) != rounds || (len(s.p1) == sent) != wantLocal {
-			t.Fatalf("%s: write took %v and sent %d version-read frames, want %d round(s)", why, w.At-w.Start, len(s.p1)-sent, rounds)
+		if took(w) != rounds || (len(s.p1()) == sent) != wantLocal {
+			t.Fatalf("%s: write took %v and sent %d version-read frames, want %d round(s)", why, w.At-w.Start, len(s.p1())-sent, rounds)
 		}
 		if got := holder.LeaseStats().LocalVersions; got != local {
 			t.Fatalf("%s: LocalVersions = %d, want %d", why, got, local)

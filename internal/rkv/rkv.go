@@ -56,6 +56,9 @@ type Version struct {
 	Writer  cluster.NodeID
 }
 
+// maxVersion is above every version a replica can report.
+var maxVersion = Version{Counter: ^uint64(0), Writer: cluster.NodeID(^uint(0) >> 1)}
+
 // Less reports whether v is older than o.
 func (v Version) Less(o Version) bool {
 	if v.Counter != o.Counter {
@@ -81,12 +84,16 @@ type (
 		Keys  []string
 	}
 	// msgReadBatchReply answers a msgReadBatch; Vers/Vals are parallel to
-	// the request's Keys.
+	// the request's Keys. Unsynced (disk backend only) says the replica's
+	// log held records no commit round had covered yet when it answered: a
+	// reported version may be one a restart loses, so the reply is a
+	// reading, not the promise a write ack is.
 	msgReadBatchReply struct {
-		Epoch uint64
-		Seq   uint64
-		Vers  []Version
-		Vals  []string
+		Epoch    uint64
+		Seq      uint64
+		Unsynced bool
+		Vers     []Version
+		Vals     []string
 	}
 	// msgWriteBatch stores many keys' versioned values at once (phase 2);
 	// the replica acks with msgWriteAck.
@@ -197,8 +204,10 @@ type Config struct {
 	// it observed on a full write quorum (ABD-style write-back). Without
 	// it a read concurrent with a partially-applied write can be followed
 	// by a read observing the older value — a linearizability violation.
-	// Costs one write round per read; the nemesis chaos scenarios enable
-	// it because their checker demands linearizability.
+	// Costs one write round per read, unless the read's quorum contains a
+	// write quorum and agrees on the version (the write-back is then
+	// already in place: see readConfirmed); the nemesis chaos scenarios
+	// enable it because their checker demands linearizability.
 	ReadWriteback bool
 	// NoPickCache disables quorum-pick caching: every attempt draws a
 	// fresh random quorum. The cache (on by default) reuses the last
@@ -333,6 +342,10 @@ type subOp struct {
 
 	bestVer Version // highest version observed (reads) or stamped (writes)
 	bestVal string
+	// lowVer is the lowest version the current phase-1 attempt's members
+	// reported: equal to bestVer once the quorum is complete, they all
+	// hold the same one (and no earlier attempt heard a higher).
+	lowVer Version
 }
 
 // extOp is an externally submitted operation waiting to be launched.
@@ -353,6 +366,13 @@ type opState struct {
 
 	quorum  bitset.Set
 	pending bitset.Set // members not yet answered
+	epoch   uint64     // the epoch quorum was picked under, stamped on the attempt's frames
+	// covers: the current phase-1 attempt's quorum contains a write quorum
+	// (only tracked under ReadWriteback, where it lets unanimous reads
+	// finish without their write-back). A member answering from versions
+	// it has not made durable (msgReadBatchReply.Unsynced) clears it for
+	// the attempt: what such a quorum says it holds, a restart can lose.
+	covers bool
 
 	p1Subs []int    // indices into subs, parallel to p1Keys
 	p1Keys []string // phase-1 wire keys (immutable once built)
@@ -381,10 +401,11 @@ type opState struct {
 // wholesale, so a cached quorum from the previous config must never leak
 // into the new one).
 type pickCache struct {
-	valid bool
-	epoch uint64
-	fp    uint64
-	q     bitset.Set
+	valid  bool
+	epoch  uint64
+	fp     uint64
+	q      bitset.Set
+	covers bool // read picks: q contains a write quorum (see opState.covers)
 }
 
 // Node is a replica (and optionally a client).
@@ -418,10 +439,17 @@ type Node struct {
 	suspectAt []time.Duration // when each suspicion was recorded
 	picks     [2]pickCache    // cached read [0] / write [1] quorum
 	cost      []time.Duration // non-nil on a cost-aware config: picks take the cheapest quorum
+	// readCovers is the last read pick's covers bit: while it is set reads
+	// can end at phase 1, and fillBatchExt keeps them out of the writes'
+	// rounds so the saved round frees its window slot.
+	readCovers bool
 	// pickHits/pickMisses count cache-served vs freshly drawn quorum
 	// picks. Atomics: the metrics endpoint reads them off-loop.
 	pickHits   atomic.Uint64
 	pickMisses atomic.Uint64
+	// oneRoundReads counts reads finished at phase 1 because their quorum
+	// covered a write quorum and agreed on the version. Atomic as above.
+	oneRoundReads atomic.Uint64
 
 	// profile is the sliding-window workload profiler (always on — it is
 	// a few counters); tune is the auto-tune driver, nil unless
@@ -703,7 +731,10 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 				vers[i], vals[i] = n.store.get(k)
 			}
 			rec.End(optrace.StageLock)
-			env.Send(from, msgReadBatchReply{Epoch: m.Epoch, Seq: m.Seq, Vers: vers, Vals: vals})
+			// After the gets: an entry is appended to the log under the map
+			// lock that installed it, so a log synced now holds all of vers.
+			unsynced := n.wal != nil && !n.wal.Synced()
+			env.Send(from, msgReadBatchReply{Epoch: m.Epoch, Seq: m.Seq, Unsynced: unsynced, Vers: vers, Vals: vals})
 		})
 	case msgWriteBatch:
 		if len(m.Vers) != len(m.Keys) || len(m.Vals) != len(m.Keys) {
@@ -912,6 +943,7 @@ func (n *Node) putOp(op *opState) {
 	op.retries = 0
 	op.backoff = 0
 	op.sawNoQuorum = false
+	op.covers = false
 	op.opSuspects.Clear()
 	op.p1Subs = op.p1Subs[:0]
 	// Sent frames alias the wire slices and may outlive the op: drop them,
@@ -978,14 +1010,24 @@ func (n *Node) launchBatch(env cluster.Env) {
 	n.enterWritePhase(env, op)
 }
 
-// fillBatchExt builds a round from externally submitted operations.
+// fillBatchExt builds a round from up to Config.Batch externally
+// submitted operations, in queue order. While the node's read picks cover
+// a write quorum (readCovers) a round's reads can end after phase 1, but
+// the round keeps its window slot until its writes' phase 2 is acked —
+// so the batch then takes only ops of the head's kind (reads, or writes
+// of either sort) and leaves the others queued in order: read rounds
+// retire after one round trip and free their slot. Otherwise nothing
+// ends early and purity would only shrink batches.
 func (n *Node) fillBatchExt(op *opState) {
-	k := len(n.extRun)
-	if k > n.cfg.Batch {
-		k = n.cfg.Batch
-	}
-	for j := 0; j < k; j++ {
+	headRead := n.extRun[0].op.Kind == OpRead
+	kept := n.extRun[:0]
+	j := 0
+	for ; j < len(n.extRun) && len(op.subs) < n.cfg.Batch; j++ {
 		e := n.extRun[j]
+		if n.readCovers && (e.op.Kind == OpRead) != headRead {
+			kept = append(kept, e)
+			continue
+		}
 		n.extSeq++
 		sub := subOp{id: n.extSeq, kind: e.op.Kind, key: e.op.Key, value: e.op.Value, cb: e.cb}
 		switch e.op.Kind {
@@ -997,11 +1039,9 @@ func (n *Node) fillBatchExt(op *opState) {
 		}
 		op.subs = append(op.subs, sub)
 	}
-	rest := copy(n.extRun, n.extRun[k:])
-	for i := rest; i < len(n.extRun); i++ {
-		n.extRun[i] = extOp{} // drop the callback reference
-	}
-	n.extRun = n.extRun[:rest]
+	kept = append(kept, n.extRun[j:]...)
+	clear(n.extRun[len(kept):]) // drop the taken callbacks' references
+	n.extRun = kept
 }
 
 // fillBatchWorkload pulls up to Config.Batch consecutive static
@@ -1055,30 +1095,23 @@ func (n *Node) startReadPhase(env cluster.Env, op *opState) {
 		return
 	}
 	op.quorum.CopyInto(&op.pending)
-	var msg any = msgReadBatch{Epoch: n.epochNow(), Seq: op.seq, Keys: op.p1Keys}
+	// Unanimity is judged within this attempt, whose quorum op.covers
+	// describes: start every key's low-water mark afresh.
+	for _, i := range op.p1Subs {
+		op.subs[i].lowVer = maxVersion
+	}
+	var msg any = msgReadBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p1Keys}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	env.After(n.attemptTimeout(env, op), tokenOpDue{Seq: op.seq})
 }
 
 // buildPhase2 assembles the batch's write payload: read write-backs keep
 // the version they observed, read-write updates stamp a fresh clock past
-// everything phase 1 saw, blind writes carry their launch stamp. Plain
-// reads (no write-back) finish here.
+// everything phase 1 saw, blind writes carry their launch stamp. Reads
+// that pay no write-back (plain, or nothing observed) finish with the
+// round; those already reported at phase 1 are done and skipped.
 func (n *Node) buildPhase2(env cluster.Env, op *opState) {
-	count := 0
-	for i := range op.subs {
-		sub := &op.subs[i]
-		if sub.done {
-			continue
-		}
-		if sub.kind == OpRead && !(n.cfg.ReadWriteback && sub.bestVer != (Version{})) {
-			continue
-		}
-		count++
-	}
-	if count == 0 {
-		return
-	}
+	wb := 0
 	for i := range op.subs {
 		sub := &op.subs[i]
 		if sub.done {
@@ -1086,11 +1119,12 @@ func (n *Node) buildPhase2(env cluster.Env, op *opState) {
 		}
 		switch sub.kind {
 		case OpRead:
-			if !(n.cfg.ReadWriteback && sub.bestVer != (Version{})) {
+			if !n.cfg.ReadWriteback || sub.bestVer == (Version{}) {
 				continue
 			}
 			// ABD write-back: re-store the observed maximum so no later
 			// read can observe an older value.
+			wb++
 		case OpWrite:
 			// Bump the clock past everything the read quorum saw for this
 			// key, then stamp.
@@ -1105,15 +1139,8 @@ func (n *Node) buildPhase2(env cluster.Env, op *opState) {
 		op.p2Vals = append(op.p2Vals, sub.bestVal)
 	}
 	// The profiler's β: how many reads paid a write-back phase.
-	wb := 0
-	for i := range op.subs {
-		sub := &op.subs[i]
-		if !sub.done && sub.kind == OpRead && n.cfg.ReadWriteback && sub.bestVer != (Version{}) {
-			wb++
-		}
-	}
 	if wb > 0 {
-		n.profile.ObserveWriteback(env.Now(), wb)
+		n.profile.ObserveWriteback(env.Now(), wb, 0)
 	}
 }
 
@@ -1137,7 +1164,7 @@ func (n *Node) startWritePhase(env cluster.Env, op *opState) {
 		return
 	}
 	op.quorum.CopyInto(&op.pending)
-	var msg any = msgWriteBatch{Epoch: n.epochNow(), Seq: op.seq, Keys: op.p2Keys, Vers: op.p2Vers, Vals: op.p2Vals}
+	var msg any = msgWriteBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p2Keys, Vers: op.p2Vers, Vals: op.p2Vals}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	env.After(n.attemptTimeout(env, op), tokenOpDue{Seq: op.seq})
 }
@@ -1190,7 +1217,11 @@ func (n *Node) invalidatePicks() {
 // clearing suspicions if none remains. Consecutive picks of one flavor
 // against an unchanged suspect set are served from the pick cache; any
 // change to the suspect set — a new suspicion or a SuspectTTL expiry —
-// changes the fingerprint and forces a fresh draw.
+// changes the fingerprint and forces a fresh draw. op.epoch is the epoch
+// the pick was made under, for the attempt's frames. A read pick also
+// settles whether the quorum covers a write quorum (op.covers,
+// n.readCovers) — evaluated once per fresh pick and kept beside the
+// cached one.
 func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 	c := &n.picks[1]
 	if read {
@@ -1199,13 +1230,18 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 	n.decaySuspects(env)
 	fp := n.suspects.Fingerprint()
 	ep := n.epochNow()
+	op.epoch = ep
 	if !n.cfg.NoPickCache && c.valid && c.fp == fp && c.epoch == ep {
 		n.pickHits.Add(1)
 		c.q.CopyInto(&op.quorum)
+		if read {
+			op.covers, n.readCovers = c.covers, c.covers
+		}
 		return nil
 	}
 	n.pickMisses.Add(1)
 	q, err := n.pick(env, read, n.suspects.Complement())
+	cache := err == nil
 	if err != nil {
 		op.sawNoQuorum = true
 		n.suspects.Clear()
@@ -1214,12 +1250,18 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 		if err != nil {
 			return err
 		}
-		q.CopyInto(&op.quorum)
-		return nil
 	}
 	q.CopyInto(&op.quorum)
-	q.CopyInto(&c.q)
-	c.fp, c.epoch, c.valid = fp, ep, true
+	// The bit must describe the config the members will answer under: a
+	// config installed since ep was read (installs run off-loop) voids it.
+	covers := read && n.cfg.ReadWriteback && n.cfg.Epochs.CoversWrite(q) && n.epochNow() == ep
+	if read {
+		op.covers, n.readCovers = covers, covers
+	}
+	if cache {
+		q.CopyInto(&c.q)
+		c.fp, c.epoch, c.valid, c.covers = fp, ep, true, covers
+	}
 	return nil
 }
 
@@ -1326,6 +1368,22 @@ func (n *Node) failOp(env cluster.Env, op *opState, err error) {
 	n.finishOp(env, op)
 }
 
+// readConfirmed reports whether a read whose phase-1 quorum just completed
+// owes no write-back: the quorum contains a write quorum W′ (op.covers)
+// and every member answered the same version v in this attempt (a higher
+// one remembered from an earlier attempt leaves lowVer < bestVer), from a
+// log that had made it durable (an Unsynced reply cleared op.covers: on
+// the disk backend a replica serves a write from memory before the fsync
+// its ack waits for, and a restart loses that tail). Durable replica
+// versions only grow, so W′ holds ≥ v from now on and every later phase 1
+// — a read quorum, which meets W′ — sees ≥ v: exactly what the write-back
+// would have established, with the acks already in hand. The quorum is
+// itself a read quorum, so v is at least every write completed before the
+// read began. DESIGN.md §19.
+func (n *Node) readConfirmed(env cluster.Env, op *opState, sub *subOp) bool {
+	return op.covers && sub.lowVer == sub.bestVer && !n.leaseWritebackOwed(env, sub.key)
+}
+
 func (n *Node) onReadBatchReply(env cluster.Env, from cluster.NodeID, m msgReadBatchReply) {
 	op, ok := n.inflight[m.Seq]
 	if !ok || op.ph != phaseReadVersions || !op.pending.Contains(int(from)) {
@@ -1335,25 +1393,42 @@ func (n *Node) onReadBatchReply(env cluster.Env, from cluster.NodeID, m msgReadB
 		return // malformed reply: keep waiting, the timer re-picks
 	}
 	op.pending.Remove(int(from))
+	if m.Unsynced {
+		op.covers = false
+	}
 	for j, i := range op.p1Subs {
 		sub := &op.subs[i]
 		if sub.bestVer.Less(m.Vers[j]) {
 			sub.bestVer = m.Vers[j]
 			sub.bestVal = m.Vals[j]
 		}
+		if m.Vers[j].Less(sub.lowVer) {
+			sub.lowVer = m.Vers[j]
+		}
 	}
 	if !op.pending.Empty() {
 		return
 	}
-	// Read quorum complete.
-	if !n.cfg.ReadWriteback {
-		// Plain reads finish at phase 1; their round may still continue
-		// into phase 2 for the batch's writes.
-		for _, i := range op.p1Subs {
-			if sub := &op.subs[i]; sub.kind == OpRead {
-				n.reportSub(env, op, sub, nil)
-			}
+	// Read quorum complete. Plain reads finish here, and under
+	// ReadWriteback so do the reads whose write-back a write quorum
+	// already holds; the round may still continue into phase 2 for the
+	// batch's writes and the reads that saw disagreement.
+	confirmed := 0
+	for _, i := range op.p1Subs {
+		sub := &op.subs[i]
+		if sub.kind != OpRead {
+			continue
 		}
+		if !n.cfg.ReadWriteback {
+			n.reportSub(env, op, sub, nil)
+		} else if n.readConfirmed(env, op, sub) {
+			confirmed++
+			n.reportSub(env, op, sub, nil)
+		}
+	}
+	if confirmed > 0 {
+		n.oneRoundReads.Add(uint64(confirmed))
+		n.profile.ObserveWriteback(env.Now(), 0, confirmed)
 	}
 	n.buildPhase2(env, op)
 	if len(op.p2Keys) == 0 {

@@ -73,6 +73,11 @@ func (n *Node) PickCacheStats() (hits, misses uint64) {
 	return n.pickHits.Load(), n.pickMisses.Load()
 }
 
+// OneRoundReads returns how many reads under ReadWriteback finished after
+// phase 1 because their quorum contained a write quorum and agreed on the
+// version — the write-backs not sent. Cumulative; safe from any goroutine.
+func (n *Node) OneRoundReads() uint64 { return n.oneRoundReads.Load() }
+
 // Tracer returns the node's op tracer (implements optrace.Source, the
 // interface the transport discovers to stamp its stages into the same
 // histogram set). Never nil; disabled unless Config.TraceSample > 0.

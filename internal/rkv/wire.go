@@ -72,6 +72,11 @@ func RegisterBinaryWire(reg *codec.Registry) {
 			m := v.(msgReadBatchReply)
 			b = codec.AppendUvarint(b, m.Epoch)
 			b = codec.AppendUvarint(b, m.Seq)
+			unsynced := uint64(0)
+			if m.Unsynced {
+				unsynced = 1
+			}
+			b = codec.AppendUvarint(b, unsynced)
 			b = codec.AppendUvarint(b, uint64(len(m.Vers)))
 			for i, ver := range m.Vers {
 				b = codec.AppendUvarint(b, ver.Counter)
@@ -82,7 +87,7 @@ func RegisterBinaryWire(reg *codec.Registry) {
 		},
 		func(data []byte) (any, error) {
 			r := codec.NewReader(data)
-			m := msgReadBatchReply{Epoch: r.Uvarint(), Seq: r.Uvarint()}
+			m := msgReadBatchReply{Epoch: r.Uvarint(), Seq: r.Uvarint(), Unsynced: r.Uvarint() != 0}
 			if n, ok := batchLen(r); ok {
 				m.Vers = make([]Version, n)
 				m.Vals = make([]string, n)
@@ -266,10 +271,11 @@ func WireSamples() []any {
 		msgWriteAck{Epoch: 1, Seq: 8},
 		msgReadBatch{Epoch: 2, Seq: 9, Keys: []string{"", "k1", "k2"}},
 		msgReadBatchReply{
-			Epoch: 2,
-			Seq:   9,
-			Vers:  []Version{{Counter: 1, Writer: 0}, {}, {Counter: 5, Writer: 3}},
-			Vals:  []string{"a", "", "c"},
+			Epoch:    2,
+			Seq:      9,
+			Unsynced: true,
+			Vers:     []Version{{Counter: 1, Writer: 0}, {}, {Counter: 5, Writer: 3}},
+			Vals:     []string{"a", "", "c"},
 		},
 		msgWriteBatch{
 			Epoch: 2,

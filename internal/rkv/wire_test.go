@@ -30,9 +30,10 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 		msgReadBatch{Seq: 4, Keys: []string{"", "k1", "日本語 key"}},
 		msgReadBatch{Seq: 5}, // empty batch round-trips as nil
 		msgReadBatchReply{
-			Seq:  6,
-			Vers: []Version{{Counter: 9, Writer: 15}, {}},
-			Vals: []string{"x", ""},
+			Seq:      6,
+			Unsynced: true,
+			Vers:     []Version{{Counter: 9, Writer: 15}, {}},
+			Vals:     []string{"x", ""},
 		},
 		msgWriteBatch{
 			Seq:  7,

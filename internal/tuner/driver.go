@@ -106,7 +106,7 @@ func (d *Driver) Reset() {
 func (d *Driver) Evaluate(cur epoch.Params, wl Workload) (Decision, error) {
 	if wl.Ops() < d.pol.MinOps {
 		d.Reset()
-		cs, err := ScoreParams(cur, wl, d.pol.options())
+		cs, err := ScoreCurrent(cur, wl, d.pol.options())
 		if err != nil {
 			return Decision{}, err
 		}
@@ -118,7 +118,7 @@ func (d *Driver) Evaluate(cur epoch.Params, wl Workload) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	curScore, err := ScoreParams(cur, wl, opt)
+	curScore, err := ScoreCurrent(cur, wl, opt)
 	if err != nil {
 		return Decision{}, err
 	}

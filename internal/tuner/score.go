@@ -52,8 +52,9 @@ type Score struct {
 	// read phase and one write phase.
 	ReadSize, WriteSize float64
 	// Cost is the mix-weighted expected messages per client operation:
-	// reads cost ReadSize + β·WriteSize (β = measured write-back
-	// fraction), writes cost ReadSize + WriteSize (ABD phase 1 + 2).
+	// reads cost ReadSize + β·WriteSize (β = the measured write-back
+	// fraction as this configuration can earn it, Workload.WritebackFor),
+	// writes cost ReadSize + WriteSize (ABD phase 1 + 2).
 	Cost float64
 	// MaxLoad is the mix-weighted load on the busiest member (per-op
 	// access probability); 1/MaxLoad is proportional to the cluster's
@@ -78,10 +79,15 @@ func (s Score) Gain(o Score) float64 {
 }
 
 // pickStats are the workload-independent sampled properties of one
-// configuration: average quorum sizes and per-member access vectors.
+// configuration: average quorum sizes, per-member access vectors and the
+// share of read picks that contain a write quorum.
 type pickStats struct {
 	readSize, writeSize float64
 	readPer, writePer   []float64
+	// covers is c: only a read whose quorum contains a write quorum can
+	// skip its write-back, so only this share of a candidate's reads can
+	// earn a measured β below 1.
+	covers float64
 }
 
 // availStats are the workload-independent exact availabilities of one
@@ -130,10 +136,14 @@ func sampledStats(p epoch.Params, samples int) (pickStats, error) {
 	live := bitset.Universe(m)
 	rng := rand.New(rand.NewSource(int64(len(np.Encode(nil))*1000003 + m)))
 	var pickErr error
+	covering := 0
 	read := loadopt.MeasureSampler(m, func(r *rand.Rand) bitset.Set {
 		q, err := pk.Read(r, live)
 		if err != nil && pickErr == nil {
 			pickErr = err
+		}
+		if err == nil && pk.CoversWrite(q) {
+			covering++
 		}
 		return q
 	}, rng, samples)
@@ -152,6 +162,7 @@ func sampledStats(p epoch.Params, samples int) (pickStats, error) {
 		writeSize: write.AvgQuorumSize,
 		readPer:   read.PerElement,
 		writePer:  write.PerElement,
+		covers:    float64(covering) / float64(samples),
 	}
 	scoreMu.Lock()
 	pickMemo[key] = st
@@ -368,6 +379,19 @@ func structuralAvail(np epoch.Params, p float64) (availStats, error) {
 // FailP. Every expensive sub-result is memoized per configuration shape,
 // so steady-state re-scoring is effectively free.
 func ScoreParams(p epoch.Params, wl Workload, opt Options) (Score, error) {
+	return score(p, wl, opt, false)
+}
+
+// ScoreCurrent is ScoreParams for the configuration wl was measured on:
+// its reads pay the measured β whatever the sampled picks say. The share c
+// is sampled from cost-blind picks, but the running nodes may pick by cost
+// — a cost-aware h-T-grid reads on its line, c = 1, where the sampled
+// row-covers say 0 — and what the cluster does today needs no model.
+func ScoreCurrent(p epoch.Params, wl Workload, opt Options) (Score, error) {
+	return score(p, wl, opt, true)
+}
+
+func score(p epoch.Params, wl Workload, opt Options, measured bool) (Score, error) {
 	opt = opt.withDefaults()
 	st, err := sampledStats(p, opt.Samples)
 	if err != nil {
@@ -378,7 +402,11 @@ func ScoreParams(p epoch.Params, wl Workload, opt Options) (Score, error) {
 		return Score{}, err
 	}
 	f := wl.ReadFrac()
-	beta := wl.WritebackFrac()
+	covers := st.covers
+	if measured {
+		covers = 1
+	}
+	beta := wl.WritebackFor(covers)
 
 	readCost := st.readSize + beta*st.writeSize
 	writeCost := st.readSize + st.writeSize
@@ -398,14 +426,14 @@ func ScoreParams(p epoch.Params, wl Workload, opt Options) (Score, error) {
 	avail := f*readOpAvail + (1-f)*av.both
 
 	s := Score{
-		ReadSize:  st.readSize,
-		WriteSize: st.writeSize,
-		Cost:      cost,
-		MaxLoad:   maxLoad,
-		ReadAvail: av.read,
+		ReadSize:   st.readSize,
+		WriteSize:  st.writeSize,
+		Cost:       cost,
+		MaxLoad:    maxLoad,
+		ReadAvail:  av.read,
 		WriteAvail: av.write,
-		Avail:     avail,
-		Feasible:  avail >= opt.MinAvail,
+		Avail:      avail,
+		Feasible:   avail >= opt.MinAvail,
 	}
 	return s, nil
 }

@@ -115,7 +115,7 @@ func TestOptimizerMixSensitivity(t *testing.T) {
 
 	d := NewDriver(Policy{HoldFor: 2, MinOps: 10})
 	for i := 0; i < 5; i++ {
-		dec, err := d.Evaluate(cur, Mix(0.5, 0, 1000))
+		dec, err := d.Evaluate(cur, Mix(Workload{}, 0.5, 1000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestOptimizerMixSensitivity(t *testing.T) {
 	var dec Decision
 	var err error
 	for i := 0; i < 2; i++ {
-		dec, err = d.Evaluate(cur, Mix(0.95, 0, 1000))
+		dec, err = d.Evaluate(cur, Mix(Workload{}, 0.95, 1000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestDriverHysteresis(t *testing.T) {
 	d := NewDriver(Policy{HoldFor: 3, MinOps: 100})
 
 	// Thin window: never acts, never builds a streak.
-	dec, err := d.Evaluate(cur, Mix(0.95, 0, 10))
+	dec, err := d.Evaluate(cur, Mix(Workload{}, 0.95, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestDriverHysteresis(t *testing.T) {
 	}
 
 	for i := 1; i <= 3; i++ {
-		dec, err = d.Evaluate(cur, Mix(0.95, 0, 1000))
+		dec, err = d.Evaluate(cur, Mix(Workload{}, 0.95, 1000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestDriverHysteresis(t *testing.T) {
 		t.Fatal("no swap after HoldFor consecutive wins")
 	}
 	// The streak resets after a swap decision.
-	dec, err = d.Evaluate(cur, Mix(0.95, 0, 1000))
+	dec, err = d.Evaluate(cur, Mix(Workload{}, 0.95, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +187,10 @@ func TestDriverHysteresis(t *testing.T) {
 		t.Fatalf("streak should restart after swap: %+v", dec)
 	}
 	// An interleaved thin window also resets the streak.
-	if _, err = d.Evaluate(cur, Mix(0.95, 0, 1)); err != nil {
+	if _, err = d.Evaluate(cur, Mix(Workload{}, 0.95, 1)); err != nil {
 		t.Fatal(err)
 	}
-	dec, err = d.Evaluate(cur, Mix(0.95, 0, 1000))
+	dec, err = d.Evaluate(cur, Mix(Workload{}, 0.95, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +206,14 @@ func TestWindowSlidingAndRoundTrip(t *testing.T) {
 		w.Observe(at(i), i%2 == 0, 100*time.Microsecond, false, uint64(i%4))
 	}
 	w.ObserveBatch(at(100), 8)
-	w.ObserveWriteback(at(100), 3)
+	w.ObserveWriteback(at(100), 3, 0)
+	w.ObserveWriteback(at(100), 0, 40)
 	wl := w.Snapshot(at(100))
-	if wl.Ops() != 100 || wl.Reads != 50 {
+	if wl.Ops() != 100 || wl.Reads != 50 || wl.Spared != 40 {
 		t.Fatalf("snapshot %+v", wl)
+	}
+	if back, err := DecodeWorkload(wl.Encode(nil)); err != nil || back != wl {
+		t.Fatalf("round trip: got %+v (%v) want %+v", back, err, wl)
 	}
 	if wl.WritebackFrac() != 3.0/50 {
 		t.Fatalf("writeback frac %v", wl.WritebackFrac())
@@ -241,6 +245,86 @@ func TestWindowSlidingAndRoundTrip(t *testing.T) {
 	w.Reset()
 	if got := w.Snapshot(at(3000)); got.Ops() != 0 {
 		t.Fatalf("reset window not empty: %+v", got)
+	}
+}
+
+// TestWritebackPricedPerCandidate: a measured β below 1 was earned on
+// read picks that contain a write quorum, so only candidates whose picks
+// do may be credited with it. A majority-9 R5/W5 cluster measuring
+// β = 0.05 prices its own reads at R + 0.05·W but an h-grid 3x3
+// candidate's — row-covers never hold a full-line — at R + W; crediting
+// the h-grid with 0.05 would swap, measure β = 1 there, and swap back.
+// Where the window shows reads owing no write-back at all, nobody pays;
+// where it holds too few reads to measure β, everybody pays in full — a
+// handful of reads after a swap or a restart measures 0 or 1 by luck. The
+// running configuration is priced at what it measured whatever its sampled
+// picks say (a cost-aware h-T-grid reads on its line; the cost-blind
+// samples are row-covers).
+func TestWritebackPricedPerCandidate(t *testing.T) {
+	maj := epoch.Params{Flavor: epoch.FlavorMajority, R: 5, W: 5, Members: epoch.MemberRange(0, 9)}
+	grid := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 3, Cols: 3, Members: epoch.MemberRange(0, 9)}
+	wl := Workload{Reads: 1000, Writebacks: 50, Spared: 950}
+	if wl.WritebackFrac() != 0.05 {
+		t.Fatalf("β = %v, want 0.05", wl.WritebackFrac())
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+	for _, c := range []struct {
+		p      epoch.Params
+		wl     Workload
+		beta   float64
+		covers float64
+	}{
+		{maj, wl, 0.05, 1},
+		{grid, wl, 1, 0},
+		// A non-covering current config measures β = 1: everyone pays.
+		{maj, Workload{Reads: 1000, Writebacks: 1000}, 1, 1},
+		{grid, Workload{Reads: 1000, Writebacks: 1000}, 1, 0},
+		// Reads neither paid nor were spared: write-back is not in play.
+		{maj, Workload{Reads: 1000}, 0, 1},
+		{grid, Workload{Reads: 1000}, 0, 0},
+		// A thin window that happened to spare every read proves nothing.
+		{maj, Workload{Reads: betaMinSamples - 1, Spared: betaMinSamples - 1}, 1, 1},
+		{maj, Workload{Reads: betaMinSamples, Spared: betaMinSamples}, 0, 1},
+	} {
+		st, err := sampledStats(c.p, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.covers != c.covers {
+			t.Errorf("%v: %v of sampled read picks cover a write quorum, want %v", c.p, st.covers, c.covers)
+		}
+		sc, err := ScoreParams(c.p, c.wl, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sc.ReadSize + c.beta*sc.WriteSize; !near(sc.Cost, want) {
+			t.Errorf("%v under %+v: read cost %v, want ReadSize + %v·WriteSize = %v", c.p, c.wl, sc.Cost, c.beta, want)
+		}
+	}
+	htg := epoch.Params{Flavor: epoch.FlavorHTGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
+	modelled, err := ScoreParams(htg, wl, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running, err := ScoreCurrent(htg, wl, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !near(modelled.Cost, modelled.ReadSize+modelled.WriteSize) || !near(running.Cost, running.ReadSize+0.05*running.WriteSize) {
+		t.Errorf("h-T-grid 4x4 measuring β = 0.05: as a candidate %v (R %v, W %v), as the running config %v; want R + W and R + 0.05·W",
+			modelled.Cost, modelled.ReadSize, modelled.WriteSize, running.Cost)
+	}
+
+	// A hypothetical mix keeps the source's write-back regime, even at a
+	// measured β that rounds to no write-back paid at all.
+	if m := Mix(Workload{Reads: 100, Spared: 100}, 0.9, 1000); m.Reads != 900 || m.Writebacks != 0 || m.Spared != 900 {
+		t.Errorf("Mix of an all-spared window = %+v, want 900 reads, all spared", m)
+	}
+	if m := Mix(wl, 0.5, 1000); m.Writebacks != 25 || m.Spared != 475 {
+		t.Errorf("Mix of a β = 0.05 window = %+v, want 25 paid, 475 spared", m)
+	}
+	if m := Mix(Workload{Reads: 100}, 0.9, 1000); m.Writebacks != 0 || m.Spared != 0 {
+		t.Errorf("Mix of a window without write-back = %+v, want none paid, none spared", m)
 	}
 }
 

@@ -35,6 +35,7 @@ type bucket struct {
 	reads, writes uint64
 	errors        uint64
 	writebacks    uint64
+	spared        uint64
 	batches       uint64
 	batchedOps    uint64
 	latSumUs      uint64
@@ -45,6 +46,7 @@ func (b *bucket) add(o *bucket) {
 	b.writes += o.writes
 	b.errors += o.errors
 	b.writebacks += o.writebacks
+	b.spared += o.spared
 	b.batches += o.batches
 	b.batchedOps += o.batchedOps
 	b.latSumUs += o.latSumUs
@@ -131,13 +133,17 @@ func (w *Window) Observe(now time.Duration, read bool, latency time.Duration, fa
 	w.observeKey(keyHash)
 }
 
-// ObserveWriteback records that a read paid a write-back phase — the
-// optimizer's measured β, which prices reads at R + β·W messages.
-func (w *Window) ObserveWriteback(now time.Duration, reads int) {
+// ObserveWriteback records reads that paid a write-back phase — the
+// optimizer's measured β, which prices reads at R + β·W messages — and
+// reads that were spared it because their quorum contained a write quorum
+// and agreed. A window with neither is one where reads owe no write-back
+// at all.
+func (w *Window) ObserveWriteback(now time.Duration, paid, spared int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.rotate(now)
-	w.buckets[w.cur].writebacks += uint64(reads)
+	w.buckets[w.cur].writebacks += uint64(paid)
+	w.buckets[w.cur].spared += uint64(spared)
 }
 
 // ObserveBatch records one quorum round carrying ops coalesced client
@@ -199,6 +205,7 @@ func (w *Window) Snapshot(now time.Duration) Workload {
 		Writes:     sum.writes,
 		Errors:     sum.errors,
 		Writebacks: sum.writebacks,
+		Spared:     sum.spared,
 		Batches:    sum.batches,
 		BatchedOps: sum.batchedOps,
 		LatSumUs:   sum.latSumUs,
@@ -232,6 +239,7 @@ type Workload struct {
 	Writes     uint64
 	Errors     uint64
 	Writebacks uint64 // reads that paid a write-back phase
+	Spared     uint64 // reads spared it: a write quorum already agreed on their version
 	Batches    uint64 // quorum rounds
 	BatchedOps uint64 // client ops carried by those rounds
 	LatSumUs   uint64 // summed op latency, microseconds
@@ -260,6 +268,34 @@ func (wl Workload) ReadHeavy(minOps uint64, minFrac float64) bool {
 		return false
 	}
 	return wl.ReadFrac() >= minFrac
+}
+
+// betaMinSamples is how many reads must have met the write-back question
+// — paid one or been spared it — before a β below 1 is believed. β depends
+// on pick-cache warm-up and on which quorum a session happens to hold; a
+// handful of reads right after a swap or a restart measures 0 or 1 by
+// luck, and a tuner that trusts it swaps twice where the mix asked once.
+const betaMinSamples = 32
+
+// owesWriteback reports whether the window's reads owe a write-back
+// unless spared it. A window in which reads neither paid nor were spared
+// is a deployment running without write-back: nobody pays.
+func (wl Workload) owesWriteback() bool { return wl.Writebacks+wl.Spared > 0 }
+
+// WritebackFor returns the share of reads that would pay a write-back on
+// a configuration whose read picks contain a write quorum with
+// probability covers: the measured β was earned on covering picks only —
+// every other read always pays. Too few samples (betaMinSamples) price
+// every read at a full write-back, as a non-covering current config's
+// measured β = 1 does: conservative for everyone.
+func (wl Workload) WritebackFor(covers float64) float64 {
+	switch {
+	case !wl.owesWriteback():
+		return 0
+	case wl.Writebacks+wl.Spared < betaMinSamples:
+		return 1
+	}
+	return covers*wl.WritebackFrac() + (1 - covers)
 }
 
 // WritebackFrac returns β, the measured fraction of reads that paid a
@@ -303,7 +339,7 @@ func (wl Workload) KeySkew() float64 {
 func (wl Workload) Encode(b []byte) []byte {
 	for _, v := range [...]uint64{
 		wl.SpanUs, wl.Reads, wl.Writes, wl.Errors, wl.Writebacks,
-		wl.Batches, wl.BatchedOps, wl.LatSumUs, wl.TopKeyOps, wl.KeyOps,
+		wl.Batches, wl.BatchedOps, wl.LatSumUs, wl.TopKeyOps, wl.KeyOps, wl.Spared,
 	} {
 		b = codec.AppendUvarint(b, v)
 	}
@@ -316,17 +352,19 @@ func DecodeWorkload(data []byte) (Workload, error) {
 	var wl Workload
 	for _, f := range [...]*uint64{
 		&wl.SpanUs, &wl.Reads, &wl.Writes, &wl.Errors, &wl.Writebacks,
-		&wl.Batches, &wl.BatchedOps, &wl.LatSumUs, &wl.TopKeyOps, &wl.KeyOps,
+		&wl.Batches, &wl.BatchedOps, &wl.LatSumUs, &wl.TopKeyOps, &wl.KeyOps, &wl.Spared,
 	} {
 		*f = r.Uvarint()
 	}
 	return wl, r.Err()
 }
 
-// Mix returns a synthetic workload with the given read fraction and
-// write-back fraction — what `quorumctl tune -read-frac` scores when the
-// operator overrides the measured mix.
-func Mix(readFrac, writebackFrac float64, ops uint64) Workload {
+// Mix returns src's deployment under a hypothetical mix — ops operations,
+// readFrac of them reads, paying and being spared write-backs in src's
+// measured proportions (neither, where src's reads owe none) — what
+// `quorumctl tune -read-frac` scores when the operator overrides the
+// measured mix. The zero src is a deployment without write-back.
+func Mix(src Workload, readFrac float64, ops uint64) Workload {
 	if readFrac < 0 {
 		readFrac = 0
 	}
@@ -334,9 +372,10 @@ func Mix(readFrac, writebackFrac float64, ops uint64) Workload {
 		readFrac = 1
 	}
 	reads := uint64(readFrac * float64(ops))
-	return Workload{
-		Reads:      reads,
-		Writes:     ops - reads,
-		Writebacks: uint64(writebackFrac * float64(reads)),
+	wl := Workload{Reads: reads, Writes: ops - reads}
+	if src.owesWriteback() {
+		wl.Writebacks = uint64(src.WritebackFrac() * float64(reads))
+		wl.Spared = reads - wl.Writebacks
 	}
+	return wl
 }

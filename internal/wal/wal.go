@@ -354,6 +354,14 @@ func (l *Log) AfterSync(rec *optrace.Rec, fn func(error)) {
 	}
 }
 
+// Synced reports whether every record appended before the call is
+// already durable: no commit round is owed. A failed log is never synced.
+func (l *Log) Synced() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err == nil && l.syncedSeq >= l.appendSeq
+}
+
 // Sync is the blocking barrier: it returns nil once every record
 // appended before the call is durable.
 func (l *Log) Sync() error {

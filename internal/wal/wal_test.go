@@ -226,8 +226,14 @@ func TestAfterSyncReleasedByCoveringFsync(t *testing.T) {
 		defer mu.Unlock()
 		return len(released)
 	}
+	if !l.Synced() {
+		t.Fatal("an empty log reports a commit round owed")
+	}
 	register(0)
 	<-entered // round 1 is inside its fsync, covering record 0 only
+	if l.Synced() {
+		t.Fatal("Synced while record 0 is still inside its fsync")
+	}
 	for i := 1; i < 8; i++ {
 		register(i) // returns at once: nobody parks behind the flush
 	}
@@ -242,6 +248,9 @@ func TestAfterSyncReleasedByCoveringFsync(t *testing.T) {
 	gate <- struct{}{}
 	all.Wait()
 	waitIdle(l)
+	if !l.Synced() {
+		t.Fatal("not Synced after the round that covered every record")
+	}
 	if st := l.Stats(); st.SyncRounds != 2 || st.FileSyncs != 2 {
 		t.Fatalf("8 registrations took %+v, want 2 rounds with 2 fsyncs", st)
 	}
@@ -285,6 +294,9 @@ func TestSyncFailureIsSticky(t *testing.T) {
 	}
 	if err := l.Sync(); !errors.Is(err, boom) {
 		t.Fatalf("Sync after failure = %v, want the sticky failure", err)
+	}
+	if l.Synced() {
+		t.Fatal("a failed log reports its records durable")
 	}
 }
 

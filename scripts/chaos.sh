@@ -16,7 +16,11 @@
 # multi-key batched cell (8 keys, 4 ops per quorum round, checked for
 # per-key linearizability), two cost-aware h-T-grid cells (every node
 # picks the cheapest quorum, so reads ride write quorums and the crash
-# storm and the partition hit exactly the line all of them favour), four
+# storm and the partition hit exactly the line all of them favour; that
+# line is a write quorum, so reads that find it unanimous end after one
+# round — these two lines and majority-5/disk, whose read thresholds hold
+# a write threshold, also print the cell's summed one_round_reads and fail
+# the cell at zero), four
 # durable cells where every node runs
 # the disk WAL backend and restarts recover state by log replay, three
 # read-lease cells (holders crashed, writers crashed mid-invalidation, a

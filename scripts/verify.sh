@@ -15,6 +15,10 @@ go vet ./...
 # gone and must not grow back unnoticed. (Not `! grep`: a `!` pipeline
 # never trips `set -e`.)
 if grep -rn 'encoding/gob' --include='*.go' internal cmd *.go; then exit 1; fi
+# One-round reads and the kind-pure batch fill are selected by the quorum
+# the node picked and by nothing else: no environment switch may ship in
+# the round engine or the quorum source.
+if grep -rn 'os\.Getenv' --include='*.go' internal/rkv internal/epoch; then exit 1; fi
 go test ./...
 go test -race ./internal/analysis/...
 # The protocol and chaos layers share state with test harnesses
@@ -24,8 +28,14 @@ go test -race ./internal/analysis/...
 # transport reader goroutines via the fast path, so the rkv and transport
 # entries here are load-bearing for the multi-key engine. The epoch store
 # is read on replica fast paths while coordinators install configs, so it
-# races under real concurrency too.
-go test -race ./internal/epoch/... ./internal/dmutex/... ./internal/rkv/... ./internal/transport/... ./internal/nemesis/... ./internal/history/...
+# races under real concurrency too, and its picks and CoversWrite evaluate
+# the compiled quorum.Gate formulas (compiled once, read from every
+# coordinator) — the quorum package is on the live path with them.
+go test -race ./internal/epoch/... ./internal/quorum/... ./internal/dmutex/... ./internal/rkv/... ./internal/transport/... ./internal/nemesis/... ./internal/history/...
+# One-round reads report sub-operations from the phase-1 reply handler
+# while their round is still in flight, and the kind-pure fill compacts the
+# submit queue in place: repeat their simulator tests under the detector.
+go test -race -count=5 -run 'OneRound|KindPure|RestartedAfterEarly' ./internal/rkv/
 # The live-path engine's codec and histogram are shared by concurrent
 # transport readers/writers and per-worker recorders: race them too.
 go test -race ./internal/codec/... ./internal/histo/...
