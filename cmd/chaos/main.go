@@ -77,24 +77,24 @@ func main() {
 		Acquire:     true,
 	}
 	rkvCases := []nemesis.RKVCase{
-		{Name: "h-grid-4x4", Initial: &initGrid, Space: 16, Schedules: gridSchedules},
-		{Name: "h-T-grid-4x4", Initial: &toHTGrid, Space: 16, Schedules: gridSchedules},
+		{Name: "h-grid-4x4", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16}, Schedules: gridSchedules},
+		{Name: "h-T-grid-4x4", RKVRun: nemesis.RKVRun{Initial: &toHTGrid, Space: 16}, Schedules: gridSchedules},
 		// Pipelined cell: each node keeps up to 4 operations in flight, so
 		// the checker exercises concurrent ops from one node under faults.
-		{Name: "h-grid-4x4/w4", Initial: &initGrid, Space: 16, Window: 4, Schedules: gridSchedules},
+		{Name: "h-grid-4x4/w4", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16, Window: 4}, Schedules: gridSchedules},
 		// Multi-key batched cell: the workload spans 8 keys with 4 ops
 		// coalesced per quorum round; linearizability is checked per key.
-		{Name: "h-grid-4x4/k8b4", Initial: &initGrid, Space: 16, Window: 2, Batch: 4, Keys: 8, Schedules: gridSchedules},
+		{Name: "h-grid-4x4/k8b4", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16, Window: 2, Batch: 4, Keys: 8}, Schedules: gridSchedules},
 		// Flavor swap under crashes: h-grid → h-T-grid on fixed membership
 		// while two nodes are dark around the transition.
-		{Name: "rc/h44-hT44", Initial: &initGrid, Space: 16, WantEpoch: 3,
+		{Name: "rc/h44-hT44", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16}, WantEpoch: 3,
 			Schedules: []nemesis.Schedule{
 				nemesis.ReconfigQuiet(0, toHTGrid),
 				nemesis.ReconfigMidCrash(0, toHTGrid, []cluster.NodeID{5, 6}),
 			}},
 		// Growth under crashes: majority-9 → h-grid over all 16 nodes with
 		// an incoming member down for the transition window.
-		{Name: "rc/maj9-h44", Initial: &initMaj, Space: 16, WantEpoch: 3,
+		{Name: "rc/maj9-h44", RKVRun: nemesis.RKVRun{Initial: &initMaj, Space: 16}, WantEpoch: 3,
 			Schedules: []nemesis.Schedule{
 				nemesis.ReconfigMidCrash(0, toGrid, []cluster.NodeID{12}),
 			}},
@@ -106,29 +106,21 @@ func main() {
 		// the minority side with their favourite quorum across the cut.
 		// That line is a write quorum, so reads that find it unanimous end
 		// after one round (OneRound: the lines print how many did).
-		{Name: "hT44/cost", Initial: &toHTGrid, Space: 16, PickCost: nearTop, OneRound: true,
+		{Name: "hT44/cost", RKVRun: nemesis.RKVRun{Initial: &toHTGrid, Space: 16, PickCost: nearTop}, OneRound: true,
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16), nemesis.MinorityPartition(16)}},
 		// Durable cells: every node runs the disk backend, so a restarted
 		// node replays its WAL instead of coming back empty — the combined
 		// history must still be linearizable per key.
-		{Name: "h-grid-4x4/disk", Initial: &initGrid, Space: 16, Disk: true, Shards: 4,
+		{Name: "h-grid-4x4/disk", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16, Disk: true, Shards: 4},
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16), nemesis.Churn(16)}},
-		{Name: "majority-5/disk", Initial: &maj5, Space: 5, Disk: true, Shards: 4, OneRound: true,
+		{Name: "majority-5/disk", RKVRun: nemesis.RKVRun{Initial: &maj5, Space: 5, Disk: true, Shards: 4}, OneRound: true,
 			Schedules: []nemesis.Schedule{nemesis.RollingRestart(5)}},
 		// Reconfiguration with disk recovery: the crashed nodes rejoin the
 		// new epoch from their replayed logs.
-		{Name: "rc/h44-hT44/disk", Initial: &initGrid, Space: 16, WantEpoch: 3,
-			Disk: true, Shards: 4,
+		{Name: "rc/h44-hT44/disk", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16, Disk: true, Shards: 4}, WantEpoch: 3,
 			Schedules: []nemesis.Schedule{
 				nemesis.ReconfigMidCrash(0, toHTGrid, []cluster.NodeID{5, 6}),
 			}},
-		// Auto-tune under fire: no schedule Reconfig — node 0's workload
-		// tuner drives the swaps itself off the measured mix, which shifts
-		// from 50/50 to 95% reads mid-run while the crash storm takes the
-		// tuning node (and later a second wave) down. The margins are
-		// relaxed because the runner forces read write-back; the cell
-		// asserts per-key linearizability across however many swaps the
-		// tuner lands, not a fixed final epoch.
 		// Lease cells: holders serve reads locally under a short TTL while
 		// writers clear the invalidation barrier, with the usual
 		// per-key linearizability check over the combined history.
@@ -137,20 +129,20 @@ func main() {
 		// and 1 hold leases and sit squarely in the crash storm's first
 		// wave, so members must keep blocking conflicting writes until the
 		// dead holders' entries provably expire, then let writes flow.
-		{Name: "lease/maj9-holder", Initial: &initMaj, Space: 16,
-			Ops: 12, Keys: 8,
-			Lease:     leaseCfg,
-			LeaseOn:   []cluster.NodeID{0, 1},
+		{Name: "lease/maj9-holder", RKVRun: nemesis.RKVRun{Initial: &initMaj, Space: 16,
+			OpsPerNode: 12, Keys: 8,
+			Lease:   leaseCfg,
+			LeaseOn: []cluster.NodeID{0, 1}},
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16)}},
 		// lease/maj9-writer crashes writers mid-invalidation: the holder
 		// (node 8) goes dark first so every writer stalls in its
 		// invalidation phase against a dead leaseholder, then two writers
 		// crash inside that window. Their maybe-writes must stay safe and
 		// the survivors must unblock once the lease provably expires.
-		{Name: "lease/maj9-writer", Initial: &initMaj, Space: 16,
-			Ops: 12, Keys: 8,
+		{Name: "lease/maj9-writer", RKVRun: nemesis.RKVRun{Initial: &initMaj, Space: 16,
+			OpsPerNode: 12, Keys: 8,
 			Lease:   leaseCfg,
-			LeaseOn: []cluster.NodeID{8},
+			LeaseOn: []cluster.NodeID{8}},
 			Schedules: []nemesis.Schedule{{
 				Name: "writer-mid-inval",
 				Actions: []nemesis.Action{
@@ -162,40 +154,60 @@ func main() {
 				},
 				Horizon: 20 * time.Second,
 			}}},
-		// lease/maj9-pipe is the holder as hqbench runs it, as far as a
-		// gap-paced runner allows: node 8 runs Window 4 × Batch 4 over four
-		// times everyone's workload, so locally versioned writes and local
-		// reads share batches, and rounds, with each other. Its launch
-		// ticks multiply (every finished round arms another) into a burst
-		// around 1.4-2.1 s, and the schedule is cut to that burst: members
-		// 2 and 5 go dark under it, stalling up to four rounds stamped from
-		// the local store while the lease runs out unrenewed (every grant
-		// and renewal needs every node's ack); the holder itself crashes at
-		// 2.04 s with such rounds on the wire, and the rest of its workload
-		// re-acquires and runs leased after the restart. Only the holder
-		// pipelines: with every node four-deep the all-ack grant wave
-		// always meets an in-flight write, the lease never activates and
-		// the cell proves nothing (the grants/local_versions columns fail
-		// such a cell now).
-		{Name: "lease/maj9-pipe", Initial: &initMaj, Space: 16,
-			Ops: 12, Keys: 8,
+		// lease/maj9-pipe is the holder as hqbench runs it: node 8 pipelines
+		// Window 4 × Batch 4 over four times everyone's workload, submitted
+		// in three bursts of sixteen, so locally versioned writes and local
+		// reads share batches, and rounds, with each other. The runner
+		// spreads node 8's bursts a third of the 6.9 s fault window apart
+		// from 1.15 s, and the schedule is cut to the first: members 2 and 5
+		// go dark just before it, stalling rounds stamped from the local
+		// store while the lease runs out unrenewed (every grant and renewal
+		// needs every node's ack); the holder crashes at 1.2 s with such
+		// rounds on the wire (199 of 200 seeds; their ops fail with
+		// rkv.ErrRestarted), and its later bursts re-acquire and run leased
+		// after the restart. Only the holder pipelines: with every node
+		// four-deep the all-ack grant wave always meets an in-flight write,
+		// the lease never activates and the cell proves nothing (the
+		// grants/local_versions columns fail such a cell).
+		{Name: "lease/maj9-pipe", RKVRun: nemesis.RKVRun{Initial: &initMaj, Space: 16,
+			OpsPerNode: 12, Keys: 8,
 			Lease:        leaseCfg,
 			LeaseOn:      []cluster.NodeID{8},
-			HolderWindow: 4, HolderBatch: 4,
+			HolderWindow: 4, HolderBatch: 4},
 			Schedules: []nemesis.Schedule{{
 				Name: "holder-mid-pipe",
 				Actions: []nemesis.Action{
-					{At: 1300 * time.Millisecond, Crash: []cluster.NodeID{2, 5}},
-					{At: 1700 * time.Millisecond, Restart: []cluster.NodeID{2, 5}},
-					{At: 2040 * time.Millisecond, Crash: []cluster.NodeID{8}},
-					{At: 2400 * time.Millisecond, Restart: []cluster.NodeID{8}},
+					{At: 1100 * time.Millisecond, Crash: []cluster.NodeID{2, 5}},
+					{At: 1200 * time.Millisecond, Crash: []cluster.NodeID{8}},
+					{At: 1500 * time.Millisecond, Restart: []cluster.NodeID{2, 5}},
+					{At: 1600 * time.Millisecond, Restart: []cluster.NodeID{8}},
 					{At: 4500 * time.Millisecond, Crash: []cluster.NodeID{3}},
 					{At: 4900 * time.Millisecond, Restart: []cluster.NodeID{3}},
 				},
 				Horizon: 20 * time.Second,
 			}}},
-		{Name: "tune/maj9-shift", Initial: &initMaj, Space: 16,
-			Ops: 40, Keys: 8, ShiftReads: 0.95,
+		// hT44/sut is hqbench's system under faults: a 4×4 h-T-grid on disk
+		// with cost-aware picks (reads that find the top line unanimous end
+		// after one round) and one lease holder submitting Window 8 × Batch
+		// 8 bursts, as a gateway session does, while every other node stays
+		// sequential so the all-ack grant wave can complete. Node 6 holds:
+		// the crash storm's second wave takes it down with its leases live,
+		// and its first burst lands inside the minority partition.
+		{Name: "hT44/sut", RKVRun: nemesis.RKVRun{Initial: &toHTGrid, Space: 16,
+			OpsPerNode: 16, Keys: 8, Disk: true, Shards: 4, PickCost: nearTop,
+			Lease:        leaseCfg,
+			LeaseOn:      []cluster.NodeID{6},
+			HolderWindow: 8, HolderBatch: 8}, OneRound: true,
+			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16), nemesis.MinorityPartition(16)}},
+		// Auto-tune under fire: no schedule Reconfig — node 0's workload
+		// tuner drives the swaps itself off the measured mix, which shifts
+		// from 50/50 to 95% reads mid-run while the crash storm takes the
+		// tuning node (and later a second wave) down. The margins are
+		// relaxed because the runner forces read write-back; the cell
+		// asserts per-key linearizability across however many swaps the
+		// tuner lands, not a fixed final epoch.
+		{Name: "tune/maj9-shift", RKVRun: nemesis.RKVRun{Initial: &initMaj, Space: 16,
+			OpsPerNode: 40, Keys: 8, ShiftReads: 0.95,
 			AutoTune: &tuner.Policy{
 				Interval: 250 * time.Millisecond,
 				Span:     3 * time.Second,
@@ -203,7 +215,7 @@ func main() {
 				MinOps:   8,
 				MinGain:  1.1,
 				MinAvail: 0.8,
-			},
+			}},
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16)}},
 	}
 	mutexCases := []nemesis.MutexCase{

@@ -158,9 +158,6 @@ func main() {
 		ops = append(ops, rkv.Op{Kind: rkv.OpRead, Key: *key})
 	}
 
-	done := make(chan struct{})
-	remaining := len(ops)
-	failed := false
 	storage := ""
 	if *dataDir != "" {
 		storage = "disk"
@@ -192,30 +189,12 @@ func main() {
 		Storage:       storage,
 		DataDir:       *dataDir,
 		SnapshotEvery: *snapEvery,
-		Ops:           ops,
 		Timeout:       *attempt,
 		OpDeadline:    *opDeadline,
 		ReadWriteback: *writeback,
 		AutoTune:      tunePolicy,
 		Lease:         leaseCfg,
 		TraceSample:   *traceSample,
-		OnResult: func(r rkv.Result) {
-			label := r.Kind.String()
-			if r.Key != "" {
-				label = fmt.Sprintf("%v(%s)", r.Kind, r.Key)
-			}
-			if r.Err != nil {
-				failed = true
-				fmt.Printf("%-11s -> FAILED: %v (%d retries, t=%v)\n", label, r.Err, r.Retries, r.At)
-			} else {
-				fmt.Printf("%-11s -> %q (version %d.%d, %d retries, t=%v)\n",
-					label, r.Value, r.Version.Counter, r.Version.Writer, r.Retries, r.At)
-			}
-			remaining--
-			if remaining == 0 {
-				close(done)
-			}
-		},
 	})
 	if err != nil {
 		fatal("%v", err)
@@ -256,7 +235,33 @@ func main() {
 	}
 
 	if len(ops) > 0 {
-		tn.Kick(0, node.StartToken())
+		// The client operations run as a callback chain: each result is
+		// printed, then the next operation is submitted.
+		done := make(chan struct{})
+		failed := false
+		var submit func(i int)
+		submit = func(i int) {
+			if i == len(ops) {
+				close(done)
+				return
+			}
+			node.Submit(ops[i], func(r rkv.Result) {
+				label := r.Kind.String()
+				if r.Key != "" {
+					label = fmt.Sprintf("%v(%s)", r.Kind, r.Key)
+				}
+				if r.Err != nil {
+					failed = true
+					fmt.Printf("%-11s -> FAILED: %v (%d retries, t=%v)\n", label, r.Err, r.Retries, r.At)
+				} else {
+					fmt.Printf("%-11s -> %q (version %d.%d, %d retries, t=%v)\n",
+						label, r.Value, r.Version.Counter, r.Version.Writer, r.Retries, r.At)
+				}
+				submit(i + 1)
+			})
+		}
+		node.SetWake(func() { tn.Kick(0, node.StartToken()) })
+		submit(0)
 		select {
 		case <-done:
 			stopMetrics(metrics)

@@ -821,7 +821,7 @@ func dedupe(specs []runSpec) []runSpec {
 }
 
 // reconfigCtl coordinates a -reconfig-at swap: counts completions across
-// every client's OnResult (which run on different event loops), fires the
+// every client's callbacks (which run on different event loops), fires the
 // coordinator kick exactly once at the threshold, and records the split
 // point for pre/post throughput plus the transition error count.
 type reconfigCtl struct {
@@ -831,7 +831,7 @@ type reconfigCtl struct {
 	errs       atomic.Int64
 	preElapsed atomic.Int64 // nanoseconds from workload start to the kick
 	start      time.Time
-	kick       func() // set before the mesh starts, so OnResult sees it
+	kick       func() // set before the mesh starts, so the callbacks see it
 	once       sync.Once
 }
 
@@ -962,41 +962,57 @@ func runOnce(spec runSpec, hist *histo.Histogram) (runResult, error) {
 				Acquire: true,
 			}
 		}
-		if i < spec.Clients {
-			cs := &clientState{}
-			states[i] = cs
-			cfg.Ops = buildWorkload(spec, int64(i))
-			cfg.OnResult = func(r rkv.Result) {
-				cs.hist.RecordDuration(r.At - r.Start)
-				if r.Kind == rkv.OpRead {
-					cs.rhist.RecordDuration(r.At - r.Start)
-				} else {
-					cs.whist.RecordDuration(r.At - r.Start)
-				}
-				if r.Err != nil {
-					cs.failed++
-				} else {
-					cs.completed++
-				}
-				if rc != nil {
-					if r.Err != nil && rc.kicked.Load() {
-						rc.errs.Add(1)
-					}
-					if rc.done.Add(1) == rc.at {
-						rc.fire()
-					}
-				}
-				if remaining.Add(-1) == 0 {
-					closeOnce.Do(func() { close(done) })
-				}
-			}
-		}
 		node, err := rkv.NewNode(cluster.NodeID(i), cfg)
 		if err != nil {
 			return runResult{}, err
 		}
 		nodes[i] = node
 		handlers[i] = node
+		if i < spec.Clients {
+			cs := &clientState{}
+			states[i] = cs
+			// A closed loop: each callback records its result and submits
+			// the client's next op, so the node keeps finding full batches
+			// queued until the workload runs out.
+			ops := buildWorkload(spec, int64(i))
+			var submit func()
+			submit = func() {
+				if len(ops) == 0 {
+					return
+				}
+				op := ops[0]
+				ops = ops[1:]
+				node.Submit(op, func(r rkv.Result) {
+					cs.hist.RecordDuration(r.At - r.Start)
+					if r.Kind == rkv.OpRead {
+						cs.rhist.RecordDuration(r.At - r.Start)
+					} else {
+						cs.whist.RecordDuration(r.At - r.Start)
+					}
+					if r.Err != nil {
+						cs.failed++
+					} else {
+						cs.completed++
+					}
+					if rc != nil {
+						if r.Err != nil && rc.kicked.Load() {
+							rc.errs.Add(1)
+						}
+						if rc.done.Add(1) == rc.at {
+							rc.fire()
+						}
+					}
+					if remaining.Add(-1) == 0 {
+						closeOnce.Do(func() { close(done) })
+					}
+					submit()
+				})
+			}
+			// Two windows of full batches start queued.
+			for k := 0; k < 2*max(1, spec.Window)*max(1, spec.Batch); k++ {
+				submit()
+			}
+		}
 	}
 
 	res := runResult{
@@ -1030,7 +1046,9 @@ func runOnce(spec runSpec, hist *histo.Histogram) (runResult, error) {
 			rc.start = start
 		}
 		for i := 0; i < spec.Clients; i++ {
-			mesh.Node(i).Kick(0, nodes[i].StartToken())
+			tn, node := mesh.Node(i), nodes[i]
+			node.SetWake(func() { tn.Kick(0, node.StartToken()) })
+			tn.Kick(0, node.StartToken())
 		}
 		if err := wait(done, spec.RunTimeout); err != nil {
 			mesh.Close()
@@ -1060,7 +1078,9 @@ func runOnce(spec runSpec, hist *histo.Histogram) (runResult, error) {
 		mesh := transport.NewMemMesh(handlers)
 		start := time.Now()
 		for i := 0; i < spec.Clients; i++ {
-			mesh.Kick(i, 0, nodes[i].StartToken())
+			i, node := i, nodes[i]
+			node.SetWake(func() { mesh.Kick(i, 0, node.StartToken()) })
+			mesh.Kick(i, 0, node.StartToken())
 		}
 		if err := wait(done, spec.RunTimeout); err != nil {
 			mesh.Close()

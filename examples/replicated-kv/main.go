@@ -27,13 +27,6 @@ func main() {
 			r.At, r.Node, r.Kind, r.Value, r.Version.Counter, r.Version.Writer, r.Retries)
 	}
 
-	ops := map[hquorum.NodeID][]hquorum.RegisterOp{
-		0: {
-			{Kind: hquorum.OpWrite, Value: "config-v1"},
-			{Kind: hquorum.OpWrite, Value: "config-v2"},
-			{Kind: hquorum.OpRead},
-		},
-	}
 	var replicas []*hquorum.Replica
 	for i := 0; i < 16; i++ {
 		id := hquorum.NodeID(i)
@@ -42,26 +35,34 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		r, err := hquorum.NewReplica(id, hquorum.ReplicaConfig{
-			Epochs:   epochs,
-			Ops:      ops[id],
-			OnResult: record,
-		})
+		r, err := hquorum.NewReplica(id, hquorum.ReplicaConfig{Epochs: epochs})
 		if err != nil {
 			panic(err)
 		}
 		if err := net.AddNode(id, r); err != nil {
 			panic(err)
 		}
+		// Client operations enter through Submit; the wake schedules the
+		// replica's start token on the simulated network.
+		r.SetWake(func() { net.StartTimer(id, 0, r.StartToken()) })
 		replicas = append(replicas, r)
 	}
-	for _, r := range replicas {
-		if err := r.Start(net); err != nil {
-			panic(err)
+	// submit runs ops on r in order, each from the previous one's callback.
+	var submit func(r *hquorum.Replica, ops ...hquorum.RegisterOp)
+	submit = func(r *hquorum.Replica, ops ...hquorum.RegisterOp) {
+		if len(ops) > 0 {
+			r.Submit(ops[0], func(res hquorum.RegisterResult) {
+				record(res)
+				submit(r, ops[1:]...)
+			})
 		}
 	}
 
 	// Phase 1: two writes and a read from node 0.
+	submit(replicas[0],
+		hquorum.RegisterOp{Kind: hquorum.OpWrite, Value: "config-v1"},
+		hquorum.RegisterOp{Kind: hquorum.OpWrite, Value: "config-v2"},
+		hquorum.RegisterOp{Kind: hquorum.OpRead})
 	net.Run(30 * time.Second)
 
 	// Phase 2: crash three replicas, then read from the far corner of the
@@ -71,11 +72,7 @@ func main() {
 	net.Crash(1)
 	net.Crash(6)
 	net.Crash(11)
-	reader := replicas[15]
-	reader.Enqueue(hquorum.RegisterOp{Kind: hquorum.OpRead})
-	if err := reader.Start(net); err != nil {
-		panic(err)
-	}
+	submit(replicas[15], hquorum.RegisterOp{Kind: hquorum.OpRead})
 	net.Run(2 * time.Minute)
 
 	last := results[len(results)-1]

@@ -119,6 +119,24 @@ func TestEndToEndMutex(t *testing.T) {
 	}
 }
 
+// submitSeq submits ops on replica id in order, each from the previous
+// op's callback — Submit's sequential contract — appending the results to
+// *out. The replica's wake schedules its start token on net.
+func submitSeq(net *Network, id NodeID, r *Replica, out *[]RegisterResult, ops ...RegisterOp) {
+	r.SetWake(func() { net.StartTimer(id, 0, r.StartToken()) })
+	var next func(ops []RegisterOp)
+	next = func(ops []RegisterOp) {
+		if len(ops) == 0 {
+			return
+		}
+		r.Submit(ops[0], func(res RegisterResult) {
+			*out = append(*out, res)
+			next(ops[1:])
+		})
+	}
+	next(ops)
+}
+
 // TestEndToEndRegister exercises the replicated register through the
 // facade.
 func TestEndToEndRegister(t *testing.T) {
@@ -127,19 +145,11 @@ func TestEndToEndRegister(t *testing.T) {
 	var results []RegisterResult
 	var replicas []*Replica
 	for i := 0; i < 16; i++ {
-		var ops []RegisterOp
-		if i == 0 {
-			ops = []RegisterOp{{Kind: OpWrite, Value: "hello"}, {Kind: OpRead}}
-		}
 		epochs, err := NewEpochStore(16, grid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewReplica(NodeID(i), ReplicaConfig{
-			Epochs:   epochs,
-			Ops:      ops,
-			OnResult: func(res RegisterResult) { results = append(results, res) },
-		})
+		r, err := NewReplica(NodeID(i), ReplicaConfig{Epochs: epochs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,11 +158,7 @@ func TestEndToEndRegister(t *testing.T) {
 		}
 		replicas = append(replicas, r)
 	}
-	for _, r := range replicas {
-		if err := r.Start(net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitSeq(net, 0, replicas[0], &results, RegisterOp{Kind: OpWrite, Value: "hello"}, RegisterOp{Kind: OpRead})
 	net.Run(30 * time.Second)
 	if len(results) != 2 || results[1].Value != "hello" {
 		t.Fatalf("results %+v", results)
@@ -180,18 +186,7 @@ func TestEndToEndReconfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ops []RegisterOp
-		if i == 0 {
-			ops = []RegisterOp{
-				{Kind: OpWrite, Value: "pre"}, {Kind: OpRead},
-				{Kind: OpWrite, Value: "post"}, {Kind: OpRead},
-			}
-		}
-		r, err := NewReplica(NodeID(i), ReplicaConfig{
-			Epochs:   es,
-			Ops:      ops,
-			OnResult: func(res RegisterResult) { results = append(results, res) },
-		})
+		r, err := NewReplica(NodeID(i), ReplicaConfig{Epochs: es})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,11 +196,9 @@ func TestEndToEndReconfig(t *testing.T) {
 		stores = append(stores, es)
 		replicas = append(replicas, r)
 	}
-	for _, r := range replicas {
-		if err := r.Start(net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitSeq(net, 0, replicas[0], &results,
+		RegisterOp{Kind: OpWrite, Value: "pre"}, RegisterOp{Kind: OpRead},
+		RegisterOp{Kind: OpWrite, Value: "post"}, RegisterOp{Kind: OpRead})
 	if err := net.StartTimer(1, 5*time.Millisecond, ReconfigToken(target)); err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +207,9 @@ func TestEndToEndReconfig(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("got %d results, want 4", len(results))
 	}
-	for _, r := range results {
+	for i, r := range results {
 		if r.Err != nil {
-			t.Fatalf("op %d failed: %v", r.OpID, r.Err)
+			t.Fatalf("op %d failed: %v", i, r.Err)
 		}
 	}
 	if results[3].Value != "post" {

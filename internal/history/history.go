@@ -3,8 +3,10 @@
 // the replicated register (package rkv) and mutual exclusion for the
 // distributed lock (package dmutex).
 //
-// Recorders are driven by protocol hooks (rkv.Config.OnInvoke/OnResult,
-// dmutex.Config.OnAcquire/OnRelease) plus fault-injection callbacks from
+// Recorders are driven by the protocol's client edges — a register
+// operation is invoked when it is submitted (rkv.Node.Submit) and
+// completes from its callback; the lock reports through
+// dmutex.Config.OnAcquire/OnRelease — plus fault-injection callbacks from
 // package nemesis: a crash truncates the victim's in-flight operation, so
 // chaotic runs produce well-formed histories with pending (possibly
 // effective, possibly not) operations rather than garbage. Recorders are

@@ -15,11 +15,14 @@ import (
 func pipedLeaseCase(lc lease.Config) RKVCase {
 	initial := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 9)}
 	return RKVCase{
-		Name: "lease/piped", Initial: &initial, Space: 16,
-		Ops: 12, Keys: 8,
-		Lease:        &lc,
-		LeaseOn:      []cluster.NodeID{8},
-		HolderWindow: 4, HolderBatch: 4,
+		Name: "lease/piped",
+		RKVRun: RKVRun{
+			Initial: &initial, Space: 16,
+			OpsPerNode: 12, Keys: 8,
+			Lease:        &lc,
+			LeaseOn:      []cluster.NodeID{8},
+			HolderWindow: 4, HolderBatch: 4,
+		},
 		Schedules: []Schedule{CrashStorm(16)},
 	}
 }
@@ -58,8 +61,8 @@ func TestSweepOneRoundCellExercisesPath(t *testing.T) {
 	maj := epoch.Params{Flavor: epoch.FlavorMajority, R: 3, W: 3, Members: epoch.MemberRange(0, 5)}
 	grid := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 3, Cols: 3, Members: epoch.MemberRange(0, 9)}
 	sum, err := SweepRKV([]RKVCase{
-		{Name: "maj5", Initial: &maj, Space: 5, OneRound: true, Schedules: []Schedule{RollingRestart(5)}},
-		{Name: "h33", Initial: &grid, Space: 9, OneRound: true, Schedules: []Schedule{RollingRestart(9)}},
+		{Name: "maj5", RKVRun: RKVRun{Initial: &maj, Space: 5}, OneRound: true, Schedules: []Schedule{RollingRestart(5)}},
+		{Name: "h33", RKVRun: RKVRun{Initial: &grid, Space: 9}, OneRound: true, Schedules: []Schedule{RollingRestart(9)}},
 	}, SweepOptions{Seeds: 3})
 	if err != nil {
 		t.Fatal(err)

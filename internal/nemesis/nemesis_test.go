@@ -1,6 +1,7 @@
 package nemesis
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
 	"hquorum/internal/htgrid"
+	"hquorum/internal/lease"
+	"hquorum/internal/rkv"
 )
 
 // hgrid44 is the 16-node h-grid (row-cover reads, full-line writes) most
@@ -186,6 +189,71 @@ func TestRunRKVMultiKeyBatched(t *testing.T) {
 	}
 }
 
+// runWatched runs r and reports what the Submit-only paths did: the most
+// rounds one node had in flight when a callback fired, whether a profiler
+// window ever saw more than one op per round, the ops failed with
+// rkv.ErrRestarted, and the reads leases answered locally.
+func runWatched(t *testing.T, r RKVRun) (inflight int, batched bool, restarted int, localReads uint64) {
+	t.Helper()
+	var nodes []*rkv.Node
+	res, err := runRKV(r, rkvProbe{
+		boot: func(_ *cluster.Network, ns []*rkv.Node) { nodes = ns },
+		result: func(rr rkv.Result) {
+			n := nodes[rr.Node]
+			inflight = max(inflight, n.Inflight())
+			if wl := n.Workload(rr.At); wl.BatchedOps > wl.Batches {
+				batched = true
+			}
+			if errors.Is(rr.Err, rkv.ErrRestarted) {
+				restarted++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatalf("history not linearizable: %v", res.Err)
+	}
+	for _, n := range nodes {
+		localReads += n.LeaseStats().LocalReads
+	}
+	return inflight, batched, restarted, localReads
+}
+
+// TestSweepRunsSubmitPaths: the sweep's cells reach the paths only Submit
+// drives. The pipelined cell keeps several rounds in flight on one node,
+// the batched cell carries more than one op per round, and the crash storm
+// over the lease holders answers reads locally and fails ops in flight on
+// a crashed coordinator with ErrRestarted (some seed among the first 20
+// does each: which ops a crash catches in flight is seed luck).
+func TestSweepRunsSubmitPaths(t *testing.T) {
+	grid := RKVRun{Initial: hgrid44(), Space: 16, Seed: 1, Schedule: CrashStorm(16)}
+	w4 := grid
+	w4.Window = 4
+	if inflight, _, _, _ := runWatched(t, w4); inflight < 2 {
+		t.Errorf("h-grid-4x4/w4: at most %d round(s) in flight, want ≥ 2", inflight)
+	}
+	k8b4 := grid
+	k8b4.Window, k8b4.Batch, k8b4.Keys = 2, 4, 8
+	if _, batched, _, _ := runWatched(t, k8b4); !batched {
+		t.Error("h-grid-4x4/k8b4: no round carried more than one op")
+	}
+	maj9 := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 9)}
+	holder := RKVRun{Initial: &maj9, Space: 16, Schedule: CrashStorm(16),
+		OpsPerNode: 12, Keys: 8, LeaseOn: []cluster.NodeID{0, 1},
+		Lease: &lease.Config{Shards: 8, TTL: 400 * time.Millisecond, Check: 100 * time.Millisecond, MinReadFrac: -1, Acquire: true}}
+	var restarted int
+	var local uint64
+	for holder.Seed = 1; holder.Seed <= 20 && (restarted == 0 || local == 0); holder.Seed++ {
+		_, _, r, l := runWatched(t, holder)
+		restarted, local = restarted+r, local+l
+	}
+	if restarted == 0 || local == 0 {
+		t.Errorf("lease/maj9-holder: %d ErrRestarted failures, %d local reads in 20 seeds; want both", restarted, local)
+	}
+}
+
 // TestRunMutexCrashStorm: correlated crashes (including holders) must not
 // produce overlapping holds, and the survivors keep entering.
 func TestRunMutexCrashStorm(t *testing.T) {
@@ -210,8 +278,7 @@ func TestRunMutexCrashStorm(t *testing.T) {
 func TestSweepDeterministic(t *testing.T) {
 	cases := []RKVCase{{
 		Name:      "h-grid-4x4",
-		Initial:   hgrid44(),
-		Space:     16,
+		RKVRun:    RKVRun{Initial: hgrid44(), Space: 16},
 		Schedules: []Schedule{CrashStorm(16), LinkFlap(16)},
 	}}
 	mcases := []MutexCase{{

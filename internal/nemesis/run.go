@@ -76,16 +76,14 @@ type RKVRun struct {
 	// write-back, so almost every read pays a write-quorum round and the
 	// measured gain of asymmetric reads is smaller than on live clusters.
 	AutoTune *tuner.Policy
-	// Window is each node's rkv.Config.Window: how many of its operations
-	// may be in flight at once (default 1). With Window > 1 a node's
-	// concurrent operations are recorded under distinct virtual history
-	// clients, since the linearizability checker requires each client's
-	// operations to be sequential.
+	// Window and Batch are each node's rkv.Config.Window and Batch
+	// (default 1). A node whose Window × Batch exceeds one submits its
+	// workload in bursts of that many operations, so the window fills with
+	// full batches; the operations of a burst are concurrent, so each is
+	// recorded under its own virtual history client (the linearizability
+	// checker requires each client's operations to be sequential).
 	Window int
-	// Batch is each node's rkv.Config.Batch: how many consecutive
-	// operations share one quorum round (default 1). Batched operations
-	// are concurrent, so like Window > 1 they get virtual history clients.
-	Batch int
+	Batch  int
 	// Keys spreads the workload across this many keys (default 1: the
 	// classic single register, key ""). With Keys > 1 the history is
 	// checked for linearizability per key.
@@ -107,12 +105,11 @@ type RKVRun struct {
 	LeaseOn []cluster.NodeID
 	// HolderWindow and HolderBatch, when positive, replace Window and
 	// Batch on the lease holders only: the holder pipelines while every
-	// other node stays sequential, and runs HolderBatch× the workload —
-	// a whole batch per pacing tick where the others launch one op — so
-	// its leases live under a write rate the other cells already show
-	// them surviving. (Pipelining every node starves the lease instead:
-	// the all-ack grant wave always meets some member's in-flight write
-	// phase and is nacked, so nothing leased ever runs.)
+	// other node stays sequential, and runs HolderBatch× the workload in
+	// bursts, so its leases live under a write rate the other cells
+	// already show them surviving. (Pipelining every node starves the
+	// lease instead: the all-ack grant wave always meets some member's
+	// in-flight write phase and is nacked, so nothing leased ever runs.)
 	HolderWindow, HolderBatch int
 	// Disk backs every node with the WAL storage backend in a temporary
 	// directory: a crash-restarted node drops its memory image and
@@ -150,9 +147,10 @@ func leaseHolder(r RKVRun, id cluster.NodeID) bool {
 // RKVResult reports one chaotic register run.
 type RKVResult struct {
 	// Completed and Failed count operations that returned ok / with an
-	// error; Pending counts invocations with no return at all (crashed
-	// clients and the tail of failed ops — failed ops are "maybe" ops, so
-	// they also appear pending in the history).
+	// error — rkv.ErrRestarted included: an operation in flight when its
+	// node crashed fails at the restart. Pending counts invocations with
+	// no return in the history: failed ops are "maybe" ops, so they
+	// appear pending there, as do ops a node never answered.
 	Completed, Failed, Pending int
 	Messages, Dropped          uint64
 	// Ops is the recorded history.
@@ -175,12 +173,36 @@ type RKVResult struct {
 	Err error
 }
 
+// rkvClient is one node's side of the workload: the runner submits its
+// ops burst at a time (one at a time on a sequential node), the next
+// burst gap after the previous one's last callback.
+type rkvClient struct {
+	id    cluster.NodeID
+	node  *rkv.Node
+	ops   []rkv.Op
+	next  int // ops[:next] are submitted
+	open  int // submitted, callback not fired yet
+	burst int
+	gap   time.Duration
+}
+
+// rkvProbe lets a test watch a run from inside: boot sees the cluster
+// before it runs, result every operation's outcome.
+type rkvProbe struct {
+	boot   func(net *cluster.Network, nodes []*rkv.Node)
+	result func(rkv.Result)
+}
+
 // RunRKV drives every node through an alternating write/read workload
 // while the schedule injects faults, then checks the recorded history for
-// linearizability. Write values are globally unique ("n<node>.<index>"),
-// which keeps the checker fast; reads use write-back so crashed writers
-// cannot cause read inversions.
-func RunRKV(r RKVRun) (RKVResult, error) {
+// linearizability. Operations enter through rkv.Node.Submit, the path
+// kvd's gateway and hqbench drive, and the runner — not the node — paces
+// them across the schedule's fault window. Write values are globally
+// unique ("n<node>.<index>"), which keeps the checker fast; reads use
+// write-back so crashed writers cannot cause read inversions.
+func RunRKV(r RKVRun) (RKVResult, error) { return runRKV(r, rkvProbe{}) }
+
+func runRKV(r RKVRun, probe rkvProbe) (RKVResult, error) {
 	if r.Initial == nil || r.Space <= 0 {
 		return RKVResult{}, fmt.Errorf("nemesis: RunRKV needs an initial epoch config and its ID space")
 	}
@@ -230,17 +252,16 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 	net := cluster.New(cluster.WithSeed(r.Seed))
 	rec := history.NewRegister()
 	var res RKVResult
-	gap := window(r.Schedule) / time.Duration(r.OpsPerNode)
-	// client maps an operation to its history client. Sequential nodes
-	// record under the node ID; pipelined or batched nodes give every
-	// operation its own virtual client, because ops sharing a window or a
-	// batch round are concurrent.
+	// client maps an operation to its history client. Sequential cells
+	// record under the node ID; a cell where any node submits bursts gives
+	// every operation its own virtual client, because ops sharing a burst
+	// are concurrent.
 	stride := r.OpsPerNode * max(1, r.HolderBatch)
-	client := func(node cluster.NodeID, opID int) int {
+	client := func(node cluster.NodeID, k int) int {
 		if r.Window <= 1 && r.Batch <= 1 && r.HolderWindow <= 1 && r.HolderBatch <= 1 {
 			return int(node)
 		}
-		return int(node)*stride + opID
+		return int(node)*stride + k
 	}
 	// key spreads node i's op k across the keyspace; the rotation by node
 	// makes every key contested across nodes, not partitioned per node.
@@ -263,6 +284,7 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 	}
 	nodes := make([]*rkv.Node, univ)
 	stores := make([]*epoch.Store, univ)
+	var clients []*rkvClient
 	for i := 0; i < univ; i++ {
 		id := cluster.NodeID(i)
 		holder := r.Lease != nil && leaseHolder(r, id)
@@ -291,10 +313,9 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		stores[i] = epochs
 		cfg := rkv.Config{
 			Epochs:        epochs,
-			Ops:           ops,
 			Timeout:       r.Timeout,
 			OpDeadline:    r.OpDeadline,
-			OpGap:         gap,
+			OpGap:         -1,
 			Window:        r.Window,
 			Batch:         r.Batch,
 			Shards:        r.Shards,
@@ -322,23 +343,6 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		if i == 0 && tunePol != nil {
 			cfg.AutoTune = tunePol
 		}
-		cfg.OnInvoke = func(node cluster.NodeID, opID int, kind rkv.OpKind, key, value string, at time.Duration) {
-			k := history.KindWrite
-			if kind == rkv.OpRead {
-				k = history.KindRead
-			}
-			rec.InvokeKeyed(client(node, opID), k, key, value, at)
-		}
-		cfg.OnResult = func(rr rkv.Result) {
-			if rr.Err != nil {
-				res.Failed++
-				rec.Fail(client(rr.Node, rr.OpID), rr.At)
-				return
-			}
-			res.Completed++
-			order := rr.Version.Counter<<8 | uint64(rr.Version.Writer)&0xff
-			rec.Complete(client(rr.Node, rr.OpID), rr.Value, order, rr.At)
-		}
 		node, err := rkv.NewNode(id, cfg)
 		if err != nil {
 			return RKVResult{}, err
@@ -347,12 +351,13 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		if err := net.AddNode(id, node); err != nil {
 			return RKVResult{}, err
 		}
+		node.SetWake(func() { net.StartTimer(id, 0, node.StartToken()) })
 		if len(ops) > 0 {
-			// Stagger starts across one gap so invocations are spread evenly
-			// over the fault window rather than arriving in lockstep.
-			if err := net.StartTimer(id, gap*time.Duration(i)/time.Duration(univ), node.StartToken()); err != nil {
-				return RKVResult{}, err
-			}
+			// Pace the node's bursts evenly across the fault window, so
+			// operations are in flight when faults land.
+			c := &rkvClient{id: id, node: node, ops: ops, burst: max(1, cfg.Window) * max(1, cfg.Batch)}
+			c.gap = window(r.Schedule) / time.Duration((len(ops)+c.burst-1)/c.burst)
+			clients = append(clients, c)
 		}
 		if i == 0 && tunePol != nil {
 			// The runner starts nodes by token, not rkv.Node.Start: arm the
@@ -368,6 +373,46 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 				return RKVResult{}, err
 			}
 		}
+	}
+	// submit hands c its next burst. A history op is invoked at its Submit
+	// call — no later than its launch. Nothing is submitted into a crashed
+	// node: the runner looks again a gap later.
+	var submit func(c *rkvClient)
+	submit = func(c *rkvClient) {
+		if net.Crashed(c.id) {
+			net.Schedule(net.Now()+c.gap, func() { submit(c) })
+			return
+		}
+		for end := min(c.next+c.burst, len(c.ops)); c.next < end; c.next++ {
+			op, cl := c.ops[c.next], client(c.id, c.next)
+			kind, value := history.KindWrite, op.Value
+			if op.Kind == rkv.OpRead {
+				kind, value = history.KindRead, ""
+			}
+			rec.InvokeKeyed(cl, kind, op.Key, value, net.Now())
+			c.open++
+			c.node.Submit(op, func(rr rkv.Result) {
+				if probe.result != nil {
+					probe.result(rr)
+				}
+				if rr.Err != nil {
+					res.Failed++
+					rec.Fail(cl, rr.At)
+				} else {
+					res.Completed++
+					order := rr.Version.Counter<<8 | uint64(rr.Version.Writer)&0xff
+					rec.Complete(cl, rr.Value, order, rr.At)
+				}
+				if c.open--; c.open == 0 && c.next < len(c.ops) {
+					net.Schedule(net.Now()+c.gap, func() { submit(c) })
+				}
+			})
+		}
+	}
+	for _, c := range clients {
+		// Stagger starts across one gap so invocations are spread evenly
+		// over the fault window rather than arriving in lockstep.
+		net.Schedule(c.gap*time.Duration(c.id)/time.Duration(univ), func() { submit(c) })
 	}
 	var reconfigs []cluster.NodeID
 	if tunePol != nil {
@@ -385,13 +430,13 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 	if err := ApplyHooks(net, r.Schedule, hooks); err != nil {
 		return RKVResult{}, err
 	}
+	if probe.boot != nil {
+		probe.boot(net, nodes)
+	}
 	net.Run(r.Schedule.Horizon)
 	drain(net, func() bool {
-		for i, node := range nodes {
-			if net.Crashed(cluster.NodeID(i)) {
-				continue
-			}
-			if !node.Done() {
+		for _, c := range clients {
+			if !net.Crashed(c.id) && (c.next < len(c.ops) || !c.node.Done()) {
 				return false
 			}
 		}

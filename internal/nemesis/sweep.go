@@ -4,65 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
-	"hquorum/internal/cluster"
-	"hquorum/internal/epoch"
 	"hquorum/internal/history"
-	"hquorum/internal/lease"
 	"hquorum/internal/quorum"
-	"hquorum/internal/tuner"
 )
 
 // RKVCase names a register configuration to sweep, with the schedules to
-// run it under. Window > 1 runs the workload pipelined: each node keeps up
-// to Window client operations in flight, and the history checker sees one
-// virtual client per (node, op) slot. Batch > 1 coalesces consecutive
-// operations into shared quorum rounds (also one virtual client per op),
-// and Keys > 1 spreads the workload over a keyspace with linearizability
-// checked per key.
+// run it under. The embedded RKVRun is the template every run starts
+// from (see its fields for windows, batches, keys, disk, leases, cost-
+// aware picks and the tuner); the sweep sets Seed, Schedule and
+// StateLimit, and OpsPerNode when the template leaves it zero.
 type RKVCase struct {
+	RKVRun
 	Name      string
-	Window    int
-	Batch     int
-	Keys      int
 	Schedules []Schedule
-	// Initial and Space (both required) are the case's first configuration
-	// and node-ID space (see RKVRun); the schedules' Reconfig actions fire
-	// live configuration changes from there.
 	// WantEpoch, when non-zero, turns an unsettled reconfiguration into a
 	// sweep violation: every run must drain at exactly that epoch with no
 	// node left on a joint config.
-	Initial   *epoch.Params
-	Space     int
 	WantEpoch uint64
-	// Disk backs every node with the WAL storage backend (see RKVRun.Disk):
-	// restarts recover state by replaying the node's log instead of coming
-	// back empty. Shards passes through to each node's store shard count.
-	Disk   bool
-	Shards int
-	// Ops overrides SweepOptions.OpsPerNode for this case (0 = sweep
-	// default) — auto-tune cells need workloads long enough for the
-	// profiler window to fill.
-	Ops int
-	// ShiftReads and AutoTune run the case through the workload-aware
-	// quorum tuner (see RKVRun): a mid-workload read-mix shift with node 0
-	// reconfiguring the cluster live whenever the measured mix says a
-	// different configuration wins.
-	ShiftReads float64
-	AutoTune   *tuner.Policy
-	// Lease and LeaseOn arm the read-lease protocol on the listed
-	// holder nodes (see RKVRun): their reads serve locally while every
-	// write to a leased shard must clear the invalidation barrier —
-	// under the case's fault schedules, with the history still checked
-	// for linearizability.
-	Lease   *lease.Config
-	LeaseOn []cluster.NodeID
-	// HolderWindow and HolderBatch pipeline the lease holders only (see
-	// RKVRun).
-	HolderWindow, HolderBatch int
-	// PickCost runs every node with cost-aware quorum picks (see RKVRun).
-	PickCost []time.Duration
 	// OneRound marks a case whose read picks contain write quorums, so
 	// reads that find their quorum unanimous finish without a write-back:
 	// its lines print the summed count and fail at zero, proving the path
@@ -83,7 +42,7 @@ type MutexCase struct {
 type SweepOptions struct {
 	Seeds      int
 	SeedBase   int64
-	OpsPerNode int // register workload length per node
+	OpsPerNode int // register workload length per node, unless the case sets one
 	Count      int // lock critical sections per node
 	StateLimit int // linearizability search budget
 }
@@ -185,31 +144,12 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 			line := Line{Proto: "rkv", Case: c.Name, Schedule: sched.Name, Lease: c.Lease != nil, OneRound: c.OneRound}
 			for si := 0; si < opt.Seeds; si++ {
 				seed := opt.SeedBase + int64(si)
-				ops := opt.OpsPerNode
-				if c.Ops > 0 {
-					ops = c.Ops
+				run := c.RKVRun
+				run.Seed, run.Schedule, run.StateLimit = seed, sched, opt.StateLimit
+				if run.OpsPerNode == 0 {
+					run.OpsPerNode = opt.OpsPerNode
 				}
-				res, err := RunRKV(RKVRun{
-					Seed:       seed,
-					Schedule:   sched,
-					Initial:    c.Initial,
-					Space:      c.Space,
-					OpsPerNode: ops,
-					StateLimit: opt.StateLimit,
-					Window:     c.Window,
-					Batch:      c.Batch,
-					Keys:       c.Keys,
-					Disk:       c.Disk,
-					Shards:     c.Shards,
-					ShiftReads: c.ShiftReads,
-					AutoTune:   c.AutoTune,
-					Lease:      c.Lease,
-					LeaseOn:    c.LeaseOn,
-					PickCost:   c.PickCost,
-
-					HolderWindow: c.HolderWindow,
-					HolderBatch:  c.HolderBatch,
-				})
+				res, err := RunRKV(run)
 				if err != nil {
 					return nil, fmt.Errorf("nemesis: %s/%s seed %d: %w", c.Name, sched.Name, seed, err)
 				}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestBatchedMultiKeyReadAfterWrite: a batch of writes to distinct keys
-// followed by a batch of reads; each read observes its own key's write
+// queued ahead of a batch of reads; each read observes its own key's write
 // (batches are sequential at Window=1, so the reads start after the
 // writes' quorum round completed).
 func TestBatchedMultiKeyReadAfterWrite(t *testing.T) {
@@ -26,7 +26,8 @@ func TestBatchedMultiKeyReadAfterWrite(t *testing.T) {
 		{Kind: OpRead, Key: "c"},
 	}
 	base := Config{Batch: 3, OpGap: -1}
-	h := newHarnessCfg(t, 61, base, map[cluster.NodeID][]Op{2: ops}, nil)
+	h := newHarnessCfg(t, 61, base, nil, nil)
+	h.burst(2, ops...)
 	h.run(t, time.Minute)
 	if len(h.results) != len(ops) {
 		t.Fatalf("results %d, want %d", len(h.results), len(ops))
@@ -34,7 +35,7 @@ func TestBatchedMultiKeyReadAfterWrite(t *testing.T) {
 	want := map[string]string{"a": "va", "b": "vb", "c": "vc"}
 	for _, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("op %d (%v %q) failed: %v", r.OpID, r.Kind, r.Key, r.Err)
+			t.Fatalf("%v %q failed: %v", r.Kind, r.Key, r.Err)
 		}
 		if r.Kind == OpRead && r.Value != want[r.Key] {
 			t.Fatalf("read %q returned %q, want %q", r.Key, r.Value, want[r.Key])
@@ -64,7 +65,8 @@ func TestBatchAmortizesMessages(t *testing.T) {
 			ops[i] = Op{Kind: OpWrite, Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)}
 		}
 		base := Config{Batch: batch, OpGap: -1}
-		h := newHarnessCfg(t, 62, base, map[cluster.NodeID][]Op{0: ops}, nil)
+		h := newHarnessCfg(t, 62, base, nil, nil)
+		h.burst(0, ops...)
 		h.run(t, 2*time.Minute)
 		if len(h.results) != nOps {
 			t.Fatalf("batch=%d: results %d", batch, len(h.results))
@@ -92,24 +94,18 @@ func TestBatchWindowCompose(t *testing.T) {
 		}
 	}
 	base := Config{Window: 4, Batch: 4, OpGap: -1}
-	h := newHarnessCfg(t, 63, base, map[cluster.NodeID][]Op{5: ops}, nil)
+	h := newHarnessCfg(t, 63, base, nil, nil)
+	got := h.burst(5, ops...)
 	h.run(t, 2*time.Minute)
 	if len(h.results) != nOps {
 		t.Fatalf("results %d, want %d", len(h.results), nOps)
 	}
-	seen := make(map[int]bool)
-	for _, r := range h.results {
-		if r.Err != nil {
-			t.Fatalf("op %d failed: %v", r.OpID, r.Err)
-		}
-		if seen[r.OpID] {
-			t.Fatalf("op %d completed twice", r.OpID)
-		}
-		seen[r.OpID] = true
-	}
-	for i := 0; i < nOps; i++ {
-		if !seen[i] {
+	for i, r := range got {
+		if r == nil {
 			t.Fatalf("op %d never completed", i)
+		}
+		if r.Err != nil {
+			t.Fatalf("op %d failed: %v", i, r.Err)
 		}
 	}
 }
@@ -123,14 +119,15 @@ func TestBatchUnderCrashes(t *testing.T) {
 		ops[i] = Op{Kind: OpWrite, Key: fmt.Sprintf("k%d", i%4), Value: fmt.Sprintf("c%d", i)}
 	}
 	base := Config{Batch: 4, OpGap: -1, Timeout: 100 * time.Millisecond}
-	h := newHarnessCfg(t, 64, base, map[cluster.NodeID][]Op{0: ops}, []cluster.NodeID{2, 7})
+	h := newHarnessCfg(t, 64, base, nil, []cluster.NodeID{2, 7})
+	h.burst(0, ops...)
 	h.net.Run(2 * time.Minute)
-	if !h.nodes[0].Done() {
-		t.Fatal("batched client did not finish under crashes")
+	if !h.nodes[0].Done() || len(h.results) != nOps {
+		t.Fatalf("batched client did not finish under crashes: %d of %d results", len(h.results), nOps)
 	}
-	for _, r := range h.results {
+	for i, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("op %d failed: %v", r.OpID, r.Err)
+			t.Fatalf("op %d failed: %v", i, r.Err)
 		}
 	}
 }
@@ -148,21 +145,18 @@ func TestBatchFailureReportsEverySubOp(t *testing.T) {
 	if err := h.net.Partition(col0, rest); err != nil {
 		t.Fatal(err)
 	}
-	h.nodes[5].Enqueue(
+	h.burst(5,
 		Op{Kind: OpWrite, Key: "x", Value: "1"},
 		Op{Kind: OpWrite, Key: "y", Value: "2"},
 		Op{Kind: OpWrite, Key: "z", Value: "3"},
 	)
-	if err := h.nodes[5].Start(h.net); err != nil {
-		t.Fatal(err)
-	}
 	h.net.Run(30 * time.Second)
 	if len(h.results) != 3 {
 		t.Fatalf("results %d, want one per sub-op", len(h.results))
 	}
 	for _, r := range h.results {
 		if !errors.Is(r.Err, quorum.ErrNoQuorum) {
-			t.Fatalf("sub-op %d returned %v, want ErrNoQuorum", r.OpID, r.Err)
+			t.Fatalf("sub-op %q returned %v, want ErrNoQuorum", r.Key, r.Err)
 		}
 	}
 }

@@ -40,8 +40,6 @@ func newDiskHarness(t *testing.T, seed int64, base Config, ops map[cluster.NodeI
 		cfg.Epochs = testEpochs(t, 3, maj3(3, 3))
 		cfg.Storage = "disk"
 		cfg.DataDir = filepath.Join(root, fmt.Sprintf("n%d", i))
-		cfg.Ops = ops[id]
-		cfg.OnResult = func(r Result) { h.results = append(h.results, r) }
 		n, err := NewNode(id, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -52,19 +50,20 @@ func newDiskHarness(t *testing.T, seed int64, base Config, ops map[cluster.NodeI
 		h.nodes = append(h.nodes, n)
 		h.dirs = append(h.dirs, cfg.DataDir)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 0, ops, &h.results)
 	return h
+}
+
+// submit runs ops on node id in sequence (submitSeq).
+func (h *diskHarness) submit(id cluster.NodeID, ops ...Op) {
+	submitSeq(h.net, h.nodes[id], 0, &h.results, ops...)
 }
 
 func (h *diskHarness) run(t *testing.T, until time.Duration) {
 	t.Helper()
 	h.net.Run(until)
 	for _, n := range h.nodes {
-		if len(n.cfg.Ops) > 0 && !n.Done() {
+		if !n.Done() {
 			t.Fatalf("node %d did not finish its ops", n.id)
 		}
 	}
@@ -90,10 +89,7 @@ func TestDiskCrashRecovery(t *testing.T) {
 	}
 
 	// The restarted node still serves reads through the protocol.
-	h.nodes[2].Enqueue(Op{Kind: OpRead})
-	if err := h.nodes[2].Start(h.net); err != nil {
-		t.Fatal(err)
-	}
+	h.submit(2, Op{Kind: OpRead})
 	h.run(t, 60*time.Second)
 	last := h.results[len(h.results)-1]
 	if last.Kind != OpRead || last.Value != "v2" {
@@ -117,7 +113,10 @@ func TestDiskGroupCommitPerBatch(t *testing.T) {
 	if len(shards) < 4 {
 		t.Fatalf("test keys cover only %d map shards", len(shards))
 	}
-	h := newDiskHarness(t, 12, Config{Batch: 8, OpGap: -1}, map[cluster.NodeID][]Op{0: ops})
+	h := newDiskHarness(t, 12, Config{Batch: 8, OpGap: -1}, nil)
+	for _, op := range ops { // queued together: one batch
+		h.nodes[0].Submit(op, func(r Result) { h.results = append(h.results, r) })
+	}
 	h.run(t, 30*time.Second)
 
 	// Nodes 1 and 2 are pure replicas (no client, so no lease commits):
@@ -314,10 +313,7 @@ func TestDiskClockLeaseSurvivesRestart(t *testing.T) {
 		t.Fatalf("lease %d below clock %d after replay", h.nodes[0].walLease, postClock)
 	}
 
-	h.nodes[0].Enqueue(Op{Kind: OpWrite, Value: "after"})
-	if err := h.nodes[0].Start(h.net); err != nil {
-		t.Fatal(err)
-	}
+	h.submit(0, Op{Kind: OpWrite, Value: "after"})
 	h.run(t, 60*time.Second)
 	post := h.results[len(h.results)-1]
 	if post.Version.Counter <= preVer.Counter {

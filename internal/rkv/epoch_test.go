@@ -46,8 +46,6 @@ func newEpochHarnessCfg(t *testing.T, seed int64, space int, initial epoch.Param
 		}
 		cfg := base
 		cfg.Epochs = st
-		cfg.Ops = ops[id]
-		cfg.OnResult = func(r Result) { h.results = append(h.results, r) }
 		n, err := NewNode(id, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -58,11 +56,7 @@ func newEpochHarnessCfg(t *testing.T, seed int64, space int, initial epoch.Param
 		h.nodes = append(h.nodes, n)
 		h.stores = append(h.stores, st)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 0, ops, &h.results)
 	return h
 }
 
@@ -87,7 +81,7 @@ func TestEpochStaleRejectedThenCatchUp(t *testing.T) {
 	}
 	for _, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("op %d failed: %v", r.OpID, r.Err)
+			t.Fatalf("%v failed: %v", r.Kind, r.Err)
 		}
 	}
 	if got := h.results[len(h.results)-1].Value; got != "v1" {
@@ -113,9 +107,7 @@ func TestEpochStaleDeadlineTyped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Epochs: st, Ops: ops[id], OpDeadline: 200 * time.Millisecond,
-			OnResult: func(r Result) { h.results = append(h.results, r) }}
-		n, err := NewNode(id, cfg)
+		n, err := NewNode(id, Config{Epochs: st, OpDeadline: 200 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +117,7 @@ func TestEpochStaleDeadlineTyped(t *testing.T) {
 		h.nodes = append(h.nodes, n)
 		h.stores = append(h.stores, st)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 0, ops, &h.results)
 	// Replicas sit on a *joint* epoch-2 config whose new side lives
 	// entirely on nodes 0..8 but whose old side needs members that exist
 	// only in this 9-node net — use a joint config old=majority over a
@@ -206,7 +194,7 @@ func TestOpInFlightAcrossSwap(t *testing.T) {
 	}
 	for _, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("node %d op %d failed across swap: %v", r.Node, r.OpID, r.Err)
+			t.Fatalf("node %d %v failed across swap: %v", r.Node, r.Kind, r.Err)
 		}
 	}
 }

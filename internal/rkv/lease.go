@@ -807,7 +807,7 @@ func (n *Node) leaseServeLocal(env cluster.Env, op *opState) {
 	}
 }
 
-// leaseAdmit answers every queued external read the lease covers at
+// leaseAdmit answers every queued read the lease covers at
 // admission, ahead of the window test: a zero-message read runs no
 // round, so it must not wait for one of the Window places the writes'
 // rounds occupy. What remains keeps its order and launches as before.
@@ -832,8 +832,7 @@ func (n *Node) leaseAdmit(env cluster.Env) {
 			rec.Begin(optrace.StageQuorum)
 		}
 		served++
-		n.extSeq++
-		sub := subOp{id: n.extSeq, kind: OpRead, key: e.op.Key, cb: e.cb}
+		sub := subOp{kind: OpRead, key: e.op.Key, cb: e.cb}
 		n.leaseServeRead(env, &op, &sub)
 	}
 	clear(n.extRun[len(kept):]) // drop the served callbacks' references

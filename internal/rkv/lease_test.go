@@ -167,12 +167,7 @@ func TestLeaseLocalReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{
-			Epochs:   st,
-			Ops:      ops[id],
-			OpGap:    10 * time.Millisecond,
-			OnResult: func(r Result) { h.results = append(h.results, r) },
-		}
+		cfg := Config{Epochs: st}
 		if i == 0 {
 			cfg.Lease = leaseCfgFast()
 		}
@@ -186,11 +181,7 @@ func TestLeaseLocalReads(t *testing.T) {
 		h.nodes = append(h.nodes, n)
 		h.stores = append(h.stores, st)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 10*time.Millisecond, ops, &h.results)
 	h.net.Run(10 * time.Second)
 	if !h.nodes[0].Done() {
 		t.Fatal("workload did not finish")
@@ -232,17 +223,9 @@ func TestLeaseWriterInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{
-			Epochs:   st,
-			Ops:      ops[id],
-			OnResult: func(r Result) { h.results = append(h.results, r) },
-		}
-		switch i {
-		case 0:
-			cfg.OpGap = 10 * time.Millisecond
+		cfg := Config{Epochs: st}
+		if i == 0 {
 			cfg.Lease = leaseCfgFast()
-		case 1:
-			cfg.OpGap = 120 * time.Millisecond // spread writes across grant cycles
 		}
 		n, err := NewNode(id, cfg)
 		if err != nil {
@@ -254,11 +237,9 @@ func TestLeaseWriterInvalidation(t *testing.T) {
 		h.nodes = append(h.nodes, n)
 		h.stores = append(h.stores, st)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 10*time.Millisecond, map[cluster.NodeID][]Op{0: ops[0]}, &h.results)
+	// The writer's ops go out further apart, spread across grant cycles.
+	submitSeq(h.net, h.nodes[1], 120*time.Millisecond, &h.results, ops[1]...)
 	h.net.Run(20 * time.Second)
 	for i, n := range h.nodes {
 		if !n.Done() {
@@ -303,12 +284,7 @@ func TestLeaseEpochSwapRevokes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{
-			Epochs:   st,
-			Ops:      ops[id],
-			OpGap:    4 * time.Millisecond,
-			OnResult: func(r Result) { h.results = append(h.results, r) },
-		}
+		cfg := Config{Epochs: st}
 		if i == 0 {
 			cfg.AutoTune = &tuner.Policy{
 				Interval: 50 * time.Millisecond,
@@ -329,11 +305,7 @@ func TestLeaseEpochSwapRevokes(t *testing.T) {
 		h.nodes = append(h.nodes, n)
 		h.stores = append(h.stores, st)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 4*time.Millisecond, ops, &h.results)
 	h.net.Run(30 * time.Second)
 	for i, n := range h.nodes {
 		if !n.Done() {
@@ -342,7 +314,7 @@ func TestLeaseEpochSwapRevokes(t *testing.T) {
 	}
 	for _, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("node %d op %d failed across the swap: %v", r.Node, r.OpID, r.Err)
+			t.Fatalf("node %d %v failed across the swap: %v", r.Node, r.Kind, r.Err)
 		}
 	}
 	checkReadsFresh(t, h.results)
@@ -431,9 +403,11 @@ type simFrame struct {
 	keys     []string
 }
 
-// simOp is one submitted operation; done flips when its callback fires.
+// simOp is one submitted operation (the n-th); done flips when its
+// callback fires.
 type simOp struct {
 	Result
+	n    int
 	done bool
 }
 
@@ -524,7 +498,7 @@ func bootSim(t *testing.T, seed int64, space int, params epoch.Params, cfgFor fu
 		if err := s.net.AddNode(id, simTap{n, s}); err != nil {
 			t.Fatal(err)
 		}
-		n.SetWake(func() { s.net.StartTimer(id, 0, n.StartToken()) })
+		wakeOn(s.net, n)
 		if err := n.Start(s.net); err != nil {
 			t.Fatal(err)
 		}
@@ -546,8 +520,8 @@ func (s *leaseSim) awaitLease() {
 }
 
 func (s *leaseSim) submit(id int, op Op) *simOp {
-	p := &simOp{}
 	c := s.ops
+	p := &simOp{n: c}
 	s.ops++
 	kind, value := history.KindWrite, op.Value
 	if op.Kind == OpRead {

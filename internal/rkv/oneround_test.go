@@ -300,7 +300,7 @@ func TestBatchesKindPureWhileReadsEndEarly(t *testing.T) {
 			if p.Kind != OpRead {
 				prev = &lastWrite
 			}
-			if *prev != nil && (*prev).OpID > p.OpID {
+			if *prev != nil && (*prev).n > p.n {
 				t.Errorf("%s: %v %q reported after a later-submitted one", c.name, p.Kind, p.Key)
 			}
 			*prev = p

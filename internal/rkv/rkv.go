@@ -147,13 +147,9 @@ type Op struct {
 	Value string // for writes
 }
 
-// Result reports a completed (or failed) operation to the driver.
+// Result reports a completed (or failed) operation to its Submit callback.
 type Result struct {
-	Node cluster.NodeID
-	// OpID is the operation's index in the node's workload. With Window > 1
-	// or Batch > 1 results complete out of order; OpID identifies which
-	// invocation each result belongs to.
-	OpID    int
+	Node    cluster.NodeID
 	Kind    OpKind
 	Key     string
 	Value   string // for reads: the value returned
@@ -192,9 +188,9 @@ type Config struct {
 	// MaxTimeout caps the per-attempt backoff (default 8×Timeout).
 	MaxTimeout time.Duration
 	// OpDeadline bounds one client operation across all its retries. When
-	// it expires the operation fails with a typed Result.Err instead of
-	// retrying forever; the workload then moves on to the next operation.
-	// Zero means no deadline (retry until the cluster heals).
+	// it expires the operation's callback gets a typed Result.Err instead
+	// of the round retrying forever. Zero means no deadline (retry until
+	// the cluster heals).
 	OpDeadline time.Duration
 	// SuspectTTL ages out crash suspicions, so a crashed-then-restarted
 	// replica rejoins quorum picks without operator intervention (default
@@ -223,27 +219,19 @@ type Config struct {
 	// phases, quorums and deadline — which multiplies throughput when
 	// round-trips, not the replicas, are the bottleneck.
 	Window int
-	// Batch is the maximum number of consecutive workload operations
-	// coalesced into one quorum round (default 1). A batch shares one
-	// quorum pick and one frame per peer per phase: K keys amortize the
-	// round's fixed cost. Operations sharing a batch are concurrent in
-	// the formal sense — like pipelined windows, a linearizability
-	// checker must treat them as separate clients.
+	// Batch is the maximum number of queued operations coalesced into one
+	// quorum round (default 1). A batch shares one quorum pick and one
+	// frame per peer per phase: K keys amortize the round's fixed cost.
+	// Operations sharing a batch are concurrent in the formal sense — like
+	// pipelined windows, a linearizability checker must treat them as
+	// separate clients.
 	Batch int
-	// Ops is the node's client workload, launched in order.
-	Ops []Op
 	// OpGap is the pause between a round finishing and the next launch
-	// (default 1ms; negative means none). Chaos runs stretch it so the
-	// workload stays active across a whole fault schedule instead of
-	// finishing before the first fault lands.
+	// while submitted operations are still queued; a positive gap also
+	// launches one batch per tick instead of filling the window at once
+	// (default 1ms; negative means none). Drivers that pace their own
+	// submissions — the chaos runner, load generators — run with -1.
 	OpGap time.Duration
-	// OnInvoke observes operation starts (history recording). opID is the
-	// operation's index in Ops, matching Result.OpID. Externally submitted
-	// operations (Submit) are not reported here — their observer is the
-	// per-op callback.
-	OnInvoke func(node cluster.NodeID, opID int, kind OpKind, key, value string, at time.Duration)
-	// OnResult observes completed and failed operations.
-	OnResult func(Result)
 	// PickCost, when non-empty, is a per-member round-trip cost estimate
 	// indexed by global node ID (e.g. a measured or modeled one-way link
 	// latency ×2). With PickSamples > 1 it makes quorum picks cost-aware:
@@ -310,8 +298,8 @@ type Config struct {
 // ErrNoEpochs is NewNode's error for a Config without an epoch store.
 var ErrNoEpochs = errors.New("rkv: config needs an epoch store (Config.Epochs)")
 
-// ErrRestarted reports an externally submitted operation abandoned
-// because its coordinator node was crash-restarted mid-round.
+// ErrRestarted reports a submitted operation abandoned because its
+// coordinator node was crash-restarted mid-round.
 var ErrRestarted = errors.New("rkv: coordinator restarted")
 
 // phase of an in-flight client round.
@@ -326,18 +314,16 @@ const (
 	phaseInval
 )
 
-// subOp is one workload operation inside a batch round.
+// subOp is one submitted operation inside a batch round.
 type subOp struct {
-	id     int    // index in cfg.Ops (external ops: a per-node ext counter)
-	kind   OpKind //
+	kind   OpKind
 	key    string
 	value  string // for writes: the value to install
 	needP1 bool   // participates in the version-read phase
 	done   bool   // result already reported (plain reads finish at phase 1)
 
-	// cb, when non-nil, receives this sub-operation's Result instead of
-	// Config.OnResult (externally submitted ops, see Submit). Callbacks
-	// run on the node's event goroutine and must not block.
+	// cb receives this sub-operation's Result (see Submit). Callbacks run
+	// on the node's event goroutine and must not block.
 	cb func(Result)
 
 	bestVer Version // highest version observed (reads) or stamped (writes)
@@ -348,7 +334,7 @@ type subOp struct {
 	lowVer Version
 }
 
-// extOp is an externally submitted operation waiting to be launched.
+// extOp is a submitted operation waiting to be launched.
 type extOp struct {
 	op Op
 	cb func(Result)
@@ -430,7 +416,6 @@ type Node struct {
 	// keys inflight, so a reply or timer either finds its exact attempt or
 	// nothing — stale messages miss the map instead of needing phase
 	// checks against a single current op.
-	nextOp   int // index of the next workload op to launch
 	seq      uint64
 	inflight map[uint64]*opState
 	free     []*opState
@@ -440,7 +425,7 @@ type Node struct {
 	picks     [2]pickCache    // cached read [0] / write [1] quorum
 	cost      []time.Duration // non-nil on a cost-aware config: picks take the cheapest quorum
 	// readCovers is the last read pick's covers bit: while it is set reads
-	// can end at phase 1, and fillBatchExt keeps them out of the writes'
+	// can end at phase 1, and fillBatch keeps them out of the writes'
 	// rounds so the saved round frees its window slot.
 	readCovers bool
 	// pickHits/pickMisses count cache-served vs freshly drawn quorum
@@ -457,16 +442,15 @@ type Node struct {
 	profile *tuner.Window
 	tune    *tuner.Driver
 
-	// External submission (Submit): extQ is the producer side, appended
-	// under extMu from any goroutine; the event loop drains it into
-	// extRun (event-goroutine-only) and launches from there. extKick
-	// collapses concurrent wakes into one.
+	// Submission (Submit): extQ is the producer side, appended under
+	// extMu from any goroutine; the event loop drains it into extRun
+	// (event-goroutine-only) and launches from there. extKick collapses
+	// concurrent wakes into one.
 	extMu   sync.Mutex
 	extQ    []extOp
 	extKick bool
 	wake    func()
 	extRun  []extOp
-	extSeq  int // ids handed to external subOps (distinct id space from Ops)
 
 	// rc is the reconfiguration coordinator's state machine (see
 	// reconfig.go); zero while no reconfiguration is being driven.
@@ -587,8 +571,9 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Start schedules the node's client workload (and, for auto-tuning
-// nodes, the tune evaluation loop).
+// Start arms the node's own timers on the simulated network: the tune
+// evaluation loop on auto-tuning nodes, the lease policy tick on
+// holders. Client operations arrive through Submit.
 func (n *Node) Start(net *cluster.Network) error {
 	if n.tune != nil {
 		if err := net.StartTimer(n.id, n.cfg.AutoTune.Interval, tokenTune{}); err != nil {
@@ -596,31 +581,20 @@ func (n *Node) Start(net *cluster.Network) error {
 		}
 	}
 	if n.lh != nil {
-		if err := net.StartTimer(n.id, n.cfg.Lease.Check, tokenLeaseTick{}); err != nil {
-			return err
-		}
+		return net.StartTimer(n.id, n.cfg.Lease.Check, tokenLeaseTick{})
 	}
-	if n.nextOp >= len(n.cfg.Ops) {
-		return nil
-	}
-	return net.StartTimer(n.id, 0, tokenNextOp{})
+	return nil
 }
 
-// Done reports whether the workload completed (static ops plus any
-// already-drained external submissions; ops still queueing in Submit's
+// Done reports whether the node's client work is answered: no round in
+// flight and nothing drained left to launch (ops still in Submit's
 // producer buffer arrive with their own wake).
 func (n *Node) Done() bool {
-	return n.nextOp >= len(n.cfg.Ops) && len(n.inflight) == 0 && len(n.extRun) == 0
+	return len(n.inflight) == 0 && len(n.extRun) == 0
 }
 
 // Inflight returns the number of client rounds currently executing.
 func (n *Node) Inflight() int { return len(n.inflight) }
-
-// Enqueue appends client operations to the node's workload. If the node
-// had finished, call Start again to kick the new operations off.
-func (n *Node) Enqueue(ops ...Op) {
-	n.cfg.Ops = append(n.cfg.Ops, ops...)
-}
 
 // SetWake installs the function Submit uses to wake the node's event
 // loop (e.g. scheduling the node's StartToken on its transport). Call it
@@ -628,14 +602,15 @@ func (n *Node) Enqueue(ops ...Op) {
 // from any goroutine.
 func (n *Node) SetWake(fn func()) { n.wake = fn }
 
-// Submit hands the node one client operation from outside its event
-// loop. It is safe to call from any goroutine. The operation joins the
-// same windowed, batched op machinery as the static workload — external
-// ops coalesce with each other into batch rounds — and cb receives the
-// Result (on the event goroutine: it must not block). Ordering between
-// Submit calls from different goroutines is whatever the lock hands
-// out; a caller that needs sequential semantics must wait for cb before
-// submitting again.
+// Submit hands the node one client operation; it is the only way an
+// operation enters the node. It is safe to call from any goroutine.
+// Queued operations coalesce into the windowed, batched rounds — up to
+// Window rounds of up to Batch operations each — and cb receives the
+// Result (on the event goroutine: it must not block). Submit promises
+// no order between operations whose callbacks the caller did not await:
+// a lease answers the reads it covers at admission, and while reads end
+// early batches fill with one kind of operation. A caller that needs
+// sequential semantics waits for cb before submitting again.
 func (n *Node) Submit(op Op, cb func(Result)) {
 	n.extMu.Lock()
 	n.extQ = append(n.extQ, extOp{op: op, cb: cb})
@@ -648,10 +623,10 @@ func (n *Node) Submit(op Op, cb func(Result)) {
 	}
 }
 
-// drainExt moves externally submitted ops to the event-loop-only run
-// queue. Resetting extKick here re-arms the wake: a Submit racing with
-// this drain either lands in the batch we just took or issues a fresh
-// wake for the next one.
+// drainExt moves submitted ops to the event-loop-only run queue.
+// Resetting extKick here re-arms the wake: a Submit racing with this
+// drain either lands in the batch we just took or issues a fresh wake
+// for the next one.
 func (n *Node) drainExt() {
 	n.extMu.Lock()
 	if len(n.extQ) > 0 {
@@ -662,7 +637,7 @@ func (n *Node) drainExt() {
 	n.extMu.Unlock()
 }
 
-// extPending reports event-loop-visible external work (launch-side only;
+// extPending reports event-loop-visible queued work (launch-side only;
 // extQ is counted when its wake fires).
 func (n *Node) extPending() bool { return len(n.extRun) > 0 }
 
@@ -900,19 +875,17 @@ func (n *Node) onStaleEpoch(env cluster.Env, m msgStaleEpoch) {
 	}
 }
 
-// launchNext starts workload rounds while the window has room. With a
-// positive OpGap launches are spaced one per timer tick, keeping chaos
-// workloads stretched across their fault schedule; without a gap the
-// window fills immediately. Externally submitted ops (Submit) are
-// drained first and take priority over the static workload; those the
-// lease answers are served before the window is even consulted.
+// launchNext starts rounds from the submitted ops while the window has
+// room. With a positive OpGap launches are spaced one per timer tick;
+// without a gap the window fills immediately. Reads the lease answers
+// are served before the window is even consulted.
 func (n *Node) launchNext(env cluster.Env) {
 	n.drainExt()
 	n.leaseAdmit(env)
-	for (n.extPending() || n.nextOp < len(n.cfg.Ops)) && len(n.inflight) < n.cfg.Window {
+	for n.extPending() && len(n.inflight) < n.cfg.Window {
 		n.launchBatch(env)
 		if n.cfg.OpGap > 0 {
-			if (n.extPending() || n.nextOp < len(n.cfg.Ops)) && len(n.inflight) < n.cfg.Window {
+			if n.extPending() && len(n.inflight) < n.cfg.Window {
 				env.After(n.cfg.OpGap, tokenNextOp{})
 			}
 			return
@@ -957,19 +930,12 @@ func (n *Node) putOp(op *opState) {
 	n.free = append(n.free, op)
 }
 
-// launchBatch pulls up to Config.Batch consecutive operations into one
-// quorum round and starts its first phase. External ops (Submit) and
-// static workload ops never share a round: a batch is built entirely
-// from whichever queue is up, keeping the two reporting paths (per-op
-// callback vs OnInvoke/OnResult) from interleaving in one frame.
+// launchBatch pulls up to Config.Batch queued operations into one quorum
+// round and starts its first phase.
 func (n *Node) launchBatch(env cluster.Env) {
 	op := n.getOp()
 	op.started = env.Now()
-	if len(n.extRun) > 0 {
-		n.fillBatchExt(op)
-	} else {
-		n.fillBatchWorkload(env, op)
-	}
+	n.fillBatch(op)
 	if op.rec = n.trace.Sample(); op.rec != nil {
 		kind := optrace.KindRead
 		for i := range op.subs {
@@ -1010,15 +976,15 @@ func (n *Node) launchBatch(env cluster.Env) {
 	n.enterWritePhase(env, op)
 }
 
-// fillBatchExt builds a round from up to Config.Batch externally
-// submitted operations, in queue order. While the node's read picks cover
+// fillBatch builds a round from up to Config.Batch submitted
+// operations, in queue order. While the node's read picks cover
 // a write quorum (readCovers) a round's reads can end after phase 1, but
 // the round keeps its window slot until its writes' phase 2 is acked —
 // so the batch then takes only ops of the head's kind (reads, or writes
 // of either sort) and leaves the others queued in order: read rounds
 // retire after one round trip and free their slot. Otherwise nothing
 // ends early and purity would only shrink batches.
-func (n *Node) fillBatchExt(op *opState) {
+func (n *Node) fillBatch(op *opState) {
 	headRead := n.extRun[0].op.Kind == OpRead
 	kept := n.extRun[:0]
 	j := 0
@@ -1028,12 +994,12 @@ func (n *Node) fillBatchExt(op *opState) {
 			kept = append(kept, e)
 			continue
 		}
-		n.extSeq++
-		sub := subOp{id: n.extSeq, kind: e.op.Kind, key: e.op.Key, value: e.op.Value, cb: e.cb}
+		sub := subOp{kind: e.op.Kind, key: e.op.Key, value: e.op.Value, cb: e.cb}
 		switch e.op.Kind {
 		case OpRead, OpWrite:
 			sub.needP1 = true
 		case OpBlindWrite:
+			// Stamped at launch; rides phase 2 only.
 			sub.bestVer = Version{Counter: n.nextClock(), Writer: n.id}
 			sub.bestVal = e.op.Value
 		}
@@ -1042,36 +1008,6 @@ func (n *Node) fillBatchExt(op *opState) {
 	kept = append(kept, n.extRun[j:]...)
 	clear(n.extRun[len(kept):]) // drop the taken callbacks' references
 	n.extRun = kept
-}
-
-// fillBatchWorkload pulls up to Config.Batch consecutive static
-// workload operations.
-func (n *Node) fillBatchWorkload(env cluster.Env, op *opState) {
-	k := len(n.cfg.Ops) - n.nextOp
-	if k > n.cfg.Batch {
-		k = n.cfg.Batch
-	}
-	for j := 0; j < k; j++ {
-		spec := n.cfg.Ops[n.nextOp]
-		sub := subOp{id: n.nextOp, kind: spec.Kind, key: spec.Key, value: spec.Value}
-		n.nextOp++
-		switch spec.Kind {
-		case OpRead, OpWrite:
-			sub.needP1 = true
-		case OpBlindWrite:
-			// Stamped at launch; rides phase 2 only.
-			sub.bestVer = Version{Counter: n.nextClock(), Writer: n.id}
-			sub.bestVal = spec.Value
-		}
-		op.subs = append(op.subs, sub)
-		if n.cfg.OnInvoke != nil {
-			value := spec.Value
-			if spec.Kind == OpRead {
-				value = ""
-			}
-			n.cfg.OnInvoke(n.id, sub.id, spec.Kind, spec.Key, value, env.Now())
-		}
-	}
 }
 
 // rekey gives op a fresh attempt sequence number and files it in the op
@@ -1332,29 +1268,24 @@ func (n *Node) deadlineError(env cluster.Env, op *opState) error {
 	return quorum.ErrDegraded
 }
 
-// reportSub delivers one sub-operation's result — to the sub's own
-// callback for externally submitted ops, to Config.OnResult otherwise.
+// reportSub delivers one sub-operation's result to its callback.
 func (n *Node) reportSub(env cluster.Env, op *opState, sub *subOp, err error) {
 	sub.done = true
 	n.observeOp(env, op, sub, err)
-	if sub.cb == nil && n.cfg.OnResult == nil {
+	if sub.cb == nil {
 		return
 	}
 	res := Result{
-		Node: n.id, OpID: sub.id, Kind: sub.kind, Key: sub.key,
+		Node: n.id, Kind: sub.kind, Key: sub.key,
 		Start: op.started, At: env.Now(), Retries: op.retries, Err: err,
 	}
 	if err == nil {
 		res.Value = sub.bestVal
 		res.Version = sub.bestVer
 	}
-	if sub.cb != nil {
-		cb := sub.cb
-		sub.cb = nil
-		cb(res)
-		return
-	}
-	n.cfg.OnResult(res)
+	cb := sub.cb
+	sub.cb = nil
+	cb(res)
 }
 
 // failOp reports the round's error for every unfinished sub-operation and
@@ -1471,7 +1402,7 @@ func (n *Node) finishRound(env cluster.Env, op *opState) {
 func (n *Node) finishOp(env cluster.Env, op *opState) {
 	delete(n.inflight, op.seq)
 	n.putOp(op)
-	if n.extPending() || n.nextOp < len(n.cfg.Ops) {
+	if n.extPending() {
 		gap := n.cfg.OpGap
 		if gap < 0 {
 			gap = 0
@@ -1482,9 +1413,9 @@ func (n *Node) finishOp(env cluster.Env, op *opState) {
 
 // Restarted implements the cluster.Network restart hook: the crash killed
 // the node's volatile client state (its timers died with it), so every
-// in-flight round is abandoned — its effects are undecided, which the
-// history layer records as pending ops — and the workload resumes with
-// the next operation. On the memory backend replica state (the keyed
+// in-flight round is abandoned — its operations fail with ErrRestarted,
+// their effects undecided — and the queued operations launch from here.
+// On the memory backend replica state (the keyed
 // store) survives, modeling ideal stable storage; on the disk backend
 // the store is dropped and recovered from the WAL — exactly what a real
 // process restart gets, including the loss of any unsynced tail.
@@ -1499,11 +1430,10 @@ func (n *Node) Restarted(env cluster.Env) {
 	}
 	for seq, op := range n.inflight {
 		delete(n.inflight, seq)
-		// Externally submitted ops have a caller waiting on the callback:
-		// fail them (typed) instead of silently dropping. Workload ops
-		// stay unreported — the history layer records them as pending.
+		// Every op has a caller waiting on its callback: fail it (typed)
+		// instead of silently dropping it.
 		for i := range op.subs {
-			if sub := &op.subs[i]; !sub.done && sub.cb != nil {
+			if sub := &op.subs[i]; !sub.done {
 				n.reportSub(env, op, sub, ErrRestarted)
 			}
 		}
@@ -1526,7 +1456,7 @@ func (n *Node) Restarted(env cluster.Env) {
 	// Any wake issued before the crash died with the timer wheel: re-arm
 	// by draining here and scheduling our own kick if work remains.
 	n.drainExt()
-	if n.extPending() || n.nextOp < len(n.cfg.Ops) {
+	if n.extPending() {
 		gap := n.cfg.OpGap
 		if gap < 0 {
 			gap = 0
@@ -1535,6 +1465,6 @@ func (n *Node) Restarted(env cluster.Env) {
 	}
 }
 
-// StartToken returns the timer token that kicks off the node's client
-// workload — for transports without a cluster.Network.
+// StartToken returns the timer token that launches the node's queued
+// operations — what a SetWake function schedules on the node's loop.
 func (n *Node) StartToken() any { return tokenNextOp{} }

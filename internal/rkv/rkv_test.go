@@ -27,6 +27,7 @@ func testEpochs(t testing.TB, space int, p epoch.Params) *epoch.Store {
 
 // harness wires a 16-replica h-grid cluster; ops are assigned per node.
 type harness struct {
+	t       *testing.T
 	net     *cluster.Network
 	nodes   []*Node
 	results []Result
@@ -37,17 +38,15 @@ func newHarness(t *testing.T, seed int64, ops map[cluster.NodeID][]Op, crash []c
 	return newHarnessCfg(t, seed, Config{}, ops, crash)
 }
 
-// newHarnessCfg is newHarness with a Config template (Epochs, Ops and
-// OnResult are filled in by the harness).
+// newHarnessCfg is newHarness with a Config template (the harness fills
+// in Epochs). Every node's ops are submitted in sequence (submitSeq).
 func newHarnessCfg(t *testing.T, seed int64, base Config, ops map[cluster.NodeID][]Op, crash []cluster.NodeID) *harness {
 	t.Helper()
-	h := &harness{net: cluster.New(cluster.WithSeed(seed), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
+	h := &harness{t: t, net: cluster.New(cluster.WithSeed(seed), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
 	for i := 0; i < 16; i++ {
 		id := cluster.NodeID(i)
 		cfg := base
 		cfg.Epochs = testEpochs(t, 16, hgrid44All())
-		cfg.Ops = ops[id]
-		cfg.OnResult = func(r Result) { h.results = append(h.results, r) }
 		n, err := NewNode(id, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -57,22 +56,80 @@ func newHarnessCfg(t *testing.T, seed int64, base Config, ops map[cluster.NodeID
 		}
 		h.nodes = append(h.nodes, n)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 0, ops, &h.results)
 	for _, id := range crash {
 		h.net.Crash(id)
 	}
 	return h
 }
 
+// wakeOn wires n for Submit on the sim: the wake schedules the node's
+// start token as an immediate timer, which the sim delivers whether it is
+// issued before Run or from inside a callback.
+func wakeOn(net *cluster.Network, n *Node) {
+	n.SetWake(func() { net.StartTimer(n.id, 0, n.StartToken()) })
+}
+
+// submitSeq submits ops on n one at a time, the next one gap after the
+// previous op's callback — Submit's sequential contract, so nothing the
+// node may reorder among queued ops (lease admission, kind-pure batches)
+// can change what a test sees — and appends every result to *out.
+func submitSeq(net *cluster.Network, n *Node, gap time.Duration, out *[]Result, ops ...Op) {
+	if len(ops) == 0 {
+		return
+	}
+	n.Submit(ops[0], func(r Result) {
+		*out = append(*out, r)
+		if gap <= 0 {
+			submitSeq(net, n, gap, out, ops[1:]...)
+			return
+		}
+		net.Schedule(net.Now()+gap, func() { submitSeq(net, n, gap, out, ops[1:]...) })
+	})
+}
+
+// submitAll starts every node, wires its wake, and submits each node's
+// ops in sequence (submitSeq, gap apart), nodes in ID order.
+func submitAll(t testing.TB, net *cluster.Network, nodes []*Node, gap time.Duration, ops map[cluster.NodeID][]Op, out *[]Result) {
+	t.Helper()
+	for _, n := range nodes {
+		if err := n.Start(net); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range nodes {
+		wakeOn(net, n)
+		submitSeq(net, n, gap, out, ops[cluster.NodeID(i)]...)
+	}
+}
+
+// submit runs ops on node id in sequence (submitSeq).
+func (h *harness) submit(id cluster.NodeID, ops ...Op) {
+	submitSeq(h.net, h.nodes[id], 0, &h.results, ops...)
+}
+
+// burst submits ops on node id all at once, so the node's window and
+// batches see them queued together. Results land in h.results as their
+// callbacks fire and in the returned slots in submission order.
+func (h *harness) burst(id cluster.NodeID, ops ...Op) []*Result {
+	out := make([]*Result, len(ops))
+	for i, op := range ops {
+		h.nodes[id].Submit(op, func(r Result) {
+			if out[i] != nil {
+				h.t.Errorf("op %d answered twice", i)
+			}
+			out[i] = &r
+			h.results = append(h.results, r)
+		})
+	}
+	return out
+}
+
 func (h *harness) run(t *testing.T, until time.Duration) {
 	t.Helper()
 	h.net.Run(until)
 	for _, n := range h.nodes {
-		if len(n.cfg.Ops) > 0 && !n.Done() {
+		if !n.Done() {
 			t.Fatalf("node %d did not finish its ops", n.id)
 		}
 	}
@@ -102,11 +159,7 @@ func TestReadAfterWriteAcrossNodes(t *testing.T) {
 	h.run(t, 30*time.Second)
 
 	// Second phase: a read from node 15 on the same cluster.
-	reader := h.nodes[15]
-	reader.cfg.Ops = []Op{{Kind: OpRead}}
-	if err := reader.Start(h.net); err != nil {
-		t.Fatal(err)
-	}
+	h.submit(15, Op{Kind: OpRead})
 	h.run(t, 60*time.Second)
 	last := h.results[len(h.results)-1]
 	if last.Kind != OpRead || last.Value != "cross" {
@@ -151,10 +204,7 @@ func TestConcurrentWritersConverge(t *testing.T) {
 	h.run(t, 30*time.Second)
 
 	for _, reader := range []cluster.NodeID{0, 5, 15} {
-		h.nodes[reader].cfg.Ops = []Op{{Kind: OpRead}}
-		if err := h.nodes[reader].Start(h.net); err != nil {
-			t.Fatal(err)
-		}
+		h.submit(reader, Op{Kind: OpRead})
 	}
 	h.run(t, 60*time.Second)
 	reads := h.results[2:]
@@ -177,10 +227,7 @@ func TestBlindWriteConvergence(t *testing.T) {
 		11: {{Kind: OpBlindWrite, Value: "b2"}},
 	}, nil)
 	h.run(t, 30*time.Second)
-	h.nodes[7].cfg.Ops = []Op{{Kind: OpRead}}
-	if err := h.nodes[7].Start(h.net); err != nil {
-		t.Fatal(err)
-	}
+	h.submit(7, Op{Kind: OpRead})
 	h.run(t, 60*time.Second)
 	last := h.results[len(h.results)-1]
 	if last.Value != "b1" && last.Value != "b2" {
@@ -273,15 +320,7 @@ func TestHTGridStoreEndToEnd(t *testing.T) {
 		var results []Result
 		var replicas []*Node
 		for i := 0; i < 16; i++ {
-			var ops []Op
-			if i == 0 {
-				ops = []Op{{Kind: OpBlindWrite, Value: "fast"}, {Kind: OpRead}}
-			}
-			r, err := NewNode(cluster.NodeID(i), Config{
-				Epochs:   testEpochs(t, 16, p),
-				Ops:      ops,
-				OnResult: func(res Result) { results = append(results, res) },
-			})
+			r, err := NewNode(cluster.NodeID(i), Config{Epochs: testEpochs(t, 16, p)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,11 +329,9 @@ func TestHTGridStoreEndToEnd(t *testing.T) {
 			}
 			replicas = append(replicas, r)
 		}
-		for _, r := range replicas {
-			if err := r.Start(net); err != nil {
-				t.Fatal(err)
-			}
-		}
+		submitAll(t, net, replicas, 0, map[cluster.NodeID][]Op{
+			0: {{Kind: OpBlindWrite, Value: "fast"}, {Kind: OpRead}},
+		}, &results)
 		net.Run(30 * time.Second)
 		if len(results) != 2 {
 			t.Fatalf("results %d", len(results))
@@ -327,15 +364,7 @@ func TestMajorityStore(t *testing.T) {
 	var results []Result
 	var replicas []*Node
 	for i := 0; i < 5; i++ {
-		var ops []Op
-		if i == 2 {
-			ops = []Op{{Kind: OpWrite, Value: "maj"}, {Kind: OpRead}}
-		}
-		r, err := NewNode(cluster.NodeID(i), Config{
-			Epochs:   testEpochs(t, 5, maj5(3, 3)),
-			Ops:      ops,
-			OnResult: func(res Result) { results = append(results, res) },
-		})
+		r, err := NewNode(cluster.NodeID(i), Config{Epochs: testEpochs(t, 5, maj5(3, 3))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,11 +373,9 @@ func TestMajorityStore(t *testing.T) {
 		}
 		replicas = append(replicas, r)
 	}
-	for _, r := range replicas {
-		if err := r.Start(net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, net, replicas, 0, map[cluster.NodeID][]Op{
+		2: {{Kind: OpWrite, Value: "maj"}, {Kind: OpRead}},
+	}, &results)
 	net.Run(30 * time.Second)
 	if len(results) != 2 || results[1].Value != "maj" {
 		t.Fatalf("results %+v", results)
@@ -367,10 +394,7 @@ func TestPartitionHealing(t *testing.T) {
 	// Cut node 15 off from everyone else and ask it to read.
 	h.net.Partition([]cluster.NodeID{15})
 	reader := h.nodes[15]
-	reader.Enqueue(Op{Kind: OpRead})
-	if err := reader.Start(h.net); err != nil {
-		t.Fatal(err)
-	}
+	h.submit(15, Op{Kind: OpRead})
 	h.net.Run(35 * time.Second)
 	if reader.Done() {
 		t.Fatal("read completed across a partition")
@@ -423,11 +447,7 @@ func TestWriteNoQuorumAcrossFullLinePartition(t *testing.T) {
 	if err := h.net.Partition(col0, rest); err != nil {
 		t.Fatal(err)
 	}
-	writer := h.nodes[5]
-	writer.Enqueue(Op{Kind: OpWrite, Value: "cut"}, Op{Kind: OpRead})
-	if err := writer.Start(h.net); err != nil {
-		t.Fatal(err)
-	}
+	h.submit(5, Op{Kind: OpWrite, Value: "cut"}, Op{Kind: OpRead})
 	h.net.Run(30 * time.Second)
 
 	if len(h.results) != 2 {
@@ -446,10 +466,7 @@ func TestWriteNoQuorumAcrossFullLinePartition(t *testing.T) {
 
 	// Heal and retry: the client recovers on its own.
 	h.net.Heal()
-	writer.Enqueue(Op{Kind: OpWrite, Value: "healed"}, Op{Kind: OpRead})
-	if err := writer.Start(h.net); err != nil {
-		t.Fatal(err)
-	}
+	h.submit(5, Op{Kind: OpWrite, Value: "healed"}, Op{Kind: OpRead})
 	h.net.Run(h.net.Now() + time.Minute)
 	if len(h.results) != 4 {
 		t.Fatalf("results %d, want 4", len(h.results))
@@ -475,10 +492,7 @@ func TestDeadlineErrorDiagnosis(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		h.nodes[15].Enqueue(Op{Kind: OpRead})
-		if err := h.nodes[15].Start(h.net); err != nil {
-			t.Fatal(err)
-		}
+		h.submit(15, Op{Kind: OpRead})
 		h.net.Run(time.Minute)
 		if len(h.results) != 1 {
 			t.Fatalf("results %d, want 1", len(h.results))
@@ -582,12 +596,11 @@ func TestSuspectDecayReadmitsRestartedReplica(t *testing.T) {
 		h.net.Restart(5)
 		// Let the suspicion age well past any reasonable TTL, then write more.
 		h.net.Run(h.net.Now() + 2*time.Second)
+		var more []Op
 		for i := 0; i < 6; i++ {
-			h.nodes[1].Enqueue(Op{Kind: OpWrite, Value: fmt.Sprintf("b%d", i)})
+			more = append(more, Op{Kind: OpWrite, Value: fmt.Sprintf("b%d", i)})
 		}
-		if err := h.nodes[1].Start(h.net); err != nil {
-			t.Fatal(err)
-		}
+		h.submit(1, more...)
 		h.run(t, h.net.Now()+30*time.Second)
 		return h.nodes[1], h.nodes[5], h.results, h.net
 	}
@@ -615,8 +628,8 @@ func TestSuspectDecayReadmitsRestartedReplica(t *testing.T) {
 }
 
 // TestWindowPipelining: with Window > 1 and no op gap a node keeps several
-// operations in flight at once; all complete exactly once, identified by
-// OpID, and at least some genuinely overlapped.
+// submitted operations in flight at once; all complete exactly once, and
+// at least some genuinely overlapped.
 func TestWindowPipelining(t *testing.T) {
 	const nOps = 12
 	ops := make([]Op, nOps)
@@ -628,43 +641,36 @@ func TestWindowPipelining(t *testing.T) {
 		}
 	}
 	base := Config{Window: 4, OpGap: -1}
-	h := newHarnessCfg(t, 51, base, map[cluster.NodeID][]Op{3: ops}, nil)
+	h := newHarnessCfg(t, 51, base, nil, nil)
+	got := h.burst(3, ops...)
 	h.run(t, time.Minute)
 
 	if len(h.results) != nOps {
 		t.Fatalf("results %d, want %d", len(h.results), nOps)
 	}
-	seen := make(map[int]bool)
+	for i, r := range got {
+		if r == nil {
+			t.Fatalf("op %d never completed", i)
+		}
+	}
 	overlaps := 0
-	for _, r := range h.results {
+	for i, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("op %d failed: %v", r.OpID, r.Err)
+			t.Fatalf("op %d failed: %v", i, r.Err)
 		}
-		if seen[r.OpID] {
-			t.Fatalf("op %d completed twice", r.OpID)
-		}
-		seen[r.OpID] = true
 		// r overlapped with any other op whose window intersects r's.
-		for _, o := range h.results {
-			if o.OpID != r.OpID && o.Start < r.At && r.Start < o.At {
+		for j, o := range h.results {
+			if j != i && o.Start < r.At && r.Start < o.At {
 				overlaps++
 				break
 			}
-		}
-	}
-	for i := 0; i < nOps; i++ {
-		if !seen[i] {
-			t.Fatalf("op %d never completed", i)
 		}
 	}
 	if overlaps == 0 {
 		t.Fatal("window=4 produced no overlapping operations")
 	}
 	// Writes all landed: a final read observes the highest-version write.
-	h.nodes[9].Enqueue(Op{Kind: OpRead})
-	if err := h.nodes[9].Start(h.net); err != nil {
-		t.Fatal(err)
-	}
+	h.submit(9, Op{Kind: OpRead})
 	h.run(t, h.net.Now()+time.Minute)
 	last := h.results[len(h.results)-1]
 	if last.Value == "" {
@@ -672,22 +678,23 @@ func TestWindowPipelining(t *testing.T) {
 	}
 }
 
-// TestWindowOneStaysSequential: the default window executes the workload
-// strictly one at a time — no operation starts before its predecessor
-// finishes, and results arrive in workload order.
+// TestWindowOneStaysSequential: the default window executes queued
+// operations strictly one at a time — no operation starts before its
+// predecessor finishes, and callbacks fire in submission order.
 func TestWindowOneStaysSequential(t *testing.T) {
 	ops := make([]Op, 8)
 	for i := range ops {
 		ops[i] = Op{Kind: OpWrite, Value: fmt.Sprintf("s%d", i)}
 	}
-	h := newHarness(t, 52, map[cluster.NodeID][]Op{6: ops}, nil)
+	h := newHarness(t, 52, nil, nil)
+	h.burst(6, ops...)
 	h.run(t, time.Minute)
 	if len(h.results) != len(ops) {
 		t.Fatalf("results %d", len(h.results))
 	}
 	for i, r := range h.results {
-		if r.OpID != i {
-			t.Fatalf("result %d has OpID %d; window=1 must be in order", i, r.OpID)
+		if r.Value != ops[i].Value {
+			t.Fatalf("callback %d reported write %q; window=1 must answer in submission order", i, r.Value)
 		}
 		if i > 0 && r.Start < h.results[i-1].At {
 			t.Fatalf("op %d started before op %d completed", i, i-1)
@@ -703,7 +710,8 @@ func TestWindowPipeliningUnderCrashes(t *testing.T) {
 		ops[i] = Op{Kind: OpWrite, Value: fmt.Sprintf("c%d", i)}
 	}
 	base := Config{Window: 5, OpGap: -1, Timeout: 100 * time.Millisecond}
-	h := newHarnessCfg(t, 53, base, map[cluster.NodeID][]Op{0: ops}, []cluster.NodeID{2, 7})
+	h := newHarnessCfg(t, 53, base, nil, []cluster.NodeID{2, 7})
+	h.burst(0, ops...)
 	h.net.Run(2 * time.Minute)
 	if !h.nodes[0].Done() {
 		t.Fatal("pipelined client did not finish under crashes")
@@ -711,9 +719,9 @@ func TestWindowPipeliningUnderCrashes(t *testing.T) {
 	if len(h.results) != len(ops) {
 		t.Fatalf("results %d", len(h.results))
 	}
-	for _, r := range h.results {
+	for i, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("op %d failed: %v", r.OpID, r.Err)
+			t.Fatalf("op %d failed: %v", i, r.Err)
 		}
 	}
 }

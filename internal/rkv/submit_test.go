@@ -12,21 +12,12 @@ import (
 	"hquorum/internal/quorum"
 )
 
-// submitOn wires node id for external submission on the sim: the wake
-// schedules the node's start token as an immediate timer, which the sim
-// delivers whether it is issued before Run or from inside a callback.
-func submitOn(h *harness, id cluster.NodeID) *Node {
-	node := h.nodes[id]
-	node.SetWake(func() { h.net.StartTimer(id, 0, node.StartToken()) })
-	return node
-}
-
 // TestSubmitExternalOps drives a node purely through Submit: a write,
 // then — chained from the write's callback — a read that must observe
 // it.
 func TestSubmitExternalOps(t *testing.T) {
 	h := newHarness(t, 41, nil, nil)
-	node := submitOn(h, 0)
+	node := h.nodes[0]
 	var got []Result
 	node.Submit(Op{Kind: OpWrite, Key: "k", Value: "ext"}, func(r Result) {
 		got = append(got, r)
@@ -51,7 +42,7 @@ func TestSubmitExternalOps(t *testing.T) {
 // (message count well under one round per op).
 func TestSubmitCoalesces(t *testing.T) {
 	h := newHarnessCfg(t, 42, Config{Window: 2, Batch: 4, OpGap: -1}, nil, nil)
-	node := submitOn(h, 3)
+	node := h.nodes[3]
 	const burst = 16
 	done := 0
 	for i := 0; i < burst; i++ {
@@ -78,7 +69,7 @@ func TestSubmitCoalesces(t *testing.T) {
 // the restarted node must accept fresh submissions.
 func TestSubmitRestartedFailsTyped(t *testing.T) {
 	h := newHarnessCfg(t, 43, Config{Window: 4, OpGap: -1}, nil, nil)
-	node := submitOn(h, 0)
+	node := h.nodes[0]
 	var errs []error
 	for i := 0; i < 4; i++ {
 		node.Submit(Op{Kind: OpWrite, Key: "k", Value: "doomed"}, func(r Result) {
@@ -244,7 +235,7 @@ func TestPickCostEndToEnd(t *testing.T) {
 	}
 	for _, r := range h.results {
 		if r.Err != nil || r.Retries != 0 {
-			t.Errorf("op %d: err=%v retries=%d, want a clean in-band round", r.OpID, r.Err, r.Retries)
+			t.Errorf("%v: err=%v retries=%d, want a clean in-band round", r.Kind, r.Err, r.Retries)
 		}
 	}
 }

@@ -37,12 +37,7 @@ func TestAutoTuneSwapsUnderReadHeavyMix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{
-			Epochs:   st,
-			Ops:      ops[id],
-			OpGap:    4 * time.Millisecond,
-			OnResult: func(r Result) { h.results = append(h.results, r) },
-		}
+		cfg := Config{Epochs: st}
 		if i == 0 {
 			cfg.AutoTune = &tuner.Policy{
 				Interval: 50 * time.Millisecond,
@@ -60,11 +55,7 @@ func TestAutoTuneSwapsUnderReadHeavyMix(t *testing.T) {
 		h.nodes = append(h.nodes, n)
 		h.stores = append(h.stores, st)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 4*time.Millisecond, ops, &h.results)
 	h.net.Run(30 * time.Second)
 	for i, n := range h.nodes {
 		if !n.Done() {
@@ -73,7 +64,7 @@ func TestAutoTuneSwapsUnderReadHeavyMix(t *testing.T) {
 	}
 	for _, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("node %d op %d failed across auto-tune swap: %v", r.Node, r.OpID, r.Err)
+			t.Fatalf("node %d %v failed across auto-tune swap: %v", r.Node, r.Kind, r.Err)
 		}
 	}
 	// The swap happened: joint (epoch 2) then final (epoch 3), and the
@@ -116,8 +107,7 @@ func TestAutoTuneHoldsOnBalancedMix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Epochs: st, Ops: ops[id], OpGap: 4 * time.Millisecond,
-			OnResult: func(r Result) { h.results = append(h.results, r) }}
+		cfg := Config{Epochs: st}
 		if i == 0 {
 			cfg.AutoTune = &tuner.Policy{Interval: 50 * time.Millisecond, HoldFor: 2, MinOps: 16}
 		}
@@ -131,11 +121,7 @@ func TestAutoTuneHoldsOnBalancedMix(t *testing.T) {
 		h.nodes = append(h.nodes, n)
 		h.stores = append(h.stores, st)
 	}
-	for _, n := range h.nodes {
-		if err := n.Start(h.net); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, h.net, h.nodes, 4*time.Millisecond, ops, &h.results)
 	h.net.Run(30 * time.Second)
 	if cfg := h.stores[0].Snapshot(); cfg.Epoch != 1 {
 		t.Fatalf("balanced mix must not reconfigure: epoch %d, config %v", cfg.Epoch, cfg.Cur)

@@ -232,6 +232,26 @@ func TestMutexOverLossyTCP(t *testing.T) {
 	})
 }
 
+// submitSeq submits ops on node in order, each from the previous op's
+// callback — Submit's sequential contract — appending the results to *out
+// under mu. kick schedules a token on the node's event loop.
+func submitSeq(kick func(time.Duration, any), node *rkv.Node, mu *sync.Mutex, out *[]rkv.Result, ops ...rkv.Op) {
+	node.SetWake(func() { kick(0, node.StartToken()) })
+	var next func(ops []rkv.Op)
+	next = func(ops []rkv.Op) {
+		if len(ops) == 0 {
+			return
+		}
+		node.Submit(ops[0], func(r rkv.Result) {
+			mu.Lock()
+			*out = append(*out, r)
+			mu.Unlock()
+			next(ops[1:])
+		})
+	}
+	next(ops)
+}
+
 // TestRegisterOverTCP: replicated-register read-after-write over loopback.
 func TestRegisterOverTCP(t *testing.T) {
 
@@ -243,19 +263,7 @@ func TestRegisterOverTCP(t *testing.T) {
 	book := map[cluster.NodeID]string{}
 	for i := 0; i < 16; i++ {
 		id := cluster.NodeID(i)
-		var ops []rkv.Op
-		if i == 0 {
-			ops = []rkv.Op{{Kind: rkv.OpWrite, Value: "w1"}, {Kind: rkv.OpBlindWrite, Value: "tcp-value"}, {Kind: rkv.OpRead}}
-		}
-		rn, err := rkv.NewNode(id, rkv.Config{
-			Epochs: hgrid44(t),
-			Ops:    ops,
-			OnResult: func(r rkv.Result) {
-				mu.Lock()
-				results = append(results, r)
-				mu.Unlock()
-			},
-		})
+		rn, err := rkv.NewNode(id, rkv.Config{Epochs: hgrid44(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +280,8 @@ func TestRegisterOverTCP(t *testing.T) {
 		tn.Connect(book)
 		tn.Start()
 	}
-	nodes[0].Kick(0, replicas[0].StartToken())
+	submitSeq(nodes[0].Kick, replicas[0], &mu, &results,
+		rkv.Op{Kind: rkv.OpWrite, Value: "w1"}, rkv.Op{Kind: rkv.OpBlindWrite, Value: "tcp-value"}, rkv.Op{Kind: rkv.OpRead})
 	waitFor(t, 30*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -297,25 +306,7 @@ func TestFastPathServesReplicaMessages(t *testing.T) {
 		handlers := make([]cluster.Handler, 16)
 		var replicas []*rkv.Node
 		for i := 0; i < 16; i++ {
-			var ops []rkv.Op
-			if i == 0 {
-				ops = []rkv.Op{
-					{Kind: rkv.OpWrite, Key: "a", Value: "fast-a"},
-					{Kind: rkv.OpWrite, Key: "b", Value: "fast-b"},
-					{Kind: rkv.OpRead, Key: "a"},
-					{Kind: rkv.OpRead, Key: "b"},
-				}
-			}
-			rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{
-				Epochs: hgrid44(t),
-				Ops:    ops,
-				Batch:  2,
-				OnResult: func(r rkv.Result) {
-					mu.Lock()
-					results = append(results, r)
-					mu.Unlock()
-				},
-			})
+			rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{Epochs: hgrid44(t), Batch: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,7 +319,11 @@ func TestFastPathServesReplicaMessages(t *testing.T) {
 		}
 		defer mesh.Close()
 		mesh.Start()
-		mesh.Node(0).Kick(0, replicas[0].StartToken())
+		submitSeq(mesh.Node(0).Kick, replicas[0], &mu, &results,
+			rkv.Op{Kind: rkv.OpWrite, Key: "a", Value: "fast-a"},
+			rkv.Op{Kind: rkv.OpWrite, Key: "b", Value: "fast-b"},
+			rkv.Op{Kind: rkv.OpRead, Key: "a"},
+			rkv.Op{Kind: rkv.OpRead, Key: "b"})
 		waitFor(t, 30*time.Second, func() bool {
 			mu.Lock()
 			defer mu.Unlock()
@@ -337,7 +332,7 @@ func TestFastPathServesReplicaMessages(t *testing.T) {
 		mu.Lock()
 		for _, r := range results {
 			if r.Err != nil {
-				t.Fatalf("op %d failed: %v", r.OpID, r.Err)
+				t.Fatalf("%v %q failed: %v", r.Kind, r.Key, r.Err)
 			}
 			if r.Kind == rkv.OpRead && r.Value != "fast-"+r.Key {
 				t.Fatalf("read %q returned %q", r.Key, r.Value)
@@ -562,27 +557,11 @@ func TestReconfigOverTCP(t *testing.T) {
 	var replicas []*rkv.Node
 	handlers := make([]cluster.Handler, 17)
 	for i := 0; i < 16; i++ {
-		var ops []rkv.Op
-		if i == 0 {
-			for j := 0; j < pairs; j++ {
-				ops = append(ops,
-					rkv.Op{Kind: rkv.OpWrite, Value: fmt.Sprintf("v%03d", j)},
-					rkv.Op{Kind: rkv.OpRead})
-			}
-		}
 		es, err := epoch.NewStore(16, initial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{
-			Epochs: es,
-			Ops:    ops,
-			OnResult: func(r rkv.Result) {
-				mu.Lock()
-				results = append(results, r)
-				mu.Unlock()
-			},
-		})
+		rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{Epochs: es})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,7 +588,13 @@ func TestReconfigOverTCP(t *testing.T) {
 	}
 	defer mesh.Close()
 	mesh.Start()
-	mesh.Node(0).Kick(0, replicas[0].StartToken())
+	var ops []rkv.Op
+	for j := 0; j < pairs; j++ {
+		ops = append(ops,
+			rkv.Op{Kind: rkv.OpWrite, Value: fmt.Sprintf("v%03d", j)},
+			rkv.Op{Kind: rkv.OpRead})
+	}
+	submitSeq(mesh.Node(0).Kick, replicas[0], &mu, &results, ops...)
 	mesh.Node(16).Kick(0, client.StartToken())
 
 	waitFor(t, 30*time.Second, func() bool {
@@ -628,12 +613,12 @@ func TestReconfigOverTCP(t *testing.T) {
 	if rcEpoch != 3 {
 		t.Fatalf("reconfiguration settled at epoch %d, want 3", rcEpoch)
 	}
-	for _, r := range results {
+	for i, r := range results {
 		if r.Err != nil {
-			t.Fatalf("op %d failed across the swap: %v", r.OpID, r.Err)
+			t.Fatalf("op %d failed across the swap: %v", i, r.Err)
 		}
 	}
-	// Window 1 keeps the workload sequential, so results arrive in op
+	// The workload is submitted sequentially, so results arrive in op
 	// order: each read must return the value written just before it.
 	for i := 1; i < len(results); i += 2 {
 		if want := fmt.Sprintf("v%03d", i/2); results[i].Value != want {
@@ -660,19 +645,7 @@ func TestMemMesh(t *testing.T) {
 	var replicas []*rkv.Node
 	var handlers []cluster.Handler
 	for i := 0; i < 16; i++ {
-		var ops []rkv.Op
-		if i == 0 {
-			ops = []rkv.Op{{Kind: rkv.OpWrite, Value: "mem"}, {Kind: rkv.OpRead}}
-		}
-		rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{
-			Epochs: hgrid44(t),
-			Ops:    ops,
-			OnResult: func(r rkv.Result) {
-				mu.Lock()
-				results = append(results, r)
-				mu.Unlock()
-			},
-		})
+		rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{Epochs: hgrid44(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -681,7 +654,8 @@ func TestMemMesh(t *testing.T) {
 	}
 	mesh := NewMemMesh(handlers)
 	defer mesh.Close()
-	mesh.Kick(0, 0, replicas[0].StartToken())
+	kick := func(d time.Duration, token any) { mesh.Kick(0, d, token) }
+	submitSeq(kick, replicas[0], &mu, &results, rkv.Op{Kind: rkv.OpWrite, Value: "mem"}, rkv.Op{Kind: rkv.OpRead})
 	waitFor(t, 10*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()

@@ -1,7 +1,8 @@
 #!/bin/sh
 # chaos.sh — the chaos gate: sweep the replicated register (every cell
-# epoch-versioned — one epoch.Params, one epoch store per node, the path
-# kvd, the gateway and hqbench run — on h-grid, h-T-grid and majority
+# epoch-versioned — one epoch.Params, one epoch store per node — and every
+# cell submitting its operations through rkv.Node.Submit, the one client
+# path kvd, the gateway and hqbench run, on h-grid, h-T-grid and majority
 # configs) and the distributed lock across pinned seeds
 # under the standard nemesis schedules (crash storm, rolling restart,
 # link flap, minority partition, churn, column cut), and require
@@ -10,8 +11,12 @@
 #   2. a byte-identical summary across two back-to-back runs — the sweep
 #      is a deterministic regression artifact, not flaky noise.
 #
-# 200 seeds x 42 (case, schedule) cells = 8400 simulated runs (37 register
-# cells + 5 lock cells, one summary line each) — including
+# 200 seeds x 44 (case, schedule) cells = 8800 simulated runs (39 register
+# cells + 5 lock cells, one summary line each) — including hqbench's
+# system under crash storm and minority partition (hT44/sut: 4x4 h-T-grid
+# on disk, cost-aware picks, one lease holder submitting Window 8 x
+# Batch 8 bursts; its lines print grants, local_versions and
+# one_round_reads and fail at zero), and
 # a pipelined register cell (window=4, concurrent ops per node), a
 # multi-key batched cell (8 keys, 4 ops per quorum round, checked for
 # per-key linearizability), two cost-aware h-T-grid cells (every node

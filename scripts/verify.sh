@@ -20,6 +20,9 @@ if grep -rn 'encoding/gob' --include='*.go' internal cmd *.go; then exit 1; fi
 # the round engine or the quorum source.
 if grep -rn 'os\.Getenv' --include='*.go' internal/rkv internal/epoch; then exit 1; fi
 go test ./...
+# The facade example submits a write chain, crashes three replicas and
+# panics if the read after the crashes is stale: run it, not just build it.
+go run ./examples/replicated-kv
 go test -race ./internal/analysis/...
 # The protocol and chaos layers share state with test harnesses
 # (recorders, result slices) and the transport is genuinely concurrent:
