@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"hquorum/internal/cluster"
@@ -44,6 +45,13 @@ func main() {
 	}
 
 	gridSchedules := append(nemesis.DefaultSchedules(16), nemesis.ColumnCut(4, 4))
+	// The pipelined and batched cells also crash node 6 while its first
+	// Window × Batch burst is in flight: the grid schedules' crashes miss
+	// their coordinators' rounds (a node's two bursts never coincide with
+	// its own crash), and this one is timed from the runner's pacing.
+	midBurst := func(window, batch int) []nemesis.Schedule {
+		return append(slices.Clip(gridSchedules), nemesis.MidBurst(6, 16, *ops, window*batch))
+	}
 	// Every register cell is epoch-versioned: one epoch.Params, one
 	// epoch store per node — the path kvd, the gateway and hqbench run.
 	// The reconfiguration cells' schedules also kick a live config change
@@ -81,10 +89,10 @@ func main() {
 		{Name: "h-T-grid-4x4", RKVRun: nemesis.RKVRun{Initial: &toHTGrid, Space: 16}, Schedules: gridSchedules},
 		// Pipelined cell: each node keeps up to 4 operations in flight, so
 		// the checker exercises concurrent ops from one node under faults.
-		{Name: "h-grid-4x4/w4", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16, Window: 4}, Schedules: gridSchedules},
+		{Name: "h-grid-4x4/w4", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16, Window: 4}, Schedules: midBurst(4, 1)},
 		// Multi-key batched cell: the workload spans 8 keys with 4 ops
 		// coalesced per quorum round; linearizability is checked per key.
-		{Name: "h-grid-4x4/k8b4", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16, Window: 2, Batch: 4, Keys: 8}, Schedules: gridSchedules},
+		{Name: "h-grid-4x4/k8b4", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16, Window: 2, Batch: 4, Keys: 8}, Schedules: midBurst(2, 4)},
 		// Flavor swap under crashes: h-grid → h-T-grid on fixed membership
 		// while two nodes are dark around the transition.
 		{Name: "rc/h44-hT44", RKVRun: nemesis.RKVRun{Initial: &initGrid, Space: 16}, WantEpoch: 3,

@@ -2,10 +2,11 @@
 // testdata/fuzz/FuzzDecodeBody is committed so `go test -fuzz` starts from
 // real frames of every protocol — rkv's batch, reconfiguration, workload
 // and lease messages (tags 0x13-0x1f, 0x30-0x37) and dmutex's seven mutex
-// messages (0x20-0x26) — instead of rediscovering the wire format from
+// messages (0x27-0x2d) — instead of rediscovering the wire format from
 // zero. The frames of the retired tags (0x00, the gob envelope; 0x10-0x12,
-// rkv's single-key frames) stay committed as negative seeds: they were
-// valid input once, and must now be refused like any unknown tag.
+// rkv's single-key frames; 0x20-0x26, dmutex's epoch-stamped frames) stay
+// committed as negative seeds: they were valid input once, and must now be
+// refused like any unknown tag.
 // Go's fuzzer replays the whole corpus on plain `go test` runs too, so a
 // decoder regression on any historical frame shape fails CI immediately.
 //
@@ -46,6 +47,13 @@ var retiredSeeds = map[string]uint64{
 	"seed-tag-0x10": 0x10,
 	"seed-tag-0x11": 0x11,
 	"seed-tag-0x12": 0x12,
+	"seed-tag-0x20": 0x20,
+	"seed-tag-0x21": 0x21,
+	"seed-tag-0x22": 0x22,
+	"seed-tag-0x23": 0x23,
+	"seed-tag-0x24": 0x24,
+	"seed-tag-0x25": 0x25,
+	"seed-tag-0x26": 0x26,
 }
 
 // liveRegistry is the union of every protocol's real binary codecs — the
@@ -138,7 +146,7 @@ func TestSeedCorpusCoversAllTags(t *testing.T) {
 	for tag := uint64(0x13); tag <= 0x1f; tag++ { // rkv: batch + reconfig + workload
 		want = append(want, tag)
 	}
-	for tag := uint64(0x20); tag <= 0x26; tag++ { // dmutex
+	for tag := uint64(0x27); tag <= 0x2d; tag++ { // dmutex
 		want = append(want, tag)
 	}
 	want = append(want, 0x30) // rkv overflow block: workload reply

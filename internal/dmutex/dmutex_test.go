@@ -346,7 +346,7 @@ func TestMessageLossRecovery(t *testing.T) {
 // TestCrashedHolderDoesNotWedgeCluster: a node that crashes inside the
 // critical section never sends RELEASE, and every quorum intersects the
 // quorum it holds — without grant reclamation the whole cluster deadlocks.
-// Arbiters must reclaim the dead grantee's grant after GranteeTimeout of
+// Arbiters must reclaim the dead grantee's grant after 8×RetryTimeout of
 // probe silence so everyone else still finishes.
 func TestCrashedHolderDoesNotWedgeCluster(t *testing.T) {
 	sys := htgrid.Auto(3, 3)

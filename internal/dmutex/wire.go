@@ -8,57 +8,59 @@ import (
 // Fixed wire tags for the mutex protocol. These are wire format: once
 // released they never change or get reused. The 0x20 block belongs to
 // dmutex (rkv owns 0x10).
+//
+// Retired: 0x20-0x26 carried the same seven messages led by a
+// configuration epoch, from the lock's epoch-versioned mode. That mode is
+// gone (the lock has one quorum source, Config.System), so those tags are
+// unbound and a frame on one is refused as an unknown tag.
 const (
-	tagRequest    = 0x20
-	tagGrant      = 0x21
-	tagFailed     = 0x22
-	tagInquire    = 0x23
-	tagRelinquish = 0x24
-	tagRelease    = 0x25
-	tagBusy       = 0x26
+	tagRequest    = 0x27
+	tagGrant      = 0x28
+	tagFailed     = 0x29
+	tagInquire    = 0x2a
+	tagRelinquish = 0x2b
+	tagRelease    = 0x2c
+	tagBusy       = 0x2d
 )
 
 // RegisterBinaryWire registers the hand-written varint codecs for the
-// protocol's wire messages. Every message carries the sender's
-// configuration epoch and exactly one ReqID, so the seven registrations
-// share an encoder shape.
+// protocol's wire messages. Every message carries exactly one ReqID, so
+// the seven registrations share an encoder shape.
 func RegisterBinaryWire(reg *codec.Registry) {
-	register := func(tag uint64, sample any, wrap func(uint64, ReqID) any, fields func(any) (uint64, ReqID)) {
+	register := func(tag uint64, sample any, wrap func(ReqID) any, field func(any) ReqID) {
 		reg.Register(tag, sample,
 			func(b []byte, v any) []byte {
-				ep, r := fields(v)
-				b = codec.AppendUvarint(b, ep)
+				r := field(v)
 				b = codec.AppendUvarint(b, r.TS)
 				return codec.AppendUvarint(b, uint64(r.Origin))
 			},
 			func(data []byte) (any, error) {
 				rd := codec.NewReader(data)
-				ep := rd.Uvarint()
 				r := ReqID{TS: rd.Uvarint(), Origin: cluster.NodeID(rd.Uvarint())}
-				return wrap(ep, r), rd.Err()
+				return wrap(r), rd.Err()
 			})
 	}
 	register(tagRequest, msgRequest{},
-		func(ep uint64, r ReqID) any { return msgRequest{Epoch: ep, ID: r} },
-		func(v any) (uint64, ReqID) { m := v.(msgRequest); return m.Epoch, m.ID })
+		func(r ReqID) any { return msgRequest{ID: r} },
+		func(v any) ReqID { return v.(msgRequest).ID })
 	register(tagGrant, msgGrant{},
-		func(ep uint64, r ReqID) any { return msgGrant{Epoch: ep, ID: r} },
-		func(v any) (uint64, ReqID) { m := v.(msgGrant); return m.Epoch, m.ID })
+		func(r ReqID) any { return msgGrant{ID: r} },
+		func(v any) ReqID { return v.(msgGrant).ID })
 	register(tagFailed, msgFailed{},
-		func(ep uint64, r ReqID) any { return msgFailed{Epoch: ep, ID: r} },
-		func(v any) (uint64, ReqID) { m := v.(msgFailed); return m.Epoch, m.ID })
+		func(r ReqID) any { return msgFailed{ID: r} },
+		func(v any) ReqID { return v.(msgFailed).ID })
 	register(tagInquire, msgInquire{},
-		func(ep uint64, r ReqID) any { return msgInquire{Epoch: ep, ID: r} },
-		func(v any) (uint64, ReqID) { m := v.(msgInquire); return m.Epoch, m.ID })
+		func(r ReqID) any { return msgInquire{ID: r} },
+		func(v any) ReqID { return v.(msgInquire).ID })
 	register(tagRelinquish, msgRelinquish{},
-		func(ep uint64, r ReqID) any { return msgRelinquish{Epoch: ep, ID: r} },
-		func(v any) (uint64, ReqID) { m := v.(msgRelinquish); return m.Epoch, m.ID })
+		func(r ReqID) any { return msgRelinquish{ID: r} },
+		func(v any) ReqID { return v.(msgRelinquish).ID })
 	register(tagRelease, msgRelease{},
-		func(ep uint64, r ReqID) any { return msgRelease{Epoch: ep, ID: r} },
-		func(v any) (uint64, ReqID) { m := v.(msgRelease); return m.Epoch, m.ID })
+		func(r ReqID) any { return msgRelease{ID: r} },
+		func(v any) ReqID { return v.(msgRelease).ID })
 	register(tagBusy, msgBusy{},
-		func(ep uint64, r ReqID) any { return msgBusy{Epoch: ep, ID: r} },
-		func(v any) (uint64, ReqID) { m := v.(msgBusy); return m.Epoch, m.ID })
+		func(r ReqID) any { return msgBusy{ID: r} },
+		func(v any) ReqID { return v.(msgBusy).ID })
 }
 
 // WireSamples returns one well-formed instance of every dmutex wire
@@ -67,9 +69,8 @@ func RegisterBinaryWire(reg *codec.Registry) {
 func WireSamples() []any {
 	id := ReqID{TS: 42, Origin: 3}
 	return []any{
-		msgRequest{Epoch: 2, ID: id}, msgGrant{Epoch: 2, ID: id},
-		msgFailed{Epoch: 3, ID: id}, msgInquire{Epoch: 2, ID: id},
-		msgRelinquish{Epoch: 2, ID: id}, msgRelease{Epoch: 2, ID: id},
-		msgBusy{Epoch: 2, ID: id},
+		msgRequest{ID: id}, msgGrant{ID: id}, msgFailed{ID: id},
+		msgInquire{ID: id}, msgRelinquish{ID: id}, msgRelease{ID: id},
+		msgBusy{ID: id},
 	}
 }

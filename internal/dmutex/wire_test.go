@@ -53,6 +53,8 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 
 // TestBinaryWireTagsDisjoint: dmutex and rkv registrations coexist in one
 // registry — the tag blocks must not collide (rkv owns 0x10, dmutex 0x20).
+// The retired 0x20-0x26 stay unbound, and the tag past the live block is
+// free.
 func TestBinaryWireTagsDisjoint(t *testing.T) {
 	reg := codec.NewRegistry()
 	RegisterBinaryWire(reg)
@@ -61,9 +63,16 @@ func TestBinaryWireTagsDisjoint(t *testing.T) {
 			t.Fatalf("tag collision: %v", r)
 		}
 	}()
-	// A probe type on the boundary tags must not be already taken.
+	// Probe types on the boundary tags must not be already taken.
 	type probe struct{ X uint64 }
-	reg.Register(0x27, probe{},
+	type retired struct{ X uint64 }
+	reg.Register(0x26, retired{},
+		func(b []byte, v any) []byte { return codec.AppendUvarint(b, v.(retired).X) },
+		func(data []byte) (any, error) {
+			r := codec.NewReader(data)
+			return retired{X: r.Uvarint()}, r.Err()
+		})
+	reg.Register(0x2e, probe{},
 		func(b []byte, v any) []byte { return codec.AppendUvarint(b, v.(probe).X) },
 		func(data []byte) (any, error) {
 			r := codec.NewReader(data)

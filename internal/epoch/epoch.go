@@ -53,7 +53,7 @@ var ErrStaleEpoch = errors.New("epoch: request from a stale configuration epoch"
 type Flavor uint8
 
 // The live-path constructions (the analysis layer knows many more; these
-// are the ones the replicated store and lock can be configured with).
+// are the ones the replicated store can be configured with).
 const (
 	FlavorMajority Flavor = iota
 	FlavorHGrid
@@ -459,7 +459,6 @@ type Pickers struct {
 	members []cluster.NodeID
 	read    pickFn
 	write   pickFn
-	mutex   pickFn
 	// The families as threshold formulas over the dense index space: what
 	// a cost-aware pick chooses from (see cheapest.go) and what
 	// CoversWrite evaluates. Compiled on first use.
@@ -470,8 +469,7 @@ type Pickers struct {
 
 // NewPickers validates p against the ID space and builds its quorum
 // pickers: read/write pairs for the replicated store (every read quorum
-// intersects every write quorum) and a symmetric mutex picker (quorums
-// pairwise intersect).
+// intersects every write quorum).
 func NewPickers(space int, p Params) (*Pickers, error) {
 	if err := p.Validate(space); err != nil {
 		return nil, err
@@ -503,8 +501,7 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		wr := func(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 			return pickThreshold(rng, live, m, w)
 		}
-		// The mutex needs pairwise intersection, which 2W > n provides.
-		pk.read, pk.write, pk.mutex = dense(rd), dense(wr), dense(wr)
+		pk.read, pk.write = dense(rd), dense(wr)
 		pk.compile = func() (read, write *quorum.Gate) {
 			write = hmajGate(m, []int{w}, 0, m)
 			return quorum.Any(hmajGate(m, []int{r}, 0, m), write), write
@@ -519,7 +516,7 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		wr := func(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 			return pickHMaj(rng, live, d, wl, m)
 		}
-		pk.read, pk.write, pk.mutex = dense(rd), dense(wr), dense(wr)
+		pk.read, pk.write = dense(rd), dense(wr)
 		pk.compile = func() (read, write *quorum.Gate) {
 			write = hmajGate(d, wl, 0, m)
 			return quorum.Any(hmajGate(d, rl, 0, m), write), write
@@ -528,7 +525,6 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		h := hgrid.Auto(p.Rows, p.Cols)
 		pk.read = dense(h.PickRowCover)
 		pk.write = dense(h.PickFullLine)
-		pk.mutex = dense(hgrid.NewRW(h).Pick)
 		// Two full-lines of different child rows are disjoint: here only
 		// row-covers may serve a read.
 		pk.compile = func() (read, write *quorum.Gate) { return h.RowCoverGate(), h.FullLineGate() }
@@ -537,14 +533,13 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		sys := htgrid.New(h)
 		pk.read = dense(h.PickRowCover)
 		pk.write = dense(sys.Pick)
-		pk.mutex = dense(sys.Pick)
 		pk.compile = func() (read, write *quorum.Gate) {
 			write = sys.Gate()
 			return quorum.Any(h.RowCoverGate(), write), write
 		}
 	case FlavorHTriang:
 		sys := htriang.New(p.Rows)
-		pk.read, pk.write, pk.mutex = dense(sys.Pick), dense(sys.Pick), dense(sys.Pick)
+		pk.read, pk.write = dense(sys.Pick), dense(sys.Pick)
 		pk.compile = func() (read, write *quorum.Gate) {
 			g := sys.Gate()
 			return g, g
@@ -579,11 +574,6 @@ func (p *Pickers) Read(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 // Write draws a write quorum.
 func (p *Pickers) Write(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	return p.write(rng, live)
-}
-
-// Mutex draws a symmetric (pairwise-intersecting) quorum for the lock.
-func (p *Pickers) Mutex(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return p.mutex(rng, live)
 }
 
 // pickThreshold draws k random live members of an n-node dense space —

@@ -157,7 +157,6 @@ func (s *Store) Serve(e uint64, fn func()) Verdict {
 const (
 	pickRead = iota
 	pickWrite
-	pickMutex
 )
 
 // pickUnion draws a quorum under the current config — at random, or with
@@ -181,12 +180,10 @@ func (s *Store) pickUnion(rng *rand.Rand, live bitset.Set, kind int, cost []time
 	return q, nil
 }
 
-// pick draws one quorum of the given kind: the mutex's at random, a read
-// or write quorum at random or, with a non-nil cost, the cheapest.
+// pick draws one read or write quorum at random or, with a non-nil cost,
+// the cheapest.
 func (p *Pickers) pick(rng *rand.Rand, live bitset.Set, kind int, cost []time.Duration) (bitset.Set, error) {
 	switch {
-	case kind == pickMutex:
-		return p.mutex(rng, live)
 	case cost != nil:
 		return p.cheapest(kind == pickRead, rng, live, cost)
 	case kind == pickRead:
@@ -237,11 +234,6 @@ func (s *Store) CoversWrite(set bitset.Set) bool {
 func (p *Pickers) CoversWrite(set bitset.Set) bool {
 	_, write := p.gates()
 	return write.Eval(p.toDense(set))
-}
-
-// Pick draws a symmetric mutex quorum (both-config union while joint).
-func (s *Store) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.pickUnion(rng, live, pickMutex, nil)
 }
 
 // String renders the store state for logs.

@@ -269,7 +269,7 @@ func TestGatewayLeaseLocalReads(t *testing.T) {
 				Shards:      8,
 				TTL:         time.Second,
 				Check:       25 * time.Millisecond,
-				MinOps:      0, // always-grant: the session sees traffic only
+				MinOps:      0,  // always-grant: the session sees traffic only
 				MinReadFrac: -1, // after the lease exists, so never gate on mix
 				Acquire:     true,
 			}

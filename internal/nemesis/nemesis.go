@@ -267,6 +267,30 @@ func ColumnCut(rows, cols int) Schedule {
 	}
 }
 
+// linkDelay is one simulated link delay, the longest cluster.New draws
+// (1–10ms): by then a burst's first frames have all landed, and none of
+// its rounds has finished.
+const linkDelay = 10 * time.Millisecond
+
+// MidBurst crashes a pipelined coordinator while its first burst is in
+// flight, and restarts it at 3s. RunRKV submits node victim's first
+// burst of Window × Batch operations (burst) at gap·victim/space, gap
+// being the fault window spread over the node's bursts of its
+// opsPerNode operations; the crash lands one link delay later, so the
+// burst's rounds are on the wire and their operations fail with
+// rkv.ErrRestarted at the restart.
+func MidBurst(victim cluster.NodeID, space, opsPerNode, burst int) Schedule {
+	s := Schedule{
+		Name:    "mid-burst",
+		Actions: []Action{{At: 3 * time.Second, Restart: []cluster.NodeID{victim}}},
+		Horizon: 20 * time.Second,
+	}
+	gap := window(s) / time.Duration((opsPerNode+burst-1)/burst)
+	crash := Action{At: gap*time.Duration(victim)/time.Duration(space) + linkDelay, Crash: []cluster.NodeID{victim}}
+	s.Actions = append([]Action{crash}, s.Actions...)
+	return s
+}
+
 // ReconfigMidCrash reconfigures to target mid-workload while nodes crash
 // around the transition: the listed nodes go down one second before the
 // coordinator is kicked and come back one second after, so the

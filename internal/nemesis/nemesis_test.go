@@ -25,7 +25,7 @@ func hgrid44() *epoch.Params {
 // (every crash matched by a restart, every partition healed).
 func TestSchedulesWellFormed(t *testing.T) {
 	for _, n := range []int{9, 16} {
-		scheds := append(DefaultSchedules(n), ColumnCut(4, 4))
+		scheds := append(DefaultSchedules(n), ColumnCut(4, 4), MidBurst(cluster.NodeID(n/2), n, 6, 4))
 		for _, s := range scheds {
 			if err := s.Validate(); err != nil {
 				t.Errorf("n=%d %s: %v", n, s.Name, err)
@@ -251,6 +251,47 @@ func TestSweepRunsSubmitPaths(t *testing.T) {
 	}
 	if restarted == 0 || local == 0 {
 		t.Errorf("lease/maj9-holder: %d ErrRestarted failures, %d local reads in 20 seeds; want both", restarted, local)
+	}
+}
+
+// TestMidBurstCrashesRoundsInFlight: the mid-burst schedule crashes the
+// victim while its first burst's rounds are on the wire — in the pipelined
+// and in the batched cell, on every seed probed — and those operations
+// fail with rkv.ErrRestarted while the history stays linearizable.
+func TestMidBurstCrashesRoundsInFlight(t *testing.T) {
+	const victim = 6
+	for _, c := range []struct {
+		name                string
+		window, batch, keys int
+	}{{"h-grid-4x4/w4", 4, 1, 1}, {"h-grid-4x4/k8b4", 2, 4, 8}} {
+		sched := MidBurst(victim, 16, 6, c.window*c.batch)
+		crash := sched.Actions[0].At
+		for seed := int64(1); seed <= 10; seed++ {
+			var nodes []*rkv.Node
+			inflight, restarted := 0, 0
+			res, err := runRKV(RKVRun{Initial: hgrid44(), Space: 16, Seed: seed, Schedule: sched,
+				OpsPerNode: 6, Window: c.window, Batch: c.batch, Keys: c.keys}, rkvProbe{
+				boot: func(net *cluster.Network, ns []*rkv.Node) {
+					nodes = ns
+					net.Schedule(crash-1, func() { inflight = nodes[victim].Inflight() })
+				},
+				result: func(rr rkv.Result) {
+					if rr.Node == victim && errors.Is(rr.Err, rkv.ErrRestarted) {
+						restarted++
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Err != nil {
+				t.Fatalf("%s seed %d: history not linearizable: %v", c.name, seed, res.Err)
+			}
+			if inflight == 0 || restarted == 0 {
+				t.Errorf("%s seed %d: %d round(s) in flight at the %v crash, %d ErrRestarted failures; want both",
+					c.name, seed, inflight, crash, restarted)
+			}
+		}
 	}
 }
 

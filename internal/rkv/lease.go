@@ -35,6 +35,7 @@ package rkv
 import (
 	"time"
 
+	"hquorum/internal/attempt"
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
 	"hquorum/internal/codec"
@@ -375,19 +376,10 @@ func (n *Node) startInvalPhase(env cluster.Env, op *opState) bool {
 		// Quarantine-only wait: no ack can unblock it, so backoff retries
 		// would fire at times unrelated to the quarantine. Resume exactly
 		// when it lifts, clamped so the op still fails at its deadline.
-		wait := n.leaseBlockedUntil - now
-		if n.cfg.OpDeadline > 0 {
-			if remaining := op.started + n.cfg.OpDeadline - now; remaining < wait {
-				wait = remaining
-			}
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		env.After(wait, tokenOpDue{Seq: op.seq})
+		env.After(op.tries.Clamp(n.leaseBlockedUntil-now, now), tokenOpDue{Seq: op.seq})
 		return true
 	}
-	env.After(n.attemptTimeout(env, op), tokenOpDue{Seq: op.seq})
+	env.After(op.tries.Timeout(env.Rand(), now), tokenOpDue{Seq: op.seq})
 	return true
 }
 
@@ -563,13 +555,11 @@ func (n *Node) leaseStartWave(env cluster.Env, renew bool, mask uint64) {
 
 // leasePick draws one quorum of the given flavor among trusted
 // replicas, falling back to the full universe — the pick-cache is
-// deliberately bypassed (lease waves are rare; ops own the cache).
+// deliberately bypassed (lease waves are rare; ops own the cache), and a
+// fallback neither clears suspicions nor touches the cache.
 func (n *Node) leasePick(env cluster.Env, read bool) (bitset.Set, error) {
-	n.decaySuspects(env)
-	q, err := n.pick(env, read, n.suspects.Complement())
-	if err != nil {
-		q, err = n.pick(env, read, bitset.Universe(n.cfg.Epochs.Universe()))
-	}
+	n.suspects.Decay(env.Now())
+	q, _, err := n.suspects.Pick(func(live bitset.Set) (bitset.Set, error) { return n.pick(env, read, live) })
 	return q, err
 }
 
@@ -818,7 +808,7 @@ func (n *Node) leaseAdmit(env cluster.Env) {
 	if !ok {
 		return
 	}
-	op := opState{started: cov.now}
+	op := opState{tries: attempt.Op{Start: cov.now}}
 	var rec *optrace.Rec
 	served := 0
 	kept := n.extRun[:0]

@@ -78,7 +78,7 @@ func TestLeaseInvalAckQuarantineBarrier(t *testing.T) {
 	n.lt.Record(1, lease.Entry{Seq: 7, Mask: lease.Bit(lease.ShardOf("k", 8)), Shards: 8, Expiry: env.now + 2*time.Second}, env.now)
 
 	op := n.getOp()
-	op.started = env.now
+	op.tries.Begin(env.now)
 	op.p2Keys = append(op.p2Keys, "k")
 	op.p2Vers = append(op.p2Vers, Version{Counter: 1, Writer: 0})
 	op.p2Vals = append(op.p2Vals, "v")
@@ -116,7 +116,7 @@ func TestLeaseQuarantineTimerDeadlineCap(t *testing.T) {
 	env := &captureEnv{fakeEnv: fakeEnv{rng: rand.New(rand.NewSource(12)), now: time.Second}}
 	n.leaseBlockedUntil = env.now + 500*time.Millisecond
 	op := n.getOp()
-	op.started = env.now
+	op.tries.Begin(env.now)
 	op.p2Keys = append(op.p2Keys, "k")
 	op.p2Vers = append(op.p2Vers, Version{Counter: 1, Writer: 0})
 	op.p2Vals = append(op.p2Vals, "v")

@@ -170,8 +170,7 @@ func TestOneRoundReadJudgesUnanimityPerAttempt(t *testing.T) {
 	// Attempt 1 runs on {0,1,2}: 3 and 4 are suspected just long enough.
 	n := s.nodes[reader]
 	for _, m := range []int{3, 4} {
-		n.suspects.Add(m)
-		n.suspectAt[m] = 50*time.Millisecond - n.cfg.SuspectTTL
+		n.suspects.Add(m, 50*time.Millisecond-4*n.cfg.Timeout) // expires at 50ms
 	}
 	// 2 never hears the read; 0 answers it and crashes.
 	s.park = func(from, to cluster.NodeID, msg any) bool {
@@ -317,8 +316,7 @@ func TestBatchesKindPureWhileReadsEndEarly(t *testing.T) {
 		t.Fatal("the cost-aware session's read pick does not cover a write quorum")
 	}
 	for _, m := range []int{0, 4} {
-		n.suspects.Add(m)
-		n.suspectAt[m] = s.net.Now()
+		n.suspects.Add(m, s.net.Now())
 	}
 	mark := len(s.p1All)
 	s.wait(s.burst(session, "RW")...) // filled while the last pick still covered: pure
@@ -385,8 +383,7 @@ func TestOneRoundReadCrossesLeaseBarrier(t *testing.T) {
 		n.store.apply("k", ver, "late")
 	}
 	reader := s.nodes[3]
-	reader.suspects.Add(0) // keep the reader's quorums on the replicas that agree
-	reader.suspectAt[0] = s.net.Now()
+	reader.suspects.Add(0, s.net.Now()) // keep the reader's quorums on the replicas that agree
 	r := s.do(3, Op{Kind: OpRead, Key: "k"})
 	if r.Value != "late" || reader.OneRoundReads() != 0 || reader.LeaseStats().InvalRounds != 1 {
 		t.Fatalf("read under a foreign lease returned %q with one_round_reads=%d inval_rounds=%d; want late, 0, 1",

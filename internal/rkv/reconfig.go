@@ -36,6 +36,7 @@ package rkv
 import (
 	"time"
 
+	"hquorum/internal/attempt"
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
@@ -133,7 +134,7 @@ type mergedVal struct {
 type reconfigState struct {
 	phase    int
 	seq      uint64 // current wave's seq (shares Node.seq numbering with ops)
-	attempts int    // consecutive wave timeouts, for backoff
+	attempts int    // consecutive wave timeouts: the backoff shift of attempt.Patience
 
 	target     epoch.Params
 	joint      epoch.Config
@@ -298,20 +299,6 @@ func unionMembers(a, b epoch.Params) []cluster.NodeID {
 	return out
 }
 
-// rcPatience is the wave timeout: the op timeout with exponential backoff
-// and jitter, capped at MaxTimeout.
-func (n *Node) rcPatience(env cluster.Env) time.Duration {
-	shift := n.rc.attempts
-	if shift > 6 {
-		shift = 6
-	}
-	d := n.cfg.Timeout << uint(shift)
-	if d <= 0 || d > n.cfg.MaxTimeout {
-		d = n.cfg.MaxTimeout
-	}
-	return d + time.Duration(env.Rand().Int63n(int64(d)/2+1))
-}
-
 // rcSendWave (re)sends the current phase's outstanding messages under a
 // fresh seq and arms the wave timer. Self-addressed work is done inline.
 func (n *Node) rcSendWave(env cluster.Env) {
@@ -338,7 +325,7 @@ func (n *Node) rcSendWave(env cluster.Env) {
 			}
 		}
 	}
-	env.After(n.rcPatience(env), tokenReconfigDue{Seq: n.rc.seq})
+	env.After(attempt.Patience(env.Rand(), n.cfg.Timeout, n.rc.attempts), tokenReconfigDue{Seq: n.rc.seq})
 }
 
 // rcMergedSlices flattens the merged snapshot into wire slices, sorted by
@@ -652,7 +639,7 @@ func (n *Node) rcSweepWave(env cluster.Env) {
 	if n.rcSweepMaybeDone(env) {
 		return
 	}
-	env.After(n.rcPatience(env), tokenReconfigDue{Seq: n.rc.seq})
+	env.After(attempt.Patience(env.Rand(), n.cfg.Timeout, n.rc.attempts), tokenReconfigDue{Seq: n.rc.seq})
 }
 
 // rcSweepMaybeDone advances past the sweep once every inval is acked AND

@@ -30,7 +30,8 @@
 // parallel across connections.
 //
 // Crashed replicas are tolerated with client-side timeouts and re-picked
-// quorums, exactly like package dmutex.
+// quorums: the retry, suspicion and backoff engine is package attempt,
+// shared with package dmutex.
 package rkv
 
 import (
@@ -40,12 +41,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hquorum/internal/attempt"
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
 	"hquorum/internal/lease"
 	"hquorum/internal/optrace"
-	"hquorum/internal/quorum"
 	"hquorum/internal/tuner"
 	"hquorum/internal/wal"
 )
@@ -181,21 +182,18 @@ type Config struct {
 	Shards int
 	// Timeout bounds one quorum attempt (default 300ms). Attempts whose
 	// quorum went entirely silent back off exponentially — with jitter
-	// drawn from the node's deterministic rng — up to MaxTimeout;
-	// attempts that got any reply retry at the base patience, since loss
-	// is recovered by re-picking around silent replicas, not waiting.
+	// drawn from the node's deterministic rng — up to 8×Timeout; attempts
+	// that got any reply retry at the base patience, since loss is
+	// recovered by re-picking around silent replicas, not waiting. Silent
+	// replicas are suspected for 4×Timeout, so a crashed-then-restarted
+	// replica rejoins quorum picks without operator intervention (see
+	// package attempt).
 	Timeout time.Duration
-	// MaxTimeout caps the per-attempt backoff (default 8×Timeout).
-	MaxTimeout time.Duration
 	// OpDeadline bounds one client operation across all its retries. When
 	// it expires the operation's callback gets a typed Result.Err instead
 	// of the round retrying forever. Zero means no deadline (retry until
 	// the cluster heals).
 	OpDeadline time.Duration
-	// SuspectTTL ages out crash suspicions, so a crashed-then-restarted
-	// replica rejoins quorum picks without operator intervention (default
-	// 4×Timeout; negative disables decay).
-	SuspectTTL time.Duration
 	// ReadWriteback makes a read complete only after storing the version
 	// it observed on a full write quorum (ABD-style write-back). Without
 	// it a read concurrent with a partially-applied write can be followed
@@ -205,14 +203,6 @@ type Config struct {
 	// already in place: see readConfirmed); the nemesis chaos scenarios
 	// enable it because their checker demands linearizability.
 	ReadWriteback bool
-	// NoPickCache disables quorum-pick caching: every attempt draws a
-	// fresh random quorum. The cache (on by default) reuses the last
-	// successful pick of each flavor while the suspect set is unchanged,
-	// trading pick cost and allocation for load concentration — repeated
-	// ops from one client land on one quorum until something fails.
-	// Disable it to spread load across quorums, the property the paper's
-	// analysis chapters measure.
-	NoPickCache bool
 	// Window is the maximum number of client rounds in flight at once
 	// (default 1: strictly sequential, the classic closed-loop client).
 	// Larger windows pipeline independent rounds — each gets its own
@@ -366,11 +356,8 @@ type opState struct {
 	p2Vers []Version
 	p2Vals []string
 
-	retries     int
-	backoff     int        // consecutive attempts with a fully silent quorum
-	opSuspects  bitset.Set // everyone silent during this round (no decay)
-	started     time.Duration
-	sawNoQuorum bool // this round once found no quorum among trusted replicas
+	retries int
+	tries   attempt.Op // start, backoff and silent members across attempts
 
 	// rec is the round's sampled trace record (nil when unsampled): the
 	// quorum stage spans launch to retirement across every phase and
@@ -385,7 +372,8 @@ type opState struct {
 // allocation; any timeout, suspicion change or epoch bump changes the key
 // and forces a fresh draw (an epoch bump can change flavor and membership
 // wholesale, so a cached quorum from the previous config must never leak
-// into the new one).
+// into the new one). The price is load concentration: repeated rounds
+// from one client land on one quorum until something fails.
 type pickCache struct {
 	valid  bool
 	epoch  uint64
@@ -420,10 +408,9 @@ type Node struct {
 	inflight map[uint64]*opState
 	free     []*opState
 
-	suspects  bitset.Set
-	suspectAt []time.Duration // when each suspicion was recorded
-	picks     [2]pickCache    // cached read [0] / write [1] quorum
-	cost      []time.Duration // non-nil on a cost-aware config: picks take the cheapest quorum
+	suspects attempt.Suspects
+	picks    [2]pickCache    // cached read [0] / write [1] quorum
+	cost     []time.Duration // non-nil on a cost-aware config: picks take the cheapest quorum
 	// readCovers is the last read pick's covers bit: while it is set reads
 	// can end at phase 1, and fillBatch keeps them out of the writes'
 	// rounds so the saved round frees its window slot.
@@ -513,12 +500,6 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 300 * time.Millisecond
 	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 8 * cfg.Timeout
-	}
-	if cfg.SuspectTTL == 0 {
-		cfg.SuspectTTL = 4 * cfg.Timeout
-	}
 	if cfg.OpGap == 0 {
 		cfg.OpGap = time.Millisecond
 	}
@@ -535,15 +516,14 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 		span = pol.Span
 	}
 	n := &Node{
-		id:        id,
-		cfg:       cfg,
-		store:     newShardedMap(cfg.Shards),
-		inflight:  make(map[uint64]*opState),
-		suspects:  bitset.New(space),
-		suspectAt: make([]time.Duration, space),
-		cost:      cost,
-		profile:   tuner.NewWindow(span),
-		trace:     optrace.New(cfg.TraceSample),
+		id:       id,
+		cfg:      cfg,
+		store:    newShardedMap(cfg.Shards),
+		inflight: make(map[uint64]*opState),
+		suspects: attempt.NewSuspects(space, cfg.Timeout),
+		cost:     cost,
+		profile:  tuner.NewWindow(span),
+		trace:    optrace.New(cfg.TraceSample),
 	}
 	if cfg.AutoTune != nil {
 		n.tune = tuner.NewDriver(*cfg.AutoTune)
@@ -857,7 +837,7 @@ func (n *Node) onStaleEpoch(env cluster.Env, m msgStaleEpoch) {
 		return
 	}
 	op.retries++
-	if n.cfg.OpDeadline > 0 && env.Now()-op.started >= n.cfg.OpDeadline {
+	if op.tries.Expired(env.Now()) {
 		n.failOp(env, op, epoch.ErrStaleEpoch)
 		return
 	}
@@ -903,9 +883,9 @@ func (n *Node) getOp() *opState {
 	}
 	u := n.cfg.Epochs.Universe()
 	return &opState{
-		quorum:     bitset.New(u),
-		pending:    bitset.New(u),
-		opSuspects: bitset.New(u),
+		quorum:  bitset.New(u),
+		pending: bitset.New(u),
+		tries:   attempt.NewOp(u, n.cfg.Timeout, n.cfg.OpDeadline),
 	}
 }
 
@@ -914,10 +894,7 @@ func (n *Node) putOp(op *opState) {
 	op.seq = 0
 	op.ph = 0
 	op.retries = 0
-	op.backoff = 0
-	op.sawNoQuorum = false
 	op.covers = false
-	op.opSuspects.Clear()
 	op.p1Subs = op.p1Subs[:0]
 	// Sent frames alias the wire slices and may outlive the op: drop them,
 	// never recycle the backing arrays.
@@ -934,7 +911,7 @@ func (n *Node) putOp(op *opState) {
 // round and starts its first phase.
 func (n *Node) launchBatch(env cluster.Env) {
 	op := n.getOp()
-	op.started = env.Now()
+	op.tries.Begin(env.Now())
 	n.fillBatch(op)
 	if op.rec = n.trace.Sample(); op.rec != nil {
 		kind := optrace.KindRead
@@ -1038,7 +1015,7 @@ func (n *Node) startReadPhase(env cluster.Env, op *opState) {
 	}
 	var msg any = msgReadBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p1Keys}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
-	env.After(n.attemptTimeout(env, op), tokenOpDue{Seq: op.seq})
+	env.After(op.tries.Timeout(env.Rand(), env.Now()), tokenOpDue{Seq: op.seq})
 }
 
 // buildPhase2 assembles the batch's write payload: read write-backs keep
@@ -1102,46 +1079,7 @@ func (n *Node) startWritePhase(env cluster.Env, op *opState) {
 	op.quorum.CopyInto(&op.pending)
 	var msg any = msgWriteBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p2Keys, Vers: op.p2Vers, Vals: op.p2Vals}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
-	env.After(n.attemptTimeout(env, op), tokenOpDue{Seq: op.seq})
-}
-
-// attemptTimeout returns the current attempt's patience: exponential
-// backoff from Timeout capped at MaxTimeout, plus up to 50% jitter so
-// colliding clients desynchronize, clamped so the attempt never outlives
-// the op deadline by more than one timer.
-func (n *Node) attemptTimeout(env cluster.Env, op *opState) time.Duration {
-	shift := op.backoff
-	if shift > 16 {
-		shift = 16
-	}
-	d := n.cfg.Timeout << uint(shift)
-	if d <= 0 || d > n.cfg.MaxTimeout {
-		d = n.cfg.MaxTimeout
-	}
-	d += time.Duration(env.Rand().Int63n(int64(d)/2 + 1))
-	if n.cfg.OpDeadline > 0 {
-		if remaining := op.started + n.cfg.OpDeadline - env.Now(); remaining < d {
-			d = remaining
-		}
-		if d < 0 {
-			d = 0
-		}
-	}
-	return d
-}
-
-// decaySuspects ages out suspicions older than SuspectTTL, letting
-// crashed-then-restarted replicas rejoin quorum picks.
-func (n *Node) decaySuspects(env cluster.Env) {
-	if n.cfg.SuspectTTL < 0 {
-		return
-	}
-	now := env.Now()
-	n.suspects.ForEach(func(m int) {
-		if now-n.suspectAt[m] >= n.cfg.SuspectTTL {
-			n.suspects.Remove(m)
-		}
-	})
+	env.After(op.tries.Timeout(env.Rand(), env.Now()), tokenOpDue{Seq: op.seq})
 }
 
 func (n *Node) invalidatePicks() {
@@ -1152,8 +1090,8 @@ func (n *Node) invalidatePicks() {
 // pickQuorum draws a quorum among unsuspected replicas into op.quorum,
 // clearing suspicions if none remains. Consecutive picks of one flavor
 // against an unchanged suspect set are served from the pick cache; any
-// change to the suspect set — a new suspicion or a SuspectTTL expiry —
-// changes the fingerprint and forces a fresh draw. op.epoch is the epoch
+// change to the suspect set — a new suspicion or an expired one — changes
+// the fingerprint and forces a fresh draw. op.epoch is the epoch
 // the pick was made under, for the attempt's frames. A read pick also
 // settles whether the quorum covers a write quorum (op.covers,
 // n.readCovers) — evaluated once per fresh pick and kept beside the
@@ -1163,11 +1101,11 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 	if read {
 		c = &n.picks[0]
 	}
-	n.decaySuspects(env)
+	n.suspects.Decay(env.Now())
 	fp := n.suspects.Fingerprint()
 	ep := n.epochNow()
 	op.epoch = ep
-	if !n.cfg.NoPickCache && c.valid && c.fp == fp && c.epoch == ep {
+	if c.valid && c.fp == fp && c.epoch == ep {
 		n.pickHits.Add(1)
 		c.q.CopyInto(&op.quorum)
 		if read {
@@ -1176,16 +1114,14 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 		return nil
 	}
 	n.pickMisses.Add(1)
-	q, err := n.pick(env, read, n.suspects.Complement())
-	cache := err == nil
-	if err != nil {
-		op.sawNoQuorum = true
+	q, fellBack, err := n.suspects.Pick(func(live bitset.Set) (bitset.Set, error) { return n.pick(env, read, live) })
+	if fellBack {
+		op.tries.NoQuorum = true
 		n.suspects.Clear()
 		n.invalidatePicks()
-		q, err = n.pick(env, read, bitset.Universe(n.cfg.Epochs.Universe()))
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	q.CopyInto(&op.quorum)
 	// The bit must describe the config the members will answer under: a
@@ -1194,7 +1130,7 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 	if read {
 		op.covers, n.readCovers = covers, covers
 	}
-	if cache {
+	if !fellBack {
 		q.CopyInto(&c.q)
 		c.fp, c.epoch, c.valid, c.covers = fp, ep, true, covers
 	}
@@ -1216,24 +1152,12 @@ func (n *Node) pick(env cluster.Env, read bool, live bitset.Set) (bitset.Set, er
 // deadline it fails the round with a typed error instead of retrying.
 func (n *Node) retryPhase(env cluster.Env, op *opState) {
 	op.retries++
-	// Back off only when the whole quorum went silent (we are cut off or
-	// it is dead); a partially answered attempt recovers by re-picking
-	// around the silent members at the base patience.
-	if op.pending.Count() == op.quorum.Count() {
-		op.backoff++
-	} else {
-		op.backoff = 0
-	}
 	now := env.Now()
-	op.pending.ForEach(func(m int) {
-		n.suspects.Add(m)
-		op.opSuspects.Add(m)
-		n.suspectAt[m] = now
-	})
+	op.tries.Missed(&n.suspects, op.pending, op.pending.Count() == op.quorum.Count(), now)
 	// The attempt's quorum let us down: any cached pick may be built on
 	// the same dead members, so force a fresh draw.
 	n.invalidatePicks()
-	if n.cfg.OpDeadline > 0 && now-op.started >= n.cfg.OpDeadline {
+	if op.tries.Expired(now) {
 		n.failOp(env, op, n.deadlineError(env, op))
 		return
 	}
@@ -1252,20 +1176,11 @@ func (n *Node) retryPhase(env cluster.Env, op *opState) {
 	}
 }
 
-// deadlineError diagnoses a deadline miss: ErrNoQuorum when every quorum
-// of the current phase's flavor includes a replica that went silent during
-// this round (the cumulative per-op view — suspect decay and the fallback
-// path both shrink the instantaneous suspect set, which would
-// under-report), ErrDegraded when a quorum of replicas that never went
-// silent exists but the round still ran out of time.
+// deadlineError diagnoses a deadline miss against the current phase's
+// quorum family (attempt.Op.Diagnose).
 func (n *Node) deadlineError(env cluster.Env, op *opState) error {
-	if op.sawNoQuorum {
-		return quorum.ErrNoQuorum
-	}
-	if _, err := n.pick(env, op.ph == phaseReadVersions, op.opSuspects.Complement()); err != nil {
-		return quorum.ErrNoQuorum
-	}
-	return quorum.ErrDegraded
+	read := op.ph == phaseReadVersions
+	return op.tries.Diagnose(func(live bitset.Set) (bitset.Set, error) { return n.pick(env, read, live) })
 }
 
 // reportSub delivers one sub-operation's result to its callback.
@@ -1277,7 +1192,7 @@ func (n *Node) reportSub(env cluster.Env, op *opState, sub *subOp, err error) {
 	}
 	res := Result{
 		Node: n.id, Kind: sub.kind, Key: sub.key,
-		Start: op.started, At: env.Now(), Retries: op.retries, Err: err,
+		Start: op.tries.Start, At: env.Now(), Retries: op.retries, Err: err,
 	}
 	if err == nil {
 		res.Value = sub.bestVal

@@ -518,26 +518,32 @@ func TestDeadlineErrorDiagnosis(t *testing.T) {
 func TestReadWritebackMonotone(t *testing.T) {
 	const reads = 12
 	runSeq := func(seed int64, writeback bool) []string {
-		ops := make([]Op, reads)
-		for i := range ops {
-			ops[i] = Op{Kind: OpRead}
-		}
-		// The pick cache would pin one row-cover for the whole read
-		// sequence, hiding the inversion this test stages; disable it so
-		// every read draws a fresh quorum like independent clients would.
-		base := Config{ReadWriteback: writeback, NoPickCache: true}
-		h := newHarnessCfg(t, seed, base, map[cluster.NodeID][]Op{15: ops}, nil)
+		h := newHarnessCfg(t, seed, Config{ReadWriteback: writeback}, nil, nil)
 		// Stage: everyone holds "base", but one replica saw a newer write
 		// that never reached a full quorum (its writer crashed mid-write).
 		for _, n := range h.nodes {
 			n.store.apply("", Version{Counter: 1, Writer: 2}, "base")
 		}
 		h.nodes[0].store.apply("", Version{Counter: 2, Writer: 3}, "staged")
-		h.net.Run(time.Minute)
+		// The pick cache would pin one row-cover for the whole read
+		// sequence, hiding the inversion this test stages; clear it before
+		// every read so each draws a fresh quorum like independent clients
+		// would.
+		reader := h.nodes[15]
 		var out []string
-		for _, r := range h.results {
-			out = append(out, r.Value)
+		var next func()
+		next = func() {
+			if len(out) == reads {
+				return
+			}
+			reader.invalidatePicks()
+			reader.Submit(Op{Kind: OpRead}, func(r Result) {
+				out = append(out, r.Value)
+				next()
+			})
 		}
+		next()
+		h.net.Run(time.Minute)
 		return out
 	}
 	monotone := func(seq []string) bool {
@@ -578,35 +584,29 @@ func TestReadWritebackMonotone(t *testing.T) {
 }
 
 // TestSuspectDecayReadmitsRestartedReplica: suspicions age out after
-// SuspectTTL, so a crashed-then-restarted replica rejoins quorum picks
-// without operator intervention; with decay disabled it stays shunned.
+// 4×Timeout, so a crashed-then-restarted replica rejoins quorum picks
+// without operator intervention.
 func TestSuspectDecayReadmitsRestartedReplica(t *testing.T) {
-	run := func(ttl time.Duration) (client, restarted *Node, results []Result, net *cluster.Network) {
-		base := Config{Timeout: 100 * time.Millisecond, SuspectTTL: ttl}
-		var ops []Op
-		for i := 0; i < 6; i++ {
-			ops = append(ops, Op{Kind: OpWrite, Value: fmt.Sprintf("a%d", i)})
-		}
-		h := newHarnessCfg(t, 17, base, map[cluster.NodeID][]Op{1: ops}, []cluster.NodeID{5})
-		h.run(t, 30*time.Second)
-
-		if !h.nodes[1].suspects.Contains(5) {
-			t.Fatal("crashed replica never suspected; pick a different seed")
-		}
-		h.net.Restart(5)
-		// Let the suspicion age well past any reasonable TTL, then write more.
-		h.net.Run(h.net.Now() + 2*time.Second)
-		var more []Op
-		for i := 0; i < 6; i++ {
-			more = append(more, Op{Kind: OpWrite, Value: fmt.Sprintf("b%d", i)})
-		}
-		h.submit(1, more...)
-		h.run(t, h.net.Now()+30*time.Second)
-		return h.nodes[1], h.nodes[5], h.results, h.net
+	var ops []Op
+	for i := 0; i < 6; i++ {
+		ops = append(ops, Op{Kind: OpWrite, Value: fmt.Sprintf("a%d", i)})
 	}
-
-	client, restarted, results, _ := run(0) // 0 = default TTL (4×Timeout)
-	for _, r := range results {
+	h := newHarnessCfg(t, 17, Config{Timeout: 100 * time.Millisecond}, map[cluster.NodeID][]Op{1: ops}, []cluster.NodeID{5})
+	h.run(t, 30*time.Second)
+	client, restarted := h.nodes[1], h.nodes[5]
+	if !client.suspects.Contains(5) {
+		t.Fatal("crashed replica never suspected; pick a different seed")
+	}
+	h.net.Restart(5)
+	// Let the suspicion age well past its 400ms TTL, then write more.
+	h.net.Run(h.net.Now() + 2*time.Second)
+	var more []Op
+	for i := 0; i < 6; i++ {
+		more = append(more, Op{Kind: OpWrite, Value: fmt.Sprintf("b%d", i)})
+	}
+	h.submit(1, more...)
+	h.run(t, h.net.Now()+30*time.Second)
+	for _, r := range h.results {
 		if r.Err != nil {
 			t.Fatalf("write failed: %v", r.Err)
 		}
@@ -616,14 +616,6 @@ func TestSuspectDecayReadmitsRestartedReplica(t *testing.T) {
 	}
 	if _, ver := restarted.Value(); ver.Counter == 0 {
 		t.Fatal("restarted replica never rejoined a write quorum")
-	}
-
-	client, restarted, _, _ = run(-1) // decay disabled
-	if !client.suspects.Contains(5) {
-		t.Fatal("suspicion decayed despite SuspectTTL < 0")
-	}
-	if _, ver := restarted.Value(); ver.Counter != 0 {
-		t.Fatal("shunned replica received writes with decay disabled")
 	}
 }
 
@@ -758,8 +750,7 @@ func TestPickCacheInvalidation(t *testing.T) {
 	}
 	// Suspect a member of the cached quorum: the next pick must avoid it.
 	victim := a.quorum.Indices()[0]
-	n.suspects.Add(victim)
-	n.suspectAt[victim] = env.Now()
+	n.suspects.Add(victim, env.Now())
 	if err := n.pickQuorum(env, b, true); err != nil {
 		t.Fatal(err)
 	}
@@ -775,8 +766,9 @@ func TestPickCacheInvalidation(t *testing.T) {
 	}
 }
 
-// BenchmarkPickQuorum measures the cached against the uncached pick path;
-// the cache hit must be allocation-free (run with -benchmem).
+// BenchmarkPickQuorum measures the cached against the uncached pick path
+// (the cache cleared before every pick); the cache hit must be
+// allocation-free (run with -benchmem).
 func BenchmarkPickQuorum(b *testing.B) {
 	for _, cached := range []bool{true, false} {
 		name := "cached"
@@ -784,7 +776,7 @@ func BenchmarkPickQuorum(b *testing.B) {
 			name = "uncached"
 		}
 		b.Run(name, func(b *testing.B) {
-			n, err := NewNode(0, Config{Epochs: testEpochs(b, 16, hgrid44All()), NoPickCache: !cached})
+			n, err := NewNode(0, Config{Epochs: testEpochs(b, 16, hgrid44All())})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -792,6 +784,9 @@ func BenchmarkPickQuorum(b *testing.B) {
 			op := n.getOp()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if !cached {
+					n.invalidatePicks()
+				}
 				if err := n.pickQuorum(env, op, true); err != nil {
 					b.Fatal(err)
 				}

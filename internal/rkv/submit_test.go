@@ -173,8 +173,8 @@ func TestCostAwareDiagnosisSeesWriteQuorums(t *testing.T) {
 	env := &fakeEnv{rng: rand.New(rand.NewSource(2))}
 	suspect := func(n *Node, op *opState, ids ...int) {
 		for _, id := range ids {
-			n.suspects.Add(id)
-			op.opSuspects.Add(id)
+			n.suspects.Add(id, env.now)
+			op.tries.Silent.Add(id)
 		}
 	}
 	bottom := []int{8, 9, 10, 11, 12, 13, 14, 15}
@@ -186,9 +186,9 @@ func TestCostAwareDiagnosisSeesWriteQuorums(t *testing.T) {
 	if err := n.pickQuorum(env, op, true); err != nil {
 		t.Fatal(err)
 	}
-	if op.sawNoQuorum || n.suspects.Count() != len(bottom) {
-		t.Fatalf("read fell back to the full universe (sawNoQuorum=%t, %d suspects left) although a top-band line is live",
-			op.sawNoQuorum, n.suspects.Count())
+	if op.tries.NoQuorum || n.suspects.Count() != len(bottom) {
+		t.Fatalf("read fell back to the full universe (NoQuorum=%t, %d suspects left) although a top-band line is live",
+			op.tries.NoQuorum, n.suspects.Count())
 	}
 	op.quorum.ForEach(func(id int) {
 		if id >= 8 {
@@ -204,8 +204,8 @@ func TestCostAwareDiagnosisSeesWriteQuorums(t *testing.T) {
 	if err := n.deadlineError(env, op); !errors.Is(err, quorum.ErrNoQuorum) {
 		t.Fatalf("deadline diagnosis %v, want ErrNoQuorum: both read families are dead", err)
 	}
-	if err := n.pickQuorum(env, op, true); err != nil || !op.sawNoQuorum {
-		t.Fatalf("pick with both families dead: err=%v sawNoQuorum=%t, want the clear-and-retry fallback", err, op.sawNoQuorum)
+	if err := n.pickQuorum(env, op, true); err != nil || !op.tries.NoQuorum {
+		t.Fatalf("pick with both families dead: err=%v NoQuorum=%t, want the clear-and-retry fallback", err, op.tries.NoQuorum)
 	}
 
 	// The cost-blind session reads row-covers only, and says so.

@@ -58,7 +58,7 @@ func TuneToken() any { return tokenTune{} }
 // observeOp feeds one finished client operation to the profiler. The key
 // hash reuses the shard map's FNV-1a.
 func (n *Node) observeOp(env cluster.Env, op *opState, sub *subOp, err error) {
-	n.profile.Observe(env.Now(), sub.kind == OpRead, env.Now()-op.started, err != nil, hashKey(sub.key))
+	n.profile.Observe(env.Now(), sub.kind == OpRead, env.Now()-op.tries.Start, err != nil, hashKey(sub.key))
 }
 
 // Workload returns the node's profiler snapshot as of now (the node's

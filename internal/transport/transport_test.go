@@ -116,7 +116,9 @@ func TestPingPongOverTCP(t *testing.T) {
 }
 
 // TestMutexOverTCP runs the full Maekawa protocol over loopback TCP:
-// mutual exclusion must hold under real concurrency.
+// mutual exclusion must hold under real concurrency, and every lock frame
+// must travel on its binary binding (tags 0x27-0x2d) — a message without
+// one would fail to encode and show up as a drop.
 func TestMutexOverTCP(t *testing.T) {
 	sys := htriang.New(4) // 10 nodes
 
@@ -172,6 +174,11 @@ func TestMutexOverTCP(t *testing.T) {
 		defer guard.Unlock()
 		return entries == 2*sys.Universe()
 	})
+	for i, tn := range nodes {
+		if st := tn.Stats(); st.Dropped != 0 {
+			t.Errorf("node %d dropped %d of %d lock frames", i, st.Dropped, st.Sent)
+		}
+	}
 }
 
 // TestMutexOverLossyTCP exercises the retry path with 20% message loss.

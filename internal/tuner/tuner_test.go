@@ -51,13 +51,6 @@ func TestCandidatesIntersect(t *testing.T) {
 				if rerr == nil && werr == nil && !rq.Intersects(wq) {
 					t.Fatalf("n=%d %v: read %v misses write %v (live %v)", n, p, rq, wq, live)
 				}
-				// The mutex picker is a separate symmetric coterie and must
-				// pairwise intersect with itself.
-				m1, e1 := pk.Mutex(rng, live)
-				m2, e2 := pk.Mutex(rng, live)
-				if e1 == nil && e2 == nil && !m1.Intersects(m2) {
-					t.Fatalf("n=%d %v: mutex quorums %v and %v don't intersect", n, p, m1, m2)
-				}
 			}
 		}
 	}

@@ -11,7 +11,7 @@
 #   2. a byte-identical summary across two back-to-back runs — the sweep
 #      is a deterministic regression artifact, not flaky noise.
 #
-# 200 seeds x 44 (case, schedule) cells = 8800 simulated runs (39 register
+# 200 seeds x 46 (case, schedule) cells = 9200 simulated runs (41 register
 # cells + 5 lock cells, one summary line each) — including hqbench's
 # system under crash storm and minority partition (hT44/sut: 4x4 h-T-grid
 # on disk, cost-aware picks, one lease holder submitting Window 8 x
@@ -19,7 +19,9 @@
 # one_round_reads and fail at zero), and
 # a pipelined register cell (window=4, concurrent ops per node), a
 # multi-key batched cell (8 keys, 4 ops per quorum round, checked for
-# per-key linearizability), two cost-aware h-T-grid cells (every node
+# per-key linearizability) — both also under a mid-burst schedule that
+# crashes node 6 while its first burst's rounds are on the wire, timed
+# from the runner's own pacing — two cost-aware h-T-grid cells (every node
 # picks the cheapest quorum, so reads ride write quorums and the crash
 # storm and the partition hit exactly the line all of them favour; that
 # line is a write quorum, so reads that find it unanimous end after one

@@ -11,6 +11,8 @@ go build ./...
 # otherwise compile. Standard library only, so this builds offline.
 GOOS=darwin GOARCH=arm64 go build ./internal/transport/
 go vet ./...
+# Every Go file is gofmt-clean.
+if [ -n "$(gofmt -l .)" ]; then gofmt -l .; exit 1; fi
 # The binary codec is the only wire codec: the reflective gob fallback is
 # gone and must not grow back unnoticed. (Not `! grep`: a `!` pipeline
 # never trips `set -e`.)
@@ -19,6 +21,9 @@ if grep -rn 'encoding/gob' --include='*.go' internal cmd *.go; then exit 1; fi
 # the node picked and by nothing else: no environment switch may ship in
 # the round engine or the quorum source.
 if grep -rn 'os\.Getenv' --include='*.go' internal/rkv internal/epoch; then exit 1; fi
+# The lock has one quorum source, its quorum.System: the epoch-versioned
+# mode is gone and must not grow back unnoticed.
+if go list -deps ./internal/dmutex | grep -x 'hquorum/internal/epoch'; then exit 1; fi
 go test ./...
 # The facade example submits a write chain, crashes three replicas and
 # panics if the read after the crashes is stale: run it, not just build it.
