@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -51,27 +52,32 @@ func main() {
 		})
 	}
 
-	all := *table == 0
-	if all || *table == 1 {
-		fmt.Println(experiments.Table1().Render())
+	run(os.Stdout, *table, *quick)
+}
+
+// run writes the selected table (0 = every table and both figures) to w.
+func run(w io.Writer, table int, quick bool) {
+	all := table == 0
+	if all || table == 1 {
+		fmt.Fprintln(w, experiments.Table1().Render())
 	}
-	if all || *table == 2 {
-		fmt.Println(experiments.Table2().Render())
+	if all || table == 2 {
+		fmt.Fprintln(w, experiments.Table2().Render())
 	}
-	if all || *table == 3 {
-		if !*quick {
-			fmt.Println("(Table 3 exact mode: enumerating up to 2^28 subsets; use -quick to sample instead)")
+	if all || table == 3 {
+		if !quick {
+			fmt.Fprintln(w, "(Table 3 exact mode: enumerating up to 2^28 subsets; use -quick to sample instead)")
 		}
-		fmt.Println(experiments.Table3(*quick).Render())
+		fmt.Fprintln(w, experiments.Table3(quick).Render())
 	}
-	if all || *table == 4 {
-		fmt.Println(experiments.RenderTable4(experiments.Table4()))
+	if all || table == 4 {
+		fmt.Fprintln(w, experiments.RenderTable4(experiments.Table4()))
 	}
-	if all || *table == 5 {
-		fmt.Println(experiments.RenderTable5(experiments.Table5()))
+	if all || table == 5 {
+		fmt.Fprintln(w, experiments.RenderTable5(experiments.Table5()))
 	}
 	if all {
-		fmt.Println(experiments.Figure1())
-		fmt.Println(experiments.Figure2())
+		fmt.Fprintln(w, experiments.Figure1())
+		fmt.Fprintln(w, experiments.Figure2())
 	}
 }

@@ -44,8 +44,10 @@ type Availability interface {
 // WordAvailability is an optional allocation-free fast path for systems
 // over at most 64 nodes: AvailableWord(live) must agree with
 // Available(bitset.FromWord(n, live)). The enumerator uses it when
-// implemented — it is what makes 2²⁸ subsets tractable, so every
-// construction in this repository provides it for n ≤ 64.
+// implemented and the system has no circuit (CircuitAvailability) — one
+// of the two is what makes 2²⁸ subsets tractable. The h-grid family has
+// circuits and no word path; every other construction in this repository
+// has a word path.
 type WordAvailability interface {
 	AvailableWord(live uint64) bool
 }
@@ -172,11 +174,7 @@ func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 					// bit j of the base value.
 					for base := lo; base < hi; base += 64 {
 						for j := 6; j < n; j++ {
-							if base>>uint(j)&1 == 0 {
-								lanes[j] = ^uint64(0)
-							} else {
-								lanes[j] = 0
-							}
+							lanes[j] = base>>uint(j)&1 - 1 // bit clear: all live
 						}
 						notAvail := ^circ.Eval(lanes, scratch)
 						if notAvail == 0 {

@@ -12,18 +12,21 @@ import "math/bits"
 // transposition is ever needed) and the Monte Carlo sampler feeds it 64
 // iid crash patterns (one bernoulliWord per lane).
 //
-// Only structural predicates compile (trees of AND/OR over cells:
-// majority-free hierarchies like h-grid, h-T-grid, h-triang); graph
-// connectivity (Y, Paths) does not, and such systems simply don't
-// implement CircuitAvailability.
+// Circuits are not written by hand: a system whose availability is a
+// threshold formula over its processes (quorum.Gate — the h-grid, h-T-grid
+// and h-triang) lowers that formula with (*quorum.Gate).Circuit, which is
+// the one client of CircuitBuilder outside this package. Graph
+// connectivity (Y, Paths) is no such formula, and those systems simply
+// don't implement CircuitAvailability.
 
 // CircuitAvailability is the optional bit-sliced fast path: the returned
 // circuit must satisfy, for every lane assignment,
 //
-//	bit s of Eval(lanes) == AvailableWord(mask s)
+//	bit s of Eval(lanes) == Available(mask s)
 //
-// where mask s collects bit s of each lane. A nil circuit means the
-// system cannot provide one (e.g. the universe exceeds 64 processes).
+// where mask s is the live set of the processes whose lane has bit s set.
+// A nil circuit means the system cannot provide one (e.g. the universe
+// exceeds 64 processes).
 type CircuitAvailability interface {
 	AvailabilityCircuit() *Circuit
 }
@@ -64,11 +67,13 @@ func (c *Circuit) NumRegs() int { return len(c.ops) + 2 }
 // NumRegs entries; it is clobbered. Bit s of the result is the predicate
 // value on the mask formed by bit s of every lane.
 func (c *Circuit) Eval(lanes []uint64, scratch []uint64) uint64 {
-	regs := scratch[:c.NumRegs()]
+	ops := c.ops // a local slice keeps the loop free of reloads
+	regs := scratch[:len(ops)+2]
 	regs[0] = 0
 	regs[1] = ^uint64(0)
-	for i := range c.ops {
-		op := &c.ops[i]
+	out := regs[2:]
+	for i := range ops {
+		op := &ops[i]
 		var r uint64
 		switch op.code {
 		case opLane:
@@ -87,7 +92,7 @@ func (c *Circuit) Eval(lanes []uint64, scratch []uint64) uint64 {
 				r |= lanes[bits.TrailingZeros64(m)]
 			}
 		}
-		regs[i+2] = r
+		out[i] = r
 	}
 	return regs[c.out]
 }

@@ -1,9 +1,10 @@
 package analysis_test
 
 // Cross-check property tests for the bit-sliced circuit path: every
-// compiled availability circuit must agree with AvailableWord lane for
-// lane, and the enumerator's 64-masks-at-once path must produce the same
-// transversal counts as the scalar word path.
+// availability circuit (lowered from the system's quorum.Gate) must agree
+// with the bitset Available lane for lane, and the enumerator's
+// 64-masks-at-once path must produce the same transversal counts as the
+// scalar bitset path.
 
 import (
 	"math/rand"
@@ -17,7 +18,7 @@ import (
 )
 
 type circuitSystem interface {
-	wordSystem
+	namedSystem
 	analysis.CircuitAvailability
 }
 
@@ -35,7 +36,9 @@ func circuitSystems(t *testing.T) []circuitSystem {
 		htgrid.Auto(3, 3),
 		htgrid.Auto(5, 5),
 		htgrid.Auto(6, 4),
+		htgrid.Auto(8, 8),
 		htgrid.NewOriented(hgrid.Auto(4, 4), htgrid.OrientBelowLine),
+		htgrid.NewOriented(hgrid.Auto(5, 3), htgrid.OrientBelowLine),
 		htriang.New(5),
 		htriang.New(7),
 		htriang.New(10),
@@ -44,7 +47,8 @@ func circuitSystems(t *testing.T) []circuitSystem {
 }
 
 // TestCircuitAgreesWithWord evaluates each availability circuit on random
-// lane groups and checks all 64 extracted masks against AvailableWord.
+// lane groups and checks all 64 extracted masks against the bitset
+// Available, the reference every circuit is checked against.
 func TestCircuitAgreesWithWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	for _, sys := range circuitSystems(t) {
@@ -78,9 +82,9 @@ func TestCircuitAgreesWithWord(t *testing.T) {
 				for j := range lanes {
 					mask |= (lanes[j] >> uint(s) & 1) << uint(j)
 				}
-				want := sys.AvailableWord(mask)
+				want := sys.Available(bitset.FromWord(n, mask))
 				if (got>>uint(s)&1 == 1) != want {
-					t.Fatalf("%s: circuit says %v for mask %#x, AvailableWord says %v",
+					t.Fatalf("%s: circuit says %v for mask %#x, Available says %v",
 						sys.Name(), !want, mask, want)
 				}
 			}
@@ -88,16 +92,15 @@ func TestCircuitAgreesWithWord(t *testing.T) {
 	}
 }
 
-// wordOnlyAdapter hides the circuit (and cache-key) interfaces so the
-// enumerator falls back to the scalar word path.
-type wordOnlyAdapter struct{ s circuitSystem }
+// setOnlyAdapter hides the circuit (and cache-key) interfaces so the
+// enumerator falls back to the scalar bitset path.
+type setOnlyAdapter struct{ s circuitSystem }
 
-func (w wordOnlyAdapter) Universe() int                  { return w.s.Universe() }
-func (w wordOnlyAdapter) Available(live bitset.Set) bool { return w.s.Available(live) }
-func (w wordOnlyAdapter) AvailableWord(live uint64) bool { return w.s.AvailableWord(live) }
+func (a setOnlyAdapter) Universe() int                  { return a.s.Universe() }
+func (a setOnlyAdapter) Available(live bitset.Set) bool { return a.s.Available(live) }
 
 // TestCircuitEnumeratorAgrees compares the lane-evaluated transversal
-// counts with the scalar word path on systems small enough to enumerate.
+// counts with the scalar bitset path on systems small enough to enumerate.
 func TestCircuitEnumeratorAgrees(t *testing.T) {
 	systems := []circuitSystem{
 		hgrid.NewRW(hgrid.Uniform(2, 2, 2)), // n = 16
@@ -107,10 +110,10 @@ func TestCircuitEnumeratorAgrees(t *testing.T) {
 	}
 	for _, sys := range systems {
 		fast := analysis.TransversalCounts(sys)
-		slow := analysis.TransversalCounts(wordOnlyAdapter{sys})
+		slow := analysis.TransversalCounts(setOnlyAdapter{sys})
 		for i := range slow {
 			if fast[i] != slow[i] {
-				t.Fatalf("%s: circuit path a_%d = %d, word path = %d",
+				t.Fatalf("%s: circuit path a_%d = %d, bitset path = %d",
 					sys.Name(), i, fast[i], slow[i])
 			}
 		}

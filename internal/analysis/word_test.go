@@ -4,7 +4,9 @@ package analysis_test
 // with Available(bitset.FromWord(...)) bit for bit, and the work-stealing
 // enumerator must be invariant in the worker count. These tests live in an
 // external test package so they can import the system packages (which
-// themselves import analysis for the interface assertions).
+// themselves import analysis for the interface assertions). The h-grid
+// family has no word path; its circuits are checked in
+// circuit_systems_test.go.
 
 import (
 	"math/rand"
@@ -14,9 +16,7 @@ import (
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/cwlog"
-	"hquorum/internal/hgrid"
 	"hquorum/internal/hqs"
-	"hquorum/internal/htgrid"
 	"hquorum/internal/htriang"
 	"hquorum/internal/kcoterie"
 	"hquorum/internal/majority"
@@ -24,10 +24,14 @@ import (
 	"hquorum/internal/ysys"
 )
 
-type wordSystem interface {
+type namedSystem interface {
 	analysis.Availability
-	analysis.WordAvailability
 	Name() string
+}
+
+type wordSystem interface {
+	namedSystem
+	analysis.WordAvailability
 }
 
 func mustWall(widths []int) *cwlog.System {
@@ -68,10 +72,6 @@ func mustKMajority(n, k int) *kcoterie.KMajority {
 // within 64 processes).
 func wordSystems(t *testing.T) []wordSystem {
 	t.Helper()
-	grown, err := htriang.FromSpec(htriang.Canonical(6).GrowT2())
-	if err != nil {
-		t.Fatal(err)
-	}
 	part, err := kcoterie.NewPartitioned(majority.New(7), ysys.New(4), mustLog(14))
 	if err != nil {
 		t.Fatal(err)
@@ -87,18 +87,6 @@ func wordSystems(t *testing.T) []wordSystem {
 		mustWall([]int{2, 1, 3, 4, 2}),
 		hqs.Grouped(5, 3),
 		hqs.Uniform(3, 3),
-		hgrid.NewRW(hgrid.Flat(3, 4)),
-		hgrid.NewRW(hgrid.Uniform(2, 2, 2)),
-		hgrid.NewRW(hgrid.Auto(5, 5)),
-		hgrid.NewRW(hgrid.Auto(6, 4)),
-		htgrid.Auto(3, 3),
-		htgrid.Auto(5, 5),
-		htgrid.Auto(6, 4),
-		htgrid.NewOriented(hgrid.Auto(4, 4), htgrid.OrientBelowLine),
-		htriang.New(5),
-		htriang.New(7),
-		htriang.New(10),
-		grown,
 		ysys.New(5),
 		ysys.New(7),
 		ysys.New(8), // largest padded Y board
@@ -153,12 +141,13 @@ func TestAvailableWordAgrees(t *testing.T) {
 
 // TestEnumeratorWorkerInvariance asserts the work-stealing enumerator
 // returns identical counts for 1, 3 and GOMAXPROCS workers on systems
-// large enough to span multiple work blocks.
+// large enough to span multiple work blocks, on the word and the circuit
+// path.
 func TestEnumeratorWorkerInvariance(t *testing.T) {
-	systems := []wordSystem{
+	systems := []namedSystem{
 		mustLog(18),    // 2¹⁸ subsets: 4 work blocks
 		ysys.New(6),    // n = 21: 32 work blocks
-		htriang.New(6), // n = 21
+		htriang.New(6), // n = 21, circuit path
 	}
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for _, sys := range systems {

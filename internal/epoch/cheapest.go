@@ -38,10 +38,26 @@ func hmajGate(degree int, ks []int, lo, width int) *quorum.Gate {
 	return quorum.Of(ks[0], kids...)
 }
 
-// gates returns the compiled read and write families.
+// gates returns what a read and a write may pick from: the write family,
+// and the read family joined with it wherever write quorums serve reads.
 func (p *Pickers) gates() (read, write *quorum.Gate) {
-	p.compileOnce.Do(func() { p.readGate, p.writeGate = p.compile() })
+	p.compileOnce.Do(p.compileGates)
 	return p.readGate, p.writeGate
+}
+
+// Families returns the read and the write family alone, over the dense
+// member space — what availability is counted on.
+func (p *Pickers) Families() (read, write *quorum.Gate) {
+	p.compileOnce.Do(p.compileGates)
+	return p.readFamily, p.writeGate
+}
+
+func (p *Pickers) compileGates() {
+	p.readFamily, p.writeGate = p.compile()
+	p.readGate = p.readFamily
+	if p.writesRead {
+		p.readGate = quorum.Any(p.readFamily, p.writeGate)
+	}
 }
 
 // cheapest picks the cheapest read or write quorum from live. cost is

@@ -460,11 +460,13 @@ type Pickers struct {
 	read    pickFn
 	write   pickFn
 	// The families as threshold formulas over the dense index space: what
-	// a cost-aware pick chooses from (see cheapest.go) and what
-	// CoversWrite evaluates. Compiled on first use.
-	compile             func() (read, write *quorum.Gate)
-	compileOnce         sync.Once
-	readGate, writeGate *quorum.Gate
+	// a cost-aware pick chooses from (see cheapest.go), what CoversWrite
+	// evaluates and what the tuner's availability counts. Compiled on
+	// first use; writesRead says write quorums may serve reads too.
+	compile                         func() (read, write *quorum.Gate)
+	writesRead                      bool
+	compileOnce                     sync.Once
+	readFamily, readGate, writeGate *quorum.Gate
 }
 
 // NewPickers validates p against the ID space and builds its quorum
@@ -503,9 +505,9 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		}
 		pk.read, pk.write = dense(rd), dense(wr)
 		pk.compile = func() (read, write *quorum.Gate) {
-			write = hmajGate(m, []int{w}, 0, m)
-			return quorum.Any(hmajGate(m, []int{r}, 0, m), write), write
+			return hmajGate(m, []int{r}, 0, m), hmajGate(m, []int{w}, 0, m)
 		}
+		pk.writesRead = true
 	case FlavorHMaj:
 		d := p.Rows
 		rl := append([]int(nil), p.RL...)
@@ -518,9 +520,9 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		}
 		pk.read, pk.write = dense(rd), dense(wr)
 		pk.compile = func() (read, write *quorum.Gate) {
-			write = hmajGate(d, wl, 0, m)
-			return quorum.Any(hmajGate(d, rl, 0, m), write), write
+			return hmajGate(d, rl, 0, m), hmajGate(d, wl, 0, m)
 		}
+		pk.writesRead = true
 	case FlavorHGrid:
 		h := hgrid.Auto(p.Rows, p.Cols)
 		pk.read = dense(h.PickRowCover)
@@ -533,10 +535,8 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		sys := htgrid.New(h)
 		pk.read = dense(h.PickRowCover)
 		pk.write = dense(sys.Pick)
-		pk.compile = func() (read, write *quorum.Gate) {
-			write = sys.Gate()
-			return quorum.Any(h.RowCoverGate(), write), write
-		}
+		pk.compile = func() (read, write *quorum.Gate) { return h.RowCoverGate(), sys.Gate() }
+		pk.writesRead = true
 	case FlavorHTriang:
 		sys := htriang.New(p.Rows)
 		pk.read, pk.write = dense(sys.Pick), dense(sys.Pick)

@@ -3,10 +3,18 @@ package hgrid
 import "hquorum/internal/quorum"
 
 // Gate compilers: the hierarchy's quorum families as quorum.Gate formulas,
-// so a cost-aware pick can price them exactly (quorum.Gate.Cheapest). They
-// mirror the availability predicates of predicates.go; the oriented
-// h-T-grid family is expanded over the boundary row like its circuit
-// (see circuit.go).
+// so a cost-aware pick can price them exactly (quorum.Gate.Cheapest) and
+// the analyzer can lower them to availability circuits
+// (quorum.Gate.Circuit). They mirror the availability predicates of
+// predicates.go. The oriented h-T-grid family needs the best full line's
+// boundary row, which is not boolean, so it is expanded over the boundary:
+//
+//	OrientAboveLine ⇔ ∃r: (full line with bottom ≤ r) ∧ coverAbove(r)
+//	OrientBelowLine ⇔ ∃r: (full line with top ≥ r) ∧ coverBelow(r)
+//
+// which is exact because coverAbove(r) is antitone in r (more rows to
+// cover) and coverBelow(r) monotone: testing the relaxed line condition
+// at every r subsumes testing the best line.
 
 // bound is a row boundary of the h-T-grid: the partial row-cover keeps,
 // and the full-line must stay within, the rows on its near side — rows
@@ -88,6 +96,20 @@ func (h *Hierarchy) LineCoverGate(above bool) *quorum.Gate {
 	alts := make([]*quorum.Gate, h.rows)
 	for r := range alts {
 		alts[r] = lineCoverGate(h.root, bound{row: r, above: above})
+	}
+	return quorum.Any(alts...)
+}
+
+// LineAndCoverGate compiles the same h-T-grid family as LineCoverGate
+// with the line and the cover side by side at every boundary row. It
+// holds on exactly the same live sets and lowers to a smaller circuit,
+// but a process both use is paid for twice, so it is for availability
+// (Eval, Circuit), not for Cheapest.
+func (h *Hierarchy) LineAndCoverGate(above bool) *quorum.Gate {
+	alts := make([]*quorum.Gate, h.rows)
+	for r := range alts {
+		b := bound{row: r, above: above}
+		alts[r] = quorum.All(lineGate(h.root, b), coverGate(h.root, b))
 	}
 	return quorum.Any(alts...)
 }

@@ -73,7 +73,6 @@ type Hierarchy struct {
 	rowOf    []int   // process ID -> region row (-1 outside the region)
 	colOf    []int
 	levels   int
-	word     *wordNode // compiled single-word fast path (nil when universe > 64)
 }
 
 // Root returns the top logical object.
@@ -274,9 +273,6 @@ func assembleRegion(root *Object, rows, cols int, ids [][]int, universe int) *Hi
 	}
 	walk(root, 0)
 	h.levels = depth
-	if universe <= 64 {
-		h.word = compileWord(root) // after the walk has assigned leaf IDs
-	}
 	if root.size != rows*cols || root.height != rows || root.width != cols {
 		panic(fmt.Sprintf("hgrid: inconsistent hierarchy: root %dx%d size %d vs %dx%d",
 			root.height, root.width, root.size, rows, cols))

@@ -3,6 +3,7 @@ package hgrid
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"hquorum/internal/analysis"
@@ -23,8 +24,12 @@ type RWSystem struct {
 	circ     *analysis.Circuit
 }
 
-var _ quorum.System = (*RWSystem)(nil)
-var _ quorum.Enumerator = (*RWSystem)(nil)
+var (
+	_ quorum.System                = (*RWSystem)(nil)
+	_ quorum.Enumerator            = (*RWSystem)(nil)
+	_ analysis.CircuitAvailability = (*RWSystem)(nil)
+	_ analysis.CacheKeyer          = (*RWSystem)(nil)
+)
 
 // NewRW returns the read-write quorum system of a hierarchy.
 func NewRW(h *Hierarchy) *RWSystem { return &RWSystem{h: h} }
@@ -46,13 +51,48 @@ func (s *RWSystem) Available(live bitset.Set) bool {
 	return s.h.HasFullLine(live) && s.h.HasRowCover(live)
 }
 
-// AvailableWord is Available on a single-word live mask (universe ≤ 64).
-func (s *RWSystem) AvailableWord(live uint64) bool {
-	return s.h.HasFullLineWord(live) && s.h.HasRowCoverWord(live)
+// AvailabilityCircuit implements analysis.CircuitAvailability: Available
+// as a full-line gate and a row-cover gate, lowered once on first use;
+// nil when the universe exceeds 64 processes.
+func (s *RWSystem) AvailabilityCircuit() *analysis.Circuit {
+	s.circOnce.Do(func() {
+		s.circ = quorum.All(s.h.FullLineGate(), s.h.RowCoverGate()).Circuit(s.h.universe)
+	})
+	return s.circ
 }
 
 // CacheKey implements analysis.CacheKeyer.
 func (s *RWSystem) CacheKey() string { return "hgrid-rw:" + s.h.CacheKey() }
+
+// CacheKey serializes the hierarchy's structure and leaf IDs, which fully
+// determine every predicate of the hierarchy; it implements
+// analysis.CacheKeyer for the transversal-count memo cache.
+func (h *Hierarchy) CacheKey() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "hgrid:u%d:", h.universe)
+	writeObjectKey(&b, h.root)
+	return b.String()
+}
+
+func writeObjectKey(b *strings.Builder, o *Object) {
+	if o.IsLeaf() {
+		fmt.Fprintf(b, "%d", o.leaf)
+		return
+	}
+	b.WriteByte('(')
+	for r, row := range o.children {
+		if r > 0 {
+			b.WriteByte(';')
+		}
+		for c, child := range row {
+			if c > 0 {
+				b.WriteByte(',')
+			}
+			writeObjectKey(b, child)
+		}
+	}
+	b.WriteByte(')')
+}
 
 // Pick returns a random read-write quorum drawn from live. The random
 // per-level selection is the paper's §4.3 load-balancing strategy for the

@@ -51,8 +51,12 @@ type System struct {
 	circ     *analysis.Circuit
 }
 
-var _ quorum.System = (*System)(nil)
-var _ quorum.Enumerator = (*System)(nil)
+var (
+	_ quorum.System                = (*System)(nil)
+	_ quorum.Enumerator            = (*System)(nil)
+	_ analysis.CircuitAvailability = (*System)(nil)
+	_ analysis.CacheKeyer          = (*System)(nil)
+)
 
 // New returns the h-T-grid quorum system of a hierarchy in the paper-exact
 // orientation.
@@ -299,4 +303,21 @@ func (s *System) Render(q bitset.Set) string { return s.h.Render(q) }
 // hgrid.LineCoverGate), in the configured orientation.
 func (s *System) Gate() *quorum.Gate {
 	return s.h.LineCoverGate(s.orient == OrientAboveLine)
+}
+
+// AvailabilityCircuit implements analysis.CircuitAvailability: Available
+// as the line-and-cover gate (hgrid.LineAndCoverGate, which lowers to a
+// smaller program than Gate), lowered once on first use; nil when the
+// universe exceeds 64 processes.
+func (s *System) AvailabilityCircuit() *analysis.Circuit {
+	s.circOnce.Do(func() {
+		s.circ = s.h.LineAndCoverGate(s.orient == OrientAboveLine).Circuit(s.h.Universe())
+	})
+	return s.circ
+}
+
+// CacheKey implements analysis.CacheKeyer: the hierarchy structure plus the
+// cover orientation determine the availability predicate.
+func (s *System) CacheKey() string {
+	return fmt.Sprintf("htgrid:o%d:", s.orient) + s.h.CacheKey()
 }

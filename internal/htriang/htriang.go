@@ -23,6 +23,7 @@ package htriang
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"hquorum/internal/analysis"
@@ -54,8 +55,12 @@ type System struct {
 	circ     *analysis.Circuit
 }
 
-var _ quorum.System = (*System)(nil)
-var _ quorum.Enumerator = (*System)(nil)
+var (
+	_ quorum.System                = (*System)(nil)
+	_ quorum.Enumerator            = (*System)(nil)
+	_ analysis.CircuitAvailability = (*System)(nil)
+	_ analysis.CacheKeyer          = (*System)(nil)
+)
 
 // New returns the canonical h-triang system over a triangle with k rows
 // (n = k(k+1)/2 processes). Process IDs are raster order: row r (0-based)
@@ -361,4 +366,35 @@ func gate(t *node) *quorum.Gate {
 		quorum.All(q1, t.g.RowCoverGate()),
 		quorum.All(q2, t.g.FullLineGate()),
 	)
+}
+
+// AvailabilityCircuit implements analysis.CircuitAvailability: Gate
+// lowered once, on first use; nil when the triangle exceeds 64 processes.
+func (s *System) AvailabilityCircuit() *analysis.Circuit {
+	s.circOnce.Do(func() { s.circ = s.Gate().Circuit(s.n) })
+	return s.circ
+}
+
+// CacheKey implements analysis.CacheKeyer: the decomposition tree with its
+// leaf IDs and embedded sub-grid structures determines the predicate, so
+// canonical triangles and grown specs key consistently.
+func (s *System) CacheKey() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "htriang:u%d:", s.n)
+	writeNodeKey(&b, s.root)
+	return b.String()
+}
+
+func writeNodeKey(b *strings.Builder, t *node) {
+	if t.rows == 1 {
+		fmt.Fprintf(b, "%d", t.leaf)
+		return
+	}
+	b.WriteByte('[')
+	writeNodeKey(b, t.t1)
+	b.WriteByte('|')
+	b.WriteString(t.g.CacheKey())
+	b.WriteByte('|')
+	writeNodeKey(b, t.t2)
+	b.WriteByte(']')
 }

@@ -16,12 +16,18 @@
 // Maekawa-style protocol of package dmutex runs k-mutual exclusion with
 // them unchanged — its arbiters grant one request at a time, which is
 // exactly the k-coterie safety argument.
+//
+// Both give the analyzer a word fast path (analysis.WordAvailability) up to
+// 64 processes. A partition takes any sub-coterie: one without a word path
+// of its own — the h-grid family, whose fast path is a circuit, or a
+// quorum.Composite — answers its slice of the word through Available.
 package kcoterie
 
 import (
 	"fmt"
 	"math/rand"
 
+	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -94,7 +100,7 @@ type Partitioned struct {
 	subs     []quorum.System
 	offsets  []int
 	n        int
-	wordSubs []wordSub // per-slice word views (nil unless all subs support them)
+	wordSubs []wordSub // per-slice word views (nil when n > 64)
 }
 
 var _ quorum.System = (*Partitioned)(nil)
@@ -115,11 +121,7 @@ func NewPartitioned(subs ...quorum.System) (*Partitioned, error) {
 	if p.n <= 64 {
 		p.wordSubs = make([]wordSub, len(subs))
 		for i, sub := range subs {
-			fast, ok := sub.(interface{ AvailableWord(uint64) bool })
-			if !ok {
-				p.wordSubs = nil
-				break
-			}
+			fast, _ := sub.(analysis.WordAvailability)
 			p.wordSubs[i] = wordSub{
 				shift: uint(p.offsets[i]),
 				mask:  uint64(1)<<uint(sub.Universe()) - 1,

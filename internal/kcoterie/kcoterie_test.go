@@ -1,10 +1,13 @@
 package kcoterie
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
 	"hquorum/internal/dmutex"
@@ -90,6 +93,38 @@ func TestPartitioned(t *testing.T) {
 	}
 	if _, err := NewPartitioned(nil); err == nil {
 		t.Error("nil sub-coterie accepted")
+	}
+}
+
+// TestPartitionedCountsWithoutWordSubs: a partition whose sub-coteries have
+// no word path of their own (a Composite, the h-triang) still enumerates —
+// the word path answers their slices through Available — and its
+// transversal counts match a brute-force sweep of the bitset Available.
+func TestPartitionedCountsWithoutWordSubs(t *testing.T) {
+	maj3 := func() quorum.System { return majority.New(3) }
+	comp, err := quorum.NewComposite(maj3(), []quorum.System{maj3(), maj3(), maj3()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, subs := range [][]quorum.System{
+		{comp, maj3()},
+		{htriang.New(3), htriang.New(3)},
+	} {
+		p, err := NewPartitioned(subs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.Universe()
+		want := make([]uint64, n+1)
+		full := uint64(1)<<uint(n) - 1
+		for failed := uint64(0); failed <= full; failed++ {
+			if !p.Available(bitset.FromWord(n, full&^failed)) {
+				want[bits.OnesCount64(failed)]++
+			}
+		}
+		if got := analysis.TransversalCounts(p); !slices.Equal(got, want) {
+			t.Fatalf("%s: transversal counts %v, brute force %v", p.Name(), got, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"hquorum/internal/analysis"
+	"hquorum/internal/bitset"
 )
 
 var (
@@ -34,17 +35,24 @@ type wordSub struct {
 	fast  analysis.WordAvailability
 }
 
-// AvailableWord is Available on a single-word live mask. It requires every
-// sub-coterie to implement the word fast path (all constructions in this
-// repository do for n ≤ 64) and panics otherwise or when the combined
-// universe exceeds 64.
+// AvailableWord is Available on a single-word live mask. A sub-coterie
+// with its own word path answers on its slice of the word; one without
+// (the h-grid family, Composite) answers through Available on its
+// extracted slice. It panics when the combined universe exceeds 64.
 func (p *Partitioned) AvailableWord(live uint64) bool {
 	if p.wordSubs == nil {
-		panic(fmt.Sprintf("kcoterie: AvailableWord needs word-capable sub-coteries within 64 processes (universe %d)", p.n))
+		panic(fmt.Sprintf("kcoterie: AvailableWord needs a universe of at most 64 processes (have %d)", p.n))
 	}
 	for i := range p.wordSubs {
 		w := &p.wordSubs[i]
-		if w.fast.AvailableWord((live >> w.shift) & w.mask) {
+		slice := (live >> w.shift) & w.mask
+		var ok bool
+		if w.fast != nil {
+			ok = w.fast.AvailableWord(slice)
+		} else {
+			ok = p.subs[i].Available(bitset.FromWord(p.subs[i].Universe(), slice))
+		}
+		if ok {
 			return true
 		}
 	}

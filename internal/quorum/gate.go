@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 )
 
@@ -15,7 +16,9 @@ import (
 // disjunction (need = 1) and vote thresholds are the same node, so every
 // construction of this repository — row-covers, full-lines, the h-T-grid's
 // line plus cover, the h-triang's three methods, (hierarchical) majorities
-// — compiles to one tree and one evaluator prices them all.
+// — compiles to one tree: one evaluator prices them all, and one lowering
+// (Circuit) gives the availability sweeps their 64-live-sets-at-once
+// program.
 //
 // Cheapest is exact when the kids of every gate with need > 1 range over
 // disjoint processes (a member is then never paid for twice); every
@@ -75,6 +78,67 @@ func (g *Gate) Eval(live bitset.Set) bool {
 		}
 	}
 	return need == 0
+}
+
+// Circuit lowers the formula to a bit-sliced program over n input lanes,
+// lane j carrying process j: bit s of its result is Eval on the live set
+// formed by bit s of every lane, so one evaluation answers 64 live sets.
+// The leaf kids of a conjunction or disjunction collapse into one lane
+// mask, any other threshold unrolls "at least t of the first i kids", and
+// identical subformulas share one op. It is nil when n exceeds 64.
+func (g *Gate) Circuit(n int) *analysis.Circuit {
+	if n > 64 {
+		return nil
+	}
+	b := analysis.NewCircuitBuilder(n)
+	memo := make(map[*Gate]analysis.Ref)
+	var lower func(g *Gate) analysis.Ref
+	lower = func(g *Gate) analysis.Ref {
+		if g.id >= 0 {
+			return b.Lane(g.id)
+		}
+		if r, ok := memo[g]; ok {
+			return r
+		}
+		var r analysis.Ref
+		switch {
+		case g.need > len(g.kids):
+			r = analysis.False
+		case g.need == len(g.kids) || g.need == 1:
+			fold, join := b.AnyOf, b.Or
+			if g.need == len(g.kids) {
+				fold, join = b.AllOf, b.And
+			}
+			var mask uint64
+			var rest []analysis.Ref
+			for _, k := range g.kids {
+				if k.id >= 0 && k.id < n { // out of range: Lane panics
+					mask |= 1 << uint(k.id)
+				} else {
+					rest = append(rest, lower(k))
+				}
+			}
+			r = fold(mask)
+			for _, x := range rest {
+				r = join(r, x)
+			}
+		default:
+			// at[t]: at least t of the kids lowered so far hold (at[t > 0]
+			// starts as the zero Ref, False).
+			at := make([]analysis.Ref, g.need+1)
+			at[0] = analysis.True
+			for _, k := range g.kids {
+				x := lower(k)
+				for t := g.need; t >= 1; t-- {
+					at[t] = b.Or(at[t], b.And(x, at[t-1]))
+				}
+			}
+			r = at[g.need]
+		}
+		memo[g] = r
+		return r
+	}
+	return b.Build(lower(g))
 }
 
 // unpriced is the price of a formula that cannot hold.

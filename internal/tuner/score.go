@@ -3,16 +3,15 @@ package tuner
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
-	"hquorum/internal/htgrid"
-	"hquorum/internal/htriang"
 	"hquorum/internal/loadopt"
+	"hquorum/internal/quorum"
 )
 
 // Options parameterize the optimizer's model of the world.
@@ -279,63 +278,87 @@ func hmajAvail(degree int, rl, wl []int, q float64) availStats {
 	return availStats{read: p11 + p10, write: p11 + p01, both: p11}
 }
 
-// rwPredicates returns the read and write availability predicates of a
-// structural flavor over the dense space.
-func rwPredicates(np epoch.Params) (read, write func(bitset.Set) bool, err error) {
-	switch np.Flavor {
-	case epoch.FlavorHGrid:
-		h := hgrid.Auto(np.Rows, np.Cols)
-		return h.HasRowCover, h.HasFullLine, nil
-	case epoch.FlavorHTGrid:
-		h := hgrid.Auto(np.Rows, np.Cols)
-		sys := htgrid.New(h)
-		return h.HasRowCover, sys.Available, nil
-	case epoch.FlavorHTriang:
-		sys := htriang.New(np.Rows)
-		return sys.Available, sys.Available, nil
-	default:
-		return nil, nil, fmt.Errorf("tuner: no availability predicates for flavor %v", np.Flavor)
-	}
+// family is one quorum family as the availability sweeps see it: the
+// formula over m dense members, and its circuit (nil beyond 64 members)
+// for 64 live sets at a time.
+type family struct {
+	g       *quorum.Gate
+	m       int
+	circ    *analysis.Circuit
+	scratch []uint64
 }
 
-// structuralAvail enumerates every live set of a structural flavor (grid,
-// triangle) once, accumulating failure-set counts for the read predicate,
-// the write predicate and their conjunction, then evaluates the three
-// failure polynomials at p. Beyond 20 members it estimates by fixed-seed
-// Monte Carlo instead.
+func newFamily(g *quorum.Gate, m int) family {
+	f := family{g: g, m: m, circ: g.Circuit(m)}
+	if f.circ != nil {
+		f.scratch = make([]uint64, f.circ.NumRegs())
+	}
+	return f
+}
+
+func (f family) Universe() int                          { return f.m }
+func (f family) Available(live bitset.Set) bool         { return f.g.Eval(live) }
+func (f family) AvailabilityCircuit() *analysis.Circuit { return f.circ }
+
+// holds sets bit s when the family holds on the live set formed by bit s
+// of every lane.
+func (f family) holds(lanes []uint64) uint64 {
+	if f.circ != nil {
+		return f.circ.Eval(lanes, f.scratch)
+	}
+	var out uint64
+	live := bitset.New(f.m)
+	for s := 0; s < 64; s++ {
+		live.Clear()
+		for j, l := range lanes {
+			if l>>uint(s)&1 == 1 {
+				live.Add(j)
+			}
+		}
+		if f.g.Eval(live) {
+			out |= 1 << uint(s)
+		}
+	}
+	return out
+}
+
+// structuralAvail counts, over every live set of a structural flavor
+// (grid, triangle), the failure sets of the read family, the write family
+// and their conjunction, then evaluates the three failure polynomials at
+// p. Beyond 20 members it estimates by fixed-seed Monte Carlo instead.
 func structuralAvail(np epoch.Params, p float64) (availStats, error) {
-	read, write, err := rwPredicates(np)
+	m := len(np.Members)
+	pk, err := epoch.NewPickers(m, np)
 	if err != nil {
 		return availStats{}, err
 	}
-	m := len(np.Members)
+	read, write := pk.Families()
+	fams := [3]family{newFamily(read, m), newFamily(write, m), newFamily(quorum.All(read, write), m)}
 	if m > 20 {
+		// 200000 fixed-seed samples, each drawing its members in order;
+		// sample s of a block is bit s of every lane.
+		const blocks = 3125
 		rng := rand.New(rand.NewSource(int64(m)*7919 + int64(np.Flavor)))
-		const samples = 200000
-		live := bitset.New(m)
-		var okR, okW, okB int
-		for i := 0; i < samples; i++ {
-			live.Clear()
-			for j := 0; j < m; j++ {
-				if rng.Float64() >= p {
-					live.Add(j)
+		lanes := make([]uint64, m)
+		var ok [3]int
+		for b := 0; b < blocks; b++ {
+			clear(lanes)
+			for s := 0; s < 64; s++ {
+				for j := range lanes {
+					if rng.Float64() >= p {
+						lanes[j] |= 1 << uint(s)
+					}
 				}
 			}
-			r, w := read(live), write(live)
-			if r {
-				okR++
-			}
-			if w {
-				okW++
-			}
-			if r && w {
-				okB++
+			for i, f := range fams {
+				ok[i] += bits.OnesCount64(f.holds(lanes))
 			}
 		}
+		const samples = blocks * 64
 		return availStats{
-			read:  float64(okR) / samples,
-			write: float64(okW) / samples,
-			both:  float64(okB) / samples,
+			read:  float64(ok[0]) / samples,
+			write: float64(ok[1]) / samples,
+			both:  float64(ok[2]) / samples,
 		}, nil
 	}
 	ckey := memoKey(np)
@@ -343,24 +366,8 @@ func structuralAvail(np epoch.Params, p float64) (availStats, error) {
 	counts, ok := countsMemo[ckey]
 	scoreMu.Unlock()
 	if !ok {
-		for i := range counts {
-			counts[i] = make([]uint64, m+1)
-		}
-		live := bitset.New(m)
-		total := uint64(1) << uint(m)
-		for mask := uint64(0); mask < total; mask++ {
-			live.SetWord(mask)
-			dead := m - live.Count()
-			r, w := read(live), write(live)
-			if !r {
-				counts[0][dead]++
-			}
-			if !w {
-				counts[1][dead]++
-			}
-			if !r || !w {
-				counts[2][dead]++
-			}
+		for i, f := range fams {
+			counts[i] = analysis.TransversalCounts(f)
 		}
 		scoreMu.Lock()
 		countsMemo[ckey] = counts
@@ -436,11 +443,4 @@ func score(p epoch.Params, wl Workload, opt Options, measured bool) (Score, erro
 		Feasible:   avail >= opt.MinAvail,
 	}
 	return s, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -332,6 +332,7 @@ func TestExactAvailAgainstBruteForce(t *testing.T) {
 		{Flavor: epoch.FlavorHMaj, Rows: 3, RL: []int{2, 2}, WL: []int{2, 3}, Members: epoch.MemberRange(0, 9)},
 		{Flavor: epoch.FlavorHGrid, Rows: 3, Cols: 3, Members: epoch.MemberRange(0, 9)},
 		{Flavor: epoch.FlavorHTGrid, Rows: 3, Cols: 3, Members: epoch.MemberRange(0, 9)},
+		{Flavor: epoch.FlavorHTriang, Rows: 4, Members: epoch.MemberRange(0, 10)},
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, cfg := range configs {
@@ -372,6 +373,82 @@ func TestExactAvailAgainstBruteForce(t *testing.T) {
 			if math.Abs(pair[0]-pair[1]) > 1e-9 {
 				t.Fatalf("%v: exact avail %v vs brute force %v", cfg, pair[0], pair[1])
 			}
+		}
+	}
+}
+
+// TestStructuralAvailPinned pins exactAvail for the structural flavors,
+// bit for bit, at values computed from the flavors' bitset predicates
+// (row-cover, full-line, the systems' Available): exact enumeration up to
+// 20 members, the fixed-seed 200000-sample estimate for the 5×5 h-T-grid.
+// The tuner ranks candidates by these numbers, so a gate or lowering that
+// moved one would move its swaps.
+func TestStructuralAvailPinned(t *testing.T) {
+	for _, c := range []struct {
+		flavor     epoch.Flavor
+		rows, cols int
+		failP      float64
+		want       availStats
+	}{
+		{epoch.FlavorHGrid, 3, 3, 0.05, availStats{0.9993881702363281, 0.9982909981660156, 0.9976889601582031}},
+		{epoch.FlavorHGrid, 3, 3, 0.1, availStats{0.995222781, 0.987604731, 0.983106801}},
+		{epoch.FlavorHGrid, 4, 4, 0.05, availStats{0.9999501255437558, 0.9996419529504361, 0.999592251606328}},
+		{epoch.FlavorHGrid, 4, 4, 0.1, availStats{0.9992081368239201, 0.9949736451676959, 0.9942007035191517}},
+		{epoch.FlavorHGrid, 3, 5, 0.05, availStats{0.9999972560907012, 0.9951646069276673, 0.9951619821191547}},
+		{epoch.FlavorHGrid, 3, 5, 0.1, availStats{0.999914758852419, 0.967162284971829, 0.9670893128081189}},
+		{epoch.FlavorHTGrid, 3, 3, 0.05, availStats{0.9993881702363281, 0.9979195806367187, 0.9976889601582031}},
+		{epoch.FlavorHTGrid, 3, 3, 0.1, availStats{0.995222781, 0.984787146, 0.983106801}},
+		{epoch.FlavorHTGrid, 4, 4, 0.05, availStats{0.9999501255437558, 0.9996219037331965, 0.999592251606328}},
+		{epoch.FlavorHTGrid, 4, 4, 0.1, availStats{0.9992081368239201, 0.9946387865273436, 0.9942007035191517}},
+		{epoch.FlavorHTGrid, 4, 5, 0.05, availStats{0.9999951371857946, 0.9995409016581762, 0.9995382752487921}},
+		{epoch.FlavorHTGrid, 4, 5, 0.1, availStats{0.9998495218613436, 0.9934995083123617, 0.9934239252151029}},
+		{epoch.FlavorHTriang, 4, 0, 0.05, availStats{0.99984307465625, 0.99984307465625, 0.99984307465625}},
+		{epoch.FlavorHTriang, 4, 0, 0.1, availStats{0.997691904, 0.997691904, 0.997691904}},
+		{epoch.FlavorHTriang, 5, 0, 0.05, availStats{0.9999762902205626, 0.9999762902205626, 0.9999762902205626}},
+		{epoch.FlavorHTriang, 5, 0, 0.1, availStats{0.9993227901408, 0.9993227901408, 0.9993227901408}},
+		{epoch.FlavorHTGrid, 5, 5, 0.05, availStats{1, 0.99993, 0.99993}},
+		{epoch.FlavorHTGrid, 5, 5, 0.1, availStats{0.999765, 0.998415, 0.998315}},
+	} {
+		m := c.rows * c.cols
+		if c.flavor == epoch.FlavorHTriang {
+			m = c.rows * (c.rows + 1) / 2
+		}
+		p := epoch.Params{Flavor: c.flavor, Rows: c.rows, Cols: c.cols, Members: epoch.MemberRange(0, m)}
+		got, err := exactAvail(p, c.failP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%v %dx%d at FailP %v: %+v, want %+v", c.flavor, c.rows, c.cols, c.failP, got, c.want)
+		}
+	}
+}
+
+// TestFamilyBeyond64Members: past 64 members a family has no circuit, and
+// the sampler's 64-at-a-time evaluation answers lane by lane through Eval.
+func TestFamilyBeyond64Members(t *testing.T) {
+	const m = 70
+	kids := make([]*quorum.Gate, m)
+	for i := range kids {
+		kids[i] = quorum.Leaf(i)
+	}
+	f := newFamily(quorum.Of(m/2+1, kids...), m)
+	if f.circ != nil {
+		t.Fatal("circuit over 70 members")
+	}
+	rng := rand.New(rand.NewSource(7))
+	lanes := make([]uint64, m)
+	for j := range lanes {
+		lanes[j] = rng.Uint64()
+	}
+	got := f.holds(lanes)
+	for s := 0; s < 64; s++ {
+		live := 0
+		for _, l := range lanes {
+			live += int(l >> uint(s) & 1)
+		}
+		if want := live > m/2; (got>>uint(s)&1 == 1) != want {
+			t.Fatalf("sample %d: %d of %d live, holds says %t", s, live, m, !want)
 		}
 	}
 }

@@ -24,6 +24,12 @@ if grep -rn 'os\.Getenv' --include='*.go' internal/rkv internal/epoch; then exit
 # The lock has one quorum source, its quorum.System: the epoch-versioned
 # mode is gone and must not grow back unnoticed.
 if go list -deps ./internal/dmutex | grep -x 'hquorum/internal/epoch'; then exit 1; fi
+# Availability circuits are lowered from quorum.Gate formulas: no
+# construction compiles one by hand beside its gate.
+if grep -rln 'NewCircuitBuilder' --include='*.go' . | grep -v -e '^\./internal/analysis/' -e '^\./internal/quorum/'; then exit 1; fi
+# The tuner counts availability on the pickers' gates, not on per-flavor
+# predicates of its own.
+if go list -f '{{join .Imports "\n"}}' ./internal/tuner | grep -x -e 'hquorum/internal/hgrid' -e 'hquorum/internal/htgrid' -e 'hquorum/internal/htriang'; then exit 1; fi
 go test ./...
 # The facade example submits a write chain, crashes three replicas and
 # panics if the read after the crashes is stale: run it, not just build it.
