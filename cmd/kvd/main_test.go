@@ -13,7 +13,7 @@ import (
 
 // numericLeaves walks a decoded JSON value and fails the test on any
 // leaf under path that is not a number, bool or string — the shape
-// guarantee scrapers (quorumctl, loadgen, dashboards) rely on.
+// guarantee scrapers (quorumctl, dashboards) rely on.
 func numericLeaves(t *testing.T, path string, v any) {
 	t.Helper()
 	switch x := v.(type) {

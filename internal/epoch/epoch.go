@@ -81,7 +81,7 @@ func (f Flavor) String() string {
 }
 
 // ParseFlavor parses a flavor name as spelled by String (the -store flag
-// vocabulary of kvd, loadgen and quorumctl).
+// vocabulary of kvd and quorumctl).
 func ParseFlavor(s string) (Flavor, error) {
 	switch s {
 	case "majority":

@@ -8,8 +8,8 @@
 // ~1.6% relative error (1/64) while the whole histogram is a flat ~30KB
 // array — no allocation per Record, no sorting, no sampling bias.
 //
-// A Histogram is deliberately not goroutine-safe: the intended pattern
-// (package loadgen) is one histogram per worker, merged after the run.
+// A Histogram is deliberately not goroutine-safe: keep one per worker
+// (or guard it, as optrace's tracer does) and merge after the run.
 package histo
 
 import (

@@ -113,7 +113,7 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-// TestMergeEdgeCases pins the degenerate merges loadgen's per-window
+// TestMergeEdgeCases pins the degenerate merges a per-window
 // aggregation hits: empty↔empty, empty↔one-sample, one-sample↔one-sample.
 // The min sentinel (-1 when empty) must never leak into a merged result.
 func TestMergeEdgeCases(t *testing.T) {
@@ -149,8 +149,8 @@ func TestMergeEdgeCases(t *testing.T) {
 	}
 }
 
-// TestResetReuse: the loadgen pattern — one histogram Reset and refilled
-// per window — must be indistinguishable from a fresh histogram.
+// TestResetReuse: one histogram Reset and refilled per window must be
+// indistinguishable from a fresh histogram.
 func TestResetReuse(t *testing.T) {
 	reused, fresh := New(), New()
 	rng := rand.New(rand.NewSource(3))
@@ -233,7 +233,7 @@ func BenchmarkQuantile(b *testing.B) {
 // TestMergeManyClients folds a gateway-scale fan of per-client
 // histograms — skewed so clients see very different latency ranges —
 // into one, and checks it is indistinguishable from a histogram that
-// saw every sample directly. This is the loadgen merge path at 1000+
+// saw every sample directly. This is the per-client merge path at 1000+
 // clients: tail quantiles must survive the fold exactly.
 func TestMergeManyClients(t *testing.T) {
 	const clients = 1000

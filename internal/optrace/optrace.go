@@ -378,7 +378,7 @@ func (t *Tracer) Snapshot() Snapshot {
 }
 
 // Merge folds o into s via the compact wire forms — the cross-node
-// aggregation path (metrics endpoints, loadgen's per-node tracers).
+// aggregation path (metrics endpoints, the benchmark's per-node tracers).
 // Stages present in either side survive; malformed wire data is an
 // error and leaves s partially merged.
 func (s *Snapshot) Merge(o Snapshot) error {

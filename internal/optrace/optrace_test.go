@@ -132,7 +132,7 @@ func TestConcurrentFold(t *testing.T) {
 
 // TestSnapshotMergeAndJSON: snapshots merge across nodes through the
 // compact wire form and survive a JSON round-trip (the metrics-endpoint
-// path: kvd encodes, quorumctl/loadgen decode and merge).
+// path: kvd encodes, quorumctl and the benchmark decode and merge).
 func TestSnapshotMergeAndJSON(t *testing.T) {
 	mk := func(lockMs int) Snapshot {
 		tr := New(1)

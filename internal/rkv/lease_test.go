@@ -152,56 +152,69 @@ func TestLeaseDropSeqGate(t *testing.T) {
 
 // TestLeaseLocalReads: a read-heavy holder ends up serving its reads
 // from the local store — grants happen, local-read hits accumulate, and
-// every result is correct.
+// every result is correct. The lease must pay on the wire: counted up to
+// the last callback (renewals go on after it), the leased run sends at
+// most a quarter of the messages per op of the same run without a lease.
 func TestLeaseLocalReads(t *testing.T) {
-	ops := map[cluster.NodeID][]Op{
-		0: {{Kind: OpWrite, Key: "k", Value: "v1"}},
-	}
+	ops := []Op{{Kind: OpWrite, Key: "k", Value: "v1"}}
 	for j := 0; j < 120; j++ {
-		ops[0] = append(ops[0], Op{Kind: OpRead, Key: "k"})
+		ops = append(ops, Op{Kind: OpRead, Key: "k"})
 	}
-	h := &epochHarness{net: cluster.New(cluster.WithSeed(31), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
-	for i := 0; i < 9; i++ {
-		id := cluster.NodeID(i)
-		st, err := epoch.NewStore(9, majority9())
-		if err != nil {
-			t.Fatal(err)
+	// run drives ops on node 0 of nine majority replicas, 10ms apart, and
+	// returns the node and the messages delivered when the last callback
+	// fired.
+	run := func(leased bool) (*Node, uint64) {
+		h := &epochHarness{net: cluster.New(cluster.WithSeed(31), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
+		for i := 0; i < 9; i++ {
+			id := cluster.NodeID(i)
+			st, err := epoch.NewStore(9, majority9())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Epochs: st}
+			if i == 0 && leased {
+				cfg.Lease = leaseCfgFast()
+			}
+			n, err := NewNode(id, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.net.AddNode(id, n); err != nil {
+				t.Fatal(err)
+			}
+			h.nodes = append(h.nodes, n)
+			h.stores = append(h.stores, st)
 		}
-		cfg := Config{Epochs: st}
-		if i == 0 {
-			cfg.Lease = leaseCfgFast()
+		submitAll(t, h.net, h.nodes, 10*time.Millisecond, map[cluster.NodeID][]Op{0: ops}, &h.results)
+		for len(h.results) < len(ops) {
+			if h.net.Now() > 10*time.Second || !h.net.Step() {
+				t.Fatalf("leased=%t: %d of %d ops answered at %v", leased, len(h.results), len(ops), h.net.Now())
+			}
 		}
-		n, err := NewNode(id, cfg)
-		if err != nil {
-			t.Fatal(err)
+		for _, r := range h.results {
+			if r.Err != nil {
+				t.Fatalf("op failed: %+v", r)
+			}
+			if r.Kind == OpRead && r.Value != "v1" {
+				t.Fatalf("read %q, want v1", r.Value)
+			}
 		}
-		if err := h.net.AddNode(id, n); err != nil {
-			t.Fatal(err)
-		}
-		h.nodes = append(h.nodes, n)
-		h.stores = append(h.stores, st)
+		return h.nodes[0], h.net.Messages()
 	}
-	submitAll(t, h.net, h.nodes, 10*time.Millisecond, ops, &h.results)
-	h.net.Run(10 * time.Second)
-	if !h.nodes[0].Done() {
-		t.Fatal("workload did not finish")
-	}
-	for _, r := range h.results {
-		if r.Err != nil {
-			t.Fatalf("op failed: %+v", r)
-		}
-		if r.Kind == OpRead && r.Value != "v1" {
-			t.Fatalf("read %q, want v1", r.Value)
-		}
-	}
-	st := h.nodes[0].LeaseStats()
+	holder, leasedMsgs := run(true)
+	st := holder.LeaseStats()
 	if st.Grants == 0 {
 		t.Fatal("no lease was ever granted")
 	}
 	if st.LocalReads == 0 {
 		t.Fatal("no read was served locally")
 	}
-	t.Logf("lease stats: %+v (of %d reads)", st, len(ops[0])-1)
+	_, plainMsgs := run(false)
+	leased, plain := float64(leasedMsgs)/float64(len(ops)), float64(plainMsgs)/float64(len(ops))
+	t.Logf("lease stats: %+v (of %d reads); msgs/op leased %.2f, unleased %.2f (%.3fx)", st, len(ops)-1, leased, plain, leased/plain)
+	if leased > 0.25*plain {
+		t.Fatalf("leased run sends %.2f msgs/op, more than 0.25x the unleased run's %.2f", leased, plain)
+	}
 }
 
 // TestLeaseWriterInvalidation: a remote writer to a leased shard must

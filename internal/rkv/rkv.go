@@ -217,10 +217,10 @@ type Config struct {
 	// separate clients.
 	Batch int
 	// OpGap is the pause between a round finishing and the next launch
-	// while submitted operations are still queued; a positive gap also
-	// launches one batch per tick instead of filling the window at once
-	// (default 1ms; negative means none). Drivers that pace their own
-	// submissions — the chaos runner, load generators — run with -1.
+	// while submitted operations are still queued (default 1ms; negative
+	// means none). It only delays that relaunch: a wake still fills the
+	// whole window at once. Drivers that pace their own submissions — the
+	// chaos runner, the benchmark — run with -1.
 	OpGap time.Duration
 	// PickCost, when non-empty, is a per-member round-trip cost estimate
 	// indexed by global node ID (e.g. a measured or modeled one-way link
@@ -855,21 +855,14 @@ func (n *Node) onStaleEpoch(env cluster.Env, m msgStaleEpoch) {
 	}
 }
 
-// launchNext starts rounds from the submitted ops while the window has
-// room. With a positive OpGap launches are spaced one per timer tick;
-// without a gap the window fills immediately. Reads the lease answers
-// are served before the window is even consulted.
+// launchNext starts rounds from the submitted ops until the window is
+// full. Reads the lease answers are served before the window is even
+// consulted.
 func (n *Node) launchNext(env cluster.Env) {
 	n.drainExt()
 	n.leaseAdmit(env)
 	for n.extPending() && len(n.inflight) < n.cfg.Window {
 		n.launchBatch(env)
-		if n.cfg.OpGap > 0 {
-			if n.extPending() && len(n.inflight) < n.cfg.Window {
-				env.After(n.cfg.OpGap, tokenNextOp{})
-			}
-			return
-		}
 	}
 }
 

@@ -694,6 +694,34 @@ func TestWindowOneStaysSequential(t *testing.T) {
 	}
 }
 
+// TestOpGapFillsWindow: a positive OpGap only pauses between a finished
+// round and the next launch. A burst's one wake fills the whole window
+// at once — four rounds in flight before the gap's first tick, not one
+// round per tick — and every op still completes.
+func TestOpGapFillsWindow(t *testing.T) {
+	ops := make([]Op, 8)
+	for i := range ops {
+		ops[i] = Op{Kind: OpWrite, Value: fmt.Sprintf("g%d", i)}
+	}
+	h := newHarnessCfg(t, 54, Config{Window: 4, OpGap: time.Millisecond}, nil, nil)
+	h.burst(0, ops...)
+	// Phase-1 messages take ≥1ms in the harness sim: at 500µs no round
+	// has finished and the gap has not ticked once.
+	h.net.Run(500 * time.Microsecond)
+	if got := h.nodes[0].Inflight(); got != 4 {
+		t.Fatalf("%d rounds in flight before the first gap tick, want the full window of 4", got)
+	}
+	h.run(t, time.Minute)
+	if len(h.results) != len(ops) {
+		t.Fatalf("results %d, want %d", len(h.results), len(ops))
+	}
+	for i, r := range h.results {
+		if r.Err != nil {
+			t.Fatalf("op %d failed: %v", i, r.Err)
+		}
+	}
+}
+
 // TestWindowPipeliningUnderCrashes: pipelined operations still finish (or
 // fail with typed errors) when replicas crash mid-window.
 func TestWindowPipeliningUnderCrashes(t *testing.T) {

@@ -14,23 +14,12 @@ func majority16() epoch.Params {
 	return epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 16)}
 }
 
-// TestAutoTuneSwapsUnderReadHeavyMix is the tentpole end to end in the
-// deterministic simulator: a 16-node cluster starts on symmetric majority
-// quorums, every node runs a 95%-read workload, and the auto-tuning node
-// must measure the mix, decide a structurally asymmetric configuration
-// wins, and drive the epoch reconfiguration — with zero operation errors
-// across the transition.
-func TestAutoTuneSwapsUnderReadHeavyMix(t *testing.T) {
-	ops := make(map[cluster.NodeID][]Op)
-	for i := 0; i < 16; i++ {
-		var w []Op
-		w = append(w, Op{Kind: OpWrite, Key: "k", Value: "v0"})
-		for j := 0; j < 79; j++ {
-			w = append(w, Op{Kind: OpRead, Key: "k"})
-		}
-		ops[cluster.NodeID(i)] = w
-	}
-	h := &epochHarness{net: cluster.New(cluster.WithSeed(11), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
+// runMix16 runs ops on a 16-node cluster that starts on majority-16, each
+// node submitting its ops in sequence 4ms apart, for 30s of virtual time;
+// tune arms the auto-tuner on node 0.
+func runMix16(t *testing.T, seed int64, ops map[cluster.NodeID][]Op, tune bool) *epochHarness {
+	t.Helper()
+	h := &epochHarness{net: cluster.New(cluster.WithSeed(seed), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
 	for i := 0; i < 16; i++ {
 		id := cluster.NodeID(i)
 		st, err := epoch.NewStore(16, majority16())
@@ -38,12 +27,8 @@ func TestAutoTuneSwapsUnderReadHeavyMix(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Epochs: st}
-		if i == 0 {
-			cfg.AutoTune = &tuner.Policy{
-				Interval: 50 * time.Millisecond,
-				HoldFor:  2,
-				MinOps:   16,
-			}
+		if i == 0 && tune {
+			cfg.AutoTune = &tuner.Policy{Interval: 50 * time.Millisecond, HoldFor: 2, MinOps: 16}
 		}
 		n, err := NewNode(id, cfg)
 		if err != nil {
@@ -64,9 +49,35 @@ func TestAutoTuneSwapsUnderReadHeavyMix(t *testing.T) {
 	}
 	for _, r := range h.results {
 		if r.Err != nil {
-			t.Fatalf("node %d %v failed across auto-tune swap: %v", r.Node, r.Kind, r.Err)
+			t.Fatalf("node %d %v failed (tune=%t): %v", r.Node, r.Kind, tune, r.Err)
 		}
 	}
+	return h
+}
+
+// msgsPerOp is the run's delivered messages per completed operation.
+func (h *epochHarness) msgsPerOp() float64 {
+	return float64(h.net.Messages()) / float64(len(h.results))
+}
+
+// TestAutoTuneSwapsUnderReadHeavyMix is the tentpole end to end in the
+// deterministic simulator: a 16-node cluster starts on symmetric majority
+// quorums, every node runs a 95%-read workload, and the auto-tuning node
+// must measure the mix, decide a structurally asymmetric configuration
+// wins, and drive the epoch reconfiguration — with zero operation errors
+// across the transition. The swap must pay: the tuned run sends at most
+// 0.6x the messages per op of the same workload held on majority-16.
+func TestAutoTuneSwapsUnderReadHeavyMix(t *testing.T) {
+	ops := make(map[cluster.NodeID][]Op)
+	for i := 0; i < 16; i++ {
+		var w []Op
+		w = append(w, Op{Kind: OpWrite, Key: "k", Value: "v0"})
+		for j := 0; j < 79; j++ {
+			w = append(w, Op{Kind: OpRead, Key: "k"})
+		}
+		ops[cluster.NodeID(i)] = w
+	}
+	h := runMix16(t, 11, ops, true)
 	// The swap happened: joint (epoch 2) then final (epoch 3), and the
 	// tuner's winner is one of the structurally asymmetric flavors.
 	cfg := h.stores[0].Snapshot()
@@ -86,6 +97,15 @@ func TestAutoTuneSwapsUnderReadHeavyMix(t *testing.T) {
 	if wl.Ops() > 0 && wl.ReadFrac() < 0.5 {
 		t.Fatalf("profiler read fraction %.2f under a read-heavy workload", wl.ReadFrac())
 	}
+	held := runMix16(t, 11, ops, false)
+	if cfg := held.stores[0].Snapshot(); cfg.Epoch != 1 {
+		t.Fatalf("untuned run reconfigured: epoch %d, config %v", cfg.Epoch, cfg.Cur)
+	}
+	tuned, hold := h.msgsPerOp(), held.msgsPerOp()
+	t.Logf("msgs/op: tuned %.2f (landed on %v), held on majority-16 %.2f (%.2fx)", tuned, cfg.Cur, hold, tuned/hold)
+	if tuned > 0.6*hold {
+		t.Fatalf("tuned run sends %.2f msgs/op, more than 0.6x the held run's %.2f", tuned, hold)
+	}
 }
 
 // TestAutoTuneHoldsOnBalancedMix: under a 50/50 mix no candidate clears
@@ -100,29 +120,7 @@ func TestAutoTuneHoldsOnBalancedMix(t *testing.T) {
 		}
 		ops[cluster.NodeID(i)] = w
 	}
-	h := &epochHarness{net: cluster.New(cluster.WithSeed(12), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
-	for i := 0; i < 16; i++ {
-		id := cluster.NodeID(i)
-		st, err := epoch.NewStore(16, majority16())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Epochs: st}
-		if i == 0 {
-			cfg.AutoTune = &tuner.Policy{Interval: 50 * time.Millisecond, HoldFor: 2, MinOps: 16}
-		}
-		n, err := NewNode(id, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.net.AddNode(id, n); err != nil {
-			t.Fatal(err)
-		}
-		h.nodes = append(h.nodes, n)
-		h.stores = append(h.stores, st)
-	}
-	submitAll(t, h.net, h.nodes, 4*time.Millisecond, ops, &h.results)
-	h.net.Run(30 * time.Second)
+	h := runMix16(t, 12, ops, true)
 	if cfg := h.stores[0].Snapshot(); cfg.Epoch != 1 {
 		t.Fatalf("balanced mix must not reconfigure: epoch %d, config %v", cfg.Epoch, cfg.Cur)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,8 +14,10 @@ import (
 	"hquorum/internal/codec"
 	"hquorum/internal/dmutex"
 	"hquorum/internal/epoch"
+	"hquorum/internal/histo"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/htriang"
+	"hquorum/internal/optrace"
 	"hquorum/internal/rkv"
 )
 
@@ -682,7 +685,12 @@ func TestMemMesh(t *testing.T) {
 // the moment it is handed on. A hop that touches the record after
 // handing it on folds it twice — a nil dereference in optrace.Rec.Done
 // once the record has been pooled, or a data race with its next user —
-// so the test passing under -race is the assertion.
+// so the test passing under -race is the assertion. On the disk backend
+// the folded stages must also add up: at least five stages saw samples,
+// and the per-frame stages' medians (every stage but the whole-round
+// waits total, quorum and lease, which span the others plus the network)
+// sum to no more than the submitters' observed p50 — a round trip costs
+// at least the server work inside it.
 func TestSampledFramesFoldOnce(t *testing.T) {
 	for _, storage := range []string{"memory", "disk"} {
 		t.Run(storage, func(t *testing.T) {
@@ -712,11 +720,13 @@ func TestSampledFramesFoldOnce(t *testing.T) {
 			mesh.Start()
 			nodes[0].SetWake(func() { mesh.Node(0).Kick(0, nodes[0].StartToken()) })
 
-			// 32 closed-loop submitters on node 0 for two seconds.
+			// 32 closed-loop submitters on node 0 for two seconds, each
+			// timing its own ops into its own histogram.
 			var done sync.WaitGroup
 			var ops, failed atomic.Uint64
+			var lat [32]histo.Histogram
 			stop := time.Now().Add(2 * time.Second)
-			for c := 0; c < 32; c++ {
+			for c := range lat {
 				done.Add(1)
 				var next func(i int)
 				c := c
@@ -729,7 +739,9 @@ func TestSampledFramesFoldOnce(t *testing.T) {
 					if i%3 == 0 {
 						op.Kind = rkv.OpRead
 					}
+					start := time.Now()
 					nodes[0].Submit(op, func(r rkv.Result) {
+						lat[c].RecordDuration(time.Since(start))
 						ops.Add(1)
 						if r.Err != nil {
 							failed.Add(1)
@@ -749,14 +761,44 @@ func TestSampledFramesFoldOnce(t *testing.T) {
 			if ops.Load() < 100 || failed.Load() != 0 {
 				t.Fatalf("%d ops completed, %d failed", ops.Load(), failed.Load())
 			}
-			var sampled, sends uint64
-			for _, rn := range nodes {
-				snap := rn.TraceSnapshot()
-				sampled += snap.Sampled
-				sends += snap.Stages["send"].Count
+			snap := nodes[0].TraceSnapshot()
+			for _, rn := range nodes[1:] {
+				if err := snap.Merge(rn.TraceSnapshot()); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if recv := mesh.Stats().Received; sampled < recv/2 || sends == 0 {
-				t.Fatalf("%d records folded (%d with a send stage) for %d frames received: sampling is not reaching the writers", sampled, sends, recv)
+			if recv := mesh.Stats().Received; snap.Sampled < recv/2 || snap.Stages["send"].Count == 0 {
+				t.Fatalf("%d records folded (%d with a send stage) for %d frames received: sampling is not reaching the writers", snap.Sampled, snap.Stages["send"].Count, recv)
+			}
+			if storage != "disk" {
+				return
+			}
+			client := histo.New()
+			for c := range lat {
+				client.Merge(&lat[c])
+			}
+			p50 := float64(client.Quantile(0.5)) / 1e3
+			sum, seen := 0.0, 0
+			var parts []string
+			for _, name := range optrace.StageNames() {
+				st := snap.Stages[name]
+				if st.Count == 0 {
+					continue
+				}
+				seen++
+				if name == "total" || name == "quorum" || name == "lease" {
+					continue
+				}
+				sum += st.P50Us
+				parts = append(parts, fmt.Sprintf("%s=%.1f", name, st.P50Us))
+			}
+			t.Logf("%d stages sampled; per-frame stage medians sum %.1fµs (%s), client p50 %.1fµs",
+				seen, sum, strings.Join(parts, " "), p50)
+			if seen < 5 {
+				t.Errorf("only %d stages saw samples, want at least 5: trace plumbing is rotting", seen)
+			}
+			if sum > p50 {
+				t.Errorf("per-frame stage medians sum %.1fµs > client p50 %.1fµs", sum, p50)
 			}
 		})
 	}

@@ -30,6 +30,12 @@ if grep -rln 'NewCircuitBuilder' --include='*.go' . | grep -v -e '^\./internal/a
 # The tuner counts availability on the pickers' gates, not on per-flavor
 # predicates of its own.
 if go list -f '{{join .Imports "\n"}}' ./internal/tuner | grep -x -e 'hquorum/internal/hgrid' -e 'hquorum/internal/htgrid' -e 'hquorum/internal/htriang'; then exit 1; fi
+# hqbench (benchmark/run.sh) is the one end-to-end instrument: the retired
+# load generator and its live ledger must not grow back, nor be pointed at
+# by code, scripts or the docs that say how to measure. (The bracket keeps
+# this line from matching itself.)
+if grep -rniE 'load[g]en|BENCH_[l]ive' --include='*.go' --include='*.sh' --exclude-dir=benchmark --exclude-dir=.bench_build .; then exit 1; fi
+if grep -rniE 'load[g]en|BENCH_[l]ive' README.md DESIGN.md .claude/skills; then exit 1; fi
 go test ./...
 # The facade example submits a write chain, crashes three replicas and
 # panics if the read after the crashes is stale: run it, not just build it.
