@@ -214,9 +214,13 @@ func (r *Rec) Done() {
 		t.epoch = r.epoch
 	}
 	for s := Stage(0); s < NumStages; s++ {
-		if r.used&(1<<s) != 0 {
-			t.stages[s].Record(r.dur[s])
+		if r.used&(1<<s) == 0 {
+			continue
 		}
+		if t.stages[s] == nil {
+			t.stages[s] = histo.New()
+		}
+		t.stages[s].Record(r.dur[s])
 	}
 	t.mu.Unlock()
 	*r = Rec{}
@@ -236,7 +240,10 @@ type Tracer struct {
 	kinds    [numKinds]uint64
 	batchSum uint64
 	epoch    uint64
-	stages   [NumStages]*histo.Histogram
+	// stages holds one histogram per stage that has recorded a sample; a
+	// stage's (~30 KB) histogram is allocated by the first Done that
+	// folds into it, so a tracer that never samples costs none.
+	stages [NumStages]*histo.Histogram
 }
 
 // New returns a tracer sampling one in every ops (≤ 0 disables — every
@@ -245,9 +252,6 @@ func New(every int) *Tracer {
 	t := &Tracer{}
 	t.every.Store(int64(every))
 	t.pool.New = func() any { return new(Rec) }
-	for s := range t.stages {
-		t.stages[s] = histo.New()
-	}
 	return t
 }
 
@@ -338,7 +342,16 @@ type Snapshot struct {
 	Stages      map[string]StageStat `json:"stages"`
 }
 
+// noSamples stands in for a stage that has recorded nothing; it is only
+// ever read.
+var noSamples = histo.New()
+
+// stat summarizes one stage's histogram; nil (no samples yet) reads as
+// empty.
 func stat(h *histo.Histogram) StageStat {
+	if h == nil {
+		h = noSamples
+	}
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 	return StageStat{
 		Count:  h.Count(),
@@ -351,12 +364,13 @@ func stat(h *histo.Histogram) StageStat {
 }
 
 // Snapshot returns a consistent copy of the tracer's state. Safe
-// concurrently with sampling; nil-safe (empty snapshot).
+// concurrently with sampling; nil-safe (empty snapshot). A stage with no
+// samples is reported empty, so every stage is present.
 func (t *Tracer) Snapshot() Snapshot {
 	snap := Snapshot{Stages: make(map[string]StageStat, NumStages)}
 	if t == nil {
 		for s := Stage(0); s < NumStages; s++ {
-			snap.Stages[s.String()] = stat(histo.New())
+			snap.Stages[s.String()] = stat(nil)
 		}
 		return snap
 	}

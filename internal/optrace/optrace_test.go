@@ -2,6 +2,7 @@ package optrace
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -89,6 +90,47 @@ func TestStagesFold(t *testing.T) {
 	}
 	if len(snap.Stages) != int(NumStages) {
 		t.Fatalf("stage set: %d want %d", len(snap.Stages), NumStages)
+	}
+}
+
+// TestHistogramsOnFirstSample: a tracer that samples nothing holds no
+// stage histogram (each is ~30 KB, and every node owns a tracer) yet
+// snapshots every stage, empty; a fold allocates exactly the stages it
+// recorded.
+func TestHistogramsOnFirstSample(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := New(0)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<10 {
+		t.Fatalf("New(0) allocated %d bytes, want no stage histogram", grew)
+	}
+	for s, h := range tr.stages {
+		if h != nil {
+			t.Fatalf("New(0) allocated the %s histogram", Stage(s))
+		}
+	}
+	snap := tr.Snapshot()
+	if len(snap.Stages) != int(NumStages) {
+		t.Fatalf("snapshot lists %d stages, want %d", len(snap.Stages), NumStages)
+	}
+	for name, st := range snap.Stages {
+		if st.Count != 0 {
+			t.Fatalf("stage %s reports %d samples on an idle tracer", name, st.Count)
+		}
+	}
+
+	tr.SetSample(1)
+	r := tr.Sample()
+	r.Observe(StageLock, time.Millisecond)
+	r.Done()
+	for s, h := range tr.stages {
+		if (h != nil) != (Stage(s) == StageLock) {
+			t.Fatalf("after one lock sample: %s histogram allocated=%t", Stage(s), h != nil)
+		}
+	}
+	if st := tr.Snapshot().Stages[StageLock.String()]; st.Count != 1 {
+		t.Fatalf("lock stage: %+v", st)
 	}
 }
 

@@ -376,10 +376,10 @@ func (n *Node) startInvalPhase(env cluster.Env, op *opState) bool {
 		// Quarantine-only wait: no ack can unblock it, so backoff retries
 		// would fire at times unrelated to the quarantine. Resume exactly
 		// when it lifts, clamped so the op still fails at its deadline.
-		env.After(op.tries.Clamp(n.leaseBlockedUntil-now, now), tokenOpDue{Seq: op.seq})
+		n.armAttempt(env, op, op.tries.Clamp(n.leaseBlockedUntil-now, now))
 		return true
 	}
-	env.After(op.tries.Timeout(env.Rand(), now), tokenOpDue{Seq: op.seq})
+	n.armAttempt(env, op, op.tries.Timeout(env.Rand(), now))
 	return true
 }
 

@@ -65,8 +65,9 @@ func (e *captureEnv) After(d time.Duration, token any) {
 // last invalidation ack arriving while the write quarantine is still
 // running must NOT ship the write — an unknown pre-crash leaseholder
 // may still be serving stale local reads until the quarantine proves it
-// expired. The round stays in phaseInval with a wake-up armed for
-// exactly the quarantine's end, then ships on the retry.
+// expired. The round stays in phaseInval with its deadline at exactly
+// the quarantine's end; the node's sweep reaches it there, and the retry
+// ships.
 func TestLeaseInvalAckQuarantineBarrier(t *testing.T) {
 	n, err := NewNode(0, Config{Epochs: testEpochs(t, 16, hgrid44All())})
 	if err != nil {
@@ -90,24 +91,43 @@ func TestLeaseInvalAckQuarantineBarrier(t *testing.T) {
 	if op.ph != phaseInval {
 		t.Fatalf("phase %v after the final ack, want inval: the quarantine is still running", op.ph)
 	}
+	if op.due != quarantineEnd {
+		t.Fatalf("attempt deadline %v, want the quarantine's end %v", op.due, quarantineEnd)
+	}
+	// The sweep armed for the barrier's first attempt (its ack timeout,
+	// shorter than the quarantine) is still the pending one.
+	first := env.timers[len(env.timers)-1]
+	if tk, ok := first.token.(tokenSweep); !ok || tk.At != n.sweepAt || n.sweepAt >= quarantineEnd {
+		t.Fatalf("pending timer %#v with sweepAt %v, want one sweep before the quarantine's end %v", first.token, n.sweepAt, quarantineEnd)
+	}
+	// It fires with nothing due and re-arms at the quarantine's end.
+	seq := op.seq
+	env.now = n.sweepAt
+	n.Timer(env, first.token)
 	last := env.timers[len(env.timers)-1]
-	if last.d != quarantineEnd-env.now {
-		t.Fatalf("armed %v, want the quarantine remainder %v", last.d, quarantineEnd-env.now)
+	if op.seq != seq || op.ph != phaseInval {
+		t.Fatalf("early sweep retried the round (seq %d→%d, phase %v)", seq, op.seq, op.ph)
 	}
-	if tk, ok := last.token.(tokenOpDue); !ok || tk.Seq != op.seq {
-		t.Fatalf("armed token %#v, want tokenOpDue for seq %d", last.token, op.seq)
+	if tk, ok := last.token.(tokenSweep); !ok || tk.At != quarantineEnd || last.d != quarantineEnd-env.now {
+		t.Fatalf("re-armed %#v in %v, want a sweep at the quarantine's end %v", last.token, last.d, quarantineEnd)
 	}
-	// The quarantine lifts: the retry recomputes the barrier and ships.
+	// The superseded first token is ignored if it fires again.
+	n.Timer(env, first.token)
+	if len(env.timers) != 2 || op.seq != seq {
+		t.Fatalf("stale sweep acted: %d timers armed, seq %d→%d", len(env.timers), seq, op.seq)
+	}
+	// The quarantine lifts: the sweep retries the barrier, which ships.
 	env.now = quarantineEnd
-	n.retryPhase(env, op)
+	n.Timer(env, last.token)
 	if op.ph != phaseWrite {
 		t.Fatalf("phase %v after the quarantine lifted, want write", op.ph)
 	}
 }
 
 // TestLeaseQuarantineTimerDeadlineCap: a quarantine-only invalidation
-// phase (no targets, table lost) arms its wake-up for the quarantine's
-// end clamped to the op deadline — not an unrelated backoff retry.
+// phase (no targets, table lost) sets its deadline to the quarantine's
+// end clamped to the op deadline — not an unrelated backoff retry — and
+// the sweep it arms fires there and fails the round.
 func TestLeaseQuarantineTimerDeadlineCap(t *testing.T) {
 	n, err := NewNode(0, Config{Epochs: testEpochs(t, 16, hgrid44All()), OpDeadline: 200 * time.Millisecond})
 	if err != nil {
@@ -117,6 +137,8 @@ func TestLeaseQuarantineTimerDeadlineCap(t *testing.T) {
 	n.leaseBlockedUntil = env.now + 500*time.Millisecond
 	op := n.getOp()
 	op.tries.Begin(env.now)
+	var got []Result
+	op.subs = append(op.subs, subOp{kind: OpWrite, key: "k", cb: func(r Result) { got = append(got, r) }})
 	op.p2Keys = append(op.p2Keys, "k")
 	op.p2Vers = append(op.p2Vers, Version{Counter: 1, Writer: 0})
 	op.p2Vals = append(op.p2Vals, "v")
@@ -124,9 +146,18 @@ func TestLeaseQuarantineTimerDeadlineCap(t *testing.T) {
 	if op.ph != phaseInval {
 		t.Fatalf("phase %v, want inval (quarantine running)", op.ph)
 	}
+	deadline := env.now + 200*time.Millisecond
+	if op.due != deadline {
+		t.Fatalf("attempt deadline %v, want the op deadline %v (the quarantine outlives it)", op.due, deadline)
+	}
 	last := env.timers[len(env.timers)-1]
-	if last.d != 200*time.Millisecond {
-		t.Fatalf("armed %v, want the 200ms deadline remainder (quarantine outlives the deadline)", last.d)
+	if tk, ok := last.token.(tokenSweep); !ok || tk.At != deadline || last.d != 200*time.Millisecond {
+		t.Fatalf("armed %#v in %v, want a sweep at the 200ms deadline remainder", last.token, last.d)
+	}
+	env.now = deadline
+	n.Timer(env, last.token)
+	if len(got) != 1 || got[0].Err == nil || n.Inflight() != 0 {
+		t.Fatalf("after the deadline sweep: results %+v, %d rounds in flight; want the round failed", got, n.Inflight())
 	}
 }
 

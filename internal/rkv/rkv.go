@@ -37,6 +37,7 @@ package rkv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,10 +112,15 @@ type (
 	}
 )
 
-// Timer tokens.
+// Round timer tokens. tokenNextOp launches queued operations. tokenSweep
+// is the node's one attempt-deadline timer: it fires at At, the earliest
+// deadline of any in-flight attempt when it was armed, and only the token
+// whose At equals Node.sweepAt is live — an earlier deadline arms a fresh
+// one, and the superseded token is ignored when it fires (see armAttempt
+// and sweep).
 type (
 	tokenNextOp struct{}
-	tokenOpDue  struct{ Seq uint64 }
+	tokenSweep  struct{ At time.Duration }
 )
 
 // OpKind enumerates the register operations.
@@ -357,7 +363,8 @@ type opState struct {
 	p2Vals []string
 
 	retries int
-	tries   attempt.Op // start, backoff and silent members across attempts
+	tries   attempt.Op    // start, backoff and silent members across attempts
+	due     time.Duration // the current attempt's absolute deadline (armAttempt)
 
 	// rec is the round's sampled trace record (nil when unsampled): the
 	// quorum stage spans launch to retirement across every phase and
@@ -401,12 +408,15 @@ type Node struct {
 	walLease uint64
 
 	// Client state: the op table. seq increments per quorum attempt and
-	// keys inflight, so a reply or timer either finds its exact attempt or
-	// nothing — stale messages miss the map instead of needing phase
-	// checks against a single current op.
+	// keys inflight, so a reply either finds its exact attempt or nothing
+	// — stale messages miss the map instead of needing phase checks
+	// against a single current op.
 	seq      uint64
 	inflight map[uint64]*opState
 	free     []*opState
+	// sweepAt is the At of the one live tokenSweep (0: none pending); it is
+	// never later than an in-flight attempt's deadline.
+	sweepAt time.Duration
 
 	suspects attempt.Suspects
 	picks    [2]pickCache    // cached read [0] / write [1] quorum
@@ -799,10 +809,8 @@ func (n *Node) Timer(env cluster.Env, token any) {
 	switch tk := token.(type) {
 	case tokenNextOp:
 		n.launchNext(env)
-	case tokenOpDue:
-		if op, ok := n.inflight[tk.Seq]; ok {
-			n.retryPhase(env, op)
-		}
+	case tokenSweep:
+		n.sweep(env, tk.At)
 	case tokenReconfig:
 		n.startReconfig(env, tk.Target, 0, 0, false)
 	case tokenTune:
@@ -887,6 +895,7 @@ func (n *Node) putOp(op *opState) {
 	op.seq = 0
 	op.ph = 0
 	op.retries = 0
+	op.due = 0
 	op.covers = false
 	op.p1Subs = op.p1Subs[:0]
 	// Sent frames alias the wire slices and may outlive the op: drop them,
@@ -981,8 +990,9 @@ func (n *Node) fillBatch(op *opState) {
 }
 
 // rekey gives op a fresh attempt sequence number and files it in the op
-// table under it. Replies and timer tokens carrying any older seq now miss
-// the table entirely — that one lookup replaces all staleness checks.
+// table under it. Replies carrying any older seq now miss the table
+// entirely — that one lookup replaces all staleness checks. Every caller
+// arms the new attempt's deadline (armAttempt) before it returns.
 func (n *Node) rekey(op *opState) {
 	if op.seq != 0 {
 		delete(n.inflight, op.seq)
@@ -1008,7 +1018,59 @@ func (n *Node) startReadPhase(env cluster.Env, op *opState) {
 	}
 	var msg any = msgReadBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p1Keys}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
-	env.After(op.tries.Timeout(env.Rand(), env.Now()), tokenOpDue{Seq: op.seq})
+	n.armAttempt(env, op, op.tries.Timeout(env.Rand(), env.Now()))
+}
+
+// armAttempt gives op's current attempt its deadline, d from now, and
+// makes sure the node's sweep runs by then. Every attempt's patience
+// reaches the timer wheel through here: rather than one timer per attempt
+// — nearly all of which would fire long after their round finished — a
+// node keeps at most one tokenSweep pending, and arms a new one only when
+// none is pending or this deadline is earlier than the pending one.
+func (n *Node) armAttempt(env cluster.Env, op *opState, d time.Duration) {
+	op.due = env.Now() + d
+	if n.sweepAt == 0 || op.due < n.sweepAt {
+		n.sweepAt = op.due
+		env.After(d, tokenSweep{At: op.due})
+	}
+}
+
+// sweep runs a tokenSweep. A superseded token does nothing. The live one
+// retries every in-flight attempt whose deadline has passed, in seq order
+// — the order one timer per attempt would have fired in — and then
+// re-arms at the earliest deadline left.
+func (n *Node) sweep(env cluster.Env, at time.Duration) {
+	if at != n.sweepAt {
+		return
+	}
+	now := env.Now()
+	var due []uint64
+	for seq, op := range n.inflight {
+		if op.due <= now {
+			due = append(due, seq)
+		}
+	}
+	slices.Sort(due)
+	// Every deadline the retries arm lies at or after now, so holding
+	// sweepAt here keeps them from arming timers of their own: the one
+	// re-arm follows.
+	n.sweepAt = now
+	for _, seq := range due {
+		if op, ok := n.inflight[seq]; ok {
+			n.retryPhase(env, op)
+		}
+	}
+	n.sweepAt = 0
+	var next *opState
+	for _, op := range n.inflight {
+		if next == nil || op.due < next.due {
+			next = op
+		}
+	}
+	if next != nil {
+		n.sweepAt = next.due
+		env.After(next.due-now, tokenSweep{At: next.due})
+	}
 }
 
 // buildPhase2 assembles the batch's write payload: read write-backs keep
@@ -1072,7 +1134,7 @@ func (n *Node) startWritePhase(env cluster.Env, op *opState) {
 	op.quorum.CopyInto(&op.pending)
 	var msg any = msgWriteBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p2Keys, Vers: op.p2Vers, Vals: op.p2Vals}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
-	env.After(op.tries.Timeout(env.Rand(), env.Now()), tokenOpDue{Seq: op.seq})
+	n.armAttempt(env, op, op.tries.Timeout(env.Rand(), env.Now()))
 }
 
 func (n *Node) invalidatePicks() {
@@ -1320,9 +1382,10 @@ func (n *Node) finishOp(env cluster.Env, op *opState) {
 }
 
 // Restarted implements the cluster.Network restart hook: the crash killed
-// the node's volatile client state (its timers died with it), so every
-// in-flight round is abandoned — its operations fail with ErrRestarted,
-// their effects undecided — and the queued operations launch from here.
+// the node's volatile client state (its timers, the pending sweep among
+// them, died with it), so every in-flight round is abandoned — its
+// operations fail with ErrRestarted, their effects undecided — and the
+// queued operations launch from here.
 // On the memory backend replica state (the keyed
 // store) survives, modeling ideal stable storage; on the disk backend
 // the store is dropped and recovered from the WAL — exactly what a real
@@ -1347,6 +1410,7 @@ func (n *Node) Restarted(env cluster.Env) {
 		}
 		n.putOp(op)
 	}
+	n.sweepAt = 0
 	// A reconfiguration this node was coordinating dies with it. The
 	// cluster is left joint at worst — strictly more conservative quorums,
 	// still safe — and any coordinator (this one restarted, or another)

@@ -135,7 +135,7 @@ func NewMemMesh(handlers []cluster.Handler, opts ...MemOption) *MemMesh {
 			m:       m,
 			id:      cluster.NodeID(i),
 			handler: h,
-			events:  make(chan event, 4096),
+			events:  make(chan event, eventQueue),
 			rng:     rand.New(rand.NewSource(int64(i) + 1)),
 			start:   time.Now(),
 		}
@@ -171,10 +171,10 @@ func (n *memNode) loop() {
 			return
 		case e := <-n.events:
 			switch e.kind {
-			case 0:
-				n.handler.Deliver(n.env, e.from, e.msg)
-			case 1:
-				n.handler.Timer(n.env, e.token)
+			case evDeliver:
+				n.handler.Deliver(n.env, e.from, e.v)
+			case evTimer:
+				n.handler.Timer(n.env, e.v)
 			}
 		}
 	}
@@ -206,7 +206,7 @@ func (n *memNode) deliver(target *memNode, msg any) {
 	// Non-blocking: two saturated event loops sending into each other
 	// must shed load, not deadlock. Protocols treat the drop as loss.
 	select {
-	case target.events <- event{kind: 0, from: n.id, msg: msg}:
+	case target.events <- event{kind: evDeliver, from: n.id, v: msg}:
 	default:
 	}
 }
@@ -217,7 +217,7 @@ func (n *memNode) after(d time.Duration, token any) {
 	}
 	time.AfterFunc(d, func() {
 		select {
-		case n.events <- event{kind: 1, token: token}:
+		case n.events <- event{kind: evTimer, v: token}:
 		case <-n.m.quit:
 		}
 	})

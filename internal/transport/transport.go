@@ -96,14 +96,28 @@ type Stats struct {
 	HoldLateNs uint64 // ns past due at wake, summed over Holds
 }
 
-// event is a queued delivery or timer callback.
+// event is a queued delivery or timer callback: v is the message or the
+// timer token, and kind says which. One payload field keeps the slot at
+// 40 bytes on 64-bit platforms; every node's queue holds eventQueue of them.
 type event struct {
-	kind  int // 0 = deliver, 1 = timer
-	from  cluster.NodeID
-	msg   any
-	token any
-	rec   *optrace.Rec // sampled delivery's trace record (queue stage open)
+	kind eventKind
+	from cluster.NodeID
+	v    any
+	rec  *optrace.Rec // sampled delivery's trace record (queue stage open)
 }
+
+type eventKind uint8
+
+const (
+	evDeliver eventKind = iota
+	evTimer
+)
+
+// eventQueue is the depth of a node's event queue: room for many
+// pipelined rounds' replies from every peer, so socket readers seldom
+// wait on a busy loop. A full queue holds readers back and drops
+// self-sends (see send).
+const eventQueue = 4096
 
 // Option configures a Node.
 type Option func(*Node)
@@ -247,7 +261,7 @@ func NewNode(id cluster.NodeID, handler cluster.Handler, addr string, opts ...Op
 		newSleeper:  newSleeper,
 		ln:          ln,
 		start:       time.Now(),
-		events:      make(chan event, 4096),
+		events:      make(chan event, eventQueue),
 		quit:        make(chan struct{}),
 		peers:       make(map[cluster.NodeID]string),
 		writers:     make(map[cluster.NodeID]*peerWriter),
@@ -415,7 +429,7 @@ func (n *Node) readLoop(c net.Conn) {
 		}
 		rec.Begin(optrace.StageQueue)
 		select {
-		case n.events <- event{kind: 0, from: cluster.NodeID(from), msg: msg, rec: rec}:
+		case n.events <- event{kind: evDeliver, from: cluster.NodeID(from), v: msg, rec: rec}:
 		case <-n.quit:
 			return
 		}
@@ -447,22 +461,24 @@ func (n *Node) eventLoop() {
 			return
 		case e := <-n.events:
 			switch e.kind {
-			case 0:
+			case evDeliver:
 				e.rec.End(optrace.StageQueue)
 				env.rec = e.rec
-				n.handler.Deliver(env, e.from, e.msg)
+				n.handler.Deliver(env, e.from, e.v)
 				env.rec.Done() // nil once handed off
 				env.rec = nil
-			case 1:
-				n.handler.Timer(env, e.token)
+			case evTimer:
+				n.handler.Timer(env, e.v)
 			}
 		}
 	}
 }
 
 // send hands a message to a peer's writer queue (or the local event
-// queue). It never blocks on the network: a missing peer or a full queue
-// drops the message, which the quorum protocols absorb as loss.
+// queue). It never blocks: a missing peer or a full queue drops the
+// message, which the quorum protocols absorb as loss. That holds for
+// self-sends too — the event loop is usually the sender, and a loop
+// blocked on its own full queue would never drain it.
 //
 // rec, when non-nil, is the in-flight delivery's trace record. A remote
 // send that reaches the peer's queue hands the record to that writer,
@@ -485,8 +501,9 @@ func (n *Node) send(to cluster.NodeID, msg any, rec *optrace.Rec) bool {
 	}
 	if to == n.id {
 		select {
-		case n.events <- event{kind: 0, from: n.id, msg: msg}:
-		case <-n.quit:
+		case n.events <- event{kind: evDeliver, from: n.id, v: msg}:
+		default:
+			n.dropped.Add(1)
 		}
 		return false
 	}
@@ -755,7 +772,7 @@ func (n *Node) after(d time.Duration, token any) {
 	}
 	time.AfterFunc(d, func() {
 		select {
-		case n.events <- event{kind: 1, token: token}:
+		case n.events <- event{kind: evTimer, v: token}:
 		case <-n.quit:
 		}
 	})

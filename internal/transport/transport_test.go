@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hquorum/internal/cluster"
 	"hquorum/internal/codec"
@@ -115,6 +116,62 @@ func TestPingPongOverTCP(t *testing.T) {
 	})
 	if a.got[0] != "ping" || b.got[0] != "pong" {
 		t.Fatalf("a=%v b=%v", a.got, b.got)
+	}
+}
+
+// selfFlood sends itself n messages from its first timer callback and
+// counts what comes back; its next timer callback closes served.
+type selfFlood struct {
+	n         int
+	delivered atomic.Int64
+	timers    atomic.Int64
+	served    chan struct{}
+}
+
+func (f *selfFlood) Deliver(env cluster.Env, from cluster.NodeID, msg any) { f.delivered.Add(1) }
+
+func (f *selfFlood) Timer(env cluster.Env, token any) {
+	if f.timers.Add(1) > 1 {
+		close(f.served)
+		return
+	}
+	for i := 0; i < f.n; i++ {
+		env.Send(env.ID(), i)
+	}
+}
+
+// TestSelfSendFloodDoesNotWedge: the event loop sending itself more
+// messages than its queue holds must not block on its own queue — nothing
+// else would ever drain it. What fits is delivered, the overflow is
+// dropped and counted, and the loop goes on serving timers.
+func TestSelfSendFloodDoesNotWedge(t *testing.T) {
+	const flood = eventQueue + 904
+	f := &selfFlood{n: flood, served: make(chan struct{})}
+	n, err := NewNode(1, f, "127.0.0.1:0", pingWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.Start()
+	n.Kick(0, "flood")
+	waitFor(t, 10*time.Second, func() bool { return f.delivered.Load() >= eventQueue })
+	n.Kick(0, "after")
+	select {
+	case <-f.served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the loop served no timer after the flood")
+	}
+	// The later timer queued behind every flood message that fit.
+	if got, dropped := f.delivered.Load(), n.Stats().Dropped; uint64(got)+dropped != flood {
+		t.Fatalf("%d delivered + %d dropped, want the flood's %d", got, dropped, flood)
+	}
+}
+
+// TestEventSlotSize: a queued event carries its message or timer token in
+// one field, which keeps the slot at 40 bytes on 64-bit platforms.
+func TestEventSlotSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(event{}) != 40 {
+		t.Fatalf("event slot is %d bytes, want 40", unsafe.Sizeof(event{}))
 	}
 }
 

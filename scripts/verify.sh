@@ -36,6 +36,10 @@ if go list -f '{{join .Imports "\n"}}' ./internal/tuner | grep -x -e 'hquorum/in
 # this line from matching itself.)
 if grep -rniE 'load[g]en|BENCH_[l]ive' --include='*.go' --include='*.sh' --exclude-dir=benchmark --exclude-dir=.bench_build .; then exit 1; fi
 if grep -rniE 'load[g]en|BENCH_[l]ive' README.md DESIGN.md .claude/skills; then exit 1; fi
+# An rkv attempt's deadline reaches the timer wheel only through the
+# node's one deadline sweep (armAttempt): the per-attempt timer token and
+# timers armed straight from an attempt's backoff must not grow back.
+if grep -rnE 'tokenOpDue|After\(.*\.tries\.' --include='*.go' internal/rkv; then exit 1; fi
 go test ./...
 # The facade example submits a write chain, crashes three replicas and
 # panics if the read after the crashes is stale: run it, not just build it.
@@ -56,6 +60,11 @@ go test -race ./internal/epoch/... ./internal/quorum/... ./internal/dmutex/... .
 # while their round is still in flight, and the kind-pure fill compacts the
 # submit queue in place: repeat their simulator tests under the detector.
 go test -race -count=5 -run 'OneRound|KindPure|RestartedAfterEarly' ./internal/rkv/
+# The deadline sweep retries every due attempt from one timer, and a
+# self-send flood must neither wedge the event loop nor lose count of
+# what it dropped: repeat both under the detector.
+go test -race -count=5 -run 'TestDeadlineTimersPerNodeNotPerPhase|TestSilentMemberRetriedAtDeadline' ./internal/rkv/
+go test -race -count=5 -run TestSelfSendFloodDoesNotWedge ./internal/transport/
 # The live-path engine's codec and histogram are shared by concurrent
 # transport readers/writers and per-worker recorders: race them too.
 go test -race ./internal/codec/... ./internal/histo/...
