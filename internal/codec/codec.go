@@ -23,8 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // MaxFrame bounds a frame body; decoders reject anything larger so a
@@ -56,16 +58,24 @@ type entry struct {
 
 // Registry maps wire types to tags and their binary codecs. Lookups are
 // safe for concurrent use with registration (registration normally happens
-// once at startup, but tests re-register freely).
+// once at startup, but tests re-register freely) and take no lock: they
+// read an immutable table that Register replaces wholesale.
 type Registry struct {
-	mu     sync.RWMutex
+	mu  sync.Mutex // serializes Register
+	tab atomic.Pointer[table]
+}
+
+// table is one immutable generation of a Registry's bindings.
+type table struct {
 	byTag  map[uint64]*entry
 	byType map[reflect.Type]*entry
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byTag: make(map[uint64]*entry), byType: make(map[reflect.Type]*entry)}
+	r := &Registry{}
+	r.tab.Store(&table{byTag: make(map[uint64]*entry), byType: make(map[reflect.Type]*entry)})
+	return r
 }
 
 // Register binds a tag to sample's concrete type with its codec pair.
@@ -83,33 +93,26 @@ func (r *Registry) Register(tag uint64, sample any, enc EncodeFunc, dec DecodeFu
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if prev, ok := r.byTag[tag]; ok {
+	cur := r.tab.Load()
+	if prev, ok := cur.byTag[tag]; ok {
 		if prev.typ == typ {
 			return
 		}
 		panic(fmt.Sprintf("codec: tag %d already registered for %v, cannot rebind to %v", tag, prev.typ, typ))
 	}
-	if prev, ok := r.byType[typ]; ok {
+	if prev, ok := cur.byType[typ]; ok {
 		panic(fmt.Sprintf("codec: type %v already registered with tag %d", typ, prev.tag))
 	}
 	e := &entry{tag: tag, typ: typ, enc: enc, dec: dec}
-	r.byTag[tag] = e
-	r.byType[typ] = e
+	next := &table{byTag: maps.Clone(cur.byTag), byType: maps.Clone(cur.byType)}
+	next.byTag[tag] = e
+	next.byType[typ] = e
+	r.tab.Store(next)
 }
 
-func (r *Registry) lookupType(typ reflect.Type) *entry {
-	r.mu.RLock()
-	e := r.byType[typ]
-	r.mu.RUnlock()
-	return e
-}
+func (r *Registry) lookupType(typ reflect.Type) *entry { return r.tab.Load().byType[typ] }
 
-func (r *Registry) lookupTag(tag uint64) *entry {
-	r.mu.RLock()
-	e := r.byTag[tag]
-	r.mu.RUnlock()
-	return e
-}
+func (r *Registry) lookupTag(tag uint64) *entry { return r.tab.Load().byTag[tag] }
 
 // Encoder writes frames to w. It is not safe for concurrent use — the
 // transport owns one Encoder per connection, on that connection's writer

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -173,6 +174,61 @@ func TestRegistryRules(t *testing.T) {
 	expectPanic("tag conflict", func() { reg.Register(1, tAck{}, encAck, decAck) })
 	expectPanic("type conflict", func() { reg.Register(9, tPing{}, encPing, decPing) })
 	expectPanic("retired tag 0", func() { reg.Register(0, tAck{}, encAck, decAck) })
+}
+
+// TestRegisterWhileCoding registers fresh types while other goroutines
+// encode and decode through the same registry. Lookups read the table
+// without a lock, so under -race this checks that a registration never
+// writes to a table a reader may hold; afterwards every registration,
+// idempotent repeats included, must be visible.
+func TestRegisterWhileCoding(t *testing.T) {
+	reg := testRegistry()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf bytes.Buffer
+			enc := NewEncoder(&buf, reg)
+			for seq := uint64(0); ; seq++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				buf.Reset()
+				if _, err := enc.Encode(uint64(g), tAck{Seq: seq}); err != nil {
+					t.Error(err)
+					return
+				}
+				// Small frames carry a one-byte length prefix.
+				if _, v, err := DecodeBody(buf.Bytes()[1:], reg); err != nil || v != (tAck{Seq: seq}) {
+					t.Errorf("decode while registering: %#v, %v", v, err)
+					return
+				}
+			}
+		}(g)
+	}
+	const extra = 200
+	samples := make([]any, extra)
+	for i := range samples {
+		// Every array length is a distinct type.
+		sample := reflect.Zero(reflect.ArrayOf(i+1, reflect.TypeOf(byte(0)))).Interface()
+		samples[i] = sample
+		enc := func(b []byte, v any) []byte { return b }
+		dec := func([]byte) (any, error) { return sample, nil }
+		reg.Register(uint64(100+i), sample, enc, dec)
+		reg.Register(uint64(100+i), sample, enc, dec)
+	}
+	close(stop)
+	wg.Wait()
+	got := roundTrip(t, reg, samples)
+	for i := range samples {
+		if got[i] != samples[i] {
+			t.Fatalf("type %d: got %#v, want %#v", i, got[i], samples[i])
+		}
+	}
 }
 
 func TestDecodeErrors(t *testing.T) {

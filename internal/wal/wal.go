@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,17 +19,23 @@ import (
 
 // On-disk layout of one log directory:
 //
-//	seg-NNNNNNNN.wal  append-only record segments, ascending; the last is active
+//	seg-NNNNNNNN.wal  record segments, ascending; the last is active
+//	spare-*.tmp       a pre-zeroed segment waiting for the next rotation (deleted at Open)
 //	snap.wal          the newest whole-store checkpoint (absent until the first)
 //	snap.tmp          a checkpoint being written (deleted at Open)
 //	CLEAN             clean-shutdown marker (consumed at Open)
 const (
-	markerName = "CLEAN"
-	segPrefix  = "seg-"
-	segSuffix  = ".wal"
-	snapName   = "snap.wal"
-	snapTmp    = "snap.tmp"
+	markerName  = "CLEAN"
+	segPrefix   = "seg-"
+	segSuffix   = ".wal"
+	sparePrefix = "spare-"
+	spareSuffix = ".tmp"
+	snapName    = "snap.wal"
+	snapTmp     = "snap.tmp"
 )
+
+// zeros is the one buffer every spare segment is filled from.
+var zeros [256 << 10]byte
 
 // ErrAbandoned reports an operation on a log that was closed or whose
 // files were dropped by Abandon — the simulated-crash state.
@@ -67,6 +74,7 @@ type Options struct {
 type counters struct {
 	syncRounds atomic.Uint64
 	fileSyncs  atomic.Uint64
+	spares     atomic.Uint64
 	snapshots  atomic.Uint64
 	bytes      atomic.Uint64
 	replayed   atomic.Uint64
@@ -77,6 +85,7 @@ type Stats struct {
 	Appends    uint64 // records appended
 	SyncRounds uint64 // commit rounds executed
 	FileSyncs  uint64 // fsync calls on segment, checkpoint and marker files
+	Spares     uint64 // pre-zeroed segments built and fsynced off the commit path
 	Snapshots  uint64 // checkpoints written
 	Bytes      uint64 // record bytes written to segments
 	Replayed   uint64 // records emitted by Replay
@@ -102,13 +111,19 @@ type waiter struct {
 // do, so no caller sleeps in fsync unless it asks to (Sync), and
 // however many records, shards and callers a round gathered it costs
 // exactly one fsync.
+//
+// Rounds write in place and fsync with fdatasync. Once the active
+// segment is a quarter full, a builder goroutine prepares the next one
+// as a spare file of SegmentBytes zeros, fsynced, so that after the
+// rotation a round changes neither the file's size nor its blocks and
+// its fdatasync flushes data only, with no journal commit.
 type Log struct {
 	dir   string
 	opts  Options
 	clean bool // clean-shutdown marker was present at Open
 
 	mu        sync.Mutex
-	idle      *sync.Cond // signalled when busy drops
+	idle      *sync.Cond // signalled when busy or building drops
 	buf       []byte     // records appended since the last round took the buffer
 	scratch   []byte     // body-encoding scratch
 	appendSeq uint64     // records appended
@@ -119,17 +134,22 @@ type Log struct {
 	busy      bool       // some goroutine owns the files: a commit loop or a checkpoint
 	err       error      // sticky: the first I/O failure, or ErrAbandoned, fails everything after
 	dump      func(emit func(Record))
+	building  bool   // a builder goroutine is preparing a spare
+	spare     string // path of a built spare, fsynced, waiting for the next rotation
 
 	// File state: touched only by the goroutine that set busy.
-	seg     *os.File // active segment
-	segs    []uint64 // segment numbers on disk, ascending; the last is active
-	segSize int64
-	spare   []byte   // the buffer the previous round wrote, recycled
-	ready   []waiter // the current round's released waiters
+	seg      *os.File // active segment
+	segs     []uint64 // segment numbers on disk, ascending; the last is active
+	segSize  int64    // bytes of records in the active segment: the next round's offset
+	prepared bool     // the active segment is a renamed spare, not a file rounds grow
+	recycled []byte   // the buffer the previous round wrote
+	ready    []waiter // the current round's released waiters
 	// hook, when set (tests), runs at named points — "sync" before every
-	// segment fsync, "rotated", "written", "renamed" and "deleted" inside
-	// a checkpoint — and a non-nil return fails the operation there, as
-	// if the process had died at that point.
+	// segment fsync, "spare" before a spare's fsync (on the builder),
+	// "spare-renamed" once a rotation renamed a spare, "rotated",
+	// "written", "renamed" and "deleted" inside a checkpoint — and a
+	// non-nil return fails the operation there, as if the process had
+	// died at that point.
 	hook func(point string) error
 
 	stats counters
@@ -178,17 +198,23 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opts: opts}
 	l.idle = sync.NewCond(&l.mu)
+	stale := []string{snapTmp}
 	for _, e := range ents {
-		if e.IsDir() && legacyShardDir(e.Name()) {
+		name := e.Name()
+		if e.IsDir() && legacyShardDir(name) {
 			return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, dir)
 		}
-		if n, ok := segNumber(e.Name()); ok {
+		if n, ok := segNumber(name); ok {
 			l.segs = append(l.segs, n)
+		} else if strings.HasPrefix(name, sparePrefix) && strings.HasSuffix(name, spareSuffix) {
+			stale = append(stale, name)
 		}
 	}
 	sort.Slice(l.segs, func(a, b int) bool { return l.segs[a] < l.segs[b] })
-	if err := os.Remove(filepath.Join(dir, snapTmp)); err != nil && !os.IsNotExist(err) {
-		return nil, err
+	for _, name := range stale {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
 	}
 	if len(l.segs) == 0 {
 		err = l.openSegment(1)
@@ -211,7 +237,9 @@ func Open(dir string, opts Options) (*Log, error) {
 
 // recoverTail truncates the newest segment to its last valid record and
 // reopens it for appends. Older segments were sealed after a completed
-// write, so only the newest can end in a torn record.
+// write, so only the newest can end in a torn record. A renamed spare's
+// zero tail ends the scan like a torn record (a zero length prefix is
+// corrupt) and is truncated with it.
 func (l *Log) recoverTail() error {
 	path := filepath.Join(l.dir, segName(l.segs[len(l.segs)-1]))
 	data, err := os.ReadFile(path)
@@ -224,7 +252,7 @@ func (l *Log) recoverTail() error {
 			return err
 		}
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
@@ -232,13 +260,30 @@ func (l *Log) recoverTail() error {
 	return nil
 }
 
-// openSegment creates and activates segment n.
+// openSegment activates segment n: the ready spare renamed, or else a
+// freshly created file. Either way the name is durable before the first
+// record is written into it.
 func (l *Log) openSegment(n uint64) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(n)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	path := filepath.Join(l.dir, segName(n))
+	l.mu.Lock()
+	spare := l.spare
+	l.spare = ""
+	l.mu.Unlock()
+	flag := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
+	if spare != "" {
+		if err := os.Rename(spare, path); err != nil {
+			return err
+		}
+		if err := l.at("spare-renamed"); err != nil {
+			return err
+		}
+		flag = os.O_WRONLY
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return err
 	}
-	l.seg, l.segSize = f, 0
+	l.seg, l.segSize, l.prepared = f, 0, spare != ""
 	l.segs = append(l.segs, n)
 	return l.syncDir()
 }
@@ -408,17 +453,18 @@ func (l *Log) commitLoop() {
 // checkpoint is written before the waiters are released — so the log
 // touches its files only while some caller is still waiting on it, and
 // a process that stops once its callers are served leaves the directory
-// quiescent. Caller holds busy.
+// quiescent but for a spare builder, which writes only the file it
+// created and which only this log renames. Caller holds busy.
 func (l *Log) round(dump func(emit func(Record))) error {
 	l.mu.Lock()
 	data, target := l.buf, l.appendSeq
-	l.buf = l.spare[:0]
+	l.buf = l.recycled[:0]
 	l.mu.Unlock()
 
 	began := optrace.Clock()
 	err := l.flush(data)
 	ended := optrace.Clock()
-	l.spare = data[:0]
+	l.recycled = data[:0]
 
 	l.mu.Lock()
 	if err != nil {
@@ -426,6 +472,12 @@ func (l *Log) round(dump func(emit func(Record))) error {
 		target = l.appendSeq // nothing pending can become durable any more
 	} else {
 		l.syncedSeq = target
+		if !l.opts.NoSync && !l.building && l.spare == "" && l.segSize >= l.opts.SegmentBytes/4 {
+			// Started before the waiters are released, so the builder's
+			// hook is the one installed before the round's callers return.
+			l.building = true
+			go l.buildSpare(l.hook)
+		}
 	}
 	k := sort.Search(len(l.waiters), func(i int) bool { return l.waiters[i].seq > target })
 	l.ready = append(l.ready[:0], l.waiters[:k]...)
@@ -454,15 +506,17 @@ func (l *Log) round(dump func(emit func(Record))) error {
 	return ckErr
 }
 
-// flush writes one round's records to the active segment and, unless
-// the log runs NoSync, fsyncs it. A full segment is sealed and a fresh
-// one opened afterwards.
+// flush writes one round's records at the active segment's end and,
+// unless the log runs NoSync, fdatasyncs it. A full segment is sealed
+// and the next one opened afterwards, and so is a segment rounds grow
+// (the first, or the one recovery reopened) once a spare is ready: the
+// in-place path starts a quarter segment after boot, not a whole one.
 func (l *Log) flush(data []byte) error {
 	if len(data) == 0 {
 		return nil // a checkpoint's rotation right after a round
 	}
 	l.stats.syncRounds.Add(1)
-	if _, err := l.seg.Write(data); err != nil {
+	if _, err := l.seg.WriteAt(data, l.segSize); err != nil {
 		return err
 	}
 	l.stats.bytes.Add(uint64(len(data)))
@@ -471,15 +525,22 @@ func (l *Log) flush(data []byte) error {
 		if err := l.at("sync"); err != nil {
 			return err
 		}
-		if err := l.seg.Sync(); err != nil {
+		if err := datasync(l.seg); err != nil {
 			return err
 		}
 		l.stats.fileSyncs.Add(1)
 	}
-	if l.segSize >= l.opts.SegmentBytes {
+	if l.segSize >= l.opts.SegmentBytes || !l.prepared && l.spareReady() {
 		return l.rotate()
 	}
 	return nil
+}
+
+// spareReady reports whether a built spare waits for the next rotation.
+func (l *Log) spareReady() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.spare != ""
 }
 
 // rotate seals the active segment and opens the next one.
@@ -490,8 +551,53 @@ func (l *Log) rotate() error {
 	return l.openSegment(l.segs[len(l.segs)-1] + 1)
 }
 
+// buildSpare prepares the next segment off the commit path: a uniquely
+// named file of SegmentBytes zeros, fsynced, handed to the log for the
+// next rotation to rename. It writes only to the file it created and
+// gives up quietly — closing and removing that file — on any failure,
+// or when the log failed or was abandoned meanwhile; the next rotation
+// then creates its segment as it would without a spare. Caller set
+// building.
+func (l *Log) buildSpare(hook func(point string) error) {
+	path, err := l.zeroFill(hook)
+	l.mu.Lock()
+	if err == nil && l.err == nil {
+		l.spare = path
+		l.stats.spares.Add(1)
+	} else if path != "" {
+		os.Remove(path)
+	}
+	l.building = false
+	l.idle.Broadcast()
+	l.mu.Unlock()
+}
+
+// zeroFill writes and fsyncs one spare. It returns the file's path
+// whenever it created the file, failed or not.
+func (l *Log) zeroFill(hook func(point string) error) (string, error) {
+	path := filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", sparePrefix, rand.Uint64(), spareSuffix))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return "", err
+	}
+	for left := l.opts.SegmentBytes; left > 0 && err == nil; left -= int64(len(zeros)) {
+		_, err = f.Write(zeros[:min(left, int64(len(zeros)))])
+	}
+	if err == nil && hook != nil {
+		err = hook("spare")
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return path, err
+}
+
 // SetHook installs the fault-injection seam (see Log.hook). Tests only;
-// call it before the log is shared between goroutines.
+// call it before the log is shared between goroutines. A spare builder
+// runs the hook that was installed when the round that started it ran.
 func (l *Log) SetHook(fn func(point string) error) { l.hook = fn }
 
 func (l *Log) at(point string) error {
@@ -654,12 +760,13 @@ func (l *Log) Close(dump func(emit func(Record))) error {
 // ErrAbandoned. It is the simulated-crash path — what a SIGKILL does to
 // user-space buffers — and the harness reopens the directory with Open
 // to model the restart. Abandon waits for the commit loop or checkpoint
-// in flight (the crash lands just after it), so nothing touches the
-// files once it returns.
+// in flight (the crash lands just after it) and for the spare builder,
+// so nothing touches the files once it returns. A ready spare stays on
+// disk for the next Open to delete.
 func (l *Log) Abandon() {
 	l.mu.Lock()
 	l.poison(ErrAbandoned)
-	for l.busy {
+	for l.busy || l.building {
 		l.idle.Wait()
 	}
 	if l.seg != nil {
@@ -678,6 +785,7 @@ func (l *Log) Stats() Stats {
 		Appends:    appends,
 		SyncRounds: l.stats.syncRounds.Load(),
 		FileSyncs:  l.stats.fileSyncs.Load(),
+		Spares:     l.stats.spares.Load(),
 		Snapshots:  l.stats.snapshots.Load(),
 		Bytes:      l.stats.bytes.Load(),
 		Replayed:   l.stats.replayed.Load(),

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -77,6 +78,8 @@ func dumpOf(recs ...Record) func(func(Record)) {
 	}
 }
 
+// fileNames lists dir, sorted, without spare segments: whether a spare
+// is on disk at a given moment depends on its builder (see spareFiles).
 func fileNames(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -85,10 +88,54 @@ func fileNames(t *testing.T, dir string) []string {
 	}
 	var names []string
 	for _, e := range ents {
-		names = append(names, e.Name())
+		if !strings.HasPrefix(e.Name(), sparePrefix) {
+			names = append(names, e.Name())
+		}
 	}
 	sort.Strings(names)
 	return names
+}
+
+// spareFiles lists the spare segments in dir.
+func spareFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, sparePrefix+"*"+spareSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// waitSpare waits until no spare builder runs and reports whether a
+// built spare is waiting for the next rotation.
+func waitSpare(l *Log) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.building {
+		l.idle.Wait()
+	}
+	return l.spare != ""
+}
+
+// commitAll commits each record in its own round and appends it to acked.
+func commitAll(t testing.TB, l *Log, acked *[]Record, recs ...Record) {
+	t.Helper()
+	for _, r := range recs {
+		if err := l.Commit(r); err != nil {
+			t.Fatal(err)
+		}
+		*acked = append(*acked, noShard([]Record{r})...)
+	}
+}
+
+// fileSize returns the size of dir/name.
+func fileSize(t *testing.T, dir, name string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 func TestAppendSyncReplayRoundTrip(t *testing.T) {

@@ -6,10 +6,12 @@
 set -eux
 cd "$(dirname "$0")/.."
 go build ./...
-# Linux holds injected link delays on a timerfd (sleeper_linux.go); every
-# other platform gets the time.Timer sleeper, which nothing here would
-# otherwise compile. Standard library only, so this builds offline.
-GOOS=darwin GOARCH=arm64 go build ./internal/transport/
+# Linux holds injected link delays on a timerfd (sleeper_linux.go) and
+# syncs WAL rounds with fdatasync (datasync_linux.go); every other
+# platform gets the time.Timer sleeper and a plain fsync, which nothing
+# here would otherwise compile. Standard library only, so this builds
+# offline.
+GOOS=darwin GOARCH=arm64 go build ./internal/transport/ ./internal/wal/
 go vet ./...
 # Every Go file is gofmt-clean.
 if [ -n "$(gofmt -l .)" ]; then gofmt -l .; exit 1; fi
@@ -40,6 +42,10 @@ if grep -rniE 'load[g]en|BENCH_[l]ive' README.md DESIGN.md .claude/skills; then 
 # node's one deadline sweep (armAttempt): the per-attempt timer token and
 # timers armed straight from an attempt's backoff must not grow back.
 if grep -rnE 'tokenOpDue|After\(.*\.tries\.' --include='*.go' internal/rkv; then exit 1; fi
+# WAL rounds write in place into pre-zeroed segments and fdatasync them:
+# an O_APPEND segment or an fsync of the active segment would bring the
+# per-round journal commit back.
+if grep -nE 'O_APPEND|seg\.Sync\(\)' internal/wal/wal.go; then exit 1; fi
 go test ./...
 # The facade example submits a write chain, crashes three replicas and
 # panics if the read after the crashes is stale: run it, not just build it.
@@ -85,8 +91,10 @@ go test -race -count=5 -run TestGatewayLeasedWritesFollowHolder ./internal/gatew
 # The WAL's committer goroutine flushes for many concurrent appenders and
 # releases their acks while checkpoints dump the store underneath, and
 # the replica's disk backend appends from multiple fast-path reader
-# goroutines under shard locks: race the whole durability layer.
-go test -race ./internal/wal/...
+# goroutines under shard locks, while a spare builder zero-fills the next
+# segment beside the commit loop and Abandon waits for both: race the
+# whole durability layer, three times.
+go test -race -count=3 ./internal/wal/...
 # The tuner's profiler window is written from transport reader goroutines
 # (every finished op observes into it) while metrics endpoints and the
 # tune loop snapshot it: race the auto-tuning layer.
