@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hquorum/internal/analysis"
-	"hquorum/internal/grid"
 	"hquorum/internal/hgrid"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/htriang"
@@ -72,7 +71,7 @@ func flatSubgridTriangleFailure(k int, p float64) float64 {
 		h2 := rows - h1
 		a := avail(h1)
 		bb := avail(h2)
-		d := grid.Uniform(h2, h1, grid.Leaf(q))
+		d := hgrid.Flat(h2, h1).Dist(q)
 		return d.Both*(a+bb-a*bb) + d.RCOnly*a + d.FLOnly*bb + d.None()*a*bb
 	}
 	return 1 - avail(k)

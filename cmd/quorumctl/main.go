@@ -655,46 +655,69 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
+// badArg reports a rejected command-line argument on one line and exits
+// with the usage status.
+func badArg(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "quorumctl: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 func intArg(args []string, i int) int {
 	if i >= len(args) {
-		fail("missing argument %d", i)
+		badArg("%s: missing argument %d", args[0], i)
 	}
 	v, err := strconv.Atoi(args[i])
 	if err != nil {
-		fail("argument %q is not an integer", args[i])
+		badArg("%s: argument %q is not an integer", args[0], args[i])
 	}
 	return v
 }
 
+// sizeArg is intArg for a system's size arguments, which must be >= 1.
+func sizeArg(args []string, i int) int {
+	v := intArg(args, i)
+	if v < 1 {
+		badArg("%s: size argument %q must be >= 1", args[0], args[i])
+	}
+	return v
+}
+
+// buildSystem constructs the named system. A constructor that rejects its
+// arguments (by error or by panic) is reported like a bad argument.
 func buildSystem(args []string) quorum.System {
 	if len(args) == 0 {
 		fail("missing system name")
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			badArg("%s: %v", strings.Join(args, " "), r)
+		}
+	}()
 	switch args[0] {
 	case "majority":
-		return majority.New(intArg(args, 1))
+		return majority.New(sizeArg(args, 1))
 	case "hqs":
-		return hqs.Uniform(intArg(args, 1), intArg(args, 2))
+		return hqs.Uniform(sizeArg(args, 1), sizeArg(args, 2))
 	case "grouped-hqs":
-		return hqs.Grouped(intArg(args, 1), intArg(args, 2))
+		return hqs.Grouped(sizeArg(args, 1), sizeArg(args, 2))
 	case "cwlog":
-		s, err := cwlog.Log(intArg(args, 1))
+		s, err := cwlog.Log(sizeArg(args, 1))
 		if err != nil {
-			fail("%v", err)
+			badArg("%s: %v", strings.Join(args, " "), err)
 		}
 		return s
 	case "hgrid":
-		return hgrid.NewRW(hgrid.Auto(intArg(args, 1), intArg(args, 2)))
+		return hgrid.NewRW(hgrid.Auto(sizeArg(args, 1), sizeArg(args, 2)))
 	case "flatgrid":
-		return hgrid.NewRW(hgrid.Flat(intArg(args, 1), intArg(args, 2)))
+		return hgrid.NewRW(hgrid.Flat(sizeArg(args, 1), sizeArg(args, 2)))
 	case "htgrid":
-		return htgrid.Auto(intArg(args, 1), intArg(args, 2))
+		return htgrid.Auto(sizeArg(args, 1), sizeArg(args, 2))
 	case "htriang":
-		return htriang.New(intArg(args, 1))
+		return htriang.New(sizeArg(args, 1))
 	case "paths":
-		return paths.New(intArg(args, 1))
+		return paths.New(sizeArg(args, 1))
 	case "y":
-		return ysys.New(intArg(args, 1))
+		return ysys.New(sizeArg(args, 1))
 	default:
 		fail("unknown system %q", args[0])
 		return nil

@@ -1,0 +1,133 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current build")
+
+// runMain is the first argument of a re-executed test binary that should
+// run quorumctl's main instead of the tests.
+const runMain = "-run-quorumctl-main"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == runMain {
+		os.Args = append([]string{"quorumctl"}, os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// quorumctl runs the real main in a child process and returns its stdout,
+// stderr and exit code.
+func quorumctl(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{runMain}, args...)...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// goldenCases are the analysis subcommands on small systems (n ≤ 16) with
+// a fixed seed; the operator subcommands need a live cluster.
+var goldenCases = []string{
+	"list",
+	"render figure1",
+	"render figure2",
+	"show hgrid 4 4",
+	"show flatgrid 3 4",
+	"show htgrid 4 4",
+	"show htgrid 3 5",
+	"show htriang 5",
+	"show majority 9",
+	"quorums hgrid 2 3",
+	"quorums flatgrid 2 3",
+	"quorums htgrid 3 3",
+	"quorums htriang 4",
+	"quorums majority 5",
+	"nd hgrid 3 3",
+	"nd flatgrid 2 3",
+	"nd htgrid 3 3",
+	"nd htriang 4",
+	"nd majority 5",
+	"poly hgrid 4 4",
+	"poly htgrid 4 4",
+	"poly htriang 5",
+	"importance 0.1 htgrid 3 3",
+	"importance 0.2 htriang 4",
+	"compare htgrid 4 4 -- hgrid 4 4",
+	"compare htriang 5 -- majority 15",
+	"byz 1 dissemination htgrid 3 3",
+	"byz 1 masking htriang 4",
+}
+
+// TestGolden pins quorumctl's output byte for byte: every case's stdout,
+// stderr and exit code, in testdata/golden.txt. The show, quorums and nd
+// cases run the constructions' Pick, Available and enumerations; poly,
+// importance and compare their availability circuits. Regenerate with
+// `go test ./cmd/quorumctl -run TestGolden -update` only when a change is
+// meant to move the output.
+func TestGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, c := range goldenCases {
+		stdout, stderr, code := quorumctl(t, append([]string{"-seed", "3"}, strings.Fields(c)...)...)
+		fmt.Fprintf(&got, "$ quorumctl -seed 3 %s\n%s", c, stdout)
+		if stderr != "" {
+			fmt.Fprintf(&got, "stderr: %s", stderr)
+		}
+		fmt.Fprintf(&got, "exit %d\n\n", code)
+	}
+	const golden = "testdata/golden.txt"
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("quorumctl output differs from %s:\n%s", golden, got.String())
+	}
+}
+
+// TestBadArguments: a size argument below 1 or a constructor's rejection
+// exits 2 with one line naming the argument, not a stack trace.
+func TestBadArguments(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"show htriang 0", `quorumctl: htriang: size argument "0" must be >= 1`},
+		{"show majority -3", `quorumctl: majority: size argument "-3" must be >= 1`},
+		{"show paths 0", `quorumctl: paths: size argument "0" must be >= 1`},
+		{"show y 0", `quorumctl: y: size argument "0" must be >= 1`},
+		{"show hgrid 0 4", `quorumctl: hgrid: size argument "0" must be >= 1`},
+		{"show htgrid 2 0", `quorumctl: htgrid: size argument "0" must be >= 1`},
+		{"quorums flatgrid 3 -1", `quorumctl: flatgrid: size argument "-1" must be >= 1`},
+		{"nd cwlog 0", `quorumctl: cwlog: size argument "0" must be >= 1`},
+		{"poly hqs 2 0", `quorumctl: hqs: size argument "0" must be >= 1`},
+		{"show grouped-hqs x 3", `quorumctl: grouped-hqs: argument "x" is not an integer`},
+		{"show hgrid 4", `quorumctl: hgrid: missing argument 2`},
+	} {
+		stdout, stderr, code := quorumctl(t, strings.Fields(c.args)...)
+		if code != 2 || stdout != "" || stderr != c.want+"\n" {
+			t.Errorf("quorumctl %s: exit %d, stdout %q, stderr %q; want exit 2 and %q", c.args, code, stdout, stderr, c.want)
+		}
+	}
+}

@@ -222,7 +222,7 @@ func TestJointPicksSpanBothConfigs(t *testing.T) {
 		}
 		// New side: members 0..15 map to grid IDs identically, so the
 		// union must contain a full line of the 4x4 hierarchy.
-		if !hgrid.Auto(4, 4).HasFullLine(q) {
+		if !hgrid.Auto(4, 4).FullLineGate().Eval(q) {
 			t.Fatalf("joint write quorum covers no new-config write quorum: %v", q.Indices())
 		}
 	}

@@ -1,4 +1,4 @@
-package grid
+package hgrid
 
 import "fmt"
 
@@ -15,15 +15,6 @@ type Dist struct {
 	FLOnly float64 // P(FL ∧ ¬RC)
 }
 
-// Leaf returns the distribution of a single process that survives with
-// probability q.
-func Leaf(q float64) Dist {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("grid: survival probability %v outside [0,1]", q))
-	}
-	return Dist{Both: q}
-}
-
 // RC returns P(row-cover available).
 func (d Dist) RC() float64 { return d.Both + d.RCOnly }
 
@@ -33,11 +24,36 @@ func (d Dist) FL() float64 { return d.Both + d.FLOnly }
 // None returns P(neither available).
 func (d Dist) None() float64 { return 1 - d.Both - d.RCOnly - d.FLOnly }
 
-// Joint computes the exact joint (RC, FL) distribution of a grid whose
+// Dist returns the exact joint (row-cover, full-line) availability
+// distribution of the hierarchy when every process survives independently
+// with probability q. The recursion applies joint at every logical object;
+// sub-objects are disjoint, so independence is exact.
+func (h *Hierarchy) Dist(q float64) Dist {
+	if q < 0 || q > 1 {
+		panic(fmt.Sprintf("hgrid: survival probability %v outside [0,1]", q))
+	}
+	return objectDist(h.root, q)
+}
+
+func objectDist(o *Object, q float64) Dist {
+	if o.IsLeaf() {
+		return Dist{Both: q}
+	}
+	cells := make([][]Dist, len(o.children))
+	for r, row := range o.children {
+		cells[r] = make([]Dist, len(row))
+		for c, child := range row {
+			cells[r][c] = objectDist(child, q)
+		}
+	}
+	return joint(cells)
+}
+
+// joint computes the exact joint (RC, FL) distribution of a grid whose
 // cells are independent structures with the given distributions.
-// cells[r][c] is the distribution of the cell at row r, column c; rows may
-// not be empty but may have differing lengths (the recursion only relies on
-// row independence).
+// cells[r][c] is the distribution of the cell at row r, column c; rows
+// may have differing lengths (the recursion only relies on row
+// independence).
 //
 // Derivation: per row r let A_r = "some cell has RC" and B_r = "every cell
 // has FL". The grid has a row-cover iff every A_r holds and a full-line iff
@@ -48,17 +64,11 @@ func (d Dist) None() float64 { return 1 - d.Both - d.RCOnly - d.FLOnly }
 //	P(B_r ∧ ¬A_r) = Π_c FLOnly_c
 //
 // so P(RC ∧ FL) = Π_r P(A_r) − Π_r (P(A_r) − P(A_r ∧ B_r)).
-func Joint(cells [][]Dist) Dist {
-	if len(cells) == 0 {
-		panic("grid: Joint of empty grid")
-	}
+func joint(cells [][]Dist) Dist {
 	prodA := 1.0     // P(all rows covered)
 	prodNotB := 1.0  // P(no full row)
 	prodAnotB := 1.0 // P(all rows covered with no full row)
-	for r, row := range cells {
-		if len(row) == 0 {
-			panic(fmt.Sprintf("grid: Joint row %d is empty", r))
-		}
+	for _, row := range cells {
 		pNoRC, pAllFL, pAllFLnoRC := 1.0, 1.0, 1.0
 		for _, c := range row {
 			pNoRC *= 1 - c.RC()
@@ -78,17 +88,4 @@ func Joint(cells [][]Dist) Dist {
 		RCOnly: prodA - both,
 		FLOnly: (1 - prodNotB) - both,
 	}
-}
-
-// Uniform returns the joint distribution of an R×C grid of i.i.d. cells.
-func Uniform(rows, cols int, cell Dist) Dist {
-	m := make([][]Dist, rows)
-	for r := range m {
-		row := make([]Dist, cols)
-		for c := range row {
-			row[c] = cell
-		}
-		m[r] = row
-	}
-	return Joint(m)
 }

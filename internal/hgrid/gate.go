@@ -1,20 +1,25 @@
 package hgrid
 
-import "hquorum/internal/quorum"
+import (
+	"math"
 
-// Gate compilers: the hierarchy's quorum families as quorum.Gate formulas,
-// so a cost-aware pick can price them exactly (quorum.Gate.Cheapest) and
-// the analyzer can lower them to availability circuits
-// (quorum.Gate.Circuit). They mirror the availability predicates of
-// predicates.go. The oriented h-T-grid family needs the best full line's
-// boundary row, which is not boolean, so it is expanded over the boundary:
+	"hquorum/internal/quorum"
+)
+
+// Gate compilers: the hierarchy's quorum families as quorum.Gate formulas.
+// They are the one statement of the recursive definitions: Eval answers
+// every availability question about a live set (and the random pickers'
+// feasibility tests), Cheapest prices cost-aware picks exactly, and
+// Circuit lowers them to the analyzer's availability circuits. The
+// oriented h-T-grid family needs the best full line's boundary row, which
+// is not boolean, so it is expanded over the boundary:
 //
-//	OrientAboveLine ⇔ ∃r: (full line with bottom ≤ r) ∧ coverAbove(r)
-//	OrientBelowLine ⇔ ∃r: (full line with top ≥ r) ∧ coverBelow(r)
+//	OrientAboveLine ⇔ ∃r: LineGate(r, true) ∧ CoverGate(r, true)
+//	OrientBelowLine ⇔ ∃r: LineGate(r, false) ∧ CoverGate(r, false)
 //
-// which is exact because coverAbove(r) is antitone in r (more rows to
-// cover) and coverBelow(r) monotone: testing the relaxed line condition
-// at every r subsumes testing the best line.
+// which is exact because the cover above r is antitone in r (more rows to
+// cover) and the cover below r monotone: testing the relaxed line
+// condition at every r subsumes testing the best line.
 
 // bound is a row boundary of the h-T-grid: the partial row-cover keeps,
 // and the full-line must stay within, the rows on its near side — rows
@@ -25,6 +30,12 @@ type bound struct {
 	above bool
 }
 
+// everything is the boundary that keeps every row.
+var everything = bound{row: math.MaxInt, above: true}
+
+// nothing is the constant true: the partial row-cover of a dropped object.
+var nothing = quorum.All()
+
 // drops reports whether o lies entirely beyond the boundary.
 func (b bound) drops(o *Object) bool {
 	if b.above {
@@ -33,53 +44,116 @@ func (b bound) drops(o *Object) bool {
 	return o.top+o.height <= b.row
 }
 
-// RowCoverGate compiles the row-covers of the root (read quorums).
-func (h *Hierarchy) RowCoverGate() *quorum.Gate {
-	return coverGate(h.root, bound{row: h.rows, above: true})
+// compile builds every object's gates once, on first use: the pickers
+// and the gate accessors call it first, so concurrent readers share one
+// compilation and picks never rebuild a gate.
+func (h *Hierarchy) compile() {
+	h.compiled.Do(func() { compileObject(h.root) })
 }
 
-// FullLineGate compiles the full-lines of the root (write quorums).
-func (h *Hierarchy) FullLineGate() *quorum.Gate {
-	return lineGate(h.root, bound{row: h.rows, above: true})
-}
-
-// coverGate is a partial row-cover of o: one child per child row, rows
-// beyond b need nothing.
-func coverGate(o *Object, b bound) *quorum.Gate {
-	if b.drops(o) {
-		return quorum.All()
-	}
+func compileObject(o *Object) {
 	if o.IsLeaf() {
-		return quorum.Leaf(o.leaf)
+		o.cover = quorum.Leaf(o.leaf)
+		o.line = o.cover
+		return
 	}
+	for _, row := range o.children {
+		for _, c := range row {
+			compileObject(c)
+		}
+	}
+	o.cover = coverGate(o, everything)
+	o.line = linesOf(o, everything)
+	// The boundaries that cut o: above row r for r in top..bottom−1,
+	// below row r+1.
+	o.cuts = make(map[bound]*quorum.Gate, 2*(o.height-1))
+	for r := o.top; r < o.top+o.height-1; r++ {
+		o.cuts[bound{r, true}] = coverGate(o, bound{r, true})
+		o.cuts[bound{r + 1, false}] = coverGate(o, bound{r + 1, false})
+	}
+}
+
+// coverAt is o's partial row-cover at b: nothing when b drops o, o's
+// row-cover when b keeps all of it. o must be compiled.
+func (o *Object) coverAt(b bound) *quorum.Gate {
+	if b.drops(o) {
+		return nothing
+	}
+	if g, ok := o.cuts[b]; ok {
+		return g
+	}
+	return o.cover
+}
+
+// coverGate is a partial row-cover of the internal object o at b: one
+// child per child row, rows beyond b need nothing. o's children must be
+// compiled.
+func coverGate(o *Object, b bound) *quorum.Gate {
 	rows := make([]*quorum.Gate, len(o.children))
 	for r, row := range o.children {
-		rows[r] = quorum.Any(eachCell(row, b, coverGate)...)
+		cells := make([]*quorum.Gate, len(row))
+		for c, cell := range row {
+			cells[c] = cell.coverAt(b)
+		}
+		rows[r] = quorum.Any(cells...)
 	}
 	return quorum.All(rows...)
 }
 
-// lineGate is a full-line of o that stays within b.
+// lineGate is a full-line of the compiled object o that stays within b.
 func lineGate(o *Object, b bound) *quorum.Gate {
-	if o.IsLeaf() {
-		if b.drops(o) {
-			return quorum.Any()
-		}
-		return quorum.Leaf(o.leaf)
+	if b.drops(o) {
+		return quorum.Any()
 	}
+	if _, cut := o.cuts[b]; !cut {
+		return o.line
+	}
+	return linesOf(o, b)
+}
+
+// linesOf is a full-line within b of every cell of some child row of the
+// internal object o, whose children must be compiled.
+func linesOf(o *Object, b bound) *quorum.Gate {
 	rows := make([]*quorum.Gate, len(o.children))
 	for r, row := range o.children {
-		rows[r] = quorum.All(eachCell(row, b, lineGate)...)
+		rows[r] = quorum.All(eachLine(row, b)...)
 	}
 	return quorum.Any(rows...)
 }
 
-func eachCell(row []*Object, b bound, compile func(*Object, bound) *quorum.Gate) []*quorum.Gate {
+func eachLine(row []*Object, b bound) []*quorum.Gate {
 	out := make([]*quorum.Gate, len(row))
 	for c, cell := range row {
-		out[c] = compile(cell, b)
+		out[c] = lineGate(cell, b)
 	}
 	return out
+}
+
+// RowCoverGate is the row-covers of the root (read quorums).
+func (h *Hierarchy) RowCoverGate() *quorum.Gate {
+	h.compile()
+	return h.root.cover
+}
+
+// FullLineGate is the full-lines of the root (write quorums).
+func (h *Hierarchy) FullLineGate() *quorum.Gate {
+	h.compile()
+	return h.root.line
+}
+
+// CoverGate is the partial row-covers of the root at boundary row: a
+// row-cover of rows 0..row when above, of rows row..Rows()−1 otherwise;
+// the rows beyond the boundary need nothing.
+func (h *Hierarchy) CoverGate(row int, above bool) *quorum.Gate {
+	h.compile()
+	return h.root.coverAt(bound{row, above})
+}
+
+// LineGate compiles the full-lines of the root that lie within rows
+// 0..row when above, within rows row..Rows()−1 otherwise.
+func (h *Hierarchy) LineGate(row int, above bool) *quorum.Gate {
+	h.compile()
+	return lineGate(h.root, bound{row, above})
 }
 
 // LineCoverGate compiles the h-T-grid quorums of the root: a full-line
@@ -93,23 +167,10 @@ func eachCell(row []*Object, b bound, compile func(*Object, bound) *quorum.Gate)
 // alternative's boundary yields a superset of a proper quorum, which a
 // cheapest pick never prefers.
 func (h *Hierarchy) LineCoverGate(above bool) *quorum.Gate {
+	h.compile()
 	alts := make([]*quorum.Gate, h.rows)
 	for r := range alts {
 		alts[r] = lineCoverGate(h.root, bound{row: r, above: above})
-	}
-	return quorum.Any(alts...)
-}
-
-// LineAndCoverGate compiles the same h-T-grid family as LineCoverGate
-// with the line and the cover side by side at every boundary row. It
-// holds on exactly the same live sets and lowers to a smaller circuit,
-// but a process both use is paid for twice, so it is for availability
-// (Eval, Circuit), not for Cheapest.
-func (h *Hierarchy) LineAndCoverGate(above bool) *quorum.Gate {
-	alts := make([]*quorum.Gate, h.rows)
-	for r := range alts {
-		b := bound{row: r, above: above}
-		alts[r] = quorum.All(lineGate(h.root, b), coverGate(h.root, b))
 	}
 	return quorum.Any(alts...)
 }
@@ -120,7 +181,7 @@ func lineCoverGate(o *Object, b bound) *quorum.Gate {
 	}
 	alts := make([]*quorum.Gate, 0, len(o.children))
 	for r, row := range o.children {
-		lines := eachCell(row, b, lineGate)
+		lines := eachLine(row, b)
 		carriers := make([]*quorum.Gate, len(row))
 		for c, cell := range row {
 			parts := append([]*quorum.Gate(nil), lines...)
@@ -130,7 +191,11 @@ func lineCoverGate(o *Object, b bound) *quorum.Gate {
 		parts := []*quorum.Gate{quorum.Any(carriers...)}
 		for r2, other := range o.children {
 			if r2 != r {
-				parts = append(parts, quorum.Any(eachCell(other, b, coverGate)...))
+				covers := make([]*quorum.Gate, len(other))
+				for c, cell := range other {
+					covers[c] = cell.coverAt(b)
+				}
+				parts = append(parts, quorum.Any(covers...))
 			}
 		}
 		alts = append(alts, quorum.All(parts...))

@@ -11,15 +11,17 @@
 //
 // A read quorum is a row-cover of the root, a write quorum a full-line of
 // the root, and a read-write quorum the union of one of each. The package
-// provides the structure, availability predicates, quorum generation, exact
-// failure-probability DP (via grid.Joint) and the paper's Table 1
-// configurations.
+// provides the structure, its quorum families as quorum.Gate formulas
+// (which answer every availability question), random and enumerated quorum
+// generation, the exact joint row-cover/full-line failure-probability DP
+// and the paper's Table 1 configurations.
 package hgrid
 
 import (
 	"fmt"
+	"sync"
 
-	"hquorum/internal/grid"
+	"hquorum/internal/quorum"
 )
 
 // Object is a node of the hierarchy: either a leaf (a process) or a grid of
@@ -32,6 +34,12 @@ type Object struct {
 	top, left     int // global position of the object's upper-left corner
 	height, width int // rows/columns of processes the object spans
 	size          int // number of processes
+
+	// Compiled once per hierarchy (Hierarchy.compile): the object's
+	// row-cover and full-line gates, and its partial row-cover gates at
+	// the boundaries that cut through it.
+	cover, line *quorum.Gate
+	cuts        map[bound]*quorum.Gate
 }
 
 // IsLeaf reports whether the object is a single process.
@@ -73,6 +81,7 @@ type Hierarchy struct {
 	rowOf    []int   // process ID -> region row (-1 outside the region)
 	colOf    []int
 	levels   int
+	compiled sync.Once
 }
 
 // Root returns the top logical object.
@@ -111,6 +120,7 @@ func (h *Hierarchy) IDAt(r, c int) int { return h.ids[r][c] }
 // Flat returns a single-level hierarchy: one logical grid of rows×cols
 // processes (the plain grid protocol).
 func Flat(rows, cols int) *Hierarchy {
+	checkDims(rows, cols)
 	return assemble(buildFlat(rows, cols, 0, 0), rows, cols)
 }
 
@@ -132,6 +142,7 @@ func Uniform(levels, rows, cols int) *Hierarchy {
 	if levels < 1 {
 		panic(fmt.Sprintf("hgrid: levels %d < 1", levels))
 	}
+	checkDims(rows, cols)
 	var build func(level, top, left int) *Object
 	build = func(level, top, left int) *Object {
 		if level == 0 {
@@ -160,6 +171,7 @@ func Uniform(levels, rows, cols int) *Hierarchy {
 // Table 1 h-grid column exactly (verified in tests against all sixteen
 // published failure probabilities).
 func Auto(rows, cols int) *Hierarchy {
+	checkDims(rows, cols)
 	var build func(top, left, h, w int) *Object
 	build = func(top, left, h, w int) *Object {
 		if h == 1 && w == 1 {
@@ -184,6 +196,13 @@ func Auto(rows, cols int) *Hierarchy {
 		return &Object{children: children, top: top, left: left, height: h, width: w, size: h * w}
 	}
 	return assemble(build(0, 0, rows, cols), rows, cols)
+}
+
+// checkDims rejects a grid without processes.
+func checkDims(rows, cols int) {
+	if rows < 1 || cols < 1 {
+		panic(fmt.Sprintf("hgrid: invalid dimensions %dx%d", rows, cols))
+	}
 }
 
 // split2 splits a length exceeding 2 into two halves (ceiling first);
@@ -278,26 +297,4 @@ func assembleRegion(root *Object, rows, cols int, ids [][]int, universe int) *Hi
 			root.height, root.width, root.size, rows, cols))
 	}
 	return h
-}
-
-// Dist returns the exact joint (row-cover, full-line) availability
-// distribution of the hierarchy when every process survives independently
-// with probability q. The recursion applies grid.Joint at every logical
-// object; sub-objects are disjoint, so independence is exact.
-func (h *Hierarchy) Dist(q float64) grid.Dist {
-	return objectDist(h.root, q)
-}
-
-func objectDist(o *Object, q float64) grid.Dist {
-	if o.IsLeaf() {
-		return grid.Leaf(q)
-	}
-	cells := make([][]grid.Dist, len(o.children))
-	for r, row := range o.children {
-		cells[r] = make([]grid.Dist, len(row))
-		for c, child := range row {
-			cells[r][c] = objectDist(child, q)
-		}
-	}
-	return grid.Joint(cells)
 }

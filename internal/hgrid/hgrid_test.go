@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
@@ -86,67 +87,160 @@ func TestDistMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// bestTop is the largest boundary row r for which live holds a full-line
+// within rows r..bottom (the line a below-cover may start at), or -1.
+func bestTop(h *Hierarchy, live bitset.Set) int {
+	for r := h.Rows() - 1; r >= 0; r-- {
+		if h.LineGate(r, false).Eval(live) {
+			return r
+		}
+	}
+	return -1
+}
+
+// bestBottom is the smallest boundary row r for which live holds a
+// full-line within rows 0..r (the line an above-cover may end at), or -1.
+func bestBottom(h *Hierarchy, live bitset.Set) int {
+	for r := 0; r < h.Rows(); r++ {
+		if h.LineGate(r, true).Eval(live) {
+			return r
+		}
+	}
+	return -1
+}
+
+// TestPredicatesSmall evaluates the gates on hand-built live sets of
+// Figure 1's hierarchy.
 func TestPredicatesSmall(t *testing.T) {
 	h := Uniform(2, 2, 2) // Figure 1's 16-process hierarchy
+	rowCover, fullLine := h.RowCoverGate(), h.FullLineGate()
 	// A hierarchical row-cover: in each top band pick one cell, one element
 	// per row of it. Top band: cell (0,0) → rows 0,1 with ids 0 and 4;
 	// bottom band: cell (1,1) → ids 10 and 14.
 	rc := bitset.FromIndices(16, 0, 4, 10, 14)
-	if !h.HasRowCover(rc) {
+	if !rowCover.Eval(rc) {
 		t.Fatal("expected row-cover")
 	}
-	if h.HasFullLine(rc) {
+	if fullLine.Eval(rc) {
 		t.Fatal("row-cover should not contain a full-line")
 	}
 	// A hierarchical full-line: top band, both cells pick a line each; cell
 	// (0,0) picks its row 1 (ids 4,5), cell (0,1) picks its row 0 (ids 2,3).
 	fl := bitset.FromIndices(16, 4, 5, 2, 3)
-	if !h.HasFullLine(fl) {
+	if !fullLine.Eval(fl) {
 		t.Fatal("expected full-line")
 	}
-	if h.HasRowCover(fl) {
+	if rowCover.Eval(fl) {
 		t.Fatal("full-line should not be a row-cover")
 	}
 	if got := h.MinTopRow(fl); got != 0 {
 		t.Fatalf("MinTopRow = %d, want 0", got)
 	}
-	if got := h.BestFullLineTop(fl); got != 0 {
-		t.Fatalf("BestFullLineTop = %d, want 0", got)
+	if got := bestTop(h, fl); got != 0 {
+		t.Fatalf("best line top = %d, want 0", got)
 	}
 	// Full bottom row: ids 12..15, a full-line with topmost row 3.
 	bottom := bitset.FromIndices(16, 12, 13, 14, 15)
-	if !h.HasFullLine(bottom) {
+	if !fullLine.Eval(bottom) {
 		t.Fatal("bottom row should be a full-line")
 	}
-	if got := h.BestFullLineTop(bottom); got != 3 {
-		t.Fatalf("BestFullLineTop(bottom) = %d, want 3", got)
+	if got := bestTop(h, bottom); got != 3 {
+		t.Fatalf("best line top (bottom) = %d, want 3", got)
 	}
 	// Partial row-cover keeping rows >= 3 only needs a live choice in row 3.
-	if !h.HasPartialRowCoverBelow(bottom, 3) {
+	if !h.CoverGate(3, false).Eval(bottom) {
 		t.Fatal("bottom row should contain a partial row-cover wrt row 3")
 	}
-	if h.HasPartialRowCoverBelow(bottom, 2) {
+	if h.CoverGate(2, false).Eval(bottom) {
 		t.Fatal("bottom row lacks row-2 coverage wrt minRow 2")
 	}
 	// In the Definition 4.2 orientation, a cover keeping rows <= 3 needs
 	// every row, which the bottom row alone cannot provide.
-	if h.HasPartialRowCoverAbove(bottom, 3) {
+	if h.CoverGate(3, true).Eval(bottom) {
 		t.Fatal("bottom row cannot cover rows 0..3")
 	}
-	if !h.HasPartialRowCoverAbove(bottom, -1) {
+	if !h.CoverGate(-1, true).Eval(bottom) {
 		t.Fatal("empty cover (threshold above grid) should be feasible")
 	}
-	if got := h.BestFullLineBottom(bottom); got != 3 {
-		t.Fatalf("BestFullLineBottom(bottom) = %d, want 3", got)
+	if got := bestBottom(h, bottom); got != 3 {
+		t.Fatalf("best line bottom (bottom) = %d, want 3", got)
 	}
 	if got := h.MaxBottomRow(bottom); got != 3 {
 		t.Fatalf("MaxBottomRow = %d, want 3", got)
 	}
 }
 
+// TestBoundaryGatesMatchEnumeration checks every boundary gate against
+// the hand-written enumerations on every live set: CoverGate(r, above)
+// holds exactly when some row-cover's part on the kept side of r is live,
+// LineGate(r, above) exactly when some full-line lying on that side is.
+func TestBoundaryGatesMatchEnumeration(t *testing.T) {
+	for _, h := range []*Hierarchy{Auto(3, 3), Auto(2, 4), Auto(4, 2), Auto(4, 3), Auto(5, 2), Flat(3, 3)} {
+		n := h.N()
+		covers, lines := h.RowCovers(), h.FullLines()
+		for r := -1; r <= h.Rows(); r++ {
+			for _, above := range []bool{true, false} {
+				kept := func(id int) bool {
+					if above {
+						return h.RowOf(id) <= r
+					}
+					return h.RowOf(id) >= r
+				}
+				var parts, within []bitset.Set
+				for _, rc := range covers {
+					part := bitset.New(n)
+					rc.ForEach(func(id int) {
+						if kept(id) {
+							part.Add(id)
+						}
+					})
+					parts = append(parts, part)
+				}
+				for _, fl := range lines {
+					ok := true
+					fl.ForEach(func(id int) { ok = ok && kept(id) })
+					if ok {
+						within = append(within, fl)
+					}
+				}
+				cover, line := h.CoverGate(r, above), h.LineGate(r, above)
+				for mask := uint64(0); mask < 1<<uint(n); mask++ {
+					live := bitset.FromWord(n, mask)
+					if got, want := cover.Eval(live), anySubset(parts, live); got != want {
+						t.Fatalf("%dx%d CoverGate(%d, %t) on %v = %t, enumeration says %t", h.Rows(), h.Cols(), r, above, live, got, want)
+					}
+					if got, want := line.Eval(live), anySubset(within, live); got != want {
+						t.Fatalf("%dx%d LineGate(%d, %t) on %v = %t, enumeration says %t", h.Rows(), h.Cols(), r, above, live, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func anySubset(sets []bitset.Set, live bitset.Set) bool {
+	for _, s := range sets {
+		if s.SubsetOf(live) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestRowCoverIntersectsFullLine(t *testing.T) {
 	// The intersection theorem of [9], exhaustively on two structures.
-	for _, h := range []*Hierarchy{Auto(3, 3), Uniform(2, 2, 2)} {
+	checkRowCoversMeetFullLines(t, Auto(3, 3), Uniform(2, 2, 2))
+}
+
+// TestFlatRowCoverIntersectsFullLine: the same theorem on the flat grid,
+// a one-level hierarchy.
+func TestFlatRowCoverIntersectsFullLine(t *testing.T) {
+	checkRowCoversMeetFullLines(t, Flat(3, 4))
+}
+
+func checkRowCoversMeetFullLines(t *testing.T, hs ...*Hierarchy) {
+	t.Helper()
+	for _, h := range hs {
 		fls := h.FullLines()
 		rcs := h.RowCovers()
 		for _, fl := range fls {
@@ -183,8 +277,10 @@ func TestRWSystem(t *testing.T) {
 	if err := quorum.CheckPairwiseIntersection(sys); err != nil {
 		t.Fatal(err)
 	}
-	if err := quorum.CheckAvailabilityConsistency(sys); err != nil {
-		t.Fatal(err)
+	for _, h := range []*Hierarchy{Auto(3, 3), Auto(4, 4), Auto(5, 4), Auto(2, 6), Flat(3, 4), Flat(4, 5)} {
+		if err := quorum.CheckAvailabilityConsistency(NewRW(h)); err != nil {
+			t.Fatalf("%dx%d l=%d: %v", h.Rows(), h.Cols(), h.Levels(), err)
+		}
 	}
 	rng := rand.New(rand.NewSource(11))
 	if err := quorum.CheckPickConsistency(sys, rng, 400); err != nil {
@@ -208,7 +304,7 @@ func TestRWSystem(t *testing.T) {
 }
 
 func TestBestFullLineTopMonotone(t *testing.T) {
-	// BestFullLineTop never decreases when processes are added.
+	// The best line's top row never decreases when processes are added.
 	h := Auto(4, 4)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -218,12 +314,12 @@ func TestBestFullLineTopMonotone(t *testing.T) {
 				live.Add(i)
 			}
 		}
-		before := h.BestFullLineTop(live)
+		before := bestTop(h, live)
 		grown := live.Clone()
 		grown.Add(rng.Intn(16))
-		after := h.BestFullLineTop(grown)
+		after := bestTop(h, grown)
 		if after < before {
-			t.Fatalf("adding a process decreased BestFullLineTop: %d -> %d (live %v)", before, after, live)
+			t.Fatalf("adding a process decreased the best line's top: %d -> %d (live %v)", before, after, live)
 		}
 	}
 }
@@ -298,5 +394,124 @@ func TestGatesPriceExactly(t *testing.T) {
 		if err := quorum.CheckCheapest(h.FullLineGate(), h.FullLines(), h.N(), rng, 300); err != nil {
 			t.Errorf("%dx%d full-line: %v", h.Rows(), h.Cols(), err)
 		}
+	}
+}
+
+func TestIDLayout(t *testing.T) {
+	f := Flat(3, 4)
+	if got := f.IDAt(0, 0); got != 0 {
+		t.Fatalf("IDAt(0,0) = %d", got)
+	}
+	if got := f.IDAt(2, 3); got != 11 {
+		t.Fatalf("IDAt(2,3) = %d", got)
+	}
+	// A 2x2 region of a 10-process universe, raster from ID 5.
+	e := AutoRegion([][]int{{5, 6}, {7, 8}}, 10)
+	if got := e.IDAt(1, 1); got != 8 {
+		t.Fatalf("region IDAt(1,1) = %d", got)
+	}
+	if e.RowOf(8) != 1 || e.ColOf(8) != 1 || e.RowOf(4) != -1 {
+		t.Fatalf("region maps 8 to (%d,%d) and 4 to row %d", e.RowOf(8), e.ColOf(8), e.RowOf(4))
+	}
+}
+
+// TestRenderFlat: on a flat grid every process is a level-1 object, so
+// every row and column is a block boundary.
+func TestRenderFlat(t *testing.T) {
+	q := bitset.FromIndices(4, 0, 3)
+	want := "#  .\n\n.  #\n"
+	if got := Flat(2, 2).Render(q); got != want {
+		t.Fatalf("Render = %q, want %q", got, want)
+	}
+}
+
+// TestInvalidDimensions: every constructor rejects a grid without
+// processes when it is built, not later inside an analysis.
+func TestInvalidDimensions(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() *Hierarchy
+		want  string
+	}{
+		{"Flat(0,4)", func() *Hierarchy { return Flat(0, 4) }, "hgrid: invalid dimensions 0x4"},
+		{"Flat(3,-1)", func() *Hierarchy { return Flat(3, -1) }, "hgrid: invalid dimensions 3x-1"},
+		{"Auto(0,4)", func() *Hierarchy { return Auto(0, 4) }, "hgrid: invalid dimensions 0x4"},
+		{"Auto(2,0)", func() *Hierarchy { return Auto(2, 0) }, "hgrid: invalid dimensions 2x0"},
+		{"Auto(-2,3)", func() *Hierarchy { return Auto(-2, 3) }, "hgrid: invalid dimensions -2x3"},
+		{"Uniform(2,0,2)", func() *Hierarchy { return Uniform(2, 0, 2) }, "hgrid: invalid dimensions 0x2"},
+		{"Uniform(2,2,-3)", func() *Hierarchy { return Uniform(2, 2, -3) }, "hgrid: invalid dimensions 2x-3"},
+		{"Uniform(0,2,2)", func() *Hierarchy { return Uniform(0, 2, 2) }, "hgrid: levels 0 < 1"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s panics with %v, want %q", c.name, got, c.want)
+				}
+			}()
+			c.build()
+		}()
+	}
+}
+
+// TestJointMatchesEnumeration verifies the closed-form joint (RC, FL)
+// distribution of flat grids against exact subset enumeration.
+func TestJointMatchesEnumeration(t *testing.T) {
+	for _, sh := range []struct{ r, c int }{{2, 2}, {3, 3}, {2, 4}, {4, 2}, {3, 4}} {
+		h := Flat(sh.r, sh.c)
+		counts := analysis.TransversalCounts(NewRW(h))
+		for _, p := range []float64{0.1, 0.25, 0.5} {
+			want := analysis.Failure(counts, p)
+			got := 1 - h.Dist(1-p).Both
+			if math.Abs(got-want) > 1e-12 {
+				t.Errorf("%dx%d p=%.2f: DP %.12f, enumeration %.12f", sh.r, sh.c, p, got, want)
+			}
+		}
+	}
+}
+
+// TestJointMarginals verifies the RC and FL marginals of the flat grid's
+// joint distribution against direct formulas for i.i.d. leaves.
+func TestJointMarginals(t *testing.T) {
+	p := 0.2
+	q := 1 - p
+	d := Flat(3, 4).Dist(q)
+	wantRC := math.Pow(1-math.Pow(p, 4), 3)
+	wantFL := 1 - math.Pow(1-math.Pow(q, 4), 3)
+	if math.Abs(d.RC()-wantRC) > 1e-12 {
+		t.Errorf("RC marginal %.12f, want %.12f", d.RC(), wantRC)
+	}
+	if math.Abs(d.FL()-wantFL) > 1e-12 {
+		t.Errorf("FL marginal %.12f, want %.12f", d.FL(), wantFL)
+	}
+	if d.None() < 0 || d.None() > 1 {
+		t.Errorf("None() = %v outside [0,1]", d.None())
+	}
+}
+
+// TestJointProbabilityLaws property-tests that joint always returns a valid
+// distribution dominated by its marginals.
+func TestJointProbabilityLaws(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rows := 1 + rng.Intn(3)
+		cols := 1 + rng.Intn(3)
+		cells := make([][]Dist, rows)
+		for r := range cells {
+			cells[r] = make([]Dist, cols)
+			for c := range cells[r] {
+				// Random sub-distribution.
+				a, b, g := rng.Float64(), rng.Float64(), rng.Float64()
+				total := a + b + g + rng.Float64()
+				cells[r][c] = Dist{Both: a / total, RCOnly: b / total, FLOnly: g / total}
+			}
+		}
+		d := joint(cells)
+		eps := 1e-9
+		return d.Both >= -eps && d.RCOnly >= -eps && d.FLOnly >= -eps &&
+			d.None() >= -eps && d.RC() <= 1+eps && d.FL() <= 1+eps &&
+			d.Both <= d.RC()+eps && d.Both <= d.FL()+eps
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -48,7 +48,7 @@ func (s *RWSystem) Universe() int { return s.h.universe }
 // Available reports whether live contains both a hierarchical row-cover and
 // a hierarchical full-line.
 func (s *RWSystem) Available(live bitset.Set) bool {
-	return s.h.HasFullLine(live) && s.h.HasRowCover(live)
+	return s.h.FullLineGate().Eval(live) && s.h.RowCoverGate().Eval(live)
 }
 
 // AvailabilityCircuit implements analysis.CircuitAvailability: Available

@@ -45,8 +45,17 @@ const (
 
 // System is the h-T-grid quorum system over a hierarchical grid.
 type System struct {
-	h        *hgrid.Hierarchy
-	orient   Orientation
+	h      *hgrid.Hierarchy
+	orient Orientation
+
+	// Compiled once, on first use (compile): per boundary row r, the
+	// full-lines on the cover's side of r and the partial row-covers at
+	// r, and the family Any_r(lines[r] ∧ covers[r]) that Available
+	// evaluates.
+	compiled      sync.Once
+	lines, covers []*quorum.Gate
+	family        *quorum.Gate
+
 	circOnce sync.Once
 	circ     *analysis.Circuit
 }
@@ -85,18 +94,28 @@ func (s *System) Name() string {
 // Universe implements quorum.System.
 func (s *System) Universe() int { return s.h.N() }
 
+// compile builds the boundary gates in the configured orientation; every
+// reader calls it first.
+func (s *System) compile() {
+	s.compiled.Do(func() {
+		above := s.orient == OrientAboveLine
+		rows := s.h.Rows()
+		s.lines, s.covers = make([]*quorum.Gate, rows), make([]*quorum.Gate, rows)
+		alts := make([]*quorum.Gate, rows)
+		for r := range alts {
+			s.lines[r], s.covers[r] = s.h.LineGate(r, above), s.h.CoverGate(r, above)
+			alts[r] = quorum.All(s.lines[r], s.covers[r])
+		}
+		s.family = quorum.Any(alts...)
+	})
+}
+
 // Available reports whether live contains a h-T-grid quorum: a live
 // hierarchical full-line L together with a live partial row-cover with
-// respect to L. Both the best achievable line boundary and the cover
-// feasibility are monotone in the boundary row, so testing the cover at
-// the best boundary is exact.
+// respect to L.
 func (s *System) Available(live bitset.Set) bool {
-	if s.orient == OrientAboveLine {
-		bottom := s.h.BestFullLineBottom(live)
-		return bottom >= 0 && s.h.HasPartialRowCoverAbove(live, bottom)
-	}
-	top := s.h.BestFullLineTop(live)
-	return top >= 0 && s.h.HasPartialRowCoverBelow(live, top)
+	s.compile()
+	return s.family.Eval(live)
 }
 
 // boundary returns the partial-cover threshold row induced by line, per the
@@ -111,10 +130,8 @@ func (s *System) boundary(line bitset.Set) int {
 // coverFeasible reports whether a live partial row-cover exists at the
 // given threshold.
 func (s *System) coverFeasible(live bitset.Set, threshold int) bool {
-	if s.orient == OrientAboveLine {
-		return s.h.HasPartialRowCoverAbove(live, threshold)
-	}
-	return s.h.HasPartialRowCoverBelow(live, threshold)
+	s.compile()
+	return s.covers[threshold].Eval(live)
 }
 
 // Pick returns a random h-T-grid quorum from live: a random live full-line
@@ -161,100 +178,21 @@ func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 }
 
 // bestLine deterministically assembles a live full-line achieving the best
-// boundary for the configured orientation.
+// boundary: the witness of the first boundary whose line gate holds,
+// scanning from the side the cover keeps (the smallest row above the
+// line, the largest below it).
 func (s *System) bestLine(live bitset.Set) bitset.Set {
 	out := bitset.New(s.h.N())
-	var ok bool
-	if s.orient == OrientAboveLine {
-		target := s.h.BestFullLineBottom(live)
-		ok = buildLine(s.h.Root(), live, out, func(o *hgrid.Object) bool {
-			return feasibleAtMost(o, live, target)
-		})
-	} else {
-		target := s.h.BestFullLineTop(live)
-		ok = buildLine(s.h.Root(), live, out, func(o *hgrid.Object) bool {
-			return feasibleAtLeast(o, live, target)
-		})
-	}
-	if !ok {
-		panic("htgrid: bestLine called without a feasible full-line")
-	}
-	return out
-}
-
-// buildLine assembles a full-line choosing, at every object, the first
-// child row all of whose cells satisfy feasible.
-func buildLine(o *hgrid.Object, live bitset.Set, out bitset.Set, feasible func(*hgrid.Object) bool) bool {
-	if o.IsLeaf() {
-		if !feasible(o) {
-			return false
+	for i := range s.lines {
+		r := i
+		if s.orient == OrientBelowLine {
+			r = len(s.lines) - 1 - i
 		}
-		out.Add(o.Leaf())
-		return true
-	}
-	for r := 0; r < o.ChildRows(); r++ {
-		ok := true
-		for c := 0; c < o.ChildCols(r); c++ {
-			if !feasible(o.Child(r, c)) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for c := 0; c < o.ChildCols(r); c++ {
-			if !buildLine(o.Child(r, c), live, out, feasible) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// feasibleAtMost reports whether o can produce a live full-line whose
-// bottom-most row is <= maxRow.
-func feasibleAtMost(o *hgrid.Object, live bitset.Set, maxRow int) bool {
-	if o.IsLeaf() {
-		top, _, _, _ := o.Span()
-		return top <= maxRow && live.Contains(o.Leaf())
-	}
-	for r := 0; r < o.ChildRows(); r++ {
-		ok := true
-		for c := 0; c < o.ChildCols(r); c++ {
-			if !feasibleAtMost(o.Child(r, c), live, maxRow) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
+		if s.lines[r].Witness(live, out) {
+			return out
 		}
 	}
-	return false
-}
-
-// feasibleAtLeast reports whether o can produce a live full-line whose
-// top-most row is >= minRow.
-func feasibleAtLeast(o *hgrid.Object, live bitset.Set, minRow int) bool {
-	if o.IsLeaf() {
-		top, _, _, _ := o.Span()
-		return top >= minRow && live.Contains(o.Leaf())
-	}
-	for r := 0; r < o.ChildRows(); r++ {
-		ok := true
-		for c := 0; c < o.ChildCols(r); c++ {
-			if !feasibleAtLeast(o.Child(r, c), live, minRow) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
+	panic("htgrid: bestLine called without a feasible full-line")
 }
 
 // MinQuorumSize implements quorum.System: a boundary line alone (≈ √n).
@@ -305,13 +243,15 @@ func (s *System) Gate() *quorum.Gate {
 	return s.h.LineCoverGate(s.orient == OrientAboveLine)
 }
 
-// AvailabilityCircuit implements analysis.CircuitAvailability: Available
-// as the line-and-cover gate (hgrid.LineAndCoverGate, which lowers to a
-// smaller program than Gate), lowered once on first use; nil when the
-// universe exceeds 64 processes.
+// AvailabilityCircuit implements analysis.CircuitAvailability: Available's
+// line-and-cover family (which lowers to a smaller program than Gate: a
+// process the line and the cover share is paid for twice, which only
+// pricing minds), lowered once on first use; nil when the universe exceeds
+// 64 processes.
 func (s *System) AvailabilityCircuit() *analysis.Circuit {
 	s.circOnce.Do(func() {
-		s.circ = s.h.LineAndCoverGate(s.orient == OrientAboveLine).Circuit(s.h.Universe())
+		s.compile()
+		s.circ = s.family.Circuit(s.h.Universe())
 	})
 	return s.circ
 }

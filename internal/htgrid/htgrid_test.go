@@ -105,10 +105,21 @@ func TestTheorem41(t *testing.T) {
 	}
 }
 
+// TestAvailabilityConsistency checks Available against the enumerated
+// quorums on every live set, in both orientations, on Auto and flat
+// hierarchies.
 func TestAvailabilityConsistency(t *testing.T) {
-	for _, sys := range []*System{Auto(3, 3), Auto(2, 4), Auto(4, 2)} {
-		if err := quorum.CheckAvailabilityConsistency(sys); err != nil {
-			t.Errorf("%s: %v", sys.Name(), err)
+	var hs []*hgrid.Hierarchy
+	for _, dims := range [][2]int{{3, 3}, {2, 4}, {4, 2}, {4, 4}, {3, 5}, {5, 3}, {6, 2}, {5, 4}, {4, 5}} {
+		hs = append(hs, hgrid.Auto(dims[0], dims[1]))
+	}
+	hs = append(hs, hgrid.Flat(3, 3), hgrid.Flat(4, 3), hgrid.Flat(2, 5))
+	for _, h := range hs {
+		for _, o := range []Orientation{OrientAboveLine, OrientBelowLine} {
+			sys := NewOriented(h, o)
+			if err := quorum.CheckAvailabilityConsistency(sys); err != nil {
+				t.Errorf("%s/l=%d/o%d: %v", sys.Name(), h.Levels(), o, err)
+			}
 		}
 	}
 }
@@ -116,6 +127,21 @@ func TestAvailabilityConsistency(t *testing.T) {
 func TestPickConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, sys := range []*System{Auto(3, 3), Auto(4, 4)} {
+		if err := quorum.CheckPickConsistency(sys, rng, 400); err != nil {
+			t.Errorf("%s: %v", sys.Name(), err)
+		}
+	}
+}
+
+// TestFlatPickConsistency checks the picks of the flat grid's read-write
+// quorums and of the flat T-grid in both orientations.
+func TestFlatPickConsistency(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, sys := range []quorum.System{
+		hgrid.NewRW(hgrid.Flat(3, 3)),
+		NewOriented(hgrid.Flat(3, 3), OrientBelowLine),
+		NewOriented(hgrid.Flat(3, 4), OrientAboveLine),
+	} {
 		if err := quorum.CheckPickConsistency(sys, rng, 400); err != nil {
 			t.Errorf("%s: %v", sys.Name(), err)
 		}
@@ -140,6 +166,86 @@ func TestQuorumSizes(t *testing.T) {
 	})
 	if minSeen != 4 || maxSeen != 7 {
 		t.Fatalf("enumerated sizes (%d,%d), want (4,7)", minSeen, maxSeen)
+	}
+}
+
+// TestFlatQuorumSizes: the flat grid's read-write quorums and T-grid
+// quorums have the declared sizes, and these match the enumerated ones.
+func TestFlatQuorumSizes(t *testing.T) {
+	rw := hgrid.NewRW(hgrid.Flat(4, 4))
+	if rw.MinQuorumSize() != 7 || rw.MaxQuorumSize() != 7 {
+		t.Fatalf("flat RW sizes (%d,%d), want (7,7)", rw.MinQuorumSize(), rw.MaxQuorumSize())
+	}
+	for _, sys := range []quorum.System{hgrid.NewRW(hgrid.Flat(3, 4)), NewOriented(hgrid.Flat(3, 4), OrientBelowLine)} {
+		c, err := quorum.FromSystem(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.MinQuorumSize() != sys.MinQuorumSize() || c.MaxQuorumSize() != sys.MaxQuorumSize() {
+			t.Errorf("%s: declared (%d,%d), enumerated (%d,%d)", sys.Name(),
+				sys.MinQuorumSize(), sys.MaxQuorumSize(), c.MinQuorumSize(), c.MaxQuorumSize())
+		}
+	}
+}
+
+// TestTGridQuorumCount: the flat T-grid (a full row plus one element of
+// every row below it) over R×C has Σ_r C^(R−1−r) quorums.
+func TestTGridQuorumCount(t *testing.T) {
+	n := 0
+	NewOriented(hgrid.Flat(3, 2), OrientBelowLine).EnumerateQuorums(func(bitset.Set) bool { n++; return true })
+	if n != 4+2+1 {
+		t.Fatalf("3x2 T-grid has %d quorums, want 7", n)
+	}
+}
+
+// TestFlatGridQuorums evaluates the flat grid's read-write and T-grid
+// (below-line) families on hand-built live sets.
+func TestFlatGridQuorums(t *testing.T) {
+	h := hgrid.Flat(3, 3)
+	rw, tg := hgrid.NewRW(h), NewOriented(h, OrientBelowLine)
+	full := bitset.Universe(9)
+	if !h.RowCoverGate().Eval(full) || !rw.Available(full) || !tg.Available(full) {
+		t.Fatal("full universe should hold every family")
+	}
+	// One node per row, no full line.
+	diag := bitset.FromIndices(9, 0, 4, 8)
+	if !h.RowCoverGate().Eval(diag) || h.FullLineGate().Eval(diag) || tg.Available(diag) {
+		t.Fatal("diagonal is a row-cover and nothing else")
+	}
+	// Bottom row only: a full line and a T-grid quorum (no rows below),
+	// but no row-cover.
+	bottom := bitset.FromIndices(9, 6, 7, 8)
+	if h.RowCoverGate().Eval(bottom) || !h.FullLineGate().Eval(bottom) || !tg.Available(bottom) {
+		t.Fatal("bottom row is a full line and a T-grid quorum, not a row-cover")
+	}
+	// Middle row full but bottom row dead: not a T-grid quorum.
+	if tg.Available(bitset.FromIndices(9, 3, 4, 5)) {
+		t.Fatal("middle row without bottom coverage is not a T-grid quorum")
+	}
+	// Middle row full plus one below: T-grid quorum.
+	if !tg.Available(bitset.FromIndices(9, 3, 4, 5, 7)) {
+		t.Fatal("middle row + below element is a T-grid quorum")
+	}
+}
+
+// TestFlatSystemsIntersectionAndConsistency: the flat grid's read-write
+// system and both T-grid orientations are coteries whose Available
+// agrees with their enumerated quorums.
+func TestFlatSystemsIntersectionAndConsistency(t *testing.T) {
+	for _, sys := range []interface {
+		quorum.Enumerator
+		quorum.System
+	}{
+		hgrid.NewRW(hgrid.Flat(2, 3)), hgrid.NewRW(hgrid.Flat(3, 3)),
+		NewOriented(hgrid.Flat(2, 3), OrientBelowLine), NewOriented(hgrid.Flat(4, 2), OrientBelowLine),
+		NewOriented(hgrid.Flat(3, 3), OrientAboveLine),
+	} {
+		if err := quorum.CheckPairwiseIntersection(sys); err != nil {
+			t.Errorf("%s: %v", sys.Name(), err)
+		}
+		if err := quorum.CheckAvailabilityConsistency(sys); err != nil {
+			t.Errorf("%s: %v", sys.Name(), err)
+		}
 	}
 }
 
@@ -240,13 +346,22 @@ func TestProseOrientationIsCoterie(t *testing.T) {
 // quorums still intersect every full row-cover (so reads can keep using
 // h-grid read quorums).
 func TestHTGridQuorumIntersectsRowCovers(t *testing.T) {
-	h := hgrid.Auto(3, 3)
-	sys := New(h)
-	covers := h.RowCovers()
+	checkQuorumsMeetRowCovers(t, Auto(3, 3))
+}
+
+// TestFlatTGridQuorumsMeetRowCovers: the same remark for the flat T-grid,
+// whose quorums meet every row-cover of the flat grid.
+func TestFlatTGridQuorumsMeetRowCovers(t *testing.T) {
+	checkQuorumsMeetRowCovers(t, NewOriented(hgrid.Flat(3, 3), OrientBelowLine))
+}
+
+func checkQuorumsMeetRowCovers(t *testing.T, sys *System) {
+	t.Helper()
+	covers := sys.Hierarchy().RowCovers()
 	sys.EnumerateQuorums(func(q bitset.Set) bool {
 		for _, rc := range covers {
 			if !q.Intersects(rc) {
-				t.Fatalf("h-T-grid quorum %v misses row-cover %v", q, rc)
+				t.Fatalf("%s quorum %v misses row-cover %v", sys.Name(), q, rc)
 				return false
 			}
 		}

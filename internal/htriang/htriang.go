@@ -42,7 +42,8 @@ type node struct {
 	t1   *node
 	t2   *node
 	g    *hgrid.Hierarchy
-	size int // processes under this node
+	size int          // processes under this node
+	gate *quorum.Gate // the node's quorums, compiled once (System.compile)
 }
 
 // System is the hierarchical triangle quorum system.
@@ -51,6 +52,7 @@ type System struct {
 	n        int
 	k        int // rows of the canonical triangle; 0 for grown specs
 	name     string
+	compiled sync.Once
 	circOnce sync.Once
 	circ     *analysis.Circuit
 }
@@ -107,22 +109,7 @@ func (s *System) K() int { return s.k }
 
 // Available reports whether live contains a h-triang quorum.
 func (s *System) Available(live bitset.Set) bool {
-	return available(s.root, live)
-}
-
-func available(t *node, live bitset.Set) bool {
-	if t.rows == 1 {
-		return live.Contains(t.leaf)
-	}
-	q1 := available(t.t1, live)
-	q2 := available(t.t2, live)
-	if q1 && q2 {
-		return true
-	}
-	if q1 && t.g.HasRowCover(live) {
-		return true
-	}
-	return q2 && t.g.HasFullLine(live)
+	return s.Gate().Eval(live)
 }
 
 // FailureProbability returns the exact failure probability under
@@ -151,6 +138,7 @@ func availProb(t *node, q float64) float64 {
 // Pick returns a random h-triang quorum from live, choosing uniformly among
 // the feasible formation methods at every level.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
+	s.compile()
 	out := bitset.New(s.n)
 	if !pick(s.root, rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
@@ -166,10 +154,10 @@ func pick(t *node, rng *rand.Rand, live bitset.Set, out bitset.Set) bool {
 		out.Add(t.leaf)
 		return true
 	}
-	q1 := available(t.t1, live)
-	q2 := available(t.t2, live)
-	rc := t.g.HasRowCover(live)
-	fl := t.g.HasFullLine(live)
+	q1 := t.t1.gate.Eval(live)
+	q2 := t.t2.gate.Eval(live)
+	rc := t.g.RowCoverGate().Eval(live)
+	fl := t.g.FullLineGate().Eval(live)
 	var methods []int
 	if q1 && q2 {
 		methods = append(methods, 1)
@@ -351,17 +339,29 @@ func (s *System) Render(q *bitset.Set) string {
 	return string(b)
 }
 
-// Gate compiles the system's quorums for cost-aware picks: the three
-// formation methods as alternatives at every division. T1, G and T2 are
-// disjoint, so each method is a conjunction over disjoint processes.
-func (s *System) Gate() *quorum.Gate { return gate(s.root) }
+// Gate is the system's quorums as one formula, for availability and
+// cost-aware picks: the three formation methods as alternatives at every
+// division. T1, G and T2 are disjoint, so each method is a conjunction
+// over disjoint processes.
+func (s *System) Gate() *quorum.Gate {
+	s.compile()
+	return s.root.gate
+}
 
-func gate(t *node) *quorum.Gate {
+// compile builds every node's gate once, on first use.
+func (s *System) compile() {
+	s.compiled.Do(func() { compile(s.root) })
+}
+
+func compile(t *node) {
 	if t.rows == 1 {
-		return quorum.Leaf(t.leaf)
+		t.gate = quorum.Leaf(t.leaf)
+		return
 	}
-	q1, q2 := gate(t.t1), gate(t.t2)
-	return quorum.Any(
+	compile(t.t1)
+	compile(t.t2)
+	q1, q2 := t.t1.gate, t.t2.gate
+	t.gate = quorum.Any(
 		quorum.All(q1, q2),
 		quorum.All(q1, t.g.RowCoverGate()),
 		quorum.All(q2, t.g.FullLineGate()),

@@ -80,6 +80,27 @@ func (g *Gate) Eval(live bitset.Set) bool {
 	return need == 0
 }
 
+// Witness adds to out one quorum of the family within live — at every
+// gate the first need kids that hold, in formula order — and reports
+// whether live contains one; out is untouched when it does not. It is
+// deterministic and draws no randomness.
+func (g *Gate) Witness(live, out bitset.Set) bool {
+	if !g.Eval(live) {
+		return false
+	}
+	if g.id >= 0 {
+		out.Add(g.id)
+		return true
+	}
+	need := g.need
+	for _, k := range g.kids {
+		if need > 0 && k.Witness(live, out) {
+			need--
+		}
+	}
+	return true
+}
+
 // Circuit lowers the formula to a bit-sliced program over n input lanes,
 // lane j carrying process j: bit s of its result is Eval on the live set
 // formed by bit s of every lane, so one evaluation answers 64 live sets.

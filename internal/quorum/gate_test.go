@@ -134,3 +134,41 @@ func TestCircuitMatchesEval(t *testing.T) {
 		t.Fatal("circuit over 65 processes, want nil")
 	}
 }
+
+// TestGateWitness: on random formulas and live sets, Witness holds exactly
+// when Eval does, adds a quorum of the family that lies within live, and
+// leaves out empty otherwise; at every gate it takes the first kids that
+// hold, in formula order.
+func TestGateWitness(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		var pool []*Gate
+		g := randomGate(rng, n, 1+rng.Intn(4), &pool)
+		for round := 0; round < 16; round++ {
+			live := bitset.FromWord(n, rng.Uint64()&(1<<uint(n)-1))
+			out := bitset.New(n)
+			ok := g.Witness(live, out)
+			if ok != g.Eval(live) {
+				t.Fatalf("trial %d: Witness %t on %v, Eval %t", trial, ok, live, !ok)
+			}
+			if !ok && !out.Empty() {
+				t.Fatalf("trial %d: failed Witness added %v", trial, out)
+			}
+			if ok && (!out.SubsetOf(live) || !g.Eval(out)) {
+				t.Fatalf("trial %d: witness %v on %v is not a live quorum", trial, out, live)
+			}
+		}
+	}
+	g := Any(All(Leaf(0), Leaf(1)), Of(2, Leaf(2), Leaf(3), Leaf(4)))
+	for _, c := range []struct{ live, want []int }{
+		{[]int{0, 1, 2, 3, 4}, []int{0, 1}},
+		{[]int{0, 2, 3, 4}, []int{2, 3}},
+		{[]int{1, 2, 4}, []int{2, 4}},
+	} {
+		out := bitset.New(5)
+		if !g.Witness(bitset.FromIndices(5, c.live...), out) || !out.Equal(bitset.FromIndices(5, c.want...)) {
+			t.Errorf("Witness on %v = %v, want %v", c.live, out, c.want)
+		}
+	}
+}

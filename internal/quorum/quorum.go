@@ -253,16 +253,22 @@ func CheckAvailabilityConsistency(sys System) error {
 	if n > 24 {
 		return fmt.Errorf("quorum: universe %d too large for exhaustive check", n)
 	}
-	all := AllQuorums(e)
-	for mask := uint64(0); mask < uint64(1)<<uint(n); mask++ {
-		live := bitset.FromWord(n, mask)
-		want := false
-		for _, q := range all {
-			if q.SubsetOf(live) {
-				want = true
-				break
+	// holds[mask]: mask contains an enumerated quorum — the quorums,
+	// closed upwards one process at a time.
+	holds := make([]bool, 1<<uint(n))
+	for _, q := range AllQuorums(e) {
+		holds[q.Word()] = true
+	}
+	for i := 0; i < n; i++ {
+		for mask := range holds {
+			if holds[mask] {
+				holds[mask|1<<uint(i)] = true
 			}
 		}
+	}
+	live := bitset.New(n)
+	for mask, want := range holds {
+		live.SetWord(uint64(mask))
 		if got := sys.Available(live); got != want {
 			return fmt.Errorf("quorum: %s Available(%v) = %t, enumeration says %t",
 				sys.Name(), live, got, want)

@@ -12,9 +12,10 @@
 # The pattern pins the benchmarks that exercise the sweep engine: the
 # table regenerations that feed the acceptance criteria (Table 2 memo
 # cache, Table 3 quick mode), the h-triang and h-T-grid availability
-# predicates (/Set: one bitset Available call; /Circuit: one evaluation of
-# the circuit lowered from the system's quorum.Gate, 64 live sets at
-# once), Y's word fast path, and the exact enumerator.
+# predicates (/Set: one bitset Available call, which evaluates the
+# system's quorum.Gate; /Circuit: one evaluation of the circuit lowered
+# from that gate, 64 live sets at once), Y's word fast path, and the exact
+# enumerator.
 #
 # The live path's per-layer benchmarks follow, into BENCH_layers.json
 # ($2 if given): internal/wal's BenchmarkCommit (a quorum batch of 8

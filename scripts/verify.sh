@@ -32,6 +32,12 @@ if grep -rln 'NewCircuitBuilder' --include='*.go' . | grep -v -e '^\./internal/a
 # The tuner counts availability on the pickers' gates, not on per-flavor
 # predicates of its own.
 if go list -f '{{join .Imports "\n"}}' ./internal/tuner | grep -x -e 'hquorum/internal/hgrid' -e 'hquorum/internal/htgrid' -e 'hquorum/internal/htriang'; then exit 1; fi
+# One formula per grid family: hgrid.Flat is the flat grid, and every
+# boolean question about an h-grid, h-T-grid or h-triang live set is
+# answered by the construction's quorum.Gate. The retired flat-grid package
+# and the hand-written availability predicates must not grow back.
+if [ -e internal/grid ] || grep -rn '"hquorum/internal/grid"' --include='*.go' --exclude-dir=.bench_build .; then exit 1; fi
+if grep -rnE 'func (\([^)]*\) )?(HasRowCover|HasFullLine|BestFullLine|HasPartialRowCover|feasibleAt(Most|Least))' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
 # hqbench (benchmark/run.sh) is the one end-to-end instrument: the retired
 # load generator and its live ledger must not grow back, nor be pointed at
 # by code, scripts or the docs that say how to measure. (The bracket keeps
@@ -61,6 +67,9 @@ go test -race ./internal/analysis/...
 # races under real concurrency too, and its picks and CoversWrite evaluate
 # the compiled quorum.Gate formulas (compiled once, read from every
 # coordinator) — the quorum package is on the live path with them.
+# The h-family constructions compile their gates lazily, once, and the
+# enumerator's workers and concurrent pickers read them: race the first use.
+go test -race ./internal/hgrid/... ./internal/htgrid/... ./internal/htriang/...
 go test -race ./internal/epoch/... ./internal/quorum/... ./internal/dmutex/... ./internal/rkv/... ./internal/transport/... ./internal/nemesis/... ./internal/history/...
 # One-round reads report sub-operations from the phase-1 reply handler
 # while their round is still in flight, and the kind-pure fill compacts the
