@@ -49,17 +49,31 @@ func main() {
 	nemesisName := flag.String("nemesis", "", "replay a fault schedule: crash-storm|rolling-restart|link-flap|minority-partition|churn (replaces -crash; workload pacing is derived from the schedule)")
 	flag.Parse()
 
+	// check rejects a flag value out of range: exit 2, one line naming it.
+	check := func(ok bool, name string, v any, want string) {
+		if !ok {
+			fmt.Fprintf(os.Stderr, "mutexsim: -%s %v: must be %s\n", name, v, want)
+			os.Exit(2)
+		}
+	}
 	var sys quorum.System
 	switch *system {
 	case "htriang":
+		check(*k >= 1, "k", *k, ">= 1")
 		sys = htriang.New(*k)
 	case "htgrid":
+		check(*rows >= 1, "rows", *rows, ">= 1")
+		check(*cols >= 1, "cols", *cols, ">= 1")
 		sys = htgrid.Auto(*rows, *cols)
 	case "hgrid":
+		check(*rows >= 1, "rows", *rows, ">= 1")
+		check(*cols >= 1, "cols", *cols, ">= 1")
 		sys = hgrid.NewRW(hgrid.Auto(*rows, *cols))
 	case "majority":
+		check(*n >= 1, "n", *n, ">= 1")
 		sys = majority.New(*n)
 	case "cwlog":
+		check(*n >= 1, "n", *n, ">= 1")
 		s, err := cwlog.Log(*n)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -70,6 +84,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
 		os.Exit(2)
 	}
+	check(*requests >= 1, "requests", *requests, ">= 1")
+	check(*crash >= 0, "crash", *crash, ">= 0")
+	check(*hold >= 0, "hold", *hold, ">= 0")
+	check(*think >= 0, "think", *think, ">= 0")
 
 	size := sys.Universe()
 	if *nemesisName != "" {
@@ -97,6 +115,7 @@ func main() {
 
 	holding := false
 	entries := 0
+	var lastRelease time.Duration
 	var nodes []*dmutex.Node
 	for i := 0; i < size; i++ {
 		id := cluster.NodeID(i)
@@ -115,7 +134,10 @@ func main() {
 				holding = true
 				entries++
 			},
-			OnRelease: func(id cluster.NodeID, at time.Duration) { holding = false },
+			OnRelease: func(id cluster.NodeID, at time.Duration) {
+				holding = false
+				lastRelease = at
+			},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -152,7 +174,7 @@ func main() {
 		sys.Name(), size, sys.MinQuorumSize(), sys.MaxQuorumSize())
 	fmt.Printf("crashed nodes:     %d\n", *crash)
 	fmt.Printf("critical sections: %d\n", entries)
-	fmt.Printf("virtual time:      %v\n", net.Now())
+	fmt.Printf("virtual time:      %v\n", lastRelease)
 	fmt.Printf("messages:          %d (%.1f per entry)\n", net.Messages(),
 		float64(net.Messages())/float64(max(entries, 1)))
 	fmt.Printf("retries:           %d\n", retries)
@@ -200,11 +222,4 @@ func runNemesis(sys quorum.System, name string, seed int64, requests int) {
 		os.Exit(1)
 	}
 	fmt.Println("mutual exclusion:  ok")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

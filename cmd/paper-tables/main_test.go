@@ -2,9 +2,24 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"testing"
 )
+
+// runMain is the first argument of a re-executed test binary that should
+// run paper-tables' main instead of the tests.
+const runMain = "-run-paper-tables-main"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == runMain {
+		os.Args = append([]string{"paper-tables"}, os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // TestQuickGolden pins the -quick output — Tables 1–5 and both figures,
 // Table 3's three largest columns sampled with fixed seeds — byte for
@@ -22,5 +37,29 @@ func TestQuickGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("paper-tables -quick output differs from %s:\n%s", golden, got.String())
+	}
+}
+
+// TestBadTable: a -table value with no table behind it exits 2 with one
+// line instead of printing nothing.
+func TestBadTable(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-table", "7"}, "paper-tables: -table 7: want 0 (everything) or 1-5\n"},
+		{[]string{"-table", "-1"}, "paper-tables: -table -1: want 0 (everything) or 1-5\n"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{runMain}, c.args...)...)
+		var out, errOut bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("paper-tables %v: %v, want exit 2", c.args, err)
+			continue
+		}
+		if out.Len() != 0 || errOut.String() != c.want {
+			t.Errorf("paper-tables %v: stdout %q, stderr %q; want no output and %q", c.args, out.String(), errOut.String(), c.want)
+		}
 	}
 }

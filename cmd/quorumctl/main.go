@@ -145,8 +145,8 @@ func main() {
 			os.Exit(2)
 		}
 		p, err := strconv.ParseFloat(args[1], 64)
-		if err != nil {
-			fail("crash probability %q is not a number", args[1])
+		if err != nil || !(p >= 0 && p <= 1) {
+			badArg("importance: crash probability %q must be a number in [0, 1]", args[1])
 		}
 		sys := buildSystem(args[2:])
 		imp := analysis.Importance(sys, p)

@@ -124,6 +124,10 @@ func TestBadArguments(t *testing.T) {
 		{"poly hqs 2 0", `quorumctl: hqs: size argument "0" must be >= 1`},
 		{"show grouped-hqs x 3", `quorumctl: grouped-hqs: argument "x" is not an integer`},
 		{"show hgrid 4", `quorumctl: hgrid: missing argument 2`},
+		{"importance 1.5 htgrid 3 3", `quorumctl: importance: crash probability "1.5" must be a number in [0, 1]`},
+		{"importance -0.2 htgrid 3 3", `quorumctl: importance: crash probability "-0.2" must be a number in [0, 1]`},
+		{"importance NaN htgrid 3 3", `quorumctl: importance: crash probability "NaN" must be a number in [0, 1]`},
+		{"importance x htgrid 3 3", `quorumctl: importance: crash probability "x" must be a number in [0, 1]`},
 	} {
 		stdout, stderr, code := quorumctl(t, strings.Fields(c.args)...)
 		if code != 2 || stdout != "" || stderr != c.want+"\n" {

@@ -45,9 +45,10 @@ type Availability interface {
 // over at most 64 nodes: AvailableWord(live) must agree with
 // Available(bitset.FromWord(n, live)). The enumerator uses it when
 // implemented and the system has no circuit (CircuitAvailability) — one
-// of the two is what makes 2²⁸ subsets tractable. The h-grid family has
-// circuits and no word path; every other construction in this repository
-// has a word path.
+// of the two is what makes 2²⁸ subsets tractable. Only Paths and Y
+// implement it: their availability is graph connectivity (a padded shift
+// flood), not a threshold formula. Every other construction states its
+// quorums as a quorum.Gate and lowers it to a circuit.
 type WordAvailability interface {
 	AvailableWord(live uint64) bool
 }

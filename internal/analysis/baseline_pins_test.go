@@ -1,0 +1,186 @@
+package analysis_test
+
+// Pins for the baseline constructions (majority, HQS, CWlog and the
+// k-coteries): their exact transversal counts and seeded pick streams,
+// recorded from the hand-written availability predicates their quorum
+// gates replaced. Their Available and availability circuit both evaluate
+// the gate, so these pins, the closed-form failure probabilities and the
+// enumerated quorums are the independent references.
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/bits"
+	"math/rand"
+	"testing"
+
+	"hquorum/internal/analysis"
+	"hquorum/internal/bitset"
+	"hquorum/internal/cwlog"
+	"hquorum/internal/hqs"
+	"hquorum/internal/kcoterie"
+	"hquorum/internal/majority"
+	"hquorum/internal/quorum"
+)
+
+func mustWall(widths []int) *cwlog.System {
+	s, err := cwlog.NewWall(widths)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+func mustLog(n int) *cwlog.System {
+	s, err := cwlog.Log(n)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+func mustWeighted(weights []int, threshold int) *majority.System {
+	s, err := majority.NewWeighted(weights, threshold)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+func mustKMajority(n, k int) *kcoterie.KMajority {
+	s, err := kcoterie.NewKMajority(n, k)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+func mixedHQS() *hqs.System {
+	s, err := hqs.New(&hqs.Shape{Children: []*hqs.Shape{
+		hqs.UniformShape(1, 3), hqs.UniformShape(1, 5), {},
+	}})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// kMajorityQuorums enumerates a k-majority's quorums (every set of
+// MinQuorumSize processes), which the package itself does not.
+type kMajorityQuorums struct{ *kcoterie.KMajority }
+
+func (s kMajorityQuorums) EnumerateQuorums(fn func(q bitset.Set) bool) {
+	n, q := s.Universe(), s.MinQuorumSize()
+	for mask := uint64(0); mask < 1<<uint(n); mask++ {
+		if bits.OnesCount64(mask) == q && !fn(bitset.FromWord(n, mask)) {
+			return
+		}
+	}
+}
+
+// TestBaselineAvailabilityConsistency checks every baseline shape's
+// gate-evaluated Available on every live set against its enumerated
+// quorums, closed upwards.
+func TestBaselineAvailabilityConsistency(t *testing.T) {
+	for _, sys := range []quorum.System{
+		majority.New(21),
+		majority.NewTieBreak(20),
+		mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8),
+		hqs.Grouped(5, 3),
+		hqs.Uniform(2, 3),
+		mixedHQS(),
+		mustLog(14),
+		mustWall([]int{2, 1, 3, 4, 2}),
+		kMajorityQuorums{mustKMajority(15, 2)},
+	} {
+		if err := quorum.CheckAvailabilityConsistency(sys); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestBaselineCountsPinned pins the exact transversal counts of the
+// baseline configurations up to 24 processes.
+func TestBaselineCountsPinned(t *testing.T) {
+	for _, c := range []struct {
+		sys  namedSystem
+		want uint64
+	}{
+		{majority.New(21), 0x4131cf7eac6d989b},
+		{mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8), 0x718a3f0cb0bb0734},
+		{mustKMajority(15, 2), 0x2453f0a53d28e31f},
+		{mustLog(14), 0x4032fd9c1935f16f},
+		{mustWall([]int{2, 1, 3, 4, 2}), 0x915b8f406172a13b},
+		{hqs.Grouped(5, 3), 0x40b283475fe8b529},
+	} {
+		h := fnv.New64a()
+		fmt.Fprintln(h, analysis.TransversalCounts(c.sys))
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: transversal counts hash to %#x, want %#x", c.sys.Name(), got, c.want)
+		}
+	}
+}
+
+// TestBaselinePickStreamsPinned pins Pick over random live sets of mixed
+// density (30–100 % live): every outcome (the quorum, or no quorum) and
+// where the rng stands after it hash to what the systems drew before their
+// quorums became gates. A pick fails exactly when Available is false and
+// otherwise returns a live quorum.
+func TestBaselinePickStreamsPinned(t *testing.T) {
+	part, err := kcoterie.NewPartitioned(majority.New(7), hqs.Grouped(3, 3), mustLog(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sys  quorum.System
+		want uint64
+	}{
+		{majority.New(15), 0xdcde4dd08ed26ab5},
+		{majority.New(21), 0xd76c956f4c07ef0b},
+		{majority.NewTieBreak(8), 0x1c7b3d1096309912},
+		{majority.NewTieBreak(28), 0x4cdb6cd18ba4c850},
+		{mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8), 0x2cab55eeff6997aa},
+		{mustWeighted([]int{3, 2, 1, 1, 1, 1}, 5), 0x252a51da9035d14b},
+		{hqs.Grouped(5, 3), 0x68bbed64c99b33db},
+		{hqs.Uniform(3, 3), 0xb3fe93570192f741},
+		{hqs.Uniform(2, 3), 0xe402c72edb7fa006},
+		{mixedHQS(), 0xb8f98f08c9301e84},
+		{mustLog(14), 0x1c3e9f50c1d838b7},
+		{mustLog(29), 0x551e6065953c491},
+		{mustWall([]int{2, 1, 3, 4, 2}), 0xb7a88574a4e57090},
+		{mustKMajority(15, 2), 0x44c4c870ae4ff18f},
+		{mustKMajority(16, 3), 0xf42173dfb5e59df0},
+		{part, 0x6308298c5fa4d716},
+	} {
+		sys := c.sys
+		n := sys.Universe()
+		hash := fnv.New64a()
+		master := rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < 500; i++ {
+			live := bitset.New(n)
+			density := 30 + master.Intn(71)
+			for id := 0; id < n; id++ {
+				if master.Intn(100) < density {
+					live.Add(id)
+				}
+			}
+			rng := rand.New(rand.NewSource(master.Int63()))
+			q, err := sys.Pick(rng, live)
+			if (err == nil) != sys.Available(live) {
+				t.Fatalf("%s: Pick error %v on live %v, Available says %t", sys.Name(), err, live, sys.Available(live))
+			}
+			if err != nil {
+				fmt.Fprintln(hash, "none")
+			} else {
+				if !q.SubsetOf(live) || !sys.Available(q) {
+					t.Fatalf("%s: picked %v is no live quorum within %v", sys.Name(), q, live)
+				}
+				fmt.Fprintln(hash, q.Indices())
+			}
+			fmt.Fprintln(hash, rng.Int63())
+		}
+		if got := hash.Sum64(); got != c.want {
+			t.Errorf("%s: seeded pick stream hashes to %#x, want %#x", sys.Name(), got, c.want)
+		}
+	}
+}

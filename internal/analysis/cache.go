@@ -1,13 +1,6 @@
 package analysis
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"sync"
-)
+import "sync"
 
 // CacheKeyer is the opt-in contract for the transversal-count memo cache.
 // CacheKey must return a string that uniquely determines the availability
@@ -21,30 +14,17 @@ type CacheKeyer interface {
 
 // CacheStats counts memo-cache traffic since the last ResetCache.
 type CacheStats struct {
-	Hits     uint64 // served from the in-memory map
-	DiskHits uint64 // loaded from the on-disk layer
-	Misses   uint64 // full enumerations performed
+	Hits   uint64 // served from the in-memory map
+	Misses uint64 // full enumerations performed
 }
 
 var (
 	cacheMu       sync.Mutex
 	cacheMem      = map[string][]uint64{}
 	cacheCounters CacheStats
-	cacheDir      string
 )
 
-// SetDiskCacheDir installs a directory for the persistent cache layer
-// ("" disables, the default). Entries are JSON files named by the SHA-256
-// of the cache key, so the exact 2²⁸ sweeps behind the paper tables are
-// pay-once across processes.
-func SetDiskCacheDir(dir string) {
-	cacheMu.Lock()
-	cacheDir = dir
-	cacheMu.Unlock()
-}
-
-// ResetCache clears the in-memory cache and statistics (the disk layer is
-// left alone).
+// ResetCache clears the cache and its statistics.
 func ResetCache() {
 	cacheMu.Lock()
 	cacheMem = map[string][]uint64{}
@@ -76,69 +56,11 @@ func CachedTransversalCounts(sys Availability) []uint64 {
 		cacheMu.Unlock()
 		return append([]uint64(nil), c...)
 	}
-	dir := cacheDir
 	cacheMu.Unlock()
-	if dir != "" {
-		if c, ok := loadDiskEntry(dir, key, sys.Universe()); ok {
-			cacheMu.Lock()
-			cacheCounters.DiskHits++
-			cacheMem[key] = c
-			cacheMu.Unlock()
-			return append([]uint64(nil), c...)
-		}
-	}
 	c := TransversalCounts(sys)
 	cacheMu.Lock()
 	cacheCounters.Misses++
 	cacheMem[key] = append([]uint64(nil), c...)
 	cacheMu.Unlock()
-	if dir != "" {
-		storeDiskEntry(dir, key, c)
-	}
 	return c
-}
-
-// diskEntry is the on-disk JSON schema. The full key is stored so a hash
-// collision (or a stale file from another repo) loads as a miss instead of
-// silently returning the wrong polynomial.
-type diskEntry struct {
-	Key    string   `json:"key"`
-	Counts []uint64 `json:"counts"`
-}
-
-func diskPath(dir, key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(dir, hex.EncodeToString(sum[:])[:32]+".json")
-}
-
-func loadDiskEntry(dir, key string, n int) ([]uint64, bool) {
-	data, err := os.ReadFile(diskPath(dir, key))
-	if err != nil {
-		return nil, false
-	}
-	var e diskEntry
-	if json.Unmarshal(data, &e) != nil || e.Key != key || len(e.Counts) != n+1 {
-		return nil, false
-	}
-	return e.Counts, true
-}
-
-// storeDiskEntry best-effort persists an entry; failures (read-only dir,
-// full disk) are ignored — the memo layer still has the counts.
-func storeDiskEntry(dir, key string, counts []uint64) {
-	if os.MkdirAll(dir, 0o755) != nil {
-		return
-	}
-	data, err := json.Marshal(diskEntry{Key: key, Counts: counts})
-	if err != nil {
-		return
-	}
-	path := diskPath(dir, key)
-	tmp := path + ".tmp"
-	if os.WriteFile(tmp, data, 0o644) != nil {
-		return
-	}
-	if os.Rename(tmp, path) != nil {
-		os.Remove(tmp)
-	}
 }

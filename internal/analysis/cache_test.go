@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -42,48 +40,8 @@ func TestCachedTransversalCountsUncacheable(t *testing.T) {
 	sys := thresholdWord{threshold{n: 7, m: 4}} // no CacheKey
 	CachedTransversalCounts(sys)
 	CachedTransversalCounts(sys)
-	if s := CacheStatsSnapshot(); s.Hits != 0 || s.Misses != 0 || s.DiskHits != 0 {
+	if s := CacheStatsSnapshot(); s.Hits != 0 || s.Misses != 0 {
 		t.Fatalf("uncacheable system touched the cache: %+v", s)
-	}
-}
-
-func TestDiskCacheLayer(t *testing.T) {
-	dir := t.TempDir()
-	SetDiskCacheDir(dir)
-	defer SetDiskCacheDir("")
-	ResetCache()
-	sys := keyedThreshold{thresholdWord{threshold{n: 9, m: 5}}}
-
-	want := CachedTransversalCounts(sys) // miss: enumerates and persists
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("disk layer wrote %d files (%v)", len(files), err)
-	}
-
-	ResetCache() // drop the memo layer; the disk entry must survive
-	got := CachedTransversalCounts(sys)
-	if s := CacheStatsSnapshot(); s.DiskHits != 1 || s.Misses != 0 {
-		t.Fatalf("after reload: stats %+v, want 1 disk hit and no enumeration", s)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("disk a_%d = %d, want %d", i, got[i], want[i])
-		}
-	}
-
-	// A corrupted entry must fall back to enumeration, not a wrong answer.
-	if err := os.WriteFile(files[0], []byte(`{"key":"other","counts":[1]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ResetCache()
-	got = CachedTransversalCounts(sys)
-	if s := CacheStatsSnapshot(); s.DiskHits != 0 || s.Misses != 1 {
-		t.Fatalf("after corruption: stats %+v, want a fresh enumeration", s)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("post-corruption a_%d = %d, want %d", i, got[i], want[i])
-		}
 	}
 }
 

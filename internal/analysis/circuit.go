@@ -13,11 +13,11 @@ import "math/bits"
 // iid crash patterns (one bernoulliWord per lane).
 //
 // Circuits are not written by hand: a system whose availability is a
-// threshold formula over its processes (quorum.Gate — the h-grid, h-T-grid
-// and h-triang) lowers that formula with (*quorum.Gate).Circuit, which is
-// the one client of CircuitBuilder outside this package. Graph
-// connectivity (Y, Paths) is no such formula, and those systems simply
-// don't implement CircuitAvailability.
+// threshold formula over its processes (quorum.Gate — the h-grid family,
+// majority, HQS, CWlog and the k-majority) lowers that formula with
+// (*quorum.Gate).Circuit, which is the one client of CircuitBuilder
+// outside this package. Graph connectivity (Y, Paths) is no such formula:
+// those systems implement WordAvailability instead.
 
 // CircuitAvailability is the optional bit-sliced fast path: the returned
 // circuit must satisfy, for every lane assignment,
@@ -31,20 +31,16 @@ type CircuitAvailability interface {
 	AvailabilityCircuit() *Circuit
 }
 
-// Circuit op codes. Register 0 is constant false, register 1 constant
-// true; op k writes register k+2.
-const (
-	opLane    = iota // load lanes[a]
-	opAnd            // regs[a] & regs[b]
-	opOr             // regs[a] | regs[b]
-	opAllMask        // AND of lanes[j] over set bits j of mask
-	opAnyMask        // OR of lanes[j] over set bits j of mask
-)
-
+// circOp is one op of a circuit: a gate over two registers when lanes is
+// zero, otherwise a fold over the input lanes named by lanes' set bits.
+// flip selects the connective: zero for And / all-of, all ones for Or /
+// any-of (by De Morgan, a fold complements its lanes and its result).
+// Register 0 is constant false, register 1 constant true; op k writes
+// register k+2.
 type circOp struct {
-	code int32
-	a, b Ref
-	mask uint64
+	lanes uint64
+	flip  uint64
+	a, b  Ref
 }
 
 // Circuit is a compiled lane program. Build one with CircuitBuilder.
@@ -65,7 +61,10 @@ func (c *Circuit) NumRegs() int { return len(c.ops) + 2 }
 
 // Eval runs the program over the given lanes. scratch must have at least
 // NumRegs entries; it is clobbered. Bit s of the result is the predicate
-// value on the mask formed by bit s of every lane.
+// value on the mask formed by bit s of every lane. One branch tells the
+// two op kinds apart, which keeps the loop's speed from depending on
+// where the linker places it (a five-way dispatch swung by up to a third
+// with a 32-byte shift).
 func (c *Circuit) Eval(lanes []uint64, scratch []uint64) uint64 {
 	ops := c.ops // a local slice keeps the loop free of reloads
 	regs := scratch[:len(ops)+2]
@@ -75,22 +74,15 @@ func (c *Circuit) Eval(lanes []uint64, scratch []uint64) uint64 {
 	for i := range ops {
 		op := &ops[i]
 		var r uint64
-		switch op.code {
-		case opLane:
-			r = lanes[op.a]
-		case opAnd:
-			r = regs[op.a] & regs[op.b]
-		case opOr:
-			r = regs[op.a] | regs[op.b]
-		case opAllMask:
+		if op.lanes == 0 {
+			x, y := regs[op.a], regs[op.b]
+			r = x&y | (x|y)&op.flip
+		} else {
 			r = ^uint64(0)
-			for m := op.mask; m != 0; m &= m - 1 {
-				r &= lanes[bits.TrailingZeros64(m)]
+			for m := op.lanes; m != 0; m &= m - 1 {
+				r &= lanes[bits.TrailingZeros64(m)] ^ op.flip
 			}
-		case opAnyMask:
-			for m := op.mask; m != 0; m &= m - 1 {
-				r |= lanes[bits.TrailingZeros64(m)]
-			}
+			r ^= op.flip
 		}
 		out[i] = r
 	}
@@ -132,10 +124,10 @@ func (b *CircuitBuilder) emit(op circOp) Ref {
 
 // Lane returns the value of input lane j (process j's liveness bit).
 func (b *CircuitBuilder) Lane(j int) Ref {
-	if j < 0 || j >= b.n {
+	if j < 0 || j >= min(b.n, 64) {
 		panic("analysis: circuit lane out of range")
 	}
-	return b.emit(circOp{code: opLane, a: Ref(j)})
+	return b.emit(circOp{lanes: 1 << uint(j)})
 }
 
 // And returns x ∧ y, folding constants and duplicates.
@@ -152,7 +144,7 @@ func (b *CircuitBuilder) And(x, y Ref) Ref {
 	if x > y {
 		x, y = y, x
 	}
-	return b.emit(circOp{code: opAnd, a: x, b: y})
+	return b.emit(circOp{a: x, b: y})
 }
 
 // Or returns x ∨ y, folding constants and duplicates.
@@ -169,7 +161,7 @@ func (b *CircuitBuilder) Or(x, y Ref) Ref {
 	if x > y {
 		x, y = y, x
 	}
-	return b.emit(circOp{code: opOr, a: x, b: y})
+	return b.emit(circOp{a: x, b: y, flip: ^uint64(0)})
 }
 
 // AllOf returns the conjunction of the lanes named by mask's set bits
@@ -181,7 +173,7 @@ func (b *CircuitBuilder) AllOf(mask uint64) Ref {
 	case 1:
 		return b.Lane(bits.TrailingZeros64(mask))
 	}
-	return b.emit(circOp{code: opAllMask, mask: mask})
+	return b.emit(circOp{lanes: mask})
 }
 
 // AnyOf returns the disjunction of the lanes named by mask's set bits
@@ -193,7 +185,7 @@ func (b *CircuitBuilder) AnyOf(mask uint64) Ref {
 	case 1:
 		return b.Lane(bits.TrailingZeros64(mask))
 	}
-	return b.emit(circOp{code: opAnyMask, mask: mask})
+	return b.emit(circOp{lanes: mask, flip: ^uint64(0)})
 }
 
 // Build finalizes the circuit with out as its result.

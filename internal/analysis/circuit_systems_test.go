@@ -4,7 +4,8 @@ package analysis_test
 // availability circuit (lowered from the system's quorum.Gate) must agree
 // with the bitset Available lane for lane, and the enumerator's
 // 64-masks-at-once path must produce the same transversal counts as the
-// scalar bitset path.
+// scalar bitset path. The h-grid family and the baselines (majority, HQS,
+// CWlog, the k-majority) all take this path.
 
 import (
 	"math/rand"
@@ -13,8 +14,10 @@ import (
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/hgrid"
+	"hquorum/internal/hqs"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/htriang"
+	"hquorum/internal/majority"
 )
 
 type circuitSystem interface {
@@ -43,6 +46,17 @@ func circuitSystems(t *testing.T) []circuitSystem {
 		htriang.New(7),
 		htriang.New(10),
 		grown,
+		majority.New(21),
+		majority.NewTieBreak(28),
+		mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8),
+		mustKMajority(15, 2),
+		mustKMajority(40, 3),
+		mustLog(14),
+		mustLog(29),
+		mustWall([]int{2, 1, 3, 4, 2}),
+		hqs.Grouped(5, 3),
+		hqs.Uniform(3, 3),
+		mixedHQS(),
 	}
 }
 
@@ -107,6 +121,11 @@ func TestCircuitEnumeratorAgrees(t *testing.T) {
 		htgrid.Auto(4, 4),                   // n = 16
 		htriang.New(5),                      // n = 15
 		htriang.New(6),                      // n = 21
+		mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8),
+		majority.NewTieBreak(12),
+		mustKMajority(15, 2),
+		mustLog(14),
+		hqs.Grouped(5, 3),
 	}
 	for _, sys := range systems {
 		fast := analysis.TransversalCounts(sys)

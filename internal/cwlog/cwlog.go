@@ -13,7 +13,9 @@ package cwlog
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
+	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -24,11 +26,15 @@ type System struct {
 	offsets []int // offsets[i] = first process ID of row i
 	n       int
 	name    string
-	rowMask []uint64 // rowMask[i] = bits of row i (nil when n > 64)
+	avail   quorum.Lazy
 }
 
-var _ quorum.System = (*System)(nil)
-var _ quorum.Enumerator = (*System)(nil)
+var (
+	_ quorum.System                = (*System)(nil)
+	_ quorum.Enumerator            = (*System)(nil)
+	_ analysis.CircuitAvailability = (*System)(nil)
+	_ analysis.CacheKeyer          = (*System)(nil)
+)
 
 // NewWall builds a wall with explicit row widths. Process IDs are assigned
 // row by row, top to bottom.
@@ -45,15 +51,8 @@ func NewWall(widths []int) (*System, error) {
 		offsets[i] = n
 		n += w
 	}
-	s := &System{widths: widths, offsets: offsets, n: n,
-		name: fmt.Sprintf("cwlog(%d)", n)}
-	if n <= 64 {
-		s.rowMask = make([]uint64, len(widths))
-		for i, w := range widths {
-			s.rowMask[i] = (uint64(1)<<uint(w) - 1) << uint(offsets[i])
-		}
-	}
-	return s, nil
+	return &System{widths: widths, offsets: offsets, n: n,
+		name: fmt.Sprintf("cwlog(%d)", n)}, nil
 }
 
 // Log builds the CWlog wall over exactly n processes: rows of widths
@@ -118,18 +117,32 @@ func (s *System) rowState(i int, live bitset.Set) (any, full bool) {
 // Available reports whether live contains a quorum: some fully-live row
 // with every row below it non-empty.
 func (s *System) Available(live bitset.Set) bool {
-	covered := true
-	for i := len(s.widths) - 1; i >= 0; i-- {
-		any, full := s.rowState(i, live)
-		if full && covered {
-			return true
+	return s.avail.Gate(s.n, s.compile).Eval(live)
+}
+
+// AvailabilityCircuit implements analysis.CircuitAvailability: the wall's
+// gate lowered over its processes; nil beyond 64 processes.
+func (s *System) AvailabilityCircuit() *analysis.Circuit {
+	return s.avail.Circuit(s.n, s.compile)
+}
+
+// compile states the quorums as one formula: some row i entirely, with
+// one process of every row below it. The "one of row j" formulas are
+// shared between the rows above j, so the circuit lowers each once.
+func (s *System) compile() *quorum.Gate {
+	rows := make([][]*quorum.Gate, len(s.widths))
+	anyOf := make([]*quorum.Gate, len(s.widths))
+	for i, w := range s.widths {
+		for c := 0; c < w; c++ {
+			rows[i] = append(rows[i], quorum.Leaf(s.offsets[i]+c))
 		}
-		covered = covered && any
-		if !covered {
-			return false
-		}
+		anyOf[i] = quorum.Any(rows[i]...)
 	}
-	return false
+	alts := make([]*quorum.Gate, len(rows))
+	for i := range alts {
+		alts[i] = quorum.All(append(rows[i], anyOf[i+1:]...)...)
+	}
+	return quorum.Any(alts...)
 }
 
 // Pick returns a random quorum from live: a uniformly random feasible base
@@ -263,4 +276,18 @@ func (s *System) EnumerateQuorums(fn func(q bitset.Set) bool) {
 			return
 		}
 	}
+}
+
+// CacheKey implements analysis.CacheKeyer: the row widths determine the
+// wall (process IDs are assigned row by row).
+func (s *System) CacheKey() string {
+	var b strings.Builder
+	b.WriteString("cwlog:")
+	for i, w := range s.widths {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", w)
+	}
+	return b.String()
 }

@@ -3,10 +3,12 @@ package cwlog
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"hquorum/internal/analysis"
+	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
 
@@ -239,4 +241,37 @@ func TestQuickRandomWallsAreCoteries(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConcurrentFirstUse: the gate and its circuit are built on the first
+// availability query, and concurrent first users (the enumerator's
+// workers, pickers) must share one build. Meaningful under -race.
+func TestConcurrentFirstUse(t *testing.T) {
+	sys, err := Log(14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := bitset.Universe(sys.Universe())
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			switch w % 3 {
+			case 0:
+				if !sys.Available(live) {
+					t.Error("fully live system unavailable")
+				}
+			case 1:
+				if sys.AvailabilityCircuit() == nil {
+					t.Error("no availability circuit")
+				}
+			case 2:
+				if _, err := sys.Pick(rand.New(rand.NewSource(int64(w))), live); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

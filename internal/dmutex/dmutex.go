@@ -166,6 +166,9 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 	if int(id) < 0 || int(id) >= universe {
 		return nil, fmt.Errorf("dmutex: node %d outside universe %d", id, universe)
 	}
+	if cfg.Workload.Count < 0 {
+		return nil, fmt.Errorf("dmutex: negative workload count %d", cfg.Workload.Count)
+	}
 	if cfg.RetryTimeout <= 0 {
 		cfg.RetryTimeout = 500 * time.Millisecond
 	}

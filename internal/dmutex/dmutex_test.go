@@ -222,6 +222,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewNode(100, Config{System: majority.New(5)}); err == nil {
 		t.Error("out-of-universe node accepted")
 	}
+	if _, err := NewNode(0, Config{System: majority.New(5), Workload: Workload{Count: -1}}); err == nil {
+		t.Error("negative workload count accepted")
+	}
 }
 
 func TestHighContention(t *testing.T) {

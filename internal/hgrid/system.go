@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
@@ -19,9 +18,8 @@ import (
 // row-cover/full-line intersection theorem gives ≥ 1; the one-cell-per-band
 // structure of a minimal row-cover gives ≤ 1).
 type RWSystem struct {
-	h        *Hierarchy
-	circOnce sync.Once
-	circ     *analysis.Circuit
+	h     *Hierarchy
+	avail quorum.Lazy
 }
 
 var (
@@ -55,10 +53,9 @@ func (s *RWSystem) Available(live bitset.Set) bool {
 // as a full-line gate and a row-cover gate, lowered once on first use;
 // nil when the universe exceeds 64 processes.
 func (s *RWSystem) AvailabilityCircuit() *analysis.Circuit {
-	s.circOnce.Do(func() {
-		s.circ = quorum.All(s.h.FullLineGate(), s.h.RowCoverGate()).Circuit(s.h.universe)
+	return s.avail.Circuit(s.h.universe, func() *quorum.Gate {
+		return quorum.All(s.h.FullLineGate(), s.h.RowCoverGate())
 	})
-	return s.circ
 }
 
 // CacheKey implements analysis.CacheKeyer.

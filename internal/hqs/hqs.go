@@ -14,7 +14,9 @@ package hqs
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
+	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -52,21 +54,25 @@ type node struct {
 	children []*node
 	leaf     int
 	need     int // majority threshold: ⌊k/2⌋+1
-	size     int // leaves under the node
 	minQ     int
 	maxQ     int
+	gate     *quorum.Gate // the node's quorums, compiled with the root's
 }
 
 // System is a hierarchical quorum consensus system.
 type System struct {
-	root *node
-	n    int
-	name string
-	word *wordNode // compiled single-word fast path (nil when n > 64)
+	root  *node
+	n     int
+	name  string
+	avail quorum.Lazy
 }
 
-var _ quorum.System = (*System)(nil)
-var _ quorum.Enumerator = (*System)(nil)
+var (
+	_ quorum.System                = (*System)(nil)
+	_ quorum.Enumerator            = (*System)(nil)
+	_ analysis.CircuitAvailability = (*System)(nil)
+	_ analysis.CacheKeyer          = (*System)(nil)
+)
 
 // New builds an HQS system from a shape. Leaf IDs are assigned in
 // depth-first order.
@@ -78,7 +84,7 @@ func New(shape *Shape) (*System, error) {
 	var build func(s *Shape) *node
 	build = func(s *Shape) *node {
 		if len(s.Children) == 0 {
-			t := &node{leaf: next, size: 1, minQ: 1, maxQ: 1}
+			t := &node{leaf: next, minQ: 1, maxQ: 1}
 			next++
 			return t
 		}
@@ -88,7 +94,6 @@ func New(shape *Shape) (*System, error) {
 		for _, cs := range s.Children {
 			c := build(cs)
 			t.children = append(t.children, c)
-			t.size += c.size
 			mins = append(mins, c.minQ)
 			maxs = append(maxs, c.maxQ)
 		}
@@ -96,12 +101,7 @@ func New(shape *Shape) (*System, error) {
 		t.maxQ = sumLargest(maxs, t.need)
 		return t
 	}
-	root := build(shape)
-	s := &System{root: root, n: next, name: fmt.Sprintf("hqs(%d)", next)}
-	if next <= 64 {
-		s.word = compileWord(root)
-	}
-	return s, nil
+	return &System{root: build(shape), n: next, name: fmt.Sprintf("hqs(%d)", next)}, nil
 }
 
 // Uniform returns the complete degree-ary HQS of the given depth.
@@ -159,28 +159,36 @@ func (s *System) Universe() int { return s.n }
 
 // Available reports whether live supports a recursive majority quorum.
 func (s *System) Available(live bitset.Set) bool {
-	return available(s.root, live)
+	return s.avail.Gate(s.n, s.compile).Eval(live)
 }
 
-func available(t *node, live bitset.Set) bool {
+// AvailabilityCircuit implements analysis.CircuitAvailability: the
+// majority tree's gate lowered over the leaves; nil beyond 64 leaves.
+func (s *System) AvailabilityCircuit() *analysis.Circuit {
+	return s.avail.Circuit(s.n, s.compile)
+}
+
+// compile states the quorums as one formula, Of(⌊k/2⌋+1, children) at
+// every node, and keeps every node's own gate for Pick.
+func (s *System) compile() *quorum.Gate { return compile(s.root) }
+
+func compile(t *node) *quorum.Gate {
 	if t.children == nil {
-		return live.Contains(t.leaf)
+		t.gate = quorum.Leaf(t.leaf)
+		return t.gate
 	}
-	ok := 0
-	for _, c := range t.children {
-		if available(c, live) {
-			ok++
-			if ok >= t.need {
-				return true
-			}
-		}
+	kids := make([]*quorum.Gate, len(t.children))
+	for i, c := range t.children {
+		kids[i] = compile(c)
 	}
-	return false
+	t.gate = quorum.Of(t.need, kids...)
+	return t.gate
 }
 
 // Pick returns a random quorum from live: at every node, a uniformly random
 // majority-sized subset of the available children.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
+	s.avail.Gate(s.n, s.compile) // compiled once: pick tests each child with its own gate
 	out := bitset.New(s.n)
 	if !pick(s.root, rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
@@ -198,7 +206,7 @@ func pick(t *node, rng *rand.Rand, live bitset.Set, out bitset.Set) bool {
 	}
 	var avail []*node
 	for _, c := range t.children {
-		if available(c, live) {
+		if c.gate.Eval(live) {
 			avail = append(avail, c)
 		}
 	}
@@ -289,4 +297,29 @@ func enumerate(t *node, n int) []bitset.Set {
 	}
 	choose(0)
 	return out
+}
+
+// CacheKey implements analysis.CacheKeyer: the tree shape with its leaf IDs
+// determines the predicate (the majority threshold follows from the child
+// count).
+func (s *System) CacheKey() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "hqs:u%d:", s.n)
+	writeShapeKey(&b, s.root)
+	return b.String()
+}
+
+func writeShapeKey(b *strings.Builder, t *node) {
+	if t.children == nil {
+		fmt.Fprintf(b, "%d", t.leaf)
+		return
+	}
+	b.WriteByte('(')
+	for i, c := range t.children {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		writeShapeKey(b, c)
+	}
+	b.WriteByte(')')
 }

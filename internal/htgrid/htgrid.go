@@ -56,8 +56,7 @@ type System struct {
 	lines, covers []*quorum.Gate
 	family        *quorum.Gate
 
-	circOnce sync.Once
-	circ     *analysis.Circuit
+	avail quorum.Lazy
 }
 
 var (
@@ -249,11 +248,10 @@ func (s *System) Gate() *quorum.Gate {
 // pricing minds), lowered once on first use; nil when the universe exceeds
 // 64 processes.
 func (s *System) AvailabilityCircuit() *analysis.Circuit {
-	s.circOnce.Do(func() {
+	return s.avail.Circuit(s.h.Universe(), func() *quorum.Gate {
 		s.compile()
-		s.circ = s.family.Circuit(s.h.Universe())
+		return s.family
 	})
-	return s.circ
 }
 
 // CacheKey implements analysis.CacheKeyer: the hierarchy structure plus the

@@ -53,8 +53,7 @@ type System struct {
 	k        int // rows of the canonical triangle; 0 for grown specs
 	name     string
 	compiled sync.Once
-	circOnce sync.Once
-	circ     *analysis.Circuit
+	avail    quorum.Lazy
 }
 
 var (
@@ -371,8 +370,7 @@ func compile(t *node) {
 // AvailabilityCircuit implements analysis.CircuitAvailability: Gate
 // lowered once, on first use; nil when the triangle exceeds 64 processes.
 func (s *System) AvailabilityCircuit() *analysis.Circuit {
-	s.circOnce.Do(func() { s.circ = s.Gate().Circuit(s.n) })
-	return s.circ
+	return s.avail.Circuit(s.n, s.Gate)
 }
 
 // CacheKey implements analysis.CacheKeyer: the decomposition tree with its

@@ -17,15 +17,16 @@
 // them unchanged — its arbiters grant one request at a time, which is
 // exactly the k-coterie safety argument.
 //
-// Both give the analyzer a word fast path (analysis.WordAvailability) up to
-// 64 processes. A partition takes any sub-coterie: one without a word path
-// of its own — the h-grid family, whose fast path is a circuit, or a
-// quorum.Composite — answers its slice of the word through Available.
+// The k-majority states its quorums as one quorum.Gate, which its
+// Available evaluates and the analyzer's availability circuit is lowered
+// from. A partition takes any sub-coteries and answers availability slice
+// by slice through their own Available.
 package kcoterie
 
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
@@ -37,9 +38,16 @@ import (
 // so two share a process; and k·q ≤ n, so k disjoint quorums exist.
 type KMajority struct {
 	n, k, q int
+	avail   quorum.Lazy
 }
 
-var _ quorum.System = (*KMajority)(nil)
+var (
+	_ quorum.System                = (*KMajority)(nil)
+	_ analysis.CircuitAvailability = (*KMajority)(nil)
+	_ analysis.CacheKeyer          = (*KMajority)(nil)
+	_ quorum.System                = (*Partitioned)(nil)
+	_ analysis.CacheKeyer          = (*Partitioned)(nil)
+)
 
 // NewKMajority returns the k-majority over n processes. It requires
 // 1 ≤ k < n and that k quorums of ⌊n/(k+1)⌋+1 processes fit disjointly
@@ -65,7 +73,29 @@ func (s *KMajority) Universe() int { return s.n }
 func (s *KMajority) K() int { return s.k }
 
 // Available implements quorum.System (one quorum available).
-func (s *KMajority) Available(live bitset.Set) bool { return live.Count() >= s.q }
+func (s *KMajority) Available(live bitset.Set) bool {
+	return s.avail.Gate(s.n, s.compile).Eval(live)
+}
+
+// AvailabilityCircuit implements analysis.CircuitAvailability: the
+// threshold gate lowered over the universe; nil beyond 64 processes.
+func (s *KMajority) AvailabilityCircuit() *analysis.Circuit {
+	return s.avail.Circuit(s.n, s.compile)
+}
+
+// compile states the quorums as one formula: any q processes.
+func (s *KMajority) compile() *quorum.Gate {
+	leaves := make([]*quorum.Gate, s.n)
+	for id := range leaves {
+		leaves[id] = quorum.Leaf(id)
+	}
+	return quorum.Of(s.q, leaves...)
+}
+
+// CacheKey implements analysis.CacheKeyer.
+func (s *KMajority) CacheKey() string {
+	return fmt.Sprintf("kmaj:n%d:q%d", s.n, s.q)
+}
 
 // AvailableK reports whether j pairwise disjoint quorums fit in live.
 func (s *KMajority) AvailableK(live bitset.Set, j int) bool {
@@ -97,13 +127,10 @@ func (s *KMajority) MaxQuorumSize() int { return s.q }
 // whole. Any k+1 quorums include two from the same slice (pigeonhole),
 // which intersect; one quorum per slice gives k disjoint ones.
 type Partitioned struct {
-	subs     []quorum.System
-	offsets  []int
-	n        int
-	wordSubs []wordSub // per-slice word views (nil when n > 64)
+	subs    []quorum.System
+	offsets []int
+	n       int
 }
-
-var _ quorum.System = (*Partitioned)(nil)
 
 // NewPartitioned builds the partition k-coterie from k ≥ 1 sub-coteries.
 func NewPartitioned(subs ...quorum.System) (*Partitioned, error) {
@@ -117,17 +144,6 @@ func NewPartitioned(subs ...quorum.System) (*Partitioned, error) {
 		}
 		p.offsets[i] = p.n
 		p.n += sub.Universe()
-	}
-	if p.n <= 64 {
-		p.wordSubs = make([]wordSub, len(subs))
-		for i, sub := range subs {
-			fast, _ := sub.(analysis.WordAvailability)
-			p.wordSubs[i] = wordSub{
-				shift: uint(p.offsets[i]),
-				mask:  uint64(1)<<uint(sub.Universe()) - 1,
-				fast:  fast,
-			}
-		}
 	}
 	return p, nil
 }
@@ -155,39 +171,29 @@ func (p *Partitioned) slice(live bitset.Set, i int) bitset.Set {
 }
 
 // Available implements quorum.System (some slice has a quorum).
-func (p *Partitioned) Available(live bitset.Set) bool {
-	for i := range p.subs {
-		if p.subs[i].Available(p.slice(live, i)) {
-			return true
-		}
-	}
-	return false
-}
+func (p *Partitioned) Available(live bitset.Set) bool { return p.AvailableK(live, 1) }
 
 // AvailableK reports whether j pairwise disjoint quorums exist in live
 // (at least j slices individually available).
 func (p *Partitioned) AvailableK(live bitset.Set, j int) bool {
-	count := 0
+	return len(p.availableSlices(live)) >= j
+}
+
+// availableSlices lists the slices whose sub-coterie has a quorum in live.
+func (p *Partitioned) availableSlices(live bitset.Set) []int {
+	var out []int
 	for i := range p.subs {
 		if p.subs[i].Available(p.slice(live, i)) {
-			count++
-			if count >= j {
-				return true
-			}
+			out = append(out, i)
 		}
 	}
-	return false
+	return out
 }
 
 // Pick implements quorum.System: a quorum from a uniformly random
 // available slice.
 func (p *Partitioned) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	var candidates []int
-	for i := range p.subs {
-		if p.subs[i].Available(p.slice(live, i)) {
-			candidates = append(candidates, i)
-		}
-	}
+	candidates := p.availableSlices(live)
 	if len(candidates) == 0 {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
@@ -221,4 +227,27 @@ func (p *Partitioned) MaxQuorumSize() int {
 		}
 	}
 	return max
+}
+
+// CacheKey implements analysis.CacheKeyer: the concatenation of the
+// sub-coterie keys in slice order, or "" (uncacheable) when any sub-coterie
+// lacks a key.
+func (p *Partitioned) CacheKey() string {
+	var b strings.Builder
+	b.WriteString("kpart:")
+	for i, sub := range p.subs {
+		k, ok := sub.(analysis.CacheKeyer)
+		if !ok {
+			return ""
+		}
+		key := k.CacheKey()
+		if key == "" {
+			return ""
+		}
+		if i > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(key)
+	}
+	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,10 +97,10 @@ func TestPartitioned(t *testing.T) {
 	}
 }
 
-// TestPartitionedCountsWithoutWordSubs: a partition whose sub-coteries have
-// no word path of their own (a Composite, the h-triang) still enumerates —
-// the word path answers their slices through Available — and its
-// transversal counts match a brute-force sweep of the bitset Available.
+// TestPartitionedCountsWithoutWordSubs: a partition enumerates through its
+// bitset Available, which asks every sub-coterie (a Composite, the
+// h-triang) on its own slice, and its transversal counts match a
+// brute-force sweep of that Available.
 func TestPartitionedCountsWithoutWordSubs(t *testing.T) {
 	maj3 := func() quorum.System { return majority.New(3) }
 	comp, err := quorum.NewComposite(maj3(), []quorum.System{maj3(), maj3(), maj3()})
@@ -229,4 +230,34 @@ func TestKMutualExclusion(t *testing.T) {
 	if maxHolding != 2 {
 		t.Fatalf("peak concurrency %d, want 2", maxHolding)
 	}
+}
+
+// TestConcurrentFirstUse: the gate and its circuit are built on the first
+// availability query, and concurrent first users (the enumerator's
+// workers, pickers) must share one build. Meaningful under -race.
+func TestConcurrentFirstUse(t *testing.T) {
+	sys := mustKM(t, 15, 2)
+	live := bitset.Universe(sys.Universe())
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			switch w % 3 {
+			case 0:
+				if !sys.Available(live) {
+					t.Error("fully live system unavailable")
+				}
+			case 1:
+				if sys.AvailabilityCircuit() == nil {
+					t.Error("no availability circuit")
+				}
+			case 2:
+				if _, err := sys.Pick(rand.New(rand.NewSource(int64(w))), live); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

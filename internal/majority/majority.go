@@ -12,8 +12,11 @@ package majority
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
+	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -25,11 +28,15 @@ type System struct {
 	threshold int // a set is a quorum iff its votes are >= threshold
 	minSize   int
 	maxSize   int
-	uniform   bool // all weights are 1: availability is a popcount
+	avail     quorum.Lazy
 }
 
-var _ quorum.System = (*System)(nil)
-var _ quorum.Enumerator = (*System)(nil)
+var (
+	_ quorum.System                = (*System)(nil)
+	_ quorum.Enumerator            = (*System)(nil)
+	_ analysis.CircuitAvailability = (*System)(nil)
+	_ analysis.CacheKeyer          = (*System)(nil)
+)
 
 // New returns the majority quorum system over n nodes (one vote each,
 // threshold ⌊n/2⌋+1). n must be positive.
@@ -48,7 +55,6 @@ func New(n int) *System {
 		threshold: m,
 		minSize:   m,
 		maxSize:   m,
-		uniform:   true,
 	}
 }
 
@@ -96,13 +102,6 @@ func NewWeighted(weights []int, threshold int) (*System, error) {
 		name:      fmt.Sprintf("voting(%d,t=%d)", len(weights), threshold),
 		weights:   append([]int(nil), weights...),
 		threshold: threshold,
-		uniform:   true,
-	}
-	for _, w := range weights {
-		if w != 1 {
-			s.uniform = false
-			break
-		}
 	}
 	s.minSize, s.maxSize = s.sizeBounds()
 	return s, nil
@@ -168,19 +167,46 @@ func (s *System) Name() string { return s.name }
 // Universe implements quorum.System.
 func (s *System) Universe() int { return len(s.weights) }
 
-// Threshold returns the vote threshold defining quorums.
-func (s *System) Threshold() int { return s.threshold }
-
-// Votes returns the combined votes of the members of set.
-func (s *System) Votes(set bitset.Set) int {
-	v := 0
-	set.ForEach(func(i int) { v += s.weights[i] })
-	return v
-}
-
 // Available reports whether the live set musters a quorum of votes.
 func (s *System) Available(live bitset.Set) bool {
-	return s.Votes(live) >= s.threshold
+	return s.avail.Gate(len(s.weights), s.compile).Eval(live)
+}
+
+// AvailabilityCircuit implements analysis.CircuitAvailability: the vote
+// gate lowered over the universe; nil beyond 64 nodes.
+func (s *System) AvailabilityCircuit() *analysis.Circuit {
+	return s.avail.Circuit(len(s.weights), s.compile)
+}
+
+// compile states the quorums as one formula: at least threshold of the
+// votes, each process a leaf repeated once per vote (Eval and the
+// circuit's threshold unroll count repeated kids). It serves availability
+// only; nothing prices it with Cheapest.
+func (s *System) compile() *quorum.Gate {
+	var votes []*quorum.Gate
+	for id, w := range s.weights {
+		for range w {
+			votes = append(votes, quorum.Leaf(id))
+		}
+	}
+	return quorum.Of(s.threshold, votes...)
+}
+
+// CacheKey implements analysis.CacheKeyer.
+func (s *System) CacheKey() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "vote:n%d:t%d:", len(s.weights), s.threshold)
+	if slices.Max(s.weights) == 1 { // one vote each (weights are positive)
+		b.WriteString("u")
+	} else {
+		for i, w := range s.weights {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", w)
+		}
+	}
+	return b.String()
 }
 
 // Pick returns a minimal quorum drawn from live: nodes are sampled in random

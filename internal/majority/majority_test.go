@@ -3,6 +3,7 @@ package majority
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"hquorum/internal/analysis"
@@ -205,4 +206,34 @@ func TestFailureProbabilityDP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentFirstUse: the gate and its circuit are built on the first
+// availability query, and concurrent first users (the enumerator's
+// workers, pickers) must share one build. Meaningful under -race.
+func TestConcurrentFirstUse(t *testing.T) {
+	sys := NewTieBreak(12)
+	live := bitset.Universe(sys.Universe())
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			switch w % 3 {
+			case 0:
+				if !sys.Available(live) {
+					t.Error("fully live system unavailable")
+				}
+			case 1:
+				if sys.AvailabilityCircuit() == nil {
+					t.Error("no availability circuit")
+				}
+			case 2:
+				if _, err := sys.Pick(rand.New(rand.NewSource(int64(w))), live); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

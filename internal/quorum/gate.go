@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
@@ -14,8 +15,9 @@ import (
 // Gate is a quorum family written as a threshold formula: a process, or
 // "at least need of kids hold". Conjunction (need = len(kids)),
 // disjunction (need = 1) and vote thresholds are the same node, so every
-// construction of this repository — row-covers, full-lines, the h-T-grid's
-// line plus cover, the h-triang's three methods, (hierarchical) majorities
+// construction of this repository but the two graph systems — row-covers,
+// full-lines, the h-T-grid's line plus cover, the h-triang's three
+// methods, (hierarchical and weighted) majorities, HQS, the crumbling wall
 // — compiles to one tree: one evaluator prices them all, and one lowering
 // (Circuit) gives the availability sweeps their 64-live-sets-at-once
 // program.
@@ -160,6 +162,34 @@ func (g *Gate) Circuit(n int) *analysis.Circuit {
 		return r
 	}
 	return b.Build(lower(g))
+}
+
+// Lazy holds a construction's quorum family as one Gate and the
+// availability circuit lowered from it, built once on the first
+// availability query (not by the constructor), so concurrent readers —
+// the enumerator's workers, pickers — share one build. The zero value is
+// ready to use.
+type Lazy struct {
+	once sync.Once
+	gate *Gate
+	circ *analysis.Circuit
+}
+
+// Gate returns the family, calling build (and lowering its circuit over n
+// processes) the first time.
+func (l *Lazy) Gate(n int, build func() *Gate) *Gate {
+	l.once.Do(func() {
+		l.gate = build()
+		l.circ = l.gate.Circuit(n)
+	})
+	return l.gate
+}
+
+// Circuit returns the family's availability circuit over n processes (nil
+// when n exceeds 64), building both the first time.
+func (l *Lazy) Circuit(n int, build func() *Gate) *analysis.Circuit {
+	l.Gate(n, build)
+	return l.circ
 }
 
 // unpriced is the price of a formula that cannot hold.

@@ -38,6 +38,14 @@ if go list -f '{{join .Imports "\n"}}' ./internal/tuner | grep -x -e 'hquorum/in
 # and the hand-written availability predicates must not grow back.
 if [ -e internal/grid ] || grep -rn '"hquorum/internal/grid"' --include='*.go' --exclude-dir=.bench_build .; then exit 1; fi
 if grep -rnE 'func (\([^)]*\) )?(HasRowCover|HasFullLine|BestFullLine|HasPartialRowCover|feasibleAt(Most|Least))' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
+# The baselines (majority, HQS, CWlog, the k-coteries) state their quorums
+# as quorum.Gate and the enumerator lowers it to a circuit: only Paths and
+# Y, whose availability is graph connectivity, keep a single-word path.
+if grep -rlE 'func \([^)]*\) AvailableWord\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v -e '^\./internal/paths/' -e '^\./internal/ysys/'; then exit 1; fi
+# The transversal-count cache is in-process only: its disk layer and the
+# paper-tables flag that turned it on must not grow back. (The brackets
+# keep this line from matching itself.)
+if grep -rnE 'SetDiskCache[D]ir|cache[-]dir' --include='*.go' --include='*.sh' --exclude-dir=.bench_build .; then exit 1; fi
 # hqbench (benchmark/run.sh) is the one end-to-end instrument: the retired
 # load generator and its live ledger must not grow back, nor be pointed at
 # by code, scripts or the docs that say how to measure. (The bracket keeps
@@ -70,6 +78,9 @@ go test -race ./internal/analysis/...
 # The h-family constructions compile their gates lazily, once, and the
 # enumerator's workers and concurrent pickers read them: race the first use.
 go test -race ./internal/hgrid/... ./internal/htgrid/... ./internal/htriang/...
+# So do the baselines': their Available, their circuit and HQS's pickers
+# all read the gate built on first use.
+go test -race ./internal/majority/... ./internal/hqs/... ./internal/cwlog/... ./internal/kcoterie/...
 go test -race ./internal/epoch/... ./internal/quorum/... ./internal/dmutex/... ./internal/rkv/... ./internal/transport/... ./internal/nemesis/... ./internal/history/...
 # One-round reads report sub-operations from the phase-1 reply handler
 # while their round is still in flight, and the kind-pure fill compacts the
