@@ -106,9 +106,10 @@ var ErrStaleEpoch = epoch.ErrStaleEpoch
 
 // Config helpers, delegated to internal/epoch.
 var (
-	// ParseFlavor parses a flavor name (majority|hgrid|htgrid|htriang).
+	// ParseFlavor parses a flavor name (majority|hgrid|htgrid|htriang|hmaj).
 	ParseFlavor = epoch.ParseFlavor
-	// ParseMembers parses a member spec like "0-8" or "0-3,6,9-11".
+	// ParseMembers parses a member spec like "0-8" or "0-3,6,9-11" over
+	// an ID space: ParseMembers(spec, space) rejects members >= space.
 	ParseMembers = epoch.ParseMembers
 	// MemberRange returns the member list [lo, hi).
 	MemberRange = epoch.MemberRange
@@ -117,7 +118,7 @@ var (
 // NewEpochStore builds a node's epoch store over a global ID space,
 // starting from the initial configuration at epoch 1. Every replica
 // needs one (ReplicaConfig.Epochs — it is the replica's quorum source);
-// a MutexConfig takes one to make the lock epoch-versioned.
+// the lock has none (a MutexConfig draws from its quorum System).
 func NewEpochStore(space int, initial ClusterParams) (*EpochStore, error) {
 	return epoch.NewStore(space, initial)
 }

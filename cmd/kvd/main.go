@@ -140,7 +140,7 @@ func main() {
 	}
 	memberIDs := transport.PeerIDs(peers)
 	if *members != "" {
-		if memberIDs, err = epoch.ParseMembers(*members); err != nil {
+		if memberIDs, err = epoch.ParseMembers(*members, transport.IDSpace(peers)); err != nil {
 			fatal("%v", err)
 		}
 	}

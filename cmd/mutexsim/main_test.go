@@ -43,17 +43,18 @@ func mutexsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 // TestDefaultRun pins the summary of the default run (h-triang(5), three
 // critical sections per node, seed 1). The simulator is deterministic, so
-// every line is exact; the virtual time is when the last critical section
-// ended, not the run's 10-minute cap.
+// every line is exact — it moves with h-triang(5)'s seeded pick stream —
+// and the virtual time is when the last critical section ended, not the
+// run's 10-minute cap.
 func TestDefaultRun(t *testing.T) {
 	stdout, stderr, code := mutexsim(t)
 	want := `system:            h-triang(5) (15 nodes, quorums 5..5)
 crashed nodes:     0
 critical sections: 45
-virtual time:      1.089911296s
-messages:          1045 (23.2 per entry)
-retries:           6
-avg wait:          329.885064ms
+virtual time:      1.022009487s
+messages:          996 (22.1 per entry)
+retries:           4
+avg wait:          303.055813ms
 `
 	if code != 0 || stderr != "" || stdout != want {
 		t.Fatalf("mutexsim: exit %d, stderr %q, stdout:\n%s\nwant exit 0 and:\n%s", code, stderr, stdout, want)

@@ -248,11 +248,12 @@ func reconfig(args []string) {
 
 	target, err := parseTarget(fs.Args())
 	if err != nil {
-		fail("reconfig: %v", err)
+		badArg("reconfig: %v", err)
 	}
+	space := transport.IDSpace(peers)
 	if *targetMembers != "" {
-		if target.Members, err = epoch.ParseMembers(*targetMembers); err != nil {
-			fail("reconfig: %v", err)
+		if target.Members, err = epoch.ParseMembers(*targetMembers, space); err != nil {
+			badArg("reconfig: %v", err)
 		}
 	} else {
 		for _, pid := range transport.PeerIDs(peers) {
@@ -261,8 +262,8 @@ func reconfig(args []string) {
 			}
 		}
 	}
-	if err := target.Validate(transport.IDSpace(peers)); err != nil {
-		fail("reconfig: %v", err)
+	if err := target.Validate(space); err != nil {
+		badArg("reconfig: %v", err)
 	}
 	coordinator := target.Members[0]
 	if *contact >= 0 {
@@ -638,8 +639,10 @@ func parseTarget(args []string) (epoch.Params, error) {
 		}
 		p.Rows = intArg(args, 1)
 		levels := intArg(args, 2)
-		if levels < 1 {
-			return epoch.Params{}, fmt.Errorf("hmaj levels %d (want >= 1)", levels)
+		// A tree of degree >= 2 has 2^levels leaves or more: no ID space
+		// holds more than 62 levels, so refuse before sizing the thresholds.
+		if levels < 1 || levels > 62 {
+			return epoch.Params{}, fmt.Errorf("hmaj levels %d (want 1..62)", levels)
 		}
 		r, w := intArg(args, 3), intArg(args, 4)
 		p.RL, p.WL = make([]int, levels), make([]int, levels)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -110,8 +111,19 @@ func TestGolden(t *testing.T) {
 }
 
 // TestBadArguments: a size argument below 1 or a constructor's rejection
-// exits 2 with one line naming the argument, not a stack trace.
+// exits 2 with one line naming the argument, not a stack trace. So does
+// a reconfig target, member spec or configuration that cannot be run on
+// the cluster its peers file (PEERS: ids 0–16) describes, before anything
+// is sized from it or dialed.
 func TestBadArguments(t *testing.T) {
+	var peerLines strings.Builder
+	for id := 0; id <= 16; id++ {
+		fmt.Fprintf(&peerLines, "%d 127.0.0.1:%d\n", id, 7400+id)
+	}
+	peers := filepath.Join(t.TempDir(), "peers.txt")
+	if err := os.WriteFile(peers, []byte(peerLines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ args, want string }{
 		{"show htriang 0", `quorumctl: htriang: size argument "0" must be >= 1`},
 		{"show majority -3", `quorumctl: majority: size argument "-3" must be >= 1`},
@@ -128,8 +140,12 @@ func TestBadArguments(t *testing.T) {
 		{"importance -0.2 htgrid 3 3", `quorumctl: importance: crash probability "-0.2" must be a number in [0, 1]`},
 		{"importance NaN htgrid 3 3", `quorumctl: importance: crash probability "NaN" must be a number in [0, 1]`},
 		{"importance x htgrid 3 3", `quorumctl: importance: crash probability "x" must be a number in [0, 1]`},
+		{"reconfig -peers PEERS -id 16 hmaj 2 1000000000 2 2", `quorumctl: reconfig: hmaj levels 1000000000 (want 1..62)`},
+		{"reconfig -peers PEERS -id 16 paxos", `quorumctl: reconfig: epoch: unknown flavor "paxos" (want majority|hgrid|htgrid|htriang|hmaj)`},
+		{"reconfig -peers PEERS -id 16 -target-members 0-9223372036854775807 majority", `quorumctl: reconfig: epoch: member 9223372036854775807 outside ID space 17`},
+		{"reconfig -peers PEERS -id 16 htgrid 3 3", `quorumctl: reconfig: epoch: htgrid needs rows*cols == members (3x3 vs 16)`},
 	} {
-		stdout, stderr, code := quorumctl(t, strings.Fields(c.args)...)
+		stdout, stderr, code := quorumctl(t, strings.Fields(strings.ReplaceAll(c.args, "PEERS", peers))...)
 		if code != 2 || stdout != "" || stderr != c.want+"\n" {
 			t.Errorf("quorumctl %s: exit %d, stdout %q, stderr %q; want exit 2 and %q", c.args, code, stdout, stderr, c.want)
 		}

@@ -171,7 +171,7 @@ func TestEndToEndRegister(t *testing.T) {
 // settles on the stable target config with every operation completing.
 func TestEndToEndReconfig(t *testing.T) {
 	initial := ClusterParams{Flavor: FlavorMajority, Members: MemberRange(0, 16)}
-	members, err := ParseMembers("0-15")
+	members, err := ParseMembers("0-15", 16)
 	if err != nil {
 		t.Fatal(err)
 	}

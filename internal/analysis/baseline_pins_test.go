@@ -1,11 +1,12 @@
 package analysis_test
 
 // Pins for the baseline constructions (majority, HQS, CWlog and the
-// k-coteries): their exact transversal counts and seeded pick streams,
-// recorded from the hand-written availability predicates their quorum
-// gates replaced. Their Available and availability circuit both evaluate
-// the gate, so these pins, the closed-form failure probabilities and the
-// enumerated quorums are the independent references.
+// k-coteries): their exact transversal counts and pick verdicts, recorded
+// from the hand-written availability predicates their quorum gates
+// replaced, and their seeded pick streams. Their Available and
+// availability circuit both evaluate the gate, so these pins, the
+// closed-form failure probabilities and the enumerated quorums are the
+// independent references.
 
 import (
 	"fmt"
@@ -123,38 +124,41 @@ func TestBaselineCountsPinned(t *testing.T) {
 
 // TestBaselinePickStreamsPinned pins Pick over random live sets of mixed
 // density (30–100 % live): every outcome (the quorum, or no quorum) and
-// where the rng stands after it hash to what the systems drew before their
-// quorums became gates. A pick fails exactly when Available is false and
-// otherwise returns a live quorum.
+// where the rng stands after it hash to the stream; only whether each pick
+// found a quorum hashes to the verdicts, which the hand-written predicates
+// produced and which must never move. HQS (and the partitioned coterie
+// over it) draws with Gate.Pick, the others with their own pickers. A pick
+// fails exactly when Available is false and otherwise returns a live
+// quorum.
 func TestBaselinePickStreamsPinned(t *testing.T) {
 	part, err := kcoterie.NewPartitioned(majority.New(7), hqs.Grouped(3, 3), mustLog(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		sys  quorum.System
-		want uint64
+		sys            quorum.System
+		want, verdicts uint64
 	}{
-		{majority.New(15), 0xdcde4dd08ed26ab5},
-		{majority.New(21), 0xd76c956f4c07ef0b},
-		{majority.NewTieBreak(8), 0x1c7b3d1096309912},
-		{majority.NewTieBreak(28), 0x4cdb6cd18ba4c850},
-		{mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8), 0x2cab55eeff6997aa},
-		{mustWeighted([]int{3, 2, 1, 1, 1, 1}, 5), 0x252a51da9035d14b},
-		{hqs.Grouped(5, 3), 0x68bbed64c99b33db},
-		{hqs.Uniform(3, 3), 0xb3fe93570192f741},
-		{hqs.Uniform(2, 3), 0xe402c72edb7fa006},
-		{mixedHQS(), 0xb8f98f08c9301e84},
-		{mustLog(14), 0x1c3e9f50c1d838b7},
-		{mustLog(29), 0x551e6065953c491},
-		{mustWall([]int{2, 1, 3, 4, 2}), 0xb7a88574a4e57090},
-		{mustKMajority(15, 2), 0x44c4c870ae4ff18f},
-		{mustKMajority(16, 3), 0xf42173dfb5e59df0},
-		{part, 0x6308298c5fa4d716},
+		{majority.New(15), 0xdcde4dd08ed26ab5, 0x12c2ad786f97e2e5},
+		{majority.New(21), 0xd76c956f4c07ef0b, 0x9b2ccb7eff584d3d},
+		{majority.NewTieBreak(8), 0x1c7b3d1096309912, 0x55c6e56c54e257b5},
+		{majority.NewTieBreak(28), 0x4cdb6cd18ba4c850, 0x6e6c16353b4d79ef},
+		{mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8), 0x2cab55eeff6997aa, 0xedda37fef2d4258d},
+		{mustWeighted([]int{3, 2, 1, 1, 1, 1}, 5), 0x252a51da9035d14b, 0x1b8e1a695c59113f},
+		{hqs.Grouped(5, 3), 0x23ce7c8e65d24d1e, 0x87863dfb8b386efd},
+		{hqs.Uniform(3, 3), 0x4ddf0b001bebc30d, 0x5521ad64e609a4bd},
+		{hqs.Uniform(2, 3), 0x86fe8724fcad066, 0xb6522d126bd76ed7},
+		{mixedHQS(), 0x84592ff49fd49715, 0xb9d1e40df897d5b5},
+		{mustLog(14), 0x1c3e9f50c1d838b7, 0x4699e35f14c1e4af},
+		{mustLog(29), 0x551e6065953c491, 0x295898c641fb3cbf},
+		{mustWall([]int{2, 1, 3, 4, 2}), 0xb7a88574a4e57090, 0xcf675007ffe5e73f},
+		{mustKMajority(15, 2), 0x44c4c870ae4ff18f, 0xa6372b84a499e89d},
+		{mustKMajority(16, 3), 0xf42173dfb5e59df0, 0xcaff29d3a94282a7},
+		{part, 0x5c4fda1b0db57c53, 0x8e8e84c029afeaad},
 	} {
 		sys := c.sys
 		n := sys.Universe()
-		hash := fnv.New64a()
+		hash, verdicts := fnv.New64a(), fnv.New64a()
 		master := rand.New(rand.NewSource(int64(n)))
 		for i := 0; i < 500; i++ {
 			live := bitset.New(n)
@@ -171,16 +175,21 @@ func TestBaselinePickStreamsPinned(t *testing.T) {
 			}
 			if err != nil {
 				fmt.Fprintln(hash, "none")
+				fmt.Fprintln(verdicts, "none")
 			} else {
 				if !q.SubsetOf(live) || !sys.Available(q) {
 					t.Fatalf("%s: picked %v is no live quorum within %v", sys.Name(), q, live)
 				}
 				fmt.Fprintln(hash, q.Indices())
+				fmt.Fprintln(verdicts, "some")
 			}
 			fmt.Fprintln(hash, rng.Int63())
 		}
 		if got := hash.Sum64(); got != c.want {
 			t.Errorf("%s: seeded pick stream hashes to %#x, want %#x", sys.Name(), got, c.want)
+		}
+		if got := verdicts.Sum64(); got != c.verdicts {
+			t.Errorf("%s: pick verdicts hash to %#x, want %#x", sys.Name(), got, c.verdicts)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
+	"hquorum/internal/quorum"
 )
 
 func TestAsymValidate(t *testing.T) {
@@ -119,6 +120,30 @@ func TestAsymPickersIntersect(t *testing.T) {
 
 // TestHMajPickSizes checks that hmaj picks have exactly ∏threshold leaves
 // and fail cleanly when no quorum survives.
+// TestThresholdGatesPick runs quorum.CheckPick on the majority and hmaj
+// read and write families, which the random picks draw from.
+func TestThresholdGatesPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, p := range []Params{
+		{Flavor: FlavorMajority, Members: MemberRange(0, 9)},
+		{Flavor: FlavorMajority, R: 3, W: 7, Members: MemberRange(0, 9)},
+		{Flavor: FlavorHMaj, Rows: 3, RL: []int{2, 2}, WL: []int{2, 2}, Members: MemberRange(0, 9)},
+		{Flavor: FlavorHMaj, Rows: 3, RL: []int{1, 2}, WL: []int{3, 2}, Members: MemberRange(0, 9)},
+	} {
+		pk, err := NewPickers(9, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, write := pk.Families()
+		if err := quorum.CheckPick(read, 9, rng, 200); err != nil {
+			t.Errorf("%v read: %v", p, err)
+		}
+		if err := quorum.CheckPick(write, 9, rng, 200); err != nil {
+			t.Errorf("%v write: %v", p, err)
+		}
+	}
+}
+
 func TestHMajPickSizes(t *testing.T) {
 	p := Params{Flavor: FlavorHMaj, Rows: 4, RL: []int{2, 2}, WL: []int{3, 3}, Members: MemberRange(0, 16)}
 	pk, err := NewPickers(16, p)

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -141,44 +140,38 @@ func MemberRange(lo, hi int) []cluster.NodeID {
 }
 
 // ParseMembers parses a member spec like "0-8" or "0-3,6,9-11" into a
-// sorted member list.
-func ParseMembers(spec string) ([]cluster.NodeID, error) {
-	var out []cluster.NodeID
-	seen := make(map[int]bool)
+// sorted member list. Every member must lie in the ID space [0, space): a
+// range reaching beyond it is rejected before it is expanded.
+func ParseMembers(spec string, space int) ([]cluster.NodeID, error) {
+	seen := bitset.New(max(space, 0))
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		lo, hi := 0, 0
+		a, b := part, part
 		if dash := strings.IndexByte(part, '-'); dash >= 0 {
-			a, err1 := strconv.Atoi(part[:dash])
-			b, err2 := strconv.Atoi(part[dash+1:])
-			if err1 != nil || err2 != nil || a > b {
-				return nil, fmt.Errorf("epoch: bad member range %q", part)
-			}
-			lo, hi = a, b
-		} else {
-			v, err := strconv.Atoi(part)
-			if err != nil {
-				return nil, fmt.Errorf("epoch: bad member %q", part)
-			}
-			lo, hi = v, v
+			a, b = part[:dash], part[dash+1:]
+		}
+		lo, err1 := strconv.Atoi(a)
+		hi, err2 := strconv.Atoi(b)
+		switch {
+		case err1 != nil || err2 != nil || lo > hi:
+			return nil, fmt.Errorf("epoch: bad member %q", part)
+		case lo < 0:
+			return nil, fmt.Errorf("epoch: negative member %d", lo)
+		case hi >= space:
+			return nil, fmt.Errorf("epoch: member %d outside ID space %d", hi, space)
 		}
 		for i := lo; i <= hi; i++ {
-			if i < 0 {
-				return nil, fmt.Errorf("epoch: negative member %d", i)
-			}
-			if !seen[i] {
-				seen[i] = true
-				out = append(out, cluster.NodeID(i))
-			}
+			seen.Add(i)
 		}
 	}
-	if len(out) == 0 {
+	if seen.Empty() {
 		return nil, fmt.Errorf("epoch: empty member spec %q", spec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]cluster.NodeID, 0, seen.Count())
+	seen.ForEach(func(i int) { out = append(out, cluster.NodeID(i)) })
 	return out, nil
 }
 
@@ -446,10 +439,6 @@ func (c Config) Fingerprint() uint64 {
 	return h
 }
 
-// pickFn draws a quorum (as global node IDs, capacity = ID space) from the
-// live set (also global IDs).
-type pickFn func(rng *rand.Rand, live bitset.Set) (bitset.Set, error)
-
 // Pickers draws quorums for one Params over a global ID space. The
 // constructions are built over the dense member index space; picks map the
 // live set down and the chosen quorum back up, so global node IDs stay
@@ -457,16 +446,19 @@ type pickFn func(rng *rand.Rand, live bitset.Set) (bitset.Set, error)
 type Pickers struct {
 	space   int
 	members []cluster.NodeID
-	read    pickFn
-	write   pickFn
 	// The families as threshold formulas over the dense index space: what
-	// a cost-aware pick chooses from (see cheapest.go), what CoversWrite
-	// evaluates and what the tuner's availability counts. Compiled on
-	// first use; writesRead says write quorums may serve reads too.
+	// a random pick draws from (Gate.Pick), what a cost-aware pick
+	// chooses from (see cheapest.go), what CoversWrite evaluates and what
+	// the tuner's availability counts. Compiled on first use; writesRead
+	// says write quorums may serve reads too.
 	compile                         func() (read, write *quorum.Gate)
 	writesRead                      bool
 	compileOnce                     sync.Once
 	readFamily, readGate, writeGate *quorum.Gate
+	// sampleWrite, when set, draws the random write quorums instead of
+	// writeGate: the h-T-grid's §4.3 sampler, a random full-line and then
+	// the partial row-cover at its boundary.
+	sampleWrite func(rng *rand.Rand, live bitset.Set) (bitset.Set, error)
 }
 
 // NewPickers validates p against the ID space and builds its quorum
@@ -479,15 +471,6 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 	members := append([]cluster.NodeID(nil), p.Members...)
 	m := len(members)
 	pk := &Pickers{space: space, members: members}
-	dense := func(inner pickFn) pickFn {
-		return func(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-			q, err := inner(rng, pk.toDense(live))
-			if err != nil {
-				return bitset.Set{}, err
-			}
-			return pk.toGlobal(q), nil
-		}
-	}
 	switch p.Flavor {
 	case FlavorMajority:
 		r, w := p.R, p.W
@@ -497,13 +480,6 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		if w == 0 {
 			w = m/2 + 1
 		}
-		rd := func(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-			return pickThreshold(rng, live, m, r)
-		}
-		wr := func(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-			return pickThreshold(rng, live, m, w)
-		}
-		pk.read, pk.write = dense(rd), dense(wr)
 		pk.compile = func() (read, write *quorum.Gate) {
 			return hmajGate(m, []int{r}, 0, m), hmajGate(m, []int{w}, 0, m)
 		}
@@ -512,34 +488,23 @@ func NewPickers(space int, p Params) (*Pickers, error) {
 		d := p.Rows
 		rl := append([]int(nil), p.RL...)
 		wl := append([]int(nil), p.WL...)
-		rd := func(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-			return pickHMaj(rng, live, d, rl, m)
-		}
-		wr := func(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-			return pickHMaj(rng, live, d, wl, m)
-		}
-		pk.read, pk.write = dense(rd), dense(wr)
 		pk.compile = func() (read, write *quorum.Gate) {
 			return hmajGate(d, rl, 0, m), hmajGate(d, wl, 0, m)
 		}
 		pk.writesRead = true
 	case FlavorHGrid:
 		h := hgrid.Auto(p.Rows, p.Cols)
-		pk.read = dense(h.PickRowCover)
-		pk.write = dense(h.PickFullLine)
 		// Two full-lines of different child rows are disjoint: here only
 		// row-covers may serve a read.
 		pk.compile = func() (read, write *quorum.Gate) { return h.RowCoverGate(), h.FullLineGate() }
 	case FlavorHTGrid:
 		h := hgrid.Auto(p.Rows, p.Cols)
 		sys := htgrid.New(h)
-		pk.read = dense(h.PickRowCover)
-		pk.write = dense(sys.Pick)
+		pk.sampleWrite = sys.Pick
 		pk.compile = func() (read, write *quorum.Gate) { return h.RowCoverGate(), sys.Gate() }
 		pk.writesRead = true
 	case FlavorHTriang:
 		sys := htriang.New(p.Rows)
-		pk.read, pk.write = dense(sys.Pick), dense(sys.Pick)
 		pk.compile = func() (read, write *quorum.Gate) {
 			g := sys.Gate()
 			return g, g
@@ -568,25 +533,10 @@ func (p *Pickers) toGlobal(q bitset.Set) bitset.Set {
 
 // Read draws a read quorum from live (global IDs, capacity = ID space).
 func (p *Pickers) Read(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return p.read(rng, live)
+	return p.pick(rng, live, pickRead, nil)
 }
 
 // Write draws a write quorum.
 func (p *Pickers) Write(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return p.write(rng, live)
-}
-
-// pickThreshold draws k random live members of an n-node dense space —
-// the majority flavor's picker (Gifford with R = W = n/2+1).
-func pickThreshold(rng *rand.Rand, live bitset.Set, n, k int) (bitset.Set, error) {
-	alive := live.Indices()
-	if len(alive) < k {
-		return bitset.Set{}, quorum.ErrNoQuorum
-	}
-	rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
-	out := bitset.New(n)
-	for _, id := range alive[:k] {
-		out.Add(id)
-	}
-	return out, nil
+	return p.pick(rng, live, pickWrite, nil)
 }

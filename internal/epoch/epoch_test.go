@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,23 +15,28 @@ func hgrid44(members []cluster.NodeID) Params {
 	return Params{Flavor: FlavorHGrid, Rows: 4, Cols: 4, Members: members}
 }
 
+// TestParseMembers: good specs parse sorted and deduplicated; bad ones,
+// and members outside the ID space — a range up to the largest int
+// included, which must be refused before it is expanded — do not.
 func TestParseMembers(t *testing.T) {
-	got, err := ParseMembers("0-3,6,9-11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []cluster.NodeID{0, 1, 2, 3, 6, 9, 10, 11}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
+	for _, c := range []struct {
+		spec string
+		want []cluster.NodeID
+	}{
+		{"0-3,6,9-11", []cluster.NodeID{0, 1, 2, 3, 6, 9, 10, 11}},
+		{"9-11, 2,0-1,10", []cluster.NodeID{0, 1, 2, 9, 10, 11}},
+		{"1,,", []cluster.NodeID{1}},
+		{"15", []cluster.NodeID{15}},
+		{"0-15", MemberRange(0, 16)},
+	} {
+		got, err := ParseMembers(c.spec, 16)
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseMembers(%q, 16) = %v, %v; want %v", c.spec, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"", "5-2", "x", "-3", "1,,"} {
-		if _, err := ParseMembers(bad); err == nil && bad != "1,," {
-			t.Errorf("ParseMembers(%q): want error", bad)
+	for _, bad := range []string{"", "5-2", "x", "-3", "16", "0-16", "3,16-20", "0-9223372036854775807", "9223372036854775807"} {
+		if got, err := ParseMembers(bad, 16); err == nil {
+			t.Errorf("ParseMembers(%q, 16) = %v, want an error", bad, got)
 		}
 	}
 }

@@ -1,54 +1,18 @@
 package epoch
 
-import (
-	"math/rand"
+import "hquorum/internal/quorum"
 
-	"hquorum/internal/bitset"
-	"hquorum/internal/quorum"
-)
-
-// pickHMaj draws a hierarchical threshold quorum (Kumar's hierarchical
-// quorum consensus with distinct read/write thresholds) over the dense
-// leaf space 0..degree^len(ks)-1: level i of the recursion selects ks[i]
-// of a node's degree children in random order, preferring children whose
-// subtrees can actually be satisfied from live. The quorum has exactly
-// ∏ks[i] leaves.
-func pickHMaj(rng *rand.Rand, live bitset.Set, degree int, ks []int, n int) (bitset.Set, error) {
-	out := bitset.New(n)
-	if !hmajPick(rng, live, degree, ks, 0, 0, out) {
-		return bitset.Set{}, quorum.ErrNoQuorum
+// hmajGate compiles the hierarchical threshold family over the dense
+// leaves [lo, lo+width): ks[0] of a node's degree children, each
+// recursively. A flat majority is the one-level case of degree n.
+func hmajGate(degree int, ks []int, lo, width int) *quorum.Gate {
+	if len(ks) == 0 {
+		return quorum.Leaf(lo)
 	}
-	return out, nil
-}
-
-// hmajPick satisfies the subtree rooted at depth whose leaves span
-// [lo, lo+width) with width = degree^(len(ks)-depth). Each child is
-// attempted into a scratch set merged into out only on success, so a
-// failed child's partial selection never inflates the quorum.
-func hmajPick(rng *rand.Rand, live bitset.Set, degree int, ks []int, depth, lo int, out bitset.Set) bool {
-	if depth == len(ks) {
-		if !live.Contains(lo) {
-			return false
-		}
-		out.Add(lo)
-		return true
+	width /= degree
+	kids := make([]*quorum.Gate, degree)
+	for c := range kids {
+		kids[c] = hmajGate(degree, ks[1:], lo+c*width, width)
 	}
-	width := 1
-	for i := depth + 1; i < len(ks); i++ {
-		width *= degree
-	}
-	need := ks[depth]
-	order := rng.Perm(degree)
-	scratch := bitset.New(out.Cap())
-	for _, c := range order {
-		if need == 0 {
-			break
-		}
-		scratch.Clear()
-		if hmajPick(rng, live, degree, ks, depth+1, lo+c*width, scratch) {
-			out.UnionWith(scratch)
-			need--
-		}
-	}
-	return need == 0
+	return quorum.Of(ks[0], kids...)
 }

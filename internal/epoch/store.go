@@ -8,6 +8,7 @@ import (
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
+	"hquorum/internal/quorum"
 )
 
 // Verdict is Serve's ruling on an incoming request's epoch.
@@ -181,15 +182,30 @@ func (s *Store) pickUnion(rng *rand.Rand, live bitset.Set, kind int, cost []time
 }
 
 // pick draws one read or write quorum at random or, with a non-nil cost,
-// the cheapest.
+// the cheapest. A random read is a Gate.Pick on the read family alone
+// (write quorums serve reads only when priced), a random write one on the
+// write family, or the write sampler where the params have one.
 func (p *Pickers) pick(rng *rand.Rand, live bitset.Set, kind int, cost []time.Duration) (bitset.Set, error) {
-	switch {
-	case cost != nil:
+	if cost != nil {
 		return p.cheapest(kind == pickRead, rng, live, cost)
-	case kind == pickRead:
-		return p.read(rng, live)
 	}
-	return p.write(rng, live)
+	dense := p.toDense(live)
+	if kind == pickWrite && p.sampleWrite != nil {
+		q, err := p.sampleWrite(rng, dense)
+		if err != nil {
+			return bitset.Set{}, err
+		}
+		return p.toGlobal(q), nil
+	}
+	g, write := p.Families()
+	if kind == pickWrite {
+		g = write
+	}
+	q := bitset.New(len(p.members))
+	if !g.Pick(rng, dense, q) {
+		return bitset.Set{}, quorum.ErrNoQuorum
+	}
+	return p.toGlobal(q), nil
 }
 
 // PickRead draws a read quorum (both-config union while joint).

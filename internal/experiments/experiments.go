@@ -481,14 +481,9 @@ func Figure1() string {
 	h := hgrid.Uniform(2, 2, 2)
 	rng := rand.New(rand.NewSource(2))
 	live := bitset.Universe(16)
-	fl, err := h.PickFullLine(rng, live)
-	if err != nil {
-		panic(err)
-	}
-	rc, err := h.PickRowCover(rng, live)
-	if err != nil {
-		panic(err)
-	}
+	fl, rc := bitset.New(h.Universe()), bitset.New(h.Universe())
+	h.FullLineGate().Pick(rng, live, fl)
+	h.RowCoverGate().Pick(rng, live, rc)
 	var b strings.Builder
 	b.WriteString("Figure 1: 3-level hierarchical grid, 16 processes\n")
 	b.WriteString("full-line (write quorum):\n")

@@ -8,11 +8,11 @@ import (
 
 // Gate compilers: the hierarchy's quorum families as quorum.Gate formulas.
 // They are the one statement of the recursive definitions: Eval answers
-// every availability question about a live set (and the random pickers'
-// feasibility tests), Cheapest prices cost-aware picks exactly, and
-// Circuit lowers them to the analyzer's availability circuits. The
-// oriented h-T-grid family needs the best full line's boundary row, which
-// is not boolean, so it is expanded over the boundary:
+// every availability question about a live set, Pick draws the random
+// quorums, Cheapest prices cost-aware picks exactly, and Circuit lowers
+// them to the analyzer's availability circuits. The oriented h-T-grid
+// family needs the best full line's boundary row, which is not boolean,
+// so it is expanded over the boundary:
 //
 //	OrientAboveLine ⇔ ∃r: LineGate(r, true) ∧ CoverGate(r, true)
 //	OrientBelowLine ⇔ ∃r: LineGate(r, false) ∧ CoverGate(r, false)
@@ -44,9 +44,9 @@ func (b bound) drops(o *Object) bool {
 	return o.top+o.height <= b.row
 }
 
-// compile builds every object's gates once, on first use: the pickers
-// and the gate accessors call it first, so concurrent readers share one
-// compilation and picks never rebuild a gate.
+// compile builds every object's gates once, on first use: the gate
+// accessors call it first, so concurrent readers share one compilation
+// and picks never rebuild a gate.
 func (h *Hierarchy) compile() {
 	h.compiled.Do(func() { compileObject(h.root) })
 }

@@ -1,6 +1,7 @@
 package hgrid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -393,6 +394,25 @@ func TestGatesPriceExactly(t *testing.T) {
 		}
 		if err := quorum.CheckCheapest(h.FullLineGate(), h.FullLines(), h.N(), rng, 300); err != nil {
 			t.Errorf("%dx%d full-line: %v", h.Rows(), h.Cols(), err)
+		}
+	}
+}
+
+// TestGatesPick runs quorum.CheckPick on the row-cover, full-line and
+// every partial row-cover gate: the random picks draw exactly the
+// enumerated quorums, and all of them.
+func TestGatesPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, h := range []*Hierarchy{Auto(3, 3), Auto(4, 4), Auto(5, 3), Flat(3, 4)} {
+		gates := map[string]*quorum.Gate{"row-cover": h.RowCoverGate(), "full-line": h.FullLineGate()}
+		for r := 0; r < h.Rows(); r++ {
+			gates[fmt.Sprintf("cover above %d", r)] = h.CoverGate(r, true)
+			gates[fmt.Sprintf("cover below %d", r)] = h.CoverGate(r, false)
+		}
+		for name, g := range gates {
+			if err := quorum.CheckPick(g, h.N(), rng, 200); err != nil {
+				t.Errorf("%dx%d %s: %v", h.Rows(), h.Cols(), name, err)
+			}
 		}
 	}
 }

@@ -91,20 +91,16 @@ func writeObjectKey(b *strings.Builder, o *Object) {
 	b.WriteByte(')')
 }
 
-// Pick returns a random read-write quorum drawn from live. The random
-// per-level selection is the paper's §4.3 load-balancing strategy for the
-// h-grid ("randomly select in each level the elements used").
+// Pick returns a random read-write quorum drawn from live: a random
+// full-line, then a random row-cover, each a Gate.Pick — the paper's §4.3
+// load-balancing strategy for the h-grid ("randomly select in each level
+// the elements used").
 func (s *RWSystem) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	fl, err := s.h.PickFullLine(rng, live)
-	if err != nil {
-		return bitset.Set{}, err
+	q := bitset.New(s.h.universe)
+	if !s.h.FullLineGate().Pick(rng, live, q) || !s.h.RowCoverGate().Pick(rng, live, q) {
+		return bitset.Set{}, quorum.ErrNoQuorum
 	}
-	rc, err := s.h.PickRowCover(rng, live)
-	if err != nil {
-		return bitset.Set{}, err
-	}
-	fl.UnionWith(rc)
-	return fl, nil
+	return q, nil
 }
 
 // MinQuorumSize implements quorum.System.

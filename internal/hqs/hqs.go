@@ -56,7 +56,6 @@ type node struct {
 	need     int // majority threshold: ⌊k/2⌋+1
 	minQ     int
 	maxQ     int
-	gate     *quorum.Gate // the node's quorums, compiled with the root's
 }
 
 // System is a hierarchical quorum consensus system.
@@ -169,57 +168,29 @@ func (s *System) AvailabilityCircuit() *analysis.Circuit {
 }
 
 // compile states the quorums as one formula, Of(⌊k/2⌋+1, children) at
-// every node, and keeps every node's own gate for Pick.
+// every node.
 func (s *System) compile() *quorum.Gate { return compile(s.root) }
 
 func compile(t *node) *quorum.Gate {
 	if t.children == nil {
-		t.gate = quorum.Leaf(t.leaf)
-		return t.gate
+		return quorum.Leaf(t.leaf)
 	}
 	kids := make([]*quorum.Gate, len(t.children))
 	for i, c := range t.children {
 		kids[i] = compile(c)
 	}
-	t.gate = quorum.Of(t.need, kids...)
-	return t.gate
+	return quorum.Of(t.need, kids...)
 }
 
-// Pick returns a random quorum from live: at every node, a uniformly random
-// majority-sized subset of the available children.
+// Pick returns a random quorum from live: Gate.Pick, at every node a
+// uniformly random majority-sized subset of the children that can supply
+// a quorum.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	s.avail.Gate(s.n, s.compile) // compiled once: pick tests each child with its own gate
 	out := bitset.New(s.n)
-	if !pick(s.root, rng, live, out) {
+	if !s.avail.Gate(s.n, s.compile).Pick(rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil
-}
-
-func pick(t *node, rng *rand.Rand, live bitset.Set, out bitset.Set) bool {
-	if t.children == nil {
-		if !live.Contains(t.leaf) {
-			return false
-		}
-		out.Add(t.leaf)
-		return true
-	}
-	var avail []*node
-	for _, c := range t.children {
-		if c.gate.Eval(live) {
-			avail = append(avail, c)
-		}
-	}
-	if len(avail) < t.need {
-		return false
-	}
-	rng.Shuffle(len(avail), func(i, j int) { avail[i], avail[j] = avail[j], avail[i] })
-	for _, c := range avail[:t.need] {
-		if !pick(c, rng, live, out) {
-			return false
-		}
-	}
-	return true
 }
 
 // MinQuorumSize implements quorum.System.

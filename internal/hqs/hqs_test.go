@@ -108,6 +108,21 @@ func TestPickConsistency(t *testing.T) {
 	}
 }
 
+// TestGatePicks runs quorum.CheckPick on the majority tree's gate, which
+// Pick draws from, on uniform, grouped and uneven trees.
+func TestGatePicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	uneven, err := New(&Shape{Children: []*Shape{UniformShape(1, 3), UniformShape(1, 5), {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []*System{Grouped(3, 3), Uniform(2, 3), uneven} {
+		if err := quorum.CheckPick(sys.avail.Gate(sys.n, sys.compile), sys.n, rng, 200); err != nil {
+			t.Errorf("%s: %v", sys.Name(), err)
+		}
+	}
+}
+
 func TestQuorumSizeScaling(t *testing.T) {
 	// Ternary HQS quorums are 2^levels = n^(log3 2) ≈ n^0.63.
 	for levels := 1; levels <= 5; levels++ {

@@ -126,69 +126,43 @@ func (s *System) boundary(line bitset.Set) int {
 	return s.h.MinTopRow(line)
 }
 
-// coverFeasible reports whether a live partial row-cover exists at the
-// given threshold.
-func (s *System) coverFeasible(live bitset.Set, threshold int) bool {
-	s.compile()
-	return s.covers[threshold].Eval(live)
-}
-
-// Pick returns a random h-T-grid quorum from live: a random live full-line
-// whose boundary keeps the partial row-cover feasible, plus a random
-// partial row-cover with respect to it.
+// Pick returns a random h-T-grid quorum from live, the §4.3 sampler built
+// from Gate.Pick: a random live full-line whose boundary keeps the partial
+// row-cover feasible, plus a random partial row-cover at that boundary.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	if !s.Available(live) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
-	line, err := s.h.PickFullLine(rng, live)
-	if err != nil {
-		return bitset.Set{}, err
-	}
-	if !s.coverFeasible(live, s.boundary(line)) {
-		// The sampled line demands too large a cover; re-sample a few times
-		// for diversity, then settle for a line achieving the best
-		// boundary (which Available guarantees is feasible).
-		ok := false
-		for i := 0; i < 8; i++ {
-			l2, err := s.h.PickFullLine(rng, live)
-			if err != nil {
-				return bitset.Set{}, err
-			}
-			if s.coverFeasible(live, s.boundary(l2)) {
-				line, ok = l2, true
-				break
-			}
+	lines := s.h.FullLineGate()
+	q := bitset.New(s.h.Universe())
+	lines.Pick(rng, live, q)
+	// The sampled line may demand too large a cover: re-sample up to eight
+	// times for diversity, then settle for a line achieving the best
+	// boundary (which Available guarantees is feasible).
+	for i := 0; !s.covers[s.boundary(q)].Eval(live); i++ {
+		q.Clear()
+		if i == 8 {
+			s.bestLine(live, q)
+			break
 		}
-		if !ok {
-			line = s.bestLine(live)
-		}
+		lines.Pick(rng, live, q)
 	}
-	var prc bitset.Set
-	if s.orient == OrientAboveLine {
-		prc, err = s.h.PickPartialRowCoverAbove(rng, live, s.h.MaxBottomRow(line))
-	} else {
-		prc, err = s.h.PickPartialRowCoverBelow(rng, live, s.h.MinTopRow(line))
-	}
-	if err != nil {
-		return bitset.Set{}, err
-	}
-	line.UnionWith(prc)
-	return line, nil
+	s.covers[s.boundary(q)].Pick(rng, live, q)
+	return q, nil
 }
 
-// bestLine deterministically assembles a live full-line achieving the best
-// boundary: the witness of the first boundary whose line gate holds,
+// bestLine deterministically adds to out a live full-line achieving the
+// best boundary: the witness of the first boundary whose line gate holds,
 // scanning from the side the cover keeps (the smallest row above the
 // line, the largest below it).
-func (s *System) bestLine(live bitset.Set) bitset.Set {
-	out := bitset.New(s.h.N())
+func (s *System) bestLine(live, out bitset.Set) {
 	for i := range s.lines {
 		r := i
 		if s.orient == OrientBelowLine {
 			r = len(s.lines) - 1 - i
 		}
 		if s.lines[r].Witness(live, out) {
-			return out
+			return
 		}
 	}
 	panic("htgrid: bestLine called without a feasible full-line")

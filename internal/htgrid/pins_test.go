@@ -20,8 +20,8 @@ func tookFallback(s *System, seed int64, live bitset.Set) bool {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 9; i++ {
-		line, err := s.h.PickFullLine(rng, live)
-		if err != nil || s.coverFeasible(live, s.boundary(line)) {
+		line := bitset.New(s.h.Universe())
+		if !s.h.FullLineGate().Pick(rng, live, line) || s.covers[s.boundary(line)].Eval(live) {
 			return false
 		}
 	}
@@ -31,33 +31,34 @@ func tookFallback(s *System, seed int64, live bitset.Set) bool {
 // TestPickStreamsPinned pins Pick over random live sets of mixed density
 // (30–100 % live), on the Auto and the flat hierarchy of every shape in
 // both orientations: every outcome (the quorum, or no quorum) and where
-// the rng stands after it hash to what the hand-written availability
-// predicates produced before the gates replaced them. Chaos schedules and
-// cost-blind sessions depend on these draws byte for byte, and a pick
-// fails exactly when Available is false, so the pins also carry
+// the rng stands after it hash to the stream of the sampler built on
+// Gate.Pick. Chaos schedules and cost-blind sessions depend on these draws
+// byte for byte. A pick fails exactly when Available is false, so the
+// verdict hash (whether each pick found a quorum, unchanged since the
+// hand-written availability predicates and object walks) carries
 // Available's verdicts to grids too large to check exhaustively. The tall
 // shapes make Pick fall back to the best-boundary line; the test asserts
 // that the fallback ran in both orientations.
 func TestPickStreamsPinned(t *testing.T) {
 	fallbacks := map[Orientation]int{}
 	for _, c := range []struct {
-		rows, cols int
-		want       uint64
+		rows, cols     int
+		want, verdicts uint64
 	}{
-		{3, 3, 0xef0232bf95e781ba},
-		{4, 4, 0x6c95a9c180bfdaf4},
-		{5, 5, 0xbef7050829d23d33},
-		{6, 6, 0xecae1f0a01fb0f9e},
-		{7, 7, 0x3e4837f2f9f5719e},
-		{8, 8, 0xd53bd8b3f64e7df3},
-		{9, 9, 0x692386ee1b266482},
-		{10, 10, 0x7c5784e8cf2f1f9c},
-		{7, 5, 0x166973355f65a0a7},
-		{3, 6, 0xc805de684cb01a6a},
-		{9, 3, 0x2013389f0c8ae42f},
-		{10, 3, 0xab774eb6709a9779},
+		{3, 3, 0x64341c1b75a05167, 0x179eb17d7d1ee92f},
+		{4, 4, 0x7c6348735d02fd5, 0x34c9052482b7bbb5},
+		{5, 5, 0x1498d6cd92cde875, 0x9a0fb5cff451316f},
+		{6, 6, 0x1ec65c452569ecaf, 0xf0ee5abebbade955},
+		{7, 7, 0x51481dd1eedd82f8, 0x2cedc40603f29f77},
+		{8, 8, 0x958e56e0f83fc19b, 0xdce79226d77d5795},
+		{9, 9, 0xcb2af4d2db0b303a, 0x7672ccb2c92e595},
+		{10, 10, 0x890e05f9e1985d1a, 0xe9184babafecd04d},
+		{7, 5, 0x9e7d14ca4175ca4, 0xb07c6c279766b947},
+		{3, 6, 0xe2531613143ec0ee, 0x49e6a6d62834525},
+		{9, 3, 0x57f30639b57dad88, 0x4485cc7e893d85cd},
+		{10, 3, 0x1b342bc11ddf6eb7, 0x53d75c82a7d6f0cd},
 	} {
-		hash := fnv.New64a()
+		hash, verdicts := fnv.New64a(), fnv.New64a()
 		for _, h := range []*hgrid.Hierarchy{hgrid.Auto(c.rows, c.cols), hgrid.Flat(c.rows, c.cols)} {
 			for _, o := range []Orientation{OrientAboveLine, OrientBelowLine} {
 				sys := NewOriented(h, o)
@@ -79,8 +80,10 @@ func TestPickStreamsPinned(t *testing.T) {
 					}
 					if err != nil {
 						fmt.Fprintln(hash, "none")
+						fmt.Fprintln(verdicts, "none")
 					} else {
 						fmt.Fprintln(hash, q.Indices())
+						fmt.Fprintln(verdicts, "some")
 					}
 					fmt.Fprintln(hash, rng.Int63())
 					if tookFallback(sys, seed, live) {
@@ -91,6 +94,9 @@ func TestPickStreamsPinned(t *testing.T) {
 		}
 		if got := hash.Sum64(); got != c.want {
 			t.Errorf("%dx%d: seeded pick stream hashes to %#x, want %#x", c.rows, c.cols, got, c.want)
+		}
+		if got := verdicts.Sum64(); got != c.verdicts {
+			t.Errorf("%dx%d: pick verdicts hash to %#x, want %#x", c.rows, c.cols, got, c.verdicts)
 		}
 	}
 	if fallbacks[OrientAboveLine] == 0 || fallbacks[OrientBelowLine] == 0 {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
@@ -42,18 +41,16 @@ type node struct {
 	t1   *node
 	t2   *node
 	g    *hgrid.Hierarchy
-	size int          // processes under this node
-	gate *quorum.Gate // the node's quorums, compiled once (System.compile)
+	size int // processes under this node
 }
 
 // System is the hierarchical triangle quorum system.
 type System struct {
-	root     *node
-	n        int
-	k        int // rows of the canonical triangle; 0 for grown specs
-	name     string
-	compiled sync.Once
-	avail    quorum.Lazy
+	root  *node
+	n     int
+	k     int // rows of the canonical triangle; 0 for grown specs
+	name  string
+	avail quorum.Lazy
 }
 
 var (
@@ -134,66 +131,15 @@ func availProb(t *node, q float64) float64 {
 	return d.Both*(a+b-a*b) + d.RCOnly*a + d.FLOnly*b + d.None()*a*b
 }
 
-// Pick returns a random h-triang quorum from live, choosing uniformly among
-// the feasible formation methods at every level.
+// Pick returns a random h-triang quorum from live: Gate.Pick, choosing
+// uniformly among the feasible formation methods at every division and
+// among the feasible cells at every level of a sub-grid.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	s.compile()
 	out := bitset.New(s.n)
-	if !pick(s.root, rng, live, out) {
+	if !s.Gate().Pick(rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil
-}
-
-func pick(t *node, rng *rand.Rand, live bitset.Set, out bitset.Set) bool {
-	if t.rows == 1 {
-		if !live.Contains(t.leaf) {
-			return false
-		}
-		out.Add(t.leaf)
-		return true
-	}
-	q1 := t.t1.gate.Eval(live)
-	q2 := t.t2.gate.Eval(live)
-	rc := t.g.RowCoverGate().Eval(live)
-	fl := t.g.FullLineGate().Eval(live)
-	var methods []int
-	if q1 && q2 {
-		methods = append(methods, 1)
-	}
-	if q1 && rc {
-		methods = append(methods, 2)
-	}
-	if q2 && fl {
-		methods = append(methods, 3)
-	}
-	if len(methods) == 0 {
-		return false
-	}
-	switch methods[rng.Intn(len(methods))] {
-	case 1:
-		return pick(t.t1, rng, live, out) && pick(t.t2, rng, live, out)
-	case 2:
-		if !pick(t.t1, rng, live, out) {
-			return false
-		}
-		rcSet, err := t.g.PickRowCover(rng, live)
-		if err != nil {
-			return false
-		}
-		out.UnionWith(rcSet)
-		return true
-	default:
-		if !pick(t.t2, rng, live, out) {
-			return false
-		}
-		flSet, err := t.g.PickFullLine(rng, live)
-		if err != nil {
-			return false
-		}
-		out.UnionWith(flSet)
-		return true
-	}
 }
 
 // MinQuorumSize implements quorum.System.
@@ -338,29 +284,22 @@ func (s *System) Render(q *bitset.Set) string {
 	return string(b)
 }
 
-// Gate is the system's quorums as one formula, for availability and
-// cost-aware picks: the three formation methods as alternatives at every
-// division. T1, G and T2 are disjoint, so each method is a conjunction
-// over disjoint processes.
+// Gate is the system's quorums as one formula, compiled once on first
+// use, for availability and for random and cost-aware picks: the three
+// formation methods as alternatives at every division. T1, G and T2 are
+// disjoint, so each method is a conjunction over disjoint processes.
 func (s *System) Gate() *quorum.Gate {
-	s.compile()
-	return s.root.gate
+	return s.avail.Gate(s.n, s.compile)
 }
 
-// compile builds every node's gate once, on first use.
-func (s *System) compile() {
-	s.compiled.Do(func() { compile(s.root) })
-}
+func (s *System) compile() *quorum.Gate { return compile(s.root) }
 
-func compile(t *node) {
+func compile(t *node) *quorum.Gate {
 	if t.rows == 1 {
-		t.gate = quorum.Leaf(t.leaf)
-		return
+		return quorum.Leaf(t.leaf)
 	}
-	compile(t.t1)
-	compile(t.t2)
-	q1, q2 := t.t1.gate, t.t2.gate
-	t.gate = quorum.Any(
+	q1, q2 := compile(t.t1), compile(t.t2)
+	return quorum.Any(
 		quorum.All(q1, q2),
 		quorum.All(q1, t.g.RowCoverGate()),
 		quorum.All(q2, t.g.FullLineGate()),
@@ -370,7 +309,7 @@ func compile(t *node) {
 // AvailabilityCircuit implements analysis.CircuitAvailability: Gate
 // lowered once, on first use; nil when the triangle exceeds 64 processes.
 func (s *System) AvailabilityCircuit() *analysis.Circuit {
-	return s.avail.Circuit(s.n, s.Gate)
+	return s.avail.Circuit(s.n, s.compile)
 }
 
 // CacheKey implements analysis.CacheKeyer: the decomposition tree with its

@@ -309,3 +309,15 @@ func TestGatePricesExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestGatePicks runs quorum.CheckPick on the three-method gate, which
+// Pick draws from.
+func TestGatePicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, k := range []int{2, 3, 4, 5} {
+		sys := New(k)
+		if err := quorum.CheckPick(sys.Gate(), sys.Universe(), rng, 200); err != nil {
+			t.Errorf("k=%d: %v", k, err)
+		}
+	}
+}

@@ -18,9 +18,9 @@ import (
 // construction of this repository but the two graph systems — row-covers,
 // full-lines, the h-T-grid's line plus cover, the h-triang's three
 // methods, (hierarchical and weighted) majorities, HQS, the crumbling wall
-// — compiles to one tree: one evaluator prices them all, and one lowering
-// (Circuit) gives the availability sweeps their 64-live-sets-at-once
-// program.
+// — compiles to one tree: one evaluator prices them all, one walk (Pick)
+// draws their random quorums, and one lowering (Circuit) gives the
+// availability sweeps their 64-live-sets-at-once program.
 //
 // Cheapest is exact when the kids of every gate with need > 1 range over
 // disjoint processes (a member is then never paid for twice); every
@@ -101,6 +101,49 @@ func (g *Gate) Witness(live, out bitset.Set) bool {
 		}
 	}
 	return true
+}
+
+// Pick adds to out one quorum of the family within live drawn at random
+// — at every gate need of the kids that hold, chosen uniformly — and
+// reports whether live contains one; out is untouched when it does not.
+// A conjunction takes every kid and draws nothing; any other gate draws
+// its kids by a partial Fisher–Yates over the ones that hold, so a
+// disjunction costs one rng.Intn. This is the paper's §4.3 strategy,
+// "randomly select in each level the elements used", on any formula.
+func (g *Gate) Pick(rng *rand.Rand, live, out bitset.Set) bool {
+	if !g.Eval(live) {
+		return false
+	}
+	g.pick(rng, live, out)
+	return true
+}
+
+// pick is Pick on a formula known to hold on live.
+func (g *Gate) pick(rng *rand.Rand, live, out bitset.Set) {
+	if g.id >= 0 {
+		out.Add(g.id)
+		return
+	}
+	if g.need == len(g.kids) {
+		for _, k := range g.kids {
+			k.pick(rng, live, out)
+		}
+		return
+	}
+	var buf [16]*Gate
+	ok := buf[:0]
+	for _, k := range g.kids {
+		if k.Eval(live) {
+			ok = append(ok, k)
+		}
+	}
+	for i := 0; i < g.need; i++ {
+		j := i + rng.Intn(len(ok)-i)
+		ok[i], ok[j] = ok[j], ok[i]
+	}
+	for _, k := range ok[:g.need] {
+		k.pick(rng, live, out)
+	}
 }
 
 // Circuit lowers the formula to a bit-sliced program over n input lanes,
@@ -321,6 +364,52 @@ func (g *Gate) quorums(n int) []bitset.Set {
 		return out
 	}
 	return choose(0, g.need)
+}
+
+// CheckPick cross-checks Pick against the formula's enumerated quorums
+// over n processes: over trials random live sets Pick must fail exactly
+// when Eval does, leaving out untouched, and otherwise add exactly one
+// listed quorum that lies within live; on the fully live set, 200 draws
+// per listed quorum must reach every one of them.
+func CheckPick(g *Gate, n int, rng *rand.Rand, trials int) error {
+	quorums := g.Quorums(n)
+	listed := make(map[string]bool, len(quorums))
+	for _, q := range quorums {
+		listed[q.String()] = true
+	}
+	for t := 0; t < trials; t++ {
+		live := bitset.New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(100) < 75 {
+				live.Add(i)
+			}
+		}
+		out := bitset.New(n)
+		ok := g.Pick(rng, live, out)
+		if ok != g.Eval(live) {
+			return fmt.Errorf("quorum: Pick ok=%t on live set %v, Eval says %t", ok, live, !ok)
+		}
+		if !ok && !out.Empty() {
+			return fmt.Errorf("quorum: failed Pick on %v added %v", live, out)
+		}
+		if ok && (!out.SubsetOf(live) || !listed[out.String()]) {
+			return fmt.Errorf("quorum: picked %v on %v is no listed quorum within live", out, live)
+		}
+	}
+	all := bitset.Universe(n)
+	seen := make(map[string]bool, len(quorums))
+	for d := 0; d < 200*len(quorums) && len(seen) < len(quorums); d++ {
+		out := bitset.New(n)
+		if !g.Pick(rng, all, out) || !listed[out.String()] {
+			return fmt.Errorf("quorum: pick %v on the fully live set is no listed quorum", out)
+		}
+		seen[out.String()] = true
+	}
+	if len(seen) < len(quorums) {
+		return fmt.Errorf("quorum: %d draws on the fully live set reached %d of %d quorums",
+			200*len(quorums), len(seen), len(quorums))
+	}
+	return nil
 }
 
 // CheckCheapest cross-checks a compiled family against its enumerated

@@ -91,6 +91,76 @@ func randomGate(rng *rand.Rand, n, depth int, pool *[]*Gate) *Gate {
 	return g
 }
 
+// choices counts the kid choices Quorums enumerates before it
+// deduplicates: at every gate, each choice of need kids.
+func choices(g *Gate) int {
+	if g.id >= 0 {
+		return 1
+	}
+	// at[t]: the ways to choose t of the kids seen so far.
+	at := make([]int, g.need+1)
+	at[0] = 1
+	for _, k := range g.kids {
+		c := choices(k)
+		for t := g.need; t >= 1; t-- {
+			at[t] = min(at[t]+c*at[t-1], 1<<20)
+		}
+	}
+	return at[g.need]
+}
+
+// TestGatePick: on random formulas over up to 8 processes, CheckPick
+// holds — Pick fails exactly when Eval does, otherwise adds one listed
+// quorum within live, and reaches every listed quorum when all are live.
+func TestGatePick(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	checked := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(8)
+		var pool []*Gate
+		g := randomGate(rng, n, 1+rng.Intn(3), &pool)
+		if choices(g) > 200 {
+			continue // Quorums would enumerate too much
+		}
+		checked++
+		if err := CheckPick(g, n, rng, 30); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d of 300 random formulas checked", checked)
+	}
+}
+
+// TestGatePickDraws pins the draw rule: a conjunction draws nothing, a
+// disjunction one rng.Intn over the kids that hold, a threshold a partial
+// Fisher–Yates over them, taking kids in the order drawn.
+func TestGatePickDraws(t *testing.T) {
+	live := bitset.FromIndices(6, 0, 1, 2, 4, 5)
+	for seed := int64(0); seed < 50; seed++ {
+		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		out := bitset.New(6)
+		if !All(Leaf(0), Leaf(1)).Pick(rng, live, out) || rng.Int63() != ref.Int63() {
+			t.Fatal("conjunction drew from the rng")
+		}
+		out = bitset.New(6)
+		Any(leaves(0, 6)...).Pick(rng, live, out)
+		if want := []int{0, 1, 2, 4, 5}[ref.Intn(5)]; !out.Equal(bitset.FromIndices(6, want)) {
+			t.Fatalf("seed %d: disjunction took %v, want {%d}", seed, out, want)
+		}
+		out = bitset.New(6)
+		Of(3, leaves(0, 6)...).Pick(rng, live, out)
+		ok := []int{0, 1, 2, 4, 5}
+		for i := 0; i < 3; i++ {
+			j := i + ref.Intn(len(ok)-i)
+			ok[i], ok[j] = ok[j], ok[i]
+		}
+		if want := bitset.FromIndices(6, ok[:3]...); !out.Equal(want) || rng.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: threshold took %v, want %v", seed, out, want)
+		}
+	}
+}
+
 // TestCircuitMatchesEval: on random formulas over 1 to 64 processes, the
 // lowered circuit agrees with Eval on every one of 64 live sets per lane
 // group, and there is no circuit beyond 64 processes.

@@ -42,6 +42,11 @@ if grep -rnE 'func (\([^)]*\) )?(HasRowCover|HasFullLine|BestFullLine|HasPartial
 # as quorum.Gate and the enumerator lowers it to a circuit: only Paths and
 # Y, whose availability is graph connectivity, keep a single-word path.
 if grep -rlE 'func \([^)]*\) AvailableWord\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v -e '^\./internal/paths/' -e '^\./internal/ysys/'; then exit 1; fi
+# Every uniform random pick walks its construction's quorum.Gate
+# (Gate.Pick): the hand-written pick walks over hierarchy objects, majority
+# trees, triangles and thresholds must not grow back.
+if grep -rnE 'func (\([^)]*\) )?(PickRowCover|PickFullLine|PickPartialRowCover[A-Za-z]*|pickThreshold|pickHMaj|hmajPick)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
+if grep -rn 'func pick(' --include='*.go' --exclude='*_test.go' internal/hqs internal/htriang; then exit 1; fi
 # The transversal-count cache is in-process only: its disk layer and the
 # paper-tables flag that turned it on must not grow back. (The brackets
 # keep this line from matching itself.)
