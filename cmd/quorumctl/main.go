@@ -192,7 +192,7 @@ func main() {
 		}
 		f, err := strconv.Atoi(args[1])
 		if err != nil {
-			fail("fault bound %q is not an integer", args[1])
+			badArg("byz: fault bound %q is not an integer", args[1])
 		}
 		class := bqs.Dissemination
 		switch args[2] {
@@ -200,12 +200,12 @@ func main() {
 		case "masking":
 			class = bqs.Masking
 		default:
-			fail("unknown class %q (want dissemination|masking)", args[2])
+			badArg("byz: unknown class %q (want dissemination|masking)", args[2])
 		}
 		base := buildSystem(args[3:])
 		c, err := bqs.NewClustered(base, f, class)
 		if err != nil {
-			fail("%v", err)
+			badArg("byz: %v", err)
 		}
 		fmt.Printf("base:      %s (%d elements, quorums %d..%d)\n",
 			base.Name(), base.Universe(), base.MinQuorumSize(), base.MaxQuorumSize())

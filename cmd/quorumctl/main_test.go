@@ -144,6 +144,12 @@ func TestBadArguments(t *testing.T) {
 		{"reconfig -peers PEERS -id 16 paxos", `quorumctl: reconfig: epoch: unknown flavor "paxos" (want majority|hgrid|htgrid|htriang|hmaj)`},
 		{"reconfig -peers PEERS -id 16 -target-members 0-9223372036854775807 majority", `quorumctl: reconfig: epoch: member 9223372036854775807 outside ID space 17`},
 		{"reconfig -peers PEERS -id 16 htgrid 3 3", `quorumctl: reconfig: epoch: htgrid needs rows*cols == members (3x3 vs 16)`},
+		{"byz 2305843009213693952 dissemination htriang 4", `quorumctl: byz: bqs: fault bound 2305843009213693952 out of range`},
+		{"byz 1152921504606846976 dissemination htriang 4", `quorumctl: byz: bqs: 10 clusters of 3458764513820540929 servers overflow the server count`},
+		{"byz 9223372036854775807 masking htriang 3", `quorumctl: byz: bqs: fault bound 9223372036854775807 out of range`},
+		{"byz -1 masking htriang 3", `quorumctl: byz: bqs: fault bound -1 out of range`},
+		{"byz x masking htriang 3", `quorumctl: byz: fault bound "x" is not an integer`},
+		{"byz 1 paxos htriang 3", `quorumctl: byz: unknown class "paxos" (want dissemination|masking)`},
 	} {
 		stdout, stderr, code := quorumctl(t, strings.Fields(strings.ReplaceAll(c.args, "PEERS", peers))...)
 		if code != 2 || stdout != "" || stderr != c.want+"\n" {

@@ -1,7 +1,7 @@
 package analysis_test
 
-// Pins for the baseline constructions (majority, HQS, CWlog and the
-// k-coteries): their exact transversal counts and pick verdicts, recorded
+// Pins for the baseline constructions (majority, HQS, CWlog, the
+// k-coteries and the Byzantine systems): their exact transversal counts and pick verdicts, recorded
 // from the hand-written availability predicates their quorum gates
 // replaced, and their seeded pick streams. Their Available and
 // availability circuit both evaluate the gate, so these pins, the
@@ -17,8 +17,10 @@ import (
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
+	"hquorum/internal/bqs"
 	"hquorum/internal/cwlog"
 	"hquorum/internal/hqs"
+	"hquorum/internal/htriang"
 	"hquorum/internal/kcoterie"
 	"hquorum/internal/majority"
 	"hquorum/internal/quorum"
@@ -34,14 +36,6 @@ func mustWall(widths []int) *cwlog.System {
 
 func mustLog(n int) *cwlog.System {
 	s, err := cwlog.Log(n)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func mustWeighted(weights []int, threshold int) *majority.System {
-	s, err := majority.NewWeighted(weights, threshold)
 	if err != nil {
 		panic(err)
 	}
@@ -86,7 +80,6 @@ func TestBaselineAvailabilityConsistency(t *testing.T) {
 	for _, sys := range []quorum.System{
 		majority.New(21),
 		majority.NewTieBreak(20),
-		mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8),
 		hqs.Grouped(5, 3),
 		hqs.Uniform(2, 3),
 		mixedHQS(),
@@ -108,7 +101,6 @@ func TestBaselineCountsPinned(t *testing.T) {
 		want uint64
 	}{
 		{majority.New(21), 0x4131cf7eac6d989b},
-		{mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8), 0x718a3f0cb0bb0734},
 		{mustKMajority(15, 2), 0x2453f0a53d28e31f},
 		{mustLog(14), 0x4032fd9c1935f16f},
 		{mustWall([]int{2, 1, 3, 4, 2}), 0x915b8f406172a13b},
@@ -126,12 +118,26 @@ func TestBaselineCountsPinned(t *testing.T) {
 // density (30–100 % live): every outcome (the quorum, or no quorum) and
 // where the rng stands after it hash to the stream; only whether each pick
 // found a quorum hashes to the verdicts, which the hand-written predicates
-// produced and which must never move. HQS (and the partitioned coterie
-// over it) draws with Gate.Pick, the others with their own pickers. A pick
-// fails exactly when Available is false and otherwise returns a live
-// quorum.
+// produced and which must never move. Majority, HQS, CWlog, the k-majority
+// and M-Grid draw with Gate.Pick; the partitioned coterie and the
+// clustered Byzantine system are quorum.Composite and draw through their
+// parts (the h-triang ones' streams were recorded on the hand-written
+// compositions, and held). A pick fails exactly when Available is false
+// and otherwise returns a live quorum.
 func TestBaselinePickStreamsPinned(t *testing.T) {
 	part, err := kcoterie.NewPartitioned(majority.New(7), hqs.Grouped(3, 3), mustLog(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	triPart, err := kcoterie.NewPartitioned(htriang.New(3), htriang.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byz, err := bqs.NewClustered(htriang.New(4), 1, bqs.Dissemination)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrid, err := bqs.NewMGrid(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,22 +145,23 @@ func TestBaselinePickStreamsPinned(t *testing.T) {
 		sys            quorum.System
 		want, verdicts uint64
 	}{
-		{majority.New(15), 0xdcde4dd08ed26ab5, 0x12c2ad786f97e2e5},
-		{majority.New(21), 0xd76c956f4c07ef0b, 0x9b2ccb7eff584d3d},
-		{majority.NewTieBreak(8), 0x1c7b3d1096309912, 0x55c6e56c54e257b5},
-		{majority.NewTieBreak(28), 0x4cdb6cd18ba4c850, 0x6e6c16353b4d79ef},
-		{mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8), 0x2cab55eeff6997aa, 0xedda37fef2d4258d},
-		{mustWeighted([]int{3, 2, 1, 1, 1, 1}, 5), 0x252a51da9035d14b, 0x1b8e1a695c59113f},
+		{majority.New(15), 0xefb0123a00f23d8, 0x12c2ad786f97e2e5},
+		{majority.New(21), 0x7104bcaacf1ec665, 0x9b2ccb7eff584d3d},
+		{majority.NewTieBreak(8), 0x81dbef6044490f05, 0x55c6e56c54e257b5},
+		{majority.NewTieBreak(28), 0x7098c9d7e40a9032, 0x6e6c16353b4d79ef},
 		{hqs.Grouped(5, 3), 0x23ce7c8e65d24d1e, 0x87863dfb8b386efd},
 		{hqs.Uniform(3, 3), 0x4ddf0b001bebc30d, 0x5521ad64e609a4bd},
 		{hqs.Uniform(2, 3), 0x86fe8724fcad066, 0xb6522d126bd76ed7},
 		{mixedHQS(), 0x84592ff49fd49715, 0xb9d1e40df897d5b5},
-		{mustLog(14), 0x1c3e9f50c1d838b7, 0x4699e35f14c1e4af},
-		{mustLog(29), 0x551e6065953c491, 0x295898c641fb3cbf},
-		{mustWall([]int{2, 1, 3, 4, 2}), 0xb7a88574a4e57090, 0xcf675007ffe5e73f},
-		{mustKMajority(15, 2), 0x44c4c870ae4ff18f, 0xa6372b84a499e89d},
-		{mustKMajority(16, 3), 0xf42173dfb5e59df0, 0xcaff29d3a94282a7},
-		{part, 0x5c4fda1b0db57c53, 0x8e8e84c029afeaad},
+		{mustLog(14), 0x5ff6cd8dc6cfa0c4, 0x4699e35f14c1e4af},
+		{mustLog(29), 0xce2c128b1b1aff4d, 0x295898c641fb3cbf},
+		{mustWall([]int{2, 1, 3, 4, 2}), 0xa23d91b44e9233e0, 0xcf675007ffe5e73f},
+		{mustKMajority(15, 2), 0xf7257e19145b7ad3, 0xa6372b84a499e89d},
+		{mustKMajority(16, 3), 0x263ecc1c264680f, 0xcaff29d3a94282a7},
+		{part, 0xee9c87b2581b4014, 0x8e8e84c029afeaad},
+		{triPart, 0x6ea860cd393da28, 0x808f1de299a0350f},
+		{byz, 0xf058c35baf23157e, 0x96d1214ade9eff1f},
+		{mgrid, 0xae13fd3ca7a154cb, 0xec62d7c6b89cfaed},
 	} {
 		sys := c.sys
 		n := sys.Universe()

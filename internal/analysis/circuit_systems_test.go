@@ -48,7 +48,6 @@ func circuitSystems(t *testing.T) []circuitSystem {
 		grown,
 		majority.New(21),
 		majority.NewTieBreak(28),
-		mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8),
 		mustKMajority(15, 2),
 		mustKMajority(40, 3),
 		mustLog(14),
@@ -121,7 +120,6 @@ func TestCircuitEnumeratorAgrees(t *testing.T) {
 		htgrid.Auto(4, 4),                   // n = 16
 		htriang.New(5),                      // n = 15
 		htriang.New(6),                      // n = 21
-		mustWeighted([]int{3, 1, 1, 1, 2, 2, 1, 1, 1, 1}, 8),
 		majority.NewTieBreak(12),
 		mustKMajority(15, 2),
 		mustLog(14),

@@ -63,6 +63,9 @@ func (c Class) overlap(f int) int {
 	return f + 1
 }
 
+// maxF is the largest fault bound whose 4f+1 servers fit in an int.
+const maxF = (math.MaxInt - 1) / 4
+
 // System is a Byzantine quorum system: a quorum.System whose quorums
 // pairwise intersect in at least Overlap() servers.
 type System interface {
@@ -88,7 +91,7 @@ var _ System = (*Threshold)(nil)
 // NewThreshold returns the threshold system over n servers tolerating f
 // Byzantine faults. Dissemination requires n ≥ 3f+1, masking n ≥ 4f+1.
 func NewThreshold(n, f int, class Class) (*Threshold, error) {
-	if f < 0 || n <= 0 {
+	if f < 0 || f > maxF || n <= 0 {
 		return nil, fmt.Errorf("bqs: invalid n=%d f=%d", n, f)
 	}
 	min := 3*f + 1
@@ -98,7 +101,7 @@ func NewThreshold(n, f int, class Class) (*Threshold, error) {
 	if n < min {
 		return nil, fmt.Errorf("bqs: %v systems need n ≥ %d for f=%d (got %d)", class, min, f, n)
 	}
-	size := (n + class.overlap(f) + 1) / 2 // ⌈(n + overlap) / 2⌉
+	size := n - (n-class.overlap(f))/2 // ⌈(n + overlap) / 2⌉, without overflow
 	return &Threshold{n: n, f: f, class: class, size: size}, nil
 }
 
@@ -144,9 +147,11 @@ func (t *Threshold) MaxQuorumSize() int { return t.size }
 
 // MGrid is the Malkhi–Reiter masking grid: servers in a k×k grid, a
 // quorum is s full rows and s full columns with s = ⌈√(f+1)⌉; two quorums
-// cross in at least 2s² ≥ 2f+2 > 2f+1 servers.
+// cross in at least 2s² ≥ 2f+2 > 2f+1 servers. It states its quorums as
+// one quorum.Gate, which Available evaluates and Pick draws from.
 type MGrid struct {
 	k, f, s int
+	avail   quorum.Lazy
 }
 
 var _ System = (*MGrid)(nil)
@@ -156,10 +161,10 @@ var _ System = (*MGrid)(nil)
 // under f Byzantine faults requires f ≤ k−s (each fault disables at most
 // one row and one column).
 func NewMGrid(k, f int) (*MGrid, error) {
-	if k <= 0 || f < 0 {
+	if k <= 0 || f < 0 || k > math.MaxInt/k {
 		return nil, fmt.Errorf("bqs: invalid k=%d f=%d", k, f)
 	}
-	s := int(math.Ceil(math.Sqrt(float64(f + 1))))
+	s := int(math.Ceil(math.Sqrt(float64(min(f, k) + 1))))
 	if f > k-s {
 		return nil, fmt.Errorf("bqs: M-Grid with k=%d tolerates at most f=%d (needs f ≤ k−⌈√(f+1)⌉)", k, k-s)
 	}
@@ -181,65 +186,36 @@ func (m *MGrid) Class() Class { return Masking }
 // Overlap implements System: two quorums share s rows × s columns twice.
 func (m *MGrid) Overlap() int { return 2 * m.s * m.s }
 
-// Available reports whether live contains s fully-live rows and s
-// fully-live columns.
-func (m *MGrid) Available(live bitset.Set) bool {
-	rows, cols := 0, 0
-	for i := 0; i < m.k; i++ {
-		fullRow, fullCol := true, true
-		for j := 0; j < m.k; j++ {
-			if !live.Contains(i*m.k + j) {
-				fullRow = false
+// gate states the quorums as one formula, compiled on first use: s of
+// the full rows and s of the full columns. Rows and columns share
+// servers, so the formula is for Eval and Pick; nothing prices it.
+func (m *MGrid) gate() *quorum.Gate {
+	return m.avail.Gate(m.k*m.k, func() *quorum.Gate {
+		rows := make([]*quorum.Gate, m.k)
+		cols := make([]*quorum.Gate, m.k)
+		for i := range rows {
+			row := make([]*quorum.Gate, m.k)
+			col := make([]*quorum.Gate, m.k)
+			for j := range row {
+				row[j] = quorum.Leaf(i*m.k + j)
+				col[j] = quorum.Leaf(j*m.k + i)
 			}
-			if !live.Contains(j*m.k + i) {
-				fullCol = false
-			}
+			rows[i], cols[i] = quorum.All(row...), quorum.All(col...)
 		}
-		if fullRow {
-			rows++
-		}
-		if fullCol {
-			cols++
-		}
-	}
-	return rows >= m.s && cols >= m.s
+		return quorum.All(quorum.Of(m.s, rows...), quorum.Of(m.s, cols...))
+	})
 }
 
-// Pick returns a random quorum of s live rows and s live columns.
+// Available reports whether live contains s fully-live rows and s
+// fully-live columns.
+func (m *MGrid) Available(live bitset.Set) bool { return m.gate().Eval(live) }
+
+// Pick returns a random quorum by Gate.Pick: s of the fully-live rows and
+// s of the fully-live columns, each chosen uniformly.
 func (m *MGrid) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	var rows, cols []int
-	for i := 0; i < m.k; i++ {
-		fullRow, fullCol := true, true
-		for j := 0; j < m.k; j++ {
-			if !live.Contains(i*m.k + j) {
-				fullRow = false
-			}
-			if !live.Contains(j*m.k + i) {
-				fullCol = false
-			}
-		}
-		if fullRow {
-			rows = append(rows, i)
-		}
-		if fullCol {
-			cols = append(cols, i)
-		}
-	}
-	if len(rows) < m.s || len(cols) < m.s {
-		return bitset.Set{}, quorum.ErrNoQuorum
-	}
-	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
 	out := bitset.New(m.k * m.k)
-	for _, r := range rows[:m.s] {
-		for j := 0; j < m.k; j++ {
-			out.Add(r*m.k + j)
-		}
-	}
-	for _, c := range cols[:m.s] {
-		for j := 0; j < m.k; j++ {
-			out.Add(j*m.k + c)
-		}
+	if !m.gate().Pick(rng, live, out) {
+		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package bqs
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -230,6 +231,81 @@ func TestClusteredValidation(t *testing.T) {
 	if _, err := NewClustered(htriang.New(3), -1, Masking); err == nil {
 		t.Error("negative f accepted")
 	}
+	// Hostile sizes: a cluster of 4f+1 or a server count past int.
+	one := quorum.NewCoterie("one", 1, []bitset.Set{bitset.Universe(1)})
+	if c, err := NewClustered(one, maxF, Masking); err != nil || c.Universe() != 4*maxF+1 || c.Quota() != 3*maxF+1 {
+		t.Errorf("f=%d over one element: %v, want 4f+1 servers with quota 3f+1", maxF, err)
+	}
+	if _, err := NewClustered(one, maxF+1, Masking); err == nil {
+		t.Error("f whose 4f+1 overflows accepted")
+	}
+	if _, err := NewClustered(htriang.New(4), 1<<60, Dissemination); err == nil {
+		t.Error("10 clusters of 3·2^60+1 servers accepted")
+	}
+}
+
+func TestMGridValidation(t *testing.T) {
+	for _, c := range []struct{ k, f int }{{0, 0}, {3, -1}, {4, 3}, {3037000500, 0}, {5, math.MaxInt}} {
+		if _, err := NewMGrid(c.k, c.f); err == nil {
+			t.Errorf("NewMGrid(%d, %d) accepted", c.k, c.f)
+		}
+	}
+	if m, err := NewMGrid(3037000499, 0); err != nil || m.Universe() != 3037000499*3037000499 {
+		t.Errorf("largest k whose square fits: %v", err)
+	}
+}
+
+// TestMGridGatePicks: Available and Pick evaluate and draw the grid's
+// gate, so the gate's picks must be its listed quorums, each s full rows
+// and s full columns, and Available must agree with counting full rows
+// and columns on every live set of the 4×4 grid.
+func TestMGridGatePicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct{ k, f int }{{3, 0}, {4, 1}} {
+		m, err := NewMGrid(c.k, c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := m.Universe()
+		if err := quorum.CheckPick(m.gate(), n, rng, 500); err != nil {
+			t.Errorf("%s: %v", m.Name(), err)
+		}
+		for _, q := range m.gate().Quorums(n) {
+			if rows, cols := fullLines(m.k, q); rows != m.s || cols != m.s || q.Count() != m.MinQuorumSize() {
+				t.Errorf("%s: listed quorum %v has %d full rows, %d full columns", m.Name(), q, rows, cols)
+			}
+		}
+	}
+	m, err := NewMGrid(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := bitset.New(16)
+	for mask := uint64(0); mask < 1<<16; mask++ {
+		live.SetWord(mask)
+		rows, cols := fullLines(4, live)
+		if want := rows >= 2 && cols >= 2; m.Available(live) != want {
+			t.Fatalf("Available(%v) = %t, %d full rows and %d full columns", live, !want, rows, cols)
+		}
+	}
+}
+
+// fullLines counts the fully contained rows and columns of a k×k grid.
+func fullLines(k int, set bitset.Set) (rows, cols int) {
+	for i := 0; i < k; i++ {
+		row, col := true, true
+		for j := 0; j < k; j++ {
+			row = row && set.Contains(i*k+j)
+			col = col && set.Contains(j*k+i)
+		}
+		if row {
+			rows++
+		}
+		if col {
+			cols++
+		}
+	}
+	return rows, cols
 }
 
 func TestClassString(t *testing.T) {

@@ -2,6 +2,7 @@ package bqs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hquorum/internal/bitset"
@@ -23,38 +24,50 @@ import (
 // Byzantine faults equals the base coterie's fault-free availability, and
 // availability under crashes is analyzed with the usual enumeration
 // machinery.
+//
+// It is the quorum.Composite of the base with a Threshold of g out of m
+// servers at every element, and answers availability and picks through it.
 type Clustered struct {
+	comp  *quorum.Composite
 	base  quorum.System
 	f     int
 	class Class
 	m     int // cluster size
 	g     int // per-cluster quota
-	n     int
 }
 
 var _ System = (*Clustered)(nil)
 var _ quorum.System = (*Clustered)(nil)
 
-// NewClustered wraps base with cluster redundancy for fault bound f.
+// NewClustered wraps base with cluster redundancy for fault bound f. It
+// rejects an f whose cluster size or server count would overflow int.
 func NewClustered(base quorum.System, f int, class Class) (*Clustered, error) {
 	if base == nil {
 		return nil, fmt.Errorf("bqs: nil base system")
 	}
-	if f < 0 {
-		return nil, fmt.Errorf("bqs: negative fault bound %d", f)
+	if f < 0 || f > maxF {
+		return nil, fmt.Errorf("bqs: fault bound %d out of range", f)
 	}
-	m, g := 3*f+1, 2*f+1
+	m := 3*f + 1
 	if class == Masking {
-		m, g = 4*f+1, 3*f+1
+		m = 4*f + 1
 	}
-	return &Clustered{
-		base:  base,
-		f:     f,
-		class: class,
-		m:     m,
-		g:     g,
-		n:     base.Universe() * m,
-	}, nil
+	if base.Universe() > math.MaxInt/m {
+		return nil, fmt.Errorf("bqs: %d clusters of %d servers overflow the server count", base.Universe(), m)
+	}
+	cluster, err := NewThreshold(m, f, class)
+	if err != nil {
+		return nil, err
+	}
+	subs := make([]quorum.System, base.Universe())
+	for i := range subs {
+		subs[i] = cluster
+	}
+	comp, err := quorum.NewComposite(base, subs)
+	if err != nil {
+		return nil, err
+	}
+	return &Clustered{comp: comp, base: base, f: f, class: class, m: m, g: cluster.MinQuorumSize()}, nil
 }
 
 // Name implements quorum.System.
@@ -63,7 +76,7 @@ func (c *Clustered) Name() string {
 }
 
 // Universe implements quorum.System.
-func (c *Clustered) Universe() int { return c.n }
+func (c *Clustered) Universe() int { return c.comp.Universe() }
 
 // F implements System.
 func (c *Clustered) F() int { return c.f }
@@ -83,58 +96,15 @@ func (c *Clustered) Quota() int { return c.g }
 // Cluster returns the logical element that server id belongs to.
 func (c *Clustered) Cluster(id int) int { return id / c.m }
 
-// liveClusters returns the set of logical elements with at least g live
-// servers.
-func (c *Clustered) liveClusters(live bitset.Set) bitset.Set {
-	out := bitset.New(c.base.Universe())
-	for e := 0; e < c.base.Universe(); e++ {
-		count := 0
-		for s := e * c.m; s < (e+1)*c.m; s++ {
-			if live.Contains(s) {
-				count++
-			}
-		}
-		if count >= c.g {
-			out.Add(e)
-		}
-	}
-	return out
-}
-
 // Available reports whether live contains a Byzantine quorum: a base
 // quorum all of whose clusters retain their quota.
-func (c *Clustered) Available(live bitset.Set) bool {
-	return c.base.Available(c.liveClusters(live))
-}
+func (c *Clustered) Available(live bitset.Set) bool { return c.comp.Available(live) }
 
-// Pick returns a random Byzantine quorum drawn from live.
+// Pick returns a random Byzantine quorum drawn from live: a base quorum
+// over the clusters that retain their quota, then g random live servers
+// of each of its clusters.
 func (c *Clustered) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	baseQ, err := c.base.Pick(rng, c.liveClusters(live))
-	if err != nil {
-		return bitset.Set{}, err
-	}
-	out := bitset.New(c.n)
-	ok := true
-	baseQ.ForEach(func(e int) {
-		var alive []int
-		for s := e * c.m; s < (e+1)*c.m; s++ {
-			if live.Contains(s) {
-				alive = append(alive, s)
-			}
-		}
-		if len(alive) < c.g {
-			ok = false
-			return
-		}
-		rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
-		for _, s := range alive[:c.g] {
-			out.Add(s)
-		}
-	})
-	if !ok {
-		return bitset.Set{}, quorum.ErrNoQuorum
-	}
-	return out, nil
+	return c.comp.Pick(rng, live)
 }
 
 // MinQuorumSize implements quorum.System.

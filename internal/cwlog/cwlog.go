@@ -27,6 +27,7 @@ type System struct {
 	n       int
 	name    string
 	avail   quorum.Lazy
+	alts    []*quorum.Gate // alts[i]: the quorums based at row i, set by compile
 }
 
 var (
@@ -100,24 +101,10 @@ func (s *System) Width(i int) int { return s.widths[i] }
 // ID returns the process ID at row i, column c.
 func (s *System) ID(i, c int) int { return s.offsets[i] + c }
 
-// rowState reports whether row i has any live process and whether it is
-// entirely live.
-func (s *System) rowState(i int, live bitset.Set) (any, full bool) {
-	full = true
-	for c := 0; c < s.widths[i]; c++ {
-		if live.Contains(s.offsets[i] + c) {
-			any = true
-		} else {
-			full = false
-		}
-	}
-	return any, full
-}
-
 // Available reports whether live contains a quorum: some fully-live row
 // with every row below it non-empty.
 func (s *System) Available(live bitset.Set) bool {
-	return s.avail.Gate(s.n, s.compile).Eval(live)
+	return s.gate().Eval(live)
 }
 
 // AvailabilityCircuit implements analysis.CircuitAvailability: the wall's
@@ -128,7 +115,8 @@ func (s *System) AvailabilityCircuit() *analysis.Circuit {
 
 // compile states the quorums as one formula: some row i entirely, with
 // one process of every row below it. The "one of row j" formulas are
-// shared between the rows above j, so the circuit lowers each once.
+// shared between the rows above j, so the circuit lowers each once. The
+// per-row alternatives are kept for Strategy.Pick.
 func (s *System) compile() *quorum.Gate {
 	rows := make([][]*quorum.Gate, len(s.widths))
 	anyOf := make([]*quorum.Gate, len(s.widths))
@@ -138,54 +126,23 @@ func (s *System) compile() *quorum.Gate {
 		}
 		anyOf[i] = quorum.Any(rows[i]...)
 	}
-	alts := make([]*quorum.Gate, len(rows))
-	for i := range alts {
-		alts[i] = quorum.All(append(rows[i], anyOf[i+1:]...)...)
+	s.alts = make([]*quorum.Gate, len(rows))
+	for i := range s.alts {
+		s.alts[i] = quorum.All(append(rows[i], anyOf[i+1:]...)...)
 	}
-	return quorum.Any(alts...)
+	return quorum.Any(s.alts...)
 }
 
-// Pick returns a random quorum from live: a uniformly random feasible base
-// row plus random live representatives below it.
+// gate returns the wall's formula, compiling it on first use.
+func (s *System) gate() *quorum.Gate { return s.avail.Gate(s.n, s.compile) }
+
+// Pick returns a random quorum from live by Gate.Pick: a uniformly random
+// base row among those that can found one, then uniformly random live
+// representatives below it.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	var feasible []int
-	covered := true
-	for i := len(s.widths) - 1; i >= 0; i-- {
-		any, full := s.rowState(i, live)
-		if full && covered {
-			feasible = append(feasible, i)
-		}
-		covered = covered && any
-		if !covered {
-			break
-		}
-	}
-	if len(feasible) == 0 {
-		return bitset.Set{}, quorum.ErrNoQuorum
-	}
-	return s.assemble(rng, live, feasible[rng.Intn(len(feasible))])
-}
-
-// assemble builds the quorum based at row base from live processes.
-func (s *System) assemble(rng *rand.Rand, live bitset.Set, base int) (bitset.Set, error) {
 	out := bitset.New(s.n)
-	for c := 0; c < s.widths[base]; c++ {
-		if !live.Contains(s.offsets[base] + c) {
-			return bitset.Set{}, quorum.ErrNoQuorum
-		}
-		out.Add(s.offsets[base] + c)
-	}
-	for i := base + 1; i < len(s.widths); i++ {
-		var alive []int
-		for c := 0; c < s.widths[i]; c++ {
-			if id := s.offsets[i] + c; live.Contains(id) {
-				alive = append(alive, id)
-			}
-		}
-		if len(alive) == 0 {
-			return bitset.Set{}, quorum.ErrNoQuorum
-		}
-		out.Add(alive[rng.Intn(len(alive))])
+	if !s.gate().Pick(rng, live, out) {
+		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil
 }

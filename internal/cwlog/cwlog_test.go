@@ -168,6 +168,50 @@ func TestPickConsistency(t *testing.T) {
 	}
 }
 
+// TestGatePicks: Pick is Gate.Pick on the wall's formula, so its picks
+// must be exactly the listed quorums — the enumerated minimal ones —
+// including on walls whose width-1 rows collapse to a bare process.
+func TestGatePicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, widths := range [][]int{{1, 2, 2, 3}, {2, 1, 3, 1, 2}, {1, 1, 1}} {
+		s, err := NewWall(widths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := quorum.CheckPick(s.gate(), s.n, rng, 500); err != nil {
+			t.Errorf("wall %v: %v", widths, err)
+		}
+		want := make(map[string]bool)
+		s.EnumerateQuorums(func(q bitset.Set) bool { want[q.String()] = true; return true })
+		listed := s.gate().Quorums(s.n)
+		for _, q := range listed {
+			if !want[q.String()] {
+				t.Errorf("wall %v: gate lists %v, which is no minimal quorum", widths, q)
+			}
+		}
+		if len(listed) != len(want) {
+			t.Errorf("wall %v: gate lists %d quorums, enumeration %d", widths, len(listed), len(want))
+		}
+	}
+}
+
+// TestStrategyPickOnWidthOneRows: a strategy's pick based on any row is
+// that row's quorum, with width-1 rows below it taken whole.
+func TestStrategyPickOnWidthOneRows(t *testing.T) {
+	s, err := NewWall([]int{2, 1, 3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.BalancedStrategy()
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 200; i++ {
+		q := st.Pick(rng)
+		if !s.Available(q) || !q.Contains(s.ID(3, 0)) {
+			t.Fatalf("strategy pick %v is no quorum holding the width-1 bottom row", q)
+		}
+	}
+}
+
 func TestStrategySampling(t *testing.T) {
 	s, _ := Log(14)
 	st := s.TradeoffStrategy()

@@ -102,7 +102,8 @@ func (st *Strategy) AvgQuorumSize() float64 {
 	return avg
 }
 
-// Pick samples a quorum of the fully-live wall according to the strategy.
+// Pick samples a quorum of the fully-live wall according to the strategy:
+// it draws the base row, then Gate.Pick draws that row's representatives.
 func (st *Strategy) Pick(rng *rand.Rand) bitset.Set {
 	s := st.sys
 	u := rng.Float64()
@@ -114,9 +115,8 @@ func (st *Strategy) Pick(rng *rand.Rand) bitset.Set {
 		}
 		u -= w
 	}
-	out, err := s.assemble(rng, bitset.Universe(s.n), base)
-	if err != nil {
-		panic("cwlog: assemble failed on fully-live wall")
-	}
+	s.gate() // compiles s.alts
+	out := bitset.New(s.n)
+	s.alts[base].Pick(rng, bitset.Universe(s.n), out)
 	return out
 }

@@ -575,13 +575,16 @@ func (n *Node) enterCS(env cluster.Env) {
 	env.After(n.cfg.Workload.Hold, tokenHold{ID: n.req.id})
 }
 
+// exitCS leaves the critical section. OnRelease runs before the RELEASEs
+// go out: on a real transport the next holder's OnAcquire may run on
+// another goroutine as soon as the last RELEASE is sent.
 func (n *Node) exitCS(env cluster.Env) {
-	n.req.quorum.ForEach(func(member int) {
-		env.Send(cluster.NodeID(member), msgRelease{ID: n.req.id})
-	})
 	if n.cfg.OnRelease != nil {
 		n.cfg.OnRelease(n.id, env.Now())
 	}
+	n.req.quorum.ForEach(func(member int) {
+		env.Send(cluster.NodeID(member), msgRelease{ID: n.req.id})
+	})
 	n.req.inCS = false
 	n.req.active = false
 	n.req.remaining--

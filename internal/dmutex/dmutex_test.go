@@ -3,6 +3,7 @@ package dmutex
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -512,5 +513,49 @@ func TestAcquireDeadlineFailsTyped(t *testing.T) {
 	}
 	if took := failAt[0]; took > deadline+10*time.Millisecond {
 		t.Fatalf("first failure at %v, deadline %v", took, deadline)
+	}
+}
+
+// recordEnv is a cluster.Env that runs nothing: it logs every send and
+// timer in call order, beside the events the node's callbacks append.
+type recordEnv struct {
+	id  cluster.NodeID
+	rng *rand.Rand
+	log []string
+}
+
+func (e *recordEnv) ID() cluster.NodeID       { return e.id }
+func (e *recordEnv) Now() time.Duration       { return 0 }
+func (e *recordEnv) Rand() *rand.Rand         { return e.rng }
+func (e *recordEnv) After(time.Duration, any) {}
+func (e *recordEnv) Send(to cluster.NodeID, msg any) {
+	e.log = append(e.log, fmt.Sprintf("send %T to %d", msg, to))
+}
+
+// TestReleaseObservedBeforeReleasesSent: a holder reports leaving the
+// critical section before any RELEASE leaves it. Over a real transport the
+// last RELEASE can let the next holder's OnAcquire run on another goroutine
+// at once, so a report after the sends could come second.
+func TestReleaseObservedBeforeReleasesSent(t *testing.T) {
+	env := &recordEnv{id: 0, rng: rand.New(rand.NewSource(1))}
+	n, err := NewNode(0, Config{
+		System:    majority.New(3),
+		Workload:  Workload{Count: 1, Hold: time.Millisecond},
+		OnRelease: func(cluster.NodeID, time.Duration) { env.log = append(env.log, "OnRelease") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Timer(env, tokenStart{})
+	n.req.quorum.ForEach(func(member int) {
+		n.Deliver(env, cluster.NodeID(member), msgGrant{ID: n.req.id})
+	})
+	if !n.req.inCS {
+		t.Fatal("node did not enter the critical section on its grants")
+	}
+	env.log = env.log[:0]
+	n.Timer(env, tokenHold{ID: n.req.id})
+	if len(env.log) != 1+n.req.quorum.Count() || env.log[0] != "OnRelease" {
+		t.Fatalf("leaving the critical section did %q, want OnRelease before every RELEASE", env.log)
 	}
 }

@@ -18,9 +18,11 @@
 // exactly the k-coterie safety argument.
 //
 // The k-majority states its quorums as one quorum.Gate, which its
-// Available evaluates and the analyzer's availability circuit is lowered
-// from. A partition takes any sub-coteries and answers availability slice
-// by slice through their own Available.
+// Available evaluates, its Pick draws from (Gate.Pick) and the analyzer's
+// availability circuit is lowered from. A partition takes any
+// sub-coteries and is their quorum.Composite under the "one of k"
+// coterie, so availability and picks go slice by slice through the
+// sub-coteries' own Available and Pick.
 package kcoterie
 
 import (
@@ -102,16 +104,12 @@ func (s *KMajority) AvailableK(live bitset.Set, j int) bool {
 	return live.Count() >= j*s.q
 }
 
-// Pick implements quorum.System.
+// Pick implements quorum.System: Gate.Pick draws q live processes
+// uniformly.
 func (s *KMajority) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	alive := live.Indices()
-	if len(alive) < s.q {
-		return bitset.Set{}, quorum.ErrNoQuorum
-	}
-	rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
 	out := bitset.New(s.n)
-	for _, id := range alive[:s.q] {
-		out.Add(id)
+	if !s.avail.Gate(s.n, s.compile).Pick(rng, live, out) {
+		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil
 }
@@ -125,11 +123,13 @@ func (s *KMajority) MaxQuorumSize() int { return s.q }
 // Partitioned is the partition k-coterie: k ordinary coteries over
 // disjoint process slices, with every sub-coterie quorum a quorum of the
 // whole. Any k+1 quorums include two from the same slice (pigeonhole),
-// which intersect; one quorum per slice gives k disjoint ones.
+// which intersect; one quorum per slice gives k disjoint ones. It is the
+// composition of the "one of k" coterie with the sub-coteries, and answers
+// availability and picks through that quorum.Composite. It is no
+// quorum.Enumerator: its quorums do not pairwise intersect.
 type Partitioned struct {
-	subs    []quorum.System
-	offsets []int
-	n       int
+	comp *quorum.Composite
+	subs []quorum.System
 }
 
 // NewPartitioned builds the partition k-coterie from k ≥ 1 sub-coteries.
@@ -137,97 +137,48 @@ func NewPartitioned(subs ...quorum.System) (*Partitioned, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("kcoterie: no sub-coteries")
 	}
-	p := &Partitioned{subs: subs, offsets: make([]int, len(subs))}
-	for i, sub := range subs {
-		if sub == nil {
-			return nil, fmt.Errorf("kcoterie: nil sub-coterie %d", i)
-		}
-		p.offsets[i] = p.n
-		p.n += sub.Universe()
+	oneOf := make([]bitset.Set, len(subs))
+	for i := range oneOf {
+		oneOf[i] = bitset.FromIndices(len(subs), i)
 	}
-	return p, nil
+	comp, err := quorum.NewComposite(quorum.NewCoterie("one-of", len(subs), oneOf), subs)
+	if err != nil { // a nil sub-coterie
+		return nil, err
+	}
+	return &Partitioned{comp: comp, subs: subs}, nil
 }
 
 // Name implements quorum.System.
 func (p *Partitioned) Name() string {
-	return fmt.Sprintf("partitioned-%d-coterie(%d)", len(p.subs), p.n)
+	return fmt.Sprintf("partitioned-%d-coterie(%d)", len(p.subs), p.Universe())
 }
 
 // Universe implements quorum.System.
-func (p *Partitioned) Universe() int { return p.n }
+func (p *Partitioned) Universe() int { return p.comp.Universe() }
 
 // K returns the concurrency level (the number of partitions).
 func (p *Partitioned) K() int { return len(p.subs) }
 
-// slice extracts sub-coterie i's live view.
-func (p *Partitioned) slice(live bitset.Set, i int) bitset.Set {
-	sub := bitset.New(p.subs[i].Universe())
-	for j := 0; j < p.subs[i].Universe(); j++ {
-		if live.Contains(p.offsets[i] + j) {
-			sub.Add(j)
-		}
-	}
-	return sub
-}
-
 // Available implements quorum.System (some slice has a quorum).
-func (p *Partitioned) Available(live bitset.Set) bool { return p.AvailableK(live, 1) }
+func (p *Partitioned) Available(live bitset.Set) bool { return p.comp.Available(live) }
 
 // AvailableK reports whether j pairwise disjoint quorums exist in live
 // (at least j slices individually available).
 func (p *Partitioned) AvailableK(live bitset.Set, j int) bool {
-	return len(p.availableSlices(live)) >= j
-}
-
-// availableSlices lists the slices whose sub-coterie has a quorum in live.
-func (p *Partitioned) availableSlices(live bitset.Set) []int {
-	var out []int
-	for i := range p.subs {
-		if p.subs[i].Available(p.slice(live, i)) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return p.comp.AvailableElements(live).Count() >= j
 }
 
 // Pick implements quorum.System: a quorum from a uniformly random
 // available slice.
 func (p *Partitioned) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	candidates := p.availableSlices(live)
-	if len(candidates) == 0 {
-		return bitset.Set{}, quorum.ErrNoQuorum
-	}
-	i := candidates[rng.Intn(len(candidates))]
-	subQ, err := p.subs[i].Pick(rng, p.slice(live, i))
-	if err != nil {
-		return bitset.Set{}, err
-	}
-	out := bitset.New(p.n)
-	subQ.ForEach(func(j int) { out.Add(p.offsets[i] + j) })
-	return out, nil
+	return p.comp.Pick(rng, live)
 }
 
 // MinQuorumSize implements quorum.System.
-func (p *Partitioned) MinQuorumSize() int {
-	min := p.subs[0].MinQuorumSize()
-	for _, sub := range p.subs[1:] {
-		if m := sub.MinQuorumSize(); m < min {
-			min = m
-		}
-	}
-	return min
-}
+func (p *Partitioned) MinQuorumSize() int { return p.comp.MinQuorumSize() }
 
 // MaxQuorumSize implements quorum.System.
-func (p *Partitioned) MaxQuorumSize() int {
-	max := 0
-	for _, sub := range p.subs {
-		if m := sub.MaxQuorumSize(); m > max {
-			max = m
-		}
-	}
-	return max
-}
+func (p *Partitioned) MaxQuorumSize() int { return p.comp.MaxQuorumSize() }
 
 // CacheKey implements analysis.CacheKeyer: the concatenation of the
 // sub-coterie keys in slice order, or "" (uncacheable) when any sub-coterie

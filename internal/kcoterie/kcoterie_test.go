@@ -65,6 +65,28 @@ func TestKMajorityIsOrdinaryCoterieForK1(t *testing.T) {
 	}
 }
 
+// TestKMajorityGatePicks: Pick is Gate.Pick on the threshold formula, so
+// its picks must be exactly the listed quorums, every q-subset.
+func TestKMajorityGatePicks(t *testing.T) {
+	s, err := NewKMajority(7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := s.avail.Gate(s.n, s.compile)
+	if err := quorum.CheckPick(g, s.n, rand.New(rand.NewSource(8)), 500); err != nil {
+		t.Fatal(err)
+	}
+	listed := g.Quorums(s.n)
+	for _, q := range listed {
+		if q.Count() != s.q {
+			t.Fatalf("listed quorum %v has %d processes, want %d", q, q.Count(), s.q)
+		}
+	}
+	if len(listed) != 35 { // C(7, 3)
+		t.Fatalf("gate lists %d quorums, want 35", len(listed))
+	}
+}
+
 func TestPartitioned(t *testing.T) {
 	p, err := NewPartitioned(htriang.New(3), htriang.New(3))
 	if err != nil {

@@ -12,16 +12,14 @@ package majority
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
-	"strings"
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
 
-// System is a weighted-voting quorum system.
+// System is a voting quorum system: one vote per node, or two for node 0
+// of the tie-break variant.
 type System struct {
 	name      string
 	weights   []int
@@ -79,88 +77,6 @@ func NewTieBreak(n int) *System {
 	}
 }
 
-// NewWeighted returns a voting system with arbitrary positive weights.
-// threshold must exceed half the total votes so that quorums intersect.
-func NewWeighted(weights []int, threshold int) (*System, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("majority: empty weight vector")
-	}
-	total := 0
-	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("majority: weight[%d] = %d must be positive", i, w)
-		}
-		total += w
-	}
-	if 2*threshold <= total {
-		return nil, fmt.Errorf("majority: threshold %d does not exceed half of total votes %d", threshold, total)
-	}
-	if threshold > total {
-		return nil, fmt.Errorf("majority: threshold %d exceeds total votes %d", threshold, total)
-	}
-	s := &System{
-		name:      fmt.Sprintf("voting(%d,t=%d)", len(weights), threshold),
-		weights:   append([]int(nil), weights...),
-		threshold: threshold,
-	}
-	s.minSize, s.maxSize = s.sizeBounds()
-	return s, nil
-}
-
-// sizeBounds computes the smallest and largest minimal-quorum cardinality.
-// Exact for n ≤ 22 (by minimal-quorum enumeration); otherwise it uses the
-// descending-weights greedy for the minimum and the ascending-weights greedy
-// with redundancy pruning for the maximum.
-func (s *System) sizeBounds() (min, max int) {
-	n := len(s.weights)
-	if n <= 22 {
-		min, max = n+1, 0
-		s.EnumerateQuorums(func(q bitset.Set) bool {
-			c := q.Count()
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-			return true
-		})
-		return min, max
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.weights[idx[a]] > s.weights[idx[b]] })
-	sum := 0
-	for i, id := range idx {
-		sum += s.weights[id]
-		if sum >= s.threshold {
-			min = i + 1
-			break
-		}
-	}
-	sum = 0
-	taken := make([]int, 0, n)
-	for i := n - 1; i >= 0; i-- {
-		taken = append(taken, idx[i])
-		sum += s.weights[idx[i]]
-		if sum >= s.threshold {
-			break
-		}
-	}
-	// Prune redundant members (ascending greedy can overshoot).
-	for i := 0; i < len(taken); {
-		if sum-s.weights[taken[i]] >= s.threshold {
-			sum -= s.weights[taken[i]]
-			taken = append(taken[:i], taken[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	return min, len(taken)
-}
-
 // Name implements quorum.System.
 func (s *System) Name() string { return s.name }
 
@@ -178,61 +94,35 @@ func (s *System) AvailabilityCircuit() *analysis.Circuit {
 	return s.avail.Circuit(len(s.weights), s.compile)
 }
 
-// compile states the quorums as one formula: at least threshold of the
-// votes, each process a leaf repeated once per vote (Eval and the
-// circuit's threshold unroll count repeated kids). It serves availability
-// only; nothing prices it with Cheapest.
+// compile states the quorums as one formula over distinct leaves: any
+// threshold processes, or for the tie-break variant node 0 with n/2−1 of
+// the rest or n/2+1 of the rest.
 func (s *System) compile() *quorum.Gate {
-	var votes []*quorum.Gate
-	for id, w := range s.weights {
-		for range w {
-			votes = append(votes, quorum.Leaf(id))
-		}
+	n := len(s.weights)
+	leaves := make([]*quorum.Gate, n)
+	for id := range leaves {
+		leaves[id] = quorum.Leaf(id)
 	}
-	return quorum.Of(s.threshold, votes...)
+	if s.weights[0] == 1 {
+		return quorum.Of(s.threshold, leaves...)
+	}
+	rest := leaves[1:]
+	return quorum.Any(quorum.All(leaves[0], quorum.Of(n/2-1, rest...)), quorum.Of(n/2+1, rest...))
 }
 
-// CacheKey implements analysis.CacheKeyer.
-func (s *System) CacheKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "vote:n%d:t%d:", len(s.weights), s.threshold)
-	if slices.Max(s.weights) == 1 { // one vote each (weights are positive)
-		b.WriteString("u")
-	} else {
-		for i, w := range s.weights {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", w)
-		}
-	}
-	return b.String()
-}
+// CacheKey implements analysis.CacheKeyer: the name determines the
+// system (n one-vote nodes, or the tie-break variant over n).
+func (s *System) CacheKey() string { return "vote:" + s.name }
 
-// Pick returns a minimal quorum drawn from live: nodes are sampled in random
-// order until the threshold is reached, then redundant members are pruned.
+// Pick returns a minimal quorum drawn from live by Gate.Pick: threshold
+// live processes chosen uniformly, or for the tie-break variant one of
+// its two ways to reach the vote threshold, then the processes.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	if !s.Available(live) {
+	out := bitset.New(len(s.weights))
+	if !s.avail.Gate(len(s.weights), s.compile).Pick(rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
-	order := live.Indices()
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	q := bitset.New(len(s.weights))
-	votes := 0
-	for _, i := range order {
-		q.Add(i)
-		votes += s.weights[i]
-		if votes >= s.threshold {
-			break
-		}
-	}
-	for _, i := range order {
-		if q.Contains(i) && votes-s.weights[i] >= s.threshold {
-			q.Remove(i)
-			votes -= s.weights[i]
-		}
-	}
-	return q, nil
+	return out, nil
 }
 
 // MinQuorumSize implements quorum.System.

@@ -82,6 +82,59 @@ func TestPickConsistency(t *testing.T) {
 	}
 }
 
+// TestGatePicks: Pick is Gate.Pick on the compiled formula, so the gate's
+// picks must be exactly its listed quorums — which must be the enumerated
+// minimal quorums, the reference the vote weights define.
+func TestGatePicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sys := range []*System{New(5), New(7), NewTieBreak(6), NewTieBreak(8)} {
+		n := sys.Universe()
+		g := sys.avail.Gate(n, sys.compile)
+		if err := quorum.CheckPick(g, n, rng, 500); err != nil {
+			t.Errorf("%s: %v", sys.Name(), err)
+		}
+		want := make(map[string]bool)
+		sys.EnumerateQuorums(func(q bitset.Set) bool { want[q.String()] = true; return true })
+		listed := g.Quorums(n)
+		for _, q := range listed {
+			if !want[q.String()] {
+				t.Errorf("%s: gate lists %v, which is no minimal quorum", sys.Name(), q)
+			}
+		}
+		if len(listed) != len(want) {
+			t.Errorf("%s: gate lists %d quorums, enumeration %d", sys.Name(), len(listed), len(want))
+		}
+	}
+}
+
+// TestTieBreakPickSplitsEvenly: on a fully live tie-break system the gate
+// takes each of its two ways to the threshold half the time, so node 0 is
+// in half the picks (the old shuffle-and-prune put it in (n/2+1)/n).
+func TestTieBreakPickSplitsEvenly(t *testing.T) {
+	const draws = 20000
+	sys := NewTieBreak(28)
+	rng := rand.New(rand.NewSource(9))
+	live := bitset.Universe(28)
+	with := 0
+	for i := 0; i < draws; i++ {
+		q, err := sys.Pick(rng, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Contains(0) {
+			with++
+			if q.Count() != 14 {
+				t.Fatalf("quorum with node 0 has %d nodes, want 14", q.Count())
+			}
+		} else if q.Count() != 15 {
+			t.Fatalf("quorum without node 0 has %d nodes, want 15", q.Count())
+		}
+	}
+	if got := float64(with) / draws; math.Abs(got-0.5) > 0.015 {
+		t.Fatalf("node 0 in %.4f of the picks, want 0.5", got)
+	}
+}
+
 func TestPickMinimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New(11)
@@ -157,28 +210,6 @@ func TestPaperTable2Table3Majority(t *testing.T) {
 	}
 }
 
-func TestWeightedValidation(t *testing.T) {
-	if _, err := NewWeighted(nil, 1); err == nil {
-		t.Error("empty weights accepted")
-	}
-	if _, err := NewWeighted([]int{1, 0, 1}, 2); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if _, err := NewWeighted([]int{1, 1, 1, 1}, 2); err == nil {
-		t.Error("non-majority threshold accepted")
-	}
-	if _, err := NewWeighted([]int{1, 1, 1}, 4); err == nil {
-		t.Error("threshold above total accepted")
-	}
-	s, err := NewWeighted([]int{3, 1, 1, 1, 1}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := quorum.CheckPairwiseIntersection(s); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSelfDualityAtHalf(t *testing.T) {
 	// Odd-total-vote systems are self-dual: F(0.5) = 0.5 exactly.
 	for _, sys := range []*System{New(7), New(15), NewTieBreak(8)} {
@@ -190,13 +221,9 @@ func TestSelfDualityAtHalf(t *testing.T) {
 }
 
 // TestFailureProbabilityDP cross-checks the vote-count DP against
-// enumeration, including weighted systems.
+// enumeration.
 func TestFailureProbabilityDP(t *testing.T) {
-	weighted, err := NewWeighted([]int{3, 2, 1, 1, 1, 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sys := range []*System{New(9), NewTieBreak(8), weighted} {
+	for _, sys := range []*System{New(9), NewTieBreak(8), NewTieBreak(2)} {
 		counts := analysis.TransversalCounts(sys)
 		for _, p := range []float64{0.1, 0.3, 0.5, 0.8} {
 			want := analysis.Failure(counts, p)

@@ -64,9 +64,9 @@ func (c *Composite) slice(live bitset.Set, i int) bitset.Set {
 	return sub
 }
 
-// availableElements returns the base-level live set: element i is live
-// when its sub-system is available.
-func (c *Composite) availableElements(live bitset.Set) bitset.Set {
+// AvailableElements returns the base-level live set: element i is live
+// when its sub-system is available on its slice of live.
+func (c *Composite) AvailableElements(live bitset.Set) bitset.Set {
 	elems := bitset.New(c.base.Universe())
 	for i := range c.subs {
 		if c.subs[i].Available(c.slice(live, i)) {
@@ -78,12 +78,12 @@ func (c *Composite) availableElements(live bitset.Set) bitset.Set {
 
 // Available implements System.
 func (c *Composite) Available(live bitset.Set) bool {
-	return c.base.Available(c.availableElements(live))
+	return c.base.Available(c.AvailableElements(live))
 }
 
 // Pick implements System.
 func (c *Composite) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	baseQ, err := c.base.Pick(rng, c.availableElements(live))
+	baseQ, err := c.base.Pick(rng, c.AvailableElements(live))
 	if err != nil {
 		return bitset.Set{}, err
 	}

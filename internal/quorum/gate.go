@@ -17,15 +17,17 @@ import (
 // disjunction (need = 1) and vote thresholds are the same node, so every
 // construction of this repository but the two graph systems — row-covers,
 // full-lines, the h-T-grid's line plus cover, the h-triang's three
-// methods, (hierarchical and weighted) majorities, HQS, the crumbling wall
-// — compiles to one tree: one evaluator prices them all, one walk (Pick)
-// draws their random quorums, and one lowering (Circuit) gives the
-// availability sweeps their 64-live-sets-at-once program.
+// methods, majorities (plain, tie-break, k-majority and hierarchical),
+// HQS, the crumbling wall, M-Grid — compiles to one tree: one evaluator
+// prices them all, one walk (Pick) draws their random quorums, and one
+// lowering (Circuit) gives the availability sweeps their
+// 64-live-sets-at-once program.
 //
 // Cheapest is exact when the kids of every gate with need > 1 range over
 // disjoint processes (a member is then never paid for twice); every
-// compiler in this repository keeps that rule. Alternatives under a
-// disjunction may overlap freely.
+// compiler in this repository keeps that rule but M-Grid's, whose rows
+// and columns share servers — nothing prices M-Grid, only Eval and Pick
+// run on it. Alternatives under a disjunction may overlap freely.
 type Gate struct {
 	id   int // process ID of a leaf, -1 for a gate
 	need int

@@ -47,6 +47,14 @@ if grep -rlE 'func \([^)]*\) AvailableWord\(' --include='*.go' --exclude='*_test
 # trees, triangles and thresholds must not grow back.
 if grep -rnE 'func (\([^)]*\) )?(PickRowCover|PickFullLine|PickPartialRowCover[A-Za-z]*|pickThreshold|pickHMaj|hmajPick)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
 if grep -rn 'func pick(' --include='*.go' --exclude='*_test.go' internal/hqs internal/htriang; then exit 1; fi
+# So do the baselines' (majority, CWlog, the k-majority, M-Grid): no
+# shuffle-and-prune, feasible-row scan or shuffled threshold draw grows back
+# there, nor the weighted-voting constructor that made the vote gate repeat
+# leaves. The partition k-coterie and the Byzantine clustering are
+# quorum.Composite: no slice, live-cluster or available-slice walk of their
+# own.
+if grep -rnE 'func (\([^)]*\) )?(NewWeighted|sizeBounds|rowState|assemble|liveClusters|availableSlices|slice)\(' --include='*.go' --exclude='*_test.go' internal/majority internal/cwlog internal/kcoterie internal/bqs; then exit 1; fi
+if grep -rn 'Shuffle(' --include='*.go' --exclude='*_test.go' internal/majority internal/cwlog internal/kcoterie; then exit 1; fi
 # The transversal-count cache is in-process only: its disk layer and the
 # paper-tables flag that turned it on must not grow back. (The brackets
 # keep this line from matching itself.)
