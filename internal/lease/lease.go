@@ -115,8 +115,9 @@ func (c Config) Quarantine() time.Duration { return c.TTL + Slack(c.TTL) }
 // from their own receive/send instant.
 func Slack(ttl time.Duration) time.Duration { return ttl / 8 }
 
-// ShardOf maps a key to its lease shard (FNV-1a, the same family the
-// store's data shards use, but independently parameterized).
+// ShardOf maps a key to its lease shard by FNV-1a. Holder and members
+// must agree on the mapping, so it is unseeded; the replica store's data
+// shards use a seeded hash of their own, and the two are unrelated.
 func ShardOf(key string, nshards int) int {
 	const (
 		offset64 = 14695981039346656037

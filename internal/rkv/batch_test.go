@@ -163,15 +163,29 @@ func TestBatchFailureReportsEverySubOp(t *testing.T) {
 
 // TestShardedMapConcurrency: concurrent applies and gets across goroutines
 // must be race-free (run under -race) and converge to the per-key maximum
-// version regardless of interleaving.
+// version regardless of interleaving — while the shards' tables grow
+// several times over and a dumper walks them.
 func TestShardedMapConcurrency(t *testing.T) {
 	const (
 		workers = 8
-		keys    = 32
-		rounds  = 200
+		keys    = 1024
+		rounds  = 1000
 	)
 	s := newShardedMap(4)
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	dumped := make(chan struct{})
+	go func() {
+		defer close(dumped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.dump()
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -186,8 +200,15 @@ func TestShardedMapConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-dumped
 	if got := s.lenKeys(); got > keys {
 		t.Fatalf("map holds %d keys, want ≤ %d", got, keys)
+	}
+	for i := range s.shards {
+		if n := len(s.shards[i].slots); n < 16*minSlots {
+			t.Fatalf("shard %d ended with %d slots: the workers never grew it past %d", i, n, 16*minSlots)
+		}
 	}
 	// Every surviving entry's value matches its version: merges were atomic.
 	for i := 0; i < keys; i++ {

@@ -176,19 +176,17 @@ func (n *Node) commitDurable() bool {
 }
 
 // dumpStore streams the whole store as WAL put records — the checkpoint
-// source — one map shard at a time under that shard's lock.
+// source — one store shard at a time under that shard's lock.
 func (n *Node) dumpStore(emit func(wal.Record)) {
 	for i := 0; i < n.store.count(); i++ {
-		n.store.withShard(i, func(m map[string]entry) {
-			for k, e := range m {
-				emit(wal.Record{
-					Kind:    wal.KindPut,
-					Key:     k,
-					Counter: e.ver.Counter,
-					Writer:  uint64(e.ver.Writer),
-					Value:   e.val,
-				})
-			}
+		n.store.eachInShard(i, func(key string, ver Version, val string) {
+			emit(wal.Record{
+				Kind:    wal.KindPut,
+				Key:     key,
+				Counter: ver.Counter,
+				Writer:  uint64(ver.Writer),
+				Value:   val,
+			})
 		})
 	}
 }

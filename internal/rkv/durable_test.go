@@ -98,22 +98,29 @@ func TestDiskCrashRecovery(t *testing.T) {
 }
 
 // TestDiskGroupCommitPerBatch: with Batch=8 an eight-op round reaches a
-// replica as one msgWriteBatch whose keys spread over the 16 map shards,
+// replica as one msgWriteBatch whose keys spread over the 16 store shards,
 // and must cost one commit round with one fsync — FileSyncs == SyncRounds
 // whatever the shard spread, the end-to-end form of the WAL-level
-// group-commit guarantee.
+// group-commit guarantee. Each store seeds its own hash, so the keys are
+// chosen against the two replicas' stores to span at least 4 shards on
+// each.
 func TestDiskGroupCommitPerBatch(t *testing.T) {
+	h := newDiskHarness(t, 12, Config{Batch: 8, OpGap: -1}, nil)
+	// Until both replicas see 4 shards, take only keys that reach a new
+	// shard on one of them: the first key counts on both, so at most 7
+	// keys get there.
+	seen1, seen2 := map[int]bool{}, map[int]bool{}
 	var ops []Op
-	shards := map[uint64]bool{}
-	for i := 0; i < 8; i++ {
+	for i := 0; len(ops) < 8; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		shards[hashKey(key)&(DefaultShards-1)] = true
+		a, _ := h.nodes[1].store.locate(key)
+		b, _ := h.nodes[2].store.locate(key)
+		if (len(seen1) < 4 || len(seen2) < 4) && seen1[a] && seen2[b] {
+			continue
+		}
+		seen1[a], seen2[b] = true, true
 		ops = append(ops, Op{Kind: OpBlindWrite, Key: key, Value: "v"})
 	}
-	if len(shards) < 4 {
-		t.Fatalf("test keys cover only %d map shards", len(shards))
-	}
-	h := newDiskHarness(t, 12, Config{Batch: 8, OpGap: -1}, nil)
 	for _, op := range ops { // queued together: one batch
 		h.nodes[0].Submit(op, func(r Result) { h.results = append(h.results, r) })
 	}

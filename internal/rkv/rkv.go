@@ -23,11 +23,14 @@
 // pipelined op table: a node runs up to Config.Window batches concurrently,
 // each batch carrying up to Config.Batch operations.
 //
-// Replica-side state is a sharded map (Config.Shards shards, per-shard
-// mutex, versioned entries): replica processing takes no global lock, so
-// the live transport delivers replica messages straight from its socket
-// reader goroutines (FastDeliver) and keys on different shards proceed in
-// parallel across connections.
+// Replica-side state is a sharded store (Config.Shards shards, each a
+// mutex over one flat table of versioned slots, keys placed by a hash
+// seeded per store): replica processing takes no global lock, so the live
+// transport delivers replica messages straight from its socket reader
+// goroutines (FastDeliver) and keys on different shards proceed in
+// parallel across connections. A phase-1 frame flags which of its keys
+// are reads; replicas answer values for those alone, and versions for
+// all.
 //
 // Crashed replicas are tolerated with client-side timeouts and re-picked
 // quorums: the retry, suspicion and backoff engine is package attempt,
@@ -79,14 +82,19 @@ func (v Version) Less(o Version) bool {
 // match; see Node.gate and package epoch.
 type (
 	// msgReadBatch asks for the versions of many keys at once (phase 1 of
-	// a round).
+	// a round). Want packs one flag per key, in Keys order (bit i&7 of
+	// byte i>>3): set asks for the key's value as well, clear for its
+	// version only — a write's phase 1 needs the version it will outbid,
+	// not the value it will overwrite.
 	msgReadBatch struct {
 		Epoch uint64
 		Seq   uint64
 		Keys  []string
+		Want  string
 	}
 	// msgReadBatchReply answers a msgReadBatch; Vers/Vals are parallel to
-	// the request's Keys. Unsynced (disk backend only) says the replica's
+	// the request's Keys, with "" for every value the request's Want did
+	// not ask for. Unsynced (disk backend only) says the replica's
 	// log held records no commit round had covered yet when it answered: a
 	// reported version may be one a restart loses, so the reply is a
 	// reading, not the promise a write ack is.
@@ -358,6 +366,7 @@ type opState struct {
 
 	p1Subs []int    // indices into subs, parallel to p1Keys
 	p1Keys []string // phase-1 wire keys (immutable once built)
+	p1Want string   // phase-1 want-value flags: the reads among p1Keys
 	p2Keys []string // phase-2 wire payload (immutable once built)
 	p2Vers []Version
 	p2Vals []string
@@ -693,7 +702,11 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 			vals := make([]string, len(m.Keys))
 			rec.Begin(optrace.StageLock)
 			for i, k := range m.Keys {
-				vers[i], vals[i] = n.store.get(k)
+				var val string
+				vers[i], val = n.store.get(k)
+				if wantsValue(m.Want, i) {
+					vals[i] = val
+				}
 			}
 			rec.End(optrace.StageLock)
 			// After the gets: an entry is appended to the log under the map
@@ -900,7 +913,7 @@ func (n *Node) putOp(op *opState) {
 	op.p1Subs = op.p1Subs[:0]
 	// Sent frames alias the wire slices and may outlive the op: drop them,
 	// never recycle the backing arrays.
-	op.p1Keys = nil
+	op.p1Keys, op.p1Want = nil, ""
 	op.p2Keys, op.p2Vers, op.p2Vals = nil, nil, nil
 	// Fold the round's trace here — putOp is the one retirement point
 	// every completion path (finish, fail, crash-restart) funnels through.
@@ -938,9 +951,18 @@ func (n *Node) launchBatch(env cluster.Env) {
 		}
 	}
 	if len(op.p1Subs) > 0 {
-		for _, i := range op.p1Subs {
+		var want [8]byte // a batch of up to 64 keys packs its flags without allocating
+		flags := want[:0]
+		for j, i := range op.p1Subs {
 			op.p1Keys = append(op.p1Keys, op.subs[i].key)
+			if j&7 == 0 {
+				flags = append(flags, 0)
+			}
+			if op.subs[i].kind == OpRead {
+				flags[j>>3] |= 1 << (j & 7)
+			}
 		}
+		op.p1Want = string(flags)
 		n.startReadPhase(env, op)
 		return
 	}
@@ -1016,7 +1038,7 @@ func (n *Node) startReadPhase(env cluster.Env, op *opState) {
 	for _, i := range op.p1Subs {
 		op.subs[i].lowVer = maxVersion
 	}
-	var msg any = msgReadBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p1Keys}
+	var msg any = msgReadBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p1Keys, Want: op.p1Want}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	n.armAttempt(env, op, op.tries.Timeout(env.Rand(), env.Now()))
 }

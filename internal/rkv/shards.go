@@ -1,6 +1,8 @@
 package rkv
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -8,12 +10,20 @@ import (
 // DefaultShards is the replica store's default shard count.
 const DefaultShards = 16
 
-// entry is one key's replica state: the highest version observed and the
-// value stamped with it.
-type entry struct {
+// slot is one cell of a shard's table: a key's replica state (the highest
+// version observed and the value stamped with it) beside the key's tag.
+// A zero tag marks an empty slot; an empty slot's version and value are
+// zero too, so a lookup that ends on one reads "never written".
+type slot struct {
+	tag uint64
+	key string
 	ver Version
 	val string
 }
+
+// occupied is set in every stored tag, so no key's tag is the empty
+// slot's zero.
+const occupied = 1 << 63
 
 // shardedMap is the replica-side keyed store: keys hash-partition across
 // shards, each shard guarded by its own mutex. The protocol's replica
@@ -22,60 +32,100 @@ type entry struct {
 // transport's fast-path delivery (see FastDeliver) calls in from multiple
 // reader goroutines at once, and no global lock serializes them.
 //
+// Each shard is one flat, linearly probed table of slots, grown at a
+// constant load factor; keys are never deleted, so there are no
+// tombstones. A lookup compares the in-slot tag before the key bytes, so
+// a hit usually costs the shard's slice header and one slot. The hash is
+// hash/maphash under a per-store random seed: a client that picks keys
+// cannot aim them at one shard or one probe chain. The top bits of a
+// key's hash choose its shard, the low bits its home slot.
+//
 // Merges are monotonic (higher Version wins, see Version.Less), so any
 // interleaving of concurrent applies converges to the same state — the
 // store needs mutexes only for memory safety, never for ordering.
 type shardedMap struct {
+	seed   maphash.Seed
+	shift  uint // a key's shard is its hash >> shift
 	shards []mapShard
-	mask   uint64
 }
 
 type mapShard struct {
-	mu sync.Mutex
-	m  map[string]entry
+	mu    sync.Mutex
+	slots []slot // power-of-two length, never full (see maxLoad)
+	used  int    // occupied slots
 }
 
+// Tables start at minSlots and double once more than maxLoad/4 of their
+// slots would be occupied.
+const (
+	minSlots = 8
+	maxLoad  = 3
+)
+
 // newShardedMap builds a store with n shards, rounded up to a power of
-// two (minimum 1) so shard selection is a mask, not a modulo.
+// two (minimum 1) so shard selection is a shift, not a modulo.
 func newShardedMap(n int) *shardedMap {
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	s := &shardedMap{shards: make([]mapShard, size), mask: uint64(size - 1)}
+	s := &shardedMap{
+		seed:   maphash.MakeSeed(),
+		shift:  uint(64 - bits.TrailingZeros(uint(size))),
+		shards: make([]mapShard, size),
+	}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string]entry)
+		s.shards[i].slots = make([]slot, minSlots)
 	}
 	return s
 }
 
-// hashKey is FNV-1a; inlined rather than hash/fnv to keep the per-message
-// path allocation-free.
-func hashKey(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
+// locate returns key's shard index and its slot tag.
+func (s *shardedMap) locate(key string) (int, uint64) {
+	h := maphash.String(s.seed, key)
+	return int(h >> s.shift), h | occupied
 }
 
-func (s *shardedMap) shard(key string) *mapShard {
-	return &s.shards[hashKey(key)&s.mask]
+// find returns the index of key's slot, or of the empty slot where key
+// would go. Caller holds sh.mu.
+func (sh *mapShard) find(tag uint64, key string) int {
+	mask := uint64(len(sh.slots) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		sl := &sh.slots[i]
+		if sl.tag == 0 || sl.tag == tag && sl.key == key {
+			return int(i)
+		}
+	}
+}
+
+// grow doubles the table and re-places every occupied slot by its tag.
+// Caller holds sh.mu.
+func (sh *mapShard) grow() {
+	old := sh.slots
+	sh.slots = make([]slot, 2*len(old))
+	mask := uint64(len(sh.slots) - 1)
+	for i := range old {
+		if old[i].tag == 0 {
+			continue
+		}
+		j := old[i].tag & mask
+		for sh.slots[j].tag != 0 {
+			j = (j + 1) & mask
+		}
+		sh.slots[j] = old[i]
+	}
 }
 
 // get returns the key's current version and value (zero Version and ""
 // for a key never written).
 func (s *shardedMap) get(key string) (Version, string) {
-	sh := s.shard(key)
+	i, tag := s.locate(key)
+	sh := &s.shards[i]
 	sh.mu.Lock()
-	e := sh.m[key]
+	sl := &sh.slots[sh.find(tag, key)]
+	ver, val := sl.ver, sl.val
 	sh.mu.Unlock()
-	return e.ver, e.val
+	return ver, val
 }
 
 // apply merges a versioned write: the value is installed iff ver is newer
@@ -92,28 +142,42 @@ func (s *shardedMap) apply(key string, ver Version, val string) bool {
 // a value whose record was not yet in the log. Entries the merge
 // rejects (not newer) log nothing: whoever installed them already did.
 func (s *shardedMap) applyLogged(key string, ver Version, val string, logfn func()) bool {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	e, ok := sh.m[key]
-	if !ok || e.ver.Less(ver) {
-		sh.m[key] = entry{ver: ver, val: val}
-		if logfn != nil {
-			logfn()
-		}
-		sh.mu.Unlock()
-		return true
-	}
-	sh.mu.Unlock()
-	return false
-}
-
-// withShard runs fn over one shard's map while holding its lock — the
-// disk backend's checkpoint dump, which must read each shard under the
-// same lock its appends take.
-func (s *shardedMap) withShard(i int, fn func(m map[string]entry)) {
+	i, tag := s.locate(key)
 	sh := &s.shards[i]
 	sh.mu.Lock()
-	fn(sh.m)
+	sl := &sh.slots[sh.find(tag, key)]
+	switch {
+	case sl.tag == 0:
+		if (sh.used+1)*4 > len(sh.slots)*maxLoad {
+			sh.grow()
+			sl = &sh.slots[sh.find(tag, key)]
+		}
+		sh.used++
+		sl.tag, sl.key = tag, key
+	case !sl.ver.Less(ver):
+		sh.mu.Unlock()
+		return false
+	}
+	sl.ver, sl.val = ver, val
+	if logfn != nil {
+		logfn()
+	}
+	sh.mu.Unlock()
+	return true
+}
+
+// eachInShard runs fn over every entry of shard i while holding its lock
+// — the disk backend's checkpoint dump, which must read each shard under
+// the same lock its appends take. The order is the table's, which the
+// seed scrambles: callers that need an order sort.
+func (s *shardedMap) eachInShard(i int, fn func(key string, ver Version, val string)) {
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	for j := range sh.slots {
+		if sl := &sh.slots[j]; sl.tag != 0 {
+			fn(sl.key, sl.ver, sl.val)
+		}
+	}
 	sh.mu.Unlock()
 }
 
@@ -125,14 +189,11 @@ func (s *shardedMap) count() int { return len(s.shards) }
 // shard is locked only while it is copied.
 func (s *shardedMap) dump() (keys []string, vers []Version, vals []string) {
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.m {
+		s.eachInShard(i, func(k string, ver Version, val string) {
 			keys = append(keys, k)
-			vers = append(vers, e.ver)
-			vals = append(vals, e.val)
-		}
-		sh.mu.Unlock()
+			vers = append(vers, ver)
+			vals = append(vals, val)
+		})
 	}
 	order := make([]int, len(keys))
 	for i := range order {
@@ -155,7 +216,7 @@ func (s *shardedMap) lenKeys() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		total += len(sh.m)
+		total += sh.used
 		sh.mu.Unlock()
 	}
 	return total

@@ -55,10 +55,26 @@ type tokenTune struct{}
 // or via a transport Kick on live deployments.
 func TuneToken() any { return tokenTune{} }
 
-// observeOp feeds one finished client operation to the profiler. The key
-// hash reuses the shard map's FNV-1a.
+// observeOp feeds one finished client operation to the profiler.
 func (n *Node) observeOp(env cluster.Env, op *opState, sub *subOp, err error) {
 	n.profile.Observe(env.Now(), sub.kind == OpRead, env.Now()-op.tries.Start, err != nil, hashKey(sub.key))
+}
+
+// hashKey is FNV-1a, the profiler's key hash. Unlike the store's seeded
+// hash it is the same in every process, so a simulated run's profile —
+// and the tuning decisions drawn from it — replays exactly; inlined
+// rather than hash/fnv to keep the per-op path allocation-free.
+func hashKey(key string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return h
 }
 
 // Workload returns the node's profiler snapshot as of now (the node's

@@ -11,7 +11,8 @@ import (
 // released they never change or get reused. The 0x10 block belongs to rkv
 // (dmutex owns 0x20). The epoch-versioned config refactor revised the
 // 0x13-0x16 bodies in place (a leading epoch varint) and claimed
-// 0x17-0x1e for configuration distribution and reconfiguration.
+// 0x17-0x1e for configuration distribution and reconfiguration; 0x14's
+// body has since gained a trailing want-value bit string (msgReadBatch).
 //
 // Retired, never reused: 0x10, 0x11, 0x12 — the single-key read, version
 // reply and write frames. The classic register is a batch of one on key
@@ -54,7 +55,7 @@ func RegisterBinaryWire(reg *codec.Registry) {
 			for _, k := range m.Keys {
 				b = codec.AppendString(b, k)
 			}
-			return b
+			return codec.AppendString(b, m.Want)
 		},
 		func(data []byte) (any, error) {
 			r := codec.NewReader(data)
@@ -64,6 +65,10 @@ func RegisterBinaryWire(reg *codec.Registry) {
 				for i := range m.Keys {
 					m.Keys[i] = r.String()
 				}
+			}
+			m.Want = r.String()
+			if !wantFits(m.Want, len(m.Keys)) {
+				r.Fail()
 			}
 			return m, r.Err()
 		})
@@ -260,6 +265,21 @@ func batchLen(r *codec.Reader) (int, bool) {
 	return int(n), n > 0
 }
 
+// wantFits reports whether a packed want-value string holds exactly n
+// flags: ceil(n/8) bytes, with the last byte's bits past n clear.
+func wantFits(want string, n int) bool {
+	if len(want) != (n+7)/8 {
+		return false
+	}
+	return n&7 == 0 || want[len(want)-1]>>(n&7) == 0
+}
+
+// wantsValue reports whether flag i of a packed want-value string is set;
+// a flag past the string's end is clear.
+func wantsValue(want string, i int) bool {
+	return i>>3 < len(want) && want[i>>3]>>(i&7)&1 != 0
+}
+
 // WireSamples returns one well-formed instance of every rkv wire message,
 // for seeding fuzz corpora over the real registry (see internal/codec's
 // seed-corpus test).
@@ -269,7 +289,7 @@ func WireSamples() []any {
 	joint := epoch.Config{Epoch: 2, Cur: sampleNew, Old: &sampleOld}
 	return []any{
 		msgWriteAck{Epoch: 1, Seq: 8},
-		msgReadBatch{Epoch: 2, Seq: 9, Keys: []string{"", "k1", "k2"}},
+		msgReadBatch{Epoch: 2, Seq: 9, Keys: []string{"", "k1", "k2"}, Want: "\x05"},
 		msgReadBatchReply{
 			Epoch:    2,
 			Seq:      9,

@@ -3,6 +3,7 @@ package rkv
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,14 +21,15 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 	RegisterBinaryWire(reg) // idempotent
 
 	msgs := []any{
-		msgReadBatch{Seq: 1<<64 - 1, Keys: []string{""}},
+		msgReadBatch{Seq: 1<<64 - 1, Keys: []string{""}, Want: "\x01"},
 		msgReadBatchReply{Seq: 7, Vers: []Version{{Counter: 9, Writer: 15}}, Vals: []string{"hello"}},
 		msgReadBatchReply{Vers: []Version{{}}, Vals: []string{""}}, // all zero
 		msgWriteBatch{Seq: 1, Keys: []string{""}, Vers: []Version{{Counter: 1 << 40, Writer: 3}}, Vals: []string{string(make([]byte, 4096))}},
 		msgWriteBatch{Seq: 2, Keys: []string{""}, Vers: []Version{{Counter: 5}}, Vals: []string{"日本語 value"}},
 		msgWriteAck{Seq: 3},
 		msgWriteAck{Epoch: 1<<64 - 1, Seq: 1<<64 - 1},
-		msgReadBatch{Seq: 4, Keys: []string{"", "k1", "日本語 key"}},
+		msgReadBatch{Seq: 4, Keys: []string{"", "k1", "日本語 key"}, Want: "\x06"},
+		msgReadBatch{Seq: 4, Keys: []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}, Want: "\xff\x01"},
 		msgReadBatch{Seq: 5}, // empty batch round-trips as nil
 		msgReadBatchReply{
 			Seq:      6,
@@ -90,6 +92,119 @@ func TestBatchDecodeRejectsHostileCount(t *testing.T) {
 			t.Fatalf("tag %#x: hostile element count decoded without error", tag)
 		}
 	}
+}
+
+// TestReadBatchWantMustFitKeys: a msgReadBatch's want-value flags are
+// exactly one bit per key — ceil(n/8) bytes, nothing set past bit n — and
+// any other flag string fails to decode.
+func TestReadBatchWantMustFitKeys(t *testing.T) {
+	reg := codec.NewRegistry()
+	RegisterBinaryWire(reg)
+	frame := func(keys int, want string) []byte {
+		var body []byte
+		body = codec.AppendUvarint(body, 1) // from
+		body = codec.AppendUvarint(body, tagReadBatch)
+		body = codec.AppendUvarint(body, 2) // epoch
+		body = codec.AppendUvarint(body, 3) // seq
+		body = codec.AppendUvarint(body, uint64(keys))
+		for i := 0; i < keys; i++ {
+			body = codec.AppendString(body, fmt.Sprintf("k%d", i))
+		}
+		return codec.AppendString(body, want)
+	}
+	for _, c := range []struct {
+		keys int
+		want string
+		ok   bool
+	}{
+		{0, "", true},
+		{3, "\x05", true},
+		{8, "\xff", true},
+		{9, "\xff\x01", true},
+		{0, "\x00", false},     // flags for keys that are not there
+		{3, "", false},         // keys without flags
+		{3, "\x05\x00", false}, // a byte too many
+		{9, "\xff", false},     // a byte too few
+		{3, "\x08", false},     // flag 3 of a 3-key batch
+		{9, "\xff\x02", false}, // flag 9 of a 9-key batch
+	} {
+		_, v, err := codec.DecodeBody(frame(c.keys, c.want), reg)
+		if (err == nil) != c.ok {
+			t.Errorf("%d keys, want %q: decoded %#v, err %v; want ok=%t", c.keys, c.want, v, err, c.ok)
+		}
+	}
+	// A flag string is never optional: the frame a sender without flags
+	// would write is truncated.
+	body := frame(1, "")
+	if _, _, err := codec.DecodeBody(body[:len(body)-1], reg); err == nil {
+		t.Error("a one-key batch with no flag string decoded")
+	}
+}
+
+// TestReadBatchRepliesValuesOnlyForReads: a round of reads and writes
+// asks each phase-1 member for the values of its reads alone; the
+// members answer "" for the writes' keys and every read still returns
+// the value written before it.
+func TestReadBatchRepliesValuesOnlyForReads(t *testing.T) {
+	s, writer, session := oneRoundSim(t, 67, hgrid44All(), true, Config{Window: 1, Batch: 8})
+	keys := []string{"r0", "w1", "r2", "w3"} // s.burst's names for "RWRW"
+	for _, k := range keys {
+		s.do(writer, Op{Kind: OpWrite, Key: k, Value: "old-" + k})
+	}
+	s.do(session, Op{Kind: OpRead, Key: "prime"})
+	var reqs []msgReadBatch
+	var reps []msgReadBatchReply
+	s.park = func(from, to cluster.NodeID, msg any) bool {
+		switch m := msg.(type) {
+		case msgReadBatch:
+			if from == cluster.NodeID(session) {
+				reqs = append(reqs, m)
+			}
+		case msgReadBatchReply:
+			if to == cluster.NodeID(session) {
+				reps = append(reps, m)
+			}
+		}
+		return false
+	}
+	ops := s.burst(session, "RWRW")
+	s.wait(ops...)
+	if len(reqs) == 0 || len(reps) == 0 {
+		t.Fatalf("saw %d phase-1 frames and %d replies", len(reqs), len(reps))
+	}
+	for _, m := range reqs {
+		if got := fmt.Sprint(m.Keys); got != fmt.Sprint(keys) || m.Want != "\x05" {
+			t.Fatalf("phase 1 asked for %v with flags %q, want [r0 w1 r2 w3] with %q", got, m.Want, "\x05")
+		}
+	}
+	// A member that missed a key's write answers its zero version; one
+	// that holds it answers the value too if, and only if, it was asked.
+	held := make([]int, len(keys))
+	for _, m := range reps {
+		for i, ver := range m.Vers {
+			want := ""
+			if ver != (Version{}) {
+				held[i]++
+				if keys[i][0] == 'r' {
+					want = "old-" + keys[i]
+				}
+			}
+			if m.Vals[i] != want {
+				t.Fatalf("a member answered %v %q for %v: want the reads' values and \"\" for the writes'", m.Vers, m.Vals, keys)
+			}
+		}
+	}
+	for i, n := range held {
+		if n == 0 {
+			t.Fatalf("no member answered key %d's version: the test wrote nothing there", i)
+		}
+	}
+	for _, p := range ops {
+		if p.Kind == OpRead && p.Value != "old-"+p.Key {
+			t.Errorf("read of %s returned %q", p.Key, p.Value)
+		}
+	}
+	s.checkHistory()
 }
 
 func BenchmarkWireEncodeWrite(b *testing.B) {

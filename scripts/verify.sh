@@ -73,6 +73,11 @@ if grep -rnE 'tokenOpDue|After\(.*\.tries\.' --include='*.go' internal/rkv; then
 # an O_APPEND segment or an fsync of the active segment would bring the
 # per-round journal commit back.
 if grep -nE 'O_APPEND|seg\.Sync\(\)' internal/wal/wal.go; then exit 1; fi
+# The replica store is one flat table per shard under a per-store seeded
+# hash (shards.go): a Go map of entries or the unseeded FNV-1a hash, which
+# lets a client that picks keys aim them at one shard, must not grow back.
+if grep -rn 'map\[string\]entry' --include='*.go' --exclude='*_test.go' internal/rkv; then exit 1; fi
+if grep -niE 'fnv|14695981039346656037' internal/rkv/shards.go; then exit 1; fi
 go test ./...
 # The facade example submits a write chain, crashes three replicas and
 # panics if the read after the crashes is stale: run it, not just build it.
