@@ -4,10 +4,11 @@ package hquorum
 // itself — measured next to the published values — is regenerated by
 // cmd/paper-tables; these benchmarks time the regeneration and report the
 // headline reproduced numbers as metrics), plus micro-benchmarks of the
-// hot paths: availability predicates, quorum picking and exact
-// enumeration.
+// hot paths: availability predicates, quorum picking and the exact
+// counts.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -21,8 +22,8 @@ import (
 	"hquorum/internal/ysys"
 )
 
-// BenchmarkTable1 regenerates Table 1 (h-grid DP + h-T-grid exact
-// enumeration over the four grid configurations).
+// BenchmarkTable1 regenerates Table 1 (h-grid DP + h-T-grid decision
+// diagrams over the four grid configurations).
 func BenchmarkTable1(b *testing.B) {
 	var f01 float64
 	for i := 0; i < b.N; i++ {
@@ -43,9 +44,9 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 // BenchmarkTable3 regenerates Table 3 (seven systems at ~28 nodes) in quick
-// mode: the three graph/structure systems are Monte Carlo estimated; the
-// exact 2²⁸-subset run lives in cmd/paper-tables (and matches the paper to
-// all printed digits).
+// mode: Paths and Y are Monte Carlo estimated, the h-T-grid counted on its
+// diagram; the exact 2²⁸-subset run lives in cmd/paper-tables (and matches
+// the paper to all printed digits).
 func BenchmarkTable3(b *testing.B) {
 	var f01 float64
 	for i := 0; i < b.N; i++ {
@@ -144,9 +145,7 @@ func BenchmarkSection6Strategies(b *testing.B) {
 // --- Micro-benchmarks ---
 
 // BenchmarkAvailabilityHTriang measures the h-triang availability predicate:
-// the bitset path on a 91-process triangle, and one evaluation of the
-// availability circuit — 64 live sets at once — on the largest triangle
-// that has one (k=10, n=55).
+// the bitset path on a 91-process triangle.
 func BenchmarkAvailabilityHTriang(b *testing.B) {
 	b.Run("Set", func(b *testing.B) {
 		sys := htriang.New(13) // 91 processes
@@ -163,16 +162,10 @@ func BenchmarkAvailabilityHTriang(b *testing.B) {
 			sys.Available(live)
 		}
 	})
-	b.Run("Circuit", func(b *testing.B) {
-		// ~25% live, as the word fast path's masks were.
-		benchCircuit(b, htriang.New(10), func(rng *rand.Rand) uint64 { return rng.Uint64() & rng.Uint64() })
-	})
 }
 
-// BenchmarkAvailabilityHTGrid measures the h-T-grid availability predicate
-// (the hot path of the Table 1 enumeration): the bitset path on a 10×10
-// grid, and one evaluation of the availability circuit — 64 live sets at
-// once — on the largest grid that has one (8×8, n=64).
+// BenchmarkAvailabilityHTGrid measures the h-T-grid availability predicate:
+// the bitset path on a 10×10 grid.
 func BenchmarkAvailabilityHTGrid(b *testing.B) {
 	b.Run("Set", func(b *testing.B) {
 		sys := htgrid.Auto(10, 10)
@@ -189,32 +182,20 @@ func BenchmarkAvailabilityHTGrid(b *testing.B) {
 			sys.Available(live)
 		}
 	})
-	b.Run("Circuit", func(b *testing.B) {
-		// ~75% live: near Table 1's regime.
-		benchCircuit(b, htgrid.Auto(8, 8), func(rng *rand.Rand) uint64 { return rng.Uint64() | rng.Uint64() })
-	})
 }
 
-// benchCircuit times one Eval of sys's availability circuit over 64 live
-// sets, cycling through 16 lane groups drawn lane by lane with draw.
-func benchCircuit(b *testing.B, sys interface {
-	Universe() int
-	AvailabilityCircuit() *analysis.Circuit
-}, draw func(*rand.Rand) uint64) {
-	circ := sys.AvailabilityCircuit()
-	rng := rand.New(rand.NewSource(1))
-	groups := make([][]uint64, 16)
-	for g := range groups {
-		groups[g] = make([]uint64, sys.Universe())
-		for j := range groups[g] {
-			groups[g][j] = draw(rng)
-		}
-	}
-	scratch := make([]uint64, circ.NumRegs())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		circ.Eval(groups[i&15], scratch)
+// BenchmarkTransversalCountsHTGrid measures the exact counts of the
+// h-T-grid through its decision diagram: the 5×5 grid of Table 1 and
+// Table 3, and the 8×8 one (n = 64, the diagram's limit).
+func BenchmarkTransversalCountsHTGrid(b *testing.B) {
+	for _, size := range []int{5, 8} {
+		sys := htgrid.Auto(size, size)
+		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				analysis.TransversalCounts(sys)
+			}
+		})
 	}
 }
 
@@ -248,8 +229,8 @@ func BenchmarkPickHTriang(b *testing.B) {
 	}
 }
 
-// BenchmarkTransversalCountsHTriang15 measures the exact enumeration
-// engine on a 2¹⁵ universe.
+// BenchmarkTransversalCountsHTriang15 measures the exact counts of the
+// 15-process h-triang, which its decision diagram gives.
 func BenchmarkTransversalCountsHTriang15(b *testing.B) {
 	sys := htriang.New(5)
 	b.ResetTimer()

@@ -22,9 +22,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestQuickGolden pins the -quick output — Tables 1–5 and both figures,
-// Table 3's three largest columns sampled with fixed seeds — byte for
-// byte. Every availability sweep of the paper runs under it: the circuit
-// and word paths, the memo cache and the structural DPs. When a change is
+// Table 3's Paths(25) and Y(28) columns sampled with fixed seeds — byte
+// for byte. Every availability sweep of the paper runs under it: the
+// decision diagrams, the word paths, the memo cache and the structural
+// DPs. When a change is
 // meant to move the output, regenerate the file with
 // `go run ./cmd/paper-tables -quick > cmd/paper-tables/testdata/quick.golden`.
 func TestQuickGolden(t *testing.T) {

@@ -149,6 +149,9 @@ func main() {
 			badArg("importance: crash probability %q must be a number in [0, 1]", args[1])
 		}
 		sys := buildSystem(args[2:])
+		if n := sys.Universe(); n > 26 {
+			badArg("importance: %s: enumeration over %d processes, at most 26", sys.Name(), n)
+		}
 		imp := analysis.Importance(sys, p)
 		fmt.Printf("%s: Birnbaum importance at p=%.2f\n", sys.Name(), p)
 		for i, v := range imp {
@@ -156,7 +159,7 @@ func main() {
 		}
 	case "poly":
 		sys := buildSystem(args[1:])
-		counts := analysis.CachedTransversalCounts(sys)
+		counts := exactCounts("poly", sys)
 		fmt.Printf("%s: size-i transversal counts a_i (F_p = sum a_i p^i q^(n-i))\n", sys.Name())
 		for i, a := range counts {
 			fmt.Printf("  a_%-2d = %d\n", i, a)
@@ -174,8 +177,8 @@ func main() {
 		}
 		sysA := buildSystem(args[1:sep])
 		sysB := buildSystem(args[sep+1:])
-		countsA := analysis.CachedTransversalCounts(sysA)
-		countsB := analysis.CachedTransversalCounts(sysB)
+		countsA := exactCounts("compare", sysA)
+		countsB := exactCounts("compare", sysB)
 		fmt.Printf("%-6s %14s %14s\n", "p", sysA.Name(), sysB.Name())
 		for p := 0.05; p <= 0.501; p += 0.05 {
 			fmt.Printf("%-6.2f %14.6f %14.6f\n", p, analysis.Failure(countsA, p), analysis.Failure(countsB, p))
@@ -658,6 +661,16 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
+// exactCounts returns sys's transversal counts, or exits 2 naming the
+// limit when no exact engine reaches it.
+func exactCounts(cmd string, sys quorum.System) []uint64 {
+	counts, err := analysis.Counts(sys)
+	if err != nil {
+		badArg("%s: %s: %v", cmd, sys.Name(), err)
+	}
+	return counts
+}
+
 // badArg reports a rejected command-line argument on one line and exits
 // with the usage status.
 func badArg(format string, args ...any) {
@@ -733,11 +746,17 @@ func show(sys quorum.System, seed int64) {
 	fmt.Printf("universe:     %d nodes\n", n)
 	fmt.Printf("quorum size:  %d..%d\n", sys.MinQuorumSize(), sys.MaxQuorumSize())
 	fmt.Printf("load bound:   >= %.4f (Prop. 3.3)\n", loadopt.LowerBound(sys.MinQuorumSize(), n))
-	if n <= 26 {
-		fs := analysis.FailureAt(sys, experiments.Ps)
+	// Exact wherever the diagram reaches, and by enumeration up to 26
+	// processes; sampled beyond.
+	var counts []uint64
+	err := analysis.ErrTooLarge
+	if _, gated := sys.(analysis.Gated); gated || n <= 26 {
+		counts, err = analysis.Counts(sys)
+	}
+	if err == nil {
 		fmt.Printf("failure prob:")
-		for i, p := range experiments.Ps {
-			fmt.Printf("  F(%.1f)=%.6f", p, fs[i])
+		for _, p := range experiments.Ps {
+			fmt.Printf("  F(%.1f)=%.6f", p, analysis.Failure(counts, p))
 		}
 		fmt.Println()
 	} else {

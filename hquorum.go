@@ -20,8 +20,8 @@
 //
 // Every construction implements the System interface: an availability
 // predicate for exact failure-probability analysis, and a quorum picker for
-// driving protocols. FailureProbabilities computes exact Fₚ values by
-// subset enumeration (Proposition 3.1); packages under internal/ expose
+// driving protocols. FailureProbabilities computes exact Fₚ values from
+// transversal counts (Proposition 3.1); packages under internal/ expose
 // construction-specific closed forms and the strategies of §4.3 and §5.
 //
 // # Protocols
@@ -129,9 +129,11 @@ func NewY(k int) System { return ysys.New(k) }
 // --- Analysis ---
 
 // FailureProbabilities computes the exact failure probability of sys at
-// each crash probability in ps, by full subset enumeration (Proposition
-// 3.1). The universe must not exceed 30 nodes; use EstimateFailure beyond
-// that.
+// each crash probability in ps from its transversal counts (Proposition
+// 3.1): through the decision diagram of its quorum formula for every
+// construction but Paths and Y, up to 64 nodes, and by full subset
+// enumeration for those two, up to 30 nodes. It panics beyond; use
+// EstimateFailure there.
 func FailureProbabilities(sys System, ps []float64) []float64 {
 	return analysis.FailureAt(sys, ps)
 }

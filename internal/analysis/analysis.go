@@ -8,19 +8,23 @@
 //
 //	Fₚ(S) = Σᵢ aᵢ pⁱ qⁿ⁻ⁱ,  q = 1-p.
 //
-// A failed set F is a transversal exactly when the surviving complement
-// U\F contains no quorum, so aᵢ is obtained by enumerating all 2ⁿ subsets
-// and consulting the system's availability predicate. Enumeration is
-// spread over goroutines that steal fixed-size subset blocks from a shared
-// atomic counter; every configuration in the paper has n ≤ 29. For larger
-// universes MonteCarloFailure provides an unbiased estimator with a
-// reported standard error.
+// Failure is the one evaluator of Fₚ; the counts come from one of two
+// engines. A system that states its quorums as a quorum.Gate (every
+// construction but Paths and Y) compiles it to a decision diagram and
+// counts exactly up to 64 processes (Gate.TransversalCounts). Any other
+// system enumerates all 2ⁿ failed sets against its availability
+// predicate, spread over goroutines that steal fixed-size subset blocks
+// from a shared atomic counter, up to 30 processes; the enumerator is also
+// the reference the diagram is tested against. Beyond both,
+// MonteCarloFailure provides an unbiased estimator with a reported
+// standard error.
 //
-// Repeated sweeps of the same configuration are memoized: see
-// CachedTransversalCounts and the CacheKeyer contract in cache.go.
+// Repeated sweeps of Paths and Y are memoized: see CachedTransversalCounts
+// and the CacheKeyer contract in cache.go.
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -31,6 +35,7 @@ import (
 	"time"
 
 	"hquorum/internal/bitset"
+	"hquorum/internal/quorum"
 )
 
 // Availability is the minimal view of a quorum system the analyzer needs.
@@ -43,15 +48,25 @@ type Availability interface {
 
 // WordAvailability is an optional allocation-free fast path for systems
 // over at most 64 nodes: AvailableWord(live) must agree with
-// Available(bitset.FromWord(n, live)). The enumerator uses it when
-// implemented and the system has no circuit (CircuitAvailability) — one
-// of the two is what makes 2²⁸ subsets tractable. Only Paths and Y
-// implement it: their availability is graph connectivity (a padded shift
-// flood), not a threshold formula. Every other construction states its
-// quorums as a quorum.Gate and lowers it to a circuit.
+// Available(bitset.FromWord(n, live)). The enumerator and the sampler use
+// it when implemented; it is what makes 2²⁸ subsets tractable. Only Paths
+// and Y implement it: their availability is graph connectivity (a padded
+// shift flood), not a threshold formula.
 type WordAvailability interface {
 	AvailableWord(live uint64) bool
 }
+
+// Gated is a system that states its quorums as one formula over its
+// processes; Gate().Eval must agree with Available. Its transversal
+// counts come from the formula's decision diagram.
+type Gated interface {
+	Gate() *quorum.Gate
+}
+
+// ErrTooLarge reports a system whose exact transversal counts no engine
+// reaches: a gated system beyond the diagram (quorum.ErrTooLarge), or
+// another over more than 30 processes.
+var ErrTooLarge = errors.New("analysis: no exact transversal counts")
 
 // Progress observes a running enumeration: done blocks finished out of
 // total, with elapsed wall time since the sweep started. Callbacks are
@@ -78,18 +93,44 @@ func SetProgress(fn Progress) {
 // cannot leave workers idle the way static chunking did.
 const enumBlockBits = 16
 
-// TransversalCounts enumerates all subsets of the universe and returns the
-// vector a where a[i] is the number of size-i transversals (failed sets that
-// leave no live quorum). It panics if the universe exceeds 30 nodes; use
-// MonteCarloFailure beyond that.
-func TransversalCounts(sys Availability) []uint64 {
-	return TransversalCountsParallel(sys, runtime.GOMAXPROCS(0))
+// Counts returns the vector a where a[i] is the number of size-i
+// transversals (failed sets that leave no live quorum): from the decision
+// diagram of a gated system up to 64 processes, by enumerating every
+// subset otherwise, up to 30. The error wraps ErrTooLarge when neither
+// reaches the system.
+func Counts(sys Availability) ([]uint64, error) {
+	n := sys.Universe()
+	if g, ok := sys.(Gated); ok {
+		counts, err := g.Gate().TransversalCounts(n)
+		if err == nil {
+			return counts, nil
+		}
+		if n > 30 {
+			return nil, fmt.Errorf("%w: %w", ErrTooLarge, err)
+		}
+	}
+	if n > 30 {
+		return nil, fmt.Errorf("%w: enumeration over %d processes, at most 30", ErrTooLarge, n)
+	}
+	return TransversalCountsParallel(sys, runtime.GOMAXPROCS(0)), nil
 }
 
-// TransversalCountsParallel is TransversalCounts with an explicit worker
-// count. Workers pull blocks of 2¹⁶ subsets from an atomic counter until
-// the space is exhausted, so the result is identical for every worker
-// count.
+// TransversalCounts is Counts for a system it is known to reach; it panics
+// otherwise.
+func TransversalCounts(sys Availability) []uint64 {
+	counts, err := Counts(sys)
+	if err != nil {
+		panic(err)
+	}
+	return counts
+}
+
+// TransversalCountsParallel enumerates all 2ⁿ failed sets of the
+// universe against the system's availability predicate, whatever its
+// gate, with an explicit worker count; it is the reference the diagram is
+// tested against. Workers pull blocks of 2¹⁶ subsets from an atomic
+// counter until the space is exhausted, so the result is identical for
+// every worker count. It panics if the universe exceeds 30 nodes.
 func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 	n := sys.Universe()
 	if n > 30 {
@@ -130,11 +171,6 @@ func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 		}()
 	}
 
-	var circ *Circuit
-	if cs, ok := sys.(CircuitAvailability); ok && n >= 6 {
-		circ = cs.AvailabilityCircuit()
-	}
-
 	counts := make([][]uint64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -147,16 +183,6 @@ func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 			if !isFast {
 				live = bitset.New(n)
 			}
-			var lanes, scratch []uint64
-			if circ != nil {
-				// Lanes 0..5 of 64 consecutive failed values are fixed
-				// patterns; live = complement, so they are set up once.
-				lanes = make([]uint64, n)
-				for j := 0; j < 6; j++ {
-					lanes[j] = ^laneConst[j]
-				}
-				scratch = make([]uint64, circ.NumRegs())
-			}
 			for {
 				b := next.Add(1) - 1
 				if b >= blocks {
@@ -167,32 +193,13 @@ func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 				if hi > total {
 					hi = total
 				}
-				switch {
-				case circ != nil:
-					// 64 subsets per Eval: n ≥ 6 makes every group of 64
-					// consecutive failed values start at a multiple of 64,
-					// so lane j ≥ 6 is just the broadcast complement of
-					// bit j of the base value.
-					for base := lo; base < hi; base += 64 {
-						for j := 6; j < n; j++ {
-							lanes[j] = base>>uint(j)&1 - 1 // bit clear: all live
-						}
-						notAvail := ^circ.Eval(lanes, scratch)
-						if notAvail == 0 {
-							continue
-						}
-						pcBase := bits.OnesCount64(base)
-						for k := 0; k <= 6; k++ {
-							local[pcBase+k] += uint64(bits.OnesCount64(notAvail & popCountMask[k]))
-						}
-					}
-				case isFast:
+				if isFast {
 					for failed := lo; failed < hi; failed++ {
 						if !fast.AvailableWord(full &^ failed) {
 							local[bits.OnesCount64(failed)]++
 						}
 					}
-				default:
+				} else {
 					for failed := lo; failed < hi; failed++ {
 						live.SetWord(full &^ failed)
 						if !sys.Available(live) {
@@ -247,9 +254,8 @@ func Failure(counts []uint64, p float64) float64 {
 	return sum
 }
 
-// FailureAt computes exact failure probabilities of sys at each p in ps.
-// The transversal counts come from the process-wide memo cache, so
-// repeated calls for the same configuration enumerate only once.
+// FailureAt computes exact failure probabilities of sys at each p in ps
+// from CachedTransversalCounts. It panics where TransversalCounts does.
 func FailureAt(sys Availability, ps []float64) []float64 {
 	counts := CachedTransversalCounts(sys)
 	out := make([]float64, len(ps))
@@ -274,27 +280,7 @@ type MonteCarloResult struct {
 func MonteCarloFailure(sys Availability, p float64, samples int, rng *rand.Rand) MonteCarloResult {
 	n := sys.Universe()
 	hits := 0
-	var circ *Circuit
-	if cs, ok := sys.(CircuitAvailability); ok {
-		circ = cs.AvailabilityCircuit()
-	}
-	if circ != nil {
-		// Bit-sliced: one bernoulliWord per lane yields 64 iid crash
-		// patterns, answered by a single circuit evaluation.
-		q := 1 - p
-		lanes := make([]uint64, n)
-		scratch := make([]uint64, circ.NumRegs())
-		for s := 0; s < samples; s += 64 {
-			for j := range lanes {
-				lanes[j] = bernoulliWord(rng, q)
-			}
-			notAvail := ^circ.Eval(lanes, scratch)
-			if rem := samples - s; rem < 64 {
-				notAvail &= uint64(1)<<uint(rem) - 1
-			}
-			hits += bits.OnesCount64(notAvail)
-		}
-	} else if fast, ok := sys.(WordAvailability); ok && n <= 64 {
+	if fast, ok := sys.(WordAvailability); ok && n <= 64 {
 		q := 1 - p // P(bit set) = P(node survives)
 		mask := ^uint64(0)
 		if n < 64 {

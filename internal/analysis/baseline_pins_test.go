@@ -3,8 +3,8 @@ package analysis_test
 // Pins for the baseline constructions (majority, HQS, CWlog, the
 // k-coteries and the Byzantine systems): their exact transversal counts and pick verdicts, recorded
 // from the hand-written availability predicates their quorum gates
-// replaced, and their seeded pick streams. Their Available and
-// availability circuit both evaluate the gate, so these pins, the
+// replaced, and their seeded pick streams. Their Available and decision
+// diagram both read the gate, so these pins, the
 // closed-form failure probabilities and the enumerated quorums are the
 // independent references.
 

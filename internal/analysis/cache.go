@@ -41,7 +41,8 @@ func CacheStatsSnapshot() CacheStats {
 
 // CachedTransversalCounts is TransversalCounts behind the process-wide memo
 // cache. Systems that do not implement CacheKeyer (or return "") are
-// enumerated directly. The returned slice is the caller's to keep.
+// counted directly; only Paths and Y, which enumerate, have a key. The
+// returned slice is the caller's to keep.
 func CachedTransversalCounts(sys Availability) []uint64 {
 	key := ""
 	if k, ok := sys.(CacheKeyer); ok {

@@ -6,8 +6,8 @@ package analysis_test
 // work-stealing enumerator must be invariant in the worker count. These
 // tests live in an external test package so they can import the system
 // packages (which themselves import analysis for the interface
-// assertions). Every other construction lowers its quorum.Gate to a
-// circuit, checked in circuit_systems_test.go.
+// assertions). Every other construction counts through its quorum.Gate's
+// decision diagram, checked in diagram_systems_test.go.
 
 import (
 	"math/rand"
@@ -16,7 +16,6 @@ import (
 
 	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
-	"hquorum/internal/htriang"
 	"hquorum/internal/paths"
 	"hquorum/internal/ysys"
 )
@@ -91,13 +90,12 @@ func TestAvailableWordAgrees(t *testing.T) {
 
 // TestEnumeratorWorkerInvariance asserts the work-stealing enumerator
 // returns identical counts for 1, 3 and GOMAXPROCS workers on systems
-// large enough to span multiple work blocks, on the word and the circuit
+// large enough to span multiple work blocks, on the bitset and the word
 // path.
 func TestEnumeratorWorkerInvariance(t *testing.T) {
 	systems := []namedSystem{
-		mustLog(18),    // 2¹⁸ subsets: 4 work blocks
-		ysys.New(6),    // n = 21: 32 work blocks
-		htriang.New(6), // n = 21, circuit path
+		mustLog(18), // 2¹⁸ subsets: 4 work blocks, bitset path
+		ysys.New(6), // n = 21: 32 work blocks, word path
 	}
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for _, sys := range systems {

@@ -186,11 +186,12 @@ func (m *MGrid) Class() Class { return Masking }
 // Overlap implements System: two quorums share s rows × s columns twice.
 func (m *MGrid) Overlap() int { return 2 * m.s * m.s }
 
-// gate states the quorums as one formula, compiled on first use: s of
+// Gate states the quorums as one formula, compiled on first use: s of
 // the full rows and s of the full columns. Rows and columns share
-// servers, so the formula is for Eval and Pick; nothing prices it.
-func (m *MGrid) gate() *quorum.Gate {
-	return m.avail.Gate(m.k*m.k, func() *quorum.Gate {
+// servers, so the formula is for Eval, Pick and exact availability;
+// nothing prices it.
+func (m *MGrid) Gate() *quorum.Gate {
+	return m.avail.Gate(func() *quorum.Gate {
 		rows := make([]*quorum.Gate, m.k)
 		cols := make([]*quorum.Gate, m.k)
 		for i := range rows {
@@ -208,13 +209,13 @@ func (m *MGrid) gate() *quorum.Gate {
 
 // Available reports whether live contains s fully-live rows and s
 // fully-live columns.
-func (m *MGrid) Available(live bitset.Set) bool { return m.gate().Eval(live) }
+func (m *MGrid) Available(live bitset.Set) bool { return m.Gate().Eval(live) }
 
 // Pick returns a random quorum by Gate.Pick: s of the fully-live rows and
 // s of the fully-live columns, each chosen uniformly.
 func (m *MGrid) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	out := bitset.New(m.k * m.k)
-	if !m.gate().Pick(rng, live, out) {
+	if !m.Gate().Pick(rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil

@@ -267,10 +267,10 @@ func TestMGridGatePicks(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := m.Universe()
-		if err := quorum.CheckPick(m.gate(), n, rng, 500); err != nil {
+		if err := quorum.CheckPick(m.Gate(), n, rng, 500); err != nil {
 			t.Errorf("%s: %v", m.Name(), err)
 		}
-		for _, q := range m.gate().Quorums(n) {
+		for _, q := range m.Gate().Quorums(n) {
 			if rows, cols := fullLines(m.k, q); rows != m.s || cols != m.s || q.Count() != m.MinQuorumSize() {
 				t.Errorf("%s: listed quorum %v has %d full rows, %d full columns", m.Name(), q, rows, cols)
 			}

@@ -13,9 +13,7 @@ package cwlog
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
-	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -31,10 +29,8 @@ type System struct {
 }
 
 var (
-	_ quorum.System                = (*System)(nil)
-	_ quorum.Enumerator            = (*System)(nil)
-	_ analysis.CircuitAvailability = (*System)(nil)
-	_ analysis.CacheKeyer          = (*System)(nil)
+	_ quorum.System     = (*System)(nil)
+	_ quorum.Enumerator = (*System)(nil)
 )
 
 // NewWall builds a wall with explicit row widths. Process IDs are assigned
@@ -104,18 +100,12 @@ func (s *System) ID(i, c int) int { return s.offsets[i] + c }
 // Available reports whether live contains a quorum: some fully-live row
 // with every row below it non-empty.
 func (s *System) Available(live bitset.Set) bool {
-	return s.gate().Eval(live)
-}
-
-// AvailabilityCircuit implements analysis.CircuitAvailability: the wall's
-// gate lowered over its processes; nil beyond 64 processes.
-func (s *System) AvailabilityCircuit() *analysis.Circuit {
-	return s.avail.Circuit(s.n, s.compile)
+	return s.Gate().Eval(live)
 }
 
 // compile states the quorums as one formula: some row i entirely, with
 // one process of every row below it. The "one of row j" formulas are
-// shared between the rows above j, so the circuit lowers each once. The
+// shared between the rows above j, so the diagram builds each once. The
 // per-row alternatives are kept for Strategy.Pick.
 func (s *System) compile() *quorum.Gate {
 	rows := make([][]*quorum.Gate, len(s.widths))
@@ -133,15 +123,16 @@ func (s *System) compile() *quorum.Gate {
 	return quorum.Any(s.alts...)
 }
 
-// gate returns the wall's formula, compiling it on first use.
-func (s *System) gate() *quorum.Gate { return s.avail.Gate(s.n, s.compile) }
+// Gate returns the wall's formula, compiling it on first use; exact
+// availability is its decision diagram.
+func (s *System) Gate() *quorum.Gate { return s.avail.Gate(s.compile) }
 
 // Pick returns a random quorum from live by Gate.Pick: a uniformly random
 // base row among those that can found one, then uniformly random live
 // representatives below it.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	out := bitset.New(s.n)
-	if !s.gate().Pick(rng, live, out) {
+	if !s.Gate().Pick(rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil
@@ -233,18 +224,4 @@ func (s *System) EnumerateQuorums(fn func(q bitset.Set) bool) {
 			return
 		}
 	}
-}
-
-// CacheKey implements analysis.CacheKeyer: the row widths determine the
-// wall (process IDs are assigned row by row).
-func (s *System) CacheKey() string {
-	var b strings.Builder
-	b.WriteString("cwlog:")
-	for i, w := range s.widths {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", w)
-	}
-	return b.String()
 }

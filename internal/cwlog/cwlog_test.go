@@ -178,12 +178,12 @@ func TestGatePicks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := quorum.CheckPick(s.gate(), s.n, rng, 500); err != nil {
+		if err := quorum.CheckPick(s.Gate(), s.n, rng, 500); err != nil {
 			t.Errorf("wall %v: %v", widths, err)
 		}
 		want := make(map[string]bool)
 		s.EnumerateQuorums(func(q bitset.Set) bool { want[q.String()] = true; return true })
-		listed := s.gate().Quorums(s.n)
+		listed := s.Gate().Quorums(s.n)
 		for _, q := range listed {
 			if !want[q.String()] {
 				t.Errorf("wall %v: gate lists %v, which is no minimal quorum", widths, q)
@@ -287,9 +287,9 @@ func TestQuickRandomWallsAreCoteries(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstUse: the gate and its circuit are built on the first
-// availability query, and concurrent first users (the enumerator's
-// workers, pickers) must share one build. Meaningful under -race.
+// TestConcurrentFirstUse: the gate is built on first use, and concurrent
+// first users (the enumerator's workers, pickers, the availability
+// queries) must share one build. Meaningful under -race.
 func TestConcurrentFirstUse(t *testing.T) {
 	sys, err := Log(14)
 	if err != nil {
@@ -307,8 +307,8 @@ func TestConcurrentFirstUse(t *testing.T) {
 					t.Error("fully live system unavailable")
 				}
 			case 1:
-				if sys.AvailabilityCircuit() == nil {
-					t.Error("no availability circuit")
+				if sys.Gate() == nil {
+					t.Error("no gate")
 				}
 			case 2:
 				if _, err := sys.Pick(rand.New(rand.NewSource(int64(w))), live); err != nil {

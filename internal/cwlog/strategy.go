@@ -115,7 +115,7 @@ func (st *Strategy) Pick(rng *rand.Rand) bitset.Set {
 		}
 		u -= w
 	}
-	s.gate() // compiles s.alts
+	s.Gate() // compiles s.alts
 	out := bitset.New(s.n)
 	s.alts[base].Pick(rng, bitset.Universe(s.n), out)
 	return out

@@ -9,10 +9,10 @@ import (
 // Gate compilers: the hierarchy's quorum families as quorum.Gate formulas.
 // They are the one statement of the recursive definitions: Eval answers
 // every availability question about a live set, Pick draws the random
-// quorums, Cheapest prices cost-aware picks exactly, and Circuit lowers
-// them to the analyzer's availability circuits. The oriented h-T-grid
-// family needs the best full line's boundary row, which is not boolean,
-// so it is expanded over the boundary:
+// quorums, Cheapest prices cost-aware picks exactly, and TransversalCounts
+// gives their exact availability. The oriented h-T-grid family needs the
+// best full line's boundary row, which is not boolean, so it is expanded
+// over the boundary:
 //
 //	OrientAboveLine ⇔ ∃r: LineGate(r, true) ∧ CoverGate(r, true)
 //	OrientBelowLine ⇔ ∃r: LineGate(r, false) ∧ CoverGate(r, false)

@@ -3,9 +3,7 @@ package hgrid
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
-	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -23,10 +21,8 @@ type RWSystem struct {
 }
 
 var (
-	_ quorum.System                = (*RWSystem)(nil)
-	_ quorum.Enumerator            = (*RWSystem)(nil)
-	_ analysis.CircuitAvailability = (*RWSystem)(nil)
-	_ analysis.CacheKeyer          = (*RWSystem)(nil)
+	_ quorum.System     = (*RWSystem)(nil)
+	_ quorum.Enumerator = (*RWSystem)(nil)
 )
 
 // NewRW returns the read-write quorum system of a hierarchy.
@@ -49,46 +45,13 @@ func (s *RWSystem) Available(live bitset.Set) bool {
 	return s.h.FullLineGate().Eval(live) && s.h.RowCoverGate().Eval(live)
 }
 
-// AvailabilityCircuit implements analysis.CircuitAvailability: Available
-// as a full-line gate and a row-cover gate, lowered once on first use;
-// nil when the universe exceeds 64 processes.
-func (s *RWSystem) AvailabilityCircuit() *analysis.Circuit {
-	return s.avail.Circuit(s.h.universe, func() *quorum.Gate {
+// Gate returns the read-write quorums as one formula, a full-line and a
+// row-cover, built on first use; exact availability is its decision
+// diagram.
+func (s *RWSystem) Gate() *quorum.Gate {
+	return s.avail.Gate(func() *quorum.Gate {
 		return quorum.All(s.h.FullLineGate(), s.h.RowCoverGate())
 	})
-}
-
-// CacheKey implements analysis.CacheKeyer.
-func (s *RWSystem) CacheKey() string { return "hgrid-rw:" + s.h.CacheKey() }
-
-// CacheKey serializes the hierarchy's structure and leaf IDs, which fully
-// determine every predicate of the hierarchy; it implements
-// analysis.CacheKeyer for the transversal-count memo cache.
-func (h *Hierarchy) CacheKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hgrid:u%d:", h.universe)
-	writeObjectKey(&b, h.root)
-	return b.String()
-}
-
-func writeObjectKey(b *strings.Builder, o *Object) {
-	if o.IsLeaf() {
-		fmt.Fprintf(b, "%d", o.leaf)
-		return
-	}
-	b.WriteByte('(')
-	for r, row := range o.children {
-		if r > 0 {
-			b.WriteByte(';')
-		}
-		for c, child := range row {
-			if c > 0 {
-				b.WriteByte(',')
-			}
-			writeObjectKey(b, child)
-		}
-	}
-	b.WriteByte(')')
 }
 
 // Pick returns a random read-write quorum drawn from live: a random

@@ -14,9 +14,7 @@ package hqs
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
-	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -67,10 +65,8 @@ type System struct {
 }
 
 var (
-	_ quorum.System                = (*System)(nil)
-	_ quorum.Enumerator            = (*System)(nil)
-	_ analysis.CircuitAvailability = (*System)(nil)
-	_ analysis.CacheKeyer          = (*System)(nil)
+	_ quorum.System     = (*System)(nil)
+	_ quorum.Enumerator = (*System)(nil)
 )
 
 // New builds an HQS system from a shape. Leaf IDs are assigned in
@@ -158,14 +154,12 @@ func (s *System) Universe() int { return s.n }
 
 // Available reports whether live supports a recursive majority quorum.
 func (s *System) Available(live bitset.Set) bool {
-	return s.avail.Gate(s.n, s.compile).Eval(live)
+	return s.Gate().Eval(live)
 }
 
-// AvailabilityCircuit implements analysis.CircuitAvailability: the
-// majority tree's gate lowered over the leaves; nil beyond 64 leaves.
-func (s *System) AvailabilityCircuit() *analysis.Circuit {
-	return s.avail.Circuit(s.n, s.compile)
-}
+// Gate returns the system's quorums as one formula (compile), built on
+// first use; exact availability is its decision diagram.
+func (s *System) Gate() *quorum.Gate { return s.avail.Gate(s.compile) }
 
 // compile states the quorums as one formula, Of(⌊k/2⌋+1, children) at
 // every node.
@@ -187,7 +181,7 @@ func compile(t *node) *quorum.Gate {
 // a quorum.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	out := bitset.New(s.n)
-	if !s.avail.Gate(s.n, s.compile).Pick(rng, live, out) {
+	if !s.Gate().Pick(rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil
@@ -268,29 +262,4 @@ func enumerate(t *node, n int) []bitset.Set {
 	}
 	choose(0)
 	return out
-}
-
-// CacheKey implements analysis.CacheKeyer: the tree shape with its leaf IDs
-// determines the predicate (the majority threshold follows from the child
-// count).
-func (s *System) CacheKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hqs:u%d:", s.n)
-	writeShapeKey(&b, s.root)
-	return b.String()
-}
-
-func writeShapeKey(b *strings.Builder, t *node) {
-	if t.children == nil {
-		fmt.Fprintf(b, "%d", t.leaf)
-		return
-	}
-	b.WriteByte('(')
-	for i, c := range t.children {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		writeShapeKey(b, c)
-	}
-	b.WriteByte(')')
 }

@@ -117,7 +117,7 @@ func TestGatePicks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sys := range []*System{Grouped(3, 3), Uniform(2, 3), uneven} {
-		if err := quorum.CheckPick(sys.avail.Gate(sys.n, sys.compile), sys.n, rng, 200); err != nil {
+		if err := quorum.CheckPick(sys.Gate(), sys.n, rng, 200); err != nil {
 			t.Errorf("%s: %v", sys.Name(), err)
 		}
 	}
@@ -196,9 +196,9 @@ func TestQuickRandomTreesAreCoteries(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstUse: the gate and its circuit are built on the first
-// availability query, and concurrent first users (the enumerator's
-// workers, pickers) must share one build. Meaningful under -race.
+// TestConcurrentFirstUse: the gate is built on first use, and concurrent
+// first users (the enumerator's workers, pickers, the availability
+// queries) must share one build. Meaningful under -race.
 func TestConcurrentFirstUse(t *testing.T) {
 	sys := Uniform(2, 3)
 	live := bitset.Universe(sys.Universe())
@@ -213,8 +213,8 @@ func TestConcurrentFirstUse(t *testing.T) {
 					t.Error("fully live system unavailable")
 				}
 			case 1:
-				if sys.AvailabilityCircuit() == nil {
-					t.Error("no availability circuit")
+				if sys.Gate() == nil {
+					t.Error("no gate")
 				}
 			case 2:
 				if _, err := sys.Pick(rand.New(rand.NewSource(int64(w))), live); err != nil {

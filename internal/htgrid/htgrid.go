@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/hgrid"
 	"hquorum/internal/quorum"
@@ -55,15 +54,11 @@ type System struct {
 	compiled      sync.Once
 	lines, covers []*quorum.Gate
 	family        *quorum.Gate
-
-	avail quorum.Lazy
 }
 
 var (
-	_ quorum.System                = (*System)(nil)
-	_ quorum.Enumerator            = (*System)(nil)
-	_ analysis.CircuitAvailability = (*System)(nil)
-	_ analysis.CacheKeyer          = (*System)(nil)
+	_ quorum.System     = (*System)(nil)
+	_ quorum.Enumerator = (*System)(nil)
 )
 
 // New returns the h-T-grid quorum system of a hierarchy in the paper-exact
@@ -210,26 +205,8 @@ func (s *System) EnumerateQuorums(fn func(q bitset.Set) bool) {
 // (package hgrid's renderer).
 func (s *System) Render(q bitset.Set) string { return s.h.Render(q) }
 
-// Gate compiles the system's quorums for cost-aware picks (see
-// hgrid.LineCoverGate), in the configured orientation.
+// Gate compiles the system's quorums for cost-aware picks and exact
+// availability (see hgrid.LineCoverGate), in the configured orientation.
 func (s *System) Gate() *quorum.Gate {
 	return s.h.LineCoverGate(s.orient == OrientAboveLine)
-}
-
-// AvailabilityCircuit implements analysis.CircuitAvailability: Available's
-// line-and-cover family (which lowers to a smaller program than Gate: a
-// process the line and the cover share is paid for twice, which only
-// pricing minds), lowered once on first use; nil when the universe exceeds
-// 64 processes.
-func (s *System) AvailabilityCircuit() *analysis.Circuit {
-	return s.avail.Circuit(s.h.Universe(), func() *quorum.Gate {
-		s.compile()
-		return s.family
-	})
-}
-
-// CacheKey implements analysis.CacheKeyer: the hierarchy structure plus the
-// cover orientation determine the availability predicate.
-func (s *System) CacheKey() string {
-	return fmt.Sprintf("htgrid:o%d:", s.orient) + s.h.CacheKey()
 }

@@ -43,9 +43,10 @@ func TestPaperTable1HTGrid(t *testing.T) {
 }
 
 // TestHTGridNeverWorseThanHGrid verifies §4.3's claim that the h-T-grid's
-// availability cannot be worse than the h-grid's.
+// availability cannot be worse than the h-grid's, exactly up to 64
+// processes (the 7×9 grid is the largest diagram of the test suite).
 func TestHTGridNeverWorseThanHGrid(t *testing.T) {
-	for _, dims := range [][2]int{{3, 3}, {4, 4}, {3, 4}, {4, 3}} {
+	for _, dims := range [][2]int{{3, 3}, {4, 4}, {3, 4}, {4, 3}, {5, 5}, {6, 6}, {8, 8}, {7, 9}} {
 		h := hgrid.Auto(dims[0], dims[1])
 		tg := New(h)
 		rw := hgrid.NewRW(h)

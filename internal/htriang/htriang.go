@@ -23,9 +23,7 @@ package htriang
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
-	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/hgrid"
 	"hquorum/internal/quorum"
@@ -54,10 +52,8 @@ type System struct {
 }
 
 var (
-	_ quorum.System                = (*System)(nil)
-	_ quorum.Enumerator            = (*System)(nil)
-	_ analysis.CircuitAvailability = (*System)(nil)
-	_ analysis.CacheKeyer          = (*System)(nil)
+	_ quorum.System     = (*System)(nil)
+	_ quorum.Enumerator = (*System)(nil)
 )
 
 // New returns the canonical h-triang system over a triangle with k rows
@@ -285,11 +281,12 @@ func (s *System) Render(q *bitset.Set) string {
 }
 
 // Gate is the system's quorums as one formula, compiled once on first
-// use, for availability and for random and cost-aware picks: the three
-// formation methods as alternatives at every division. T1, G and T2 are
-// disjoint, so each method is a conjunction over disjoint processes.
+// use, for availability (exact through its decision diagram) and for
+// random and cost-aware picks: the three formation methods as
+// alternatives at every division. T1, G and T2 are disjoint, so each
+// method is a conjunction over disjoint processes.
 func (s *System) Gate() *quorum.Gate {
-	return s.avail.Gate(s.n, s.compile)
+	return s.avail.Gate(s.compile)
 }
 
 func (s *System) compile() *quorum.Gate { return compile(s.root) }
@@ -304,34 +301,4 @@ func compile(t *node) *quorum.Gate {
 		quorum.All(q1, t.g.RowCoverGate()),
 		quorum.All(q2, t.g.FullLineGate()),
 	)
-}
-
-// AvailabilityCircuit implements analysis.CircuitAvailability: Gate
-// lowered once, on first use; nil when the triangle exceeds 64 processes.
-func (s *System) AvailabilityCircuit() *analysis.Circuit {
-	return s.avail.Circuit(s.n, s.compile)
-}
-
-// CacheKey implements analysis.CacheKeyer: the decomposition tree with its
-// leaf IDs and embedded sub-grid structures determines the predicate, so
-// canonical triangles and grown specs key consistently.
-func (s *System) CacheKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "htriang:u%d:", s.n)
-	writeNodeKey(&b, s.root)
-	return b.String()
-}
-
-func writeNodeKey(b *strings.Builder, t *node) {
-	if t.rows == 1 {
-		fmt.Fprintf(b, "%d", t.leaf)
-		return
-	}
-	b.WriteByte('[')
-	writeNodeKey(b, t.t1)
-	b.WriteByte('|')
-	b.WriteString(t.g.CacheKey())
-	b.WriteByte('|')
-	writeNodeKey(b, t.t2)
-	b.WriteByte(']')
 }

@@ -18,8 +18,8 @@
 // exactly the k-coterie safety argument.
 //
 // The k-majority states its quorums as one quorum.Gate, which its
-// Available evaluates, its Pick draws from (Gate.Pick) and the analyzer's
-// availability circuit is lowered from. A partition takes any
+// Available evaluates, its Pick draws from (Gate.Pick) and the analyzer
+// counts exactly through its decision diagram. A partition takes any
 // sub-coteries and is their quorum.Composite under the "one of k"
 // coterie, so availability and picks go slice by slice through the
 // sub-coteries' own Available and Pick.
@@ -28,9 +28,7 @@ package kcoterie
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
-	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -44,11 +42,8 @@ type KMajority struct {
 }
 
 var (
-	_ quorum.System                = (*KMajority)(nil)
-	_ analysis.CircuitAvailability = (*KMajority)(nil)
-	_ analysis.CacheKeyer          = (*KMajority)(nil)
-	_ quorum.System                = (*Partitioned)(nil)
-	_ analysis.CacheKeyer          = (*Partitioned)(nil)
+	_ quorum.System = (*KMajority)(nil)
+	_ quorum.System = (*Partitioned)(nil)
 )
 
 // NewKMajority returns the k-majority over n processes. It requires
@@ -76,14 +71,12 @@ func (s *KMajority) K() int { return s.k }
 
 // Available implements quorum.System (one quorum available).
 func (s *KMajority) Available(live bitset.Set) bool {
-	return s.avail.Gate(s.n, s.compile).Eval(live)
+	return s.Gate().Eval(live)
 }
 
-// AvailabilityCircuit implements analysis.CircuitAvailability: the
-// threshold gate lowered over the universe; nil beyond 64 processes.
-func (s *KMajority) AvailabilityCircuit() *analysis.Circuit {
-	return s.avail.Circuit(s.n, s.compile)
-}
+// Gate returns the system's quorums as one formula (compile), built on
+// first use; exact availability is its decision diagram.
+func (s *KMajority) Gate() *quorum.Gate { return s.avail.Gate(s.compile) }
 
 // compile states the quorums as one formula: any q processes.
 func (s *KMajority) compile() *quorum.Gate {
@@ -92,11 +85,6 @@ func (s *KMajority) compile() *quorum.Gate {
 		leaves[id] = quorum.Leaf(id)
 	}
 	return quorum.Of(s.q, leaves...)
-}
-
-// CacheKey implements analysis.CacheKeyer.
-func (s *KMajority) CacheKey() string {
-	return fmt.Sprintf("kmaj:n%d:q%d", s.n, s.q)
 }
 
 // AvailableK reports whether j pairwise disjoint quorums fit in live.
@@ -108,7 +96,7 @@ func (s *KMajority) AvailableK(live bitset.Set, j int) bool {
 // uniformly.
 func (s *KMajority) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	out := bitset.New(s.n)
-	if !s.avail.Gate(s.n, s.compile).Pick(rng, live, out) {
+	if !s.Gate().Pick(rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil
@@ -179,26 +167,3 @@ func (p *Partitioned) MinQuorumSize() int { return p.comp.MinQuorumSize() }
 
 // MaxQuorumSize implements quorum.System.
 func (p *Partitioned) MaxQuorumSize() int { return p.comp.MaxQuorumSize() }
-
-// CacheKey implements analysis.CacheKeyer: the concatenation of the
-// sub-coterie keys in slice order, or "" (uncacheable) when any sub-coterie
-// lacks a key.
-func (p *Partitioned) CacheKey() string {
-	var b strings.Builder
-	b.WriteString("kpart:")
-	for i, sub := range p.subs {
-		k, ok := sub.(analysis.CacheKeyer)
-		if !ok {
-			return ""
-		}
-		key := k.CacheKey()
-		if key == "" {
-			return ""
-		}
-		if i > 0 {
-			b.WriteByte('+')
-		}
-		b.WriteString(key)
-	}
-	return b.String()
-}

@@ -72,7 +72,7 @@ func TestKMajorityGatePicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := s.avail.Gate(s.n, s.compile)
+	g := s.Gate()
 	if err := quorum.CheckPick(g, s.n, rand.New(rand.NewSource(8)), 500); err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +254,9 @@ func TestKMutualExclusion(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstUse: the gate and its circuit are built on the first
-// availability query, and concurrent first users (the enumerator's
-// workers, pickers) must share one build. Meaningful under -race.
+// TestConcurrentFirstUse: the gate is built on first use, and concurrent
+// first users (the enumerator's workers, pickers, the availability
+// queries) must share one build. Meaningful under -race.
 func TestConcurrentFirstUse(t *testing.T) {
 	sys := mustKM(t, 15, 2)
 	live := bitset.Universe(sys.Universe())
@@ -271,8 +271,8 @@ func TestConcurrentFirstUse(t *testing.T) {
 					t.Error("fully live system unavailable")
 				}
 			case 1:
-				if sys.AvailabilityCircuit() == nil {
-					t.Error("no availability circuit")
+				if sys.Gate() == nil {
+					t.Error("no gate")
 				}
 			case 2:
 				if _, err := sys.Pick(rand.New(rand.NewSource(int64(w))), live); err != nil {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
 )
@@ -30,10 +29,8 @@ type System struct {
 }
 
 var (
-	_ quorum.System                = (*System)(nil)
-	_ quorum.Enumerator            = (*System)(nil)
-	_ analysis.CircuitAvailability = (*System)(nil)
-	_ analysis.CacheKeyer          = (*System)(nil)
+	_ quorum.System     = (*System)(nil)
+	_ quorum.Enumerator = (*System)(nil)
 )
 
 // New returns the majority quorum system over n nodes (one vote each,
@@ -85,14 +82,12 @@ func (s *System) Universe() int { return len(s.weights) }
 
 // Available reports whether the live set musters a quorum of votes.
 func (s *System) Available(live bitset.Set) bool {
-	return s.avail.Gate(len(s.weights), s.compile).Eval(live)
+	return s.Gate().Eval(live)
 }
 
-// AvailabilityCircuit implements analysis.CircuitAvailability: the vote
-// gate lowered over the universe; nil beyond 64 nodes.
-func (s *System) AvailabilityCircuit() *analysis.Circuit {
-	return s.avail.Circuit(len(s.weights), s.compile)
-}
+// Gate returns the system's quorums as one formula (compile), built on
+// first use; exact availability is its decision diagram.
+func (s *System) Gate() *quorum.Gate { return s.avail.Gate(s.compile) }
 
 // compile states the quorums as one formula over distinct leaves: any
 // threshold processes, or for the tie-break variant node 0 with n/2−1 of
@@ -110,16 +105,12 @@ func (s *System) compile() *quorum.Gate {
 	return quorum.Any(quorum.All(leaves[0], quorum.Of(n/2-1, rest...)), quorum.Of(n/2+1, rest...))
 }
 
-// CacheKey implements analysis.CacheKeyer: the name determines the
-// system (n one-vote nodes, or the tie-break variant over n).
-func (s *System) CacheKey() string { return "vote:" + s.name }
-
 // Pick returns a minimal quorum drawn from live by Gate.Pick: threshold
 // live processes chosen uniformly, or for the tie-break variant one of
 // its two ways to reach the vote threshold, then the processes.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	out := bitset.New(len(s.weights))
-	if !s.avail.Gate(len(s.weights), s.compile).Pick(rng, live, out) {
+	if !s.Gate().Pick(rng, live, out) {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
 	return out, nil

@@ -89,7 +89,7 @@ func TestGatePicks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, sys := range []*System{New(5), New(7), NewTieBreak(6), NewTieBreak(8)} {
 		n := sys.Universe()
-		g := sys.avail.Gate(n, sys.compile)
+		g := sys.Gate()
 		if err := quorum.CheckPick(g, n, rng, 500); err != nil {
 			t.Errorf("%s: %v", sys.Name(), err)
 		}
@@ -235,9 +235,9 @@ func TestFailureProbabilityDP(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstUse: the gate and its circuit are built on the first
-// availability query, and concurrent first users (the enumerator's
-// workers, pickers) must share one build. Meaningful under -race.
+// TestConcurrentFirstUse: the gate is built on first use, and concurrent
+// first users (the enumerator's workers, pickers, the availability
+// queries) must share one build. Meaningful under -race.
 func TestConcurrentFirstUse(t *testing.T) {
 	sys := NewTieBreak(12)
 	live := bitset.Universe(sys.Universe())
@@ -252,8 +252,8 @@ func TestConcurrentFirstUse(t *testing.T) {
 					t.Error("fully live system unavailable")
 				}
 			case 1:
-				if sys.AvailabilityCircuit() == nil {
-					t.Error("no availability circuit")
+				if sys.Gate() == nil {
+					t.Error("no gate")
 				}
 			case 2:
 				if _, err := sys.Pick(rand.New(rand.NewSource(int64(w))), live); err != nil {

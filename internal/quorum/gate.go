@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 )
 
@@ -20,8 +19,7 @@ import (
 // methods, majorities (plain, tie-break, k-majority and hierarchical),
 // HQS, the crumbling wall, M-Grid — compiles to one tree: one evaluator
 // prices them all, one walk (Pick) draws their random quorums, and one
-// lowering (Circuit) gives the availability sweeps their
-// 64-live-sets-at-once program.
+// decision diagram (TransversalCounts) gives their exact availability.
 //
 // Cheapest is exact when the kids of every gate with need > 1 range over
 // disjoint processes (a member is then never paid for twice); every
@@ -148,93 +146,19 @@ func (g *Gate) pick(rng *rand.Rand, live, out bitset.Set) {
 	}
 }
 
-// Circuit lowers the formula to a bit-sliced program over n input lanes,
-// lane j carrying process j: bit s of its result is Eval on the live set
-// formed by bit s of every lane, so one evaluation answers 64 live sets.
-// The leaf kids of a conjunction or disjunction collapse into one lane
-// mask, any other threshold unrolls "at least t of the first i kids", and
-// identical subformulas share one op. It is nil when n exceeds 64.
-func (g *Gate) Circuit(n int) *analysis.Circuit {
-	if n > 64 {
-		return nil
-	}
-	b := analysis.NewCircuitBuilder(n)
-	memo := make(map[*Gate]analysis.Ref)
-	var lower func(g *Gate) analysis.Ref
-	lower = func(g *Gate) analysis.Ref {
-		if g.id >= 0 {
-			return b.Lane(g.id)
-		}
-		if r, ok := memo[g]; ok {
-			return r
-		}
-		var r analysis.Ref
-		switch {
-		case g.need > len(g.kids):
-			r = analysis.False
-		case g.need == len(g.kids) || g.need == 1:
-			fold, join := b.AnyOf, b.Or
-			if g.need == len(g.kids) {
-				fold, join = b.AllOf, b.And
-			}
-			var mask uint64
-			var rest []analysis.Ref
-			for _, k := range g.kids {
-				if k.id >= 0 && k.id < n { // out of range: Lane panics
-					mask |= 1 << uint(k.id)
-				} else {
-					rest = append(rest, lower(k))
-				}
-			}
-			r = fold(mask)
-			for _, x := range rest {
-				r = join(r, x)
-			}
-		default:
-			// at[t]: at least t of the kids lowered so far hold (at[t > 0]
-			// starts as the zero Ref, False).
-			at := make([]analysis.Ref, g.need+1)
-			at[0] = analysis.True
-			for _, k := range g.kids {
-				x := lower(k)
-				for t := g.need; t >= 1; t-- {
-					at[t] = b.Or(at[t], b.And(x, at[t-1]))
-				}
-			}
-			r = at[g.need]
-		}
-		memo[g] = r
-		return r
-	}
-	return b.Build(lower(g))
-}
-
-// Lazy holds a construction's quorum family as one Gate and the
-// availability circuit lowered from it, built once on the first
-// availability query (not by the constructor), so concurrent readers —
-// the enumerator's workers, pickers — share one build. The zero value is
-// ready to use.
+// Lazy holds a construction's quorum family as one Gate, built once on
+// first use (not by the constructor), so concurrent readers — pickers,
+// the availability queries — share one build. The zero value is ready to
+// use.
 type Lazy struct {
 	once sync.Once
 	gate *Gate
-	circ *analysis.Circuit
 }
 
-// Gate returns the family, calling build (and lowering its circuit over n
-// processes) the first time.
-func (l *Lazy) Gate(n int, build func() *Gate) *Gate {
-	l.once.Do(func() {
-		l.gate = build()
-		l.circ = l.gate.Circuit(n)
-	})
+// Gate returns the family, calling build the first time.
+func (l *Lazy) Gate(build func() *Gate) *Gate {
+	l.once.Do(func() { l.gate = build() })
 	return l.gate
-}
-
-// Circuit returns the family's availability circuit over n processes (nil
-// when n exceeds 64), building both the first time.
-func (l *Lazy) Circuit(n int, build func() *Gate) *analysis.Circuit {
-	l.Gate(n, build)
-	return l.circ
 }
 
 // unpriced is the price of a formula that cannot hold.

@@ -1,7 +1,10 @@
 package quorum
 
 import (
+	"errors"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hquorum/internal/bitset"
@@ -161,48 +164,78 @@ func TestGatePickDraws(t *testing.T) {
 	}
 }
 
-// TestCircuitMatchesEval: on random formulas over 1 to 64 processes, the
-// lowered circuit agrees with Eval on every one of 64 live sets per lane
-// group, and there is no circuit beyond 64 processes.
-func TestCircuitMatchesEval(t *testing.T) {
+// TestDiagramMatchesBruteForce: on random formulas over 1 to 20
+// processes — constants, gates left needing more kids than they have and
+// leaves shared across branches among them — the diagram's transversal
+// counts equal a count of Eval over all 2ⁿ live sets.
+func TestDiagramMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(12)
-		if trial%10 == 0 {
-			n = 64
+		if trial%50 == 0 {
+			n = 20
 		}
 		var pool []*Gate
 		g := randomGate(rng, n, 1+rng.Intn(4), &pool)
-		circ := g.Circuit(n)
-		if circ.Lanes() != n {
-			t.Fatalf("circuit over %d lanes, want %d", circ.Lanes(), n)
+		if trial%60 == 1 {
+			g = Of(0)
 		}
-		lanes := make([]uint64, n)
-		scratch := make([]uint64, circ.NumRegs())
-		for round := 0; round < 8; round++ {
-			for j := range lanes {
-				lanes[j] = rng.Uint64()
-				if round%2 == 1 {
-					lanes[j] |= rng.Uint64()
-				}
-			}
-			got := circ.Eval(lanes, scratch)
-			for s := 0; s < 64; s++ {
-				live := bitset.New(n)
-				for j, l := range lanes {
-					if l>>uint(s)&1 == 1 {
-						live.Add(j)
-					}
-				}
-				if want := g.Eval(live); (got>>uint(s)&1 == 1) != want {
-					t.Fatalf("trial %d: circuit says %t on %v, Eval says %t", trial, !want, live, want)
-				}
+		got, err := g.TransversalCounts(n)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := make([]uint64, n+1)
+		live := bitset.New(n)
+		full := uint64(1)<<uint(n) - 1
+		for failed := uint64(0); failed <= full; failed++ {
+			live.SetWord(full &^ failed)
+			if !g.Eval(live) {
+				want[bits.OnesCount64(failed)]++
 			}
 		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d over %d processes: diagram counts %v, brute force %v", trial, n, got, want)
+		}
 	}
-	if c := Of(1, leaves(0, 65)...).Circuit(65); c != nil {
-		t.Fatal("circuit over 65 processes, want nil")
+}
+
+// TestDiagramOutOfReach: a universe over 64 processes, a leaf outside the
+// universe and a diagram past its node cap each return ErrTooLarge; the
+// same formula under the cap counts.
+func TestDiagramOutOfReach(t *testing.T) {
+	if _, err := Of(1, leaves(0, 65)...).TransversalCounts(65); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("65 processes: err %v, want ErrTooLarge", err)
 	}
+	if _, err := All(Leaf(0), Leaf(7)).TransversalCounts(5); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("leaf 7 of 5 processes: err %v, want ErrTooLarge", err)
+	}
+	// Building 7 of 12 makes about 120 nodes in all.
+	maj := Of(7, leaves(0, 12)...)
+	if _, err := maj.transversalCounts(12, 60); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("7 of 12 under a 60-node cap: err %v, want ErrTooLarge", err)
+	}
+	got, err := maj.transversalCounts(12, 200)
+	if err != nil {
+		t.Fatalf("7 of 12 under a 200-node cap: %v", err)
+	}
+	// Six or more crashes of twelve leave fewer than seven live.
+	for i, a := range got {
+		want := uint64(0)
+		if i >= 6 {
+			want = binomial(12, i)
+		}
+		if a != want {
+			t.Fatalf("7 of 12: a_%d = %d, want %d", i, a, want)
+		}
+	}
+}
+
+func binomial(n, k int) uint64 {
+	c := uint64(1)
+	for i := 0; i < k; i++ {
+		c = c * uint64(n-i) / uint64(i+1)
+	}
+	return c
 }
 
 // TestGateWitness: on random formulas and live sets, Witness holds exactly

@@ -2,8 +2,6 @@ package tuner
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -59,10 +57,10 @@ type Score struct {
 	// access probability); 1/MaxLoad is proportional to the cluster's
 	// capacity ceiling when replicas saturate before the network does.
 	MaxLoad float64
-	// ReadAvail, WriteAvail and Avail are exact availabilities at FailP:
-	// the probability a read quorum exists, a write quorum exists, and
-	// the mix-weighted probability an arbitrary operation finds the
-	// quorums it needs.
+	// ReadAvail, WriteAvail and Avail are availabilities at FailP, exact
+	// up to 64 members: the probability a read quorum exists, a write
+	// quorum exists, and the mix-weighted probability an arbitrary
+	// operation finds the quorums it needs.
 	ReadAvail, WriteAvail, Avail float64
 	// Feasible reports Avail >= MinAvail.
 	Feasible bool
@@ -96,10 +94,9 @@ type availStats struct {
 }
 
 var (
-	scoreMu    sync.Mutex
-	pickMemo   = map[string]pickStats{}
-	availMemo  = map[string]availStats{}
-	countsMemo = map[string][3][]uint64{}
+	scoreMu   sync.Mutex
+	pickMemo  = map[string]pickStats{}
+	availMemo = map[string]availStats{}
 )
 
 // normalize maps params onto the dense member space 0..m-1: every scored
@@ -170,10 +167,10 @@ func sampledStats(p epoch.Params, samples int) (pickStats, error) {
 }
 
 // exactAvail computes the probability, at per-node failure probability p,
-// that a read quorum exists, a write quorum exists, and both exist.
-// Threshold flavors use closed forms; the structural flavors enumerate
-// all 2^m live sets exactly (memoized) up to m=20 and fall back to a
-// fixed-seed Monte Carlo beyond.
+// that a read quorum exists, a write quorum exists, and both exist, for
+// every flavor from the transversal counts of its read family, its write
+// family and their conjunction: exact up to 64 members, and past that a
+// fixed-seed Monte Carlo estimate, so every size the search offers scores.
 func exactAvail(pr epoch.Params, p float64) (availStats, error) {
 	key := fmt.Sprintf("%s|%g", memoKey(pr), p)
 	scoreMu.Lock()
@@ -184,201 +181,37 @@ func exactAvail(pr epoch.Params, p float64) (availStats, error) {
 	}
 	np := normalize(pr)
 	m := len(np.Members)
-	q := 1 - p
-	var err error
-	switch np.Flavor {
-	case epoch.FlavorMajority:
-		r, w := np.R, np.W
-		if r == 0 {
-			r = m/2 + 1
-		}
-		if w == 0 {
-			w = m/2 + 1
-		}
-		st.read = binomTail(m, q, r)
-		st.write = binomTail(m, q, w)
-		st.both = binomTail(m, q, max(r, w))
-	case epoch.FlavorHMaj:
-		st = hmajAvail(np.Rows, np.RL, np.WL, q)
-	default:
-		st, err = structuralAvail(np, p)
-		if err != nil {
-			return availStats{}, err
+	pk, err := epoch.NewPickers(m, np)
+	if err != nil {
+		return availStats{}, err
+	}
+	read, write := pk.Families()
+	var av [3]float64
+	for i, g := range []*quorum.Gate{read, write, quorum.All(read, write)} {
+		f := family{g, m}
+		if counts, err := analysis.Counts(f); err == nil {
+			av[i] = 1 - analysis.Failure(counts, p)
+		} else {
+			rng := rand.New(rand.NewSource(int64(m)*7919 + int64(np.Flavor)))
+			av[i] = 1 - analysis.MonteCarloFailure(f, p, 200000, rng).Estimate
 		}
 	}
+	st = availStats{read: av[0], write: av[1], both: av[2]}
 	scoreMu.Lock()
 	availMemo[key] = st
 	scoreMu.Unlock()
 	return st, nil
 }
 
-// binomTail returns P(Bin(n, q) >= k): the probability at least k of n
-// independent members (each alive with probability q) survive.
-func binomTail(n int, q float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	sum := 0.0
-	for i := k; i <= n; i++ {
-		sum += analysis.Binomial(n, i) * math.Pow(q, float64(i)) * math.Pow(1-q, float64(n-i))
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
-// hmajAvail composes per-subtree joint probabilities bottom-up. For each
-// subtree it tracks the joint distribution over (read-satisfiable,
-// write-satisfiable): the four probabilities p11, p10, p01, p00. A leaf
-// is 11 with probability q. An internal node at level i needs RL[i]
-// read-capable children and WL[i] write-capable children out of degree d;
-// the child states are iid, so a trinomial sweep over (both, read-only,
-// write-only) counts gives the exact joint law.
-func hmajAvail(degree int, rl, wl []int, q float64) availStats {
-	p11, p10, p01 := q, 0.0, 0.0
-	for lvl := len(rl) - 1; lvl >= 0; lvl-- {
-		r, w := rl[lvl], wl[lvl]
-		d := degree
-		var n11, n10, n01 float64
-		p00 := 1 - p11 - p10 - p01
-		if p00 < 0 {
-			p00 = 0
-		}
-		// a children are both-capable, b read-only, c write-only.
-		for a := 0; a <= d; a++ {
-			pa := analysis.Binomial(d, a) * math.Pow(p11, float64(a))
-			if pa == 0 && p11 != 0 {
-				continue
-			}
-			for b := 0; a+b <= d; b++ {
-				pb := analysis.Binomial(d-a, b) * math.Pow(p10, float64(b))
-				for c := 0; a+b+c <= d; c++ {
-					rest := d - a - b - c
-					pc := analysis.Binomial(d-a-b, c) * math.Pow(p01, float64(c)) * math.Pow(p00, float64(rest))
-					pr := pa * pb * pc
-					if pr == 0 {
-						continue
-					}
-					readOK := a+b >= r
-					writeOK := a+c >= w
-					switch {
-					case readOK && writeOK:
-						n11 += pr
-					case readOK:
-						n10 += pr
-					case writeOK:
-						n01 += pr
-					}
-				}
-			}
-		}
-		p11, p10, p01 = n11, n10, n01
-	}
-	return availStats{read: p11 + p10, write: p11 + p01, both: p11}
-}
-
-// family is one quorum family as the availability sweeps see it: the
-// formula over m dense members, and its circuit (nil beyond 64 members)
-// for 64 live sets at a time.
+// family is one quorum family over m dense members, as analysis sees it.
 type family struct {
-	g       *quorum.Gate
-	m       int
-	circ    *analysis.Circuit
-	scratch []uint64
+	g *quorum.Gate
+	m int
 }
 
-func newFamily(g *quorum.Gate, m int) family {
-	f := family{g: g, m: m, circ: g.Circuit(m)}
-	if f.circ != nil {
-		f.scratch = make([]uint64, f.circ.NumRegs())
-	}
-	return f
-}
-
-func (f family) Universe() int                          { return f.m }
-func (f family) Available(live bitset.Set) bool         { return f.g.Eval(live) }
-func (f family) AvailabilityCircuit() *analysis.Circuit { return f.circ }
-
-// holds sets bit s when the family holds on the live set formed by bit s
-// of every lane.
-func (f family) holds(lanes []uint64) uint64 {
-	if f.circ != nil {
-		return f.circ.Eval(lanes, f.scratch)
-	}
-	var out uint64
-	live := bitset.New(f.m)
-	for s := 0; s < 64; s++ {
-		live.Clear()
-		for j, l := range lanes {
-			if l>>uint(s)&1 == 1 {
-				live.Add(j)
-			}
-		}
-		if f.g.Eval(live) {
-			out |= 1 << uint(s)
-		}
-	}
-	return out
-}
-
-// structuralAvail counts, over every live set of a structural flavor
-// (grid, triangle), the failure sets of the read family, the write family
-// and their conjunction, then evaluates the three failure polynomials at
-// p. Beyond 20 members it estimates by fixed-seed Monte Carlo instead.
-func structuralAvail(np epoch.Params, p float64) (availStats, error) {
-	m := len(np.Members)
-	pk, err := epoch.NewPickers(m, np)
-	if err != nil {
-		return availStats{}, err
-	}
-	read, write := pk.Families()
-	fams := [3]family{newFamily(read, m), newFamily(write, m), newFamily(quorum.All(read, write), m)}
-	if m > 20 {
-		// 200000 fixed-seed samples, each drawing its members in order;
-		// sample s of a block is bit s of every lane.
-		const blocks = 3125
-		rng := rand.New(rand.NewSource(int64(m)*7919 + int64(np.Flavor)))
-		lanes := make([]uint64, m)
-		var ok [3]int
-		for b := 0; b < blocks; b++ {
-			clear(lanes)
-			for s := 0; s < 64; s++ {
-				for j := range lanes {
-					if rng.Float64() >= p {
-						lanes[j] |= 1 << uint(s)
-					}
-				}
-			}
-			for i, f := range fams {
-				ok[i] += bits.OnesCount64(f.holds(lanes))
-			}
-		}
-		const samples = blocks * 64
-		return availStats{
-			read:  float64(ok[0]) / samples,
-			write: float64(ok[1]) / samples,
-			both:  float64(ok[2]) / samples,
-		}, nil
-	}
-	ckey := memoKey(np)
-	scoreMu.Lock()
-	counts, ok := countsMemo[ckey]
-	scoreMu.Unlock()
-	if !ok {
-		for i, f := range fams {
-			counts[i] = analysis.TransversalCounts(f)
-		}
-		scoreMu.Lock()
-		countsMemo[ckey] = counts
-		scoreMu.Unlock()
-	}
-	return availStats{
-		read:  1 - analysis.Failure(counts[0], p),
-		write: 1 - analysis.Failure(counts[1], p),
-		both:  1 - analysis.Failure(counts[2], p),
-	}, nil
-}
+func (f family) Universe() int                  { return f.m }
+func (f family) Available(live bitset.Set) bool { return f.g.Eval(live) }
+func (f family) Gate() *quorum.Gate             { return f.g }
 
 // ScoreParams evaluates one configuration against a measured workload:
 // message cost and peak member load weighted by the observed read

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hquorum/internal/analysis"
 	"hquorum/internal/bitset"
 	"hquorum/internal/cwlog"
 	"hquorum/internal/epoch"
@@ -321,10 +322,10 @@ func TestWritebackPricedPerCandidate(t *testing.T) {
 	}
 }
 
-// TestExactAvailAgainstBruteForce cross-checks the closed forms (binomial
-// tail, hmaj joint recursion) and the structural enumeration against a
-// direct sweep over every live set using the pickers themselves as the
-// ground-truth satisfiability oracle.
+// TestExactAvailAgainstBruteForce cross-checks the diagram-counted
+// availabilities of every flavor against a direct sweep over every live
+// set using the pickers themselves as the ground-truth satisfiability
+// oracle.
 func TestExactAvailAgainstBruteForce(t *testing.T) {
 	const p = 0.2
 	configs := []epoch.Params{
@@ -378,11 +379,12 @@ func TestExactAvailAgainstBruteForce(t *testing.T) {
 }
 
 // TestStructuralAvailPinned pins exactAvail for the structural flavors,
-// bit for bit, at values computed from the flavors' bitset predicates
-// (row-cover, full-line, the systems' Available): exact enumeration up to
-// 20 members, the fixed-seed 200000-sample estimate for the 5×5 h-T-grid.
-// The tuner ranks candidates by these numbers, so a gate or lowering that
-// moved one would move its swaps.
+// bit for bit: the rows up to 20 members at values computed by enumerating
+// the flavors' bitset predicates (row-cover, full-line, the systems'
+// Available), the 5×5 h-T-grid at the diagram's exact counts, which a
+// 2²⁵ enumeration of the same families reproduces. The tuner ranks
+// candidates by these numbers, so a gate or diagram change that moved one
+// would move its swaps.
 func TestStructuralAvailPinned(t *testing.T) {
 	for _, c := range []struct {
 		flavor     epoch.Flavor
@@ -406,8 +408,8 @@ func TestStructuralAvailPinned(t *testing.T) {
 		{epoch.FlavorHTriang, 4, 0, 0.1, availStats{0.997691904, 0.997691904, 0.997691904}},
 		{epoch.FlavorHTriang, 5, 0, 0.05, availStats{0.9999762902205626, 0.9999762902205626, 0.9999762902205626}},
 		{epoch.FlavorHTriang, 5, 0, 0.1, availStats{0.9993227901408, 0.9993227901408, 0.9993227901408}},
-		{epoch.FlavorHTGrid, 5, 5, 0.05, availStats{1, 0.99993, 0.99993}},
-		{epoch.FlavorHTGrid, 5, 5, 0.1, availStats{0.999765, 0.998415, 0.998315}},
+		{epoch.FlavorHTGrid, 5, 5, 0.05, availStats{0.9999929913400913, 0.9999412733816853, 0.9999366878925463}},
+		{epoch.FlavorHTGrid, 5, 5, 0.1, availStats{0.9997828805944173, 0.99837918271415, 0.998247312215343}},
 	} {
 		m := c.rows * c.cols
 		if c.flavor == epoch.FlavorHTriang {
@@ -424,31 +426,20 @@ func TestStructuralAvailPinned(t *testing.T) {
 	}
 }
 
-// TestFamilyBeyond64Members: past 64 members a family has no circuit, and
-// the sampler's 64-at-a-time evaluation answers lane by lane through Eval.
-func TestFamilyBeyond64Members(t *testing.T) {
-	const m = 70
-	kids := make([]*quorum.Gate, m)
-	for i := range kids {
-		kids[i] = quorum.Leaf(i)
+// TestExactAvailBeyond64Members: past 64 members no diagram reaches the
+// families, and a 70-member majority scores by the fixed-seed estimate,
+// within five standard errors of the closed form.
+func TestExactAvailBeyond64Members(t *testing.T) {
+	const m, p, samples = 70, 0.45, 200000
+	av, err := exactAvail(epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, m)}, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := newFamily(quorum.Of(m/2+1, kids...), m)
-	if f.circ != nil {
-		t.Fatal("circuit over 70 members")
-	}
-	rng := rand.New(rand.NewSource(7))
-	lanes := make([]uint64, m)
-	for j := range lanes {
-		lanes[j] = rng.Uint64()
-	}
-	got := f.holds(lanes)
-	for s := 0; s < 64; s++ {
-		live := 0
-		for _, l := range lanes {
-			live += int(l >> uint(s) & 1)
-		}
-		if want := live > m/2; (got>>uint(s)&1 == 1) != want {
-			t.Fatalf("sample %d: %d of %d live, holds says %t", s, live, m, !want)
+	want := 1 - analysis.MajorityFailure(m, m/2+1, p)
+	tol := 5 * math.Sqrt(want*(1-want)/samples)
+	for _, got := range []float64{av.read, av.write, av.both} {
+		if math.Abs(got-want) > tol {
+			t.Errorf("70-member majority at p=%v: %+v, closed form %v ± %v", p, av, want, tol)
 		}
 	}
 }

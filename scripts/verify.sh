@@ -26,9 +26,14 @@ if grep -rn 'os\.Getenv' --include='*.go' internal/rkv internal/epoch; then exit
 # The lock has one quorum source, its quorum.System: the epoch-versioned
 # mode is gone and must not grow back unnoticed.
 if go list -deps ./internal/dmutex | grep -x 'hquorum/internal/epoch'; then exit 1; fi
-# Availability circuits are lowered from quorum.Gate formulas: no
-# construction compiles one by hand beside its gate.
-if grep -rln 'NewCircuitBuilder' --include='*.go' . | grep -v -e '^\./internal/analysis/' -e '^\./internal/quorum/'; then exit 1; fi
+# Exact availability has one engine for gated systems: the decision
+# diagram of the quorum.Gate. The bit-sliced circuits, the tuner's own
+# availability formulas and the gated systems' memo-cache keys must not
+# grow back; only Paths and Y, which have no gate, keep a cache key.
+if grep -rnE '(func (\([^)]*\) )?|type )(AvailabilityCircuit|CircuitAvailability|CircuitBuilder|binomTail|hmajAvail)\b' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
+if grep -rlE 'func \([^)]*\) CacheKey\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v -e '^\./internal/paths/' -e '^\./internal/ysys/'; then exit 1; fi
+# The diagram lives with the gate: quorum stands below analysis.
+if go list -deps ./internal/quorum | grep -x 'hquorum/internal/analysis'; then exit 1; fi
 # The tuner counts availability on the pickers' gates, not on per-flavor
 # predicates of its own.
 if go list -f '{{join .Imports "\n"}}' ./internal/tuner | grep -x -e 'hquorum/internal/hgrid' -e 'hquorum/internal/htgrid' -e 'hquorum/internal/htriang'; then exit 1; fi
@@ -39,8 +44,8 @@ if go list -f '{{join .Imports "\n"}}' ./internal/tuner | grep -x -e 'hquorum/in
 if [ -e internal/grid ] || grep -rn '"hquorum/internal/grid"' --include='*.go' --exclude-dir=.bench_build .; then exit 1; fi
 if grep -rnE 'func (\([^)]*\) )?(HasRowCover|HasFullLine|BestFullLine|HasPartialRowCover|feasibleAt(Most|Least))' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
 # The baselines (majority, HQS, CWlog, the k-coteries) state their quorums
-# as quorum.Gate and the enumerator lowers it to a circuit: only Paths and
-# Y, whose availability is graph connectivity, keep a single-word path.
+# as quorum.Gate and count through its diagram: only Paths and Y, whose
+# availability is graph connectivity, keep a single-word path.
 if grep -rlE 'func \([^)]*\) AvailableWord\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v -e '^\./internal/paths/' -e '^\./internal/ysys/'; then exit 1; fi
 # Every uniform random pick walks its construction's quorum.Gate
 # (Gate.Pick): the hand-written pick walks over hierarchy objects, majority
@@ -96,8 +101,8 @@ go test -race ./internal/analysis/...
 # The h-family constructions compile their gates lazily, once, and the
 # enumerator's workers and concurrent pickers read them: race the first use.
 go test -race ./internal/hgrid/... ./internal/htgrid/... ./internal/htriang/...
-# So do the baselines': their Available, their circuit and HQS's pickers
-# all read the gate built on first use.
+# So do the baselines': their Available, their decision diagram and HQS's
+# pickers all read the gate built on first use.
 go test -race ./internal/majority/... ./internal/hqs/... ./internal/cwlog/... ./internal/kcoterie/...
 go test -race ./internal/epoch/... ./internal/quorum/... ./internal/dmutex/... ./internal/rkv/... ./internal/transport/... ./internal/nemesis/... ./internal/history/...
 # One-round reads report sub-operations from the phase-1 reply handler
