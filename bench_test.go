@@ -19,7 +19,6 @@ import (
 	"hquorum/internal/experiments"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/htriang"
-	"hquorum/internal/ysys"
 )
 
 // BenchmarkTable1 regenerates Table 1 (h-grid DP + h-T-grid decision
@@ -43,14 +42,13 @@ func BenchmarkTable2(b *testing.B) {
 	b.ReportMetric(f01*1e6, "F(htriang15,p=.1)x1e6")
 }
 
-// BenchmarkTable3 regenerates Table 3 (seven systems at ~28 nodes) in quick
-// mode: Paths and Y are Monte Carlo estimated, the h-T-grid counted on its
-// diagram; the exact 2²⁸-subset run lives in cmd/paper-tables (and matches
-// the paper to all printed digits).
+// BenchmarkTable3 regenerates Table 3 (seven systems at ~28 nodes), exact:
+// the closed forms, and the decision diagrams of the h-T-grid's gate and of
+// Paths' and Y's graphs.
 func BenchmarkTable3(b *testing.B) {
 	var f01 float64
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table3(true)
+		t := experiments.Table3()
 		f01 = t.Rows[0].Cells[6].Measured // h-triang(28) at p=0.1
 	}
 	b.ReportMetric(f01*1e6, "F(htriang28,p=.1)x1e6")
@@ -196,22 +194,6 @@ func BenchmarkTransversalCountsHTGrid(b *testing.B) {
 				analysis.TransversalCounts(sys)
 			}
 		})
-	}
-}
-
-// BenchmarkAvailableWordY measures the bit-parallel Y predicate (the hot
-// path of the exact Table 3 run: 2²⁸ evaluations).
-func BenchmarkAvailableWordY(b *testing.B) {
-	sys := ysys.New(7)
-	rng := rand.New(rand.NewSource(1))
-	masks := make([]uint64, 1024)
-	for i := range masks {
-		masks[i] = rng.Uint64() & ((1 << 28) - 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.AvailableWord(masks[i&1023])
 	}
 }
 

@@ -21,23 +21,22 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestQuickGolden pins the -quick output — Tables 1–5 and both figures,
-// Table 3's Paths(25) and Y(28) columns sampled with fixed seeds — byte
-// for byte. Every availability sweep of the paper runs under it: the
-// decision diagrams, the word paths, the memo cache and the structural
-// DPs. When a change is
-// meant to move the output, regenerate the file with
-// `go run ./cmd/paper-tables -quick > cmd/paper-tables/testdata/quick.golden`.
-func TestQuickGolden(t *testing.T) {
+// TestTablesGolden pins the output — Tables 1–5 and both figures — byte
+// for byte. Every availability computation of the paper runs under it: the
+// decision diagrams of the gates and of Paths' and Y's graphs, the closed
+// forms and the structural DPs. When a change is meant to move the
+// output, regenerate the file with
+// `go run ./cmd/paper-tables > cmd/paper-tables/testdata/tables.golden`.
+func TestTablesGolden(t *testing.T) {
 	var got bytes.Buffer
-	run(&got, 0, true)
-	const golden = "testdata/quick.golden"
+	run(&got, 0)
+	const golden = "testdata/tables.golden"
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("paper-tables -quick output differs from %s:\n%s", golden, got.String())
+		t.Fatalf("paper-tables output differs from %s:\n%s", golden, got.String())
 	}
 }
 

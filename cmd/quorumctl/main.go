@@ -746,13 +746,9 @@ func show(sys quorum.System, seed int64) {
 	fmt.Printf("universe:     %d nodes\n", n)
 	fmt.Printf("quorum size:  %d..%d\n", sys.MinQuorumSize(), sys.MaxQuorumSize())
 	fmt.Printf("load bound:   >= %.4f (Prop. 3.3)\n", loadopt.LowerBound(sys.MinQuorumSize(), n))
-	// Exact wherever the diagram reaches, and by enumeration up to 26
-	// processes; sampled beyond.
-	var counts []uint64
-	err := analysis.ErrTooLarge
-	if _, gated := sys.(analysis.Gated); gated || n <= 26 {
-		counts, err = analysis.Counts(sys)
-	}
+	// Exact wherever the decision diagram reaches (every system here has
+	// one: a gate, or Paths' and Y's graphs); sampled beyond.
+	counts, err := analysis.Counts(sys)
 	if err == nil {
 		fmt.Printf("failure prob:")
 		for _, p := range experiments.Ps {

@@ -47,8 +47,9 @@ func quorumctl(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 // goldenCases are the analysis subcommands on small systems (n ≤ 16, and
-// one 36-process h-T-grid only the decision diagram counts exactly) with a
-// fixed seed; the operator subcommands need a live cluster.
+// the 25- and 28-process graph systems and one 36-process h-T-grid that
+// the decision diagrams count exactly) with a fixed seed; the operator
+// subcommands need a live cluster.
 var goldenCases = []string{
 	"list",
 	"render figure1",
@@ -60,6 +61,8 @@ var goldenCases = []string{
 	"show htriang 5",
 	"show majority 9",
 	"show htgrid 6 6",
+	"show paths 3",
+	"show y 7",
 	"quorums hgrid 2 3",
 	"quorums flatgrid 2 3",
 	"quorums htgrid 3 3",
@@ -84,9 +87,9 @@ var goldenCases = []string{
 // TestGolden pins quorumctl's output byte for byte: every case's stdout,
 // stderr and exit code, in testdata/golden.txt. The show, quorums and nd
 // cases run the constructions' Pick, Available and enumerations; show,
-// poly and compare count through the gates' decision diagrams (show
-// htgrid 6 6 is exact past the enumerator's 30 processes), importance
-// enumerates. Regenerate with
+// poly and compare count through the decision diagrams of the gates and
+// of Paths' and Y's graphs (show htgrid 6 6 is exact past the enumerator's
+// 30 processes), importance enumerates. Regenerate with
 // `go test ./cmd/quorumctl -run TestGolden -update` only when a change is
 // meant to move the output.
 func TestGolden(t *testing.T) {
@@ -147,8 +150,8 @@ func TestBadArguments(t *testing.T) {
 		{"importance x htgrid 3 3", `quorumctl: importance: crash probability "x" must be a number in [0, 1]`},
 		{"importance 0.1 htgrid 6 6", `quorumctl: importance: h-T-grid(6x6): enumeration over 36 processes, at most 26`},
 		{"poly majority 65", `quorumctl: poly: majority(65): analysis: no exact transversal counts: quorum: no exact diagram: 65 processes, at most 64`},
-		{"poly paths 4", `quorumctl: poly: paths(41): analysis: no exact transversal counts: enumeration over 41 processes, at most 30`},
-		{"compare majority 5 -- y 9", `quorumctl: compare: y(45): analysis: no exact transversal counts: enumeration over 45 processes, at most 30`},
+		{"poly paths 4", `quorumctl: poly: paths(41): analysis: no exact transversal counts: quorum: no exact diagram: past 262144 nodes`},
+		{"compare majority 5 -- y 9", `quorumctl: compare: y(45): analysis: no exact transversal counts: quorum: no exact diagram: past 262144 nodes`},
 		{"reconfig -peers PEERS -id 16 hmaj 2 1000000000 2 2", `quorumctl: reconfig: hmaj levels 1000000000 (want 1..62)`},
 		{"reconfig -peers PEERS -id 16 paxos", `quorumctl: reconfig: epoch: unknown flavor "paxos" (want majority|hgrid|htgrid|htriang|hmaj)`},
 		{"reconfig -peers PEERS -id 16 -target-members 0-9223372036854775807 majority", `quorumctl: reconfig: epoch: member 9223372036854775807 outside ID space 17`},

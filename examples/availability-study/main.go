@@ -42,7 +42,7 @@ func main() {
 }
 
 // pSweep: failure probability as a function of p at the ~15-node scale
-// (exact enumeration for every system).
+// (exact transversal counts for every system, from their decision diagrams).
 func pSweep() {
 	cw, err := cwlog.Log(14)
 	if err != nil {
@@ -66,7 +66,7 @@ func pSweep() {
 	fmt.Println()
 	counts := make([][]uint64, len(systems))
 	for i, sys := range systems {
-		counts[i] = analysis.CachedTransversalCounts(sys)
+		counts[i] = analysis.TransversalCounts(sys)
 	}
 	for p := 0.02; p <= 0.5001; p += 0.02 {
 		fmt.Printf("%.2f", p)

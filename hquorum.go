@@ -130,10 +130,10 @@ func NewY(k int) System { return ysys.New(k) }
 
 // FailureProbabilities computes the exact failure probability of sys at
 // each crash probability in ps from its transversal counts (Proposition
-// 3.1): through the decision diagram of its quorum formula for every
-// construction but Paths and Y, up to 64 nodes, and by full subset
-// enumeration for those two, up to 30 nodes. It panics beyond; use
-// EstimateFailure there.
+// 3.1), through a decision diagram up to 64 nodes: of its quorum formula
+// for every construction but Paths and Y, and of their graphs for those
+// two. A diagram past its node cap falls back to full subset enumeration
+// up to 30 nodes. It panics beyond; use EstimateFailure there.
 func FailureProbabilities(sys System, ps []float64) []float64 {
 	return analysis.FailureAt(sys, ps)
 }

@@ -8,19 +8,17 @@
 //
 //	Fₚ(S) = Σᵢ aᵢ pⁱ qⁿ⁻ⁱ,  q = 1-p.
 //
-// Failure is the one evaluator of Fₚ; the counts come from one of two
-// engines. A system that states its quorums as a quorum.Gate (every
-// construction but Paths and Y) compiles it to a decision diagram and
-// counts exactly up to 64 processes (Gate.TransversalCounts). Any other
-// system enumerates all 2ⁿ failed sets against its availability
-// predicate, spread over goroutines that steal fixed-size subset blocks
-// from a shared atomic counter, up to 30 processes; the enumerator is also
-// the reference the diagram is tested against. Beyond both,
+// Failure is the one evaluator of Fₚ, and the counts come from one engine:
+// a reduced ordered decision diagram, exact up to 64 processes. A system
+// that states its quorums as a quorum.Gate (every construction but Paths
+// and Y) compiles the formula (Gate.TransversalCounts); Paths and Y, whose
+// availability is graph connectivity, compile their graphs
+// (quorum.ComponentCounts). A system with neither form, or one whose
+// diagram outgrows its node cap, enumerates all 2ⁿ failed sets against its
+// availability predicate, up to 30 processes; the enumerator is also the
+// reference the diagrams are tested against. Beyond both,
 // MonteCarloFailure provides an unbiased estimator with a reported
 // standard error.
-//
-// Repeated sweeps of Paths and Y are memoized: see CachedTransversalCounts
-// and the CacheKeyer contract in cache.go.
 package analysis
 
 import (
@@ -32,7 +30,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
@@ -46,16 +43,6 @@ type Availability interface {
 	Available(live bitset.Set) bool
 }
 
-// WordAvailability is an optional allocation-free fast path for systems
-// over at most 64 nodes: AvailableWord(live) must agree with
-// Available(bitset.FromWord(n, live)). The enumerator and the sampler use
-// it when implemented; it is what makes 2²⁸ subsets tractable. Only Paths
-// and Y implement it: their availability is graph connectivity (a padded
-// shift flood), not a threshold formula.
-type WordAvailability interface {
-	AvailableWord(live uint64) bool
-}
-
 // Gated is a system that states its quorums as one formula over its
 // processes; Gate().Eval must agree with Available. Its transversal
 // counts come from the formula's decision diagram.
@@ -63,29 +50,17 @@ type Gated interface {
 	Gate() *quorum.Gate
 }
 
-// ErrTooLarge reports a system whose exact transversal counts no engine
-// reaches: a gated system beyond the diagram (quorum.ErrTooLarge), or
-// another over more than 30 processes.
-var ErrTooLarge = errors.New("analysis: no exact transversal counts")
-
-// Progress observes a running enumeration: done blocks finished out of
-// total, with elapsed wall time since the sweep started. Callbacks are
-// delivered from a single goroutine at a bounded rate plus once on
-// completion.
-type Progress func(done, total uint64, elapsed time.Duration)
-
-var (
-	progressMu sync.Mutex
-	progressFn Progress
-)
-
-// SetProgress installs a process-wide progress callback for subsequent
-// enumerations (nil disables). Short sweeps (< 2 blocks) never report.
-func SetProgress(fn Progress) {
-	progressMu.Lock()
-	progressFn = fn
-	progressMu.Unlock()
+// Compiled is a system that builds its own decision diagram, as Paths and
+// Y do from their graphs; TransversalCounts must agree with Available and
+// wrap quorum.ErrTooLarge when the diagram is out of reach.
+type Compiled interface {
+	TransversalCounts() ([]uint64, error)
 }
+
+// ErrTooLarge reports a system whose exact transversal counts no engine
+// reaches: one over more than 30 processes whose diagram is out of reach
+// (quorum.ErrTooLarge) or that has none.
+var ErrTooLarge = errors.New("analysis: no exact transversal counts")
 
 // enumBlockBits sizes the unit of work stealing: workers claim blocks of
 // 2¹⁶ consecutive subset values from a shared atomic counter, so skewed
@@ -95,22 +70,26 @@ const enumBlockBits = 16
 
 // Counts returns the vector a where a[i] is the number of size-i
 // transversals (failed sets that leave no live quorum): from the decision
-// diagram of a gated system up to 64 processes, by enumerating every
-// subset otherwise, up to 30. The error wraps ErrTooLarge when neither
-// reaches the system.
+// diagram of a gated or compiled system, up to 64 processes, and by
+// enumerating every subset otherwise, up to 30. The error wraps
+// ErrTooLarge when neither reaches the system.
 func Counts(sys Availability) ([]uint64, error) {
 	n := sys.Universe()
-	if g, ok := sys.(Gated); ok {
-		counts, err := g.Gate().TransversalCounts(n)
-		if err == nil {
-			return counts, nil
-		}
-		if n > 30 {
-			return nil, fmt.Errorf("%w: %w", ErrTooLarge, err)
-		}
+	var counts []uint64
+	var err error
+	switch s := sys.(type) {
+	case Gated:
+		counts, err = s.Gate().TransversalCounts(n)
+	case Compiled:
+		counts, err = s.TransversalCounts()
+	default:
+		err = fmt.Errorf("enumeration over %d processes, at most 30", n)
+	}
+	if err == nil {
+		return counts, nil
 	}
 	if n > 30 {
-		return nil, fmt.Errorf("%w: enumeration over %d processes, at most 30", ErrTooLarge, n)
+		return nil, fmt.Errorf("%w: %w", ErrTooLarge, err)
 	}
 	return TransversalCountsParallel(sys, runtime.GOMAXPROCS(0)), nil
 }
@@ -127,10 +106,10 @@ func TransversalCounts(sys Availability) []uint64 {
 
 // TransversalCountsParallel enumerates all 2ⁿ failed sets of the
 // universe against the system's availability predicate, whatever its
-// gate, with an explicit worker count; it is the reference the diagram is
-// tested against. Workers pull blocks of 2¹⁶ subsets from an atomic
-// counter until the space is exhausted, so the result is identical for
-// every worker count. It panics if the universe exceeds 30 nodes.
+// diagram, with an explicit worker count; it is the reference the
+// diagrams are tested against. Workers pull blocks of 2¹⁶ subsets from an
+// atomic counter until the space is exhausted, so the result is identical
+// for every worker count. It panics if the universe exceeds 30 nodes.
 func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 	n := sys.Universe()
 	if n > 30 {
@@ -146,31 +125,7 @@ func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 	}
 	full := uint64(1)<<uint(n) - 1
 
-	var next, done atomic.Uint64
-	stop := make(chan struct{})
-	var reporter sync.WaitGroup
-	progressMu.Lock()
-	report := progressFn
-	progressMu.Unlock()
-	if report != nil && blocks > 1 {
-		start := time.Now()
-		reporter.Add(1)
-		go func() {
-			defer reporter.Done()
-			tick := time.NewTicker(200 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					report(blocks, blocks, time.Since(start))
-					return
-				case <-tick.C:
-					report(done.Load(), blocks, time.Since(start))
-				}
-			}
-		}()
-	}
-
+	var next atomic.Uint64
 	counts := make([][]uint64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -178,11 +133,7 @@ func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 		go func(w int) {
 			defer wg.Done()
 			local := make([]uint64, n+1)
-			fast, isFast := sys.(WordAvailability)
-			var live bitset.Set
-			if !isFast {
-				live = bitset.New(n)
-			}
+			live := bitset.New(n)
 			for {
 				b := next.Add(1) - 1
 				if b >= blocks {
@@ -193,28 +144,17 @@ func TransversalCountsParallel(sys Availability, workers int) []uint64 {
 				if hi > total {
 					hi = total
 				}
-				if isFast {
-					for failed := lo; failed < hi; failed++ {
-						if !fast.AvailableWord(full &^ failed) {
-							local[bits.OnesCount64(failed)]++
-						}
-					}
-				} else {
-					for failed := lo; failed < hi; failed++ {
-						live.SetWord(full &^ failed)
-						if !sys.Available(live) {
-							local[bits.OnesCount64(failed)]++
-						}
+				for failed := lo; failed < hi; failed++ {
+					live.SetWord(full &^ failed)
+					if !sys.Available(live) {
+						local[bits.OnesCount64(failed)]++
 					}
 				}
-				done.Add(1)
 			}
 			counts[w] = local
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	reporter.Wait()
 
 	out := make([]uint64, n+1)
 	for _, local := range counts {
@@ -255,9 +195,9 @@ func Failure(counts []uint64, p float64) float64 {
 }
 
 // FailureAt computes exact failure probabilities of sys at each p in ps
-// from CachedTransversalCounts. It panics where TransversalCounts does.
+// from its transversal counts. It panics where TransversalCounts does.
 func FailureAt(sys Availability, ps []float64) []float64 {
-	counts := CachedTransversalCounts(sys)
+	counts := TransversalCounts(sys)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		out[i] = Failure(counts, p)
@@ -273,42 +213,20 @@ type MonteCarloResult struct {
 }
 
 // MonteCarloFailure estimates Fₚ by sampling crash patterns: each node fails
-// independently with probability p. Systems with a word fast path are
-// sampled with a bit-sliced Bernoulli generator (64 iid survival bits per
-// word, ⌊64/n⌋ crash patterns per word) instead of one rng.Float64 call per
-// node.
+// independently with probability p.
 func MonteCarloFailure(sys Availability, p float64, samples int, rng *rand.Rand) MonteCarloResult {
 	n := sys.Universe()
 	hits := 0
-	if fast, ok := sys.(WordAvailability); ok && n <= 64 {
-		q := 1 - p // P(bit set) = P(node survives)
-		mask := ^uint64(0)
-		if n < 64 {
-			mask = uint64(1)<<uint(n) - 1
-		}
-		per := 64 / n
-		for s := 0; s < samples; {
-			w := bernoulliWord(rng, q)
-			for j := 0; j < per && s < samples; j++ {
-				if !fast.AvailableWord(w & mask) {
-					hits++
-				}
-				w >>= uint(n)
-				s++
+	live := bitset.New(n)
+	for s := 0; s < samples; s++ {
+		live.Clear()
+		for i := 0; i < n; i++ {
+			if rng.Float64() >= p {
+				live.Add(i)
 			}
 		}
-	} else {
-		live := bitset.New(n)
-		for s := 0; s < samples; s++ {
-			live.Clear()
-			for i := 0; i < n; i++ {
-				if rng.Float64() >= p {
-					live.Add(i)
-				}
-			}
-			if !sys.Available(live) {
-				hits++
-			}
+		if !sys.Available(live) {
+			hits++
 		}
 	}
 	est := float64(hits) / float64(samples)

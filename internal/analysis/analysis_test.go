@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,13 +15,6 @@ type threshold struct{ n, m int }
 func (t threshold) Universe() int                  { return t.n }
 func (t threshold) Available(live bitset.Set) bool { return live.Count() >= t.m }
 
-// thresholdWord adds the word fast path.
-type thresholdWord struct{ threshold }
-
-func (t thresholdWord) AvailableWord(live uint64) bool {
-	return bits.OnesCount64(live) >= t.m
-}
-
 func TestTransversalCountsThreshold(t *testing.T) {
 	// For an m-of-n system, a failed set is a transversal iff it has more
 	// than n-m members: a_i = C(n,i) for i > n-m, 0 otherwise.
@@ -35,16 +27,6 @@ func TestTransversalCountsThreshold(t *testing.T) {
 		}
 		if counts[i] != want {
 			t.Errorf("a_%d = %d, want %d", i, counts[i], want)
-		}
-	}
-}
-
-func TestWordFastPathAgrees(t *testing.T) {
-	slow := TransversalCounts(threshold{n: 12, m: 7})
-	fast := TransversalCounts(thresholdWord{threshold{n: 12, m: 7}})
-	for i := range slow {
-		if slow[i] != fast[i] {
-			t.Fatalf("a_%d: slow %d, fast %d", i, slow[i], fast[i])
 		}
 	}
 }
@@ -111,11 +93,6 @@ func TestMonteCarloConverges(t *testing.T) {
 	}
 	if res.Samples != 60000 {
 		t.Fatalf("samples %d", res.Samples)
-	}
-	// Fast path agrees within noise too.
-	res2 := MonteCarloFailure(thresholdWord{sys}, 0.3, 60000, rand.New(rand.NewSource(1)))
-	if math.Abs(res2.Estimate-exact) > 5*res2.StdErr+1e-3 {
-		t.Fatalf("fast estimate %v±%v vs exact %v", res2.Estimate, res2.StdErr, exact)
 	}
 }
 

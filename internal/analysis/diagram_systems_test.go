@@ -1,11 +1,15 @@
 package analysis_test
 
-// Cross-checks of the decision diagram on the gated constructions (the
-// h-grid family and the baselines: majority, HQS, CWlog, the k-majority):
-// its transversal counts must equal the enumerator's wherever 2ⁿ failed
-// sets can be walked, and the closed forms beyond that.
+// Cross-checks of the decision diagrams: on the gated constructions (the
+// h-grid family and the baselines: majority, HQS, CWlog, the k-majority)
+// and on the graph systems (Paths and Y), the diagram's transversal
+// counts must equal the enumerator's wherever 2ⁿ failed sets can be
+// walked, and the closed forms or pinned vectors beyond that. These tests
+// live in an external test package so they can import the construction
+// packages.
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -17,12 +21,91 @@ import (
 	"hquorum/internal/htgrid"
 	"hquorum/internal/htriang"
 	"hquorum/internal/majority"
+	"hquorum/internal/paths"
 	"hquorum/internal/quorum"
+	"hquorum/internal/ysys"
 )
+
+type namedSystem interface {
+	analysis.Availability
+	Name() string
+}
 
 type gatedSystem interface {
 	namedSystem
 	Gate() *quorum.Gate
+}
+
+type graphSystem interface {
+	namedSystem
+	analysis.Compiled
+}
+
+// TestEnumeratorWorkerInvariance asserts the work-stealing enumerator
+// returns identical counts for 1, 3 and GOMAXPROCS workers on a system
+// large enough to span multiple work blocks.
+func TestEnumeratorWorkerInvariance(t *testing.T) {
+	sys := mustLog(18) // 2¹⁸ subsets: 4 work blocks
+	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
+	want := analysis.TransversalCountsParallel(sys, workerCounts[0])
+	for _, w := range workerCounts[1:] {
+		if got := analysis.TransversalCountsParallel(sys, w); !slices.Equal(got, want) {
+			t.Fatalf("%s: workers=%d counts %v, want %v", sys.Name(), w, got, want)
+		}
+	}
+}
+
+// TestGraphDiagramEnumeratorAgrees compares Paths' and Y's compiled counts
+// with the enumerator's, which runs their breadth-first Available on every
+// failed set.
+func TestGraphDiagramEnumeratorAgrees(t *testing.T) {
+	systems := []graphSystem{paths.New(1), paths.New(2)}
+	for k := 1; k <= 6; k++ {
+		systems = append(systems, ysys.New(k))
+	}
+	for _, sys := range systems {
+		got, err := analysis.Counts(sys)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.Name(), err)
+		}
+		if want := analysis.TransversalCountsParallel(sys, runtime.GOMAXPROCS(0)); !slices.Equal(got, want) {
+			t.Fatalf("%s: diagram counts %v, enumeration %v", sys.Name(), got, want)
+		}
+	}
+}
+
+// TestGraphCountsPinned pins the counts of Table 3's Paths(25) and Y(28),
+// recorded from a full 2ⁿ enumeration of their Available.
+func TestGraphCountsPinned(t *testing.T) {
+	for _, c := range []struct {
+		sys  graphSystem
+		want []uint64
+	}{
+		{paths.New(3), []uint64{0, 0, 0, 0, 8, 228, 2928, 22344, 113578, 409250, 1086228, 2179688, 3372810,
+			4094338, 3964544, 3112412, 2009569, 1077257, 480444, 177100, 53130, 12650, 2300, 300, 25, 1}},
+		{ysys.New(7), []uint64{0, 0, 0, 0, 0, 0, 0, 736, 13884, 121392, 651433, 2396757, 6408038, 12903083,
+			20058300, 24539077, 24013717, 19077423, 12471677, 6785508, 3094221, 1183304, 376740, 98280,
+			20475, 3276, 378, 28, 1}},
+	} {
+		got, err := analysis.Counts(c.sys)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sys.Name(), err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: counts %v, want %v", c.sys.Name(), got, c.want)
+		}
+	}
+}
+
+// TestGraphDiagramOutOfReach: Paths(41) and Y(36) outgrow the diagram's
+// node cap, and Counts, with no enumeration past 30 processes, says so.
+func TestGraphDiagramOutOfReach(t *testing.T) {
+	for _, sys := range []graphSystem{paths.New(4), ysys.New(8)} {
+		_, err := analysis.Counts(sys)
+		if !errors.Is(err, quorum.ErrTooLarge) || !errors.Is(err, analysis.ErrTooLarge) {
+			t.Errorf("%s: err %v, want quorum.ErrTooLarge and analysis.ErrTooLarge", sys.Name(), err)
+		}
+	}
 }
 
 // TestDiagramEnumeratorAgrees compares the diagram's transversal counts

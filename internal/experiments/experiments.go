@@ -140,8 +140,7 @@ func Table1() *FailureTable {
 }
 
 // Table2 regenerates "Failure probability in quorum systems with
-// approximately 15 nodes". Quick mode has no effect here (every column is
-// cheap).
+// approximately 15 nodes".
 func Table2() *FailureTable {
 	t := &FailureTable{Name: "Table 2: failure probability, ~15 nodes"}
 	cw14, err := cwlog.Log(14)
@@ -184,30 +183,15 @@ func Table2() *FailureTable {
 }
 
 // Table3 regenerates "Failure probability in quorum systems with
-// approximately 28 nodes". With quick set, the expensive exact
-// enumerations (2²⁵ and 2²⁸ subsets for Paths(25) and Y(28)) are replaced
-// by Monte Carlo estimation; h-T-grid(25) is exact either way, from its
-// decision diagram.
-func Table3(quick bool) *FailureTable {
+// approximately 28 nodes": the closed forms (cross-validated against the
+// diagrams in the package tests), and the decision diagrams of the
+// h-T-grid's gate and of Paths' and Y's graphs.
+func Table3() *FailureTable {
 	t := &FailureTable{Name: "Table 3: failure probability, ~28 nodes"}
 	cw29, err := cwlog.Log(29)
 	if err != nil {
 		panic(err)
 	}
-	heavy := func(sys analysis.Availability, seed int64) []float64 {
-		if !quick {
-			return failureColumn(sys)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		vals := make([]float64, len(Ps))
-		for i, p := range Ps {
-			vals[i] = analysis.MonteCarloFailure(sys, p, 400000, rng).Estimate
-		}
-		return vals
-	}
-	// The closed-form columns (cross-validated against enumeration in the
-	// package tests) and the h-T-grid's diagram are instant; the graph
-	// systems enumerate exactly, or estimate in quick mode.
 	cols := []struct {
 		name  string
 		vals  []float64
@@ -221,9 +205,9 @@ func Table3(quick bool) *FailureTable {
 			[4]float64{0.000205, 0.006865, 0.056988, 0.500000}},
 		{"h-T-grid(25)", failureColumn(htgrid.Auto(5, 5)),
 			[4]float64{0.001621, 0.036300, 0.176290, 0.708872}},
-		{"Paths(25)", heavy(paths.New(3), 12),
+		{"Paths(25)", failureColumn(paths.New(3)),
 			[4]float64{0.001201, 0.025045, 0.136541, 0.678858}},
-		{"Y(28)", heavy(ysys.New(7), 13),
+		{"Y(28)", failureColumn(ysys.New(7)),
 			[4]float64{0.000057, 0.005012, 0.052777, 0.500000}},
 		{"h-triang(28)", closedForm(htriang.New(7).FailureProbability),
 			[4]float64{0.000055, 0.004851, 0.051670, 0.500000}},

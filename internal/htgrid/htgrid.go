@@ -54,6 +54,9 @@ type System struct {
 	compiled      sync.Once
 	lines, covers []*quorum.Gate
 	family        *quorum.Gate
+
+	// The line-cover formula Gate returns, built on first use.
+	gate quorum.Lazy
 }
 
 var (
@@ -208,5 +211,5 @@ func (s *System) Render(q bitset.Set) string { return s.h.Render(q) }
 // Gate compiles the system's quorums for cost-aware picks and exact
 // availability (see hgrid.LineCoverGate), in the configured orientation.
 func (s *System) Gate() *quorum.Gate {
-	return s.h.LineCoverGate(s.orient == OrientAboveLine)
+	return s.gate.Gate(func() *quorum.Gate { return s.h.LineCoverGate(s.orient == OrientAboveLine) })
 }

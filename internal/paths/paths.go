@@ -27,14 +27,6 @@ type System struct {
 	top       []int
 	bottom    []int
 	name      string
-
-	// Single-word fast-path masks (nil when n > 64).
-	neighborMask []uint64
-	leftMask     uint64
-	rightMask    uint64
-	topMask      uint64
-	bottomMask   uint64
-	pad          *pPad // padded shift-flood plan (nil when ℓ > 4)
 }
 
 var _ quorum.System = (*System)(nil)
@@ -80,28 +72,6 @@ func New(ell int) *System {
 	for x := 0; x <= ell; x++ {
 		s.top = append(s.top, corner(x, 0))
 		s.bottom = append(s.bottom, corner(x, ell))
-	}
-	if n <= 64 {
-		s.neighborMask = make([]uint64, n)
-		for v, ns := range s.neighbors {
-			for _, w := range ns {
-				s.neighborMask[v] |= 1 << uint(w)
-			}
-		}
-		mask := func(ids []int) uint64 {
-			var m uint64
-			for _, v := range ids {
-				m |= 1 << uint(v)
-			}
-			return m
-		}
-		s.leftMask = mask(s.left)
-		s.rightMask = mask(s.right)
-		s.topMask = mask(s.top)
-		s.bottomMask = mask(s.bottom)
-		if ell <= 4 { // (ℓ+1) padded rows of stride 2ℓ+3 must fit one word
-			s.pad = buildPPad(ell)
-		}
 	}
 	return s
 }
@@ -157,6 +127,12 @@ func toSet(n int, ids []int) bitset.Set {
 // top–bottom path.
 func (s *System) Available(live bitset.Set) bool {
 	return s.connected(live, s.left, s.right) && s.connected(live, s.top, s.bottom)
+}
+
+// TransversalCounts returns the exact transversal counts from the
+// decision diagram of the two crossings (quorum.ComponentCounts).
+func (s *System) TransversalCounts() ([]uint64, error) {
+	return quorum.ComponentCounts(s.neighbors, [][]int{s.left, s.right}, [][]int{s.top, s.bottom})
 }
 
 // Pick returns a quorum from live: a random shortest-ish left–right path

@@ -175,24 +175,3 @@ func TestCutBlocks(t *testing.T) {
 		t.Fatal("system should be unavailable")
 	}
 }
-
-// TestWordPredicateAgrees cross-checks the bit-parallel fast path against
-// the reference predicate.
-func TestWordPredicateAgrees(t *testing.T) {
-	s := New(2)
-	for mask := uint64(0); mask < 1<<13; mask++ {
-		set := bitset.FromWord(13, mask)
-		if s.Available(set) != s.AvailableWord(mask) {
-			t.Fatalf("disagreement on %013b", mask)
-		}
-	}
-	big := New(3)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 5000; i++ {
-		mask := rng.Uint64() & ((1 << 25) - 1)
-		set := bitset.FromWord(25, mask)
-		if big.Available(set) != big.AvailableWord(mask) {
-			t.Fatalf("disagreement on %025b", mask)
-		}
-	}
-}

@@ -11,9 +11,9 @@ import (
 var ErrTooLarge = errors.New("quorum: no exact diagram")
 
 // maxDiagramNodes caps a diagram. At n = 64 a node's count vector is up to
-// 65 words, so the cap bounds the counts at about 140 MB; the 7×9
-// h-T-grid, the largest diagram of this repository's tests, has 29,523
-// nodes.
+// 65 words, so the cap bounds the counts at about 140 MB; Paths(25), the
+// largest diagram of this repository's tables and tests, has 109,683
+// nodes, and the 7×9 h-T-grid, the largest gate's, 29,523.
 const maxDiagramNodes = 1 << 18
 
 // node is a decision node: process v's liveness chooses hi (live) or lo
@@ -47,7 +47,77 @@ func (g *Gate) TransversalCounts(n int) ([]uint64, error) {
 	return g.transversalCounts(n, maxDiagramNodes)
 }
 
-func (g *Gate) transversalCounts(n, limit int) (counts []uint64, err error) {
+func (g *Gate) transversalCounts(n, limit int) ([]uint64, error) {
+	return compile(n, limit, func(d *diagram) int32 { return d.build(g) })
+}
+
+// ComponentCounts is TransversalCounts for a system whose availability is
+// connectivity in a graph of its processes: neighbors[v] lists process v's
+// neighbours, and the system is available when, for each group of sides,
+// one live component touches every side in the group (Paths is
+// {left, right}, {top, bottom}; Y is {left, right, bottom}). For each side
+// S of a group but the last, reachability from S is the least fixpoint of
+// r[v] = x_v ∧ (v ∈ S ∨ ⋁_{u∈N(v)} r[u]), iterated until no node changes;
+// the group holds when a live process of the last side reaches every other
+// side. The error wraps ErrTooLarge as TransversalCounts' does.
+func ComponentCounts(neighbors [][]int, groups ...[][]int) ([]uint64, error) {
+	return compile(len(neighbors), maxDiagramNodes, func(d *diagram) int32 {
+		return d.components(neighbors, groups)
+	})
+}
+
+// components builds ComponentCounts' function.
+func (d *diagram) components(neighbors [][]int, groups [][][]int) int32 {
+	root := int32(1)
+	for _, sides := range groups {
+		last := sides[len(sides)-1]
+		reach := make([][]int32, len(sides)-1)
+		for i, side := range sides[:len(sides)-1] {
+			reach[i] = d.reach(neighbors, side)
+		}
+		group := int32(0)
+		for _, v := range last {
+			r := d.mk(int32(v), 0, 1)
+			for _, rs := range reach {
+				r = d.apply(false, r, rs[v])
+			}
+			group = d.apply(true, group, r)
+		}
+		root = d.apply(false, root, group)
+	}
+	return root
+}
+
+// reach returns, per process, the function "live and connected through
+// live processes to a live process of side".
+func (d *diagram) reach(neighbors [][]int, side []int) []int32 {
+	r := make([]int32, d.n)
+	in := make([]bool, d.n)
+	for _, v := range side {
+		in[v] = true
+		r[v] = d.mk(int32(v), 0, 1)
+	}
+	for changed := true; changed; {
+		changed = false
+		for v, ns := range neighbors {
+			if in[v] {
+				continue
+			}
+			near := int32(0)
+			for _, u := range ns {
+				near = d.apply(true, near, r[u])
+			}
+			if x := d.apply(false, d.mk(int32(v), 0, 1), near); x != r[v] {
+				r[v], changed = x, true
+			}
+		}
+	}
+	return r
+}
+
+// compile builds a diagram over n processes with build and counts its
+// root, returning the error of a build that aborts.
+func compile(n, limit int, build func(*diagram) int32) (counts []uint64, err error) {
 	if n < 0 || n > 64 {
 		return nil, fmt.Errorf("%w: %d processes, at most 64", ErrTooLarge, n)
 	}
@@ -69,7 +139,7 @@ func (g *Gate) transversalCounts(n, limit int) (counts []uint64, err error) {
 			counts, err = nil, a.err
 		}
 	}()
-	return d.count(d.build(g)), nil
+	return d.count(build(d)), nil
 }
 
 // mk returns the node (v, lo, hi), reduced and unique.

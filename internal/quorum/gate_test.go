@@ -199,6 +199,78 @@ func TestDiagramMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestComponentCountsMatchBruteForce checks ComponentCounts on random
+// graphs over 1–12 processes, with one to three groups of one to three
+// random sides, against a 2ⁿ loop that floods every live component.
+func TestComponentCountsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		neighbors := make([][]int, n)
+		for v := 0; v < n; v++ {
+			for u := v + 1; u < n; u++ {
+				if rng.Intn(3) == 0 {
+					neighbors[v] = append(neighbors[v], u)
+					neighbors[u] = append(neighbors[u], v)
+				}
+			}
+		}
+		groups := make([][][]int, 1+rng.Intn(3))
+		for i := range groups {
+			groups[i] = make([][]int, 1+rng.Intn(3))
+			for j := range groups[i] {
+				groups[i][j] = rng.Perm(n)[:1+rng.Intn(n)]
+			}
+		}
+		got, err := ComponentCounts(neighbors, groups...)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		// holds reports whether some live component touches every side.
+		holds := func(live uint64, sides [][]int) bool {
+			for seen := uint64(0); live&^seen != 0; {
+				comp := live &^ seen & -(live &^ seen)
+				for grown := uint64(0); grown != comp; {
+					grown = comp
+					for v := 0; v < n; v++ {
+						if comp&(1<<v) != 0 {
+							for _, u := range neighbors[v] {
+								comp |= live & (1 << u)
+							}
+						}
+					}
+				}
+				seen |= comp
+				all := true
+				for _, side := range sides {
+					touch := false
+					for _, v := range side {
+						touch = touch || comp&(1<<v) != 0
+					}
+					all = all && touch
+				}
+				if all {
+					return true
+				}
+			}
+			return false
+		}
+		want := make([]uint64, n+1)
+		full := uint64(1)<<uint(n) - 1
+		for failed := uint64(0); failed <= full; failed++ {
+			for _, sides := range groups {
+				if !holds(full&^failed, sides) {
+					want[bits.OnesCount64(failed)]++
+					break
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d over %d processes, groups %v: diagram counts %v, brute force %v", trial, n, groups, got, want)
+		}
+	}
+}
+
 // TestDiagramOutOfReach: a universe over 64 processes, a leaf outside the
 // universe and a diagram past its node cap each return ErrTooLarge; the
 // same formula under the cap counts.

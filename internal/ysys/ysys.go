@@ -26,13 +26,6 @@ type System struct {
 	right     []int
 	bottom    []int
 	name      string
-
-	// Single-word fast-path masks (nil when n > 64).
-	neighborMask []uint64
-	leftMask     uint64
-	rightMask    uint64
-	bottomMask   uint64
-	pad          *yPad // padded shift-flood plan (nil when k > 8)
 }
 
 var _ quorum.System = (*System)(nil)
@@ -70,26 +63,6 @@ func New(k int) *System {
 			}
 		}
 	}
-	if n <= 64 {
-		s.neighborMask = make([]uint64, n)
-		for v, ns := range s.neighbors {
-			for _, w := range ns {
-				s.neighborMask[v] |= 1 << uint(w)
-			}
-		}
-		for _, v := range s.left {
-			s.leftMask |= 1 << uint(v)
-		}
-		for _, v := range s.right {
-			s.rightMask |= 1 << uint(v)
-		}
-		for _, v := range s.bottom {
-			s.bottomMask |= 1 << uint(v)
-		}
-		if k <= 8 { // k² padded bits must fit one word
-			s.pad = buildYPad(k)
-		}
-	}
 	return s
 }
 
@@ -117,6 +90,13 @@ func (s *System) Available(live bitset.Set) bool {
 		}
 	}
 	return false
+}
+
+// TransversalCounts returns the exact transversal counts from the
+// decision diagram of "one live component touches all three sides"
+// (quorum.ComponentCounts).
+func (s *System) TransversalCounts() ([]uint64, error) {
+	return quorum.ComponentCounts(s.neighbors, [][]int{s.left, s.right, s.bottom})
 }
 
 // component returns the connected component of live containing start.

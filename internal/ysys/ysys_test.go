@@ -149,25 +149,3 @@ func TestComplementDuality(t *testing.T) {
 		}
 	}
 }
-
-// TestWordPredicateAgrees cross-checks the bit-parallel fast path against
-// the reference predicate on every subset of a small board and random
-// subsets of larger ones.
-func TestWordPredicateAgrees(t *testing.T) {
-	s := New(4)
-	for mask := uint64(0); mask < 1<<10; mask++ {
-		set := bitset.FromWord(10, mask)
-		if s.Available(set) != s.AvailableWord(mask) {
-			t.Fatalf("disagreement on %010b", mask)
-		}
-	}
-	big := New(7)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		mask := rng.Uint64() & ((1 << 28) - 1)
-		set := bitset.FromWord(28, mask)
-		if big.Available(set) != big.AvailableWord(mask) {
-			t.Fatalf("disagreement on %028b", mask)
-		}
-	}
-}

@@ -9,13 +9,13 @@
 #   jq -r 'select(.Action=="output").Output' BENCH_sweep.json > new.txt
 #   benchstat old.txt new.txt
 #
-# The pattern pins the benchmarks that exercise the exact engines: the
-# table regenerations that feed the acceptance criteria (Table 2 memo
-# cache, Table 3 quick mode), the h-triang and h-T-grid availability
-# predicates (/Set: one bitset Available call, which evaluates the
-# system's quorum.Gate), Y's word fast path for the enumerator, and the
-# exact counts of gated systems from their decision diagrams (the
-# h-triang of 15 processes, the 5×5 and 8×8 h-T-grid).
+# The pattern pins the benchmarks that exercise the exact engine: the
+# table regenerations that feed the acceptance criteria (Tables 2 and 3,
+# every cell exact, Paths and Y from their graphs' decision diagrams), the
+# h-triang and h-T-grid availability predicates (/Set: one bitset
+# Available call, which evaluates the system's quorum.Gate), and the exact
+# counts of gated systems from their decision diagrams (the h-triang of
+# 15 processes, the 5×5 and 8×8 h-T-grid).
 #
 # The live path's per-layer benchmarks follow, into BENCH_layers.json
 # ($2 if given): internal/wal's BenchmarkCommit (a quorum batch of 8
@@ -32,7 +32,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_sweep.json}"
-pattern='^(BenchmarkTable2|BenchmarkTable3|BenchmarkAvailabilityHTriang|BenchmarkAvailabilityHTGrid|BenchmarkAvailableWordY|BenchmarkTransversalCountsHTriang15|BenchmarkTransversalCountsHTGrid)$'
+pattern='^(BenchmarkTable2|BenchmarkTable3|BenchmarkAvailabilityHTriang|BenchmarkAvailabilityHTGrid|BenchmarkTransversalCountsHTriang15|BenchmarkTransversalCountsHTGrid)$'
 go test -json -run '^$' -bench "$pattern" -benchmem -count=5 . > "$out"
 echo "wrote $out" >&2
 layers="${2:-BENCH_layers.json}"

@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the tier-1 gate (see ROADMAP.md): build everything, vet
 # everything, run the full test suite, and run the analysis package —
-# the only package with intentional shared mutable state (memo cache,
-# progress hook, work-stealing counters) — under the race detector.
+# whose enumerator's workers share a work-stealing counter — and the
+# concurrent layers under the race detector.
 set -eux
 cd "$(dirname "$0")/.."
 go build ./...
@@ -26,12 +26,14 @@ if grep -rn 'os\.Getenv' --include='*.go' internal/rkv internal/epoch; then exit
 # The lock has one quorum source, its quorum.System: the epoch-versioned
 # mode is gone and must not grow back unnoticed.
 if go list -deps ./internal/dmutex | grep -x 'hquorum/internal/epoch'; then exit 1; fi
-# Exact availability has one engine for gated systems: the decision
-# diagram of the quorum.Gate. The bit-sliced circuits, the tuner's own
-# availability formulas and the gated systems' memo-cache keys must not
-# grow back; only Paths and Y, which have no gate, keep a cache key.
+# Exact availability has one engine: the decision diagram, of a
+# quorum.Gate or of Paths' and Y's graphs. The bit-sliced circuits, the
+# tuner's own availability formulas, the word fast paths, the
+# transversal-count memo cache and its keys, the enumerator's progress
+# hook and the bit-sliced sampler must not grow back.
 if grep -rnE '(func (\([^)]*\) )?|type )(AvailabilityCircuit|CircuitAvailability|CircuitBuilder|binomTail|hmajAvail)\b' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
-if grep -rlE 'func \([^)]*\) CacheKey\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v -e '^\./internal/paths/' -e '^\./internal/ysys/'; then exit 1; fi
+if grep -rnE 'func \([^)]*\) CacheKey\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
+if grep -rnE '(func (\([^)]*\) )?|type )(WordAvailability|CachedTransversalCounts|SetProgress|bernoulliWord)\b' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
 # The diagram lives with the gate: quorum stands below analysis.
 if go list -deps ./internal/quorum | grep -x 'hquorum/internal/analysis'; then exit 1; fi
 # The tuner counts availability on the pickers' gates, not on per-flavor
@@ -43,10 +45,9 @@ if go list -f '{{join .Imports "\n"}}' ./internal/tuner | grep -x -e 'hquorum/in
 # and the hand-written availability predicates must not grow back.
 if [ -e internal/grid ] || grep -rn '"hquorum/internal/grid"' --include='*.go' --exclude-dir=.bench_build .; then exit 1; fi
 if grep -rnE 'func (\([^)]*\) )?(HasRowCover|HasFullLine|BestFullLine|HasPartialRowCover|feasibleAt(Most|Least))' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
-# The baselines (majority, HQS, CWlog, the k-coteries) state their quorums
-# as quorum.Gate and count through its diagram: only Paths and Y, whose
-# availability is graph connectivity, keep a single-word path.
-if grep -rlE 'func \([^)]*\) AvailableWord\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v -e '^\./internal/paths/' -e '^\./internal/ysys/'; then exit 1; fi
+# Every construction counts through a decision diagram, so none keeps a
+# single-word availability path.
+if grep -rnE 'func \([^)]*\) AvailableWord\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then exit 1; fi
 # Every uniform random pick walks its construction's quorum.Gate
 # (Gate.Pick): the hand-written pick walks over hierarchy objects, majority
 # trees, triangles and thresholds must not grow back.
@@ -60,9 +61,9 @@ if grep -rn 'func pick(' --include='*.go' --exclude='*_test.go' internal/hqs int
 # own.
 if grep -rnE 'func (\([^)]*\) )?(NewWeighted|sizeBounds|rowState|assemble|liveClusters|availableSlices|slice)\(' --include='*.go' --exclude='*_test.go' internal/majority internal/cwlog internal/kcoterie internal/bqs; then exit 1; fi
 if grep -rn 'Shuffle(' --include='*.go' --exclude='*_test.go' internal/majority internal/cwlog internal/kcoterie; then exit 1; fi
-# The transversal-count cache is in-process only: its disk layer and the
-# paper-tables flag that turned it on must not grow back. (The brackets
-# keep this line from matching itself.)
+# The transversal-count cache is gone, and with it its disk layer and the
+# paper-tables flag that turned that on: neither may grow back. (The
+# brackets keep this line from matching itself.)
 if grep -rnE 'SetDiskCache[D]ir|cache[-]dir' --include='*.go' --include='*.sh' --exclude-dir=.bench_build .; then exit 1; fi
 # hqbench (benchmark/run.sh) is the one end-to-end instrument: the retired
 # load generator and its live ledger must not grow back, nor be pointed at
