@@ -15,7 +15,11 @@
 //
 // Encoders append into a reused scratch buffer (steady-state encodes
 // allocate nothing); the path never touches reflection beyond one type
-// lookup.
+// lookup. Decoding is in place: a frame's payload becomes one string, and
+// every string field a decoder reads is a substring of it — one
+// allocation per frame, however many keys and values it carries. A
+// decoded value therefore keeps its whole frame alive; whoever stores a
+// field for longer than a message's life copies it (strings.Clone).
 package codec
 
 import (
@@ -47,7 +51,8 @@ var ErrUnknownTag = errors.New("codec: unknown tag")
 type EncodeFunc func(buf []byte, v any) []byte
 
 // DecodeFunc parses a binary payload produced by the matching EncodeFunc.
-type DecodeFunc func(data []byte) (any, error)
+// Strings it reads through a Reader share data's memory.
+type DecodeFunc func(data string) (any, error)
 
 type entry struct {
 	tag uint64
@@ -196,20 +201,22 @@ func (d *Decoder) Decode() (from uint64, v any, err error) {
 		return 0, nil, err
 	}
 	d.total += uint64(size) + uint64(uvarintLen(size))
-	from, v, err = DecodeBody(body, d.reg)
-	return from, v, err
+	return DecodeBody(body, d.reg)
 }
 
 // DecodeBody parses one frame body (everything after the length prefix).
+// The payload is copied into one string once its tag is known, so a
+// refused frame costs no copy and a decoded value never aliases body.
 // It is exported so tests and tools can decode captured frames.
 func DecodeBody(body []byte, reg *Registry) (from uint64, v any, err error) {
-	rd := NewReader(body)
-	from = rd.Uvarint()
-	tag := rd.Uvarint()
-	if err := rd.Err(); err != nil {
-		return 0, nil, err
+	from, n := binary.Uvarint(body)
+	if n <= 0 {
+		return 0, nil, ErrTruncated
 	}
-	payload := rd.Rest()
+	tag, m := binary.Uvarint(body[n:])
+	if m <= 0 {
+		return 0, nil, ErrTruncated
+	}
 	var ent *entry
 	if reg != nil {
 		ent = reg.lookupTag(tag)
@@ -217,7 +224,7 @@ func DecodeBody(body []byte, reg *Registry) (from uint64, v any, err error) {
 	if ent == nil {
 		return 0, nil, fmt.Errorf("%w %d", ErrUnknownTag, tag)
 	}
-	v, err = ent.dec(payload)
+	v, err = ent.dec(string(body[n+m:]))
 	if err != nil {
 		return 0, nil, fmt.Errorf("codec: decode tag %d (%v): %w", tag, ent.typ, err)
 	}
@@ -249,46 +256,51 @@ func AppendString(b []byte, s string) []byte {
 // ErrTruncated. Hand-written decoders read all fields, then check Err once
 // — which also makes them safe on arbitrary fuzzed input.
 type Reader struct {
-	data []byte
+	data string
 	off  int
 	fail bool
 }
 
 // NewReader returns a Reader over data.
-func NewReader(data []byte) *Reader { return &Reader{data: data} }
+func NewReader(data string) *Reader { return &Reader{data: data} }
 
-// Uvarint reads one varint field.
+// Uvarint reads one varint field, with encoding/binary's overflow rules.
 func (r *Reader) Uvarint() uint64 {
 	if r.fail {
 		return 0
 	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail = true
-		return 0
+	var v uint64
+	var s uint
+	for i := 0; r.off+i < len(r.data); i++ {
+		if i == binary.MaxVarintLen64 {
+			break // overflow
+		}
+		b := r.data[r.off+i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break // overflow
+			}
+			r.off += i + 1
+			return v | uint64(b)<<s
+		}
+		v |= uint64(b&0x7f) << s
+		s += 7
 	}
-	r.off += n
-	return v
+	r.fail = true
+	return 0
 }
 
-// String reads one length-prefixed string field.
+// String reads one length-prefixed string field: a substring of the
+// payload, not a copy.
 func (r *Reader) String() string {
 	size := r.Uvarint()
 	if r.fail || size > uint64(len(r.data)-r.off) {
 		r.fail = true
 		return ""
 	}
-	s := string(r.data[r.off : r.off+int(size)])
+	s := r.data[r.off : r.off+int(size)]
 	r.off += int(size)
 	return s
-}
-
-// Rest returns the unread remainder of the payload.
-func (r *Reader) Rest() []byte {
-	if r.fail {
-		return nil
-	}
-	return r.data[r.off:]
 }
 
 // Len returns the number of unread bytes.

@@ -32,7 +32,7 @@ func encPing(b []byte, v any) []byte {
 	return AppendString(b, m.Text)
 }
 
-func decPing(data []byte) (any, error) {
+func decPing(data string) (any, error) {
 	r := NewReader(data)
 	m := tPing{Seq: r.Uvarint(), Text: r.String()}
 	return m, r.Err()
@@ -40,7 +40,7 @@ func decPing(data []byte) (any, error) {
 
 func encAck(b []byte, v any) []byte { return AppendUvarint(b, v.(tAck).Seq) }
 
-func decAck(data []byte) (any, error) {
+func decAck(data string) (any, error) {
 	r := NewReader(data)
 	m := tAck{Seq: r.Uvarint()}
 	return m, r.Err()
@@ -217,7 +217,7 @@ func TestRegisterWhileCoding(t *testing.T) {
 		sample := reflect.Zero(reflect.ArrayOf(i+1, reflect.TypeOf(byte(0)))).Interface()
 		samples[i] = sample
 		enc := func(b []byte, v any) []byte { return b }
-		dec := func([]byte) (any, error) { return sample, nil }
+		dec := func(string) (any, error) { return sample, nil }
 		reg.Register(uint64(100+i), sample, enc, dec)
 		reg.Register(uint64(100+i), sample, enc, dec)
 	}
@@ -262,11 +262,11 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestReaderSticky(t *testing.T) {
-	r := NewReader(nil)
+	r := NewReader("")
 	if r.Uvarint() != 0 || r.String() != "" || r.Err() == nil {
 		t.Fatal("empty reader must fail sticky")
 	}
-	if r.Rest() != nil || r.Len() != 0 {
+	if r.Len() != 0 {
 		t.Fatal("failed reader leaked data")
 	}
 }

@@ -79,7 +79,7 @@ func seedFrames(t *testing.T) map[string][]byte {
 		data := buf.Bytes()
 		size, n := binary.Uvarint(data)
 		body := data[n : n+int(size)]
-		r := codec.NewReader(body)
+		r := codec.NewReader(string(body))
 		r.Uvarint() // from
 		tag := r.Uvarint()
 		frames[fmt.Sprintf("seed-tag-0x%02x", tag)] = body
@@ -122,7 +122,7 @@ func TestSeedCorpusCoversAllTags(t *testing.T) {
 	seeds := 0
 	for _, e := range entries {
 		body := readCorpusFile(t, filepath.Join(corpusDir, e.Name()))
-		r := codec.NewReader(body)
+		r := codec.NewReader(string(body))
 		r.Uvarint() // from
 		tag := r.Uvarint()
 		if r.Err() == nil {
@@ -165,7 +165,7 @@ func TestRetiredTagsRefused(t *testing.T) {
 	reg := liveRegistry()
 	for name, tag := range retiredSeeds {
 		body := readCorpusFile(t, filepath.Join(corpusDir, name))
-		if r := codec.NewReader(body); r.Uvarint() != 5 || r.Uvarint() != tag {
+		if r := codec.NewReader(string(body)); r.Uvarint() != 5 || r.Uvarint() != tag {
 			t.Fatalf("%s is not a frame on tag 0x%02x", name, tag)
 		}
 		body = append(body, make([]byte, 1<<20)...)

@@ -34,7 +34,7 @@ func RegisterBinaryWire(reg *codec.Registry) {
 				b = codec.AppendUvarint(b, r.TS)
 				return codec.AppendUvarint(b, uint64(r.Origin))
 			},
-			func(data []byte) (any, error) {
+			func(data string) (any, error) {
 				rd := codec.NewReader(data)
 				r := ReqID{TS: rd.Uvarint(), Origin: cluster.NodeID(rd.Uvarint())}
 				return wrap(r), rd.Err()

@@ -68,13 +68,13 @@ func TestBinaryWireTagsDisjoint(t *testing.T) {
 	type retired struct{ X uint64 }
 	reg.Register(0x26, retired{},
 		func(b []byte, v any) []byte { return codec.AppendUvarint(b, v.(retired).X) },
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			return retired{X: r.Uvarint()}, r.Err()
 		})
 	reg.Register(0x2e, probe{},
 		func(b []byte, v any) []byte { return codec.AppendUvarint(b, v.(probe).X) },
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			return probe{X: r.Uvarint()}, r.Err()
 		})

@@ -368,7 +368,7 @@ func readParams(r *codec.Reader) Params {
 // is structurally sound but not validated against an ID space — callers
 // install it through Store.Install, which validates.
 func DecodeParams(data []byte) (Params, error) {
-	r := codec.NewReader(data)
+	r := codec.NewReader(string(data))
 	p := readParams(r)
 	return p, r.Err()
 }
@@ -403,7 +403,7 @@ func (c Config) Encode(b []byte) []byte {
 // DecodeConfig parses the wire form produced by Config.Encode, rejecting
 // structurally hostile inputs (truncation, absurd member counts).
 func DecodeConfig(data []byte) (Config, error) {
-	r := codec.NewReader(data)
+	r := codec.NewReader(string(data))
 	var c Config
 	c.Epoch = r.Uvarint()
 	joint := r.Uvarint()

@@ -56,7 +56,7 @@ func (h *Histogram) AppendBinary(b []byte) []byte {
 // must be consumed; trailing bytes are an error (callers embedding the
 // form in a larger payload should length-prefix it).
 func Decode(data []byte) (*Histogram, error) {
-	r := codec.NewReader(data)
+	r := codec.NewReader(string(data))
 	if v := r.Uvarint(); v != snapVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadSnapshot, v)
 	}

@@ -145,15 +145,6 @@ func MaskAll(nshards int) uint64 {
 	return (uint64(1) << uint(nshards)) - 1
 }
 
-// KeysMask returns the union of the shard bits for keys.
-func KeysMask(keys []string, nshards int) uint64 {
-	var m uint64
-	for _, k := range keys {
-		m |= Bit(ShardOf(k, nshards))
-	}
-	return m
-}
-
 // Entry is one recorded lease at a member: holder H may serve shards in
 // Mask (over a Shards-wide space) until Expiry on this member's clock.
 // Until then, any write this member coordinates that overlaps Mask must
@@ -267,11 +258,13 @@ func (t *Table) Covered(space int, now time.Duration) uint64 {
 	return m
 }
 
-// Overlapping returns the holders whose unexpired entries cover the shard
-// of some key, in ID order, each with the shards that overlap — the
-// holders a write phase carrying keys must invalidate first. Expired
-// entries it meets are dropped.
-func (t *Table) Overlapping(keys []string, now time.Duration) (holders []cluster.NodeID, masks []uint64) {
+// Overlapping returns the holders whose unexpired entries cover a shard
+// of a write's keys, in ID order, each with the shards that overlap — the
+// holders a write phase must invalidate first. keysMask returns the
+// union of the keys' shard bits in an nshards-wide space (Bit(ShardOf));
+// it is asked once per live entry, and not at all while the table is
+// empty. Expired entries it meets are dropped.
+func (t *Table) Overlapping(keysMask func(nshards int) uint64, now time.Duration) (holders []cluster.NodeID, masks []uint64) {
 	if len(t.entries) == 0 {
 		return nil, nil
 	}
@@ -281,7 +274,7 @@ func (t *Table) Overlapping(keys []string, now time.Duration) (holders []cluster
 			delete(t.entries, h)
 			continue
 		}
-		if overlap := e.Mask & KeysMask(keys, e.Shards); overlap != 0 {
+		if overlap := e.Mask & keysMask(e.Shards); overlap != 0 {
 			holders = append(holders, h)
 			masks = append(masks, overlap)
 		}

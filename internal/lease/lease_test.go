@@ -37,14 +37,9 @@ func TestMasks(t *testing.T) {
 	if MaskAll(16) != 0xffff {
 		t.Fatalf("MaskAll(16) = %x", MaskAll(16))
 	}
-	keys := []string{"a", "b", "c"}
-	m := KeysMask(keys, 16)
-	if m == 0 || m&^MaskAll(16) != 0 {
-		t.Fatalf("KeysMask = %x", m)
-	}
-	for _, k := range keys {
-		if m&Bit(ShardOf(k, 16)) == 0 {
-			t.Fatalf("KeysMask missing shard for %q", k)
+	for _, k := range []string{"a", "b", "c"} {
+		if m := Bit(ShardOf(k, 16)); m == 0 || m&^MaskAll(16) != 0 {
+			t.Fatalf("Bit(ShardOf(%q, 16)) = %x", k, m)
 		}
 	}
 }

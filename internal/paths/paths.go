@@ -12,6 +12,7 @@ package paths
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
@@ -26,7 +27,20 @@ type System struct {
 	right     []int
 	top       []int
 	bottom    []int
+	// rightSet and bottomSet are the crossings' targets as sets, built
+	// once; floods draws Available's scratch (a *flood), so concurrent
+	// callers — the enumerator's workers — each get their own.
+	rightSet  bitset.Set
+	bottomSet bitset.Set
+	floods    sync.Pool
 	name      string
+}
+
+// flood is one connectivity search's scratch: the vertices seen and the
+// depth-first stack.
+type flood struct {
+	seen  bitset.Set
+	stack []int
 }
 
 var _ quorum.System = (*System)(nil)
@@ -73,6 +87,9 @@ func New(ell int) *System {
 		s.top = append(s.top, corner(x, 0))
 		s.bottom = append(s.bottom, corner(x, ell))
 	}
+	s.rightSet = bitset.FromIndices(n, s.right...)
+	s.bottomSet = bitset.FromIndices(n, s.bottom...)
+	s.floods.New = func() any { return &flood{seen: bitset.New(n), stack: make([]int, 0, n)} }
 	return s
 }
 
@@ -86,47 +103,39 @@ func (s *System) Universe() int { return s.n }
 func (s *System) Ell() int { return s.ell }
 
 // connected reports whether live contains a path from some vertex of src to
-// some vertex of dst.
-func (s *System) connected(live bitset.Set, src, dst []int) bool {
-	return s.reach(live, src).Intersects(toSet(s.n, dst))
-}
-
-// reach returns the set of live vertices reachable from live vertices of
-// src.
-func (s *System) reach(live bitset.Set, src []int) bitset.Set {
-	seen := bitset.New(s.n)
-	stack := make([]int, 0, s.n)
+// some vertex of dst. It floods on pooled scratch and allocates nothing:
+// a vertex is pushed at most once, so the stack never outgrows its n.
+func (s *System) connected(live bitset.Set, src []int, dst bitset.Set) bool {
+	f := s.floods.Get().(*flood)
+	defer s.floods.Put(f)
+	f.seen.Clear()
+	stack := f.stack[:0]
 	for _, v := range src {
-		if live.Contains(v) && !seen.Contains(v) {
-			seen.Add(v)
+		if live.Contains(v) && !f.seen.Contains(v) {
+			f.seen.Add(v)
 			stack = append(stack, v)
 		}
 	}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		if dst.Contains(v) {
+			return true
+		}
 		for _, w := range s.neighbors[v] {
-			if live.Contains(w) && !seen.Contains(w) {
-				seen.Add(w)
+			if live.Contains(w) && !f.seen.Contains(w) {
+				f.seen.Add(w)
 				stack = append(stack, w)
 			}
 		}
 	}
-	return seen
-}
-
-func toSet(n int, ids []int) bitset.Set {
-	out := bitset.New(n)
-	for _, id := range ids {
-		out.Add(id)
-	}
-	return out
+	return false
 }
 
 // Available reports whether live contains both a left–right and a
-// top–bottom path.
+// top–bottom path. It is safe for concurrent use and allocates nothing.
 func (s *System) Available(live bitset.Set) bool {
-	return s.connected(live, s.left, s.right) && s.connected(live, s.top, s.bottom)
+	return s.connected(live, s.left, s.rightSet) && s.connected(live, s.top, s.bottomSet)
 }
 
 // TransversalCounts returns the exact transversal counts from the
@@ -138,8 +147,8 @@ func (s *System) TransversalCounts() ([]uint64, error) {
 // Pick returns a quorum from live: a random shortest-ish left–right path
 // plus a random top–bottom path, pruned to a minimal union.
 func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	lr := s.randomPath(rng, live, s.left, s.right)
-	tb := s.randomPath(rng, live, s.top, s.bottom)
+	lr := s.randomPath(rng, live, s.left, s.rightSet)
+	tb := s.randomPath(rng, live, s.top, s.bottomSet)
 	if lr == nil || tb == nil {
 		return bitset.Set{}, quorum.ErrNoQuorum
 	}
@@ -164,7 +173,7 @@ func (s *System) Pick(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 
 // randomPath returns the vertices of a BFS path from src to dst through
 // live vertices, with neighbor order randomized, or nil.
-func (s *System) randomPath(rng *rand.Rand, live bitset.Set, src, dst []int) []int {
+func (s *System) randomPath(rng *rand.Rand, live bitset.Set, src []int, dst bitset.Set) []int {
 	prev := make([]int, s.n)
 	for i := range prev {
 		prev[i] = -2
@@ -177,11 +186,10 @@ func (s *System) randomPath(rng *rand.Rand, live bitset.Set, src, dst []int) []i
 		}
 	}
 	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-	dstSet := toSet(s.n, dst)
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		if dstSet.Contains(v) {
+		if dst.Contains(v) {
 			var path []int
 			for u := v; u != -1; u = prev[u] {
 				path = append(path, u)

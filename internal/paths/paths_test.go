@@ -165,13 +165,34 @@ func TestCutBlocks(t *testing.T) {
 	live.Remove(1)
 	live.Remove(4)
 	live.Remove(7)
-	if s.connected(live, s.left, s.right) {
+	if s.connected(live, s.left, s.rightSet) {
 		t.Fatal("middle corner column should cut left-right paths")
 	}
-	if !s.connected(live, s.top, s.bottom) {
+	if !s.connected(live, s.top, s.bottomSet) {
 		t.Fatal("top-bottom should remain connected")
 	}
 	if s.Available(live) {
 		t.Fatal("system should be unavailable")
+	}
+}
+
+// TestAvailableAllocatesNothing: Monte Carlo estimates call Available
+// once per sample, so it floods on pooled scratch and allocates nothing.
+func TestAvailableAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	s := New(2) // Paths(13)
+	rng := rand.New(rand.NewSource(1))
+	lives := make([]bitset.Set, 64)
+	for i := range lives {
+		lives[i] = bitset.FromWord(13, rng.Uint64()&(1<<13-1))
+	}
+	i := 0
+	if got := testing.AllocsPerRun(200, func() {
+		s.Available(lives[i%len(lives)])
+		i++
+	}); got != 0 {
+		t.Fatalf("Available allocates %v times per call, want 0", got)
 	}
 }

@@ -199,9 +199,7 @@ func TestDiskAcksRideCoveringRound(t *testing.T) {
 	deliver := func(seq uint64) {
 		m := msgWriteBatch{Epoch: 1, Seq: seq}
 		for k := 0; k < 8; k++ {
-			m.Keys = append(m.Keys, fmt.Sprintf("key-%d", k))
-			m.Vers = append(m.Vers, Version{Counter: seq, Writer: 0})
-			m.Vals = append(m.Vals, fmt.Sprintf("v%d", seq))
+			m.Items = append(m.Items, item{Key: fmt.Sprintf("key-%d", k), Ver: Version{Counter: seq, Writer: 0}, Val: fmt.Sprintf("v%d", seq)})
 		}
 		if !n.FastDeliver(env, 0, m) {
 			t.Fatalf("batch %d not served on the fast path", seq)
@@ -261,13 +259,13 @@ func TestDiskReadReplySaysUnsynced(t *testing.T) {
 		defer env.mu.Unlock()
 		return env.reads[len(env.reads)-1]
 	}
-	if r := read(); r.Unsynced || r.Vers[0] != (Version{}) {
+	if r := read(); r.Unsynced || r.Items[0].Ver != (Version{}) {
 		t.Fatalf("idle replica answered %+v, want the zero version from a synced log", r)
 	}
 	ver := Version{Counter: 1, Writer: 0}
-	n.FastDeliver(env, 0, msgWriteBatch{Epoch: 1, Seq: 1, Keys: []string{"k"}, Vers: []Version{ver}, Vals: []string{"v"}})
+	n.FastDeliver(env, 0, msgWriteBatch{Epoch: 1, Seq: 1, Items: []item{{Key: "k", Ver: ver, Val: "v"}}})
 	<-entered // the write's round sits in fsync: installed, not durable, not acked
-	if r := read(); !r.Unsynced || r.Vers[0] != ver || len(env.seqs()) != 0 {
+	if r := read(); !r.Unsynced || r.Items[0].Ver != ver || len(env.seqs()) != 0 {
 		t.Fatalf("mid-fsync read answered %+v with acks %v; want the new version, flagged unsynced, no ack yet", r, env.seqs())
 	}
 	gate <- struct{}{}
@@ -276,7 +274,7 @@ func TestDiskReadReplySaysUnsynced(t *testing.T) {
 			t.Fatal("write never acknowledged")
 		}
 	}
-	if r := read(); r.Unsynced || r.Vers[0] != ver {
+	if r := read(); r.Unsynced || r.Items[0].Ver != ver {
 		t.Fatalf("read after the ack answered %+v, want the version from a synced log", r)
 	}
 	if err := n.Close(); err != nil {

@@ -262,7 +262,7 @@ func TestEpochZeroFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := []any{
-		msgWriteBatch{Epoch: 0, Seq: 4, Keys: []string{"", "k"}, Vers: []Version{{Counter: 7, Writer: 3}, {Counter: 8, Writer: 3}}, Vals: []string{"x", "y"}},
+		msgWriteBatch{Epoch: 0, Seq: 4, Items: []item{{"", Version{Counter: 7, Writer: 3}, "x"}, {"k", Version{Counter: 8, Writer: 3}, "y"}}},
 		msgReadBatch{Epoch: 0, Seq: 5, Keys: []string{"", "k"}},
 		msgSnapReq{Epoch: 0, Seq: 6},
 	}

@@ -86,12 +86,10 @@ type (
 		Mask   uint64
 		Shards int
 	}
-	// msgLeasePullReply carries the filtered dump, parallel slices.
+	// msgLeasePullReply carries the filtered dump, sorted by key.
 	msgLeasePullReply struct {
-		Seq  uint64
-		Keys []string
-		Vers []Version
-		Vals []string
+		Seq   uint64
+		Items []item
 	}
 	// msgLeaseDrop tells members the holder released Mask's shards
 	// (best-effort cleanup; entries expire on their own anyway).
@@ -281,10 +279,8 @@ func (n *Node) leaseGrantOK(env cluster.Env, from cluster.NodeID, mask uint64, s
 		if op.ph != phaseWrite && op.ph != phaseInval {
 			continue
 		}
-		for _, k := range op.p2Keys {
-			if mask&lease.Bit(lease.ShardOf(k, shards)) != 0 {
-				return false
-			}
+		if mask&itemsMask(op.p2, shards) != 0 {
+			return false
 		}
 	}
 	return true
@@ -312,19 +308,14 @@ func (n *Node) onLeasePullServe(env cluster.Env, from cluster.NodeID, m msgLease
 		return
 	}
 	n.gate(env, from, m.Epoch, m.Seq, func() {
-		keys, vers, vals := n.store.dump()
-		var fk []string
-		var fver []Version
-		var fval []string
-		for i, k := range keys {
-			if m.Mask&lease.Bit(lease.ShardOf(k, m.Shards)) == 0 {
-				continue
+		items := n.store.dump()
+		kept := items[:0]
+		for _, it := range items {
+			if m.Mask&lease.Bit(lease.ShardOf(it.Key, m.Shards)) != 0 {
+				kept = append(kept, it)
 			}
-			fk = append(fk, k)
-			fver = append(fver, vers[i])
-			fval = append(fval, vals[i])
 		}
-		env.Send(from, msgLeasePullReply{Seq: m.Seq, Keys: fk, Vers: fver, Vals: fval})
+		env.Send(from, msgLeasePullReply{Seq: m.Seq, Items: kept})
 	})
 }
 
@@ -352,7 +343,7 @@ func (n *Node) enterWritePhase(env cluster.Env, op *opState) {
 func (n *Node) startInvalPhase(env cluster.Env, op *opState) bool {
 	now := env.Now()
 	quarantined := now < n.leaseBlockedUntil
-	targets, masks := n.lt.Overlapping(op.p2Keys, now)
+	targets, masks := n.lt.Overlapping(func(shards int) uint64 { return itemsMask(op.p2, shards) }, now)
 	if len(targets) == 0 && !quarantined {
 		return false
 	}
@@ -398,11 +389,21 @@ func (n *Node) leaseWritebackOwed(env cluster.Env, key string) bool {
 	if now < n.leaseBlockedUntil {
 		return true
 	}
-	if holders, _ := n.lt.Overlapping([]string{key}, now); len(holders) > 0 {
+	if holders, _ := n.lt.Overlapping(func(shards int) uint64 { return lease.Bit(lease.ShardOf(key, shards)) }, now); len(holders) > 0 {
 		return true
 	}
 	lh := n.lh
 	return lh != nil && lh.SelfKeepOK(lease.ShardOf(key, lh.Config().Shards))
+}
+
+// itemsMask returns the union of items' lease shard bits in an
+// nshards-wide space.
+func itemsMask(items []item, nshards int) uint64 {
+	var m uint64
+	for _, it := range items {
+		m |= lease.Bit(lease.ShardOf(it.Key, nshards))
+	}
+	return m
 }
 
 // leaseOnInvalAck consumes a holder's invalidation ack for an op round.
@@ -415,7 +416,7 @@ func (n *Node) leaseOnInvalAck(env cluster.Env, from cluster.NodeID, seq uint64)
 	// The holder no longer serves the shards we asked it to drop: clear
 	// them from our table so later rounds don't re-invalidate.
 	if e, have := n.lt.Get(from); have {
-		n.lt.ClearBits(from, e.Mask&lease.KeysMask(op.p2Keys, e.Shards))
+		n.lt.ClearBits(from, e.Mask&itemsMask(op.p2, e.Shards))
 	}
 	if op.pending.Empty() {
 		// Re-enter the full barrier rather than shipping the write: the
@@ -580,10 +581,9 @@ func (n *Node) leaseStartPull(env cluster.Env) {
 	}
 	mask, shards := lh.Mask(), lh.Config().Shards
 	n.leaseMerged = make(map[string]mergedVal)
-	keys, vers, vals := n.store.dump()
-	for i, k := range keys {
-		if mask&lease.Bit(lease.ShardOf(k, shards)) != 0 {
-			n.leaseMergeVal(k, vers[i], vals[i])
+	for _, it := range n.store.dump() {
+		if mask&lease.Bit(lease.ShardOf(it.Key, shards)) != 0 {
+			n.leaseMergeVal(it)
 		}
 	}
 	var members []cluster.NodeID
@@ -605,9 +605,9 @@ func (n *Node) leaseStartPull(env cluster.Env) {
 	env.After(n.cfg.Timeout, tokenLeaseDue{Seq: n.seq})
 }
 
-func (n *Node) leaseMergeVal(k string, ver Version, val string) {
-	if cur, ok := n.leaseMerged[k]; !ok || cur.ver.Less(ver) {
-		n.leaseMerged[k] = mergedVal{ver: ver, val: val}
+func (n *Node) leaseMergeVal(it item) {
+	if cur, ok := n.leaseMerged[it.Key]; !ok || cur.ver.Less(it.Ver) {
+		n.leaseMerged[it.Key] = mergedVal{ver: it.Ver, val: it.Val}
 	}
 }
 
@@ -617,15 +617,12 @@ func (n *Node) onLeasePullReply(env cluster.Env, from cluster.NodeID, m msgLease
 	if n.lh == nil {
 		return
 	}
-	if len(m.Vers) != len(m.Keys) || len(m.Vals) != len(m.Keys) {
-		return // malformed: the wave timer aborts and the tick retries
-	}
 	counted, done := n.lh.OnPullReply(from, m.Seq)
 	if !counted {
 		return
 	}
-	for i, k := range m.Keys {
-		n.leaseMergeVal(k, m.Vers[i], m.Vals[i])
+	for _, it := range m.Items {
+		n.leaseMergeVal(it)
 	}
 	if done {
 		n.leaseFinishPull(env)
@@ -647,12 +644,10 @@ func (n *Node) leaseFinishPull(env cluster.Env) {
 	}
 	var maxC uint64
 	ok := true
-	keys, vers, vals := rcMergedSlices(n.leaseMerged)
-	for i, k := range keys {
-		if vers[i].Counter > maxC {
-			maxC = vers[i].Counter
-		}
-		ok = n.applyPut(k, vers[i], vals[i]) && ok
+	items := rcMergedItems(n.leaseMerged)
+	for _, it := range items {
+		maxC = max(maxC, it.Ver.Counter)
+		ok = n.applyPut(it.Key, it.Ver, it.Val) && ok
 	}
 	n.mergeClock(maxC)
 	if !ok || !n.commitDurable() {
@@ -660,7 +655,7 @@ func (n *Node) leaseFinishPull(env cluster.Env) {
 		n.leaseMerged = nil
 		return
 	}
-	if len(keys) == 0 {
+	if len(items) == 0 {
 		n.leaseActivate(env)
 		return
 	}
@@ -682,7 +677,7 @@ func (n *Node) leaseFinishPull(env cluster.Env) {
 		n.leaseActivate(env)
 		return
 	}
-	msg := msgWriteBatch{Epoch: lh.WaveEpoch(), Seq: n.seq, Keys: keys, Vers: vers, Vals: vals}
+	msg := msgWriteBatch{Epoch: lh.WaveEpoch(), Seq: n.seq, Items: items}
 	for _, id := range members {
 		env.Send(id, msg)
 	}
@@ -847,12 +842,12 @@ func (n *Node) leaseSelfKeep(env cluster.Env, op *opState) {
 	}
 	shards := lh.Config().Shards
 	var applied, failed uint64
-	for i, key := range op.p2Keys {
-		s := lease.ShardOf(key, shards)
+	for _, it := range op.p2 {
+		s := lease.ShardOf(it.Key, shards)
 		if !lh.SelfKeepOK(s) {
 			continue
 		}
-		if n.applyPut(key, op.p2Vers[i], op.p2Vals[i]) {
+		if n.applyPut(it.Key, it.Ver, it.Val) {
 			applied |= lease.Bit(s)
 		} else {
 			failed |= lease.Bit(s)
@@ -908,7 +903,7 @@ func registerLeaseWire(reg *codec.Registry) {
 			m := v.(msgLeaseGrant)
 			return grantBody(b, m.Epoch, m.Seq, m.Mask, m.Shards, m.TTLus)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgLeaseGrant{Epoch: r.Uvarint(), Seq: r.Uvarint(), Mask: r.Uvarint(), Shards: int(r.Uvarint()), TTLus: r.Uvarint()}
 			return m, r.Err()
@@ -918,7 +913,7 @@ func registerLeaseWire(reg *codec.Registry) {
 			m := v.(msgLeaseRenew)
 			return grantBody(b, m.Epoch, m.Seq, m.Mask, m.Shards, m.TTLus)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgLeaseRenew{Epoch: r.Uvarint(), Seq: r.Uvarint(), Mask: r.Uvarint(), Shards: int(r.Uvarint()), TTLus: r.Uvarint()}
 			return m, r.Err()
@@ -929,7 +924,7 @@ func registerLeaseWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Seq)
 			return codec.AppendUvarint(b, m.Mask)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgLeaseInval{Seq: r.Uvarint(), Mask: r.Uvarint()}
 			return m, r.Err()
@@ -945,7 +940,7 @@ func registerLeaseWire(reg *codec.Registry) {
 			}
 			return codec.AppendUvarint(b, ok)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgLeaseAck{Seq: r.Uvarint(), Kind: uint8(r.Uvarint()), OK: r.Uvarint() != 0}
 			return m, r.Err()
@@ -958,7 +953,7 @@ func registerLeaseWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Mask)
 			return codec.AppendUvarint(b, uint64(m.Shards))
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgLeasePull{Epoch: r.Uvarint(), Seq: r.Uvarint(), Mask: r.Uvarint(), Shards: int(r.Uvarint())}
 			return m, r.Err()
@@ -967,29 +962,11 @@ func registerLeaseWire(reg *codec.Registry) {
 		func(b []byte, v any) []byte {
 			m := v.(msgLeasePullReply)
 			b = codec.AppendUvarint(b, m.Seq)
-			b = codec.AppendUvarint(b, uint64(len(m.Keys)))
-			for i, k := range m.Keys {
-				b = codec.AppendString(b, k)
-				b = codec.AppendUvarint(b, m.Vers[i].Counter)
-				b = codec.AppendUvarint(b, uint64(m.Vers[i].Writer))
-				b = codec.AppendString(b, m.Vals[i])
-			}
-			return b
+			return appendItems(b, m.Items)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
-			m := msgLeasePullReply{Seq: r.Uvarint()}
-			if n, ok := batchLen(r); ok {
-				m.Keys = make([]string, n)
-				m.Vers = make([]Version, n)
-				m.Vals = make([]string, n)
-				for i := range m.Keys {
-					m.Keys[i] = r.String()
-					m.Vers[i].Counter = r.Uvarint()
-					m.Vers[i].Writer = cluster.NodeID(r.Uvarint())
-					m.Vals[i] = r.String()
-				}
-			}
+			m := msgLeasePullReply{Seq: r.Uvarint(), Items: readItems(r)}
 			return m, r.Err()
 		})
 	reg.Register(tagLeaseDrop, msgLeaseDrop{},
@@ -998,7 +975,7 @@ func registerLeaseWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Seq)
 			return codec.AppendUvarint(b, m.Mask)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgLeaseDrop{Seq: r.Uvarint(), Mask: r.Uvarint()}
 			return m, r.Err()

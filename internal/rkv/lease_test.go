@@ -80,9 +80,7 @@ func TestLeaseInvalAckQuarantineBarrier(t *testing.T) {
 
 	op := n.getOp()
 	op.tries.Begin(env.now)
-	op.p2Keys = append(op.p2Keys, "k")
-	op.p2Vers = append(op.p2Vers, Version{Counter: 1, Writer: 0})
-	op.p2Vals = append(op.p2Vals, "v")
+	op.p2 = append(op.p2, item{Key: "k", Ver: Version{Counter: 1, Writer: 0}, Val: "v"})
 	n.enterWritePhase(env, op)
 	if op.ph != phaseInval {
 		t.Fatalf("phase %v, want inval (holder 1 has a live entry)", op.ph)
@@ -139,9 +137,7 @@ func TestLeaseQuarantineTimerDeadlineCap(t *testing.T) {
 	op.tries.Begin(env.now)
 	var got []Result
 	op.subs = append(op.subs, subOp{kind: OpWrite, key: "k", cb: func(r Result) { got = append(got, r) }})
-	op.p2Keys = append(op.p2Keys, "k")
-	op.p2Vers = append(op.p2Vers, Version{Counter: 1, Writer: 0})
-	op.p2Vals = append(op.p2Vals, "v")
+	op.p2 = append(op.p2, item{Key: "k", Ver: Version{Counter: 1, Writer: 0}, Val: "v"})
 	n.enterWritePhase(env, op)
 	if op.ph != phaseInval {
 		t.Fatalf("phase %v, want inval (quarantine running)", op.ph)
@@ -471,7 +467,11 @@ func (h simTap) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
 	case msgReadBatch:
 		h.s.p1All = append(h.s.p1All, simFrame{from: from, to: h.id, seq: m.Seq, keys: m.Keys})
 	case msgWriteBatch:
-		h.s.p2 = append(h.s.p2, simFrame{from: from, to: h.id, seq: m.Seq, keys: m.Keys})
+		keys := make([]string, len(m.Items))
+		for i, it := range m.Items {
+			keys[i] = it.Key
+		}
+		h.s.p2 = append(h.s.p2, simFrame{from: from, to: h.id, seq: m.Seq, keys: keys})
 	}
 	h.Node.Deliver(env, from, msg)
 }

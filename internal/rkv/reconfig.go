@@ -78,12 +78,10 @@ type (
 		Epoch uint64
 		Seq   uint64
 	}
-	// msgSnapReply carries the store dump, parallel slices sorted by key.
+	// msgSnapReply carries the store dump, sorted by key.
 	msgSnapReply struct {
-		Seq  uint64
-		Keys []string
-		Vers []Version
-		Vals []string
+		Seq   uint64
+		Items []item
 	}
 	// msgReconfig asks the receiver to coordinate a reconfiguration to
 	// Target (epoch.Params wire form) — the quorumctl reconfig client.
@@ -315,8 +313,7 @@ func (n *Node) rcSendWave(env cluster.Env) {
 		msg := msgSnapReq{Epoch: n.rc.joint.Epoch, Seq: n.rc.seq}
 		n.rc.pending.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	case rcPush:
-		keys, vers, vals := rcMergedSlices(n.rc.merged)
-		msg := msgWriteBatch{Epoch: n.rc.joint.Epoch, Seq: n.rc.seq, Keys: keys, Vers: vers, Vals: vals}
+		msg := msgWriteBatch{Epoch: n.rc.joint.Epoch, Seq: n.rc.seq, Items: rcMergedItems(n.rc.merged)}
 		n.rc.pending.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	case rcFinal:
 		for _, id := range n.rc.targets {
@@ -328,25 +325,15 @@ func (n *Node) rcSendWave(env cluster.Env) {
 	env.After(attempt.Patience(env.Rand(), n.cfg.Timeout, n.rc.attempts), tokenReconfigDue{Seq: n.rc.seq})
 }
 
-// rcMergedSlices flattens the merged snapshot into wire slices, sorted by
+// rcMergedItems flattens the merged snapshot into wire items, sorted by
 // key for determinism.
-func rcMergedSlices(merged map[string]mergedVal) ([]string, []Version, []string) {
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
+func rcMergedItems(merged map[string]mergedVal) []item {
+	items := make([]item, 0, len(merged))
+	for k, mv := range merged {
+		items = append(items, item{Key: k, Ver: mv.ver, Val: mv.val})
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	vers := make([]Version, len(keys))
-	vals := make([]string, len(keys))
-	for i, k := range keys {
-		vers[i] = merged[k].ver
-		vals[i] = merged[k].val
-	}
-	return keys, vers, vals
+	sortItems(items)
+	return items
 }
 
 // onConfigPush installs a distributed config if newer and acks with our
@@ -423,8 +410,7 @@ func (n *Node) rcEnterSnapshot(env cluster.Env) {
 	q.CopyInto(&n.rc.pending)
 	if n.rc.pending.Contains(int(n.id)) {
 		n.rc.pending.Remove(int(n.id))
-		keys, vers, vals := n.store.dump()
-		n.rcMergeSnap(keys, vers, vals)
+		n.rcMergeSnap(n.store.dump())
 	}
 	if n.rc.pending.Empty() {
 		n.rcEnterPush(env)
@@ -433,10 +419,10 @@ func (n *Node) rcEnterSnapshot(env cluster.Env) {
 	n.rcSendWave(env)
 }
 
-func (n *Node) rcMergeSnap(keys []string, vers []Version, vals []string) {
-	for i, k := range keys {
-		if cur, ok := n.rc.merged[k]; !ok || cur.ver.Less(vers[i]) {
-			n.rc.merged[k] = mergedVal{ver: vers[i], val: vals[i]}
+func (n *Node) rcMergeSnap(items []item) {
+	for _, it := range items {
+		if cur, ok := n.rc.merged[it.Key]; !ok || cur.ver.Less(it.Ver) {
+			n.rc.merged[it.Key] = mergedVal{ver: it.Ver, val: it.Val}
 		}
 	}
 }
@@ -445,11 +431,8 @@ func (n *Node) rcOnSnapReply(env cluster.Env, from cluster.NodeID, m msgSnapRepl
 	if n.rc.phase != rcSnap || m.Seq != n.rc.seq || !n.rc.pending.Contains(int(from)) {
 		return
 	}
-	if len(m.Vers) != len(m.Keys) || len(m.Vals) != len(m.Keys) {
-		return // malformed: the wave timer re-asks
-	}
 	n.rc.pending.Remove(int(from))
-	n.rcMergeSnap(m.Keys, m.Vers, m.Vals)
+	n.rcMergeSnap(m.Items)
 	if n.rc.pending.Empty() {
 		n.rcEnterPush(env)
 	}
@@ -473,14 +456,11 @@ func (n *Node) rcEnterPush(env cluster.Env) {
 	q.CopyInto(&n.rc.pending)
 	if n.rc.pending.Contains(int(n.id)) {
 		n.rc.pending.Remove(int(n.id))
-		keys, vers, vals := rcMergedSlices(n.rc.merged)
 		var maxC uint64
 		ok := true
-		for i, k := range keys {
-			if vers[i].Counter > maxC {
-				maxC = vers[i].Counter
-			}
-			ok = n.applyPut(k, vers[i], vals[i]) && ok
+		for _, it := range rcMergedItems(n.rc.merged) {
+			maxC = max(maxC, it.Ver.Counter)
+			ok = n.applyPut(it.Key, it.Ver, it.Val) && ok
 		}
 		n.mergeClock(maxC)
 		// The coordinator counts itself toward the push quorum only if

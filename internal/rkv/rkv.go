@@ -72,10 +72,18 @@ func (v Version) Less(o Version) bool {
 	return v.Writer < o.Writer
 }
 
+// item is one key's entry in a batch message: the key, a version and
+// the value stamped with it.
+type item struct {
+	Key string
+	Ver Version
+	Val string
+}
+
 // Wire messages. Every round is a batch: the paper's single register is
-// a batch of one on the empty key. Batch slices are parallel arrays built
-// once per phase and never mutated after sending — messages may outlive
-// the op that sent them (simulated networks deliver by reference).
+// a batch of one on the empty key. Batch slices are built once per phase
+// and never mutated after sending — messages may outlive the op that sent
+// them (simulated networks deliver by reference).
 //
 // Every message carries the sender's configuration epoch (never 0: the
 // first config is epoch 1). Replicas serve a request only when the epochs
@@ -92,9 +100,10 @@ type (
 		Keys  []string
 		Want  string
 	}
-	// msgReadBatchReply answers a msgReadBatch; Vers/Vals are parallel to
-	// the request's Keys, with "" for every value the request's Want did
-	// not ask for. Unsynced (disk backend only) says the replica's
+	// msgReadBatchReply answers a msgReadBatch; Items is parallel to the
+	// request's Keys — their Key is not sent, and their Val is "" for
+	// every value the request's Want did not ask for. Unsynced (disk
+	// backend only) says the replica's
 	// log held records no commit round had covered yet when it answered: a
 	// reported version may be one a restart loses, so the reply is a
 	// reading, not the promise a write ack is.
@@ -102,17 +111,14 @@ type (
 		Epoch    uint64
 		Seq      uint64
 		Unsynced bool
-		Vers     []Version
-		Vals     []string
+		Items    []item
 	}
 	// msgWriteBatch stores many keys' versioned values at once (phase 2);
 	// the replica acks with msgWriteAck.
 	msgWriteBatch struct {
 		Epoch uint64
 		Seq   uint64
-		Keys  []string
-		Vers  []Version
-		Vals  []string
+		Items []item
 	}
 	msgWriteAck struct {
 		Epoch uint64
@@ -164,10 +170,13 @@ type Op struct {
 
 // Result reports a completed (or failed) operation to its Submit callback.
 type Result struct {
-	Node    cluster.NodeID
-	Kind    OpKind
-	Key     string
-	Value   string // for reads: the value returned
+	Node cluster.NodeID
+	Kind OpKind
+	Key  string
+	// Value is, for reads, the value returned. It may be a substring of
+	// the reply frame it arrived in and keep that frame's memory alive:
+	// strings.Clone it to keep it long past the callback.
+	Value   string
 	Version Version
 	Start   time.Duration // invocation time
 	At      time.Duration // completion time
@@ -347,7 +356,7 @@ type extOp struct {
 // opState is one in-flight batch round: up to Config.Batch sub-operations
 // sharing the phase machine, quorum, deadline and retry state. The struct
 // (and its bitsets) are recycled through the node's freelist; the wire
-// slices (p1Keys, p2*) are built fresh per batch because sent messages
+// slices (p1Keys, p2) are built fresh per batch because sent messages
 // alias them.
 type opState struct {
 	subs []subOp
@@ -367,9 +376,7 @@ type opState struct {
 	p1Subs []int    // indices into subs, parallel to p1Keys
 	p1Keys []string // phase-1 wire keys (immutable once built)
 	p1Want string   // phase-1 want-value flags: the reads among p1Keys
-	p2Keys []string // phase-2 wire payload (immutable once built)
-	p2Vers []Version
-	p2Vals []string
+	p2     []item   // phase-2 wire payload (immutable once built)
 
 	retries int
 	tries   attempt.Op    // start, backoff and silent members across attempts
@@ -698,37 +705,31 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 		n.gate(env, from, m.Epoch, m.Seq, func() {
 			rec := optrace.From(env)
 			rec.Tag(optrace.KindRead, len(m.Keys), m.Epoch)
-			vers := make([]Version, len(m.Keys))
-			vals := make([]string, len(m.Keys))
+			items := make([]item, len(m.Keys))
 			rec.Begin(optrace.StageLock)
 			for i, k := range m.Keys {
 				var val string
-				vers[i], val = n.store.get(k)
+				items[i].Ver, val = n.store.get(k)
 				if wantsValue(m.Want, i) {
-					vals[i] = val
+					items[i].Val = val
 				}
 			}
 			rec.End(optrace.StageLock)
 			// After the gets: an entry is appended to the log under the map
-			// lock that installed it, so a log synced now holds all of vers.
+			// lock that installed it, so a log synced now holds all of items.
 			unsynced := n.wal != nil && !n.wal.Synced()
-			env.Send(from, msgReadBatchReply{Epoch: m.Epoch, Seq: m.Seq, Unsynced: unsynced, Vers: vers, Vals: vals})
+			env.Send(from, msgReadBatchReply{Epoch: m.Epoch, Seq: m.Seq, Unsynced: unsynced, Items: items})
 		})
 	case msgWriteBatch:
-		if len(m.Vers) != len(m.Keys) || len(m.Vals) != len(m.Keys) {
-			return true // malformed (hostile frame): ignore, still a replica msg
-		}
 		n.gate(env, from, m.Epoch, m.Seq, func() {
 			rec := optrace.From(env)
-			rec.Tag(optrace.KindWrite, len(m.Keys), m.Epoch)
+			rec.Tag(optrace.KindWrite, len(m.Items), m.Epoch)
 			var maxC uint64
 			ok := true
 			rec.Begin(optrace.StageLock)
-			for i, k := range m.Keys {
-				if m.Vers[i].Counter > maxC {
-					maxC = m.Vers[i].Counter
-				}
-				ok = n.applyPut(k, m.Vers[i], m.Vals[i]) && ok
+			for _, it := range m.Items {
+				maxC = max(maxC, it.Ver.Counter)
+				ok = n.applyPut(it.Key, it.Ver, it.Val) && ok
 			}
 			rec.End(optrace.StageLock)
 			n.mergeClock(maxC)
@@ -745,8 +746,7 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 		// epoch, so every write admitted under the old config is already
 		// applied when the snapshot is taken.
 		n.gate(env, from, m.Epoch, m.Seq, func() {
-			keys, vers, vals := n.store.dump()
-			env.Send(from, msgSnapReply{Seq: m.Seq, Keys: keys, Vers: vers, Vals: vals})
+			env.Send(from, msgSnapReply{Seq: m.Seq, Items: n.store.dump()})
 		})
 	case msgLeasePull:
 		// Lease freshness pull: store-only, safe on the fast path.
@@ -914,7 +914,7 @@ func (n *Node) putOp(op *opState) {
 	// Sent frames alias the wire slices and may outlive the op: drop them,
 	// never recycle the backing arrays.
 	op.p1Keys, op.p1Want = nil, ""
-	op.p2Keys, op.p2Vers, op.p2Vals = nil, nil, nil
+	op.p2 = nil
 	// Fold the round's trace here — putOp is the one retirement point
 	// every completion path (finish, fail, crash-restart) funnels through.
 	op.rec.Done()
@@ -944,13 +944,14 @@ func (n *Node) launchBatch(env cluster.Env) {
 	// complete, writes get their version without a phase 1.
 	n.leaseServeLocal(env, op)
 	// Phase-1 membership and wire keys are fixed for the batch's lifetime;
-	// retries resend the same (immutable) slice.
+	// retries resend the same (immutable) slice, allocated once at its size.
 	for i := range op.subs {
 		if op.subs[i].needP1 && !op.subs[i].done {
 			op.p1Subs = append(op.p1Subs, i)
 		}
 	}
 	if len(op.p1Subs) > 0 {
+		op.p1Keys = make([]string, 0, len(op.p1Subs))
 		var want [8]byte // a batch of up to 64 keys packs its flags without allocating
 		flags := want[:0]
 		for j, i := range op.p1Subs {
@@ -969,7 +970,7 @@ func (n *Node) launchBatch(env cluster.Env) {
 	// No phase 1 left: blind writes, locally versioned writes and locally
 	// served reads only.
 	n.buildPhase2(env, op)
-	if len(op.p2Keys) == 0 {
+	if len(op.p2) == 0 {
 		// The whole batch was served locally.
 		n.finishRound(env, op)
 		return
@@ -1099,7 +1100,8 @@ func (n *Node) sweep(env cluster.Env, at time.Duration) {
 // the version they observed, read-write updates stamp a fresh clock past
 // everything phase 1 saw, blind writes carry their launch stamp. Reads
 // that pay no write-back (plain, or nothing observed) finish with the
-// round; those already reported at phase 1 are done and skipped.
+// round; those already reported at phase 1 are done and skipped. The
+// payload is one slice, sized for the whole batch at its first item.
 func (n *Node) buildPhase2(env cluster.Env, op *opState) {
 	wb := 0
 	for i := range op.subs {
@@ -1124,9 +1126,10 @@ func (n *Node) buildPhase2(env cluster.Env, op *opState) {
 		case OpBlindWrite:
 			// Stamped at launch.
 		}
-		op.p2Keys = append(op.p2Keys, sub.key)
-		op.p2Vers = append(op.p2Vers, sub.bestVer)
-		op.p2Vals = append(op.p2Vals, sub.bestVal)
+		if op.p2 == nil {
+			op.p2 = make([]item, 0, len(op.subs))
+		}
+		op.p2 = append(op.p2, item{Key: sub.key, Ver: sub.bestVer, Val: sub.bestVal})
 	}
 	// The profiler's β: how many reads paid a write-back phase.
 	if wb > 0 {
@@ -1154,7 +1157,7 @@ func (n *Node) startWritePhase(env cluster.Env, op *opState) {
 		return
 	}
 	op.quorum.CopyInto(&op.pending)
-	var msg any = msgWriteBatch{Epoch: op.epoch, Seq: op.seq, Keys: op.p2Keys, Vers: op.p2Vers, Vals: op.p2Vals}
+	var msg any = msgWriteBatch{Epoch: op.epoch, Seq: op.seq, Items: op.p2}
 	op.quorum.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	n.armAttempt(env, op, op.tries.Timeout(env.Rand(), env.Now()))
 }
@@ -1260,16 +1263,18 @@ func (n *Node) deadlineError(env cluster.Env, op *opState) error {
 	return op.tries.Diagnose(func(live bitset.Set) (bitset.Set, error) { return n.pick(env, read, live) })
 }
 
-// reportSub delivers one sub-operation's result to its callback.
+// reportSub delivers one sub-operation's result to its callback. It reads
+// the clock once: the profiler and the Result share the completion time.
 func (n *Node) reportSub(env cluster.Env, op *opState, sub *subOp, err error) {
 	sub.done = true
-	n.observeOp(env, op, sub, err)
+	now := env.Now()
+	n.observeOp(now, op, sub, err)
 	if sub.cb == nil {
 		return
 	}
 	res := Result{
 		Node: n.id, Kind: sub.kind, Key: sub.key,
-		Start: op.tries.Start, At: env.Now(), Retries: op.retries, Err: err,
+		Start: op.tries.Start, At: now, Retries: op.retries, Err: err,
 	}
 	if err == nil {
 		res.Value = sub.bestVal
@@ -1312,7 +1317,7 @@ func (n *Node) onReadBatchReply(env cluster.Env, from cluster.NodeID, m msgReadB
 	if !ok || op.ph != phaseReadVersions || !op.pending.Contains(int(from)) {
 		return
 	}
-	if len(m.Vers) != len(op.p1Keys) || len(m.Vals) != len(op.p1Keys) {
+	if len(m.Items) != len(op.p1Keys) {
 		return // malformed reply: keep waiting, the timer re-picks
 	}
 	op.pending.Remove(int(from))
@@ -1320,13 +1325,13 @@ func (n *Node) onReadBatchReply(env cluster.Env, from cluster.NodeID, m msgReadB
 		op.covers = false
 	}
 	for j, i := range op.p1Subs {
-		sub := &op.subs[i]
-		if sub.bestVer.Less(m.Vers[j]) {
-			sub.bestVer = m.Vers[j]
-			sub.bestVal = m.Vals[j]
+		sub, it := &op.subs[i], &m.Items[j]
+		if sub.bestVer.Less(it.Ver) {
+			sub.bestVer = it.Ver
+			sub.bestVal = it.Val
 		}
-		if m.Vers[j].Less(sub.lowVer) {
-			sub.lowVer = m.Vers[j]
+		if it.Ver.Less(sub.lowVer) {
+			sub.lowVer = it.Ver
 		}
 	}
 	if !op.pending.Empty() {
@@ -1354,7 +1359,7 @@ func (n *Node) onReadBatchReply(env cluster.Env, from cluster.NodeID, m msgReadB
 		n.profile.ObserveWriteback(env.Now(), 0, confirmed)
 	}
 	n.buildPhase2(env, op)
-	if len(op.p2Keys) == 0 {
+	if len(op.p2) == 0 {
 		n.finishRound(env, op)
 		return
 	}

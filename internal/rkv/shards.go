@@ -3,7 +3,8 @@ package rkv
 import (
 	"hash/maphash"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -141,6 +142,10 @@ func (s *shardedMap) apply(key string, ver Version, val string) bool {
 // record too — without the hook a concurrent observer could acknowledge
 // a value whose record was not yet in the log. Entries the merge
 // rejects (not newer) log nothing: whoever installed them already did.
+//
+// The store owns what it keeps: a new key and an installed value are
+// cloned, so no stored string pins the frame it was decoded from (codec
+// decodes in place), and a rejected merge copies nothing.
 func (s *shardedMap) applyLogged(key string, ver Version, val string, logfn func()) bool {
 	i, tag := s.locate(key)
 	sh := &s.shards[i]
@@ -153,12 +158,12 @@ func (s *shardedMap) applyLogged(key string, ver Version, val string, logfn func
 			sl = &sh.slots[sh.find(tag, key)]
 		}
 		sh.used++
-		sl.tag, sl.key = tag, key
+		sl.tag, sl.key = tag, strings.Clone(key)
 	case !sl.ver.Less(ver):
 		sh.mu.Unlock()
 		return false
 	}
-	sl.ver, sl.val = ver, val
+	sl.ver, sl.val = ver, strings.Clone(val)
 	if logfn != nil {
 		logfn()
 	}
@@ -184,29 +189,23 @@ func (s *shardedMap) eachInShard(i int, fn func(key string, ver Version, val str
 // count returns the shard count (after power-of-two rounding).
 func (s *shardedMap) count() int { return len(s.shards) }
 
-// dump snapshots every stored entry as parallel slices sorted by key —
-// deterministic iteration order for reconfiguration state sync. Each
-// shard is locked only while it is copied.
-func (s *shardedMap) dump() (keys []string, vers []Version, vals []string) {
+// dump snapshots every stored entry as items sorted by key — deterministic
+// iteration order for reconfiguration state sync. Each shard is locked
+// only while it is copied.
+func (s *shardedMap) dump() []item {
+	var items []item
 	for i := range s.shards {
 		s.eachInShard(i, func(k string, ver Version, val string) {
-			keys = append(keys, k)
-			vers = append(vers, ver)
-			vals = append(vals, val)
+			items = append(items, item{Key: k, Ver: ver, Val: val})
 		})
 	}
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	sk := make([]string, len(keys))
-	sv := make([]Version, len(keys))
-	sl := make([]string, len(keys))
-	for i, j := range order {
-		sk[i], sv[i], sl[i] = keys[j], vers[j], vals[j]
-	}
-	return sk, sv, sl
+	sortItems(items)
+	return items
+}
+
+// sortItems orders items by key (keys are unique in every caller).
+func sortItems(items []item) {
+	slices.SortFunc(items, func(a, b item) int { return strings.Compare(a.Key, b.Key) })
 }
 
 // lenKeys counts stored keys across all shards (tests and introspection;

@@ -49,18 +49,18 @@ func TestShardedMapMatchesMap(t *testing.T) {
 		if got := s.lenKeys(); got != len(ref) {
 			t.Fatalf("%d shards: lenKeys = %d, want %d", shards, got, len(ref))
 		}
-		keys, vers, vals := s.dump()
+		items := s.dump()
 		want := make([]string, 0, len(ref))
 		for k := range ref {
 			want = append(want, k)
 		}
 		sort.Strings(want)
-		if len(keys) != len(want) {
-			t.Fatalf("%d shards: dump holds %d keys, want %d", shards, len(keys), len(want))
+		if len(items) != len(want) {
+			t.Fatalf("%d shards: dump holds %d keys, want %d", shards, len(items), len(want))
 		}
-		for i, k := range keys {
-			if k != want[i] || vers[i] != ref[k] || vals[i] != refVal[k] {
-				t.Fatalf("%d shards: dump[%d] = %.12q %v %q, want %.12q %v %q", shards, i, k, vers[i], vals[i], want[i], ref[want[i]], refVal[want[i]])
+		for i, it := range items {
+			if k := it.Key; k != want[i] || it.Ver != ref[k] || it.Val != refVal[k] {
+				t.Fatalf("%d shards: dump[%d] = %.12q %v %q, want %.12q %v %q", shards, i, k, it.Ver, it.Val, want[i], ref[want[i]], refVal[want[i]])
 			}
 		}
 		grown := 0
@@ -106,6 +106,9 @@ func BenchmarkReplicaBatch(b *testing.B) {
 	for i := range picks {
 		picks[i] = names[rng.Intn(keys)]
 	}
+	// One counter for every run of the apply benchmark: each apply installs
+	// a newer version, never a rejected older one.
+	ctr := uint64(1)
 	for _, get := range []bool{true, false} {
 		name := "apply"
 		if get {
@@ -113,7 +116,6 @@ func BenchmarkReplicaBatch(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			ctr := uint64(1)
 			for i := 0; i < b.N; i++ {
 				s := ss[i%stores]
 				for j := 0; j < batch; j++ {

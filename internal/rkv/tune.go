@@ -55,9 +55,9 @@ type tokenTune struct{}
 // or via a transport Kick on live deployments.
 func TuneToken() any { return tokenTune{} }
 
-// observeOp feeds one finished client operation to the profiler.
-func (n *Node) observeOp(env cluster.Env, op *opState, sub *subOp, err error) {
-	n.profile.Observe(env.Now(), sub.kind == OpRead, env.Now()-op.tries.Start, err != nil, hashKey(sub.key))
+// observeOp feeds one client operation, finished at now, to the profiler.
+func (n *Node) observeOp(now time.Duration, op *opState, sub *subOp, err error) {
+	n.profile.Observe(now, sub.kind == OpRead, now-op.tries.Start, err != nil, hashKey(sub.key))
 }
 
 // hashKey is FNV-1a, the profiler's key hash. Unlike the store's seeded
@@ -200,7 +200,7 @@ func registerTuneWire(reg *codec.Registry) {
 		func(b []byte, v any) []byte {
 			return codec.AppendUvarint(b, v.(msgWorkloadReq).Seq)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgWorkloadReq{Seq: r.Uvarint()}
 			return m, r.Err()
@@ -212,7 +212,7 @@ func registerTuneWire(reg *codec.Registry) {
 			b = codec.AppendString(b, string(m.Wl))
 			return codec.AppendString(b, string(m.Cfg))
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgWorkloadReply{Seq: r.Uvarint(), Wl: []byte(r.String()), Cfg: []byte(r.String())}
 			return m, r.Err()

@@ -13,6 +13,11 @@ import (
 // 0x13-0x16 bodies in place (a leading epoch varint) and claimed
 // 0x17-0x1e for configuration distribution and reconfiguration; 0x14's
 // body has since gained a trailing want-value bit string (msgReadBatch).
+// The keyed batches (0x15, 0x16, 0x1c, 0x36) carry one []item: on the
+// wire a count, then per item its version and value (0x15, whose keys are
+// the request's) or its key, version and value. Decoders read in place: a
+// decoded key or value is a substring of its frame, so the replica store
+// clones what it keeps (shardedMap.applyLogged).
 //
 // Retired, never reused: 0x10, 0x11, 0x12 — the single-key read, version
 // reply and write frames. The classic register is a batch of one on key
@@ -41,7 +46,7 @@ func RegisterBinaryWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Epoch)
 			return codec.AppendUvarint(b, m.Seq)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgWriteAck{Epoch: r.Uvarint(), Seq: r.Uvarint()}
 			return m, r.Err()
@@ -57,7 +62,7 @@ func RegisterBinaryWire(reg *codec.Registry) {
 			}
 			return codec.AppendString(b, m.Want)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgReadBatch{Epoch: r.Uvarint(), Seq: r.Uvarint()}
 			if n, ok := batchLen(r); ok {
@@ -82,24 +87,21 @@ func RegisterBinaryWire(reg *codec.Registry) {
 				unsynced = 1
 			}
 			b = codec.AppendUvarint(b, unsynced)
-			b = codec.AppendUvarint(b, uint64(len(m.Vers)))
-			for i, ver := range m.Vers {
-				b = codec.AppendUvarint(b, ver.Counter)
-				b = codec.AppendUvarint(b, uint64(ver.Writer))
-				b = codec.AppendString(b, m.Vals[i])
+			b = codec.AppendUvarint(b, uint64(len(m.Items)))
+			for _, it := range m.Items {
+				b = appendVersion(b, it.Ver)
+				b = codec.AppendString(b, it.Val)
 			}
 			return b
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgReadBatchReply{Epoch: r.Uvarint(), Seq: r.Uvarint(), Unsynced: r.Uvarint() != 0}
 			if n, ok := batchLen(r); ok {
-				m.Vers = make([]Version, n)
-				m.Vals = make([]string, n)
-				for i := range m.Vers {
-					m.Vers[i].Counter = r.Uvarint()
-					m.Vers[i].Writer = cluster.NodeID(r.Uvarint())
-					m.Vals[i] = r.String()
+				m.Items = make([]item, n)
+				for i := range m.Items {
+					m.Items[i].Ver = readVersion(r)
+					m.Items[i].Val = r.String()
 				}
 			}
 			return m, r.Err()
@@ -109,29 +111,11 @@ func RegisterBinaryWire(reg *codec.Registry) {
 			m := v.(msgWriteBatch)
 			b = codec.AppendUvarint(b, m.Epoch)
 			b = codec.AppendUvarint(b, m.Seq)
-			b = codec.AppendUvarint(b, uint64(len(m.Keys)))
-			for i, k := range m.Keys {
-				b = codec.AppendString(b, k)
-				b = codec.AppendUvarint(b, m.Vers[i].Counter)
-				b = codec.AppendUvarint(b, uint64(m.Vers[i].Writer))
-				b = codec.AppendString(b, m.Vals[i])
-			}
-			return b
+			return appendItems(b, m.Items)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
-			m := msgWriteBatch{Epoch: r.Uvarint(), Seq: r.Uvarint()}
-			if n, ok := batchLen(r); ok {
-				m.Keys = make([]string, n)
-				m.Vers = make([]Version, n)
-				m.Vals = make([]string, n)
-				for i := range m.Keys {
-					m.Keys[i] = r.String()
-					m.Vers[i].Counter = r.Uvarint()
-					m.Vers[i].Writer = cluster.NodeID(r.Uvarint())
-					m.Vals[i] = r.String()
-				}
-			}
+			m := msgWriteBatch{Epoch: r.Uvarint(), Seq: r.Uvarint(), Items: readItems(r)}
 			return m, r.Err()
 		})
 	registerReconfigWire(reg)
@@ -150,7 +134,7 @@ func registerReconfigWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Seq)
 			return codec.AppendString(b, string(m.Cfg))
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgConfigPush{Seq: r.Uvarint(), Cfg: []byte(r.String())}
 			return m, r.Err()
@@ -162,7 +146,7 @@ func registerReconfigWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Epoch)
 			return codec.AppendUvarint(b, m.Fp)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgConfigAck{Seq: r.Uvarint(), Epoch: r.Uvarint(), Fp: r.Uvarint()}
 			return m, r.Err()
@@ -173,7 +157,7 @@ func registerReconfigWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Seq)
 			return codec.AppendString(b, string(m.Cfg))
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgStaleEpoch{Seq: r.Uvarint(), Cfg: []byte(r.String())}
 			return m, r.Err()
@@ -182,7 +166,7 @@ func registerReconfigWire(reg *codec.Registry) {
 		func(b []byte, v any) []byte {
 			return codec.AppendUvarint(b, v.(msgConfigReq).Epoch)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgConfigReq{Epoch: r.Uvarint()}
 			return m, r.Err()
@@ -193,7 +177,7 @@ func registerReconfigWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Epoch)
 			return codec.AppendUvarint(b, m.Seq)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgSnapReq{Epoch: r.Uvarint(), Seq: r.Uvarint()}
 			return m, r.Err()
@@ -202,29 +186,11 @@ func registerReconfigWire(reg *codec.Registry) {
 		func(b []byte, v any) []byte {
 			m := v.(msgSnapReply)
 			b = codec.AppendUvarint(b, m.Seq)
-			b = codec.AppendUvarint(b, uint64(len(m.Keys)))
-			for i, k := range m.Keys {
-				b = codec.AppendString(b, k)
-				b = codec.AppendUvarint(b, m.Vers[i].Counter)
-				b = codec.AppendUvarint(b, uint64(m.Vers[i].Writer))
-				b = codec.AppendString(b, m.Vals[i])
-			}
-			return b
+			return appendItems(b, m.Items)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
-			m := msgSnapReply{Seq: r.Uvarint()}
-			if n, ok := batchLen(r); ok {
-				m.Keys = make([]string, n)
-				m.Vers = make([]Version, n)
-				m.Vals = make([]string, n)
-				for i := range m.Keys {
-					m.Keys[i] = r.String()
-					m.Vers[i].Counter = r.Uvarint()
-					m.Vers[i].Writer = cluster.NodeID(r.Uvarint())
-					m.Vals[i] = r.String()
-				}
-			}
+			m := msgSnapReply{Seq: r.Uvarint(), Items: readItems(r)}
 			return m, r.Err()
 		})
 	reg.Register(tagReconfig, msgReconfig{},
@@ -233,7 +199,7 @@ func registerReconfigWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Seq)
 			return codec.AppendString(b, string(m.Target))
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgReconfig{Seq: r.Uvarint(), Target: []byte(r.String())}
 			return m, r.Err()
@@ -245,11 +211,49 @@ func registerReconfigWire(reg *codec.Registry) {
 			b = codec.AppendUvarint(b, m.Epoch)
 			return codec.AppendString(b, m.Err)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgReconfigDone{Seq: r.Uvarint(), Epoch: r.Uvarint(), Err: r.String()}
 			return m, r.Err()
 		})
+}
+
+// appendVersion and readVersion are a version's wire form: counter, then
+// writer.
+func appendVersion(b []byte, v Version) []byte {
+	b = codec.AppendUvarint(b, v.Counter)
+	return codec.AppendUvarint(b, uint64(v.Writer))
+}
+
+func readVersion(r *codec.Reader) Version {
+	return Version{Counter: r.Uvarint(), Writer: cluster.NodeID(r.Uvarint())}
+}
+
+// appendItems and readItems are a keyed batch's wire form (write batches,
+// snapshot and lease-pull replies): a count, then key, version and value
+// per item. Decoded keys and values are substrings of the frame.
+func appendItems(b []byte, items []item) []byte {
+	b = codec.AppendUvarint(b, uint64(len(items)))
+	for _, it := range items {
+		b = codec.AppendString(b, it.Key)
+		b = appendVersion(b, it.Ver)
+		b = codec.AppendString(b, it.Val)
+	}
+	return b
+}
+
+func readItems(r *codec.Reader) []item {
+	n, ok := batchLen(r)
+	if !ok {
+		return nil
+	}
+	items := make([]item, n)
+	for i := range items {
+		items[i].Key = r.String()
+		items[i].Ver = readVersion(r)
+		items[i].Val = r.String()
+	}
+	return items
 }
 
 // batchLen reads a batch element count and sanity-checks it against the
@@ -294,15 +298,12 @@ func WireSamples() []any {
 			Epoch:    2,
 			Seq:      9,
 			Unsynced: true,
-			Vers:     []Version{{Counter: 1, Writer: 0}, {}, {Counter: 5, Writer: 3}},
-			Vals:     []string{"a", "", "c"},
+			Items:    []item{{Ver: Version{Counter: 1, Writer: 0}, Val: "a"}, {}, {Ver: Version{Counter: 5, Writer: 3}, Val: "c"}},
 		},
 		msgWriteBatch{
 			Epoch: 2,
 			Seq:   10,
-			Keys:  []string{"k1", "k2"},
-			Vers:  []Version{{Counter: 6, Writer: 1}, {Counter: 7, Writer: 2}},
-			Vals:  []string{"x", "y"},
+			Items: []item{{"k1", Version{Counter: 6, Writer: 1}, "x"}, {"k2", Version{Counter: 7, Writer: 2}, "y"}},
 		},
 		msgConfigPush{Seq: 11, Cfg: joint.Encode(nil)},
 		msgConfigAck{Seq: 11, Epoch: 2, Fp: joint.Fingerprint()},
@@ -310,10 +311,8 @@ func WireSamples() []any {
 		msgConfigReq{Epoch: 2},
 		msgSnapReq{Epoch: 2, Seq: 13},
 		msgSnapReply{
-			Seq:  13,
-			Keys: []string{"", "k1"},
-			Vers: []Version{{Counter: 2, Writer: 4}, {Counter: 9, Writer: 0}},
-			Vals: []string{"r", "s"},
+			Seq:   13,
+			Items: []item{{"", Version{Counter: 2, Writer: 4}, "r"}, {"k1", Version{Counter: 9, Writer: 0}, "s"}},
 		},
 		msgReconfig{Seq: 1, Target: sampleNew.Encode(nil)},
 		msgReconfigDone{Seq: 1, Epoch: 3, Err: ""},
@@ -329,10 +328,8 @@ func WireSamples() []any {
 		msgLeaseAck{Seq: 23, Kind: 2, OK: true},
 		msgLeasePull{Epoch: 3, Seq: 24, Mask: 0b1001, Shards: 16},
 		msgLeasePullReply{
-			Seq:  24,
-			Keys: []string{"a", "b"},
-			Vers: []Version{{Counter: 5, Writer: 1}, {Counter: 2, Writer: 6}},
-			Vals: []string{"x", "y"},
+			Seq:   24,
+			Items: []item{{"a", Version{Counter: 5, Writer: 1}, "x"}, {"b", Version{Counter: 2, Writer: 6}, "y"}},
 		},
 		msgLeaseDrop{Seq: 25, Mask: 0b1011},
 	}

@@ -22,10 +22,10 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 
 	msgs := []any{
 		msgReadBatch{Seq: 1<<64 - 1, Keys: []string{""}, Want: "\x01"},
-		msgReadBatchReply{Seq: 7, Vers: []Version{{Counter: 9, Writer: 15}}, Vals: []string{"hello"}},
-		msgReadBatchReply{Vers: []Version{{}}, Vals: []string{""}}, // all zero
-		msgWriteBatch{Seq: 1, Keys: []string{""}, Vers: []Version{{Counter: 1 << 40, Writer: 3}}, Vals: []string{string(make([]byte, 4096))}},
-		msgWriteBatch{Seq: 2, Keys: []string{""}, Vers: []Version{{Counter: 5}}, Vals: []string{"日本語 value"}},
+		msgReadBatchReply{Seq: 7, Items: []item{{Ver: Version{Counter: 9, Writer: 15}, Val: "hello"}}},
+		msgReadBatchReply{Items: []item{{}}}, // all zero
+		msgWriteBatch{Seq: 1, Items: []item{{"", Version{Counter: 1 << 40, Writer: 3}, string(make([]byte, 4096))}}},
+		msgWriteBatch{Seq: 2, Items: []item{{"", Version{Counter: 5}, "日本語 value"}}},
 		msgWriteAck{Seq: 3},
 		msgWriteAck{Epoch: 1<<64 - 1, Seq: 1<<64 - 1},
 		msgReadBatch{Seq: 4, Keys: []string{"", "k1", "日本語 key"}, Want: "\x06"},
@@ -34,14 +34,11 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 		msgReadBatchReply{
 			Seq:      6,
 			Unsynced: true,
-			Vers:     []Version{{Counter: 9, Writer: 15}, {}},
-			Vals:     []string{"x", ""},
+			Items:    []item{{Ver: Version{Counter: 9, Writer: 15}, Val: "x"}, {}},
 		},
 		msgWriteBatch{
-			Seq:  7,
-			Keys: []string{"a", "b"},
-			Vers: []Version{{Counter: 1 << 40, Writer: 3}, {Counter: 2, Writer: 0}},
-			Vals: []string{string(make([]byte, 2048)), ""},
+			Seq:   7,
+			Items: []item{{"a", Version{Counter: 1 << 40, Writer: 3}, string(make([]byte, 2048))}, {"b", Version{Counter: 2, Writer: 0}, ""}},
 		},
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -50,9 +47,8 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 		for k := rng.Intn(4) + 1; k > 0; k-- {
 			val := make([]byte, rng.Intn(64))
 			rng.Read(val)
-			m.Keys = append(m.Keys, string(val[:len(val)/2]))
-			m.Vers = append(m.Vers, Version{Counter: rng.Uint64(), Writer: cluster.NodeID(rng.Intn(1 << 20))})
-			m.Vals = append(m.Vals, string(val))
+			ver := Version{Counter: rng.Uint64(), Writer: cluster.NodeID(rng.Intn(1 << 20))}
+			m.Items = append(m.Items, item{Key: string(val[:len(val)/2]), Ver: ver, Val: string(val)})
 		}
 		msgs = append(msgs, m)
 	}
@@ -181,16 +177,16 @@ func TestReadBatchRepliesValuesOnlyForReads(t *testing.T) {
 	// that holds it answers the value too if, and only if, it was asked.
 	held := make([]int, len(keys))
 	for _, m := range reps {
-		for i, ver := range m.Vers {
+		for i, it := range m.Items {
 			want := ""
-			if ver != (Version{}) {
+			if it.Ver != (Version{}) {
 				held[i]++
 				if keys[i][0] == 'r' {
 					want = "old-" + keys[i]
 				}
 			}
-			if m.Vals[i] != want {
-				t.Fatalf("a member answered %v %q for %v: want the reads' values and \"\" for the writes'", m.Vers, m.Vals, keys)
+			if it.Val != want {
+				t.Fatalf("a member answered %+v for %v: want the reads' values and \"\" for the writes'", m.Items, keys)
 			}
 		}
 	}
@@ -211,7 +207,7 @@ func BenchmarkWireEncodeWrite(b *testing.B) {
 	reg := codec.NewRegistry()
 	RegisterBinaryWire(reg)
 	enc := codec.NewEncoder(discard{}, reg)
-	m := msgWriteBatch{Seq: 123, Keys: []string{""}, Vers: []Version{{Counter: 456, Writer: 7}}, Vals: []string{"benchmark value"}}
+	m := msgWriteBatch{Seq: 123, Items: []item{{"", Version{Counter: 456, Writer: 7}, "benchmark value"}}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := enc.Encode(7, m); err != nil {

@@ -35,7 +35,7 @@ func hopRegistry() *codec.Registry {
 			m := v.(hopMsg)
 			return codec.AppendUvarint(codec.AppendUvarint(b, m.Epoch), m.Seq)
 		},
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := hopMsg{Epoch: r.Uvarint(), Seq: r.Uvarint()}
 			return m, r.Err()

@@ -388,6 +388,9 @@ func (n *Node) readLoop(c net.Conn) {
 	env := &liveEnv{n: n} // fast-path env: ID/Now/Send only (see FastDeliverer)
 	var consumed uint64
 	for {
+		if n.closing() {
+			return
+		}
 		// The sampling decision is taken before Decode so unsampled
 		// frames (the 1-in-N common case) pay zero clock reads here.
 		rec := n.trace.Sample()
@@ -428,11 +431,32 @@ func (n *Node) readLoop(c net.Conn) {
 			}
 		}
 		rec.Begin(optrace.StageQueue)
+		ev := event{kind: evDeliver, from: cluster.NodeID(from), v: msg, rec: rec}
 		select {
-		case n.events <- event{kind: evDeliver, from: cluster.NodeID(from), v: msg, rec: rec}:
-		case <-n.quit:
-			return
+		case n.events <- ev:
+		default:
+			// The queue is full: wait for room or for Close.
+			select {
+			case n.events <- ev:
+			case <-n.quit:
+				return
+			}
 		}
+	}
+}
+
+// closing reports whether Close has begun. The loops ask it once per
+// iteration instead of selecting on quit beside every channel operation:
+// a non-blocking receive on the open, empty quit channel takes no lock,
+// while a select over it locks quit — one lock that every reader, writer
+// and the event loop of a node would share. They select on quit only when
+// their own channel operation would block.
+func (n *Node) closing() bool {
+	select {
+	case <-n.quit:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -455,21 +479,26 @@ func (a *arrivalReader) Read(p []byte) (int, error) {
 func (n *Node) eventLoop() {
 	defer n.wg.Done()
 	env := &liveEnv{n: n}
-	for {
+	for !n.closing() {
+		var e event
 		select {
-		case <-n.quit:
-			return
-		case e := <-n.events:
-			switch e.kind {
-			case evDeliver:
-				e.rec.End(optrace.StageQueue)
-				env.rec = e.rec
-				n.handler.Deliver(env, e.from, e.v)
-				env.rec.Done() // nil once handed off
-				env.rec = nil
-			case evTimer:
-				n.handler.Timer(env, e.v)
+		case e = <-n.events:
+		default:
+			select {
+			case e = <-n.events:
+			case <-n.quit:
+				return
 			}
+		}
+		switch e.kind {
+		case evDeliver:
+			e.rec.End(optrace.StageQueue)
+			env.rec = e.rec
+			n.handler.Deliver(env, e.from, e.v)
+			env.rec.Done() // nil once handed off
+			env.rec = nil
+		case evTimer:
+			n.handler.Timer(env, e.v)
 		}
 	}
 }
@@ -673,15 +702,23 @@ func (w *peerWriter) run() {
 	}
 	var held any // popped but future-due: flushed the batch in front of it first
 	for {
+		if w.n.closing() {
+			fail(0)
+			return
+		}
 		var raw any
 		if held != nil {
 			raw, held = held, nil
 		} else {
 			select {
 			case raw = <-w.ch:
-			case <-w.n.quit:
-				fail(0)
-				return
+			default:
+				select {
+				case raw = <-w.ch:
+				case <-w.n.quit:
+					fail(0)
+					return
+				}
 			}
 		}
 		msg, due, rec := w.unwrap(raw)

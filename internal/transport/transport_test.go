@@ -39,7 +39,7 @@ var pingWire = WithRegistry(func() *codec.Registry {
 	reg := codec.NewRegistry()
 	reg.Register(1, ping{},
 		func(b []byte, v any) []byte { return codec.AppendString(b, v.(ping).Text) },
-		func(data []byte) (any, error) {
+		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := ping{Text: r.String()}
 			return m, r.Err()
@@ -164,6 +164,58 @@ func TestSelfSendFloodDoesNotWedge(t *testing.T) {
 	// The later timer queued behind every flood message that fit.
 	if got, dropped := f.delivered.Load(), n.Stats().Dropped; uint64(got)+dropped != flood {
 		t.Fatalf("%d delivered + %d dropped, want the flood's %d", got, dropped, flood)
+	}
+}
+
+// relay never lets its node go idle: every message it receives goes back
+// to itself and on to its peer, so the event queue is never empty and the
+// peer writer always has a frame waiting.
+type relay struct {
+	peer      cluster.NodeID
+	delivered atomic.Int64
+}
+
+func (r *relay) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
+	r.delivered.Add(1)
+	env.Send(env.ID(), msg)
+	env.Send(r.peer, msg)
+}
+
+func (r *relay) Timer(env cluster.Env, token any) { env.Send(env.ID(), ping{Text: "seed"}) }
+
+// TestCloseWhileLoopsStayBusy: the event loop, the readers and the peer
+// writers take their next message without selecting on quit while one is
+// ready, so each must still notice a Close within one iteration. Two nodes
+// relay an ever-growing stream to themselves and each other; Close on
+// both must return promptly, with every loop still finding work.
+func TestCloseWhileLoopsStayBusy(t *testing.T) {
+	ra, rb := &relay{peer: 2}, &relay{peer: 1}
+	na, err := NewNode(1, ra, "127.0.0.1:0", pingWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := NewNode(2, rb, "127.0.0.1:0", pingWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	book := map[cluster.NodeID]string{1: na.Addr(), 2: nb.Addr()}
+	na.Connect(book)
+	nb.Connect(book)
+	na.Start()
+	nb.Start()
+	na.Kick(0, "go")
+	nb.Kick(0, "go")
+	waitFor(t, 10*time.Second, func() bool { return ra.delivered.Load() > 1000 && rb.delivered.Load() > 1000 })
+	closed := make(chan struct{})
+	go func() {
+		na.Close()
+		nb.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return while the loops had work")
 	}
 }
 

@@ -348,7 +348,7 @@ func (wl Workload) Encode(b []byte) []byte {
 
 // DecodeWorkload parses the wire form produced by Encode.
 func DecodeWorkload(data []byte) (Workload, error) {
-	r := codec.NewReader(data)
+	r := codec.NewReader(string(data))
 	var wl Workload
 	for _, f := range [...]*uint64{
 		&wl.SpanUs, &wl.Reads, &wl.Writes, &wl.Errors, &wl.Writebacks,

@@ -126,7 +126,7 @@ func DecodeRecord(data []byte) (Record, int, error) {
 // decodeBody parses a record body through the codec Reader's sticky
 // error, rejecting unknown kinds and trailing bytes.
 func decodeBody(body []byte) (Record, error) {
-	rd := codec.NewReader(body)
+	rd := codec.NewReader(string(body))
 	rec := Record{Kind: Kind(rd.Uvarint())}
 	switch rec.Kind {
 	case KindPut:

@@ -12,6 +12,7 @@ package ysys
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/quorum"
@@ -25,7 +26,28 @@ type System struct {
 	left      []int
 	right     []int
 	bottom    []int
-	name      string
+	// sides marks, per process, the sides of the board it lies on (a
+	// corner lies on two), built once; floods draws Available's scratch
+	// (a *flood), so concurrent callers — the enumerator's workers — each
+	// get their own.
+	sides  []uint8
+	floods sync.Pool
+	name   string
+}
+
+// Side bits of System.sides.
+const (
+	sideLeft uint8 = 1 << iota
+	sideRight
+	sideBottom
+	allSides = sideLeft | sideRight | sideBottom
+)
+
+// flood is one component search's scratch: the processes seen and the
+// depth-first stack.
+type flood struct {
+	seen  bitset.Set
+	stack []int
 }
 
 var _ quorum.System = (*System)(nil)
@@ -37,7 +59,7 @@ func New(k int) *System {
 	}
 	n := k * (k + 1) / 2
 	id := func(r, c int) int { return r*(r+1)/2 + c }
-	s := &System{k: k, n: n, neighbors: make([][]int, n),
+	s := &System{k: k, n: n, neighbors: make([][]int, n), sides: make([]uint8, n),
 		name: fmt.Sprintf("y(%d)", n)}
 	link := func(a, b int) {
 		s.neighbors[a] = append(s.neighbors[a], b)
@@ -54,15 +76,19 @@ func New(k int) *System {
 			}
 			if c == 0 {
 				s.left = append(s.left, id(r, c))
+				s.sides[id(r, c)] |= sideLeft
 			}
 			if c == r {
 				s.right = append(s.right, id(r, c))
+				s.sides[id(r, c)] |= sideRight
 			}
 			if r == k-1 {
 				s.bottom = append(s.bottom, id(r, c))
+				s.sides[id(r, c)] |= sideBottom
 			}
 		}
 	}
+	s.floods.New = func() any { return &flood{seen: bitset.New(n), stack: make([]int, 0, n)} }
 	return s
 }
 
@@ -76,17 +102,33 @@ func (s *System) Universe() int { return s.n }
 func (s *System) K() int { return s.k }
 
 // Available reports whether some connected component of live touches all
-// three sides of the board.
+// three sides of the board. Such a component touches the left side, so
+// only the components of live left-side processes are flooded, on pooled
+// scratch: Available is safe for concurrent use and allocates nothing (a
+// process is pushed at most once, so the stack never outgrows its n).
 func (s *System) Available(live bitset.Set) bool {
-	visited := bitset.New(s.n)
-	for start := 0; start < s.n; start++ {
-		if !live.Contains(start) || visited.Contains(start) {
+	f := s.floods.Get().(*flood)
+	defer s.floods.Put(f)
+	f.seen.Clear()
+	for _, start := range s.left {
+		if !live.Contains(start) || f.seen.Contains(start) {
 			continue
 		}
-		comp := s.component(live, start)
-		visited.UnionWith(comp)
-		if s.touchesAllSides(comp) {
-			return true
+		f.seen.Add(start)
+		stack := append(f.stack[:0], start)
+		var touched uint8
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if touched |= s.sides[v]; touched == allSides {
+				return true
+			}
+			for _, w := range s.neighbors[v] {
+				if live.Contains(w) && !f.seen.Contains(w) {
+					f.seen.Add(w)
+					stack = append(stack, w)
+				}
+			}
 		}
 	}
 	return false
@@ -118,16 +160,9 @@ func (s *System) component(live bitset.Set, start int) bitset.Set {
 }
 
 func (s *System) touchesAllSides(set bitset.Set) bool {
-	return touches(set, s.left) && touches(set, s.right) && touches(set, s.bottom)
-}
-
-func touches(set bitset.Set, side []int) bool {
-	for _, v := range side {
-		if set.Contains(v) {
-			return true
-		}
-	}
-	return false
+	var touched uint8
+	set.ForEach(func(v int) { touched |= s.sides[v] })
+	return touched == allSides
 }
 
 // Pick returns a minimal Y-set from live: the live component touching all

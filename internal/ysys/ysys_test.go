@@ -149,3 +149,24 @@ func TestComplementDuality(t *testing.T) {
 		}
 	}
 }
+
+// TestAvailableAllocatesNothing: Monte Carlo estimates call Available
+// once per sample, so it floods on pooled scratch and allocates nothing.
+func TestAvailableAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	s := New(5) // Y(15)
+	rng := rand.New(rand.NewSource(1))
+	lives := make([]bitset.Set, 64)
+	for i := range lives {
+		lives[i] = bitset.FromWord(15, rng.Uint64()&(1<<15-1))
+	}
+	i := 0
+	if got := testing.AllocsPerRun(200, func() {
+		s.Available(lives[i%len(lives)])
+		i++
+	}); got != 0 {
+		t.Fatalf("Available allocates %v times per call, want 0", got)
+	}
+}

@@ -84,6 +84,10 @@ if grep -nE 'O_APPEND|seg\.Sync\(\)' internal/wal/wal.go; then exit 1; fi
 # lets a client that picks keys aim them at one shard, must not grow back.
 if grep -rn 'map\[string\]entry' --include='*.go' --exclude='*_test.go' internal/rkv; then exit 1; fi
 if grep -niE 'fnv|14695981039346656037' internal/rkv/shards.go; then exit 1; fi
+# A keyed batch message carries one []item (key, version, value), decoded
+# in place from one string per frame: the parallel Vers/Vals slices, and
+# the length-mismatch guards they needed, must not grow back.
+if grep -rnE '^\s*(p2)?(Vers|Vals)\s+\[\]' --include='*.go' --exclude='*_test.go' internal/rkv; then exit 1; fi
 go test ./...
 # The facade example submits a write chain, crashes three replicas and
 # panics if the read after the crashes is stale: run it, not just build it.
