@@ -5,11 +5,18 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"hquorum/internal/cluster"
+	"hquorum/internal/epoch"
+	"hquorum/internal/rkv"
+	"hquorum/internal/transport"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current build")
@@ -166,6 +173,85 @@ func TestBadArguments(t *testing.T) {
 		stdout, stderr, code := quorumctl(t, strings.Fields(strings.ReplaceAll(c.args, "PEERS", peers))...)
 		if code != 2 || stdout != "" || stderr != c.want+"\n" {
 			t.Errorf("quorumctl %s: exit %d, stdout %q, stderr %q; want exit 2 and %q", c.args, code, stdout, stderr, c.want)
+		}
+	}
+}
+
+// TestReconfigLive runs `quorumctl reconfig` against a live cluster: four
+// rkv replicas on a loopback mesh running majority, a peers file that
+// also names a free port for the client (ID 4), and a few keys written
+// before the swap. Its target's members default to every peer but the
+// client, so `hgrid 2 2` runs on replicas 0–3; the command must print
+// epoch 3, and every key must read back afterwards through the new
+// quorums. A -contact outside the peers file exits non-zero.
+func TestReconfigLive(t *testing.T) {
+	initial := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 4)}
+	handlers := make([]cluster.Handler, 4)
+	replicas := make([]*rkv.Node, 4)
+	for i := range replicas {
+		es, err := epoch.NewStore(5, initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replicas[i], err = rkv.NewNode(cluster.NodeID(i), rkv.Config{Epochs: es}); err != nil {
+			t.Fatal(err)
+		}
+		handlers[i] = replicas[i]
+	}
+	mesh, err := transport.NewMesh(handlers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := ln.Addr().String()
+	ln.Close()
+	var peerLines strings.Builder
+	for i := 0; i < 4; i++ {
+		mesh.Node(i).Connect(map[cluster.NodeID]string{4: client})
+		fmt.Fprintf(&peerLines, "%d %s\n", i, mesh.Node(i).Addr())
+	}
+	fmt.Fprintf(&peerLines, "4 %s\n", client)
+	peers := filepath.Join(t.TempDir(), "peers.txt")
+	if err := os.WriteFile(peers, []byte(peerLines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mesh.Start()
+	node := replicas[1]
+	node.SetWake(func() { mesh.Node(1).Kick(0, node.StartToken()) })
+	do := func(op rkv.Op) rkv.Result {
+		t.Helper()
+		done := make(chan rkv.Result, 1)
+		node.Submit(op, func(r rkv.Result) { done <- r })
+		select {
+		case r := <-done:
+			if r.Err != nil {
+				t.Fatalf("%+v: %v", op, r.Err)
+			}
+			return r
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%+v: no result", op)
+		}
+		return rkv.Result{}
+	}
+	keys := []string{"a", "b", "c", "d"}
+	for _, k := range keys {
+		do(rkv.Op{Kind: rkv.OpWrite, Key: k, Value: "v-" + k})
+	}
+
+	if _, stderr, code := quorumctl(t, "reconfig", "-peers", peers, "-id", "4", "-contact", "9", "hgrid", "2", "2"); code == 0 {
+		t.Fatalf("-contact outside the peers file exited 0 (stderr %q)", stderr)
+	}
+	stdout, stderr, code := quorumctl(t, "reconfig", "-peers", peers, "-id", "4", "-timeout", "30s", "hgrid", "2", "2")
+	if code != 0 || !strings.HasPrefix(stdout, "reconfigured: epoch 3 ") {
+		t.Fatalf("reconfig: exit %d, stdout %q, stderr %q; want epoch 3", code, stdout, stderr)
+	}
+	for _, k := range keys {
+		if r := do(rkv.Op{Kind: rkv.OpRead, Key: k}); r.Value != "v-"+k {
+			t.Fatalf("read %s after the swap returned %q", k, r.Value)
 		}
 	}
 }

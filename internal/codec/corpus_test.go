@@ -1,12 +1,13 @@
 // Seed fuzz corpus maintenance for FuzzDecodeBody. The corpus under
 // testdata/fuzz/FuzzDecodeBody is committed so `go test -fuzz` starts from
-// real frames of every protocol — rkv's batch, reconfiguration, workload
-// and lease messages (tags 0x13-0x1f, 0x30-0x37) and dmutex's seven mutex
-// messages (0x27-0x2d) — instead of rediscovering the wire format from
-// zero. The frames of the retired tags (0x00, the gob envelope; 0x10-0x12,
-// rkv's single-key frames; 0x20-0x26, dmutex's epoch-stamped frames) stay
-// committed as negative seeds: they were valid input once, and must now be
-// refused like any unknown tag.
+// real frames of every protocol — rkv's batch, reconfiguration, workload,
+// lease and state-transfer messages (tags 0x13-0x1a, 0x1d-0x1f, 0x30-0x37)
+// and dmutex's seven mutex messages (0x27-0x2d) — instead of rediscovering
+// the wire format from zero. The frames of the retired tags (0x00, the gob
+// envelope; 0x10-0x12, rkv's single-key frames; 0x1b-0x1c, rkv's
+// reconfiguration snapshot request and reply; 0x20-0x26, dmutex's
+// epoch-stamped frames) stay committed as negative seeds: they were valid
+// input once, and must now be refused like any unknown tag.
 // Go's fuzzer replays the whole corpus on plain `go test` runs too, so a
 // decoder regression on any historical frame shape fails CI immediately.
 //
@@ -47,6 +48,8 @@ var retiredSeeds = map[string]uint64{
 	"seed-tag-0x10": 0x10,
 	"seed-tag-0x11": 0x11,
 	"seed-tag-0x12": 0x12,
+	"seed-tag-0x1b": 0x1b,
+	"seed-tag-0x1c": 0x1c,
 	"seed-tag-0x20": 0x20,
 	"seed-tag-0x21": 0x21,
 	"seed-tag-0x22": 0x22,
@@ -144,12 +147,16 @@ func TestSeedCorpusCoversAllTags(t *testing.T) {
 	}
 	var want []uint64
 	for tag := uint64(0x13); tag <= 0x1f; tag++ { // rkv: batch + reconfig + workload
-		want = append(want, tag)
+		if _, retired := retiredSeeds[fmt.Sprintf("seed-tag-0x%02x", tag)]; !retired {
+			want = append(want, tag)
+		}
 	}
 	for tag := uint64(0x27); tag <= 0x2d; tag++ { // dmutex
 		want = append(want, tag)
 	}
-	want = append(want, 0x30) // rkv overflow block: workload reply
+	for tag := uint64(0x30); tag <= 0x37; tag++ { // rkv overflow block: workload reply, lease, state transfer
+		want = append(want, tag)
+	}
 	for _, tag := range want {
 		if !covered[tag] {
 			t.Errorf("corpus covers no frame with tag 0x%02x", tag)

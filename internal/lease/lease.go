@@ -10,8 +10,8 @@
 // simulator's virtual clock or a transport node's monotonic clock), so
 // the same code is deterministic under the nemesis harness and
 // wall-clock-safe on TCP. The rkv client owns the driving glue: wire
-// messages, quorum picks, the grant/pull/push waves, and the write-path
-// invalidation phase.
+// messages, quorum picks, the grant and renew waves, the grant's state
+// transfer, and the write-path invalidation phase.
 //
 // Safety rests on four rules (DESIGN.md §17 has the full argument):
 //
@@ -22,10 +22,11 @@
 //  2. Leases are exclusive per shard: members nack a grant that
 //     overlaps any other live entry, so at most one holder serves a
 //     shard and a freshness push cannot race another holder.
-//  3. Before activating, the holder pulls the shard state from a read
-//     quorum, merges it, and pushes the merged state to a write quorum
-//     — so every version it can serve locally is quorum-replicated and
-//     later quorum reads can never run behind a local read.
+//  3. Before activating, the holder runs one state transfer over the
+//     granted shards: it pulls them from a read quorum, merges them with
+//     its own store, and pushes the merge to a write quorum — so every
+//     version it can serve locally is quorum-replicated and later quorum
+//     reads can never run behind a local read.
 //  4. Expiry is conservative on both sides: the holder stops serving at
 //     waveSent+TTL on its own clock; members hold the blocking entry
 //     until receive+TTL+slack on theirs, so a bounded clock-rate drift
@@ -115,10 +116,13 @@ func (c Config) Quarantine() time.Duration { return c.TTL + Slack(c.TTL) }
 // from their own receive/send instant.
 func Slack(ttl time.Duration) time.Duration { return ttl / 8 }
 
-// ShardOf maps a key to its lease shard by FNV-1a. Holder and members
-// must agree on the mapping, so it is unseeded; the replica store's data
-// shards use a seeded hash of their own, and the two are unrelated.
-func ShardOf(key string, nshards int) int {
+// KeyHash is the unseeded FNV-1a of key. It is the same in every
+// process, so holder and members agree on ShardOf, and a simulated run's
+// workload profile (rkv's tuner window keys on it) replays exactly; the
+// replica store's data shards use a seeded hash of their own, and the two
+// are unrelated. Written out rather than hash/fnv so that it allocates
+// nothing and inlines on the per-op path.
+func KeyHash(key string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -128,10 +132,15 @@ func ShardOf(key string, nshards int) int {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
+	return h
+}
+
+// ShardOf maps a key to its lease shard in an nshards-wide space.
+func ShardOf(key string, nshards int) int {
 	if nshards <= 1 {
 		return 0
 	}
-	return int(h % uint64(nshards))
+	return int(KeyHash(key) % uint64(nshards))
 }
 
 // Bit returns the mask bit for one shard.
@@ -282,17 +291,18 @@ func (t *Table) Overlapping(keysMask func(nshards int) uint64, now time.Duration
 	return holders, masks
 }
 
-// Holder wave phases. A grant runs wave→pull→push→active; a renewal is
-// wave→active (held shards are continuously fresh — any completed write
-// would have invalidated them — so no pull or push is needed).
+// Holder wave phases. A grant runs wave→transfer→active: once every
+// member acked, the glue makes the shards fresh (rkv's state transfer)
+// and then calls Activate or Abort. A renewal is wave→active (held shards
+// are continuously fresh — any completed write would have invalidated
+// them — so no transfer is needed).
 type holdPhase int
 
 const (
 	holdIdle holdPhase = iota
 	holdGrantWave
 	holdRenewWave
-	holdPull
-	holdPush
+	holdTransfer
 )
 
 // AckResult is Holder.OnAck's verdict on an incoming grant/renew ack.
@@ -309,10 +319,10 @@ const (
 	AckFailed
 )
 
-// Holder is the acquiring side's state machine: at most one wave
-// (grant, renew, pull, or push) in flight at a time, plus the currently
-// active lease. The rkv glue drives it from the node's event loop, so
-// no locking here.
+// Holder is the acquiring side's state machine: at most one wave (grant
+// or renew, or a grant's transfer) in flight at a time, plus the
+// currently active lease. The rkv glue drives it from the node's event
+// loop, so no locking here.
 type Holder struct {
 	cfg Config
 
@@ -350,13 +360,9 @@ func (h *Holder) Deadline() time.Duration { return h.deadline }
 // Idle reports whether no wave is in flight.
 func (h *Holder) Idle() bool { return h.ph == holdIdle }
 
-// Seq returns the in-flight wave's sequence (0 when idle).
-func (h *Holder) Seq() uint64 {
-	if h.ph == holdIdle {
-		return 0
-	}
-	return h.seq
-}
+// Seq returns the sequence of the wave awaiting acks (0 when idle, and
+// during a grant's transfer: the wave's timer must not abort it).
+func (h *Holder) Seq() uint64 { return h.seq }
 
 // Mask returns the in-flight wave's remaining shard mask.
 func (h *Holder) Mask() uint64 { return h.mask }
@@ -405,7 +411,8 @@ func (h *Holder) BeginWave(renew bool, seq, mask uint64, members []cluster.NodeI
 func (h *Holder) Renewing() bool { return h.ph == holdRenewWave }
 
 // OnAck consumes a grant/renew ack. A nack aborts the wave and cools
-// the requested shards so the next tick doesn't immediately retry.
+// the requested shards so the next tick doesn't immediately retry. The
+// last ack of a grant moves it to its transfer.
 func (h *Holder) OnAck(from cluster.NodeID, seq uint64, ok bool, now time.Duration) AckResult {
 	if (h.ph != holdGrantWave && h.ph != holdRenewWave) || seq != h.seq {
 		return AckIgnored
@@ -418,10 +425,13 @@ func (h *Holder) OnAck(from cluster.NodeID, seq uint64, ok bool, now time.Durati
 		return AckFailed
 	}
 	delete(h.pending, from)
-	if len(h.pending) == 0 {
-		return AckDone
+	if len(h.pending) > 0 {
+		return AckWait
 	}
-	return AckWait
+	if h.ph == holdGrantWave {
+		h.ph, h.seq = holdTransfer, 0
+	}
+	return AckDone
 }
 
 // CompleteRenew finishes an ack-complete renewal: the surviving active
@@ -430,52 +440,6 @@ func (h *Holder) OnAck(from cluster.NodeID, seq uint64, ok bool, now time.Durati
 func (h *Holder) CompleteRenew() {
 	h.deadline = h.sentAt + h.cfg.TTL
 	h.reset()
-}
-
-// BeginPull moves an ack-complete grant wave into the pull phase,
-// expecting a reply from every listed read-quorum member.
-func (h *Holder) BeginPull(seq uint64, members []cluster.NodeID) {
-	h.ph = holdPull
-	h.seq = seq
-	h.pending = make(map[cluster.NodeID]struct{}, len(members))
-	for _, m := range members {
-		h.pending[m] = struct{}{}
-	}
-}
-
-// OnPullReply consumes one pull reply; done reports all replies in.
-func (h *Holder) OnPullReply(from cluster.NodeID, seq uint64) (counted, done bool) {
-	if h.ph != holdPull || seq != h.seq {
-		return false, false
-	}
-	if _, waiting := h.pending[from]; !waiting {
-		return false, len(h.pending) == 0
-	}
-	delete(h.pending, from)
-	return true, len(h.pending) == 0
-}
-
-// BeginPush moves a pull-complete grant into the push phase, expecting
-// a write ack from every listed write-quorum member.
-func (h *Holder) BeginPush(seq uint64, members []cluster.NodeID) {
-	h.ph = holdPush
-	h.seq = seq
-	h.pending = make(map[cluster.NodeID]struct{}, len(members))
-	for _, m := range members {
-		h.pending[m] = struct{}{}
-	}
-}
-
-// OnPushAck consumes one push write-ack; done reports all acks in.
-func (h *Holder) OnPushAck(from cluster.NodeID, seq uint64) (counted, done bool) {
-	if h.ph != holdPush || seq != h.seq {
-		return false, false
-	}
-	if _, waiting := h.pending[from]; !waiting {
-		return false, len(h.pending) == 0
-	}
-	delete(h.pending, from)
-	return true, len(h.pending) == 0
 }
 
 // Activate completes a grant: the wave's surviving shards join the

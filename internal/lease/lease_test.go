@@ -134,13 +134,14 @@ func TestHolderGrantLifecycle(t *testing.T) {
 	if r := h.OnAck(2, 7, true, 22*time.Millisecond); r != AckDone {
 		t.Fatalf("last ack = %v", r)
 	}
-	h.BeginPull(8, []cluster.NodeID{2})
-	if c, done := h.OnPullReply(2, 8); !c || !done {
-		t.Fatalf("pull reply: counted=%v done=%v", c, done)
+	// The all-acked grant waits for its transfer: still busy and
+	// self-keeping, not serving, and no longer answering to the wave's
+	// seq (whose timer must not abort the transfer).
+	if h.Idle() || h.Seq() != 0 || !h.SelfKeepOK(0) || h.ServeOK(0, 5, 25*time.Millisecond) {
+		t.Fatalf("after the last ack: idle=%v seq=%d", h.Idle(), h.Seq())
 	}
-	h.BeginPush(9, []cluster.NodeID{1})
-	if c, done := h.OnPushAck(1, 9); !c || !done {
-		t.Fatalf("push ack: counted=%v done=%v", c, done)
+	if r := h.OnAck(2, 7, true, 23*time.Millisecond); r != AckIgnored {
+		t.Fatalf("ack during the transfer = %v", r)
 	}
 	if !h.Activate(30*time.Millisecond, 5) {
 		t.Fatal("Activate refused")

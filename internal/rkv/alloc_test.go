@@ -35,9 +35,9 @@ func addr(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s)
 
 // TestStoreOwnsDecodedFrames: a decoded batch's keys and values are
 // substrings of one copy of its frame, and the store keeps copies of its
-// own. A write batch, a snapshot reply and a lease-pull reply are decoded
-// from one buffer and applied the way their handlers apply them (the
-// replica's fast path, the coordinators' applyPut); overwriting the buffer
+// own. A write batch and a pull reply are decoded from one buffer and
+// applied the way their handlers apply them (the replica's fast path, the
+// state transfer's merge and applyPut); overwriting the buffer
 // then changes nothing the store reads back, and no stored key or value
 // lies inside a decoded frame.
 func TestStoreOwnsDecodedFrames(t *testing.T) {
@@ -47,11 +47,10 @@ func TestStoreOwnsDecodedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := map[string][]item{"write": eightItems("write"), "snap": eightItems("snap"), "pull": eightItems("pull")}
+	sent := map[string][]item{"write": eightItems("write"), "pull": eightItems("pull")}
 	msgs := []any{
 		msgWriteBatch{Epoch: 1, Seq: 1, Items: sent["write"]},
-		msgSnapReply{Seq: 2, Items: sent["snap"]},
-		msgLeasePullReply{Seq: 3, Items: sent["pull"]},
+		msgPullReply{Seq: 2, Items: sent["pull"]},
 	}
 	buf := make([]byte, 0, 1024)
 	type frame struct {
@@ -72,20 +71,11 @@ func TestStoreOwnsDecodedFrames(t *testing.T) {
 			if !n.FastDeliver(&fakeEnv{}, 3, d) {
 				t.Fatal("write batch not served on the fast path")
 			}
-		case msgSnapReply:
+		case msgPullReply:
 			items = d.Items
-			n.rc.merged = make(map[string]mergedVal)
-			n.rcMergeSnap(items)
-			for _, it := range rcMergedItems(n.rc.merged) {
-				n.applyPut(it.Key, it.Ver, it.Val)
-			}
-		case msgLeasePullReply:
-			items = d.Items
-			n.leaseMerged = make(map[string]mergedVal)
-			for _, it := range items {
-				n.leaseMergeVal(it)
-			}
-			for _, it := range rcMergedItems(n.leaseMerged) {
+			xfer := transfer{mask: 1, shards: 1, merged: make(map[string]item)}
+			xfer.merge(items)
+			for _, it := range xfer.merged {
 				n.applyPut(it.Key, it.Ver, it.Val)
 			}
 		}

@@ -264,7 +264,7 @@ func TestEpochZeroFrameRejected(t *testing.T) {
 	frames := []any{
 		msgWriteBatch{Epoch: 0, Seq: 4, Items: []item{{"", Version{Counter: 7, Writer: 3}, "x"}, {"k", Version{Counter: 8, Writer: 3}, "y"}}},
 		msgReadBatch{Epoch: 0, Seq: 5, Keys: []string{"", "k"}},
-		msgSnapReq{Epoch: 0, Seq: 6},
+		msgPull{Epoch: 0, Seq: 6, Mask: 1, Shards: 1},
 	}
 	env := &sentEnv{}
 	for i, m := range frames {

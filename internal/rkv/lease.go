@@ -13,17 +13,18 @@ package rkv
 //   - Holder side (Config.Lease.Acquire): a policy tick reads the
 //     workload profiler; on a read-heavy window it grants missing shards
 //     or renews near the deadline, on a write-heavy one it lets the
-//     lease lapse. A grant runs wave→pull→push→activate: every current
-//     member must ack (so every future writer's table blocks), then the
-//     shard state is pulled from a read quorum, merged with the local
-//     store, and pushed to a write quorum — after which every version
-//     the holder can serve locally is quorum-replicated, so no later
-//     quorum read can run behind a local read. While the lease covers
-//     a key the local store answers for it: queued reads are served at
-//     admission (launchNext) with zero messages, and a write takes its
-//     version from the local store instead of a phase-1 quorum round;
-//     the holder's own completed writes are applied locally (self-keep)
-//     instead of invalidating its own lease.
+//     lease lapse. A grant runs wave→transfer→activate: every current
+//     member must ack (so every future writer's table blocks), then one
+//     state transfer (transfer.go) over the granted shards, from a read
+//     quorum to a write quorum of the current config and seeded by the
+//     local store — after which every version the holder can serve
+//     locally is quorum-replicated, so no later quorum read can run
+//     behind a local read. While the lease covers a key the local store
+//     answers for it: queued reads are served at admission (launchNext)
+//     with zero messages, and a write takes its version from the local
+//     store instead of a phase-1 quorum round; the holder's own completed
+//     writes are applied locally (self-keep) instead of invalidating its
+//     own lease.
 //
 // Epoch fences: grants are epoch-gated and refused while the config is
 // joint or a reconfiguration is active; activation re-checks the epoch;
@@ -43,7 +44,8 @@ import (
 	"hquorum/internal/optrace"
 )
 
-// Lease wire messages (tags 0x31-0x37 in the 0x30 overflow block).
+// Lease wire messages (tags 0x31-0x34 and 0x37 in the 0x30 overflow
+// block; the grant's state transfer rides 0x35/0x36).
 type (
 	// msgLeaseGrant asks every current member to record a lease: holder
 	// `from` serves Mask (over a Shards-wide space) for TTLus. Epoch-
@@ -78,19 +80,6 @@ type (
 		Kind uint8
 		OK   bool
 	}
-	// msgLeasePull asks a read-quorum member for its store state
-	// restricted to Mask's shards (the grant freshness pull).
-	msgLeasePull struct {
-		Epoch  uint64
-		Seq    uint64
-		Mask   uint64
-		Shards int
-	}
-	// msgLeasePullReply carries the filtered dump, sorted by key.
-	msgLeasePullReply struct {
-		Seq   uint64
-		Items []item
-	}
 	// msgLeaseDrop tells members the holder released Mask's shards
 	// (best-effort cleanup; entries expire on their own anyway).
 	msgLeaseDrop struct {
@@ -100,13 +89,11 @@ type (
 )
 
 const (
-	tagLeaseGrant     = 0x31
-	tagLeaseRenew     = 0x32
-	tagLeaseInval     = 0x33
-	tagLeaseAck       = 0x34
-	tagLeasePull      = 0x35
-	tagLeasePullReply = 0x36
-	tagLeaseDrop      = 0x37
+	tagLeaseGrant = 0x31
+	tagLeaseRenew = 0x32
+	tagLeaseInval = 0x33
+	tagLeaseAck   = 0x34
+	tagLeaseDrop  = 0x37
 )
 
 // msgLeaseAck kinds.
@@ -300,25 +287,6 @@ func (n *Node) onLeaseDrop(from cluster.NodeID, m msgLeaseDrop) {
 	n.lt.ClearBits(from, m.Mask)
 }
 
-// onLeasePullServe answers a freshness pull on the replica fast path:
-// epoch-gated, store-only (thread-safe), the same shape as a snapshot
-// request but filtered down to the leased shards.
-func (n *Node) onLeasePullServe(env cluster.Env, from cluster.NodeID, m msgLeasePull) {
-	if m.Shards < 1 || m.Shards > lease.MaxShards {
-		return
-	}
-	n.gate(env, from, m.Epoch, m.Seq, func() {
-		items := n.store.dump()
-		kept := items[:0]
-		for _, it := range items {
-			if m.Mask&lease.Bit(lease.ShardOf(it.Key, m.Shards)) != 0 {
-				kept = append(kept, it)
-			}
-		}
-		env.Send(from, msgLeasePullReply{Seq: m.Seq, Items: kept})
-	})
-}
-
 // ---------------------------------------------------------------------
 // Write barrier
 // ---------------------------------------------------------------------
@@ -467,9 +435,7 @@ func (n *Node) onLeaseAck(env cluster.Env, from cluster.NodeID, m msgLeaseAck) {
 			n.leaseRenewals.Add(1)
 			return
 		}
-		n.leaseStartPull(env)
-	case lease.AckFailed:
-		n.leaseMerged = nil
+		n.leaseStartTransfer(env)
 	}
 }
 
@@ -548,7 +514,7 @@ func (n *Node) leaseStartWave(env cluster.Env, renew bool, mask uint64) {
 			n.leaseRenewals.Add(1)
 			return
 		}
-		n.leaseStartPull(env)
+		n.leaseStartTransfer(env)
 		return
 	}
 	env.After(n.cfg.Timeout, tokenLeaseDue{Seq: n.seq})
@@ -564,158 +530,50 @@ func (n *Node) leasePick(env cluster.Env, read bool) (bitset.Set, error) {
 	return q, err
 }
 
-// leaseStartPull pulls the leased shards' state from a read quorum.
-// The local store seeds the merge: the push must cover everything the
-// holder could serve, including versions only this replica has.
-func (n *Node) leaseStartPull(env cluster.Env) {
+// leaseStartTransfer makes the all-acked grant's shards fresh before
+// they serve: one state transfer (transfer.go) over them, from a read
+// quorum to a write quorum of the current config, seeded by the local
+// store — the push must cover everything the holder could serve,
+// including versions only this replica has.
+func (n *Node) leaseStartTransfer(env cluster.Env) {
 	lh := n.lh
-	now := env.Now()
 	if lh.Mask() == 0 {
-		lh.Abort(now)
+		lh.Abort(env.Now())
 		return
 	}
-	q, err := n.leasePick(env, true)
-	if err != nil {
-		lh.Abort(now)
-		return
-	}
-	mask, shards := lh.Mask(), lh.Config().Shards
-	n.leaseMerged = make(map[string]mergedVal)
-	for _, it := range n.store.dump() {
-		if mask&lease.Bit(lease.ShardOf(it.Key, shards)) != 0 {
-			n.leaseMergeVal(it)
-		}
-	}
-	var members []cluster.NodeID
-	q.ForEach(func(m int) {
-		if cluster.NodeID(m) != n.id {
-			members = append(members, cluster.NodeID(m))
-		}
+	n.startTransfer(env, transfer{
+		epoch:   lh.WaveEpoch(),
+		mask:    lh.Mask(),
+		shards:  lh.Config().Shards,
+		src:     func(env cluster.Env) (bitset.Set, error) { return n.leasePick(env, true) },
+		dst:     func(env cluster.Env) (bitset.Set, error) { return n.leasePick(env, false) },
+		timeout: n.cfg.Timeout,
+		done:    n.leaseTransferred,
 	})
-	n.seq++
-	lh.BeginPull(n.seq, members)
-	if len(members) == 0 {
-		n.leaseFinishPull(env)
-		return
-	}
-	msg := msgLeasePull{Epoch: lh.WaveEpoch(), Seq: n.seq, Mask: mask, Shards: shards}
-	for _, id := range members {
-		env.Send(id, msg)
-	}
-	env.After(n.cfg.Timeout, tokenLeaseDue{Seq: n.seq})
 }
 
-func (n *Node) leaseMergeVal(it item) {
-	if cur, ok := n.leaseMerged[it.Key]; !ok || cur.ver.Less(it.Ver) {
-		n.leaseMerged[it.Key] = mergedVal{ver: it.Ver, val: it.Val}
-	}
-}
-
-// onLeasePullReply merges one member's shard state; when the quorum is
-// complete, apply the merge locally and push it.
-func (n *Node) onLeasePullReply(env cluster.Env, from cluster.NodeID, m msgLeasePullReply) {
-	if n.lh == nil {
-		return
-	}
-	counted, done := n.lh.OnPullReply(from, m.Seq)
-	if !counted {
-		return
-	}
-	for _, it := range m.Items {
-		n.leaseMergeVal(it)
-	}
-	if done {
-		n.leaseFinishPull(env)
-	}
-}
-
-// leaseFinishPull applies the merged read-quorum state to the local
-// store, then pushes it to a write quorum. Only after that push is
-// every locally servable version quorum-replicated — the property that
-// keeps a local read from ever running ahead of (or behind) the quorum
-// path; see DESIGN.md §17.
-func (n *Node) leaseFinishPull(env cluster.Env) {
-	lh := n.lh
-	now := env.Now()
-	if lh.Mask() == 0 {
-		lh.Abort(now)
-		n.leaseMerged = nil
-		return
-	}
-	var maxC uint64
-	ok := true
-	items := rcMergedItems(n.leaseMerged)
-	for _, it := range items {
-		maxC = max(maxC, it.Ver.Counter)
-		ok = n.applyPut(it.Key, it.Ver, it.Val) && ok
-	}
-	n.mergeClock(maxC)
-	if !ok || !n.commitDurable() {
-		lh.Abort(now)
-		n.leaseMerged = nil
-		return
-	}
-	if len(items) == 0 {
-		n.leaseActivate(env)
-		return
-	}
-	q, err := n.leasePick(env, false)
+// leaseTransferred completes the grant once its transfer is done (unless
+// the epoch moved mid-wave), and aborts it otherwise. Only after the
+// push is every locally servable version quorum-replicated — the
+// property that keeps a local read from ever running ahead of (or
+// behind) the quorum path; see DESIGN.md §17.
+func (n *Node) leaseTransferred(env cluster.Env, _ bitset.Set, err error) {
 	if err != nil {
-		lh.Abort(now)
-		n.leaseMerged = nil
+		n.lh.Abort(env.Now())
 		return
 	}
-	var members []cluster.NodeID
-	q.ForEach(func(m int) {
-		if cluster.NodeID(m) != n.id {
-			members = append(members, cluster.NodeID(m))
-		}
-	})
-	n.seq++
-	lh.BeginPush(n.seq, members)
-	if len(members) == 0 {
-		n.leaseActivate(env)
-		return
-	}
-	msg := msgWriteBatch{Epoch: lh.WaveEpoch(), Seq: n.seq, Items: items}
-	for _, id := range members {
-		env.Send(id, msg)
-	}
-	env.After(n.cfg.Timeout, tokenLeaseDue{Seq: n.seq})
-}
-
-// leaseOnWriteAck consumes write acks addressed to the freshness push;
-// reports whether the ack belonged to the lease machinery.
-func (n *Node) leaseOnWriteAck(env cluster.Env, from cluster.NodeID, m msgWriteAck) bool {
-	if n.lh == nil {
-		return false
-	}
-	counted, done := n.lh.OnPushAck(from, m.Seq)
-	if !counted {
-		return false
-	}
-	if done {
-		n.leaseActivate(env)
-	}
-	return true
-}
-
-// leaseActivate completes the grant (unless the epoch moved mid-wave).
-func (n *Node) leaseActivate(env cluster.Env) {
-	n.leaseMerged = nil
 	if n.lh.Activate(env.Now(), n.epochNow()) {
 		n.leaseGrants.Add(1)
 	}
 	n.leasePublish()
 }
 
-// onLeaseDue aborts a wave (grant, renew, pull or push) that timed out.
+// onLeaseDue aborts a grant or renew wave that timed out.
 func (n *Node) onLeaseDue(env cluster.Env, seq uint64) {
 	if n.lh == nil || n.lh.Idle() || n.lh.Seq() != seq {
 		return
 	}
 	n.lh.Abort(env.Now())
-	n.leaseMerged = nil
 }
 
 // leaseBroadcastDrop tells every member the holder released mask.
@@ -870,7 +728,6 @@ func (n *Node) leaseSelfKeep(env cluster.Env, op *opState) {
 // image on the disk backend, which forces the write quarantine until
 // every entry this node might have recorded has provably expired.
 func (n *Node) leaseRestarted(env cluster.Env) {
-	n.leaseMerged = nil
 	if n.lh != nil {
 		n.lh.Reset()
 		n.leasePublish()
@@ -888,8 +745,8 @@ func (n *Node) leaseRestarted(env cluster.Env) {
 // Wire registration
 // ---------------------------------------------------------------------
 
-// registerLeaseWire registers the lease codecs (tags 0x31-0x37), called
-// from RegisterBinaryWire.
+// registerLeaseWire registers the lease codecs (tags 0x31-0x34, 0x37),
+// called from RegisterBinaryWire.
 func registerLeaseWire(reg *codec.Registry) {
 	grantBody := func(b []byte, ep, seq, mask uint64, shards int, ttlUs uint64) []byte {
 		b = codec.AppendUvarint(b, ep)
@@ -943,30 +800,6 @@ func registerLeaseWire(reg *codec.Registry) {
 		func(data string) (any, error) {
 			r := codec.NewReader(data)
 			m := msgLeaseAck{Seq: r.Uvarint(), Kind: uint8(r.Uvarint()), OK: r.Uvarint() != 0}
-			return m, r.Err()
-		})
-	reg.Register(tagLeasePull, msgLeasePull{},
-		func(b []byte, v any) []byte {
-			m := v.(msgLeasePull)
-			b = codec.AppendUvarint(b, m.Epoch)
-			b = codec.AppendUvarint(b, m.Seq)
-			b = codec.AppendUvarint(b, m.Mask)
-			return codec.AppendUvarint(b, uint64(m.Shards))
-		},
-		func(data string) (any, error) {
-			r := codec.NewReader(data)
-			m := msgLeasePull{Epoch: r.Uvarint(), Seq: r.Uvarint(), Mask: r.Uvarint(), Shards: int(r.Uvarint())}
-			return m, r.Err()
-		})
-	reg.Register(tagLeasePullReply, msgLeasePullReply{},
-		func(b []byte, v any) []byte {
-			m := v.(msgLeasePullReply)
-			b = codec.AppendUvarint(b, m.Seq)
-			return appendItems(b, m.Items)
-		},
-		func(data string) (any, error) {
-			r := codec.NewReader(data)
-			m := msgLeasePullReply{Seq: r.Uvarint(), Items: readItems(r)}
 			return m, r.Err()
 		})
 	reg.Register(tagLeaseDrop, msgLeaseDrop{},

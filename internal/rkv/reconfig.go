@@ -13,22 +13,22 @@ package rkv
 //     old read quorum, so at least one member rejects its frames with
 //     ErrStaleEpoch and the client retries under the joint config, whose
 //     union quorums span both worlds.
-//  2. Snapshot: reads the keyed store from an old-config read quorum at
-//     the joint epoch, merging the highest version per key. Because
+//  2. Transfer: one state transfer (transfer.go, DESIGN.md §13.1) at
+//     the joint epoch, over every key, from an old-config read quorum to
+//     a new-config write quorum, both among the acked members. Because
 //     replicas serve requests under the epoch store's read lock, every
-//     write admitted at epoch e by a snapshot member happened before its
-//     joint install, hence before its snapshot — nothing is missed.
-//  3. Push: writes the merged state to a new-config write quorum at the
-//     joint epoch (monotonic version merge, so concurrent client writes
-//     are never regressed). Afterwards every read quorum of C_new
+//     write admitted at epoch e by a source member happened before its
+//     joint install, hence before its pull is served — nothing is
+//     missed; the push merges monotonically, so concurrent client writes
+//     are never regressed. Afterwards every read quorum of C_new
 //     observes everything written under C_old.
-//  4. Finalize: installs the stable config {e+2, Cur: C_new}, pushes it
+//  3. Finalize: installs the stable config {e+2, Cur: C_new}, pushes it
 //     until a new-config read quorum acks, then reports done. Stragglers
 //     catch up through the per-op stale/fetch traffic.
 //
-// Retries re-send the current wave; members that stay silent across a
-// wave are dropped from the acked set and the needed quorums re-picked
-// (falling back to more spreading when coverage is lost). A coordinator
+// Retries re-send the current wave; members that stay silent through a
+// transfer are dropped from the acked set and the transfer re-run around
+// them (falling back to more spreading when coverage is lost). A coordinator
 // crash abandons the attempt at worst mid-joint — strictly smaller
 // quorum availability but full safety — and the transition can be
 // resumed later by any coordinator naming the same target.
@@ -42,9 +42,10 @@ import (
 	"hquorum/internal/epoch"
 )
 
-// Reconfiguration wire messages (tags 0x17-0x1e, see wire.go). Configs
-// and params travel pre-encoded ([]byte) so every frame that carries one
-// shares one hostile-input-guarded decode path (epoch.DecodeConfig).
+// Reconfiguration wire messages (tags 0x17-0x1a, 0x1d and 0x1e, see
+// wire.go). Configs and params travel pre-encoded ([]byte) so every frame
+// that carries one shares one hostile-input-guarded decode path
+// (epoch.DecodeConfig).
 type (
 	// msgConfigPush distributes a config; the receiver installs it if
 	// newer and acks with its (possibly fresher) state.
@@ -72,17 +73,6 @@ type (
 	msgConfigReq struct {
 		Epoch uint64
 	}
-	// msgSnapReq asks for the replica's full keyed store, served only at
-	// the exact epoch (the coordinator's snapshot phase).
-	msgSnapReq struct {
-		Epoch uint64
-		Seq   uint64
-	}
-	// msgSnapReply carries the store dump, sorted by key.
-	msgSnapReply struct {
-		Seq   uint64
-		Items []item
-	}
 	// msgReconfig asks the receiver to coordinate a reconfiguration to
 	// Target (epoch.Params wire form) — the quorumctl reconfig client.
 	msgReconfig struct {
@@ -101,7 +91,6 @@ type (
 type (
 	tokenReconfig    struct{ Target epoch.Params }
 	tokenReconfigDue struct{ Seq uint64 }
-	tokenRcClient    struct{}
 )
 
 // ReconfigToken returns the timer token that makes the receiving node
@@ -118,15 +107,9 @@ const (
 	rcIdle = iota
 	rcLeaseSweep
 	rcSpread
-	rcSnap
-	rcPush
+	rcTransfer
 	rcFinal
 )
-
-type mergedVal struct {
-	ver Version
-	val string
-}
 
 // reconfigState is the coordinator's state machine. Zero value = idle.
 type reconfigState struct {
@@ -147,8 +130,7 @@ type reconfigState struct {
 
 	targets []cluster.NodeID // old ∪ new members, sorted
 	acked   bitset.Set       // members confirmed at the phase's config
-	pending bitset.Set       // snapshot/push wave members not yet answered
-	merged  map[string]mergedVal
+	pending bitset.Set       // lease-sweep holders not yet acked
 
 	// sweepEpoch is the epoch observed when the lease sweep started; the
 	// sweep's supersession check uses it (final.Epoch is still 0 then).
@@ -265,7 +247,6 @@ func (n *Node) rcBeginTransition(env cluster.Env, target epoch.Params, requester
 		newPk:        newPk,
 		targets:      unionMembers(*joint.Old, target),
 		acked:        bitset.New(space),
-		pending:      bitset.New(space),
 		requester:    requester,
 		reqSeq:       reqSeq,
 		hasRequester: hasReq,
@@ -309,12 +290,6 @@ func (n *Node) rcSendWave(env cluster.Env) {
 				env.Send(id, msgConfigPush{Seq: n.rc.seq, Cfg: n.rc.jointBytes})
 			}
 		}
-	case rcSnap:
-		msg := msgSnapReq{Epoch: n.rc.joint.Epoch, Seq: n.rc.seq}
-		n.rc.pending.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
-	case rcPush:
-		msg := msgWriteBatch{Epoch: n.rc.joint.Epoch, Seq: n.rc.seq, Items: rcMergedItems(n.rc.merged)}
-		n.rc.pending.ForEach(func(m int) { env.Send(cluster.NodeID(m), msg) })
 	case rcFinal:
 		for _, id := range n.rc.targets {
 			if id != n.id && !n.rc.acked.Contains(int(id)) {
@@ -323,17 +298,6 @@ func (n *Node) rcSendWave(env cluster.Env) {
 		}
 	}
 	env.After(attempt.Patience(env.Rand(), n.cfg.Timeout, n.rc.attempts), tokenReconfigDue{Seq: n.rc.seq})
-}
-
-// rcMergedItems flattens the merged snapshot into wire items, sorted by
-// key for determinism.
-func rcMergedItems(merged map[string]mergedVal) []item {
-	items := make([]item, 0, len(merged))
-	for k, mv := range merged {
-		items = append(items, item{Key: k, Ver: mv.ver, Val: mv.val})
-	}
-	sortItems(items)
-	return items
 }
 
 // onConfigPush installs a distributed config if newer and acks with our
@@ -372,7 +336,7 @@ func (n *Node) rcOnConfigAck(env cluster.Env, from cluster.NodeID, m msgConfigAc
 	case rcSpread:
 		if m.Epoch == n.rc.joint.Epoch && m.Fp == n.rc.jointFp {
 			n.rc.acked.Add(int(from))
-			n.rcMaybeSnapshot(env)
+			n.rcMaybeTransfer(env)
 		}
 	case rcFinal:
 		if m.Epoch == n.rc.final.Epoch && m.Fp == n.rc.finalFp {
@@ -382,113 +346,55 @@ func (n *Node) rcOnConfigAck(env cluster.Env, from cluster.NodeID, m msgConfigAc
 	}
 }
 
-// rcMaybeSnapshot advances spread → snapshot once the acked set covers
+// rcMaybeTransfer advances spread → transfer once the acked set covers
 // both an old-config read quorum (so no stale-epoch write can complete
-// any more) and a new-config write quorum (so the push phase can land).
-func (n *Node) rcMaybeSnapshot(env cluster.Env) {
+// any more) and a new-config write quorum (so the push can land).
+func (n *Node) rcMaybeTransfer(env cluster.Env) {
 	if _, err := n.rc.oldPk.Read(env.Rand(), n.rc.acked); err != nil {
 		return
 	}
 	if _, err := n.rc.newPk.Write(env.Rand(), n.rc.acked); err != nil {
 		return
 	}
-	n.rcEnterSnapshot(env)
+	n.rcStartTransfer(env)
 }
 
-// rcEnterSnapshot picks the old-config read quorum to snapshot from. If
-// coverage was lost (acks dropped after timeouts), falls back to more
-// spreading.
-func (n *Node) rcEnterSnapshot(env cluster.Env) {
-	q, err := n.rc.oldPk.Read(env.Rand(), n.rc.acked)
-	if err != nil {
+// rcStartTransfer moves the old configuration's state into the new one:
+// a transfer over every key (Shards 1, Mask 1) at the joint epoch, from an
+// old-config read quorum to a new-config write quorum among the acked
+// members. The transfer runs its own frames and timer, so the spread
+// wave's seq retires here.
+func (n *Node) rcStartTransfer(env cluster.Env) {
+	n.rc.phase = rcTransfer
+	n.rc.seq = 0
+	n.startTransfer(env, transfer{
+		epoch:   n.rc.joint.Epoch,
+		mask:    1,
+		shards:  1,
+		src:     func(env cluster.Env) (bitset.Set, error) { return n.rc.oldPk.Read(env.Rand(), n.rc.acked) },
+		dst:     func(env cluster.Env) (bitset.Set, error) { return n.rc.newPk.Write(env.Rand(), n.rc.acked) },
+		timeout: attempt.Patience(env.Rand(), n.cfg.Timeout, n.rc.attempts),
+		done:    n.rcTransferred,
+	})
+}
+
+// rcTransferred takes the transfer's outcome: finalize, or drop the
+// members that stayed silent and transfer again around them — falling
+// back to more spreading when the acked set no longer covers a quorum.
+func (n *Node) rcTransferred(env cluster.Env, silent bitset.Set, err error) {
+	switch {
+	case err == nil:
+		n.rcEnterFinal(env)
+	case n.cfg.Epochs.Epoch() > n.rc.final.Epoch:
+		n.rcAbort(env, "superseded by a newer configuration")
+	case silent.Empty():
 		n.rc.phase = rcSpread
 		n.rcSendWave(env)
-		return
+	default:
+		n.rc.attempts++
+		n.rc.acked.DifferenceWith(silent)
+		n.rcStartTransfer(env)
 	}
-	n.rc.phase = rcSnap
-	n.rc.merged = make(map[string]mergedVal)
-	q.CopyInto(&n.rc.pending)
-	if n.rc.pending.Contains(int(n.id)) {
-		n.rc.pending.Remove(int(n.id))
-		n.rcMergeSnap(n.store.dump())
-	}
-	if n.rc.pending.Empty() {
-		n.rcEnterPush(env)
-		return
-	}
-	n.rcSendWave(env)
-}
-
-func (n *Node) rcMergeSnap(items []item) {
-	for _, it := range items {
-		if cur, ok := n.rc.merged[it.Key]; !ok || cur.ver.Less(it.Ver) {
-			n.rc.merged[it.Key] = mergedVal{ver: it.Ver, val: it.Val}
-		}
-	}
-}
-
-func (n *Node) rcOnSnapReply(env cluster.Env, from cluster.NodeID, m msgSnapReply) {
-	if n.rc.phase != rcSnap || m.Seq != n.rc.seq || !n.rc.pending.Contains(int(from)) {
-		return
-	}
-	n.rc.pending.Remove(int(from))
-	n.rcMergeSnap(m.Items)
-	if n.rc.pending.Empty() {
-		n.rcEnterPush(env)
-	}
-}
-
-// rcEnterPush writes the merged snapshot to a new-config write quorum at
-// the joint epoch. An empty snapshot (no keys ever written) skips
-// straight to finalize.
-func (n *Node) rcEnterPush(env cluster.Env) {
-	if len(n.rc.merged) == 0 {
-		n.rcEnterFinal(env)
-		return
-	}
-	q, err := n.rc.newPk.Write(env.Rand(), n.rc.acked)
-	if err != nil {
-		n.rc.phase = rcSpread
-		n.rcSendWave(env)
-		return
-	}
-	n.rc.phase = rcPush
-	q.CopyInto(&n.rc.pending)
-	if n.rc.pending.Contains(int(n.id)) {
-		n.rc.pending.Remove(int(n.id))
-		var maxC uint64
-		ok := true
-		for _, it := range rcMergedItems(n.rc.merged) {
-			maxC = max(maxC, it.Ver.Counter)
-			ok = n.applyPut(it.Key, it.Ver, it.Val) && ok
-		}
-		n.mergeClock(maxC)
-		// The coordinator counts itself toward the push quorum only if
-		// its local apply is as durable as a remote member's acked one.
-		if !ok || !n.commitDurable() {
-			n.rc.pending.Add(int(n.id))
-		}
-	}
-	if n.rc.pending.Empty() {
-		n.rcEnterFinal(env)
-		return
-	}
-	n.rcSendWave(env)
-}
-
-// rcOnWriteAck consumes write acks addressed to the push wave; reports
-// whether the ack belonged to the coordinator (op acks return false).
-func (n *Node) rcOnWriteAck(env cluster.Env, from cluster.NodeID, m msgWriteAck) bool {
-	if n.rc.phase != rcPush || m.Seq != n.rc.seq {
-		return false
-	}
-	if n.rc.pending.Contains(int(from)) {
-		n.rc.pending.Remove(int(from))
-		if n.rc.pending.Empty() {
-			n.rcEnterFinal(env)
-		}
-	}
-	return true
 }
 
 // rcEnterFinal installs the stable target config locally and pushes it
@@ -524,17 +430,20 @@ func (n *Node) rcMaybeFinish(env cluster.Env) {
 }
 
 // rcAbort abandons the attempt (rival coordinator won, or the final
-// install failed), notifying the requester.
+// install failed), notifying the requester; a running transfer is its
+// own, and stops.
 func (n *Node) rcAbort(env cluster.Env, msg string) {
+	if n.rc.phase == rcTransfer {
+		n.xfer = transfer{}
+	}
 	if n.rc.hasRequester {
 		env.Send(n.rc.requester, msgReconfigDone{Seq: n.rc.reqSeq, Epoch: n.epochNow(), Err: msg})
 	}
 	n.rc = reconfigState{}
 }
 
-// rcTimeout handles a wave timer: re-send the wave, dropping members that
-// stayed silent through a snapshot/push wave from the acked set so their
-// quorums get re-picked around them.
+// rcTimeout handles a spread, finalize or sweep wave's timer: re-send the
+// wave (a transfer times out on its own timer).
 func (n *Node) rcTimeout(env cluster.Env, seq uint64) {
 	if n.rc.phase == rcIdle || seq != n.rc.seq {
 		return
@@ -555,16 +464,7 @@ func (n *Node) rcTimeout(env cluster.Env, seq uint64) {
 		return
 	}
 	n.rc.attempts++
-	switch n.rc.phase {
-	case rcSpread, rcFinal:
-		n.rcSendWave(env)
-	case rcSnap:
-		n.rc.acked.DifferenceWith(n.rc.pending)
-		n.rcEnterSnapshot(env)
-	case rcPush:
-		n.rc.acked.DifferenceWith(n.rc.pending)
-		n.rcEnterPush(env)
-	}
+	n.rcSendWave(env)
 }
 
 // leaseSweepNeeded reports whether any lease obligation could be alive:
@@ -598,6 +498,7 @@ func (n *Node) rcSweepWave(env cluster.Env) {
 	if n.lh != nil {
 		if !n.lh.Idle() {
 			n.lh.Abort(now)
+			n.xfer = transfer{} // the grant's transfer, if it had one running
 		}
 		if mask := n.lh.DropAll(now); mask != 0 {
 			n.leaseBroadcastDrop(env, mask)
@@ -671,56 +572,67 @@ func (n *Node) onReconfigRequest(env cluster.Env, from cluster.NodeID, m msgReco
 // reconfiguration (tests and drains).
 func (n *Node) Reconfiguring() bool { return n.rc.phase != rcIdle }
 
-// ReconfigClient is a minimal cluster.Handler that asks a contact node to
-// coordinate a reconfiguration and waits for the outcome — the client
-// side of `quorumctl reconfig`. It retries the request until answered
-// (the coordinator deduplicates by target), then calls onDone once with
-// the resulting epoch and an error string ("" on success).
-type ReconfigClient struct {
+// RequestClient is a minimal cluster.Handler that sends one request to a
+// contact node, re-sends it every retry until a matching reply arrives,
+// and then stops — the client side of `quorumctl reconfig` and `quorumctl
+// tune`. Everything else it hears (stray protocol traffic) is ignored:
+// it is not a replica.
+type RequestClient struct {
 	contact cluster.NodeID
-	target  []byte
+	req     any
 	retry   time.Duration
-	done    bool
-	onDone  func(epoch uint64, errText string)
+	// reply consumes a delivered message, reporting whether it was the
+	// awaited reply (false keeps waiting and retrying).
+	reply func(msg any) bool
+	done  bool
 }
 
-// NewReconfigClient builds the client; kick it off by delivering
-// StartToken to its Timer (transport Kick or cluster.Network.StartTimer).
-func NewReconfigClient(contact cluster.NodeID, target epoch.Params, retry time.Duration, onDone func(epoch uint64, errText string)) *ReconfigClient {
+var _ cluster.Handler = (*RequestClient)(nil)
+
+// tokenRequest (re)sends a RequestClient's request.
+type tokenRequest struct{}
+
+func newRequestClient(contact cluster.NodeID, req any, retry time.Duration, reply func(msg any) bool) *RequestClient {
 	if retry <= 0 {
 		retry = time.Second
 	}
-	return &ReconfigClient{
-		contact: contact,
-		target:  target.Encode(nil),
-		retry:   retry,
-		onDone:  onDone,
-	}
+	return &RequestClient{contact: contact, req: req, retry: retry, reply: reply}
 }
 
-var _ cluster.Handler = (*ReconfigClient)(nil)
+// NewReconfigClient asks contact to coordinate a reconfiguration to
+// target (the coordinator deduplicates retries by target) and calls
+// onDone once with the resulting epoch and an error string ("" on
+// success). Kick it off by delivering StartToken to its Timer (transport
+// Kick or cluster.Network.StartTimer).
+func NewReconfigClient(contact cluster.NodeID, target epoch.Params, retry time.Duration, onDone func(epoch uint64, errText string)) *RequestClient {
+	return newRequestClient(contact, msgReconfig{Seq: 1, Target: target.Encode(nil)}, retry, func(msg any) bool {
+		m, ok := msg.(msgReconfigDone)
+		if !ok || m.Seq != 1 {
+			return false
+		}
+		if onDone != nil {
+			onDone(m.Epoch, m.Err)
+		}
+		return true
+	})
+}
 
 // StartToken returns the timer token that fires the first request.
-func (c *ReconfigClient) StartToken() any { return tokenRcClient{} }
+func (c *RequestClient) StartToken() any { return tokenRequest{} }
 
 // Timer implements cluster.Handler: send (or re-send) the request.
-func (c *ReconfigClient) Timer(env cluster.Env, token any) {
+func (c *RequestClient) Timer(env cluster.Env, token any) {
 	if c.done {
 		return
 	}
-	env.Send(c.contact, msgReconfig{Seq: 1, Target: c.target})
-	env.After(c.retry, tokenRcClient{})
+	env.Send(c.contact, c.req)
+	env.After(c.retry, tokenRequest{})
 }
 
-// Deliver implements cluster.Handler: consume the outcome; everything
-// else (stray protocol traffic) is ignored — this node is not a replica.
-func (c *ReconfigClient) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
-	m, ok := msg.(msgReconfigDone)
-	if !ok || m.Seq != 1 || c.done {
-		return
-	}
-	c.done = true
-	if c.onDone != nil {
-		c.onDone(m.Epoch, m.Err)
+// Deliver implements cluster.Handler: hand the message to the reply
+// decoder until it accepts one.
+func (c *RequestClient) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
+	if !c.done && c.reply(msg) {
+		c.done = true
 	}
 }

@@ -468,6 +468,9 @@ type Node struct {
 	// rc is the reconfiguration coordinator's state machine (see
 	// reconfig.go); zero while no reconfiguration is being driven.
 	rc reconfigState
+	// xfer is the state transfer a reconfiguration or a lease grant is
+	// running (see transfer.go); zero while idle.
+	xfer transfer
 
 	// Lease state (see lease.go). lt is the member-side table — always
 	// present. lh is the holder, nil unless Config.Lease is set.
@@ -476,13 +479,11 @@ type Node struct {
 	// (set after losing the table to a disk-backend restart, or at boot
 	// with Config.Lease.StartQuarantine). leaseMaxExpiry is the
 	// high-water expiry of every entry ever recorded — the quarantine
-	// bound a restart falls back to. leaseMerged accumulates the grant
-	// pull's merged shard state. All event-goroutine only.
+	// bound a restart falls back to. All event-goroutine only.
 	lt                *lease.Table
 	lh                *lease.Holder
 	leaseBlockedUntil time.Duration
 	leaseMaxExpiry    time.Duration
-	leaseMerged       map[string]mergedVal
 
 	// Lease counters. Atomics: the metrics endpoint reads them off-loop.
 	leaseGrants        atomic.Uint64
@@ -683,7 +684,7 @@ func (n *Node) epochNow() uint64 { return n.cfg.Epochs.Epoch() }
 // its config — the sender's attempt timeout covers the retry. serve runs
 // under the epoch store's read lock, so an admitted request finishes
 // applying before any concurrent config install completes (the ordering
-// the reconfiguration snapshot relies on).
+// a state transfer's pull relies on).
 func (n *Node) gate(env cluster.Env, from cluster.NodeID, e, seq uint64, serve func()) {
 	switch n.cfg.Epochs.Serve(e, serve) {
 	case epoch.VerdictSenderStale:
@@ -741,16 +742,9 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 				n.ackDurable(env, from, msgWriteAck{Epoch: m.Epoch, Seq: m.Seq})
 			}
 		})
-	case msgSnapReq:
-		// Reconfiguration state sync: served only at the exact (joint)
-		// epoch, so every write admitted under the old config is already
-		// applied when the snapshot is taken.
-		n.gate(env, from, m.Epoch, m.Seq, func() {
-			env.Send(from, msgSnapReply{Seq: m.Seq, Items: n.store.dump()})
-		})
-	case msgLeasePull:
-		// Lease freshness pull: store-only, safe on the fast path.
-		n.onLeasePullServe(env, from, m)
+	case msgPull:
+		// A state transfer's pull: store-only, safe on the fast path.
+		n.onPull(env, from, m)
 	case msgConfigPush:
 		n.onConfigPush(env, from, m)
 	case msgConfigReq:
@@ -791,15 +785,13 @@ func (n *Node) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
 		n.onStaleEpoch(env, m)
 	case msgConfigAck:
 		n.rcOnConfigAck(env, from, m)
-	case msgSnapReply:
-		n.rcOnSnapReply(env, from, m)
+	case msgPullReply:
+		n.onPullReply(env, from, m)
 	case msgReconfig:
 		n.onReconfigRequest(env, from, m)
-	case msgReconfigDone:
-		// Consumed by ReconfigClient handlers; a replica can hear a stray
+	case msgReconfigDone, msgWorkloadReply:
+		// Consumed by RequestClient handlers; a replica can hear a stray
 		// one when a requester retried through it — drop it.
-	case msgWorkloadReply:
-		// Consumed by WorkloadClient handlers; stray ones are dropped.
 	case msgLeaseGrant:
 		n.onLeaseRequest(env, from, m.Epoch, m.Seq, m.Mask, m.Shards, m.TTLus, false)
 	case msgLeaseRenew:
@@ -808,8 +800,6 @@ func (n *Node) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
 		n.onLeaseInval(env, from, m)
 	case msgLeaseAck:
 		n.onLeaseAck(env, from, m)
-	case msgLeasePullReply:
-		n.onLeasePullReply(env, from, m)
 	case msgLeaseDrop:
 		n.onLeaseDrop(from, m)
 	default:
@@ -834,6 +824,8 @@ func (n *Node) Timer(env cluster.Env, token any) {
 		n.onLeaseTick(env)
 	case tokenLeaseDue:
 		n.onLeaseDue(env, tk.Seq)
+	case tokenTransferDue:
+		n.onTransferDue(env, tk.Seq)
 	default:
 		panic(fmt.Sprintf("rkv: unknown timer token %T", token))
 	}
@@ -1367,11 +1359,8 @@ func (n *Node) onReadBatchReply(env cluster.Env, from cluster.NodeID, m msgReadB
 }
 
 func (n *Node) onWriteAck(env cluster.Env, from cluster.NodeID, m msgWriteAck) {
-	if n.rcOnWriteAck(env, from, m) {
-		return // ack for the reconfiguration coordinator's state push
-	}
-	if n.leaseOnWriteAck(env, from, m) {
-		return // ack for the lease grant's freshness push
+	if n.transferOnWriteAck(env, from, m.Seq) {
+		return // ack for a state transfer's push
 	}
 	op, ok := n.inflight[m.Seq]
 	if !ok || op.ph != phaseWrite || !op.pending.Contains(int(from)) {
@@ -1443,6 +1432,7 @@ func (n *Node) Restarted(env cluster.Env) {
 	// still safe — and any coordinator (this one restarted, or another)
 	// can resume the transition to the same target later.
 	n.rc = reconfigState{}
+	n.xfer = transfer{}
 	n.invalidatePicks()
 	n.leaseRestarted(env)
 	// A restarted node must not tune on pre-crash traffic, and its tune

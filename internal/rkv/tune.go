@@ -20,6 +20,7 @@ import (
 	"hquorum/internal/cluster"
 	"hquorum/internal/codec"
 	"hquorum/internal/epoch"
+	"hquorum/internal/lease"
 	"hquorum/internal/optrace"
 	"hquorum/internal/tuner"
 )
@@ -57,24 +58,7 @@ func TuneToken() any { return tokenTune{} }
 
 // observeOp feeds one client operation, finished at now, to the profiler.
 func (n *Node) observeOp(now time.Duration, op *opState, sub *subOp, err error) {
-	n.profile.Observe(now, sub.kind == OpRead, now-op.tries.Start, err != nil, hashKey(sub.key))
-}
-
-// hashKey is FNV-1a, the profiler's key hash. Unlike the store's seeded
-// hash it is the same in every process, so a simulated run's profile —
-// and the tuning decisions drawn from it — replays exactly; inlined
-// rather than hash/fnv to keep the per-op path allocation-free.
-func hashKey(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
+	n.profile.Observe(now, sub.kind == OpRead, now-op.tries.Start, err != nil, lease.KeyHash(sub.key))
 }
 
 // Workload returns the node's profiler snapshot as of now (the node's
@@ -132,65 +116,34 @@ func (n *Node) onTune(env cluster.Env) {
 	n.startReconfig(env, dec.Best.Params, 0, 0, false)
 }
 
-// WorkloadClient is a minimal cluster.Handler that fetches one node's
-// profiler snapshot and epoch config — the client side of `quorumctl tune`
-// and the kvd metrics endpoint's remote mode. It retries until answered,
-// then calls onDone once.
-type WorkloadClient struct {
-	contact cluster.NodeID
-	retry   time.Duration
-	done    bool
-	onDone  func(wl tuner.Workload, cfg epoch.Config, haveCfg bool)
-}
-
-// NewWorkloadClient builds the client; kick it off by delivering
-// StartToken to its Timer.
-func NewWorkloadClient(contact cluster.NodeID, retry time.Duration, onDone func(wl tuner.Workload, cfg epoch.Config, haveCfg bool)) *WorkloadClient {
-	if retry <= 0 {
-		retry = time.Second
-	}
-	return &WorkloadClient{contact: contact, retry: retry, onDone: onDone}
-}
-
-var _ cluster.Handler = (*WorkloadClient)(nil)
-
-// tokenWlClient re-fires the request.
-type tokenWlClient struct{}
-
-// StartToken returns the timer token that fires the first request.
-func (c *WorkloadClient) StartToken() any { return tokenWlClient{} }
-
-// Timer implements cluster.Handler.
-func (c *WorkloadClient) Timer(env cluster.Env, token any) {
-	if c.done {
-		return
-	}
-	env.Send(c.contact, msgWorkloadReq{Seq: 1})
-	env.After(c.retry, tokenWlClient{})
-}
-
-// Deliver implements cluster.Handler.
-func (c *WorkloadClient) Deliver(env cluster.Env, from cluster.NodeID, msg any) {
-	m, ok := msg.(msgWorkloadReply)
-	if !ok || m.Seq != 1 || c.done {
-		return
-	}
-	wl, err := tuner.DecodeWorkload(m.Wl)
-	if err != nil {
-		return // malformed: the retry timer re-asks
-	}
-	var cfg epoch.Config
-	haveCfg := false
-	if len(m.Cfg) > 0 {
-		if cfg, err = epoch.DecodeConfig(m.Cfg); err != nil {
-			return
+// NewWorkloadClient fetches one node's profiler snapshot and epoch
+// config — the client side of `quorumctl tune` and the kvd metrics
+// endpoint's remote mode — and calls onDone once. A malformed reply is
+// dropped, and the retry re-asks. Kick it off by delivering StartToken to
+// its Timer.
+func NewWorkloadClient(contact cluster.NodeID, retry time.Duration, onDone func(wl tuner.Workload, cfg epoch.Config, haveCfg bool)) *RequestClient {
+	return newRequestClient(contact, msgWorkloadReq{Seq: 1}, retry, func(msg any) bool {
+		m, ok := msg.(msgWorkloadReply)
+		if !ok || m.Seq != 1 {
+			return false
 		}
-		haveCfg = true
-	}
-	c.done = true
-	if c.onDone != nil {
-		c.onDone(wl, cfg, haveCfg)
-	}
+		wl, err := tuner.DecodeWorkload(m.Wl)
+		if err != nil {
+			return false
+		}
+		var cfg epoch.Config
+		haveCfg := false
+		if len(m.Cfg) > 0 {
+			if cfg, err = epoch.DecodeConfig(m.Cfg); err != nil {
+				return false
+			}
+			haveCfg = true
+		}
+		if onDone != nil {
+			onDone(wl, cfg, haveCfg)
+		}
+		return true
+	})
 }
 
 // registerTuneWire registers the workload-exchange codecs (called from

@@ -13,15 +13,17 @@ import (
 // 0x13-0x16 bodies in place (a leading epoch varint) and claimed
 // 0x17-0x1e for configuration distribution and reconfiguration; 0x14's
 // body has since gained a trailing want-value bit string (msgReadBatch).
-// The keyed batches (0x15, 0x16, 0x1c, 0x36) carry one []item: on the
+// The keyed batches (0x15, 0x16, 0x36) carry one []item: on the
 // wire a count, then per item its version and value (0x15, whose keys are
 // the request's) or its key, version and value. Decoders read in place: a
 // decoded key or value is a substring of its frame, so the replica store
 // clones what it keeps (shardedMap.applyLogged).
 //
 // Retired, never reused: 0x10, 0x11, 0x12 — the single-key read, version
-// reply and write frames. The classic register is a batch of one on key
-// "", and a retired tag decodes to the codec's unknown-tag error.
+// reply and write frames (the classic register is a batch of one on key
+// ""); 0x1b, 0x1c — the reconfiguration's snapshot request and reply,
+// whose job the state transfer's pull (0x35/0x36) does. A retired tag
+// decodes to the codec's unknown-tag error.
 const (
 	tagWriteAck     = 0x13
 	tagReadBatch    = 0x14
@@ -31,10 +33,11 @@ const (
 	tagConfigAck    = 0x18
 	tagStaleEpoch   = 0x19
 	tagConfigReq    = 0x1a
-	tagSnapReq      = 0x1b
-	tagSnapReply    = 0x1c
 	tagReconfig     = 0x1d
 	tagReconfigDone = 0x1e
+	// In the 0x30 overflow block, beside the lease tags (lease.go).
+	tagPull      = 0x35
+	tagPullReply = 0x36
 )
 
 // RegisterBinaryWire registers the hand-written varint codecs for every
@@ -118,14 +121,38 @@ func RegisterBinaryWire(reg *codec.Registry) {
 			m := msgWriteBatch{Epoch: r.Uvarint(), Seq: r.Uvarint(), Items: readItems(r)}
 			return m, r.Err()
 		})
+	reg.Register(tagPull, msgPull{},
+		func(b []byte, v any) []byte {
+			m := v.(msgPull)
+			b = codec.AppendUvarint(b, m.Epoch)
+			b = codec.AppendUvarint(b, m.Seq)
+			b = codec.AppendUvarint(b, m.Mask)
+			return codec.AppendUvarint(b, uint64(m.Shards))
+		},
+		func(data string) (any, error) {
+			r := codec.NewReader(data)
+			m := msgPull{Epoch: r.Uvarint(), Seq: r.Uvarint(), Mask: r.Uvarint(), Shards: int(r.Uvarint())}
+			return m, r.Err()
+		})
+	reg.Register(tagPullReply, msgPullReply{},
+		func(b []byte, v any) []byte {
+			m := v.(msgPullReply)
+			b = codec.AppendUvarint(b, m.Seq)
+			return appendItems(b, m.Items)
+		},
+		func(data string) (any, error) {
+			r := codec.NewReader(data)
+			m := msgPullReply{Seq: r.Uvarint(), Items: readItems(r)}
+			return m, r.Err()
+		})
 	registerReconfigWire(reg)
 	registerTuneWire(reg)
 	registerLeaseWire(reg)
 }
 
 // registerReconfigWire registers the configuration-distribution and
-// reconfiguration messages (tags 0x17-0x1e). Configs travel as opaque
-// byte strings; their own decoder (epoch.DecodeConfig) carries the
+// reconfiguration messages (tags 0x17-0x1a, 0x1d, 0x1e). Configs travel as
+// opaque byte strings; their own decoder (epoch.DecodeConfig) carries the
 // hostile-input guards, so a frame here only needs string framing.
 func registerReconfigWire(reg *codec.Registry) {
 	reg.Register(tagConfigPush, msgConfigPush{},
@@ -171,28 +198,6 @@ func registerReconfigWire(reg *codec.Registry) {
 			m := msgConfigReq{Epoch: r.Uvarint()}
 			return m, r.Err()
 		})
-	reg.Register(tagSnapReq, msgSnapReq{},
-		func(b []byte, v any) []byte {
-			m := v.(msgSnapReq)
-			b = codec.AppendUvarint(b, m.Epoch)
-			return codec.AppendUvarint(b, m.Seq)
-		},
-		func(data string) (any, error) {
-			r := codec.NewReader(data)
-			m := msgSnapReq{Epoch: r.Uvarint(), Seq: r.Uvarint()}
-			return m, r.Err()
-		})
-	reg.Register(tagSnapReply, msgSnapReply{},
-		func(b []byte, v any) []byte {
-			m := v.(msgSnapReply)
-			b = codec.AppendUvarint(b, m.Seq)
-			return appendItems(b, m.Items)
-		},
-		func(data string) (any, error) {
-			r := codec.NewReader(data)
-			m := msgSnapReply{Seq: r.Uvarint(), Items: readItems(r)}
-			return m, r.Err()
-		})
 	reg.Register(tagReconfig, msgReconfig{},
 		func(b []byte, v any) []byte {
 			m := v.(msgReconfig)
@@ -229,8 +234,8 @@ func readVersion(r *codec.Reader) Version {
 	return Version{Counter: r.Uvarint(), Writer: cluster.NodeID(r.Uvarint())}
 }
 
-// appendItems and readItems are a keyed batch's wire form (write batches,
-// snapshot and lease-pull replies): a count, then key, version and value
+// appendItems and readItems are a keyed batch's wire form (write batches
+// and pull replies): a count, then key, version and value
 // per item. Decoded keys and values are substrings of the frame.
 func appendItems(b []byte, items []item) []byte {
 	b = codec.AppendUvarint(b, uint64(len(items)))
@@ -309,11 +314,6 @@ func WireSamples() []any {
 		msgConfigAck{Seq: 11, Epoch: 2, Fp: joint.Fingerprint()},
 		msgStaleEpoch{Seq: 12, Cfg: joint.Encode(nil)},
 		msgConfigReq{Epoch: 2},
-		msgSnapReq{Epoch: 2, Seq: 13},
-		msgSnapReply{
-			Seq:   13,
-			Items: []item{{"", Version{Counter: 2, Writer: 4}, "r"}, {"k1", Version{Counter: 9, Writer: 0}, "s"}},
-		},
 		msgReconfig{Seq: 1, Target: sampleNew.Encode(nil)},
 		msgReconfigDone{Seq: 1, Epoch: 3, Err: ""},
 		msgWorkloadReq{Seq: 14},
@@ -326,8 +326,8 @@ func WireSamples() []any {
 		msgLeaseRenew{Epoch: 3, Seq: 22, Mask: 0b1011, Shards: 16, TTLus: 2_000_000},
 		msgLeaseInval{Seq: 23, Mask: 0b0010},
 		msgLeaseAck{Seq: 23, Kind: 2, OK: true},
-		msgLeasePull{Epoch: 3, Seq: 24, Mask: 0b1001, Shards: 16},
-		msgLeasePullReply{
+		msgPull{Epoch: 3, Seq: 24, Mask: 0b1001, Shards: 16},
+		msgPullReply{
 			Seq:   24,
 			Items: []item{{"a", Version{Counter: 5, Writer: 1}, "x"}, {"b", Version{Counter: 2, Writer: 6}, "y"}},
 		},

@@ -88,6 +88,11 @@ if grep -niE 'fnv|14695981039346656037' internal/rkv/shards.go; then exit 1; fi
 # in place from one string per frame: the parallel Vers/Vals slices, and
 # the length-mismatch guards they needed, must not grow back.
 if grep -rnE '^\s*(p2)?(Vers|Vals)\s+\[\]' --include='*.go' --exclude='*_test.go' internal/rkv; then exit 1; fi
+# A reconfiguration and a lease grant move state through one quorum
+# bracket (internal/rkv/transfer.go): the snapshot/push and pull/push
+# paths it replaced, and the lease holder's pull/push sub-machine, must
+# not grow back.
+if grep -rnwE 'msgSnapReq|rcMergeSnap|leaseMerged|BeginPull|OnPullReply|BeginPush|OnPushAck|holdPull|holdPush|rcSnap|rcPush' --include='*.go' internal/rkv internal/lease; then exit 1; fi
 go test ./...
 # The facade example submits a write chain, crashes three replicas and
 # panics if the read after the crashes is stale: run it, not just build it.
